@@ -31,11 +31,12 @@ import (
 	"cdb/internal/cql"
 	"cdb/internal/crowd"
 	"cdb/internal/dataset"
+	"cdb/internal/engine"
 	"cdb/internal/exec"
 	"cdb/internal/faults"
 	"cdb/internal/meta"
 	"cdb/internal/obs"
-	qplan "cdb/internal/plan"
+	"cdb/internal/plan"
 	"cdb/internal/quality"
 	"cdb/internal/sim"
 	"cdb/internal/stats"
@@ -66,31 +67,31 @@ const (
 	StrategyACD     = "acd"     // adaptive correlation clustering ER
 )
 
+// mincutSamples is the sampling depth of StrategyMinCut.
+const mincutSamples = 20
+
 // DB is a CDB instance: a catalog of relations, a simulated crowd, and
 // the optimizer configuration.
 type DB struct {
-	catalog    *table.Catalog
-	oracle     exec.Oracle
-	pool       *crowd.Pool
-	workers    *quality.WorkerModel
-	rng        *stats.RNG
-	simFunc    sim.Func
-	epsilon    float64
-	redundancy int
-	qualityOn  bool
-	strategy   string
-	samples    int
-	fillTruth  func(tableName string, row int, col string) string
-	universe   map[string][]string // COLLECT universes per table
-	router     *crowd.Router
-	meta       *meta.Store
-	calibrate  bool
-	transitive bool
-	observer   obs.Observer
-	planner    plannerState
-	tracing    bool
-	faults     *faults.Injector
-	reliable   *exec.Reliability
+	catalog   *table.Catalog
+	oracle    exec.Oracle
+	rng       *stats.RNG
+	simFunc   sim.Func
+	epsilon   float64
+	strategy  string
+	fillTruth func(tableName string, row int, col string) string
+	universe  map[string][]string // COLLECT universes per table
+	observer  obs.Observer
+	planner   plan.Config
+	tracing   bool
+	faults    *faults.Injector
+	// run is the executor configuration every SELECT shares — crowd,
+	// redundancy, quality mode, markets, metadata store, calibration,
+	// transitivity, reliability policy — kept in the form the pipeline
+	// consumes. async selects the fault-tolerant transport even without
+	// injected faults (WithReliability).
+	run   exec.Options
+	async bool
 
 	// errs accumulates option-validation failures. Open keeps the
 	// historical lenient behaviour (invalid knobs fall back to
@@ -135,19 +136,19 @@ func WithWorkers(n int, mean, stddev float64) Option {
 			db.saveErr(fmt.Errorf("cdb: worker accuracy stddev %v must be non-negative", stddev))
 			return
 		}
-		db.pool = crowd.NewPool(n, mean, stddev, db.rng.Split())
+		db.run.Pool = crowd.NewPool(n, mean, stddev, db.rng.Split())
 	}
 }
 
 // WithPerfectWorkers installs an infallible crowd — useful to study
 // cost behaviour in isolation.
 func WithPerfectWorkers(n int) Option {
-	return func(db *DB) { db.pool = crowd.NewPerfectPool(n, db.rng.Split()) }
+	return func(db *DB) { db.run.Pool = crowd.NewPerfectPool(n, db.rng.Split()) }
 }
 
 // WithOracle installs a ground-truth oracle for the simulation.
 func WithOracle(o MatchOracle) Option {
-	return func(db *DB) { db.oracle = oracleAdapter{o} }
+	return func(db *DB) { db.oracle = o }
 }
 
 // WithDataset loads a built-in dataset: "paper" or "award" (the
@@ -176,10 +177,6 @@ func WithDataset(name string, scale float64, seed uint64) Option {
 
 // WithSimilarity selects the matching-probability estimator:
 // "2gram" (default), "token", "edit", "cosine" or "none".
-//
-// Deprecated: use WithPlanner (PlannerConfig.Similarity) or
-// Config.Planner, which consolidate the optimizer knobs in one place.
-// This option keeps working.
 func WithSimilarity(name string) Option {
 	return func(db *DB) {
 		f, err := simByName(name)
@@ -212,10 +209,6 @@ func simByName(name string) (sim.Func, error) {
 // WithEpsilon sets the similarity pruning threshold (default 0.3).
 // Values outside (0, 1] are recorded as validation errors (see Err)
 // and ignored.
-//
-// Deprecated: use WithPlanner (PlannerConfig.Epsilon) or
-// Config.Planner, which consolidate the optimizer knobs in one place.
-// This option keeps working.
 func WithEpsilon(eps float64) Option {
 	return func(db *DB) {
 		if eps <= 0 || eps > 1 {
@@ -235,7 +228,7 @@ func WithRedundancy(k int) Option {
 			db.saveErr(fmt.Errorf("cdb: redundancy %d must be positive", k))
 			return
 		}
-		db.redundancy = k
+		db.run.Redundancy = k
 	}
 }
 
@@ -243,7 +236,12 @@ func WithRedundancy(k int) Option {
 // persistent worker model and entropy-driven task assignment, instead
 // of plain majority voting.
 func WithQualityControl(on bool) Option {
-	return func(db *DB) { db.qualityOn = on }
+	return func(db *DB) {
+		db.run.Quality = exec.MajorityVoting
+		if on {
+			db.run.Quality = exec.CDBPlus
+		}
+	}
 }
 
 // WithTransitivity toggles transitive join inference: crowd answers
@@ -255,16 +253,12 @@ func WithQualityControl(on bool) Option {
 // crowd rounds: edges whose label the round could entail are deferred,
 // trading latency for tasks.
 func WithTransitivity(on bool) Option {
-	return func(db *DB) { db.transitive = on }
+	return func(db *DB) { db.run.Transitive = on }
 }
 
 // WithStrategy selects the task-selection strategy (see the Strategy*
 // constants). Unknown names fall back to the CDB default and record a
 // validation error on the DB (see Err).
-//
-// Deprecated: use WithPlanner (PlannerConfig.Strategy) or
-// Config.Planner, which consolidate the optimizer knobs in one place.
-// This option keeps working.
 func WithStrategy(name string) Option {
 	return func(db *DB) {
 		s := strings.ToLower(name)
@@ -303,7 +297,7 @@ func WithCollectUniverse(tableName string, items []string) Option {
 // cdb_tasks / cdb_workers / cdb_assignments relations, retrievable via
 // Metadata().
 func WithMetadata() Option {
-	return func(db *DB) { db.meta = meta.NewStore() }
+	return func(db *DB) { db.run.Meta = meta.NewStore() }
 }
 
 // WithCalibration enables adaptive similarity→probability calibration
@@ -311,7 +305,7 @@ func WithMetadata() Option {
 // re-weights the remaining edges with isotonic-calibrated
 // probabilities mid-query.
 func WithCalibration(on bool) Option {
-	return func(db *DB) { db.calibrate = on }
+	return func(db *DB) { db.run.Calibrate = on }
 }
 
 // MarketSpec describes one crowdsourcing market for cross-market HIT
@@ -335,29 +329,19 @@ func WithMarkets(specs ...MarketSpec) Option {
 			pool := crowd.NewPool(s.Workers, s.Accuracy, s.Stddev, db.rng.Split())
 			markets = append(markets, crowd.NewMarket(s.Name, s.AssignControl, pool))
 		}
-		db.router = crowd.NewRouter(markets...)
+		db.run.Router = crowd.NewRouter(markets...)
 	}
 }
 
 // BlackoutSpec is a market outage window in the transport's virtual
 // ticks; an empty Market blacks out every platform.
-type BlackoutSpec struct {
-	Market string
-	From   int64
-	Until  int64
-}
+type BlackoutSpec = faults.Blackout
 
 // FaultConfig configures the deterministic chaos engine: simulated
-// platform unreliability applied to every crowd answer. Rates are
-// probabilities in [0, 1]; equal seeds replay identical chaos.
-type FaultConfig struct {
-	Seed          uint64
-	DropRate      float64 // worker abandons the HIT; answer never arrives
-	StragglerRate float64 // answer arrives after the round deadline
-	DuplicateRate float64 // answer delivered twice
-	CorruptRate   float64 // answer replaced by a random verdict
-	Blackouts     []BlackoutSpec
-}
+// platform unreliability applied to every crowd answer — dropped,
+// straggling, duplicated and corrupted answers plus market blackouts.
+// Rates are probabilities in [0, 1]; equal seeds replay identical chaos.
+type FaultConfig = faults.Config
 
 // WithFaults turns on fault injection, which also switches execution
 // to the fault-tolerant asynchronous transport (see WithReliability
@@ -365,165 +349,58 @@ type FaultConfig struct {
 // wedging on lost answers, they return partial results flagged in
 // Stats.Partial with per-answer confidences.
 func WithFaults(fc FaultConfig) Option {
-	return func(db *DB) {
-		cfg := faults.Config{
-			Seed:          fc.Seed,
-			DropRate:      fc.DropRate,
-			StragglerRate: fc.StragglerRate,
-			DuplicateRate: fc.DuplicateRate,
-			CorruptRate:   fc.CorruptRate,
-		}
-		for _, b := range fc.Blackouts {
-			cfg.Blackouts = append(cfg.Blackouts, faults.Blackout{Market: b.Market, From: b.From, Until: b.Until})
-		}
-		db.faults = faults.New(cfg)
-	}
+	return func(db *DB) { db.faults = faults.New(fc) }
 }
 
 // ReliabilityPolicy tunes the executor's fault tolerance over the
-// asynchronous transport. Zero fields take the documented defaults;
-// see exec.Reliability for the full semantics.
-type ReliabilityPolicy struct {
-	TaskDeadline int64   // virtual ticks per HIT attempt (default 64)
-	MaxRetries   int     // reissue waves per round (default 2, negative disables)
-	RetryBudget  int     // extra assignments chargeable per query (default 256)
-	BackoffBase  float64 // deadline multiplier per wave (default 2)
-	JitterFrac   float64 // deterministic reissue jitter (default 0.25)
-	HedgeAfter   float64 // hedge point as a fraction of the deadline (default 0.5)
-	HedgeFrac    float64 // slowest fraction of a round hedged (default 0.1)
-	Strict       bool    // fail fast instead of returning partial results
-}
+// asynchronous transport: per-HIT deadlines, retry waves and budget,
+// backoff, jitter, hedging, and Strict fail-fast. Zero fields take the
+// documented defaults.
+type ReliabilityPolicy = exec.Reliability
 
 // WithReliability selects the fault policy and switches execution to
 // the asynchronous transport even without injected faults (useful to
 // impose deadlines and cancellation on clean runs).
 func WithReliability(rp ReliabilityPolicy) Option {
 	return func(db *DB) {
-		db.reliable = &exec.Reliability{
-			TaskDeadline: rp.TaskDeadline,
-			MaxRetries:   rp.MaxRetries,
-			RetryBudget:  rp.RetryBudget,
-			BackoffBase:  rp.BackoffBase,
-			JitterFrac:   rp.JitterFrac,
-			HedgeAfter:   rp.HedgeAfter,
-			HedgeFrac:    rp.HedgeFrac,
-			Strict:       rp.Strict,
-		}
+		db.run.Reliability = rp
+		db.async = true
 	}
 }
 
 // Open creates a CDB instance.
 func Open(options ...Option) *DB {
 	db := &DB{
-		catalog:    table.NewCatalog(),
-		oracle:     exec.ExactOracle{},
-		rng:        stats.NewRNG(1),
-		simFunc:    sim.Gram2Jaccard,
-		epsilon:    0.3,
-		redundancy: 5,
-		strategy:   StrategyCDB,
-		samples:    20,
-		workers:    quality.NewWorkerModel(),
-		universe:   map[string][]string{},
+		catalog:  table.NewCatalog(),
+		oracle:   exec.ExactOracle{},
+		rng:      stats.NewRNG(1),
+		simFunc:  sim.Gram2Jaccard,
+		epsilon:  0.3,
+		strategy: StrategyCDB,
+		universe: map[string][]string{},
+		run:      exec.Options{Redundancy: 5, Workers: quality.NewWorkerModel()},
 	}
 	for _, opt := range options {
 		opt(db)
 	}
-	if db.pool == nil {
-		db.pool = crowd.NewPool(50, 0.8, 0.1, db.rng.Split())
+	if db.run.Pool == nil {
+		db.run.Pool = crowd.NewPool(50, 0.8, 0.1, db.rng.Split())
 	}
 	return db
 }
 
-type oracleAdapter struct{ o MatchOracle }
+// Stats summarizes one execution's crowd interaction: tasks, rounds,
+// assignments, HITs and dollars, quality against the oracle, and the
+// reliability, sharing and inference telemetry. Its json tags are the
+// wire schema of the HTTP serving layer, pinned by a golden-file test.
+type Stats = engine.QueryStats
 
-func (a oracleAdapter) JoinMatch(lt, lc, rt, rc, lv, rv string) bool {
-	return a.o.JoinMatch(lt, lc, rt, rc, lv, rv)
-}
-func (a oracleAdapter) SelMatch(t, c, v, k string) bool { return a.o.SelMatch(t, c, v, k) }
-
-// Stats summarizes one execution's crowd interaction.
-//
-// The json tags are the wire schema of the HTTP serving layer
-// (cmd/cdbd) and are pinned by a golden-file test: renaming a tag is a
-// breaking protocol change and fails CI.
-type Stats struct {
-	Tasks       int     `json:"tasks"`       // crowd tasks issued (the paper's cost metric)
-	Rounds      int     `json:"rounds"`      // crowd interaction rounds (latency metric)
-	Assignments int     `json:"assignments"` // individual worker answers
-	HITs        int     `json:"hits"`        // priced HITs (10 tasks per HIT)
-	Dollars     float64 `json:"dollars"`     // simulated spend ($0.1 per HIT)
-	Precision   float64 `json:"precision"`   // vs the oracle's ground truth
-	Recall      float64 `json:"recall"`
-	F1          float64 `json:"f1"`
-
-	// Reliability telemetry, populated on the fault-tolerant transport
-	// (WithFaults / WithReliability). Partial marks a degraded result:
-	// the query ran out of time, retries, or was cancelled, and Reason
-	// says which. The counters attribute where answers went.
-	Partial         bool   `json:"partial,omitempty"`
-	Reason          string `json:"reason,omitempty"`
-	Lost            int    `json:"lost,omitempty"`             // tasks that never got any answer
-	Retried         int    `json:"retried,omitempty"`          // tasks reissued after missing a deadline
-	Hedged          int    `json:"hedged,omitempty"`           // tasks speculatively reissued before the deadline
-	Late            int    `json:"late,omitempty"`             // answers that arrived after their round deadline
-	Duplicates      int    `json:"duplicates,omitempty"`       // redundant deliveries deduplicated away
-	RoundsTruncated int    `json:"rounds_truncated,omitempty"` // rounds discarded by cancellation or deadline
-
-	// Sharing telemetry, populated when the query ran through an Engine:
-	// tasks that attached to another query's in-flight HIT, and tasks
-	// answered from the shared verdict cache. Assignments/HITs/Dollars
-	// above still charge the full redundancy to this query either way —
-	// sharing changes what the platform does, not what a query observes.
-	Coalesced   int `json:"coalesced,omitempty"`
-	CachedTasks int `json:"cached_tasks,omitempty"`
-
-	// Inferred counts the edge labels transitive inference deduced
-	// without crowd work (WithTransitivity); zero when inference is off
-	// or nothing was entailed.
-	Inferred int `json:"inferred,omitempty"`
-}
-
-// Result is the outcome of one Exec call.
-//
-// Like Stats, the json tags are the serving layer's wire schema,
-// pinned by a golden-file test.
-type Result struct {
-	// Columns and Rows hold the projected answers for SELECT; for DDL
-	// and collection statements Rows is empty and Message explains what
-	// happened.
-	Columns []string   `json:"columns,omitempty"`
-	Rows    [][]string `json:"rows,omitempty"`
-	Message string     `json:"message,omitempty"`
-	Stats   Stats      `json:"stats"`
-	// Confidence holds one entry per row of Rows on the fault-tolerant
-	// transport: the weakest per-edge posterior backing that answer
-	// (1.0 when every supporting verdict is certain). Nil on the
-	// synchronous path.
-	Confidence []float64 `json:"confidence,omitempty"`
-	// Provenance holds one entry per row of Rows when transitive
-	// inference ran (WithTransitivity): how many of the answer's
-	// supporting edges were crowd-answered, inferred, or decided by
-	// prior evidence. GROUP BY folds member entries into their group's
-	// row by summing; ORDER BY permutes alongside the rows. Nil when
-	// inference is off.
-	Provenance []AnswerProvenance `json:"provenance,omitempty"`
-	// Trace is the statement's span tree when tracing is enabled via
-	// WithObserver or WithTracing; nil otherwise. Never serialized on
-	// the wire — traces are process-local diagnostics.
-	Trace *Trace `json:"-"`
-	// RequestID is the serving tier's correlation ID: the
-	// X-CDB-Request-ID the query arrived under (caller-supplied or
-	// minted by cdbd), echoed here so the response body, trace spans
-	// and query-log lines of one request all join on the same key.
-	// Empty for queries executed without one.
-	RequestID string `json:"request_id,omitempty"`
-	// Plan is the executed (or, for EXPLAIN, the would-be) query plan.
-	// Populated when the greedy planner is enabled (WithPlanner /
-	// Config.Planner) or the statement was an EXPLAIN; nil otherwise,
-	// so legacy wire fixtures are unaffected.
-	Plan *Plan `json:"plan,omitempty"`
-}
+// Result is the outcome of one Exec call or one Future: projected
+// Columns and Rows for SELECT (Message explains DDL and collection
+// statements), Stats, per-row Confidence and Provenance, and the Trace,
+// RequestID and Plan when those features are on. Like Stats, its json
+// tags are the serving layer's wire schema.
+type Result = engine.Result
 
 // AnswerProvenance breaks one answer's supporting edges down by how
 // their labels were decided: crowd-answered, transitively inferred, or
@@ -635,7 +512,7 @@ func (db *DB) TableNames() []string { return db.catalog.Names() }
 
 // Metadata returns the metadata store (nil unless WithMetadata was
 // given).
-func (db *DB) Metadata() *meta.Store { return db.meta }
+func (db *DB) Metadata() *meta.Store { return db.run.Meta }
 
 // Dump returns a table's contents as strings (header included).
 func (db *DB) Dump(tableName string) ([][]string, error) {
@@ -658,13 +535,12 @@ func (db *DB) Dump(tableName string) ([][]string, error) {
 	return out, nil
 }
 
-func (db *DB) strategyFor(p *exec.Plan, budget int) cost.Strategy {
-	if budget > 0 {
-		return cost.NewBudget(budget)
-	}
+// strategyFor builds the configured task-selection strategy for one
+// bound plan.
+func (db *DB) strategyFor(p *exec.Plan) cost.Strategy {
 	switch db.strategy {
 	case StrategyMinCut:
-		return cost.NewMinCutSampling(db.samples, db.rng.Split())
+		return cost.NewMinCutSampling(mincutSamples, db.rng.Split())
 	case StrategyCrowdDB:
 		return baselines.NewTreeModel("CrowdDB", baselines.CrowdDBOrder(p.S))
 	case StrategyQurk:
@@ -688,15 +564,15 @@ func (db *DB) strategyFor(p *exec.Plan, budget int) cost.Strategy {
 
 // transportFor builds the per-query asynchronous transport when the
 // fault-tolerant path is selected (fault injection or an explicit
-// reliability policy), nil for the legacy synchronous path. The caller
-// owns Close.
+// reliability policy), nil for the legacy synchronous path. The
+// pipeline closes it.
 func (db *DB) transportFor() *crowd.Transport {
-	if db.faults == nil && db.reliable == nil {
+	if db.faults == nil && !db.async {
 		return nil
 	}
-	markets := []*crowd.Market{crowd.NewMarket("default", true, db.pool)}
-	if db.router != nil && len(db.router.Markets) > 0 {
-		markets = db.router.Markets
+	markets := []*crowd.Market{crowd.NewMarket("default", true, db.run.Pool)}
+	if db.run.Router != nil && len(db.run.Router.Markets) > 0 {
+		markets = db.run.Router.Markets
 	}
 	return crowd.NewTransport(crowd.TransportConfig{
 		Markets: markets,
@@ -705,105 +581,35 @@ func (db *DB) transportFor() *crowd.Transport {
 	})
 }
 
+// source is what this DB's SELECTs bind against.
+func (db *DB) source() engine.Source {
+	return engine.Source{
+		Catalog:    db.catalog,
+		Oracle:     db.oracle,
+		PlanConfig: exec.PlanConfig{Sim: db.simFunc, Epsilon: db.epsilon},
+	}
+}
+
+// execSelect sends one SELECT through the shared pipeline with this
+// DB's crowd, quality mode and optimizer configuration, then applies
+// crowd-powered GROUP BY / ORDER BY to the answer.
 func (db *DB) execSelect(ctx context.Context, s *cql.Select, tr *obs.Tracer) (*Result, error) {
-	planSpan := tr.Begin(obs.SpanPlan)
-	plan, err := exec.BuildPlan(s, db.catalog, db.oracle, exec.PlanConfig{Sim: db.simFunc, Epsilon: db.epsilon})
-	if err != nil {
-		tr.End(planSpan)
-		return nil, err
+	req := &engine.SelectRequest{
+		Source:    db.source(),
+		Stmt:      s,
+		Strategy:  db.strategyFor,
+		Planner:   db.planner,
+		PureSeed:  func() uint64 { return db.rng.Split().Uint64() },
+		Transport: db.transportFor,
+		Exec:      db.run,
 	}
-	tr.Mutate(planSpan, func(sp *obs.Span) { sp.Edges = plan.G.NumEdges() })
-	tr.End(planSpan)
-	qm := exec.MajorityVoting
-	if db.qualityOn {
-		qm = exec.CDBPlus
-	}
-	opts := exec.Options{
-		Strategy:   db.strategyFor(plan, s.Budget),
-		Redundancy: db.redundancy,
-		Quality:    qm,
-		Pool:       db.pool,
-		Workers:    db.workers,
-		Router:     db.router,
-		Meta:       db.meta,
-		Calibrate:  db.calibrate,
-		Transitive: db.transitive,
-		Trace:      tr,
-	}
-	if tp := db.transportFor(); tp != nil {
-		defer tp.Close()
-		opts.Transport = tp
-		if db.reliable != nil {
-			opts.Reliability = *db.reliable
-		}
-	}
-	var decision *qplan.Decision
-	if db.plannerOn() && s.Budget == 0 && opts.Transport == nil {
-		if db.planner.Greedy {
-			decision = qplan.Greedy(plan, db.planner.Bins)
-		} else {
-			decision = qplan.Fixed(plan, db.planner.Bins)
-		}
-		opts.Strategy = &qplan.Ordered{Order: decision.Order}
-		// Content-pure verdicts are what make reordering
-		// answer-preserving; the resolver seed is drawn the same way on
-		// the greedy and fixed-order paths so equal DB seeds compare the
-		// two orders over identical crowds.
-		opts.Resolver = &qplan.PureResolver{Seed: db.rng.Split().Uint64(), Pool: db.pool}
-		// Transitive deferral schedules rounds by entailment order, which
-		// fights the planned predicate order; the planned path keeps it
-		// off.
-		opts.Transitive = false
-	}
-	rep, err := exec.Run(ctx, plan, opts)
+	req.Exec.Trace = tr
+	ans, err := engine.RunSelect(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Stats: Stats{
-			Tasks:       rep.Metrics.Tasks,
-			Rounds:      rep.Metrics.Rounds,
-			Assignments: rep.Assignments,
-			HITs:        rep.HITs,
-			Dollars:     rep.Dollars,
-			Precision:   rep.Metrics.Precision,
-			Recall:      rep.Metrics.Recall,
-			F1:          rep.Metrics.F1(),
-
-			Partial:         rep.Reliability.Partial,
-			Reason:          rep.Reliability.Reason,
-			Lost:            rep.Reliability.Lost,
-			Retried:         rep.Reliability.Retried,
-			Hedged:          rep.Reliability.Hedged,
-			Late:            rep.Reliability.Late,
-			Duplicates:      rep.Reliability.Duplicates,
-			RoundsTruncated: rep.Reliability.RoundsTruncated,
-
-			Coalesced:   rep.Coalesced,
-			CachedTasks: rep.CachedTasks,
-
-			Inferred: rep.Inferred,
-		},
-	}
-	res.Columns = plan.ProjectionColumns()
-	for _, a := range rep.Answers {
-		row, err := plan.ProjectAnswer(a)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	res.Confidence = rep.Confidence
-	res.Provenance = rep.Provenance
-	if decision != nil {
-		res.Plan = qplan.Describe(plan, decision, db.planner.Greedy)
-	}
-	if err := db.applyGroupSort(s, res); err != nil {
+	if err := db.applyGroupSort(s, ans); err != nil {
 		return nil, err
 	}
-	res.Message = fmt.Sprintf("%d answers, %d tasks, %d rounds", len(res.Rows), res.Stats.Tasks, res.Stats.Rounds)
-	if res.Stats.Partial {
-		res.Message += fmt.Sprintf(" (partial: %s)", res.Stats.Reason)
-	}
-	return res, nil
+	return ans.Result(), nil
 }

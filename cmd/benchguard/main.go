@@ -29,7 +29,7 @@
 // Usage:
 //
 //	go run ./cmd/cdbench -costbench -costbenchout BENCH_current.json
-//	go run ./cmd/benchguard -baseline BENCH_baseline.json -current BENCH_current.json
+//	go run ./cmd/benchguard -baseline BENCH_cost.json -current BENCH_current.json
 //	go run ./cmd/cdbench -exp trans -trans-out BENCH_trans_current.json
 //	go run ./cmd/benchguard -trans-baseline BENCH_trans.json -trans-current BENCH_trans_current.json
 //	go run ./cmd/cdbench -exp shard -shard-out BENCH_shard_current.json
@@ -247,7 +247,7 @@ func check(w *int, label string, base, cur, allowed float64) bool {
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "BENCH_baseline.json", "committed baseline report")
+		baselinePath = flag.String("baseline", "BENCH_cost.json", "committed baseline report")
 		currentPath  = flag.String("current", "BENCH_cost.json", "freshly measured report")
 		allowed      = flag.Float64("allowed", 0.25, "allowed ns/op regression fraction before failing")
 

@@ -79,15 +79,6 @@ func parseShards(spec string) ([]cluster.Backend, error) {
 	return backends, nil
 }
 
-// plannerConfig maps the -planner flag to a Config.Planner value (nil
-// keeps the default fixed-order executor).
-func plannerConfig(on bool) *cdb.PlannerConfig {
-	if !on {
-		return nil
-	}
-	return &cdb.PlannerConfig{Greedy: true}
-}
-
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
@@ -145,7 +136,7 @@ func main() {
 		Similarity:     *similarity,
 		Epsilon:        *epsilon,
 		Redundancy:     *redundancy,
-		Planner:        plannerConfig(*planner),
+		Planner:        &cdb.PlannerConfig{Greedy: *planner},
 	})
 	if err != nil {
 		logger.Fatalf("config: %v", err)

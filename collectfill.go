@@ -70,7 +70,7 @@ func (db *DB) execFill(s *cql.Fill) (*Result, error) {
 			}
 		}
 		var answers []quality.FillAnswer
-		for _, w := range db.pool.DistinctArrivals(db.redundancy) {
+		for _, w := range db.run.Pool.DistinctArrivals(db.run.Redundancy) {
 			answers = append(answers, quality.FillAnswer{Worker: w.ID, Text: w.AnswerFill(truth, wrong)})
 			assignments++
 			if len(answers) >= 3 && quality.FillConsistency(answers, simFn) > 0.9 {

@@ -47,11 +47,9 @@ type Config struct {
 	QualityControl bool
 	Transitive     bool
 
-	// Planner consolidates the optimizer knobs (see PlannerConfig):
-	// greedy join ordering, histogram bins, and the similarity /
-	// epsilon / strategy settings that supersede the standalone fields
-	// above. Nil keeps every default; non-empty Planner fields win over
-	// the standalone Similarity / Epsilon / Strategy fields.
+	// Planner configures the greedy multi-join planner (see
+	// PlannerConfig): greedy or fixed planned order, histogram bins. Nil
+	// leaves the planner off.
 	Planner *PlannerConfig
 
 	// Oracle overrides the simulation ground truth (the dataset's

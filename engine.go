@@ -1,7 +1,6 @@
 package cdb
 
 import (
-	"context"
 	"fmt"
 
 	"cdb/internal/engine"
@@ -25,18 +24,19 @@ import (
 //
 // Only SELECT without GROUP BY / ORDER BY is served (those need the
 // exclusive DB.Exec path), aggregation is majority voting, and the
-// catalog must not be mutated while the engine serves.
-type Engine struct {
-	inner *engine.Engine
-}
+// catalog must not be mutated while the engine serves. Both entry
+// points run the same SELECT pipeline (internal/engine/pipeline.go);
+// the engine adds admission, sharing and durability around it.
+type Engine = engine.Engine
 
+// Future is the pending result of one submitted query.
+type Future = engine.Handle
+
+// engineOptions is the engine configuration under construction: the
+// sizing knobs land in engine.Config directly, NewEngine fills the rest
+// from the DB and opens the ledger.
 type engineOptions struct {
-	maxInFlight int
-	maxQueue    int
-	cacheSize   int
-	resultCache int
-	tracing     bool
-	transitive  bool
+	engine.Config
 	ledgerDir   string
 	ledgerFsync string
 }
@@ -46,19 +46,19 @@ type EngineOption func(*engineOptions)
 
 // WithMaxInFlight bounds concurrently executing queries (default 8).
 func WithMaxInFlight(n int) EngineOption {
-	return func(o *engineOptions) { o.maxInFlight = n }
+	return func(o *engineOptions) { o.MaxInFlight = n }
 }
 
 // WithMaxQueue bounds queries queued behind the in-flight set; a full
 // queue makes Submit fail fast with ErrOverloaded (default 64).
 func WithMaxQueue(n int) EngineOption {
-	return func(o *engineOptions) { o.maxQueue = n }
+	return func(o *engineOptions) { o.MaxQueue = n }
 }
 
 // WithVerdictCache bounds the shared verdict cache in entries
 // (default 4096).
 func WithVerdictCache(n int) EngineOption {
-	return func(o *engineOptions) { o.cacheSize = n }
+	return func(o *engineOptions) { o.CacheSize = n }
 }
 
 // WithResultCache bounds the query-level answer cache (default 256
@@ -67,21 +67,7 @@ func WithVerdictCache(n int) EngineOption {
 // in the engine seed and the canonical statement. Shared results
 // carry no Trace.
 func WithResultCache(n int) EngineOption {
-	return func(o *engineOptions) { o.resultCache = n }
-}
-
-// WithEngineTracing attaches a per-query span tree to every Result.
-func WithEngineTracing(on bool) EngineOption {
-	return func(o *engineOptions) { o.tracing = on }
-}
-
-// WithEngineTransitivity toggles transitive join inference for every
-// served query (see WithTransitivity). The engine inherits the DB's
-// setting by default; inferred verdicts additionally enter the shared
-// cache, so one query's deductions answer other queries' tasks —
-// EngineStats reports the traffic.
-func WithEngineTransitivity(on bool) EngineOption {
-	return func(o *engineOptions) { o.transitive = on }
+	return func(o *engineOptions) { o.ResultCacheSize = n }
 }
 
 // WithLedgerDir makes paid crowd work durable: every resolved verdict,
@@ -106,122 +92,50 @@ func WithLedgerFsync(policy string) EngineOption {
 }
 
 // Errors surfaced by Engine.Submit (re-exported from the serving
-// layer so callers can errors.Is against them).
+// layer so callers can errors.Is against them); backpressure is
+// ErrOverloaded.
 var (
 	ErrEngineClosed      = engine.ErrClosed
-	ErrEngineOverloaded  = engine.ErrOverloaded
 	ErrEngineUnsupported = engine.ErrUnsupported
 )
 
 // NewEngine builds a serving engine over the DB's catalog, oracle,
-// crowd pool and optimizer configuration. The engine draws one seed
-// from the DB's RNG at construction, so a DB opened with the same
-// WithSeed yields an engine that replays identical verdicts.
+// crowd pool and optimizer configuration, tracing and transitive
+// inference included. The engine draws one seed from the DB's RNG at
+// construction, so a DB opened with the same WithSeed yields an engine
+// that replays identical verdicts.
 func (db *DB) NewEngine(opts ...EngineOption) (*Engine, error) {
-	o := engineOptions{tracing: db.tracing, transitive: db.transitive}
+	var o engineOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	seed := db.rng.Split().Uint64()
-	var journal engine.Journal
+	cfg := o.Config
+	cfg.Catalog = db.catalog
+	cfg.Oracle = db.oracle
+	cfg.Pool = db.run.Pool
+	cfg.Sim = db.simFunc
+	cfg.Epsilon = db.epsilon
+	cfg.Redundancy = db.run.Redundancy
+	cfg.Tracing = db.tracing
+	cfg.Transitive = db.run.Transitive
+	cfg.Planner = plan.Config{Greedy: db.planner.Greedy, Bins: db.planner.Bins}
+	cfg.Seed = db.rng.Split().Uint64()
 	if o.ledgerDir != "" {
 		policy, err := ledger.ParsePolicy(o.ledgerFsync)
 		if err != nil {
 			return nil, fmt.Errorf("cdb: %w", err)
 		}
-		lg, err := ledger.Open(o.ledgerDir, ledger.Options{Seed: seed, Fsync: policy})
+		lg, err := ledger.Open(o.ledgerDir, ledger.Options{Seed: cfg.Seed, Fsync: policy})
 		if err != nil {
 			return nil, fmt.Errorf("cdb: %w", err)
 		}
-		journal = lg
+		cfg.Journal = lg
 	}
-	inner, err := engine.New(engine.Config{
-		Catalog:         db.catalog,
-		Oracle:          db.oracle,
-		Pool:            db.pool,
-		Sim:             db.simFunc,
-		Epsilon:         db.epsilon,
-		Redundancy:      db.redundancy,
-		Seed:            seed,
-		MaxInFlight:     o.maxInFlight,
-		MaxQueue:        o.maxQueue,
-		CacheSize:       o.cacheSize,
-		ResultCacheSize: o.resultCache,
-		Tracing:         o.tracing,
-		Transitive:      o.transitive,
-		Planner:         plan.Config{Greedy: db.planner.Greedy, Bins: db.planner.Bins},
-		Journal:         journal,
-	})
-	if err != nil {
-		if journal != nil {
-			_ = journal.Close()
-		}
-		return nil, err
+	e, err := engine.New(cfg)
+	if err != nil && cfg.Journal != nil {
+		_ = cfg.Journal.Close()
 	}
-	return &Engine{inner: inner}, nil
-}
-
-// Future is the pending result of one submitted query.
-type Future struct {
-	h *engine.Handle
-}
-
-// Query returns the submitted CQL text.
-func (f *Future) Query() string { return f.h.Query }
-
-// Done exposes the completion signal for select loops.
-func (f *Future) Done() <-chan struct{} { return f.h.Done() }
-
-// Result blocks until the query completes (or ctx expires) and
-// returns its Result. Waiting with an expired context does not cancel
-// the query itself — cancel the Submit context for that.
-func (f *Future) Result(ctx context.Context) (*Result, error) {
-	ans, err := f.h.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rep := ans.Report
-	res := &Result{
-		Columns: ans.Columns,
-		Rows:    ans.Rows,
-		Stats: Stats{
-			Tasks:       rep.Metrics.Tasks,
-			Rounds:      rep.Metrics.Rounds,
-			Assignments: rep.Assignments,
-			HITs:        rep.HITs,
-			Dollars:     rep.Dollars,
-			Precision:   rep.Metrics.Precision,
-			Recall:      rep.Metrics.Recall,
-			F1:          rep.Metrics.F1(),
-
-			Partial: rep.Reliability.Partial,
-			Reason:  rep.Reliability.Reason,
-
-			Coalesced:   rep.Coalesced,
-			CachedTasks: rep.CachedTasks,
-		},
-		Confidence: rep.Confidence,
-	}
-	res.Trace = ans.Trace
-	res.RequestID = ans.RequestID
-	res.Plan = ans.Plan
-	res.Message = fmt.Sprintf("%d answers, %d tasks, %d rounds", len(res.Rows), res.Stats.Tasks, res.Stats.Rounds)
-	if res.Stats.Coalesced+res.Stats.CachedTasks > 0 {
-		res.Message += fmt.Sprintf(" (%d shared)", res.Stats.Coalesced+res.Stats.CachedTasks)
-	}
-	return res, nil
-}
-
-// Submit admits one CQL SELECT for concurrent execution and returns a
-// Future immediately. ctx cancels the query at crowd-round
-// boundaries; a full queue returns ErrEngineOverloaded without
-// blocking.
-func (e *Engine) Submit(ctx context.Context, query string) (*Future, error) {
-	h, err := e.inner.Submit(ctx, query)
-	if err != nil {
-		return nil, err
-	}
-	return &Future{h: h}, nil
+	return e, err
 }
 
 // RoundUpdate is the per-round progress snapshot delivered to
@@ -231,38 +145,6 @@ func (e *Engine) Submit(ctx context.Context, query string) (*Future, error) {
 // is the unit a serving layer streams to remote clients while the
 // query runs.
 type RoundUpdate = exec.RoundUpdate
-
-// SubmitWithProgress is Submit with a streaming hook: onRound is
-// invoked at the end of every completed crowd round. The number of
-// invocations always equals the final Stats.Rounds (rounds discarded
-// by cancellation never report). A progress query bypasses the
-// whole-answer cache — it must execute rounds to have any to report —
-// but still shares HITs through the engine, so its rows and Stats are
-// bit-identical to an unobserved Submit. onRound runs on the query's
-// goroutine; hand off to a channel if the consumer can stall.
-func (e *Engine) SubmitWithProgress(ctx context.Context, query string, onRound func(RoundUpdate)) (*Future, error) {
-	h, err := e.inner.SubmitProgress(ctx, query, onRound)
-	if err != nil {
-		return nil, err
-	}
-	return &Future{h: h}, nil
-}
-
-// Close stops admission and waits for in-flight queries to finish.
-func (e *Engine) Close() { e.inner.Close() }
-
-// PlannerEnabled reports whether served SELECTs execute the greedy
-// planned order (set by opening the DB with WithPlanner /
-// Config.Planner before NewEngine).
-func (e *Engine) PlannerEnabled() bool { return e.inner.PlannerEnabled() }
-
-// Explain plans query without executing it — zero crowd assignments —
-// and returns the Plan: join order, per-step predicted candidate
-// edges, and early-exit points. query may be a SELECT or an EXPLAIN
-// SELECT; any other statement fails with ErrEngineUnsupported.
-func (e *Engine) Explain(query string) (*Plan, error) {
-	return e.inner.Explain(query)
-}
 
 // ShardInfo is the scatter-gather sidecar of a shard-scoped execution:
 // per-row merge keys plus the owned slice of the ground-truth counts a
@@ -276,72 +158,14 @@ type ShardRun = engine.ShardRun
 // CacheEntry is one replicated verdict on the cluster wire.
 type CacheEntry = engine.CacheEntry
 
-// SubmitShard is Submit restricted to the components run.Owned
-// accepts: every other component of the statement's tuple graph is
-// colored red before execution, so this node does exactly its slice of
-// the crowd work while task keys and answer identities stay globally
-// consistent with the rest of the fleet. The Future's ShardInfo
-// carries the merge sidecar. This is the executor half of the cluster
-// layer (internal/cluster owns routing and merging).
-func (e *Engine) SubmitShard(ctx context.Context, query string, run *ShardRun, onRound func(RoundUpdate)) (*Future, error) {
-	h, err := e.inner.SubmitShard(ctx, query, run, onRound)
-	if err != nil {
-		return nil, err
-	}
-	return &Future{h: h}, nil
-}
-
-// ShardInfo blocks like Result and returns the shard sidecar of a
-// SubmitShard execution (nil for whole-statement submissions).
-func (f *Future) ShardInfo(ctx context.Context) (*ShardInfo, error) {
-	ans, err := f.h.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ans.Shard, nil
-}
-
-// ComponentKeys plans the statement and returns the canonical key of
-// every tuple-graph component, sorted — the routing key space a
-// cluster coordinator assigns to shards.
-func (e *Engine) ComponentKeys(query string) ([]string, error) {
-	return e.inner.ComponentKeys(query)
-}
-
-// CacheDelta returns every replicable verdict recorded after sequence
-// number since, plus the sequence to resume from. Verdicts are pure
-// functions of (seed, task content, redundancy), so the replication
-// stream needs no invalidation and entries never conflict.
-func (e *Engine) CacheDelta(since int64) ([]CacheEntry, int64) {
-	return e.inner.CacheDelta(since)
-}
-
-// ImportVerdicts merges a peer shard's cache delta into this engine's
-// verdict cache and returns how many entries were new here.
-func (e *Engine) ImportVerdicts(entries []CacheEntry) int {
-	return e.inner.ImportVerdicts(entries)
-}
-
-// CacheSeq is the engine's current replication sequence number.
-func (e *Engine) CacheSeq() int64 { return e.inner.CacheSeq() }
-
-// Fingerprint hashes every verdict-determining input (seed,
-// redundancy, epsilon, worker pool). Cluster nodes refuse to replicate
-// caches or merge results across differing fingerprints.
-func (e *Engine) Fingerprint() string { return e.inner.Fingerprint() }
-
-// QueueDepth reports admission pressure (executing and queued
-// queries); coordinators use it for least-loaded shard selection.
-func (e *Engine) QueueDepth() (executing, queued int) { return e.inner.QueueDepth() }
-
 // QueryStatus is one query's live (or recently completed) introspection
-// record; see the engine State* constants for the lifecycle. This is
-// the unit cdbd serves on GET /v1/queries and cdbtop renders.
+// record; see the Query* constants for the lifecycle. This is the unit
+// cdbd serves on GET /v1/queries and cdbtop renders.
 type QueryStatus = engine.QueryStatus
 
-// QuerySnapshot is a point-in-time view of the engine's query registry:
-// everything in flight (admission order) plus a bounded ring of
-// recently completed queries (most recent first).
+// QuerySnapshot is a point-in-time view of the engine's query registry
+// (Engine.Queries): everything in flight (admission order) plus a
+// bounded ring of recently completed queries (most recent first).
 type QuerySnapshot = engine.IntrospectSnapshot
 
 // Query lifecycle states as they appear in QueryStatus.State.
@@ -354,85 +178,13 @@ const (
 	QueryFailed   = engine.StateFailed
 )
 
-// Queries snapshots the engine's query registry without disturbing it —
-// safe to poll while queries run, and during drain (running queries
-// repaint as draining).
-func (e *Engine) Queries() QuerySnapshot { return e.inner.Introspect() }
-
-// LedgerStats is the engine's durability snapshot: what the crowd-work
-// ledger holds, what it replayed at boot, and how much of this
-// session's traffic the replayed work served. Enabled is false (and
-// everything zero) without WithLedgerDir.
+// LedgerStats is the engine's durability snapshot (Engine.LedgerStats):
+// what the crowd-work ledger holds, what it replayed at boot, and how
+// much of this session's traffic the replayed work served. Enabled is
+// false (and everything zero) without WithLedgerDir.
 type LedgerStats = engine.LedgerStats
 
-// LedgerStats snapshots the engine's ledger counters.
-func (e *Engine) LedgerStats() LedgerStats { return e.inner.LedgerStats() }
-
-// EngineStats snapshots the engine's sharing economics: what the
-// fleet asked for, what actually went to the crowd, and what sharing
-// saved.
-type EngineStats struct {
-	Submitted int64 // queries admitted
-	Completed int64 // queries finished successfully
-	Rejected  int64 // queries shed by backpressure
-
-	QueriesCached   int64 // whole queries served from the answer cache
-	QueriesAttached int64 // whole queries attached to an identical in-flight one
-
-	TasksResolved int64 // crowd tasks served
-	Coalesced     int64 // tasks attached to an in-flight HIT
-	Cached        int64 // tasks served from the verdict cache
-	LedgerHits    int64 // tasks served from the durable ledger (paid before a restart)
-
-	AssignmentsIssued int64 // worker answers actually simulated
-	AssignmentsSaved  int64 // answers avoided by sharing
-	HITsIssued        int   // priced HITs actually issued
-	HITsSaved         int   // priced HITs avoided by sharing
-
-	JoinsComputed int64 // similarity joins executed
-	JoinsShared   int64 // similarity joins reused from the cache
-
-	InferredPublished int64 // transitively inferred verdicts entered into the shared cache
-	InferredHits      int64 // tasks answered by another query's inferred verdict
-	InferredRejected  int64 // inferred labels that disagreed with the crowd verdict and were dropped
-
-	RemoteImported int64 // verdicts replicated in from peer shards
-	RemoteHits     int64 // tasks answered by a replicated remote verdict
-
-	CacheEntries int // live verdict-cache entries
-}
-
-// Stats snapshots the engine counters.
-func (e *Engine) Stats() EngineStats {
-	s := e.inner.Stats()
-	return EngineStats{
-		Submitted: s.Submitted,
-		Completed: s.Completed,
-		Rejected:  s.Rejected,
-
-		QueriesCached:   s.QueriesCached,
-		QueriesAttached: s.QueriesAttached,
-
-		TasksResolved: s.TasksResolved,
-		Coalesced:     s.Coalesced,
-		Cached:        s.Cached,
-		LedgerHits:    s.LedgerHits,
-
-		AssignmentsIssued: s.AssignmentsIssued,
-		AssignmentsSaved:  s.AssignmentsSaved,
-		HITsIssued:        s.HITsIssued,
-		HITsSaved:         s.HITsSaved,
-
-		JoinsComputed: s.JoinsComputed,
-		JoinsShared:   s.JoinsShared,
-
-		InferredPublished: s.InferredPublished,
-		InferredHits:      s.InferredHits,
-		InferredRejected:  s.InferredRejected,
-
-		RemoteImported: s.RemoteImported,
-		RemoteHits:     s.RemoteHits,
-
-		CacheEntries: s.CacheEntries,
-	}
-}
+// EngineStats snapshots the engine's sharing economics (Engine.Stats):
+// what the fleet asked for, what actually went to the crowd, and what
+// sharing saved.
+type EngineStats = engine.Stats

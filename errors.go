@@ -14,7 +14,6 @@ import (
 var (
 	// ErrOverloaded is Engine backpressure: the in-flight and queued
 	// slots are all taken and the submission was shed. Retry later.
-	// Identical to ErrEngineOverloaded (the older name, kept working).
 	ErrOverloaded = engine.ErrOverloaded
 
 	// ErrUnknownTable marks a reference to a table the catalog does not

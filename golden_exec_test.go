@@ -1,0 +1,78 @@
+package cdb
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"cdb/internal/dataset"
+)
+
+// TestExecGolden pins what DB.Exec returns for a fixed statement list
+// run sequentially through one DB per dataset: answers, tasks, rounds
+// and assignments per statement. The numbers depend on how far the
+// crowd's random stream has advanced and — in the mincut, planner and
+// reliability configurations — on the order DB.Exec draws its
+// db.rng.Split()s (strategy, then transport, then planner resolver
+// seed), so a reordered or extra draw fails here in milliseconds
+// instead of surfacing as changed benchmark counts. The pins were
+// generated at the commit before the SELECT pipeline was unified.
+func TestExecGolden(t *testing.T) {
+	labels := []string{"2J", "2J1S", "3J", "3J2S"}
+	cases := []struct {
+		name string
+		cfg  Config
+		want map[string]string // dataset → "rows/tasks/rounds/assignments" per label
+	}{
+		{
+			name: "default",
+			cfg:  Config{Seed: 1, DatasetSeed: 1},
+			want: map[string]string{
+				"paper": "101/352/2/1760 32/149/3/745 268/1216/4/6080 9/152/6/760",
+				"award": "703/1796/3/8980 135/742/4/3710 1278/4111/6/20555 0/0/0/0",
+			},
+		},
+		{
+			// Two draws per statement: mincut's sampler, then the planner's
+			// resolver seed.
+			name: "mincut+planner",
+			cfg:  Config{Seed: 1, DatasetSeed: 1, Strategy: StrategyMinCut, Planner: &PlannerConfig{Greedy: true}},
+			want: map[string]string{
+				"paper": "95/362/2/1810 33/159/3/795 234/1110/3/5550 10/205/5/1025",
+			},
+		},
+		{
+			// Two draws per statement: mincut's sampler, then the transport
+			// seed.
+			name: "mincut+reliability",
+			cfg:  Config{Seed: 1, DatasetSeed: 1, Strategy: StrategyMinCut, Reliability: &ReliabilityPolicy{}},
+			want: map[string]string{
+				"paper": "102/368/2/1840 35/150/3/750 239/1231/3/6155 24/168/6/840",
+			},
+		},
+	}
+	for _, tc := range cases {
+		for ds, want := range tc.want {
+			t.Run(tc.name+"/"+ds, func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.Dataset, cfg.DatasetScale = ds, 0.12
+				db, err := OpenConfig(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for _, label := range labels {
+					res, err := db.Exec(dataset.Queries(ds)[label])
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					got = append(got, fmt.Sprintf("%d/%d/%d/%d",
+						len(res.Rows), res.Stats.Tasks, res.Stats.Rounds, res.Stats.Assignments))
+				}
+				if g := strings.Join(got, " "); g != want {
+					t.Errorf("rows/tasks/rounds/assignments for %v:\n got %q\nwant %q", labels, g, want)
+				}
+			})
+		}
+	}
+}

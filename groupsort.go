@@ -6,35 +6,38 @@ import (
 	"strings"
 
 	"cdb/internal/cql"
+	"cdb/internal/engine"
 	"cdb/internal/groupsort"
 )
 
-// applyGroupSort post-processes a SELECT's answers with the
+// applyGroupSort post-processes a SELECT's answer with the
 // crowd-powered GROUP BY / ORDER BY of §4.2's Remark: grouping runs
 // crowdsourced entity resolution over the grouped column's (dirty)
 // values, ordering runs a crowd-compared merge sort. Both add their
-// tasks and rounds to the result's stats.
-func (db *DB) applyGroupSort(s *cql.Select, res *Result) error {
+// tasks and rounds to the answer's report, and regroup or permute its
+// per-row confidence and provenance alongside the rows.
+func (db *DB) applyGroupSort(s *cql.Select, ans *engine.Answer) error {
+	rep := ans.Report
 	cfg := groupsort.Config{
-		Pool:       db.pool,
-		Redundancy: db.redundancy,
+		Pool:       db.run.Pool,
+		Redundancy: db.run.Redundancy,
 		Sim:        db.simFunc,
 		Epsilon:    db.epsilon,
 	}
 	if s.GroupBy != nil {
-		pos, err := projectedColumn(res.Columns, *s.GroupBy)
+		pos, err := projectedColumn(ans.Columns, *s.GroupBy)
 		if err != nil {
 			return err
 		}
-		values := columnOf(res.Rows, pos)
+		values := columnOf(ans.Rows, pos)
 		same := func(a, b string) bool {
 			return db.oracle.JoinMatch(s.GroupBy.Table, s.GroupBy.Column,
 				s.GroupBy.Table, s.GroupBy.Column, a, b)
 		}
 		groups, gr := groupsort.GroupBy(values, same, cfg)
-		res.Stats.Tasks += gr.Tasks
-		res.Stats.Rounds += gr.Rounds
-		res.Stats.Assignments += gr.Tasks * cfg.Redundancy
+		rep.Metrics.Tasks += gr.Tasks
+		rep.Metrics.Rounds += gr.Rounds
+		rep.Assignments += gr.Tasks * cfg.Redundancy
 
 		// One output row per group: the first member as representative,
 		// plus the group size. A group is only as trustworthy as its
@@ -44,65 +47,65 @@ func (db *DB) applyGroupSort(s *cql.Select, res *Result) error {
 		var conf []float64
 		var prov []AnswerProvenance
 		for _, g := range groups {
-			rep := append([]string(nil), res.Rows[g[0]]...)
-			rep = append(rep, strconv.Itoa(len(g)))
-			rows = append(rows, rep)
-			if res.Confidence != nil {
-				c := res.Confidence[g[0]]
+			row := append([]string(nil), ans.Rows[g[0]]...)
+			row = append(row, strconv.Itoa(len(g)))
+			rows = append(rows, row)
+			if rep.Confidence != nil {
+				c := rep.Confidence[g[0]]
 				for _, idx := range g[1:] {
-					if res.Confidence[idx] < c {
-						c = res.Confidence[idx]
+					if rep.Confidence[idx] < c {
+						c = rep.Confidence[idx]
 					}
 				}
 				conf = append(conf, c)
 			}
-			if res.Provenance != nil {
+			if rep.Provenance != nil {
 				var p AnswerProvenance
 				for _, idx := range g {
-					p.Crowd += res.Provenance[idx].Crowd
-					p.Inferred += res.Provenance[idx].Inferred
-					p.Prior += res.Provenance[idx].Prior
+					p.Crowd += rep.Provenance[idx].Crowd
+					p.Inferred += rep.Provenance[idx].Inferred
+					p.Prior += rep.Provenance[idx].Prior
 				}
 				prov = append(prov, p)
 			}
 		}
-		res.Rows = rows
-		if res.Confidence != nil {
-			res.Confidence = conf
+		ans.Rows = rows
+		if rep.Confidence != nil {
+			rep.Confidence = conf
 		}
-		if res.Provenance != nil {
-			res.Provenance = prov
+		if rep.Provenance != nil {
+			rep.Provenance = prov
 		}
-		res.Columns = append(append([]string(nil), res.Columns...), "group_count")
+		ans.Columns = append(append([]string(nil), ans.Columns...), "group_count")
 	}
 	if s.OrderBy != nil {
-		pos, err := projectedColumn(res.Columns, *s.OrderBy)
+		pos, err := projectedColumn(ans.Columns, *s.OrderBy)
 		if err != nil {
 			return err
 		}
-		values := columnOf(res.Rows, pos)
+		values := columnOf(ans.Rows, pos)
 		perm, sr := groupsort.SortBy(values, naturalLess, cfg)
-		res.Stats.Tasks += sr.Tasks
-		res.Stats.Rounds += sr.Rounds
-		res.Stats.Assignments += sr.Tasks * cfg.Redundancy
+		rep.Metrics.Tasks += sr.Tasks
+		rep.Metrics.Rounds += sr.Rounds
+		rep.Assignments += sr.Tasks * cfg.Redundancy
 		sorted := make([][]string, len(perm))
 		for i, idx := range perm {
-			sorted[i] = res.Rows[idx]
+			sorted[i] = ans.Rows[idx]
 		}
-		res.Rows = sorted
-		if res.Confidence != nil {
+		ans.Rows = sorted
+		if rep.Confidence != nil {
 			conf := make([]float64, len(perm))
 			for i, idx := range perm {
-				conf[i] = res.Confidence[idx]
+				conf[i] = rep.Confidence[idx]
 			}
-			res.Confidence = conf
+			rep.Confidence = conf
 		}
-		if res.Provenance != nil {
+		if rep.Provenance != nil {
 			prov := make([]AnswerProvenance, len(perm))
 			for i, idx := range perm {
-				prov[i] = res.Provenance[idx]
+				prov[i] = rep.Provenance[idx]
 			}
-			res.Provenance = prov
+			rep.Provenance = prov
 		}
 	}
 	return nil

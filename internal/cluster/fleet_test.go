@@ -16,9 +16,11 @@ import (
 // testEngine opens an engine over the shared test universe. Every call
 // yields an engine with the same fingerprint: identical DB seed,
 // dataset, and worker pool — the cluster compatibility contract.
-func testEngine(t *testing.T) *cdb.Engine {
+func testEngine(t *testing.T, opts ...cdb.Option) *cdb.Engine {
 	t.Helper()
-	db := cdb.Open(cdb.WithSeed(7), cdb.WithDataset("paper", 0.1, 7), cdb.WithWorkers(50, 0.8, 0.1))
+	db := cdb.Open(append([]cdb.Option{
+		cdb.WithSeed(7), cdb.WithDataset("paper", 0.1, 7), cdb.WithWorkers(50, 0.8, 0.1),
+	}, opts...)...)
 	e, err := db.NewEngine()
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +156,44 @@ func TestFleetBitIdentical(t *testing.T) {
 	if stB.AssignmentsIssued != issuedBefore {
 		t.Fatalf("off-owner execution bought fresh crowd work: %d new assignments",
 			stB.AssignmentsIssued-issuedBefore)
+	}
+}
+
+// TestFleetBitIdenticalTransitive repeats the byte-for-byte comparison
+// with transitive inference on: shard results then carry per-row
+// Provenance and Stats.Inferred, and the merge must return both
+// exactly as a single node reports them.
+func TestFleetBitIdenticalTransitive(t *testing.T) {
+	trans := cdb.WithTransitivity(true)
+	single := testEngine(t, trans)
+	fleet, err := New(Config{
+		Planner:  testEngine(t, trans),
+		Backends: []Backend{NewLocalBackend("a", testEngine(t, trans)), NewLocalBackend("b", testEngine(t, trans))},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inferred := 0
+	for i, q := range testWorkload() {
+		fut, err := single.Submit(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fut.Result(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fleet.Exec(context.Background(), q, 0)
+		if err != nil {
+			t.Fatalf("statement %d: %v", i, err)
+		}
+		if g, w := marshal(t, got), marshal(t, want); g != w {
+			t.Fatalf("statement %d diverged from single node:\nfleet:  %s\nsingle: %s", i, g, w)
+		}
+		inferred += got.Stats.Inferred
+	}
+	if inferred == 0 {
+		t.Fatal("workload inferred nothing: test is vacuous")
 	}
 }
 

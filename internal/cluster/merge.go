@@ -18,6 +18,7 @@ import (
 //   - Rows return to single-node order by sorting the union on each
 //     slice's MergeKeys (plan-deterministic enumeration positions, see
 //     exec.MergeKeys).
+//   - Confidence and Provenance entries travel with their rows.
 //   - Tasks, Assignments, Coalesced, CachedTasks and Inferred sum —
 //     components never share tasks, so the per-shard counts partition
 //     the whole run's.
@@ -37,9 +38,10 @@ func mergeParts(parts []part) (*cdb.Result, error) {
 		key  []int
 		cols []string
 		conf float64
+		prov cdb.AnswerProvenance
 	}
 	var merged []mrow
-	anyConf := false
+	anyConf, anyProv := false, false
 	out := &cdb.Result{}
 	truthTotal, truthCorrect := 0, 0
 	for i, p := range parts {
@@ -63,7 +65,11 @@ func mergeParts(parts []part) (*cdb.Result, error) {
 			if r.Confidence != nil {
 				c = r.Confidence[j]
 			}
-			merged = append(merged, mrow{key: sh.MergeKeys[j], cols: cols, conf: c})
+			m := mrow{key: sh.MergeKeys[j], cols: cols, conf: c}
+			if r.Provenance != nil {
+				anyProv, m.prov = true, r.Provenance[j]
+			}
+			merged = append(merged, m)
 		}
 		truthTotal += sh.TruthTotal
 		truthCorrect += sh.TruthCorrect
@@ -112,6 +118,12 @@ func mergeParts(parts []part) (*cdb.Result, error) {
 			out.Confidence[i] = m.conf
 		}
 	}
+	if anyProv && len(merged) > 0 {
+		out.Provenance = make([]cdb.AnswerProvenance, len(merged))
+		for i, m := range merged {
+			out.Provenance[i] = m.prov
+		}
+	}
 
 	out.Stats.HITs = crowd.DefaultPricing.HITs(out.Stats.Assignments)
 	out.Stats.Dollars = crowd.DefaultPricing.Cost(out.Stats.Assignments)
@@ -132,6 +144,9 @@ func mergeParts(parts []part) (*cdb.Result, error) {
 	out.Stats.F1 = stats.F1(out.Stats.Precision, out.Stats.Recall)
 
 	out.Message = fmt.Sprintf("%d answers, %d tasks, %d rounds", len(out.Rows), out.Stats.Tasks, out.Stats.Rounds)
+	if out.Stats.Partial {
+		out.Message += fmt.Sprintf(" (partial: %s)", out.Stats.Reason)
+	}
 	if out.Stats.Coalesced+out.Stats.CachedTasks > 0 {
 		out.Message += fmt.Sprintf(" (%d shared)", out.Stats.Coalesced+out.Stats.CachedTasks)
 	}

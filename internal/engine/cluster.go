@@ -26,7 +26,6 @@ import (
 	"math"
 	"sort"
 
-	"cdb/internal/cql"
 	"cdb/internal/exec"
 	"cdb/internal/obs"
 )
@@ -211,7 +210,7 @@ type ShardRun struct {
 	Owned func(componentKey string) bool
 }
 
-// SubmitShard is SubmitProgress restricted to the components run.Owned
+// SubmitShard is SubmitWithProgress restricted to the components run.Owned
 // accepts: every other component is colored red before execution, so
 // the query does exactly the owned slice of the work while task keys,
 // edge ids and verdicts stay globally consistent with the other
@@ -229,22 +228,11 @@ func (e *Engine) SubmitShard(ctx context.Context, query string, run *ShardRun, p
 // the coordinator's routing key space: a key's ring owner executes
 // that component.
 func (e *Engine) ComponentKeys(query string) ([]string, error) {
-	st, err := cql.Parse(query)
+	s, err := servable(query)
 	if err != nil {
 		return nil, err
 	}
-	s, ok := st.(*cql.Select)
-	if !ok {
-		return nil, fmt.Errorf("%w: %T is not served concurrently; use DB.Exec", ErrUnsupported, st)
-	}
-	if s.GroupBy != nil || s.OrderBy != nil {
-		return nil, fmt.Errorf("%w: GROUP BY / ORDER BY need the exclusive DB.Exec path", ErrUnsupported)
-	}
-	p, err := exec.BuildPlan(s, e.cfg.Catalog, e.cfg.Oracle, exec.PlanConfig{
-		Sim:     e.cfg.Sim,
-		Epsilon: e.cfg.Epsilon,
-		Joiner:  e.joins.Join,
-	})
+	p, err := e.src.bind(s, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -83,7 +83,7 @@ func TestSubmitShardMergesBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := h.Wait(context.Background())
+		ref, err := h.wait(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -116,7 +116,7 @@ func TestSubmitShardMergesBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ans, err := h.Wait(context.Background())
+			ans, err := h.wait(context.Background())
 			if err != nil {
 				t.Fatalf("%s shard %d: %v", label, s, err)
 			}
@@ -204,7 +204,7 @@ func TestCacheDeltaReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := h.Wait(context.Background())
+	ref, err := h.wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCacheDeltaReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.Wait(context.Background())
+	got, err := h.wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cdb/internal/cost"
 	"cdb/internal/cql"
 	"cdb/internal/crowd"
 	"cdb/internal/exec"
@@ -100,7 +99,7 @@ type Config struct {
 	// to a fresh execution. In-flight identical statements coalesce
 	// onto one execution the same way individual HITs do.
 	ResultCacheSize int
-	// Tracing attaches a per-query obs.Tracer; each Answer then
+	// Tracing attaches a per-query obs.Tracer; each Result then
 	// carries its own span tree.
 	Tracing bool
 	// Transitive turns on transitive join inference (exec.Options.
@@ -110,12 +109,9 @@ type Config struct {
 	// Planner configures the greedy multi-join planner. With
 	// Planner.Greedy set, unbudgeted whole-statement SELECTs execute in
 	// the planner's cheapest-first predicate order (answers stay
-	// bit-identical — verdicts are content-pure) and each Answer
+	// bit-identical — verdicts are content-pure) and each Result
 	// carries its executed Plan. Explain works either way.
 	Planner plan.Config
-	// RecentQueries bounds the completed-query ring buffer served by
-	// Introspect (default 64).
-	RecentQueries int
 	// Journal, when set, makes paid crowd work durable: every resolved
 	// verdict, executed statement and completed answer is appended, and
 	// New replays the journal into the verdict, sim-join and answer
@@ -131,6 +127,7 @@ type Config struct {
 // Close.
 type Engine struct {
 	cfg   Config
+	src   Source // catalog + oracle + planning through the shared join cache
 	coal  *coalescer
 	joins *joinCache
 	intr  *introspection
@@ -180,11 +177,17 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 64
 	}
+	joins := newJoinCache()
 	e := &Engine{
-		cfg:         cfg,
+		cfg: cfg,
+		src: Source{
+			Catalog:    cfg.Catalog,
+			Oracle:     cfg.Oracle,
+			PlanConfig: exec.PlanConfig{Sim: cfg.Sim, Epsilon: cfg.Epsilon, Joiner: joins.Join},
+		},
 		coal:        newCoalescer(cfg.Seed, cfg.Pool, cfg.CacheSize, cfg.Journal),
-		joins:       newJoinCache(),
-		intr:        newIntrospection(cfg.RecentQueries),
+		joins:       joins,
+		intr:        newIntrospection(recentQueries),
 		slots:       make(chan struct{}, cfg.MaxInFlight),
 		admit:       make(chan struct{}, cfg.MaxInFlight+cfg.MaxQueue),
 		resInflight: make(map[string]*queryFlight),
@@ -204,40 +207,24 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Answer is one served query's outcome.
-type Answer struct {
-	Columns []string
-	Rows    [][]string
-	Report  *exec.Report
-	// Trace is the query's span tree when Config.Tracing is on.
-	Trace *obs.Trace
-	// RequestID is the serving tier's correlation ID the query ran
-	// under (empty without one); per handle even when the Answer rows
-	// are shared.
-	RequestID string
-	// Shard is the scatter-gather sidecar of a SubmitShard execution
-	// (nil for whole-statement runs): merge keys per row plus the owned
-	// slice of the ground-truth accounting.
-	Shard *exec.ShardInfo
-	// Plan is the executed plan when the greedy planner drove this
-	// query (Config.Planner.Greedy); nil otherwise.
-	Plan *plan.Explained
-}
-
-// Handle is the future for one submitted query.
+// Handle is the pending result of one submitted query (the public
+// cdb.Future).
 type Handle struct {
-	// Query is the submitted CQL text.
-	Query string
-
-	done chan struct{}
-	ans  *Answer
-	err  error
+	query string
+	done  chan struct{}
+	ans   *Answer
+	err   error
 }
 
-// Wait blocks until the query completes (or ctx expires) and returns
-// its answer. Waiting with an expired context does not cancel the
-// query itself — cancel the Submit context for that.
-func (h *Handle) Wait(ctx context.Context) (*Answer, error) {
+// Query returns the submitted CQL text.
+func (h *Handle) Query() string { return h.query }
+
+// Done exposes the completion signal for select loops.
+func (h *Handle) Done() <-chan struct{} { return h.done }
+
+// wait blocks until the query completes (or ctx expires) and returns
+// its answer.
+func (h *Handle) wait(ctx context.Context) (*Answer, error) {
 	select {
 	case <-h.done:
 		return h.ans, h.err
@@ -246,8 +233,26 @@ func (h *Handle) Wait(ctx context.Context) (*Answer, error) {
 	}
 }
 
-// Done exposes the completion signal for select loops.
-func (h *Handle) Done() <-chan struct{} { return h.done }
+// Result blocks until the query completes (or ctx expires) and
+// returns its Result. Waiting with an expired context does not cancel
+// the query itself — cancel the Submit context for that.
+func (h *Handle) Result(ctx context.Context) (*Result, error) {
+	ans, err := h.wait(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return ans.Result(), nil
+}
+
+// ShardInfo blocks like Result and returns the shard sidecar of a
+// SubmitShard execution (nil for whole-statement submissions).
+func (h *Handle) ShardInfo(ctx context.Context) (*exec.ShardInfo, error) {
+	ans, err := h.wait(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return ans.Shard, nil
+}
 
 // Submit admits one CQL SELECT for concurrent execution and returns
 // immediately with a Handle. ctx cancels the query (honored at crowd
@@ -259,29 +264,26 @@ func (h *Handle) Done() <-chan struct{} { return h.done }
 // group/sort runs its tasks outside the per-query graph; both belong
 // on the exclusive DB.Exec path.
 func (e *Engine) Submit(ctx context.Context, query string) (*Handle, error) {
-	return e.SubmitProgress(ctx, query, nil)
+	return e.submit(ctx, query, nil, nil)
 }
 
-// SubmitProgress is Submit with a per-round progress hook: progress is
-// invoked at the end of every completed crowd round with the
-// executor's RoundUpdate snapshot (see exec.Options.Progress). A
-// progress query always executes for real — it bypasses the
+// SubmitWithProgress is Submit with a per-round progress hook: onRound
+// is invoked at the end of every completed crowd round with the
+// executor's RoundUpdate snapshot, so the number of invocations always
+// equals the final Stats.Rounds (rounds discarded by cancellation never
+// report). A progress query always executes for real — it bypasses the
 // whole-answer cache and in-flight attach, which would complete
 // without any rounds to report — but still shares HITs and verdicts
-// through the coalescer, so its answers remain bit-identical to an
-// unobserved run. progress runs on the query's goroutine; hand off to
+// through the coalescer, so its rows and Stats are bit-identical to an
+// unobserved Submit. onRound runs on the query's goroutine; hand off to
 // a channel if the consumer can stall.
-func (e *Engine) SubmitProgress(ctx context.Context, query string, progress func(exec.RoundUpdate)) (*Handle, error) {
-	return e.submit(ctx, query, progress, nil)
+func (e *Engine) SubmitWithProgress(ctx context.Context, query string, onRound func(exec.RoundUpdate)) (*Handle, error) {
+	return e.submit(ctx, query, onRound, nil)
 }
 
-// submit is the shared admission path behind Submit, SubmitProgress
-// and SubmitShard; sr (nil for whole-statement runs) scopes execution
-// to a shard's owned components.
-func (e *Engine) submit(ctx context.Context, query string, progress func(exec.RoundUpdate), sr *ShardRun) (*Handle, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// servable parses query down to a SELECT the shared serving path can
+// isolate.
+func servable(query string) (*cql.Select, error) {
 	parseStart := time.Now()
 	st, err := cql.Parse(query)
 	mPhaseParse.Observe(time.Since(parseStart).Seconds())
@@ -294,6 +296,20 @@ func (e *Engine) submit(ctx context.Context, query string, progress func(exec.Ro
 	}
 	if s.GroupBy != nil || s.OrderBy != nil {
 		return nil, fmt.Errorf("%w: GROUP BY / ORDER BY need the exclusive DB.Exec path", ErrUnsupported)
+	}
+	return s, nil
+}
+
+// submit is the shared admission path behind Submit,
+// SubmitWithProgress and SubmitShard; sr (nil for whole-statement runs)
+// scopes execution to a shard's owned components.
+func (e *Engine) submit(ctx context.Context, query string, progress func(exec.RoundUpdate), sr *ShardRun) (*Handle, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	s, err := servable(query)
+	if err != nil {
+		return nil, err
 	}
 
 	e.mu.Lock()
@@ -314,7 +330,7 @@ func (e *Engine) submit(ctx context.Context, query string, progress func(exec.Ro
 
 	e.submitted.Add(1)
 	mSubmitted.Inc()
-	h := &Handle{Query: query, done: make(chan struct{})}
+	h := &Handle{query: query, done: make(chan struct{})}
 	entry := e.intr.admit(reqid.From(ctx).RequestID, query)
 	go e.serve(ctx, s, h, progress, entry, sr)
 	return h, nil
@@ -322,8 +338,8 @@ func (e *Engine) submit(ctx context.Context, query string, progress func(exec.Ro
 
 // serve runs one admitted query: wait for an execution slot, share
 // whole answers with identical statements (cache or in-flight
-// attach), otherwise plan with the shared join cache, execute with
-// the coalescer as resolver, and project the answers.
+// attach), otherwise send it through the pipeline with the shared
+// join cache as joiner and the coalescer as resolver.
 func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress func(exec.RoundUpdate), entry *queryEntry, sr *ShardRun) {
 	defer e.wg.Done()
 	defer func() { <-e.admit }()
@@ -369,9 +385,7 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 			e.resMu.Lock()
 			if ans, ok := e.results.get(cacheKey); ok {
 				e.resMu.Unlock()
-				e.shareAnswer(h, ans, entry.req)
-				e.qCached.Add(1)
-				mQueryShared.Inc()
+				e.shareAnswer(h, ans, entry.req, &e.qCached)
 				finState = StateShared
 				return
 			}
@@ -390,9 +404,7 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 				return
 			}
 			if owner.ans != nil {
-				e.shareAnswer(h, owner.ans, entry.req)
-				e.qAttached.Add(1)
-				mQueryShared.Inc()
+				e.shareAnswer(h, owner.ans, entry.req, &e.qAttached)
 				finState = StateShared
 				return
 			}
@@ -415,7 +427,7 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 		tr = obs.NewTracer(nil)
 		tr.SetRequestID(entry.req)
 		root := tr.Begin(obs.SpanQuery)
-		tr.Mutate(root, func(sp *obs.Span) { sp.Query = h.Query })
+		tr.Mutate(root, func(sp *obs.Span) { sp.Query = h.query })
 		defer func() {
 			tr.End(root)
 			if h.ans != nil {
@@ -424,88 +436,48 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 		}()
 	}
 
-	planStart := time.Now()
-	planSpan := tr.Begin(obs.SpanPlan)
-	p, err := exec.BuildPlan(s, e.cfg.Catalog, e.cfg.Oracle, exec.PlanConfig{
-		Sim:     e.cfg.Sim,
-		Epsilon: e.cfg.Epsilon,
-		Joiner:  e.joins.Join,
-	})
-	tr.End(planSpan)
-	mPhasePlan.Observe(time.Since(planStart).Seconds())
-	if err != nil {
-		h.err = err
-		return
-	}
-	var scope *exec.ShardScope
-	if sr != nil && sr.Owned != nil {
-		scope = exec.RestrictToOwned(p, sr.Owned)
-	}
-	if e.cfg.Journal != nil {
-		// The statement is planable against the live catalog: log it so
-		// the next boot replans it and re-primes the sim-join cache.
-		e.cfg.Journal.AppendStatement(key)
-	}
-
-	var strategy cost.Strategy = &cost.Expectation{}
-	var decision *plan.Decision
-	switch {
-	case s.Budget > 0:
-		strategy = cost.NewBudget(s.Budget)
-	case e.cfg.Planner.Greedy && sr == nil:
-		// Reordering is answer-preserving because the coalescer's
-		// verdicts are content-pure; shard-scoped runs keep the default
-		// strategy so their round structure matches the rest of the
-		// fleet.
-		decision = plan.Greedy(p, e.cfg.Planner.Bins)
-		strategy = &plan.Ordered{Order: decision.Order}
-		e.intr.setPlan(entry, decision.JoinOrder(), decision.EarlyExits())
-	}
-	// The registry sees every completed round regardless of whether the
-	// submitter asked for progress; the caller's hook (if any) still
-	// runs on the query goroutine afterwards.
-	rep, err := exec.Run(ctx, p, exec.Options{
-		Strategy:   strategy,
-		Redundancy: e.cfg.Redundancy,
-		Quality:    exec.MajorityVoting,
-		Pool:       e.cfg.Pool,
-		Resolver:   e.coal,
-		Transitive: e.cfg.Transitive,
-		Trace:      tr,
-		Progress: func(u exec.RoundUpdate) {
-			e.intr.roundDone(entry, u.Round, u.TasksTotal, u.AssignmentsTotal, u.Open)
-			if progress != nil {
-				progress(u)
+	req := &SelectRequest{
+		Source:  e.src,
+		Stmt:    s,
+		Planner: e.cfg.Planner,
+		Exec: exec.Options{
+			Redundancy: e.cfg.Redundancy,
+			Quality:    exec.MajorityVoting,
+			Pool:       e.cfg.Pool,
+			Resolver:   e.coal,
+			Transitive: e.cfg.Transitive,
+			Trace:      tr,
+			// The registry sees every completed round regardless of
+			// whether the submitter asked for progress; the caller's
+			// hook (if any) still runs on the query goroutine afterwards.
+			Progress: func(u exec.RoundUpdate) {
+				e.intr.roundDone(entry, u.Round, u.TasksTotal, u.AssignmentsTotal, u.Open)
+				if progress != nil {
+					progress(u)
+				}
+			},
+		},
+		Planned: func(_ *exec.Plan, d *plan.Decision) {
+			if e.cfg.Journal != nil {
+				// The statement is planable against the live catalog: log
+				// it so the next boot replans it and re-primes the
+				// sim-join cache.
+				e.cfg.Journal.AppendStatement(key)
+			}
+			if d != nil {
+				e.intr.setPlan(entry, d.JoinOrder(), d.EarlyExits())
 			}
 		},
-	})
+	}
+	if sr != nil {
+		req.Owned = sr.Owned
+	}
+	ans, err := RunSelect(ctx, req)
 	if err != nil {
 		h.err = err
 		return
 	}
-
-	ans := &Answer{Columns: p.ProjectionColumns(), Report: rep, RequestID: entry.req}
-	for _, a := range rep.Answers {
-		row, perr := p.ProjectAnswer(a)
-		if perr != nil {
-			h.err = perr
-			return
-		}
-		ans.Rows = append(ans.Rows, row)
-	}
-	if scope != nil {
-		tt, tc := scope.TruthCounts(p)
-		ans.Shard = &exec.ShardInfo{
-			Components:      scope.OwnedComponents,
-			TotalComponents: scope.TotalComponents,
-			MergeKeys:       exec.MergeKeys(p, rep.Answers),
-			TruthTotal:      tt,
-			TruthCorrect:    tc,
-		}
-	}
-	if decision != nil {
-		ans.Plan = plan.Describe(p, decision, true)
-	}
+	ans.RequestID = entry.req
 	h.ans = ans
 	if fl != nil {
 		fl.ans = ans
@@ -519,6 +491,7 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 	e.completed.Add(1)
 	mCompleted.Inc()
 	finState = StateDone
+	rep := ans.Report
 	finFill = func(st *QueryStatus) {
 		st.Rounds = rep.Metrics.Rounds
 		st.Tasks = rep.Metrics.Tasks
@@ -536,18 +509,19 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 // Report are shared read-only. The owning query's Report already
 // charges the full redundancy, so subscribers reusing it keep the
 // virtual-chargeback invariant, and the engine's savings counters
-// absorb the crowd work the share avoided.
-func (e *Engine) shareAnswer(h *Handle, ans *Answer, req string) {
+// absorb the crowd work the share avoided. how is the sharing counter
+// (cached or attached) the serve is booked under.
+func (e *Engine) shareAnswer(h *Handle, ans *Answer, req string, how *atomic.Int64) {
 	cp := *ans
 	cp.Trace = nil
 	cp.RequestID = req
 	h.ans = &cp
+	how.Add(1)
+	mQueryShared.Inc()
 	e.completed.Add(1)
 	mCompleted.Inc()
-	if rep := ans.Report; rep != nil {
-		e.coal.saved.Add(int64(rep.Assignments))
-		mCoalSaved.Add(int64(rep.Assignments))
-	}
+	e.coal.saved.Add(int64(ans.Report.Assignments))
+	mCoalSaved.Add(int64(ans.Report.Assignments))
 }
 
 // PlannerEnabled reports whether served SELECTs execute the greedy
@@ -555,7 +529,8 @@ func (e *Engine) shareAnswer(h *Handle, ans *Answer, req string) {
 func (e *Engine) PlannerEnabled() bool { return e.cfg.Planner.Greedy }
 
 // Explain plans query without executing it and returns the wire-ready
-// plan. It issues zero crowd assignments: planning reads the
+// plan: join order, per-step predicted candidate edges, and early-exit
+// points. It issues zero crowd assignments: planning reads the
 // instantiated query graph (built through the shared sim-join cache,
 // so repeated table pairs are free) and never touches the coalescer.
 // query may be a SELECT or an EXPLAIN SELECT; anything else fails with
@@ -565,31 +540,15 @@ func (e *Engine) Explain(query string) (*plan.Explained, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ex, ok := st.(*cql.Explain); ok {
-		st = ex.Target
-	}
-	s, ok := st.(*cql.Select)
-	if !ok {
-		return nil, fmt.Errorf("%w: %T is not plannable; EXPLAIN takes a SELECT", ErrUnsupported, st)
-	}
-	p, err := exec.BuildPlan(s, e.cfg.Catalog, e.cfg.Oracle, exec.PlanConfig{
-		Sim:     e.cfg.Sim,
-		Epsilon: e.cfg.Epsilon,
-		Joiner:  e.joins.Join,
-	})
-	if err != nil {
-		return nil, err
-	}
-	d := plan.Greedy(p, e.cfg.Planner.Bins)
-	return plan.Describe(p, d, e.cfg.Planner.Greedy), nil
+	return e.src.Explain(st, e.cfg.Planner)
 }
 
-// Introspect snapshots the engine's query registry: every in-flight
+// Queries snapshots the engine's query registry: every in-flight
 // query (admission order) with its live state, elapsed time and
 // completed-round counters, plus the bounded ring of recently
 // completed queries (most recent first). Once Close has begun, running
 // queries report as draining.
-func (e *Engine) Introspect() IntrospectSnapshot {
+func (e *Engine) Queries() IntrospectSnapshot {
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()

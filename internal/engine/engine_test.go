@@ -62,7 +62,7 @@ func runSequential(t *testing.T, seed uint64, queries []string, transitive bool)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		ans, err := h.Wait(context.Background())
+		ans, err := h.wait(context.Background())
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -110,7 +110,7 @@ func checkConcurrentMatchesSequential(t *testing.T, transitive bool) {
 		handles[i] = h
 	}
 	for i, h := range handles {
-		ans, err := h.Wait(context.Background())
+		ans, err := h.wait(context.Background())
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -187,7 +187,7 @@ func TestSubmitConcurrently(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			_, errs[i] = h.Wait(context.Background())
+			_, errs[i] = h.wait(context.Background())
 		}(i, q)
 	}
 	wg.Wait()
@@ -230,12 +230,12 @@ func TestBackpressureAndCancellation(t *testing.T) {
 	}
 
 	cancel() // h1 gives up while queued
-	if _, err := h1.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+	if _, err := h1.wait(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled query returned %v", err)
 	}
 
 	<-e.slots // release the pinned slot; h2 runs
-	if ans, err := h2.Wait(context.Background()); err != nil || len(ans.Rows) == 0 {
+	if ans, err := h2.wait(context.Background()); err != nil || len(ans.Rows) == 0 {
 		t.Fatalf("queued query after release: rows=%v err=%v", ans, err)
 	}
 	e.Close()
@@ -351,7 +351,7 @@ func TestInferredVerdictsCrossQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Wait(context.Background()); err != nil {
+		if _, err := h.wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -402,8 +402,8 @@ func TestTracingIsolated(t *testing.T) {
 	qs := dataset.Queries("paper")
 	h1, _ := e.Submit(context.Background(), qs["2J"])
 	h2, _ := e.Submit(context.Background(), qs["2J1S"])
-	a1, err1 := h1.Wait(context.Background())
-	a2, err2 := h2.Wait(context.Background())
+	a1, err1 := h1.wait(context.Background())
+	a2, err2 := h2.wait(context.Background())
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errs: %v %v", err1, err2)
 	}

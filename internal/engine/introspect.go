@@ -15,7 +15,7 @@ var (
 	mQueuedG   = obs.Default.Gauge("cdb_engine_queued")
 )
 
-// Query lifecycle states reported by Engine.Introspect. In-flight
+// Query lifecycle states reported by Engine.Queries. In-flight
 // queries are queued, running or draining; completed ones are done,
 // shared or failed.
 const (
@@ -88,7 +88,7 @@ type IntrospectSnapshot struct {
 }
 
 // queryEntry is one admitted query's live registry record. The entry
-// is written by its own serve goroutine and read by Introspect; the
+// is written by its own serve goroutine and read by Queries; the
 // mutex covers the mutable tail.
 type queryEntry struct {
 	id       int64
@@ -118,10 +118,11 @@ type introspection struct {
 	capacity int
 }
 
+// recentQueries bounds the completed-query ring buffer served by
+// Engine.Queries.
+const recentQueries = 64
+
 func newIntrospection(capacity int) *introspection {
-	if capacity <= 0 {
-		capacity = 64
-	}
 	return &introspection{
 		inflight: make(map[int64]*queryEntry),
 		capacity: capacity,

@@ -69,7 +69,7 @@ func TestIntrospectionRing(t *testing.T) {
 // TestIntrospectionInFlightOrder pins the deterministic admission-order
 // sort of the live table.
 func TestIntrospectionInFlightOrder(t *testing.T) {
-	in := newIntrospection(0) // 0 → default capacity
+	in := newIntrospection(recentQueries)
 	var entries []*queryEntry
 	for i := 0; i < 5; i++ {
 		entries = append(entries, in.admit("", "q"))
@@ -99,14 +99,14 @@ func TestEngineIntrospectE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Wait(ctx); err != nil {
+	if _, err := h.wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// finish() runs on the serve goroutine after the handle completes;
 	// poll briefly for the retirement.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		snap := e.Introspect()
+		snap := e.Queries()
 		if len(snap.Recent) == 1 {
 			fin := snap.Recent[0]
 			if fin.State != StateDone {

@@ -3,7 +3,6 @@ package engine
 import (
 	"encoding/json"
 
-	"cdb/internal/cql"
 	"cdb/internal/exec"
 	"cdb/internal/ledger"
 	"cdb/internal/obs"
@@ -117,19 +116,9 @@ func (e *Engine) warmFromJournal() {
 	// statement that no longer parses or plans — the catalog changed
 	// under the ledger — is skipped, not fatal.
 	for _, stmt := range j.Statements() {
-		st, err := cql.Parse(stmt)
-		if err != nil {
-			continue
+		if s, err := servable(stmt); err == nil {
+			_, _ = e.src.bind(s, nil)
 		}
-		s, ok := st.(*cql.Select)
-		if !ok {
-			continue
-		}
-		_, _ = exec.BuildPlan(s, e.cfg.Catalog, e.cfg.Oracle, exec.PlanConfig{
-			Sim:     e.cfg.Sim,
-			Epsilon: e.cfg.Epsilon,
-			Joiner:  e.joins.Join,
-		})
 	}
 
 	if e.results == nil {

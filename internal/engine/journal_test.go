@@ -34,7 +34,7 @@ func runWithJournal(t *testing.T, dir string, seed uint64, queries []string) ([]
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		ans, err := h.Wait(context.Background())
+		ans, err := h.wait(context.Background())
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}

@@ -34,13 +34,22 @@ import (
 // Config leaves Bins zero.
 const DefaultBins = 8
 
-// Config groups the planner knobs threaded through engine.Config and
-// the public cdb.PlannerConfig.
+// Config is the greedy multi-join planner's configuration — the public
+// cdb.PlannerConfig, accepted as cdb.WithPlanner(cfg) and as
+// cdb.Config.Planner. The zero value leaves the planner off.
 type Config struct {
-	// Greedy enables greedy join ordering; off, execution keeps the
-	// statement's predicate order.
+	// Greedy enables greedy join ordering for SELECT execution: joins
+	// run cheapest-first by live candidate-edge count, and a predicate
+	// with zero surviving candidates terminates the query early with
+	// zero further HITs. Answers are bit-identical to fixed-order
+	// execution under the same seed (verdicts are content-pure).
 	Greedy bool
-	// Bins is the similarity-histogram resolution (0 = DefaultBins).
+	// FixedOrder runs the same planned executor in statement order —
+	// the baseline greedy is measured against. Ignored when Greedy is
+	// set.
+	FixedOrder bool
+	// Bins is the similarity-histogram resolution of plan steps
+	// (0 = DefaultBins).
 	Bins int
 }
 

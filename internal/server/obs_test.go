@@ -23,7 +23,7 @@ import (
 // span of the query's trace. One key joins the wire artifacts to the
 // execution artifacts.
 func TestRequestIDRoundTrip(t *testing.T) {
-	_, eng, hs := newTestServer(t, newTestDB(t), cdb.WithEngineTracing(true))
+	_, eng, hs := newTestServer(t, newTestDB(t, cdb.WithTracing(true)))
 	defer eng.Close()
 	c := client.New(hs.URL)
 

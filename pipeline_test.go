@@ -1,0 +1,135 @@
+package cdb
+
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"cdb/internal/dataset"
+)
+
+// openPaper opens paper@0.12 under the benchmark's seeds plus cfg's
+// feature switches.
+func openPaper(t *testing.T, cfg Config) *DB {
+	t.Helper()
+	cfg.Seed, cfg.Dataset, cfg.DatasetScale, cfg.DatasetSeed = 1, "paper", 0.12, 1
+	db, err := OpenConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// engineResult runs q through a fresh engine over db; submit picks the
+// entry point.
+func engineResult(t *testing.T, db *DB, submit func(*Engine) (*Future, error)) *Result {
+	t.Helper()
+	eng, err := db.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	fut, err := submit(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fut.Result(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestEngineTransitivityResult: an engine opened from a
+// WithTransitivity DB reports what inference did — the labels it
+// deduced and each answer's evidence split — exactly like DB.Exec, and
+// consistently with its own round stream.
+func TestEngineTransitivityResult(t *testing.T) {
+	db := openPaper(t, Config{Transitive: true})
+	streamed := 0
+	res := engineResult(t, db, func(e *Engine) (*Future, error) {
+		return e.SubmitWithProgress(context.Background(), dataset.Queries("paper")["2J"],
+			func(u RoundUpdate) { streamed += u.Inferred })
+	})
+	if res.Stats.Inferred == 0 {
+		t.Fatal("Stats.Inferred = 0 with transitivity on")
+	}
+	if res.Stats.Inferred != streamed {
+		t.Errorf("Stats.Inferred = %d, round stream sums to %d", res.Stats.Inferred, streamed)
+	}
+	if len(res.Provenance) != len(res.Rows) {
+		t.Fatalf("%d provenance entries for %d rows", len(res.Provenance), len(res.Rows))
+	}
+	for i, p := range res.Provenance {
+		if p.Crowd+p.Inferred+p.Prior <= 0 {
+			t.Fatalf("row %d has no supporting evidence: %+v", i, p)
+		}
+	}
+}
+
+// TestFeaturePairRules pins the rule table of the pipeline's order
+// selection (internal/engine/pipeline.go, DESIGN.md §17), one case per
+// row and entry point. A planner-ordered run is recognisable by its
+// Result.Plan, a run with transitivity on by its per-row Provenance
+// (the planned order asks a whole predicate per round, so it leaves
+// nothing for inference to deduce — Stats.Inferred stays 0 until the
+// planner batches with the closure).
+func TestFeaturePairRules(t *testing.T) {
+	q := dataset.Queries("paper")["2J"]
+	greedy := &PlannerConfig{Greedy: true}
+	viaExec := func(db *DB, q string) *Result {
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	viaEngine := func(db *DB, q string) *Result {
+		return engineResult(t, db, func(e *Engine) (*Future, error) {
+			return e.Submit(context.Background(), q)
+		})
+	}
+	budgeted := strings.Replace(q, ";", " BUDGET 40;", 1)
+
+	cases := []struct {
+		name       string
+		cfg        Config
+		run        func(*DB, string) *Result
+		query      string
+		planned    bool // the planner's order ran
+		transitive bool // the run kept transitive inference on
+	}{
+		{"planner alone/exec", Config{Planner: greedy}, viaExec, q, true, false},
+		{"planner alone/engine", Config{Planner: greedy}, viaEngine, q, true, false},
+		{"budget beats planner/exec", Config{Planner: greedy}, viaExec, budgeted, false, false},
+		{"budget beats planner/engine", Config{Planner: greedy}, viaEngine, budgeted, false, false},
+		{"transport beats planner/exec", Config{Planner: greedy, Reliability: &ReliabilityPolicy{}}, viaExec, q, false, false},
+		{"shard scope keeps the configured order/engine", Config{Planner: greedy},
+			func(db *DB, q string) *Result {
+				return engineResult(t, db, func(e *Engine) (*Future, error) {
+					run := &ShardRun{Fleet: "a", Target: "a", Owned: func(string) bool { return true }}
+					return e.SubmitShard(context.Background(), q, run, nil)
+				})
+			}, q, false, false},
+		{"planner composes with transitivity/exec", Config{Planner: greedy, Transitive: true}, viaExec, q, true, true},
+		{"planner composes with transitivity/engine", Config{Planner: greedy, Transitive: true}, viaEngine, q, true, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := tc.run(openPaper(t, tc.cfg), tc.query)
+			if got := res.Plan != nil; got != tc.planned {
+				t.Errorf("planner-ordered = %v, want %v", got, tc.planned)
+			}
+			if len(res.Rows) == 0 {
+				t.Fatal("no answers")
+			}
+			if got := len(res.Provenance) == len(res.Rows); got != tc.transitive {
+				t.Errorf("%d provenance entries for %d rows, want transitivity on = %v",
+					len(res.Provenance), len(res.Rows), tc.transitive)
+			}
+			if tc.query == budgeted && res.Stats.Tasks > 40 {
+				t.Errorf("BUDGET 40 spent %d tasks", res.Stats.Tasks)
+			}
+		})
+	}
+}

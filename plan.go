@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cdb/internal/cql"
-	"cdb/internal/exec"
 	"cdb/internal/plan"
 )
 
@@ -21,110 +20,43 @@ type Plan = plan.Explained
 // PlanStep is one step of a Plan.
 type PlanStep = plan.Step
 
-// PlannerConfig consolidates the query-optimizer knobs that used to be
-// scattered over individual options (WithSimilarity, WithEpsilon,
-// WithStrategy) and adds the greedy multi-join planner. It is accepted
-// both as WithPlanner(cfg) and as Config.Planner. Zero fields keep the
-// documented defaults.
-type PlannerConfig struct {
-	// Greedy enables greedy join ordering for SELECT execution: joins
-	// run cheapest-first by live candidate-edge count, and a predicate
-	// with zero surviving candidates terminates the query early with
-	// zero further HITs. Answers are bit-identical to fixed-order
-	// execution under the same seed (verdicts are content-pure).
-	Greedy bool
-	// FixedOrder runs the same planned executor in statement order —
-	// the baseline greedy is measured against. Ignored when Greedy is
-	// set.
-	FixedOrder bool
-	// Bins is the similarity-histogram resolution of plan steps
-	// (0 = 8).
-	Bins int
+// PlannerConfig configures the greedy multi-join planner: Greedy turns
+// on cheapest-first join ordering with plan-time early exits,
+// FixedOrder runs the same planned executor in statement order (the
+// baseline greedy is measured against; ignored when Greedy is set), and
+// Bins is the similarity-histogram resolution of plan steps (0 = 8).
+// It is accepted both as WithPlanner(cfg) and as Config.Planner; the
+// zero value leaves the planner off. How the planner combines with
+// BUDGET, the fault-tolerant transport and transitivity is decided in
+// one place — see DESIGN.md §17.
+type PlannerConfig = plan.Config
 
-	// Similarity, Epsilon and Strategy supersede WithSimilarity,
-	// WithEpsilon and WithStrategy; empty/zero values leave the DB's
-	// current setting untouched.
-	Similarity string
-	Epsilon    float64
-	Strategy   string
-	// Samples supersedes the sampling depth of the mincut strategy
-	// (0 keeps the default of 20).
-	Samples int
-}
-
-// plannerState is the planner configuration a DB retains (the sim
-// knobs of PlannerConfig fold into the DB's own fields).
-type plannerState struct {
-	Greedy     bool
-	FixedOrder bool
-	Bins       int
-}
-
-// WithPlanner applies a consolidated PlannerConfig; see Config.Planner
-// for the struct-based route.
+// WithPlanner applies a PlannerConfig; see Config.Planner for the
+// struct-based route.
 func WithPlanner(cfg PlannerConfig) Option {
 	return func(db *DB) {
-		db.planner.Greedy = cfg.Greedy
-		db.planner.FixedOrder = cfg.FixedOrder && !cfg.Greedy
-		db.planner.Bins = cfg.Bins
-		if cfg.Similarity != "" {
-			WithSimilarity(cfg.Similarity)(db)
-		}
-		if cfg.Epsilon != 0 {
-			WithEpsilon(cfg.Epsilon)(db)
-		}
-		if cfg.Strategy != "" {
-			WithStrategy(cfg.Strategy)(db)
-		}
-		if cfg.Samples > 0 {
-			db.samples = cfg.Samples
-		}
+		cfg.FixedOrder = cfg.FixedOrder && !cfg.Greedy
+		db.planner = cfg
 	}
 }
-
-// plannerOn reports whether SELECTs run the planned executor.
-func (db *DB) plannerOn() bool { return db.planner.Greedy || db.planner.FixedOrder }
 
 // Explain plans q without executing it — and without issuing a single
 // crowd assignment — and returns the Plan. q may be a SELECT or an
 // EXPLAIN SELECT (the verb unwraps to the same thing); any other
 // statement fails with ErrEngineUnsupported, since only SELECTs are
-// plannable.
+// plannable. Greedy on the wire reports whether execution on this DB
+// would actually follow the greedy order.
 func (db *DB) Explain(q string) (*Plan, error) {
 	st, err := cql.Parse(q)
 	if err != nil {
 		return nil, err
 	}
-	if e, ok := st.(*cql.Explain); ok {
-		st = e.Target
-	}
-	s, ok := st.(*cql.Select)
-	if !ok {
-		return nil, fmt.Errorf("cdb: %w: %T is not plannable; EXPLAIN takes a SELECT", ErrEngineUnsupported, st)
-	}
-	return db.explainSelect(s)
-}
-
-// explainSelect plans one parsed SELECT for EXPLAIN: build the query
-// graph (similarity joins only — no crowd), run the greedy planner,
-// and describe the decision. Greedy on the wire reports whether
-// execution on this DB would actually follow the greedy order.
-func (db *DB) explainSelect(s *cql.Select) (*Plan, error) {
-	p, err := exec.BuildPlan(s, db.catalog, db.oracle, exec.PlanConfig{Sim: db.simFunc, Epsilon: db.epsilon})
-	if err != nil {
-		return nil, err
-	}
-	d := plan.Greedy(p, db.planner.Bins)
-	return plan.Describe(p, d, db.planner.Greedy), nil
+	return db.source().Explain(st, db.planner)
 }
 
 // execExplain serves the EXPLAIN CQL verb on the Exec path.
 func (db *DB) execExplain(e *cql.Explain) (*Result, error) {
-	s, ok := e.Target.(*cql.Select)
-	if !ok {
-		return nil, fmt.Errorf("cdb: %w: %T is not plannable; EXPLAIN takes a SELECT", ErrEngineUnsupported, e.Target)
-	}
-	ex, err := db.explainSelect(s)
+	ex, err := db.source().Explain(e, db.planner)
 	if err != nil {
 		return nil, err
 	}
