@@ -62,19 +62,42 @@ func costBenchGraph(blocks int, r *stats.RNG) *graph.Graph {
 	return g
 }
 
-// measureRounds times `rounds` steady-state scheduling rounds: color 16
-// edges of the pending batch, recompute the next batch. Graph rebuilds
-// (on exhaustion) happen outside the timer.
-func measureRounds(blocks, rounds int, strat cost.Strategy, reset func()) (nsPerRound float64, edges int) {
+// costBenchConnected builds the shape the disjoint blocks miss: a
+// three-predicate chain A–B–C–D in which every tuple has `degree`
+// edges per incident predicate, wired round the table so the whole
+// graph is one connected component. Every scheduling round then packs
+// its batch out of a single giant component — where a scaled
+// similarity join puts the scheduler.
+func costBenchConnected(n, degree int, r *stats.RNG) *graph.Graph {
+	s := &graph.Structure{
+		Tables: []string{"A", "B", "C", "D"},
+		Preds:  []graph.QPred{{A: 0, B: 1}, {A: 1, B: 2}, {A: 2, B: 3}},
+	}
+	g := graph.MustNewGraph(s, []int{n, n, n, n})
+	for p := range s.Preds {
+		for a := 0; a < n; a++ {
+			for k := 0; k < degree; k++ {
+				g.AddEdge(p, a, (a+k)%n, 0.1+0.8*r.Float64())
+			}
+		}
+	}
+	return g
+}
+
+// measureRounds times `rounds` steady-state scheduling rounds on the
+// graphs build returns: color 16 edges of the pending batch, recompute
+// the next batch. Graph rebuilds (on exhaustion) happen outside the
+// timer.
+func measureRounds(build func(*stats.RNG) *graph.Graph, rounds int, strat cost.Strategy, reset func()) (nsPerRound float64, edges int) {
 	r := stats.NewRNG(9)
-	g := costBenchGraph(blocks, r)
+	g := build(r)
 	edges = g.NumEdges()
 	reset()
 	batch := strat.NextRound(g) // priming first round: full rescore
 	var total time.Duration
 	for i := 0; i < rounds; i++ {
 		if len(batch) == 0 {
-			g = costBenchGraph(blocks, r)
+			g = build(r)
 			reset()
 			batch = strat.NextRound(g)
 		}
@@ -96,13 +119,15 @@ func measureRounds(blocks, rounds int, strat cost.Strategy, reset func()) (nsPer
 	return float64(total.Nanoseconds()) / float64(rounds), edges
 }
 
-func benchRoundScale(blocks, rounds int) RoundBenchResult {
+// benchRoundScale measures both engines on graphs from build, which
+// have the stated number of connected components.
+func benchRoundScale(build func(*stats.RNG) *graph.Graph, components, rounds int) RoundBenchResult {
 	e := &cost.Expectation{}
-	incNs, edges := measureRounds(blocks, rounds, e, func() { *e = cost.Expectation{} })
-	naiveNs, _ := measureRounds(blocks, rounds, &cost.NaiveExpectation{}, func() {})
+	incNs, edges := measureRounds(build, rounds, e, func() { *e = cost.Expectation{} })
+	naiveNs, _ := measureRounds(build, rounds, &cost.NaiveExpectation{}, func() {})
 	return RoundBenchResult{
 		Edges:              edges,
-		Components:         blocks,
+		Components:         components,
 		IncrementalNsRound: incNs,
 		NaiveNsRound:       naiveNs,
 		Speedup:            naiveNs / incNs,
@@ -164,11 +189,19 @@ func RunCostBench(path string, procs int, w io.Writer) error {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	fmt.Fprintf(w, "GOMAXPROCS=%d\n", report.GoMaxProcs)
-	for _, blocks := range []int{400, 1700} { // ~2.4k and ~10.2k edges
-		res := benchRoundScale(blocks, 80)
+	roundShapes := []struct {
+		build      func(*stats.RNG) *graph.Graph
+		components int
+	}{
+		{func(r *stats.RNG) *graph.Graph { return costBenchGraph(400, r) }, 400},   // ~2.4k edges
+		{func(r *stats.RNG) *graph.Graph { return costBenchGraph(1700, r) }, 1700}, // ~10.2k edges
+		{func(r *stats.RNG) *graph.Graph { return costBenchConnected(300, 3, r) }, 1},
+	}
+	for _, shape := range roundShapes {
+		res := benchRoundScale(shape.build, shape.components, 80)
 		report.Rounds = append(report.Rounds, res)
-		fmt.Fprintf(w, "round scoring %6d edges: incremental %.2fms  naive %.2fms  speedup %.2fx\n",
-			res.Edges, res.IncrementalNsRound/1e6, res.NaiveNsRound/1e6, res.Speedup)
+		fmt.Fprintf(w, "round scoring %6d edges in %4d components: incremental %.2fms  naive %.2fms  speedup %.2fx\n",
+			res.Edges, res.Components, res.IncrementalNsRound/1e6, res.NaiveNsRound/1e6, res.Speedup)
 	}
 	for _, n := range []int{300, 1000} {
 		for _, workers := range []int{1, 2, 4, 8} {

@@ -104,6 +104,7 @@ type Expectation struct {
 	// Reusable scratch.
 	cleanBuf, dirtyBuf, mergeBuf []int
 	dirtyComp                    []bool
+	evals                        []*graph.CutEvaluator // one per scoring worker
 
 	// Cache activity totals (see CacheStats) and the per-query tracer
 	// the executor may install; both are inert by default.
@@ -425,11 +426,12 @@ func (e *Expectation) rescoreDirty(g *graph.Graph, events []graph.ColorEvent) {
 }
 
 // scoreEdges fills e.score for the given edges, fanning out over a
-// worker pool when the batch is large. Each worker snapshots the
-// graph's validity state into a private CutEvaluator, so the workers
-// never contend; scores land in disjoint slots of the dense slice, and
-// each score is a pure function of (frozen) graph state, making the
-// result independent of scheduling.
+// worker pool when the batch is large. Each worker gets a private
+// CutEvaluator — kept on the strategy and re-snapshotted here, on the
+// calling goroutine, before the fan-out — so the workers never contend;
+// scores land in disjoint slots of the dense slice, and each score is a
+// pure function of (frozen) graph state, making the result independent
+// of scheduling.
 func (e *Expectation) scoreEdges(g *graph.Graph, edges []int) {
 	mScoredEdges.Observe(float64(len(edges)))
 	workers := e.Workers
@@ -456,14 +458,20 @@ func (e *Expectation) scoreEdges(g *graph.Graph, edges []int) {
 		if hi > len(edges) {
 			hi = len(edges)
 		}
+		if w == len(e.evals) {
+			e.evals = append(e.evals, g.NewCutEvaluator())
+		} else if ev := e.evals[w]; ev.Graph() == g {
+			ev.Refresh()
+		} else {
+			e.evals[w] = g.NewCutEvaluator()
+		}
 		wg.Add(1)
-		go func(part []int) {
+		go func(ev *graph.CutEvaluator, part []int) {
 			defer wg.Done()
-			ev := g.NewCutEvaluator()
 			for _, id := range part {
 				e.score[id] = PruningExpectationOn(ev, id)
 			}
-		}(edges[lo:hi])
+		}(e.evals[w], edges[lo:hi])
 	}
 	wg.Wait()
 }

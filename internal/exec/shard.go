@@ -120,7 +120,7 @@ func (sc *ShardScope) TruthCounts(p *Plan) (total, correct int) {
 // so sorting the union of per-shard answers by merge key reproduces the
 // single-node row order exactly.
 func MergeKeys(p *Plan, answers []graph.Embedding) [][]int {
-	order := p.S.PredOrder()
+	order := p.G.PredOrder()
 	out := make([][]int, len(answers))
 	for i, a := range answers {
 		key := make([]int, len(order))

@@ -130,9 +130,12 @@ func (g *Graph) refreshComponents() {
 				g.compOf[e] = compUnassigned
 			}
 		}
+		// The pieces partition what is left of the old component, so one
+		// backing array of its size holds all their member lists.
+		arena := make([]int, 0, len(members))
 		for _, e := range members {
 			if g.compOf[e] == compUnassigned {
-				g.floodComponent(e)
+				arena = g.floodComponent(e, arena)
 			}
 		}
 	}
@@ -163,9 +166,10 @@ func (g *Graph) buildComponents() {
 	}
 	g.compMembers = g.compMembers[:0]
 	g.compDirty = g.compDirty[:0]
+	arena := make([]int, 0, len(g.edges))
 	for start := range g.edges {
 		if g.compOf[start] == compUnassigned {
-			g.floodComponent(start)
+			arena = g.floodComponent(start, arena)
 		}
 	}
 	if len(g.compDirtyMark) < len(g.compMembers) {
@@ -180,31 +184,52 @@ func (g *Graph) buildComponents() {
 
 // floodComponent assigns a fresh component id to every unassigned
 // non-red edge reachable from start and records the sorted member
-// list.
-func (g *Graph) floodComponent(start int) {
+// list, which it carves from the end of arena (returned grown; the
+// caller sizes it for all the floods it will run). The flood moves
+// tuple to tuple, scanning each tuple's adjacency once (an epoch stamp
+// marks the visited ones), so a component costs the sum of its tuples'
+// degrees rather than of their squares.
+func (g *Graph) floodComponent(start int, arena []int) []int {
 	id := len(g.compMembers)
-	var members []int
-	stack := []int{start}
+	if len(g.floodStamp) != g.nVerts {
+		g.floodStamp = make([]int, g.nVerts)
+		g.floodEpoch = 0
+	}
+	g.floodEpoch++
+	epoch := g.floodEpoch
+	first := len(arena)
+	arena = append(arena, start)
 	g.compOf[start] = id
+	e := &g.edges[start]
+	g.floodStamp[e.U], g.floodStamp[e.V] = epoch, epoch
+	stack := append(g.floodStack[:0], e.U, e.V)
 	for len(stack) > 0 {
-		eID := stack[len(stack)-1]
+		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		members = append(members, eID)
-		e := g.edges[eID]
-		for _, v := range [2]int{e.U, e.V} {
-			for _, lst := range g.adj[v] {
-				for _, nb := range lst {
-					if g.compOf[nb] == compUnassigned {
-						g.compOf[nb] = id
-						stack = append(stack, nb)
-					}
+		for _, lst := range g.adj[v] {
+			for _, nb := range lst {
+				if g.compOf[nb] != compUnassigned {
+					continue
+				}
+				g.compOf[nb] = id
+				arena = append(arena, nb)
+				w := g.edges[nb].U
+				if w == v {
+					w = g.edges[nb].V
+				}
+				if g.floodStamp[w] != epoch {
+					g.floodStamp[w] = epoch
+					stack = append(stack, w)
 				}
 			}
 		}
 	}
+	g.floodStack = stack[:0]
+	members := arena[first:len(arena):len(arena)]
 	sort.Ints(members)
 	g.compMembers = append(g.compMembers, members)
 	if len(g.compDirtyMark) < len(g.compMembers) {
 		g.compDirtyMark = append(g.compDirtyMark, false)
 	}
+	return arena
 }

@@ -80,13 +80,36 @@ func samePartition(t *testing.T, got, want []int, ctx string) {
 	}
 }
 
-// TestComponentIndexIncremental colors random graphs edge by edge and
-// checks after every transition that the incrementally maintained
-// partition matches a from-scratch union-find.
+// hubGraph builds a chain A–B–C whose B side has two hub tuples joined
+// to 30 tuples on either side (some shared between the hubs) — the
+// shape where flooding edge by edge rescans a hub's adjacency once per
+// incident edge.
+func hubGraph(r *stats.RNG) *Graph {
+	s := &Structure{
+		Tables: []string{"A", "B", "C"},
+		Preds:  []QPred{{A: 0, B: 1}, {A: 1, B: 2}},
+	}
+	g := MustNewGraph(s, []int{40, 2, 40})
+	for hub := 0; hub < 2; hub++ {
+		for i := 0; i < 30; i++ {
+			g.AddEdge(0, r.Intn(40), hub, 0.5)
+			g.AddEdge(1, hub, r.Intn(40), 0.5)
+		}
+	}
+	return g
+}
+
+// TestComponentIndexIncremental colors random graphs (every tenth one
+// a high-degree hub graph) edge by edge and checks after every
+// transition that the incrementally maintained partition matches a
+// from-scratch union-find.
 func TestComponentIndexIncremental(t *testing.T) {
 	r := stats.NewRNG(31337)
 	for trial := 0; trial < 200; trial++ {
 		g := randomGraph(r)
+		if trial%10 == 9 {
+			g = hubGraph(r)
+		}
 		compOf, _ := g.ComponentIndex()
 		samePartition(t, compOf, naivePartition(g), "initial")
 		for step := 0; step < 2*g.NumEdges(); step++ {

@@ -52,31 +52,51 @@ func (s *Structure) predOrder() []int {
 	return order
 }
 
-// PredOrder exposes the connected predicate order enumeration walks
-// predicates in. Answer emission is lexicographic in the chosen-edge
-// vector laid out along this order (each recursion level tries edges in
-// ascending id order), which is what lets a scatter-gather merge
-// re-establish the single-graph row order from per-shard answer sets.
-func (s *Structure) PredOrder() []int { return s.predOrder() }
+// enumerator is the state of one embedding walk. The graph keeps one
+// and reuses its slices, so steady-state enumeration allocates nothing
+// of its own.
+type enumerator struct {
+	g                      *Graph
+	assign, chosen, pinned []int
+	keep                   func(Edge) bool
+	yield                  func(assign, edges []int) bool
+	busy                   bool
+}
+
+// reset sizes the walk's slices for g and fills them with -1.
+func (en *enumerator) reset(g *Graph) {
+	en.g = g
+	en.assign = fillMinus1(en.assign, len(g.S.Tables))
+	en.chosen = fillMinus1(en.chosen, len(g.S.Preds))
+	en.pinned = fillMinus1(en.pinned, len(g.S.Preds))
+}
+
+func fillMinus1(buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = -1
+	}
+	return buf
+}
 
 // enumerate walks all embeddings over edges accepted by keep,
 // pre-pinning the given edges, and calls yield for each complete
 // embedding. yield returning false stops the walk. keep must reject
 // red edges for candidate semantics.
 func (g *Graph) enumerate(pins []int, keep func(Edge) bool, yield func(assign, edges []int) bool) {
-	order := g.S.predOrder()
-	assign := make([]int, len(g.S.Tables))
-	chosen := make([]int, len(g.S.Preds))
-	for i := range assign {
-		assign[i] = -1
+	en := &g.enum
+	if en.busy {
+		// A yield callback is enumerating again: the outer walk still
+		// owns the shared scratch.
+		en = &enumerator{}
 	}
-	for i := range chosen {
-		chosen[i] = -1
-	}
-	pinned := make([]int, len(g.S.Preds))
-	for i := range pinned {
-		pinned[i] = -1
-	}
+	en.busy = true
+	defer func() { en.busy, en.keep, en.yield = false, nil, nil }()
+	en.reset(g)
+	en.keep, en.yield = keep, yield
 	// Apply pins: fix assignments; bail on inconsistency.
 	for _, eID := range pins {
 		e := g.edges[eID]
@@ -84,77 +104,83 @@ func (g *Graph) enumerate(pins []int, keep func(Edge) bool, yield func(assign, e
 			return
 		}
 		p := g.S.Preds[e.Pred]
-		if pinned[e.Pred] >= 0 && pinned[e.Pred] != eID {
+		if en.pinned[e.Pred] >= 0 && en.pinned[e.Pred] != eID {
 			return // two pins on one predicate
 		}
-		pinned[e.Pred] = eID
-		if assign[p.A] >= 0 && assign[p.A] != e.U {
+		en.pinned[e.Pred] = eID
+		if en.assign[p.A] >= 0 && en.assign[p.A] != e.U {
 			return
 		}
-		if assign[p.B] >= 0 && assign[p.B] != e.V {
+		if en.assign[p.B] >= 0 && en.assign[p.B] != e.V {
 			return
 		}
-		assign[p.A], assign[p.B] = e.U, e.V
+		en.assign[p.A], en.assign[p.B] = e.U, e.V
 	}
+	en.rec(0)
+}
 
-	var rec func(k int) bool
-	rec = func(k int) bool {
-		if k == len(order) {
-			return yield(assign, chosen)
-		}
-		pIdx := order[k]
-		p := g.S.Preds[pIdx]
-		try := func(eID int) bool {
-			e := g.edges[eID]
-			if !keep(e) {
-				return true
-			}
-			if pinned[pIdx] >= 0 && pinned[pIdx] != eID {
-				return true
-			}
-			savedA, savedB := assign[p.A], assign[p.B]
-			if savedA >= 0 && savedA != e.U {
-				return true
-			}
-			if savedB >= 0 && savedB != e.V {
-				return true
-			}
-			assign[p.A], assign[p.B] = e.U, e.V
-			chosen[pIdx] = eID
-			cont := rec(k + 1)
-			assign[p.A], assign[p.B] = savedA, savedB
-			chosen[pIdx] = -1
-			return cont
-		}
-		switch {
-		case pinned[pIdx] >= 0:
-			return try(pinned[pIdx])
-		case assign[p.A] >= 0:
-			for _, eID := range g.EdgesAt(assign[p.A], pIdx) {
-				if !try(eID) {
-					return false
-				}
-			}
-		case assign[p.B] >= 0:
-			for _, eID := range g.EdgesAt(assign[p.B], pIdx) {
-				if !try(eID) {
-					return false
-				}
-			}
-		default:
-			// Only the first predicate in the order starts unanchored.
-			for eID := range g.edges {
-				if g.edges[eID].Pred != pIdx {
-					continue
-				}
-				if !try(eID) {
-					return false
-				}
+// rec extends the partial embedding over predicate k of the connected
+// order; false means yield asked to stop.
+func (en *enumerator) rec(k int) bool {
+	g := en.g
+	if k == len(g.predOrder) {
+		return en.yield(en.assign, en.chosen)
+	}
+	pIdx := g.predOrder[k]
+	p := g.S.Preds[pIdx]
+	switch {
+	case en.pinned[pIdx] >= 0:
+		return en.try(k, en.pinned[pIdx])
+	case en.assign[p.A] >= 0:
+		for _, eID := range g.adj[en.assign[p.A]][g.slotAt(p.A, pIdx)] {
+			if !en.try(k, eID) {
+				return false
 			}
 		}
+	case en.assign[p.B] >= 0:
+		for _, eID := range g.adj[en.assign[p.B]][g.slotAt(p.B, pIdx)] {
+			if !en.try(k, eID) {
+				return false
+			}
+		}
+	default:
+		// Only the first predicate in the order starts unanchored.
+		for eID := range g.edges {
+			if g.edges[eID].Pred != pIdx {
+				continue
+			}
+			if !en.try(k, eID) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// try places edge eID on predicate k of the order, if it is kept and
+// consistent with the assignment so far, and recurses.
+func (en *enumerator) try(k, eID int) bool {
+	e := en.g.edges[eID]
+	if !en.keep(e) {
 		return true
 	}
-	rec(0)
+	if en.pinned[e.Pred] >= 0 && en.pinned[e.Pred] != eID {
+		return true
+	}
+	p := en.g.S.Preds[e.Pred]
+	savedA, savedB := en.assign[p.A], en.assign[p.B]
+	if savedA >= 0 && savedA != e.U {
+		return true
+	}
+	if savedB >= 0 && savedB != e.V {
+		return true
+	}
+	en.assign[p.A], en.assign[p.B] = e.U, e.V
+	en.chosen[e.Pred] = eID
+	cont := en.rec(k + 1)
+	en.assign[p.A], en.assign[p.B] = savedA, savedB
+	en.chosen[e.Pred] = -1
+	return cont
 }
 
 func nonRed(e Edge) bool  { return e.Color != Red }
@@ -182,33 +208,27 @@ func (g *Graph) existsCandidateWithPins(pins []int) bool {
 	return found
 }
 
-// existsEmbeddingWith adapts existsCandidateWithPins for the
-// backtracking validity fallback.
-func (g *Graph) existsEmbeddingWith(pins map[int]int, _ []int) bool {
-	list := make([]int, 0, len(pins))
-	for _, e := range pins {
-		list = append(list, e)
-	}
-	return g.existsCandidateWithPins(list)
-}
-
 // SameCandidate reports whether two edges co-occur in at least one
-// candidate — the conflict test of the latency scheduler (§5.2). Two
-// distinct edges on the same predicate never conflict, nor do edges
-// containing different tuples of the same table; both cases are
-// resolved without search.
+// candidate — the conflict test of the latency scheduler (§5.2). On
+// tree-shaped structures the answer is read off the cover facts
+// (conflict.go); cyclic structures search, after two rules that need
+// none: two distinct edges on the same predicate never conflict, nor do
+// edges containing different tuples of the same table.
 func (g *Graph) SameCandidate(e1, e2 int) bool {
 	if e1 == e2 {
 		return true
 	}
-	a, b := g.edges[e1], g.edges[e2]
+	a, b := &g.edges[e1], &g.edges[e2]
 	if a.Pred == b.Pred {
 		return false // a candidate holds exactly one edge per predicate
+	}
+	if g.treeShaped {
+		return g.sameCandidateTree(e1, e2)
 	}
 	// Different tuples of the same table can't co-occur.
 	for _, u := range [2]int{a.U, a.V} {
 		for _, v := range [2]int{b.U, b.V} {
-			if u != v && g.TableOf(u) == g.TableOf(v) {
+			if u != v && g.tableOf[u] == g.tableOf[v] {
 				return false
 			}
 		}

@@ -149,10 +149,15 @@ type Graph struct {
 	// adj[v][k] lists edge ids incident to v on the k-th predicate of
 	// v's table (k indexes predsOf(table(v))).
 	adj [][][]int
-	// predsByTable caches predsOf per table; predSlot[t][p] maps a
-	// predicate id to its slot in predsByTable[t].
+	// predsByTable caches predsOf per table; predSlot[t*nPreds+p] is
+	// predicate p's slot in predsByTable[t], -1 when p does not touch t.
 	predsByTable [][]int
-	predSlot     []map[int]int
+	predSlot     []int
+	nPreds       int
+	// predOrder is the connected predicate order enumeration walks,
+	// fixed by the structure and computed once.
+	predOrder []int
+	enum      enumerator // reusable enumeration scratch (enumerate.go)
 
 	// Validity state (see validity.go).
 	dirty      bool
@@ -160,6 +165,12 @@ type Graph struct {
 	cs         cutState // cover facts + hypothetical-cut scratch
 	treeShaped bool     // whether S is acyclic (enables the DP)
 	factWork   []fact   // reusable worklist for revalidateTree
+	// Conflict-test state for tree-shaped structures (conflict.go): the
+	// query-tree path between every predicate pair, the predicates past
+	// each (table, slot), and the walk scratch.
+	paths  []predPath
+	beyond [][]uint64
+	walk   walkScratch
 
 	// Color journal: every effective SetColor is appended, so
 	// incremental consumers (the cost engine) can locate the dirty
@@ -172,6 +183,9 @@ type Graph struct {
 	compDirty     []int   // component ids pending an incremental refresh
 	compDirtyMark []bool  // per component id: already queued in compDirty
 	compsValid    bool    // false forces a full rebuild
+	floodStamp    []int   // per vertex: flood epoch that last visited it
+	floodEpoch    int
+	floodStack    []int // reusable vertex stack for floodComponent
 
 	uid           uint64 // process-unique graph identity for external caches
 	weightVersion int    // bumped by SetWeight; score caches reset on change
@@ -207,20 +221,28 @@ func NewGraph(s *Structure, counts []int) (*Graph, error) {
 			g.tableOf[v] = t
 		}
 	}
+	g.nPreds = len(s.Preds)
 	g.predsByTable = make([][]int, len(s.Tables))
-	g.predSlot = make([]map[int]int, len(s.Tables))
+	g.predSlot = make([]int, len(s.Tables)*g.nPreds)
+	for i := range g.predSlot {
+		g.predSlot[i] = -1
+	}
 	for t := range s.Tables {
 		g.predsByTable[t] = s.predsOf(t)
-		g.predSlot[t] = make(map[int]int, len(g.predsByTable[t]))
 		for slot, p := range g.predsByTable[t] {
-			g.predSlot[t][p] = slot
+			g.predSlot[t*g.nPreds+p] = slot
 		}
 	}
+	g.predOrder = s.predOrder()
 	g.adj = make([][][]int, g.nVerts)
 	for v := 0; v < g.nVerts; v++ {
-		g.adj[v] = make([][]int, len(g.predsByTable[g.TableOf(v)]))
+		g.adj[v] = make([][]int, len(g.predsByTable[g.tableOf[v]]))
 	}
 	g.treeShaped = s.Kind() != Cyclic
+	if g.treeShaped {
+		g.paths = g.predPaths()
+		g.beyond = g.predsBeyond()
+	}
 	g.dirty = true
 	g.uid = nextGraphUID()
 	return g, nil
@@ -266,6 +288,22 @@ func (g *Graph) TableOf(v int) int {
 // RowOf returns the row index of vertex v within its table.
 func (g *Graph) RowOf(v int) int { return v - g.base[g.TableOf(v)] }
 
+// slotAt returns predicate pred's slot among table t's incident
+// predicates, -1 when pred does not touch t.
+func (g *Graph) slotAt(t, pred int) int { return g.predSlot[t*g.nPreds+pred] }
+
+// slotOf is slotAt for the table of vertex v.
+func (g *Graph) slotOf(v, pred int) int { return g.predSlot[g.tableOf[v]*g.nPreds+pred] }
+
+// checkedSlotOf is slotOf for caller-supplied arguments: an unknown
+// predicate reads as "not incident" (-1) like any other absent one.
+func (g *Graph) checkedSlotOf(v, pred int) int {
+	if pred < 0 || pred >= g.nPreds {
+		return -1
+	}
+	return g.slotAt(g.TableOf(v), pred)
+}
+
 // AddEdge adds a crowd edge on predicate pred between rowA (in the
 // predicate's A table) and rowB (B table) with matching probability w.
 // Returns the edge id.
@@ -278,8 +316,9 @@ func (g *Graph) AddEdge(pred, rowA, rowB int, w float64) int {
 	v := g.VertexID(p.B, rowB)
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{ID: id, Pred: pred, U: u, V: v, W: w})
-	g.adj[u][g.predSlot[p.A][pred]] = append(g.adj[u][g.predSlot[p.A][pred]], id)
-	g.adj[v][g.predSlot[p.B][pred]] = append(g.adj[v][g.predSlot[p.B][pred]], id)
+	uSlot, vSlot := g.slotAt(p.A, pred), g.slotAt(p.B, pred)
+	g.adj[u][uSlot] = append(g.adj[u][uSlot], id)
+	g.adj[v][vSlot] = append(g.adj[v][vSlot], id)
 	g.dirty = true
 	g.compsValid = false
 	return id
@@ -331,6 +370,14 @@ func (g *Graph) SetWeight(id int, w float64) {
 // depend on reweighted probabilities.
 func (g *Graph) WeightVersion() int { return g.weightVersion }
 
+// PredOrder exposes the connected predicate order enumeration walks
+// predicates in. Answer emission is lexicographic in the chosen-edge
+// vector laid out along this order (each recursion level tries edges in
+// ascending id order), which is what lets a scatter-gather merge
+// re-establish the single-graph row order from per-shard answer sets.
+// The slice is shared and must not be modified.
+func (g *Graph) PredOrder() []int { return g.predOrder }
+
 // TablePreds returns the predicate ids incident to table t. Unlike
 // Structure.PredsOf it serves the cached list without allocating; the
 // slice is shared and must not be modified.
@@ -339,9 +386,8 @@ func (g *Graph) TablePreds(t int) []int { return g.predsByTable[t] }
 // EdgesAt returns the edge ids incident to vertex v on predicate pred.
 // The returned slice is shared; callers must not mutate it.
 func (g *Graph) EdgesAt(v, pred int) []int {
-	t := g.TableOf(v)
-	slot, ok := g.predSlot[t][pred]
-	if !ok {
+	slot := g.checkedSlotOf(v, pred)
+	if slot < 0 {
 		return nil
 	}
 	return g.adj[v][slot]

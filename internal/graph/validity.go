@@ -166,8 +166,7 @@ func (g *Graph) reddenEdgeTree(id int) {
 	cs := &g.cs
 	e := g.edges[id]
 	g.valid[id] = false
-	uSlot := g.predSlot[g.TableOf(e.U)][e.Pred]
-	vSlot := g.predSlot[g.TableOf(e.V)][e.Pred]
+	uSlot, vSlot := g.slotOf(e.U, e.Pred), g.slotOf(e.V, e.Pred)
 	work := g.factWork[:0]
 	// The edge contributed to an endpoint's support only while the
 	// other endpoint covered everything beyond it (the invariant the
@@ -215,7 +214,7 @@ func (g *Graph) reddenEdgeTree(id int) {
 // invalidation: coversAllExcept(v, q) just flipped false, so every
 // non-red edge at v on slot q left its last candidate.
 func (g *Graph) dropSupportInvalidate(cs *cutState, v, q int, work []fact) []fact {
-	pred := g.predsByTable[g.TableOf(v)][q]
+	pred := g.predsByTable[g.tableOf[v]][q]
 	for _, eID := range g.adj[v][q] {
 		e := g.edges[eID]
 		if e.Color == Red {
@@ -226,7 +225,7 @@ func (g *Graph) dropSupportInvalidate(cs *cutState, v, q int, work []fact) []fac
 		if w == v {
 			w = e.V
 		}
-		wSlot := g.predSlot[g.TableOf(w)][pred]
+		wSlot := g.slotOf(w, pred)
 		cs.support[w][wSlot]--
 		if cs.support[w][wSlot] == 0 && cs.cover[w][wSlot] {
 			work = append(work, fact{w, wSlot})
@@ -243,7 +242,7 @@ func (g *Graph) revalidateTree() {
 		cs.support = make([][]int, n)
 		cs.falseCount = make([]int, n)
 		for v := 0; v < n; v++ {
-			slots := len(g.predsByTable[g.TableOf(v)])
+			slots := len(g.predsByTable[g.tableOf[v]])
 			cs.cover[v] = make([]bool, slots)
 			cs.support[v] = make([]int, slots)
 		}
@@ -325,7 +324,7 @@ type fact struct{ v, slot int }
 // dropSupportSlot removes v's contribution from neighbor facts across
 // predicate slot q of v (v no longer covers "away from q").
 func (g *Graph) dropSupportSlot(cs *cutState, v, q int, work []fact) []fact {
-	pred := g.predsByTable[g.TableOf(v)][q]
+	pred := g.predsByTable[g.tableOf[v]][q]
 	for _, eID := range g.adj[v][q] {
 		e := g.edges[eID]
 		if e.Color == Red {
@@ -335,7 +334,7 @@ func (g *Graph) dropSupportSlot(cs *cutState, v, q int, work []fact) []fact {
 		if w == v {
 			w = e.V
 		}
-		wSlot := g.predSlot[g.TableOf(w)][pred]
+		wSlot := g.slotOf(w, pred)
 		cs.support[w][wSlot]--
 		if cs.support[w][wSlot] == 0 && cs.cover[w][wSlot] {
 			work = append(work, fact{w, wSlot})
@@ -350,8 +349,7 @@ func (g *Graph) edgeValidNow(id int) bool {
 	if e.Color == Red {
 		return false
 	}
-	uSlot := g.predSlot[g.TableOf(e.U)][e.Pred]
-	vSlot := g.predSlot[g.TableOf(e.V)][e.Pred]
+	uSlot, vSlot := g.slotOf(e.U, e.Pred), g.slotOf(e.V, e.Pred)
 	return g.cs.coversAllExcept(e.U, uSlot) && g.cs.coversAllExcept(e.V, vSlot)
 }
 
@@ -366,7 +364,7 @@ func (g *Graph) revalidateBacktrack() {
 			g.valid[i] = false
 			continue
 		}
-		g.valid[i] = g.existsEmbeddingWith(map[int]int{i: i}, nil)
+		g.valid[i] = g.existsCandidateWithPins([]int{i})
 	}
 	if len(g.cs.edgeEpoch) != len(g.edges) {
 		g.cs.edgeEpoch = make([]int, len(g.edges))
@@ -416,12 +414,20 @@ type CutEvaluator struct {
 // evaluator. It revalidates first, so create evaluators from a single
 // goroutine before fanning out.
 func (g *Graph) NewCutEvaluator() *CutEvaluator {
-	g.Revalidate()
 	ev := &CutEvaluator{g: g}
-	if g.treeShaped {
-		ev.cs.copyFrom(&g.cs)
-	}
+	ev.Refresh()
 	return ev
+}
+
+// Refresh re-snapshots the graph's current validity state into the
+// evaluator, reusing its allocations — how a long-lived evaluator
+// follows the graph from round to round. Like NewCutEvaluator it
+// revalidates, so call it from a single goroutine before fanning out.
+func (ev *CutEvaluator) Refresh() {
+	ev.g.Revalidate()
+	if ev.g.treeShaped {
+		ev.cs.copyFrom(&ev.g.cs)
+	}
 }
 
 // Graph returns the underlying graph (for read-only access).
@@ -440,9 +446,8 @@ func (ev *CutEvaluator) CutLoss(v, pred int) (loss, bundle int) {
 // rolled back); everything read from the graph itself is immutable
 // during the call, which is what makes concurrent evaluators safe.
 func (g *Graph) cutLossTree(cs *cutState, v, pred int) (loss, bundle int) {
-	t := g.TableOf(v)
-	slot, ok := g.predSlot[t][pred]
-	if !ok {
+	slot := g.checkedSlotOf(v, pred)
+	if slot < 0 {
 		return 0, 0
 	}
 	journal := cs.journal[:0]
@@ -464,7 +469,7 @@ func (g *Graph) cutLossTree(cs *cutState, v, pred int) (loss, bundle int) {
 		if w == v {
 			w = e.V
 		}
-		wSlot := g.predSlot[g.TableOf(w)][pred]
+		wSlot := g.slotOf(w, pred)
 		// An edge contributes to support[w][wSlot] only while its other
 		// endpoint covers-all-except the predicate (that is the
 		// invariant the propagation maintains), so removing the edge
@@ -487,18 +492,6 @@ func (g *Graph) cutLossTree(cs *cutState, v, pred int) (loss, bundle int) {
 
 	// Propagate false facts, counting newly-invalid edges.
 	newlyInvalid := 0
-	// Only uncolored edges count toward the loss: invalidating an
-	// already-asked (blue) edge saves no task. Bundle members carry
-	// -epoch, already-counted edges +epoch; both are excluded.
-	markInvalid := func(eID int) {
-		if cs.edgeEpoch[eID] == -epoch {
-			return
-		}
-		if g.edges[eID].Color == Unknown && g.valid[eID] && cs.edgeEpoch[eID] != epoch {
-			cs.edgeEpoch[eID] = epoch
-			newlyInvalid++
-		}
-	}
 	for len(work) > 0 {
 		f := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -509,40 +502,20 @@ func (g *Graph) cutLossTree(cs *cutState, v, pred int) (loss, bundle int) {
 		cs.falseCount[f.v]++
 		journal = append(journal, journalEntry{kind: 1, v: f.v, slot: f.slot})
 
-		// Which coversAllExcept(f.v, q) facts flipped false?
-		var affected []int
+		// coversAllExcept(f.v, q) flipped false at every other slot (first
+		// false fact) or at the one slot that was already false (second).
 		switch cs.falseCount[f.v] {
 		case 1:
 			for q := range cs.cover[f.v] {
 				if q != f.slot {
-					affected = append(affected, q)
+					journal, work = g.dropSupportJournaled(cs, f.v, q, journal, work, &newlyInvalid)
 				}
 			}
 		case 2:
 			for q := range cs.cover[f.v] {
 				if q != f.slot && !cs.cover[f.v][q] {
-					affected = append(affected, q)
+					journal, work = g.dropSupportJournaled(cs, f.v, q, journal, work, &newlyInvalid)
 					break
-				}
-			}
-		}
-		for _, q := range affected {
-			predQ := g.predsByTable[g.TableOf(f.v)][q]
-			for _, eID := range g.adj[f.v][q] {
-				e := g.edges[eID]
-				if e.Color == Red {
-					continue
-				}
-				markInvalid(eID)
-				w := e.U
-				if w == f.v {
-					w = e.V
-				}
-				wSlot := g.predSlot[g.TableOf(w)][predQ]
-				cs.support[w][wSlot]--
-				journal = append(journal, journalEntry{kind: 0, v: w, slot: wSlot})
-				if cs.support[w][wSlot] == 0 && cs.cover[w][wSlot] {
-					work = append(work, fact{w, wSlot})
 				}
 			}
 		}
@@ -568,12 +541,44 @@ func (g *Graph) cutLossTree(cs *cutState, v, pred int) (loss, bundle int) {
 	return newlyInvalid, bundle
 }
 
+// dropSupportJournaled is dropSupportSlot for a hypothetical cut:
+// coversAllExcept(v, q) just flipped false under cs, so every non-red
+// edge at v on slot q stops supporting its far endpoint (journaled for
+// rollback) and, if it was an askable edge outside the bundle, counts
+// once toward the loss. Only uncolored edges count: invalidating an
+// already-asked (blue) edge saves no task. Bundle members carry
+// -epoch, already-counted edges +epoch; both are excluded.
+func (g *Graph) dropSupportJournaled(cs *cutState, v, q int, journal []journalEntry, work []fact, loss *int) ([]journalEntry, []fact) {
+	pred := g.predsByTable[g.tableOf[v]][q]
+	epoch := cs.epoch
+	for _, eID := range g.adj[v][q] {
+		e := &g.edges[eID]
+		if e.Color == Red {
+			continue
+		}
+		if stamp := cs.edgeEpoch[eID]; stamp != -epoch && stamp != epoch && e.Color == Unknown && g.valid[eID] {
+			cs.edgeEpoch[eID] = epoch
+			*loss++
+		}
+		w := e.U
+		if w == v {
+			w = e.V
+		}
+		wSlot := g.slotOf(w, pred)
+		cs.support[w][wSlot]--
+		journal = append(journal, journalEntry{kind: 0, v: w, slot: wSlot})
+		if cs.support[w][wSlot] == 0 && cs.cover[w][wSlot] {
+			work = append(work, fact{w, wSlot})
+		}
+	}
+	return journal, work
+}
+
 // cutLossBrute recomputes validity on a temporarily mutated copy; used
 // only for cyclic structures.
 func (g *Graph) cutLossBrute(v, pred int) (loss, bundle int) {
-	t := g.TableOf(v)
-	slot, ok := g.predSlot[t][pred]
-	if !ok {
+	slot := g.checkedSlotOf(v, pred)
+	if slot < 0 {
 		return 0, 0
 	}
 	var flipped []int

@@ -46,3 +46,17 @@ func benchBatch(b *testing.B, blocks int) {
 
 func BenchmarkParallelBatchScored2k(b *testing.B)  { benchBatch(b, 400) }
 func BenchmarkParallelBatchScored10k(b *testing.B) { benchBatch(b, 1700) }
+
+// BenchmarkScanBatchConnected schedules one round over a single giant
+// component (three-predicate chain, tuple degree 3) — where every
+// candidate used to be searched against every task already packed.
+func BenchmarkScanBatchConnected(b *testing.B) {
+	g, order, score := connectedChain(300, 3, stats.NewRNG(3))
+	g.Revalidate()
+	b.ReportMetric(float64(g.NumEdges()), "edges")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ParallelBatchScored(g, order, score)
+	}
+}

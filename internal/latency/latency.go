@@ -4,11 +4,12 @@
 // waste money. Each round the scheduler packs a maximal conflict-free
 // set from the cost-ordered task list (deferring a task while a
 // clearly more valuable pending task touches the same tuple on another
-// predicate), using the paper's two cheap rules (different connected
-// components; different tuples of the same table) before falling back
-// to the exact same-candidate test. The literal longest-prefix rule of
-// the paper's pseudo-code is available as PrefixBatch for ablations;
-// see DESIGN.md §6 for why packing is the default.
+// predicate). The same-candidate test is exact and asked once per
+// task, against an index of the tasks already packed
+// (graph.ConflictIndex), not once per packed task. The literal
+// longest-prefix rule of the paper's pseudo-code is available as
+// PrefixBatch for ablations; see DESIGN.md §6 for why packing is the
+// default.
 package latency
 
 import (
@@ -20,20 +21,27 @@ import (
 
 // Scheduler metrics, updated once per scheduled batch: how many
 // batches were packed and how large they came out (latency control is
-// working when batch sizes track the per-predicate gate counts, not 1).
+// working when batch sizes track the per-predicate gate counts, not 1),
+// and what the conflict tests behind them cost: tests asked, and tuples
+// their walks visited (steps per test is the neighbourhood a test had to
+// look at; it should stay near the tuple degree, far below batch size).
 var (
-	mBatches   = obs.Default.Counter("cdb_latency_batches_total")
-	mBatchSize = obs.Default.Histogram("cdb_latency_batch_size", obs.SizeBuckets)
+	mBatches       = obs.Default.Counter("cdb_latency_batches_total")
+	mBatchSize     = obs.Default.Histogram("cdb_latency_batch_size", obs.SizeBuckets)
+	mConflictTests = obs.Default.Counter("cdb_latency_conflict_tests_total")
+	mConflictSteps = obs.Default.Counter("cdb_latency_conflict_walk_steps_total")
 )
 
 // batchScratch holds scanBatch's per-round dense scratch slices. Rounds
 // over large graphs need a few hundred KB of zeroed scratch; recycling
-// it through a pool keeps the steady-state scheduler allocation-free.
+// it through a pool leaves the returned batch as the steady-state
+// scheduler's only allocation.
 type batchScratch struct {
-	bestRank []int
-	rankOf   []int
-	accepted [][]int
-	closed   []bool
+	bestRank  []int
+	rankOf    []int
+	closed    []bool
+	batch     []int
+	conflicts graph.ConflictIndex // the tasks packed so far
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -126,17 +134,8 @@ func scanBatch(g *graph.Graph, order []int, score []float64, prefixOnly bool) []
 		}
 	}
 
-	// accepted edges per component; closed marks components whose
-	// prefix has ended (a conflicting edge was encountered).
-	accepted := sc.accepted
-	if cap(accepted) < nComp {
-		accepted = make([][]int, nComp)
-	} else {
-		accepted = accepted[:nComp]
-		for i := range accepted {
-			accepted[i] = accepted[i][:0]
-		}
-	}
+	// closed marks components whose prefix has ended (a conflicting edge
+	// was encountered).
 	closed := sc.closed
 	if cap(closed) < nComp {
 		closed = make([]bool, nComp)
@@ -146,8 +145,10 @@ func scanBatch(g *graph.Graph, order []int, score []float64, prefixOnly bool) []
 			closed[i] = false
 		}
 	}
-	sc.accepted, sc.closed = accepted, closed
-	var batch []int
+	sc.closed = closed
+	packed := &sc.conflicts
+	packed.Reset(g)
+	batch := sc.batch[:0]
 
 	for _, e := range order {
 		ed := g.Edge(e)
@@ -192,25 +193,25 @@ func scanBatch(g *graph.Graph, order []int, score []float64, prefixOnly bool) []
 				continue
 			}
 		}
-		conflict := false
-		for _, prev := range accepted[ci] {
-			if g.SameCandidate(prev, e) {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
+		if packed.Conflicts(e) {
 			if prefixOnly {
 				closed[ci] = true
 			}
 			continue
 		}
-		accepted[ci] = append(accepted[ci], e)
+		packed.Add(e)
 		batch = append(batch, e)
 	}
 	mBatches.Inc()
 	mBatchSize.Observe(float64(len(batch)))
-	return batch
+	mConflictTests.Add(int64(packed.Tests))
+	mConflictSteps.Add(int64(packed.Steps))
+	packed.Reset(nil) // a pooled index must not pin the graph
+	sc.batch = batch
+	if len(batch) == 0 {
+		return nil
+	}
+	return append([]int(nil), batch...)
 }
 
 // SerialBatch returns just the first askable task of order — the

@@ -3,6 +3,8 @@ package cdb_test
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
+	"strings"
 	"testing"
 
 	"cdb"
@@ -152,5 +154,41 @@ func TestTracingOffByDefault(t *testing.T) {
 	}
 	if res.Trace != nil {
 		t.Fatal("tracing off, but Result.Trace is set")
+	}
+}
+
+// TestMetricsSummaryListsConflictCounters: the scheduler's conflict-test
+// counters reach the rendering `cdbsh \metrics` prints, next to the
+// other latency counters, and a multi-join query moves both.
+func TestMetricsSummaryListsConflictCounters(t *testing.T) {
+	db := cdb.Open(cdb.WithDataset("example", 0, 1), cdb.WithPerfectWorkers(30), cdb.WithSeed(7))
+	if _, err := db.Exec(`SELECT Researcher.name, Citation.number
+		FROM Paper, Researcher, Citation
+		WHERE Paper.author CROWDJOIN Researcher.name AND
+		      Paper.title CROWDJOIN Citation.title;`); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cdb.WriteMetricsSummary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	at := -1
+	for i, line := range lines {
+		if strings.HasPrefix(line, "cdb_latency_batches_total") {
+			at = i
+		}
+	}
+	if at < 0 || at+2 >= len(lines) {
+		t.Fatalf("no cdb_latency_batches_total line in:\n%s", buf.String())
+	}
+	for i, name := range []string{"cdb_latency_conflict_tests_total", "cdb_latency_conflict_walk_steps_total"} {
+		fields := strings.Fields(lines[at+1+i])
+		if len(fields) != 2 || fields[0] != name {
+			t.Fatalf("line after the batch counter = %q, want %s", lines[at+1+i], name)
+		}
+		if n, err := strconv.Atoi(fields[1]); err != nil || n <= 0 {
+			t.Fatalf("%s = %q, want a positive count", name, fields[1])
+		}
 	}
 }
