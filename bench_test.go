@@ -233,9 +233,9 @@ func BenchmarkAblationSamplerSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPrefixFilter contrasts the prefix-filtering join
-// with the brute-force scan.
-func BenchmarkAblationPrefixFilter(b *testing.B) {
+// BenchmarkAblationSimJoin contrasts the index-based similarity join
+// with the brute-force scan on the same inputs.
+func BenchmarkAblationSimJoin(b *testing.B) {
 	d := dataset.GenPaper(dataset.Config{Seed: 7, Scale: 0.2})
 	res, _ := d.Catalog.Get("Researcher")
 	uni, _ := d.Catalog.Get("University")
@@ -248,7 +248,7 @@ func BenchmarkAblationPrefixFilter(b *testing.B) {
 	for r := 0; r < uni.Len(); r++ {
 		right = append(right, uni.Cell(r, nCol).S)
 	}
-	b.Run("prefix-filter", func(b *testing.B) {
+	b.Run("index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sim.Join(sim.Gram2Jaccard, left, right, 0.3)
 		}

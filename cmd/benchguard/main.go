@@ -4,7 +4,7 @@
 // baseline and exits non-zero if any matched ns/op metric regressed by
 // more than the allowed fraction (default 25%). Metrics are matched by
 // identity — round benchmarks by edge count, join benchmarks by
-// (n, workers) — so adding or removing scales never trips the guard;
+// (input, n) — so adding or removing scales never trips the guard;
 // only a measured slowdown on a shared metric does.
 //
 // With -trans-baseline and -trans-current it additionally guards the
@@ -306,10 +306,13 @@ func main() {
 	for _, r := range base.Rounds {
 		baseRounds[r.Edges] = r
 	}
-	type joinKey struct{ n, workers int }
+	type joinKey struct {
+		input string
+		n     int
+	}
 	baseJoins := make(map[joinKey]bench.JoinBenchResult, len(base.Joins))
 	for _, j := range base.Joins {
-		baseJoins[joinKey{j.N, j.Workers}] = j
+		baseJoins[joinKey{j.Input, j.N}] = j
 	}
 
 	regressions, matched := 0, 0
@@ -324,14 +327,14 @@ func main() {
 			b.IncrementalNsRound, r.IncrementalNsRound, *allowed)
 	}
 	for _, j := range cur.Joins {
-		b, ok := baseJoins[joinKey{j.N, j.Workers}]
+		name := fmt.Sprintf("join/%s/n=%d", j.Input, j.N)
+		b, ok := baseJoins[joinKey{j.Input, j.N}]
 		if !ok {
-			fmt.Printf("%-34s no baseline, skipped\n", fmt.Sprintf("join/n=%d-workers=%d", j.N, j.Workers))
+			fmt.Printf("%-34s no baseline, skipped\n", name)
 			continue
 		}
 		matched++
-		check(&regressions, fmt.Sprintf("join/n=%d-workers=%d", j.N, j.Workers),
-			b.NsJoin, j.NsJoin, *allowed)
+		check(&regressions, name, b.NsJoin, j.NsJoin, *allowed)
 	}
 
 	if matched == 0 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cdb/internal/cost"
+	"cdb/internal/dataset"
 	"cdb/internal/graph"
 	"cdb/internal/sim"
 	"cdb/internal/stats"
@@ -25,12 +26,12 @@ type RoundBenchResult struct {
 	Speedup            float64 `json:"speedup"`
 }
 
-// JoinBenchResult times sim.Join's sharded probe at one scale and
-// worker count.
+// JoinBenchResult times sim.Join on one named input; N is the left
+// side's row count.
 type JoinBenchResult struct {
-	N       int     `json:"n"`
-	Workers int     `json:"workers"`
-	NsJoin  float64 `json:"ns_per_join"`
+	Input  string  `json:"input"`
+	N      int     `json:"n"`
+	NsJoin float64 `json:"ns_per_join"`
 }
 
 // CostBenchReport is the schema of BENCH_cost.json — the perf
@@ -134,15 +135,23 @@ func benchRoundScale(build func(*stats.RNG) *graph.Graph, components, rounds int
 	}
 }
 
-func benchJoinScale(n, workers, reps int) JoinBenchResult {
-	old := sim.JoinWorkers
-	defer func() { sim.JoinWorkers = old }()
-	sim.JoinWorkers = workers
+// joinBenchInput is one sim.Join call to time.
+type joinBenchInput struct {
+	name        string
+	left, right []string
+	eps         float64
+}
 
+// joinBenchInputs are the joins the guard ratchets: random phrases over
+// eleven short words at eps 0.5 (the historical rows), and the two
+// column pairs of the paper dataset that bracket the traffic BuildPlan
+// sends — long titles, where nearly every pair shares a 2-gram, and
+// short names — at the system's eps 0.3.
+func joinBenchInputs() []joinBenchInput {
 	r := stats.NewRNG(11)
 	words := []string{"univ", "of", "california", "chicago", "duke",
 		"dept", "nutrition", "cambridge", "microsoft", "lab", "inst"}
-	mk := func(n int) []string {
+	phrases := func(n int) []string {
 		out := make([]string, n)
 		for i := range out {
 			k := 1 + r.Intn(4)
@@ -157,28 +166,47 @@ func benchJoinScale(n, workers, reps int) JoinBenchResult {
 		}
 		return out
 	}
-	left, right := mk(n), mk(n)
-	sim.Join(sim.Gram2Jaccard, left, right, 0.5) // warm up
+	var inputs []joinBenchInput
+	for _, n := range []int{300, 1000} {
+		inputs = append(inputs, joinBenchInput{"words", phrases(n), phrases(n), 0.5})
+	}
+	for _, scale := range []float64{0.3, 1.0} {
+		d := dataset.GenPaper(dataset.Config{Seed: 1, Scale: scale})
+		column := func(table, col string) []string {
+			t, _ := d.Catalog.Get(table)
+			c := t.Schema.MustColIndex(col)
+			out := make([]string, t.Len())
+			for r := range out {
+				out[r] = t.Cell(r, c).S
+			}
+			return out
+		}
+		inputs = append(inputs,
+			joinBenchInput{"Paper.title x Citation.title", column("Paper", "title"), column("Citation", "title"), 0.3},
+			joinBenchInput{"Researcher.affiliation x University.name", column("Researcher", "affiliation"), column("University", "name"), 0.3})
+	}
+	return inputs
+}
+
+func benchJoin(in joinBenchInput, reps int) JoinBenchResult {
+	sim.Join(sim.Gram2Jaccard, in.left, in.right, in.eps) // warm up
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		sim.Join(sim.Gram2Jaccard, left, right, 0.5)
-	}
-	effective := workers
-	if effective <= 0 {
-		effective = runtime.GOMAXPROCS(0)
+		sim.Join(sim.Gram2Jaccard, in.left, in.right, in.eps)
 	}
 	return JoinBenchResult{
-		N:       n,
-		Workers: effective,
-		NsJoin:  float64(time.Since(start).Nanoseconds()) / float64(reps),
+		Input:  in.name,
+		N:      len(in.left),
+		NsJoin: float64(time.Since(start).Nanoseconds()) / float64(reps),
 	}
 }
 
 // RunCostBench executes the incremental-engine benchmarks and writes
 // the report to path (BENCH_cost.json), echoing a summary to w.
 // procs > 0 pins GOMAXPROCS for the run (restored on return) so the
-// worker sweep measures scheduling, not whatever the host happened to
-// expose; the effective value is recorded in the report either way.
+// concurrent scoring measures scheduling, not whatever the host
+// happened to expose; the effective value is recorded in the report
+// either way.
 func RunCostBench(path string, procs int, w io.Writer) error {
 	if procs > 0 {
 		old := runtime.GOMAXPROCS(procs)
@@ -203,12 +231,10 @@ func RunCostBench(path string, procs int, w io.Writer) error {
 		fmt.Fprintf(w, "round scoring %6d edges in %4d components: incremental %.2fms  naive %.2fms  speedup %.2fx\n",
 			res.Edges, res.Components, res.IncrementalNsRound/1e6, res.NaiveNsRound/1e6, res.Speedup)
 	}
-	for _, n := range []int{300, 1000} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			res := benchJoinScale(n, workers, 3)
-			report.Joins = append(report.Joins, res)
-			fmt.Fprintf(w, "sim.Join n=%d workers=%d: %.2fms\n", n, res.Workers, res.NsJoin/1e6)
-		}
+	for _, in := range joinBenchInputs() {
+		res := benchJoin(in, 3)
+		report.Joins = append(report.Joins, res)
+		fmt.Fprintf(w, "sim.Join %s n=%d: %.2fms\n", res.Input, res.N, res.NsJoin/1e6)
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

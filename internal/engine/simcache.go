@@ -16,25 +16,17 @@ var (
 )
 
 // joinCache shares similarity-join work across concurrent queries.
-// Planning a CROWDJOIN runs a prefix-filtered similarity join over the
-// two column extents — by far the most expensive CPU step of admission
-// — and overlapping queries over the same tables repeat it verbatim.
+// Planning a CROWDJOIN runs a similarity join over the two column
+// extents — the most expensive CPU step of admission — and
+// overlapping queries over the same tables repeat it verbatim.
 // The cache keys joins by (sim func, epsilon, column contents) with
 // single-flight semantics: the first query computes, concurrent
 // duplicates wait for that result, later ones reuse it directly.
-//
-// All joins intern their tokens into one session-level sim.Dict, so
-// even distinct joins over overlapping vocabularies skip re-hashing
-// common tokens. Join output is invariant to dictionary contents (the
-// prefix filter is correct under any consistent token order), so a
-// shared dict cannot change results.
 //
 // Entries hold the result pairs plus the key columns (for collision
 // verification) for the engine's lifetime; the universe of table
 // pairs is small, so no eviction is needed.
 type joinCache struct {
-	dict *sim.Dict
-
 	mu      sync.Mutex
 	entries map[joinKey]*joinEntry
 
@@ -58,7 +50,7 @@ type joinEntry struct {
 }
 
 func newJoinCache() *joinCache {
-	return &joinCache{dict: sim.NewDict(), entries: make(map[joinKey]*joinEntry)}
+	return &joinCache{entries: make(map[joinKey]*joinEntry)}
 }
 
 // Join matches exec.PlanConfig.Joiner. The returned slice is shared
@@ -80,13 +72,13 @@ func (c *joinCache) Join(f sim.Func, left, right []string, eps float64) []sim.Pa
 		}
 		// Hash collision (distinct contents, equal key): compute
 		// privately rather than poison the cache.
-		return sim.JoinDict(f, left, right, eps, c.dict)
+		return sim.Join(f, left, right, eps)
 	}
 	e := &joinEntry{done: make(chan struct{}), left: left, right: right}
 	c.entries[key] = e
 	c.mu.Unlock()
 
-	e.pairs = sim.JoinDict(f, left, right, eps, c.dict)
+	e.pairs = sim.Join(f, left, right, eps)
 	c.computed.Add(1)
 	mJoinComputed.Inc()
 	close(e.done)

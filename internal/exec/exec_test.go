@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"cdb/internal/dataset"
 	"cdb/internal/graph"
 	"cdb/internal/meta"
+	"cdb/internal/sim"
 	"cdb/internal/stats"
 )
 
@@ -72,6 +74,44 @@ func TestBuildPlanSelection(t *testing.T) {
 	}
 	if p.S.Kind() != graph.Star {
 		t.Fatalf("2J1S over the running example should be a star join, got %v", p.S.Kind())
+	}
+}
+
+// TestCrowdEqualEdgeWeights: BuildPlan scores a CROWDEQUAL column
+// against a constant it tokenises once; every edge must carry the
+// float bits sim.Similarity gives row by row, rows below epsilon are
+// dropped and CNULL/"" cells skipped.
+func TestCrowdEqualEdgeWeights(t *testing.T) {
+	d := dataset.GenPaper(dataset.Config{Seed: 3, Scale: 0.05})
+	tb, _ := d.Catalog.Get("Paper")
+	col := tb.Schema.MustColIndex("conference")
+	tb.Rows[0][col].S = "" // an empty cell among the real values
+	for _, f := range []sim.Func{sim.Gram2Jaccard, sim.TokenJaccard, sim.EditDistance} {
+		cfg := PlanConfig{Sim: f, Epsilon: 0.3}
+		p, err := BuildPlan(mustSelect(t, `SELECT * FROM Paper WHERE Paper.conference CROWDEQUAL "Sigmod  CONF";`),
+			d.Catalog, d.Oracle, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[int]float64{}
+		for r := 0; r < tb.Len(); r++ {
+			v := tb.Cell(r, col).S
+			if w := sim.Similarity(f, v, "Sigmod  CONF"); v != "" && w >= cfg.Epsilon {
+				want[r] = w
+			}
+		}
+		if len(want) == 0 || len(want) >= tb.Len()-1 {
+			t.Fatalf("%v: %d of %d rows reach epsilon; the case should keep some and drop some", f, len(want), tb.Len())
+		}
+		if p.G.NumEdges() != len(want) {
+			t.Fatalf("%v: %d edges, want %d", f, p.G.NumEdges(), len(want))
+		}
+		for id := 0; id < p.G.NumEdges(); id++ {
+			e := p.G.Edge(id)
+			if w, ok := want[p.G.RowOf(e.U)]; !ok || math.Float64bits(w) != math.Float64bits(e.W) {
+				t.Fatalf("%v: edge on row %d has weight %v, want %v (present %v)", f, p.G.RowOf(e.U), e.W, w, ok)
+			}
+		}
 	}
 }
 

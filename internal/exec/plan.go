@@ -218,12 +218,17 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 			s.Preds = append(s.Preds, graph.QPred{A: lt, B: constIdx, Name: pred.String()})
 			p.Bindings = append(p.Bindings, PredBinding{Pred: pred, LeftTab: lt, RightTab: constIdx, LeftCol: lc, RightCol: -1})
 			vals := colStrings(lt, lc)
+			var score func(string) float64
+			if pred.Kind == cql.CrowdEqual {
+				// The constant is tokenised once, not once per row.
+				score = sim.Against(cfg.Sim, pred.Value)
+			}
 			for i, v := range vals {
 				if v == "" {
 					continue
 				}
 				if pred.Kind == cql.CrowdEqual {
-					w := sim.Similarity(cfg.Sim, v, pred.Value)
+					w := score(v)
 					if w < cfg.Epsilon {
 						continue
 					}

@@ -1,8 +1,8 @@
 // Package plan implements CDB's statistics-free greedy multi-join
 // planner. The executor already materializes, per CROWDJOIN predicate,
-// the candidate edges the prefix-filter similarity join survives —
-// that visible selectivity (candidate-edge counts plus similarity-mass
-// histograms) is the only statistic the planner consults. Joins are
+// the candidate edges the similarity join emits — that visible
+// selectivity (candidate-edge counts plus similarity-mass histograms)
+// is the only statistic the planner consults. Joins are
 // ordered greedily by expected crowd cost (fewest live candidate edges
 // first); after each pick a semijoin-style survivor propagation shrinks
 // the plan's view of the remaining tables, and a predicate left with
@@ -62,9 +62,8 @@ type Step struct {
 	// Predicate is the diagnostic label, e.g.
 	// "Paper.author CROWDJOIN Researcher.name".
 	Predicate string `json:"predicate"`
-	// CandidateEdges counts the raw candidates the prefix-filter sim
-	// join produced for this predicate (pre-colored equi-join matches
-	// included).
+	// CandidateEdges counts the raw candidates the sim join produced
+	// for this predicate (pre-colored equi-join matches included).
 	CandidateEdges int `json:"candidate_edges"`
 	// PredictedEdges is the crowd tasks this step is expected to issue:
 	// uncolored candidates whose both endpoints still survive the

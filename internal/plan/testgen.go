@@ -29,9 +29,8 @@ type Case struct {
 // differ visibly between predicates (what greedy ordering exploits),
 // and a fraction of cases plant one predicate with zero similarity
 // overlap (what early termination exploits). Values inside one
-// vocabulary share most of their 2-grams, so the prefix-filter sim
-// join produces dense candidates while exact equality drives ground
-// truth.
+// vocabulary share most of their 2-grams, so the sim join produces
+// dense candidates while exact equality drives ground truth.
 func RandomCase(rng *stats.RNG, nTables int) Case {
 	if nTables < 2 {
 		nTables = 2

@@ -21,10 +21,10 @@ import (
 )
 
 // EMWorkers caps the goroutines used by InferEM's E-step; 0 (the
-// default) means GOMAXPROCS — the same convention as sim.JoinWorkers.
-// Posteriors are identical for any setting: each task's posterior is
-// computed independently and written to its own slot (an ordered
-// reduction), and the M-step runs serially over tasks in index order.
+// default) means GOMAXPROCS. Posteriors are identical for any setting:
+// each task's posterior is computed independently and written to its
+// own slot (an ordered reduction), and the M-step runs serially over
+// tasks in index order.
 var EMWorkers = 0
 
 // emParallelThreshold is the task-count below which sharding the E-step

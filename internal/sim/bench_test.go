@@ -7,28 +7,17 @@ import (
 	"cdb/internal/stats"
 )
 
-func benchJoin(b *testing.B, n, workers int) {
-	oldW := JoinWorkers
-	defer func() { JoinWorkers = oldW }()
-	JoinWorkers = workers
-
-	r := stats.NewRNG(11)
-	left := randomStrings(r, n)
-	right := randomStrings(r, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Join(Gram2Jaccard, left, right, 0.5)
-	}
-}
-
-// BenchmarkJoin measures the prefix-filter similarity join at two
-// probe-side scales, single-worker vs the full worker pool, to track
-// multi-core scaling of plan construction.
+// BenchmarkJoin measures the similarity join at two scales.
 func BenchmarkJoin(b *testing.B) {
 	for _, n := range []int{300, 1500} {
-		for _, w := range []int{1, 0} { // 0 = GOMAXPROCS
-			name := fmt.Sprintf("n=%d/workers=%d", n, w)
-			b.Run(name, func(b *testing.B) { benchJoin(b, n, w) })
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			r := stats.NewRNG(11)
+			left := randomStrings(r, n)
+			right := randomStrings(r, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Join(Gram2Jaccard, left, right, 0.5)
+			}
+		})
 	}
 }

@@ -1,15 +1,17 @@
 package sim
 
 import (
+	"math"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"cdb/internal/stats"
-	"cdb/internal/testutil"
 )
 
 // randomStrings generates n strings over a small alphabet so that both
-// near-duplicates and disjoint records occur, exercising the prefix
-// filter's prune and verify paths.
+// near-duplicates and disjoint records occur.
 func randomStrings(r *stats.RNG, n int) []string {
 	words := []string{"univ", "of", "california", "chicago", "duke",
 		"dept", "nutrition", "cambridge", "microsoft", "lab", "inst"}
@@ -28,80 +30,10 @@ func randomStrings(r *stats.RNG, n int) []string {
 	return out
 }
 
-func pairsEqual(a, b []Pair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestJoinParallelMatchesSequential forces the sharded probe path and
-// checks the output is bit-identical (same pairs, same order, same
-// similarity bits) to the single-worker run, across functions,
-// thresholds, and worker counts.
-func TestJoinParallelMatchesSequential(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)()
-	oldW, oldT := JoinWorkers, joinParallelThreshold
-	defer func() { JoinWorkers, joinParallelThreshold = oldW, oldT }()
-	joinParallelThreshold = 1
-
-	r := stats.NewRNG(99)
-	left := randomStrings(r, 120)
-	right := randomStrings(r, 90)
-	for _, f := range []Func{Gram2Jaccard, TokenJaccard, EditDistance, Cosine} {
-		for _, eps := range []float64{0.3, 0.6} {
-			JoinWorkers = 1
-			want := Join(f, left, right, eps)
-			for _, w := range []int{2, 3, 8} {
-				JoinWorkers = w
-				got := Join(f, left, right, eps)
-				if !pairsEqual(got, want) {
-					t.Fatalf("%v eps=%v workers=%d: %d pairs vs %d sequential",
-						f, eps, w, len(got), len(want))
-				}
-			}
-		}
-	}
-}
-
-// TestJoinSharedDictMatchesPrivate checks that a session-level shared
-// dictionary — including one pre-polluted by joins over other inputs,
-// so id assignments differ — never changes join output.
-func TestJoinSharedDictMatchesPrivate(t *testing.T) {
-	r := stats.NewRNG(42)
-	left := randomStrings(r, 80)
-	right := randomStrings(r, 60)
-	other := randomStrings(r, 50)
-	for _, f := range []Func{Gram2Jaccard, TokenJaccard} {
-		for _, eps := range []float64{0.3, 0.6} {
-			want := Join(f, left, right, eps)
-			d := NewDict()
-			JoinDict(f, other, right, eps, d) // pollute the dict
-			got := JoinDict(f, left, right, eps, d)
-			if !pairsEqual(got, want) {
-				t.Fatalf("%v eps=%v: shared dict changed output (%d pairs vs %d)",
-					f, eps, len(got), len(want))
-			}
-			if d.Len() == 0 {
-				t.Fatalf("dict interned nothing")
-			}
-		}
-	}
-}
-
-// TestJoinParallelMatchesBruteForce cross-checks the sharded join
-// against the quadratic reference on random inputs.
+// TestJoinParallelMatchesBruteForce cross-checks the join against the
+// quadratic reference on random inputs. (The name predates the removal
+// of the sharded probe; Join is sequential.)
 func TestJoinParallelMatchesBruteForce(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)()
-	oldW, oldT := JoinWorkers, joinParallelThreshold
-	defer func() { JoinWorkers, joinParallelThreshold = oldW, oldT }()
-	JoinWorkers, joinParallelThreshold = 4, 1
-
 	r := stats.NewRNG(7)
 	for trial := 0; trial < 10; trial++ {
 		left := randomStrings(r, 40)
@@ -117,5 +49,189 @@ func TestJoinParallelMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d eps=%v: pair %s missing or wrong (%v vs %v)", trial, eps, k, fv, v)
 			}
 		}
+	}
+}
+
+// orderedGrams is the reference the id tokenizer is checked against:
+// the 2-grams of s spelled out as strings, each once, in order of
+// first occurrence — Grams2 before its sort.
+func orderedGrams(s string) []string {
+	runes := []rune(normalize(s))
+	if len(runes) == 1 {
+		return []string{string(runes)}
+	}
+	var out []string
+	seen := map[string]bool{}
+	for i := 0; i+2 <= len(runes); i++ {
+		if g := string(runes[i : i+2]); !seen[g] {
+			seen[g] = true
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// FuzzGramIDs: the id set of a string has exactly len(Grams2(s))
+// members, and across two strings put through one tokenizer two grams
+// share an id iff they are the same string. The scorer built on the
+// same ids returns Similarity's bits for both Jaccard functions.
+func FuzzGramIDs(f *testing.F) {
+	for _, s := range []string{"", " \t\n ", "a", "  a  ", "ab", "a\tb\n\nc  d", "University OF  california",
+		"İstanbul", "Straße STRASSE", "数据库 查询", "a\u00a0b\u0085c", "\xff", "a\xffb\xc3", "\xf0\x9f", "aaaa", "abab ab"} {
+		f.Add(s, "Univ. of California")
+		f.Add("ab", s)
+		f.Add(s, s)
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		tok := newTokenizer(false)
+		strs := [2]string{a, b}
+		var ids [2][]int32
+		var grams [2][]string
+		for k, s := range strs {
+			ids[k] = tok.appendSet(nil, s)
+			grams[k] = orderedGrams(s)
+			sorted := append([]string(nil), grams[k]...)
+			sort.Strings(sorted)
+			if want := Grams2(s); strings.Join(sorted, "\x00") != strings.Join(want, "\x00") {
+				t.Fatalf("reference grams of %q = %q, Grams2 = %q", s, sorted, want)
+			}
+			if len(ids[k]) != len(grams[k]) {
+				t.Fatalf("%q: %d ids %v for %d grams %q", s, len(ids[k]), ids[k], len(grams[k]), grams[k])
+			}
+		}
+		for k := range strs {
+			for x, gx := range grams[k] {
+				for y, gy := range grams[1] {
+					if (gx == gy) != (ids[k][x] == ids[1][y]) {
+						t.Fatalf("%q/%q: grams %q, %q got ids %d, %d", strs[k], b, gx, gy, ids[k][x], ids[1][y])
+					}
+				}
+			}
+		}
+		if again := tok.appendSet(nil, a); !slices.Equal(again, ids[0]) {
+			t.Fatalf("%q: ids changed on a second pass: %v then %v", a, ids[0], again)
+		}
+		for _, fn := range []Func{Gram2Jaccard, TokenJaccard, EditDistance} {
+			got, want := Against(fn, a)(b), Similarity(fn, b, a)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Against(%v, %q)(%q) = %v, Similarity = %v", fn, a, b, got, want)
+			}
+		}
+		if got, want := len(newTokenizer(true).appendSet(nil, a)), len(Tokens(a)); got != want {
+			t.Fatalf("%q: %d word ids for %d tokens", a, got, want)
+		}
+	})
+}
+
+// emptySet reports whether s has no tokens under f's tokenization.
+func emptySet(f Func, s string) bool {
+	if f == TokenJaccard {
+		return len(Tokens(s)) == 0
+	}
+	return len(Grams2(s)) == 0
+}
+
+// FuzzJoinMatchesBruteForce splits each argument on '|' into one side's
+// records. For the Jaccard family Join must return BruteForceJoin's
+// pairs bit for bit — minus the one known divergence, pinned by
+// TestJoinSkipsEmptyTokenSets — and for the two verify-after-filter
+// functions a subset of them with the same bits; always in strictly
+// ascending (Left, Right) order.
+func FuzzJoinMatchesBruteForce(f *testing.F) {
+	f.Add("University of California|University of Chicago|Duke Uni.", "Univ. of California|Duke Univ.|Microsoft")
+	f.Add("a|a||b| |ab", "|a|b|b|ba ab|\t")
+	f.Add("aa bb|bb aa|AA  BB", "aa bb|cc")
+	f.Add("", "")
+	f.Add("|", "||")
+	f.Add("数据库|İi|\xff\xfe", "数据|ii|\xff")
+	f.Fuzz(func(t *testing.T, l, r string) {
+		if len(l)+len(r) > 400 {
+			t.Skip("long inputs only slow the quadratic reference down")
+		}
+		left, right := strings.Split(l, "|"), strings.Split(r, "|")
+		for _, fn := range []Func{Gram2Jaccard, TokenJaccard, EditDistance, Cosine} {
+			for _, eps := range []float64{0.05, 0.3, 0.6, 1.0} {
+				got := Join(fn, left, right, eps)
+				for k := 1; k < len(got); k++ {
+					p, q := got[k-1], got[k]
+					if p.Left > q.Left || (p.Left == q.Left && p.Right >= q.Right) {
+						t.Fatalf("%v eps=%v: pairs %d, %d out of order: %+v, %+v", fn, eps, k-1, k, p, q)
+					}
+				}
+				want := map[[2]int]float64{}
+				for _, p := range BruteForceJoin(fn, left, right, eps) {
+					if !emptySet(fn, left[p.Left]) || !emptySet(fn, right[p.Right]) {
+						want[[2]int{p.Left, p.Right}] = p.Sim
+					}
+				}
+				for _, p := range got {
+					s, ok := want[[2]int{p.Left, p.Right}]
+					if !ok || math.Float64bits(s) != math.Float64bits(p.Sim) {
+						t.Fatalf("%v eps=%v: Join has %+v, brute force has %v (present %v)", fn, eps, p, s, ok)
+					}
+				}
+				if (fn == Gram2Jaccard || fn == TokenJaccard) && len(got) != len(want) {
+					t.Fatalf("%v eps=%v: Join found %d of brute force's %d pairs", fn, eps, len(got), len(want))
+				}
+			}
+		}
+	})
+}
+
+// TestJoinSkipsEmptyTokenSets pins the one place Join and
+// BruteForceJoin differ: Similarity scores two empty token sets as 1,
+// while a record without tokens has no postings and joins nothing.
+// exec.BuildPlan drops "" cells either way.
+func TestJoinSkipsEmptyTokenSets(t *testing.T) {
+	left, right := []string{"", "ab", "  "}, []string{"\t", "ab", ""}
+	for _, fn := range []Func{Gram2Jaccard, TokenJaccard, EditDistance, Cosine} {
+		got := Join(fn, left, right, 0.3)
+		if len(got) != 1 || got[0] != (Pair{Left: 1, Right: 1, Sim: 1}) {
+			t.Errorf("%v: Join = %+v, want only the (1, 1) pair", fn, got)
+		}
+		if n := len(BruteForceJoin(fn, left, right, 0.3)); n != 5 {
+			t.Errorf("%v: brute force found %d pairs, want (1, 1) and the four empty-empty ones", fn, n)
+		}
+	}
+}
+
+// TestJoinAllocsPerRecord: a join allocates its flat arrays, the
+// vocabulary map and the output, not strings per gram or maps per
+// record (the string-set path it replaced made over 40 allocations per
+// record on these inputs).
+func TestJoinAllocsPerRecord(t *testing.T) {
+	r := stats.NewRNG(5)
+	left, right := randomStrings(r, 400), randomStrings(r, 400)
+	records := float64(len(left) + len(right))
+	if got := testing.AllocsPerRun(5, func() { Join(Gram2Jaccard, left, right, 0.3) }); got > records/8 {
+		t.Errorf("2-gram join of %v records: %v allocations", records, got)
+	}
+	// strings.Fields costs one slice per record.
+	if got := testing.AllocsPerRun(5, func() { Join(TokenJaccard, left, right, 0.3) }); got > 2*records {
+		t.Errorf("token join of %v records: %v allocations", records, got)
+	}
+}
+
+// TestJoinMetrics: one join is one observation of the duration
+// histogram and one add to each counter; touched is the number of
+// pairs sharing at least one gram.
+func TestJoinMetrics(t *testing.T) {
+	joins, touched, pairs, timed := mJoins.Value(), mJoinTouched.Value(), mJoinPairs.Value(), mJoinSeconds.Count()
+	got := Join(Gram2Jaccard, joinLeft, joinRight, 0.3)
+	sharing := len(BruteForceJoin(Gram2Jaccard, joinLeft, joinRight, math.SmallestNonzeroFloat64))
+	if sharing <= len(got) || sharing >= len(joinLeft)*len(joinRight) {
+		t.Fatalf("want inputs where touched separates from both pairs and |L||R|: %d pairs, %d sharing", len(got), sharing)
+	}
+	if d := mJoins.Value() - joins; d != 1 {
+		t.Errorf("joins moved by %d", d)
+	}
+	if d := mJoinSeconds.Count() - timed; d != 1 {
+		t.Errorf("duration histogram took %d observations", d)
+	}
+	if d := mJoinTouched.Value() - touched; d != int64(sharing) {
+		t.Errorf("touched moved by %d, want %d", d, sharing)
+	}
+	if d := mJoinPairs.Value() - pairs; d != int64(len(got)) {
+		t.Errorf("pairs moved by %d, want %d", d, len(got))
 	}
 }

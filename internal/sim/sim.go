@@ -1,9 +1,11 @@
 // Package sim implements the string-similarity substrate CDB uses to
 // estimate edge matching probabilities (§4.1): 2-gram Jaccard (the
 // paper's default), token Jaccard, normalized edit distance, and
-// cosine over 2-gram multisets, plus a prefix-filtering similarity
-// join (Bayardo et al., WWW'07 style) so candidate edges with
-// similarity >= epsilon are found without enumerating all tuple pairs.
+// cosine over 2-gram multisets, plus the similarity join that
+// instantiates a CROWDJOIN's candidate edges (similarity >= epsilon)
+// without scoring every tuple pair string against string: records go
+// straight to dense token ids and the tokens two records share are
+// counted through an inverted index (see Join and countJoin).
 package sim
 
 import (
@@ -94,34 +96,6 @@ func Tokens(s string) []string {
 
 // jaccardSorted computes |a∩b| / |a∪b| for two sorted string sets.
 func jaccardSorted(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
-}
-
-// jaccardSortedIDs computes |a∩b| / |a∪b| for two ascending interned
-// token-id sets; identical to jaccardSorted over the same sets since
-// interning is a bijection on the vocabulary.
-func jaccardSortedIDs(a, b []int32) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}

@@ -192,3 +192,32 @@ func TestMetricsSummaryListsConflictCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsSummaryListsSimJoin: the sim-join layer shows up in the
+// `cdbsh \metrics` rendering as a duration histogram next to its
+// counters, so pairs/touched is readable from the running system.
+func TestMetricsSummaryListsSimJoin(t *testing.T) {
+	db := cdb.Open(cdb.WithDataset("example", 0, 1), cdb.WithPerfectWorkers(30), cdb.WithSeed(7))
+	if _, err := db.Exec(`SELECT * FROM Researcher, University
+		WHERE Researcher.affiliation CROWDJOIN University.name;`); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cdb.WriteMetricsSummary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	value := map[string]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 {
+			value[f[0]] = f[1]
+		}
+	}
+	touched, _ := strconv.Atoi(value["cdb_sim_join_touched_total"])
+	pairs, _ := strconv.Atoi(value["cdb_sim_join_pairs_total"])
+	if pairs <= 0 || touched < pairs {
+		t.Errorf("touched = %q, pairs = %q; want 0 < pairs <= touched", value["cdb_sim_join_touched_total"], value["cdb_sim_join_pairs_total"])
+	}
+	if !strings.HasPrefix(value["cdb_sim_join_seconds"], "count=") {
+		t.Errorf("no cdb_sim_join_seconds histogram line in:\n%s", buf.String())
+	}
+}
