@@ -204,9 +204,8 @@ func benchJoin(in joinBenchInput, reps int) JoinBenchResult {
 // RunCostBench executes the incremental-engine benchmarks and writes
 // the report to path (BENCH_cost.json), echoing a summary to w.
 // procs > 0 pins GOMAXPROCS for the run (restored on return) so the
-// concurrent scoring measures scheduling, not whatever the host
-// happened to expose; the effective value is recorded in the report
-// either way.
+// garbage collector gets the same help on every host; the effective
+// value is recorded in the report either way.
 func RunCostBench(path string, procs int, w io.Writer) error {
 	if procs > 0 {
 		old := runtime.GOMAXPROCS(procs)

@@ -21,16 +21,17 @@
 // only the edges whose connected component the round's answers
 // touched, repairing the ordering with a partial re-sort and merge.
 // Untouched components keep their cached scores, so a round over a
-// large graph costs O(dirty region), not O(E). Scoring fans out over
-// a GOMAXPROCS-sized worker pool when the dirty region is large. The
-// result is bit-identical to NaiveExpectation's full rescan — the
-// equivalence is enforced by property tests in this package.
+// large graph costs O(dirty region), not O(E). Eq. 1's α/β term is a
+// property of a (tuple, predicate) bundle, not of an edge, so a rescore
+// computes each bundle's term once and every edge's score is the sum of
+// its two endpoints' terms. The result is bit-identical to
+// NaiveExpectation's per-edge full rescan — the equivalence is enforced
+// by property tests in this package.
 package cost
 
 import (
-	"runtime"
 	"sort"
-	"sync"
+	"time"
 
 	"cdb/internal/graph"
 	"cdb/internal/latency"
@@ -57,13 +58,11 @@ var (
 	mRescoreDelta = obs.Default.Counter("cdb_cost_rescore_delta_total")
 	mOrderHit     = obs.Default.Counter("cdb_cost_order_cache_hit_total")
 	mScoredEdges  = obs.Default.Histogram("cdb_cost_scored_edges_per_rescore", obs.SizeBuckets)
+	// Bundle terms computed for those edges: edges ÷ terms is how many
+	// edges shared each hypothetical cut.
+	mBundleTerms = obs.Default.Counter("cdb_cost_bundle_terms_total")
+	mRescoreSecs = obs.Default.Histogram("cdb_cost_rescore_seconds", obs.DurationBuckets)
 )
-
-// parallelScoreThreshold is the dirty-region size below which scoring
-// stays on the calling goroutine (a CutEvaluator snapshot costs O(V),
-// so tiny regions are cheaper sequentially). A variable so tests can
-// force the parallel path.
-var parallelScoreThreshold = 256
 
 // Expectation is CDB's default task-selection strategy: rank every
 // valid uncolored edge by its pruning expectation (Eq. 1) and ask the
@@ -77,8 +76,6 @@ type Expectation struct {
 	// Serial disables the latency scheduler (one task per round); used
 	// only by ablations.
 	Serial bool
-	// Workers caps the scoring worker pool; 0 means GOMAXPROCS.
-	Workers int
 
 	// closure, when set via SetClosure, is the transitive-inference
 	// overlay: edges whose label it already entails are excluded from
@@ -101,10 +98,18 @@ type Expectation struct {
 	order        []int     // cached ordering (valid uncolored at last scoring)
 	yield        []float64 // dense inference-yield cache (closure mode only)
 
+	// Bundle-term table of the current rescore, dense by
+	// vertex*nPreds+pred: term[i] is valid iff termEpoch[i] == epoch, so
+	// starting a rescore is one increment, not a clear.
+	term      []float64
+	termEpoch []int
+	epoch     int
+	nPreds    int // row stride of the table
+	nTerms    int // terms computed by the current rescore
+
 	// Reusable scratch.
 	cleanBuf, dirtyBuf, mergeBuf []int
 	dirtyComp                    []bool
-	evals                        []*graph.CutEvaluator // one per scoring worker
 
 	// Cache activity totals (see CacheStats) and the per-query tracer
 	// the executor may install; both are inert by default.
@@ -265,15 +270,18 @@ func (e *Expectation) orderScored(g *graph.Graph) ([]int, []float64) {
 			}
 		}
 	}
+	start := time.Now()
 	switch {
 	case reset:
 		e.statFull++
 		mRescoreFull.Inc()
 		e.rescoreAll(g)
+		mRescoreSecs.Observe(time.Since(start).Seconds())
 	case e.cursor < len(events):
 		e.statDelta++
 		mRescoreDelta.Inc()
 		e.rescoreDirty(g, events[e.cursor:])
+		mRescoreSecs.Observe(time.Since(start).Seconds())
 	default:
 		e.statHit++
 		mOrderHit.Inc()
@@ -306,9 +314,7 @@ func (e *Expectation) rescoreAll(g *graph.Graph) {
 // the matching probability because Blue answers merge clusters and
 // compound future inference. Between two singletons the yield is zero,
 // so the ordering degrades exactly to the Eq. 1 pruning expectation
-// until clusters form. Runs on the calling goroutine — cluster lookups
-// path-compress the union-find, so they must not race the parallel
-// Eq. 1 scoring workers.
+// until clusters form.
 func (e *Expectation) computeYields(g *graph.Graph, edges []int) {
 	if e.closure == nil {
 		return
@@ -425,55 +431,39 @@ func (e *Expectation) rescoreDirty(g *graph.Graph, events []graph.ColorEvent) {
 	e.mergeBuf, e.order = e.order, merged
 }
 
-// scoreEdges fills e.score for the given edges, fanning out over a
-// worker pool when the batch is large. Each worker gets a private
-// CutEvaluator — kept on the strategy and re-snapshotted here, on the
-// calling goroutine, before the fan-out — so the workers never contend;
-// scores land in disjoint slots of the dense slice, and each score is a
-// pure function of (frozen) graph state, making the result independent
-// of scheduling.
+// scoreEdges fills e.score for the given edges. Many edges share a
+// bundle — every edge of a tuple on one predicate has that bundle as an
+// endpoint — and a bundle's term costs a hypothetical cut, so each
+// distinct (tuple, predicate) among the edges is evaluated once and
+// looked up thereafter. The sum has PruningExpectation's operands in
+// PruningExpectation's order, hence its float bits.
 func (e *Expectation) scoreEdges(g *graph.Graph, edges []int) {
 	mScoredEdges.Observe(float64(len(edges)))
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	e.nPreds = len(g.S.Preds)
+	if n := g.NumVertices() * e.nPreds; len(e.term) != n {
+		e.term = make([]float64, n)
+		e.termEpoch = make([]int, n)
+		e.epoch = 0
 	}
-	if workers > len(edges) {
-		workers = len(edges)
+	e.epoch++
+	e.nTerms = 0
+	for _, id := range edges {
+		ed := g.Edge(id)
+		e.score[id] = e.bundle(g, ed.U, ed.Pred) + e.bundle(g, ed.V, ed.Pred)
 	}
-	if !g.TreeShaped() || workers <= 1 || len(edges) < parallelScoreThreshold {
-		for _, id := range edges {
-			e.score[id] = PruningExpectation(g, id)
-		}
-		return
+	mBundleTerms.Add(int64(e.nTerms))
+}
+
+// bundle returns bundleTerm(g, v, pred), computing it on the first
+// request of the current rescore.
+func (e *Expectation) bundle(g *graph.Graph, v, pred int) float64 {
+	i := v*e.nPreds + pred
+	if e.termEpoch[i] != e.epoch {
+		e.termEpoch[i] = e.epoch
+		e.term[i] = bundleTerm(g, v, pred)
+		e.nTerms++
 	}
-	var wg sync.WaitGroup
-	chunk := (len(edges) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(edges) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		if w == len(e.evals) {
-			e.evals = append(e.evals, g.NewCutEvaluator())
-		} else if ev := e.evals[w]; ev.Graph() == g {
-			ev.Refresh()
-		} else {
-			e.evals[w] = g.NewCutEvaluator()
-		}
-		wg.Add(1)
-		go func(ev *graph.CutEvaluator, part []int) {
-			defer wg.Done()
-			for _, id := range part {
-				e.score[id] = PruningExpectationOn(ev, id)
-			}
-		}(e.evals[w], edges[lo:hi])
-	}
-	wg.Wait()
+	return e.term[i]
 }
 
 // scoredLess is the expectation ordering: score descending, then
@@ -506,31 +496,20 @@ func yieldLess(g *graph.Graph, score, yield []float64, a, b int) bool {
 	return scoredLess(g, score, a, b)
 }
 
-// cutLosser abstracts where a hypothetical cut is evaluated: the graph
-// itself (single-threaded) or a private CutEvaluator (worker pools).
-type cutLosser interface {
-	CutLoss(v, pred int) (loss, bundle int)
-}
-
 // PruningExpectation computes Eq. 1 for edge id: the expected number
-// of tasks saved by asking it, from both endpoint bundles. A bundle
-// containing a blue edge can never fully disconnect, so its term is
-// zero.
+// of tasks saved by asking it, from both endpoint bundles. It is the
+// per-edge reference (NaiveExpectation, the property tests);
+// Expectation.scoreEdges shares the bundle terms between edges.
 func PruningExpectation(g *graph.Graph, id int) float64 {
 	e := g.Edge(id)
-	return bundleTerm(g, g, e.U, e.Pred) + bundleTerm(g, g, e.V, e.Pred)
+	return bundleTerm(g, e.U, e.Pred) + bundleTerm(g, e.V, e.Pred)
 }
 
-// PruningExpectationOn is PruningExpectation with the cut losses
-// evaluated on a private CutEvaluator, safe to call from concurrent
-// workers as long as the graph itself is not mutated meanwhile.
-func PruningExpectationOn(ev *graph.CutEvaluator, id int) float64 {
-	g := ev.Graph()
-	e := g.Edge(id)
-	return bundleTerm(g, ev, e.U, e.Pred) + bundleTerm(g, ev, e.V, e.Pred)
-}
-
-func bundleTerm(g *graph.Graph, cl cutLosser, v, pred int) float64 {
+// bundleTerm is one side of Eq. 1: the probability that every uncolored
+// edge of tuple v on pred is refuted, spread over those edges, times
+// the tasks that cut would save. A bundle containing a blue edge can
+// never fully disconnect, so its term is zero.
+func bundleTerm(g *graph.Graph, v, pred int) float64 {
 	prod := 1.0
 	x := 0
 	for _, eid := range g.EdgesAt(v, pred) {
@@ -545,6 +524,6 @@ func bundleTerm(g *graph.Graph, cl cutLosser, v, pred int) float64 {
 	if x == 0 {
 		return 0
 	}
-	loss, _ := cl.CutLoss(v, pred)
+	loss, _ := g.CutLoss(v, pred)
 	return prod / float64(x) * float64(loss)
 }

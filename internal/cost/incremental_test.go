@@ -115,18 +115,14 @@ func TestIncrementalMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesNaiveParallel forces the worker-pool scoring
-// path (threshold 1, several workers) so the race detector sees the
-// concurrent CutEvaluator use and equivalence still holds.
-func TestIncrementalMatchesNaiveParallel(t *testing.T) {
-	old := parallelScoreThreshold
-	parallelScoreThreshold = 1
-	defer func() { parallelScoreThreshold = old }()
-
+// TestIncrementalMatchesNaiveReused drives every graph with one
+// strategy value: the bundle-term table of the previous graph (same
+// size or not) must never leak a term into the next one.
+func TestIncrementalMatchesNaiveReused(t *testing.T) {
 	r := stats.NewRNG(1234)
+	e := &Expectation{}
 	for trial := 0; trial < 60; trial++ {
 		g := randomShapedGraph(r)
-		e := &Expectation{Workers: 4}
 		for round := 0; ; round++ {
 			if round > 200 {
 				t.Fatalf("trial %d: does not terminate", trial)
@@ -135,6 +131,57 @@ func TestIncrementalMatchesNaiveParallel(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// distinctBundles counts the (tuple, predicate) bundles the edges touch.
+func distinctBundles(g *graph.Graph, edges []int) int {
+	type bundle struct{ v, pred int }
+	seen := map[bundle]bool{}
+	for _, id := range edges {
+		ed := g.Edge(id)
+		seen[bundle{ed.U, ed.Pred}] = true
+		seen[bundle{ed.V, ed.Pred}] = true
+	}
+	return len(seen)
+}
+
+// TestScoreEdgesOneCutLossPerBundle pins what the bundle table is for:
+// a rescore, full or delta, evaluates exactly one term per distinct
+// (tuple, predicate) among the edges it scores — never one per edge
+// endpoint — on chain, star and tree graphs alike.
+func TestScoreEdgesOneCutLossPerBundle(t *testing.T) {
+	r := stats.NewRNG(2024)
+	e := &Expectation{}
+	shared, deltas := 0, 0
+	for trial := 0; trial < 120; trial++ {
+		g := randomShapedGraph(r)
+		before := mBundleTerms.Value()
+		order, _ := e.orderScored(g)
+		got := int(mBundleTerms.Value() - before)
+		if want := distinctBundles(g, order); got != want {
+			t.Fatalf("trial %d full rescore: %d terms for %d bundles (%d edges)", trial, got, want, len(order))
+		}
+		if got < 2*len(order) {
+			shared++
+		}
+		for len(order) > 0 {
+			colorSome(g, order, 2, r)
+			_, delta, _ := e.CacheStats()
+			before = mBundleTerms.Value()
+			order, _ = e.orderScored(g)
+			if _, d, _ := e.CacheStats(); d != delta+1 {
+				t.Fatalf("trial %d: coloring edges did not take the delta path", trial)
+			}
+			deltas++
+			got = int(mBundleTerms.Value() - before)
+			if want := distinctBundles(g, e.dirtyBuf); got != want {
+				t.Fatalf("trial %d delta rescore: %d terms for %d bundles (%d edges)", trial, got, want, len(e.dirtyBuf))
+			}
+		}
+	}
+	if shared == 0 || deltas == 0 {
+		t.Fatalf("vacuous: %d graphs with a shared bundle, %d delta rescores", shared, deltas)
 	}
 }
 

@@ -92,19 +92,14 @@ func TestTransIncrementalMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestTransIncrementalMatchesNaiveParallel forces the worker-pool
-// scoring path so the race detector checks that yield computation
-// (which path-compresses the shared union-find) stays off the
-// concurrent scoring workers.
-func TestTransIncrementalMatchesNaiveParallel(t *testing.T) {
-	old := parallelScoreThreshold
-	parallelScoreThreshold = 1
-	defer func() { parallelScoreThreshold = old }()
-
+// TestTransIncrementalMatchesNaiveReused is the closure-mode run with
+// one strategy value across all graphs (see
+// TestIncrementalMatchesNaiveReused).
+func TestTransIncrementalMatchesNaiveReused(t *testing.T) {
 	r := stats.NewRNG(4321)
+	e := &Expectation{}
 	for trial := 0; trial < 60; trial++ {
 		g := randomShapedGraph(r)
-		e := &Expectation{Workers: 4}
 		e.SetClosure(graph.NewClosure(g))
 		for round := 0; ; round++ {
 			if round > 200 {

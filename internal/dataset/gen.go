@@ -61,6 +61,19 @@ func (o *Oracle) JoinMatch(lt, lc, rt, rc, lv, rv string) bool {
 	return il >= 0 && il == ir
 }
 
+// ColumnEntities implements exec.ColumnOracle: the domain tbl.col is
+// bound to ("" when unbound) and each value's entity id in it (-1 when
+// unregistered), so a plan resolves a column once instead of calling
+// JoinMatch per candidate pair.
+func (o *Oracle) ColumnEntities(tbl, col string, vals []string) (string, []int) {
+	d := o.domainOf[strings.ToLower(tbl+"."+col)]
+	ids := make([]int, len(vals))
+	for i, v := range vals {
+		ids[i] = o.EntityOf(d, v)
+	}
+	return d, ids
+}
+
 // SelMatch implements exec.Oracle.
 func (o *Oracle) SelMatch(tbl, col, val, constant string) bool {
 	d := o.domainOf[strings.ToLower(tbl+"."+col)]

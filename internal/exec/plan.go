@@ -8,13 +8,20 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"time"
 
 	"cdb/internal/cql"
 	"cdb/internal/graph"
+	"cdb/internal/obs"
 	"cdb/internal/sim"
 	"cdb/internal/table"
 )
+
+// mGraphBuild times BuildPlan without its similarity joins, which
+// cdb_sim_join_seconds already covers.
+var mGraphBuild = obs.Default.Histogram("cdb_exec_graph_build_seconds", obs.DurationBuckets)
 
 // Oracle supplies the simulation ground truth: whether two cell values
 // truly denote the same entity. Real deployments have no oracle — it
@@ -27,6 +34,49 @@ type Oracle interface {
 	// SelMatch reports whether val (from table.col) truly satisfies the
 	// CROWDEQUAL constant.
 	SelMatch(tbl, col, val, constant string) bool
+}
+
+// ColumnOracle is an optional extension of Oracle for stores that know
+// truth as an entity id per cell value. BuildPlan then resolves each
+// column of a crowd predicate once and compares ids per candidate pair,
+// instead of handing the oracle two strings per pair.
+type ColumnOracle interface {
+	// ColumnEntities returns the semantic domain tbl.col draws from (""
+	// when unknown) and, per value, its entity id in that domain (-1
+	// when unknown). Two cells truly match iff their domains are equal
+	// and non-empty and their ids are equal and non-negative.
+	ColumnEntities(tbl, col string, vals []string) (domain string, ids []int)
+}
+
+// joinTruth returns the ground truth of a CROWDJOIN's candidate pairs by
+// row index: entity ids compared per pair when the oracle resolves
+// whole columns, JoinMatch per pair otherwise.
+func joinTruth(orc Oracle, lt, lc, rt, rc string, lvals, rvals []string) func(i, j int) bool {
+	co, ok := orc.(ColumnOracle)
+	if !ok {
+		return func(i, j int) bool { return orc.JoinMatch(lt, lc, rt, rc, lvals[i], rvals[j]) }
+	}
+	ld, lids := co.ColumnEntities(lt, lc, lvals)
+	rd, rids := co.ColumnEntities(rt, rc, rvals)
+	if ld == "" || ld != rd {
+		return func(int, int) bool { return false }
+	}
+	return func(i, j int) bool { return lids[i] >= 0 && lids[i] == rids[j] }
+}
+
+// selTruth is joinTruth for a CROWDEQUAL: the column against a constant
+// of the same column's domain.
+func selTruth(orc Oracle, tbl, col string, vals []string, constant string) func(i int) bool {
+	co, ok := orc.(ColumnOracle)
+	if !ok {
+		return func(i int) bool { return orc.SelMatch(tbl, col, vals[i], constant) }
+	}
+	d, ids := co.ColumnEntities(tbl, col, vals)
+	_, cid := co.ColumnEntities(tbl, col, []string{constant})
+	if d == "" || cid[0] < 0 {
+		return func(int) bool { return false }
+	}
+	return func(i int) bool { return ids[i] == cid[0] }
 }
 
 // ExactOracle is the trivial oracle for clean data: values match iff
@@ -103,6 +153,8 @@ func DefaultPlanConfig() PlanConfig {
 // graph. The oracle labels every edge with its true color for the
 // crowd simulator.
 func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig) (*Plan, error) {
+	start := time.Now()
+	var joinTime time.Duration
 	if cfg.Epsilon <= 0 {
 		cfg.Epsilon = 0.3
 	}
@@ -122,14 +174,16 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 		p.Tables = append(p.Tables, tb)
 	}
 
-	type edgeSpec struct {
-		pred  int
-		a, b  int
-		w     float64
-		truth bool
-		color graph.Color
+	// Edges are staged in id order — specs[i] becomes edge i with ground
+	// truth p.Truth[i] — and handed to the graph in one call; blue lists
+	// the ones a traditional predicate already decided.
+	var specs []graph.EdgeSpec
+	var blue []int
+	addBlue := func(pred, a, b int) {
+		blue = append(blue, len(specs))
+		specs = append(specs, graph.EdgeSpec{Pred: pred, RowA: a, RowB: b, W: 1})
+		p.Truth = append(p.Truth, true)
 	}
-	var specs []edgeSpec
 	counts := make([]int, len(s.Tables))
 	for i, tb := range p.Tables {
 		counts[i] = tb.Len()
@@ -187,20 +241,29 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 				if cfg.Joiner != nil {
 					join = cfg.Joiner
 				}
-				for _, pr := range join(cfg.Sim, lvals, rvals, cfg.Epsilon) {
+				joinStart := time.Now()
+				pairs := join(cfg.Sim, lvals, rvals, cfg.Epsilon)
+				joinTime += time.Since(joinStart)
+				truth := joinTruth(orc, s.Tables[lt], pred.Left.Column, s.Tables[rt], pred.Right.Column, lvals, rvals)
+				specs = slices.Grow(specs, len(pairs))
+				p.Truth = slices.Grow(p.Truth, len(pairs))
+				for _, pr := range pairs {
 					if lvals[pr.Left] == "" || rvals[pr.Right] == "" {
 						continue // CNULL cells cannot join
 					}
-					truth := orc.JoinMatch(s.Tables[lt], pred.Left.Column, s.Tables[rt], pred.Right.Column,
-						lvals[pr.Left], rvals[pr.Right])
-					specs = append(specs, edgeSpec{pred: predIdx, a: pr.Left, b: pr.Right, w: pr.Sim, truth: truth})
+					specs = append(specs, graph.EdgeSpec{Pred: predIdx, RowA: pr.Left, RowB: pr.Right, W: pr.Sim})
+					p.Truth = append(p.Truth, truth(pr.Left, pr.Right))
 				}
 			} else {
+				rows := map[string][]int{}
+				for j, rv := range rvals {
+					if rv != "" {
+						rows[rv] = append(rows[rv], j)
+					}
+				}
 				for i, lv := range lvals {
-					for j, rv := range rvals {
-						if lv != "" && lv == rv {
-							specs = append(specs, edgeSpec{pred: predIdx, a: i, b: j, w: 1, truth: true, color: graph.Blue})
-						}
+					for _, j := range rows[lv] {
+						addBlue(predIdx, i, j)
 					}
 				}
 			}
@@ -218,24 +281,24 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 			s.Preds = append(s.Preds, graph.QPred{A: lt, B: constIdx, Name: pred.String()})
 			p.Bindings = append(p.Bindings, PredBinding{Pred: pred, LeftTab: lt, RightTab: constIdx, LeftCol: lc, RightCol: -1})
 			vals := colStrings(lt, lc)
-			var score func(string) float64
 			if pred.Kind == cql.CrowdEqual {
 				// The constant is tokenised once, not once per row.
-				score = sim.Against(cfg.Sim, pred.Value)
-			}
-			for i, v := range vals {
-				if v == "" {
-					continue
-				}
-				if pred.Kind == cql.CrowdEqual {
-					w := score(v)
-					if w < cfg.Epsilon {
+				score := sim.Against(cfg.Sim, pred.Value)
+				truth := selTruth(orc, s.Tables[lt], pred.Left.Column, vals, pred.Value)
+				for i, v := range vals {
+					if v == "" {
 						continue
 					}
-					truth := orc.SelMatch(s.Tables[lt], pred.Left.Column, v, pred.Value)
-					specs = append(specs, edgeSpec{pred: predIdx, a: i, b: 0, w: w, truth: truth})
-				} else if v == pred.Value {
-					specs = append(specs, edgeSpec{pred: predIdx, a: i, b: 0, w: 1, truth: true, color: graph.Blue})
+					if w := score(v); w >= cfg.Epsilon {
+						specs = append(specs, graph.EdgeSpec{Pred: predIdx, RowA: i, RowB: 0, W: w})
+						p.Truth = append(p.Truth, truth(i))
+					}
+				}
+			} else {
+				for i, v := range vals {
+					if v != "" && v == pred.Value {
+						addBlue(predIdx, i, 0)
+					}
 				}
 			}
 		}
@@ -248,18 +311,16 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	if err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
-	for _, sp := range specs {
-		id := g.AddEdge(sp.pred, sp.a, sp.b, sp.w)
-		p.Truth = append(p.Truth, sp.truth)
-		if sp.color != graph.Unknown {
-			g.SetColor(id, sp.color)
-		}
+	g.AddEdges(specs)
+	for _, id := range blue {
+		g.SetColor(id, graph.Blue)
 	}
 	p.S = s
 	p.G = g
 	if len(cfg.Selectivity) > 0 {
 		p.applySelectivity(cfg.Selectivity)
 	}
+	mGraphBuild.Observe((time.Since(start) - joinTime).Seconds())
 	return p, nil
 }
 

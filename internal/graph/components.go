@@ -24,6 +24,12 @@ import (
 //     full rebuild.
 //
 // Adding an edge also forces a full rebuild.
+//
+// Member lists are sorted by construction, never by a sort: a flood only
+// stamps compOf and counts, then carveMembers walks a source that is
+// already in ascending id order — the split component's old member list
+// on a refresh, 0..E on a rebuild — and appends each edge to its
+// component's exact-capacity slice of one arena.
 
 var graphUIDCounter uint64
 
@@ -130,23 +136,15 @@ func (g *Graph) refreshComponents() {
 				g.compOf[e] = compUnassigned
 			}
 		}
-		// The pieces partition what is left of the old component, so one
-		// backing array of its size holds all their member lists.
-		arena := make([]int, 0, len(members))
+		first := len(g.compMembers)
 		for _, e := range members {
 			if g.compOf[e] == compUnassigned {
-				arena = g.floodComponent(e, arena)
+				g.floodComponent(e)
 			}
 		}
+		g.carveMembers(first, members)
 	}
 	g.compDirty = g.compDirty[:0]
-	// compDirtyMark may have grown stale entries for ids created above;
-	// marks for fresh ids start false by construction.
-	if len(g.compDirtyMark) < len(g.compMembers) {
-		grown := make([]bool, len(g.compMembers))
-		copy(grown, g.compDirtyMark)
-		g.compDirtyMark = grown
-	}
 }
 
 const compUnassigned = -2
@@ -165,31 +163,24 @@ func (g *Graph) buildComponents() {
 		}
 	}
 	g.compMembers = g.compMembers[:0]
+	g.compDirtyMark = g.compDirtyMark[:0]
 	g.compDirty = g.compDirty[:0]
-	arena := make([]int, 0, len(g.edges))
 	for start := range g.edges {
 		if g.compOf[start] == compUnassigned {
-			arena = g.floodComponent(start, arena)
+			g.floodComponent(start)
 		}
 	}
-	if len(g.compDirtyMark) < len(g.compMembers) {
-		g.compDirtyMark = make([]bool, len(g.compMembers))
-	} else {
-		for i := range g.compDirtyMark {
-			g.compDirtyMark[i] = false
-		}
-	}
+	g.carveMembers(0, nil)
 	g.compsValid = true
 }
 
 // floodComponent assigns a fresh component id to every unassigned
-// non-red edge reachable from start and records the sorted member
-// list, which it carves from the end of arena (returned grown; the
-// caller sizes it for all the floods it will run). The flood moves
+// non-red edge reachable from start and records how many it reached;
+// carveMembers turns the counts into member lists. The flood moves
 // tuple to tuple, scanning each tuple's adjacency once (an epoch stamp
 // marks the visited ones), so a component costs the sum of its tuples'
 // degrees rather than of their squares.
-func (g *Graph) floodComponent(start int, arena []int) []int {
+func (g *Graph) floodComponent(start int) {
 	id := len(g.compMembers)
 	if len(g.floodStamp) != g.nVerts {
 		g.floodStamp = make([]int, g.nVerts)
@@ -197,8 +188,7 @@ func (g *Graph) floodComponent(start int, arena []int) []int {
 	}
 	g.floodEpoch++
 	epoch := g.floodEpoch
-	first := len(arena)
-	arena = append(arena, start)
+	n := 1
 	g.compOf[start] = id
 	e := &g.edges[start]
 	g.floodStamp[e.U], g.floodStamp[e.V] = epoch, epoch
@@ -212,7 +202,7 @@ func (g *Graph) floodComponent(start int, arena []int) []int {
 					continue
 				}
 				g.compOf[nb] = id
-				arena = append(arena, nb)
+				n++
 				w := g.edges[nb].U
 				if w == v {
 					w = g.edges[nb].V
@@ -225,11 +215,39 @@ func (g *Graph) floodComponent(start int, arena []int) []int {
 		}
 	}
 	g.floodStack = stack[:0]
-	members := arena[first:len(arena):len(arena)]
-	sort.Ints(members)
-	g.compMembers = append(g.compMembers, members)
-	if len(g.compDirtyMark) < len(g.compMembers) {
-		g.compDirtyMark = append(g.compDirtyMark, false)
+	g.compMembers = append(g.compMembers, nil)
+	g.compDirtyMark = append(g.compDirtyMark, false)
+	g.floodCounts = append(g.floodCounts, n)
+}
+
+// carveMembers builds the member lists of the components flooded since
+// id first (their sizes are in floodCounts) from one arena. src lists,
+// in ascending order, every edge those floods could have reached; nil
+// stands for all edges.
+func (g *Graph) carveMembers(first int, src []int) {
+	total := 0
+	for _, n := range g.floodCounts {
+		total += n
 	}
-	return arena
+	arena := make([]int, total)
+	off := 0
+	for k, n := range g.floodCounts {
+		g.compMembers[first+k] = arena[off : off : off+n]
+		off += n
+	}
+	g.floodCounts = g.floodCounts[:0]
+	place := func(e int) {
+		if ci := g.compOf[e]; ci >= first {
+			g.compMembers[ci] = append(g.compMembers[ci], e)
+		}
+	}
+	if src == nil {
+		for e := range g.edges {
+			place(e)
+		}
+		return
+	}
+	for _, e := range src {
+		place(e)
+	}
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"sync"
 	"testing"
 
 	"cdb/internal/stats"
@@ -128,40 +127,96 @@ func TestComponentIndexIncremental(t *testing.T) {
 	}
 }
 
-// TestComponentMembersConsistent verifies member lists agree with the
-// index and are sorted.
+// giantComponent builds a chain A–B–C where every tuple's edges reach
+// the next tuple's, so the whole edge set is one component that Red
+// answers split over and over.
+func giantComponent(n int) *Graph {
+	s := &Structure{
+		Tables: []string{"A", "B", "C"},
+		Preds:  []QPred{{A: 0, B: 1}, {A: 1, B: 2}},
+	}
+	g := MustNewGraph(s, []int{n, n, n})
+	for i := 0; i < n; i++ {
+		for p := 0; p < 2; p++ {
+			g.AddEdge(p, i, i, 0.5)
+			g.AddEdge(p, i, (i+1)%n, 0.5)
+		}
+	}
+	return g
+}
+
+// checkMembers verifies that the member lists agree with the index,
+// cover exactly the non-red edges and are strictly ascending.
+func checkMembers(t *testing.T, g *Graph) {
+	t.Helper()
+	compOf, n := g.ComponentIndex()
+	counted := 0
+	for ci := 0; ci < n; ci++ {
+		members := g.ComponentMembers(ci)
+		for k, e := range members {
+			if compOf[e] != ci {
+				t.Fatalf("member %d of comp %d has compOf %d", e, ci, compOf[e])
+			}
+			if k > 0 && members[k-1] >= e {
+				t.Fatalf("comp %d members not strictly sorted: %v", ci, members)
+			}
+		}
+		if cap(members) != len(members) {
+			t.Fatalf("comp %d: list of %d carved at capacity %d", ci, len(members), cap(members))
+		}
+		counted += len(members)
+	}
+	nonRed := 0
+	for e := 0; e < g.NumEdges(); e++ {
+		if g.Edge(e).Color != Red {
+			nonRed++
+		}
+	}
+	if counted != nonRed {
+		t.Fatalf("members cover %d edges, want %d non-red", counted, nonRed)
+	}
+}
+
+// TestComponentMembersConsistent checks the member lists after the
+// initial build and after every incremental split, on random graphs, a
+// hub graph and one giant component: nothing sorts them any more, so
+// ascending order has to come out of how they are carved.
 func TestComponentMembersConsistent(t *testing.T) {
 	r := stats.NewRNG(99)
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 52; trial++ {
 		g := randomGraph(r)
-		// A few incremental splits first.
+		switch trial {
+		case 50:
+			g = hubGraph(r)
+		case 51:
+			g = giantComponent(40)
+		}
+		checkMembers(t, g)
 		for i := 0; i < g.NumEdges()/2; i++ {
 			g.SetColor(r.Intn(g.NumEdges()), Red)
-			g.ComponentIndex()
+			checkMembers(t, g)
 		}
-		compOf, n := g.ComponentIndex()
-		counted := 0
-		for ci := 0; ci < n; ci++ {
-			members := g.ComponentMembers(ci)
-			for k, e := range members {
-				if compOf[e] != ci {
-					t.Fatalf("member %d of comp %d has compOf %d", e, ci, compOf[e])
-				}
-				if k > 0 && members[k-1] >= e {
-					t.Fatalf("comp %d members not strictly sorted: %v", ci, members)
-				}
-			}
-			counted += len(members)
-		}
-		nonRed := 0
-		for e := 0; e < g.NumEdges(); e++ {
-			if g.Edge(e).Color != Red {
-				nonRed++
+	}
+}
+
+// TestComponentRefreshAllocs holds an incremental refresh to one
+// allocation per dirty component — the arena its pieces are carved
+// from — however many pieces the split leaves.
+func TestComponentRefreshAllocs(t *testing.T) {
+	g := giantComponent(400)
+	g.ComponentIndex()
+	r := stats.NewRNG(5)
+	allocs := testing.AllocsPerRun(200, func() {
+		for {
+			if e := r.Intn(g.NumEdges()); g.Edge(e).Color != Red {
+				g.SetColor(e, Red)
+				break
 			}
 		}
-		if counted != nonRed {
-			t.Fatalf("members cover %d edges, want %d non-red", counted, nonRed)
-		}
+		g.ComponentIndex()
+	})
+	if allocs > 1 {
+		t.Fatalf("incremental refresh: %.0f allocations per dirty component, want 1", allocs)
 	}
 }
 
@@ -189,44 +244,5 @@ func TestColorEventsJournal(t *testing.T) {
 		if ev[i] != want[i] {
 			t.Fatalf("journal[%d] = %v, want %v", i, ev[i], want[i])
 		}
-	}
-}
-
-// TestCutEvaluatorMatchesGraph runs concurrent evaluators over random
-// graphs and checks every result against the graph's own CutLoss.
-func TestCutEvaluatorMatchesGraph(t *testing.T) {
-	r := stats.NewRNG(4242)
-	for trial := 0; trial < 60; trial++ {
-		g := randomGraph(r)
-		g.Revalidate()
-		type q struct{ v, pred int }
-		var queries []q
-		for v := 0; v < g.NumVertices(); v++ {
-			for _, pred := range g.predsByTable[g.TableOf(v)] {
-				queries = append(queries, q{v, pred})
-			}
-		}
-		wantLoss := make([]int, len(queries))
-		wantBundle := make([]int, len(queries))
-		for i, qq := range queries {
-			wantLoss[i], wantBundle[i] = g.CutLoss(qq.v, qq.pred)
-		}
-		const workers = 4
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ev := g.NewCutEvaluator()
-				for i := w; i < len(queries); i += workers {
-					loss, bundle := ev.CutLoss(queries[i].v, queries[i].pred)
-					if loss != wantLoss[i] || bundle != wantBundle[i] {
-						t.Errorf("trial %d query %d: evaluator (%d,%d), graph (%d,%d)",
-							trial, i, loss, bundle, wantLoss[i], wantBundle[i])
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
 	}
 }

@@ -18,6 +18,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Color is the state of an edge: Unknown before crowdsourcing, Blue if
@@ -147,8 +148,12 @@ type Graph struct {
 
 	edges []Edge
 	// adj[v][k] lists edge ids incident to v on the k-th predicate of
-	// v's table (k indexes predsOf(table(v))).
-	adj [][][]int
+	// v's table (k indexes predsOf(table(v))). Every adj[v] is a window
+	// into lists, which holds all (vertex, slot) lists in vertex order;
+	// listBase[t] is where table t's first vertex starts.
+	adj      [][][]int
+	lists    [][]int
+	listBase []int
 	// predsByTable caches predsOf per table; predSlot[t*nPreds+p] is
 	// predicate p's slot in predsByTable[t], -1 when p does not touch t.
 	predsByTable [][]int
@@ -186,6 +191,7 @@ type Graph struct {
 	floodStamp    []int   // per vertex: flood epoch that last visited it
 	floodEpoch    int
 	floodStack    []int // reusable vertex stack for floodComponent
+	floodCounts   []int // sizes of the components flooded since the last carve
 
 	uid           uint64 // process-unique graph identity for external caches
 	weightVersion int    // bumped by SetWeight; score caches reset on change
@@ -234,9 +240,17 @@ func NewGraph(s *Structure, counts []int) (*Graph, error) {
 		}
 	}
 	g.predOrder = s.predOrder()
+	g.listBase = make([]int, len(counts))
+	nLists := 0
+	for t, c := range counts {
+		g.listBase[t] = nLists
+		nLists += c * len(g.predsByTable[t])
+	}
+	g.lists = make([][]int, nLists)
 	g.adj = make([][][]int, g.nVerts)
-	for v := 0; v < g.nVerts; v++ {
-		g.adj[v] = make([][]int, len(g.predsByTable[g.tableOf[v]]))
+	for v, rest := 0, g.lists; v < g.nVerts; v++ {
+		n := len(g.predsByTable[g.tableOf[v]])
+		g.adj[v], rest = rest[:n:n], rest[n:]
 	}
 	g.treeShaped = s.Kind() != Cyclic
 	if g.treeShaped {
@@ -324,6 +338,63 @@ func (g *Graph) AddEdge(pred, rowA, rowB int, w float64) int {
 	return id
 }
 
+// EdgeSpec describes one edge for AddEdges, with AddEdge's arguments.
+type EdgeSpec struct {
+	Pred       int
+	RowA, RowB int
+	W          float64
+}
+
+// AddEdges adds the edges in order and returns the id of the first; the
+// graph ends up exactly as after one AddEdge per spec (same ids, same
+// EdgesAt order), but built in one pass: degrees are counted per
+// (vertex, slot) first, so the edge array grows once and every touched
+// adjacency list is carved at its exact capacity from one arena instead
+// of growing edge by edge. A spec out of range panics, as in AddEdge,
+// before anything is added.
+func (g *Graph) AddEdges(specs []EdgeSpec) (first int) {
+	first = len(g.edges)
+	deg := make([]int, len(g.lists)) // new edges per (vertex, slot), indexed like g.lists
+	for _, sp := range specs {
+		if sp.Pred < 0 || sp.Pred >= len(g.S.Preds) {
+			panic(fmt.Sprintf("graph: predicate %d out of range", sp.Pred))
+		}
+		p := g.S.Preds[sp.Pred]
+		g.VertexID(p.A, sp.RowA)
+		g.VertexID(p.B, sp.RowB)
+		deg[g.listBase[p.A]+sp.RowA*len(g.predsByTable[p.A])+g.slotAt(p.A, sp.Pred)]++
+		deg[g.listBase[p.B]+sp.RowB*len(g.predsByTable[p.B])+g.slotAt(p.B, sp.Pred)]++
+	}
+	// Lists that already hold edges move into the arena with them.
+	total := 2 * len(specs)
+	for k, lst := range g.lists {
+		if deg[k] > 0 {
+			total += len(lst)
+		}
+	}
+	arena := make([]int, total)
+	off := 0
+	for k, lst := range g.lists {
+		if n := len(lst) + deg[k]; deg[k] > 0 {
+			g.lists[k] = append(arena[off:off:off+n], lst...)
+			off += n
+		}
+	}
+	g.edges = slices.Grow(g.edges, len(specs))
+	for _, sp := range specs {
+		p := g.S.Preds[sp.Pred]
+		u, v := g.base[p.A]+sp.RowA, g.base[p.B]+sp.RowB
+		id := len(g.edges)
+		g.edges = append(g.edges, Edge{ID: id, Pred: sp.Pred, U: u, V: v, W: sp.W})
+		uSlot, vSlot := g.slotAt(p.A, sp.Pred), g.slotAt(p.B, sp.Pred)
+		g.adj[u][uSlot] = append(g.adj[u][uSlot], id)
+		g.adj[v][vSlot] = append(g.adj[v][vSlot], id)
+	}
+	g.dirty = true
+	g.compsValid = false
+	return first
+}
+
 // Edge returns a copy of the edge with the given id.
 func (g *Graph) Edge(id int) Edge { return g.edges[id] }
 
@@ -351,8 +422,7 @@ func (g *Graph) ColorEvents() []ColorEvent { return g.colorLog }
 func (g *Graph) UID() uint64 { return g.uid }
 
 // TreeShaped reports whether the query structure is acyclic, which
-// enables the incremental cover-fact machinery (and with it concurrent
-// CutEvaluators).
+// enables the incremental cover-fact machinery.
 func (g *Graph) TreeShaped() bool { return g.treeShaped }
 
 // SetWeight updates an edge's matching probability (used when a

@@ -17,14 +17,9 @@ package graph
 // slower); the planner normally rewrites cycles away first
 // (BreakCycles), matching §5.1.1.
 //
-// The cover facts and the scratch used by hypothetical cuts live in a
-// cutState so the cost engine can clone them into CutEvaluators and
-// compute cut losses for disjoint edge sets concurrently.
-
-// cutState bundles the cover-fact arrays consulted — and temporarily
-// mutated, with rollback — by hypothetical cuts. The graph owns one
-// primary instance (kept current by Revalidate); CutEvaluators carry
-// private copies.
+// cutState bundles the cover-fact arrays (kept current by Revalidate
+// and reddenEdgeTree) with the scratch of hypothetical cuts, which
+// mutate the facts temporarily and roll them back.
 type cutState struct {
 	cover      [][]bool // cover[v][slot]: v can cover the subtree beyond that pred
 	support    [][]int  // supporting-edge counters for cover facts
@@ -34,37 +29,6 @@ type cutState struct {
 	edgeEpoch []int // scratch for hypothetical-cut dedup
 	journal   []journalEntry
 	work      []fact
-}
-
-// copyFrom deep-copies src's cover facts into cs, reusing cs's
-// allocations where sizes match.
-func (cs *cutState) copyFrom(src *cutState) {
-	if len(cs.cover) != len(src.cover) {
-		cs.cover = make([][]bool, len(src.cover))
-		cs.support = make([][]int, len(src.support))
-	}
-	for v := range src.cover {
-		if len(cs.cover[v]) != len(src.cover[v]) {
-			cs.cover[v] = make([]bool, len(src.cover[v]))
-			cs.support[v] = make([]int, len(src.support[v]))
-		}
-		copy(cs.cover[v], src.cover[v])
-		copy(cs.support[v], src.support[v])
-	}
-	if len(cs.falseCount) != len(src.falseCount) {
-		cs.falseCount = make([]int, len(src.falseCount))
-	}
-	copy(cs.falseCount, src.falseCount)
-	if len(cs.edgeEpoch) != len(src.edgeEpoch) {
-		cs.edgeEpoch = make([]int, len(src.edgeEpoch))
-	} else {
-		for i := range cs.edgeEpoch {
-			cs.edgeEpoch[i] = 0
-		}
-	}
-	cs.epoch = 0
-	cs.journal = cs.journal[:0]
-	cs.work = cs.work[:0]
 }
 
 // coversAllExcept reports whether vertex v's cover facts hold for
@@ -394,58 +358,13 @@ func (g *Graph) CutLoss(v, pred int) (loss, bundle int) {
 	if !g.treeShaped {
 		return g.cutLossBrute(v, pred)
 	}
-	return g.cutLossTree(&g.cs, v, pred)
+	return g.cutLossTree(v, pred)
 }
 
-// CutEvaluator computes cut losses against a private copy of the
-// graph's cover-fact state. Because CutLoss temporarily mutates that
-// state, the graph's own CutLoss must not run concurrently with
-// itself; evaluators carry their own copies, so any number of them may
-// run in parallel — as long as nothing mutates the graph (colors,
-// edges, weights) while they do. Only meaningful for tree-shaped
-// structures; on cyclic graphs the evaluator falls back to the
-// (non-concurrent) brute-force path.
-type CutEvaluator struct {
-	g  *Graph
-	cs cutState
-}
-
-// NewCutEvaluator snapshots the current validity state into a fresh
-// evaluator. It revalidates first, so create evaluators from a single
-// goroutine before fanning out.
-func (g *Graph) NewCutEvaluator() *CutEvaluator {
-	ev := &CutEvaluator{g: g}
-	ev.Refresh()
-	return ev
-}
-
-// Refresh re-snapshots the graph's current validity state into the
-// evaluator, reusing its allocations — how a long-lived evaluator
-// follows the graph from round to round. Like NewCutEvaluator it
-// revalidates, so call it from a single goroutine before fanning out.
-func (ev *CutEvaluator) Refresh() {
-	ev.g.Revalidate()
-	if ev.g.treeShaped {
-		ev.cs.copyFrom(&ev.g.cs)
-	}
-}
-
-// Graph returns the underlying graph (for read-only access).
-func (ev *CutEvaluator) Graph() *Graph { return ev.g }
-
-// CutLoss is Graph.CutLoss evaluated on the evaluator's private state.
-func (ev *CutEvaluator) CutLoss(v, pred int) (loss, bundle int) {
-	if !ev.g.treeShaped {
-		return ev.g.CutLoss(v, pred)
-	}
-	return ev.g.cutLossTree(&ev.cs, v, pred)
-}
-
-// cutLossTree runs the journaled hypothetical cut on cs, which must
-// mirror the graph's current cover facts. Only cs is mutated (and
-// rolled back); everything read from the graph itself is immutable
-// during the call, which is what makes concurrent evaluators safe.
-func (g *Graph) cutLossTree(cs *cutState, v, pred int) (loss, bundle int) {
+// cutLossTree runs the journaled hypothetical cut on the graph's cover
+// facts, mutating them and rolling back before it returns.
+func (g *Graph) cutLossTree(v, pred int) (loss, bundle int) {
+	cs := &g.cs
 	slot := g.checkedSlotOf(v, pred)
 	if slot < 0 {
 		return 0, 0

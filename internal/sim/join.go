@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"time"
 
 	"cdb/internal/obs"
@@ -32,9 +33,9 @@ type Pair struct {
 // countJoin); EditDistance and Cosine use it over 2-grams at a
 // conservative pre-threshold to generate candidates and verify those
 // with the exact function; NoSim keeps every pair at weight 0.5, like
-// the paper's ablation. One divergence from BruteForceJoin: a record
-// with an empty token set ("" or all whitespace) joins nothing, where
-// Similarity scores two empty sets as 1.
+// the paper's ablation. A record with an empty token set ("" or all
+// whitespace) joins nothing — it gives the crowd nothing to compare —
+// although Similarity scores two empty sets as 1.
 func Join(f Func, left, right []string, eps float64) []Pair {
 	start := time.Now()
 	pairs, touched := joinPairs(f, left, right, eps)
@@ -97,17 +98,31 @@ func verifyJoin(left, right []string, pre, eps float64, exact func(a, b string) 
 }
 
 // BruteForceJoin verifies every pair — the reference implementation
-// used by tests and the sim-join ablation benchmark.
+// used by tests and the sim-join ablation benchmark. Like Join it gives
+// a record without tokens no partner.
 func BruteForceJoin(f Func, left, right []string, eps float64) []Pair {
 	var out []Pair
 	for i := range left {
+		if tokenless(f, left[i]) {
+			continue
+		}
 		for j := range right {
+			if tokenless(f, right[j]) {
+				continue
+			}
 			if s := Similarity(f, left[i], right[j]); s >= eps {
 				out = append(out, Pair{Left: i, Right: j, Sim: s})
 			}
 		}
 	}
 	return out
+}
+
+// tokenless reports whether s has an empty token set: nothing but
+// whitespace, under the 2-gram and the word tokenisation alike. NoSim
+// compares no tokens, so nothing is tokenless to it.
+func tokenless(f Func, s string) bool {
+	return f != NoSim && strings.TrimSpace(s) == ""
 }
 
 // countJoin is the Jaccard threshold join (eps > 0) over 2-gram sets,

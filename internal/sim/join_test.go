@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -123,20 +124,11 @@ func FuzzGramIDs(f *testing.F) {
 	})
 }
 
-// emptySet reports whether s has no tokens under f's tokenization.
-func emptySet(f Func, s string) bool {
-	if f == TokenJaccard {
-		return len(Tokens(s)) == 0
-	}
-	return len(Grams2(s)) == 0
-}
-
 // FuzzJoinMatchesBruteForce splits each argument on '|' into one side's
 // records. For the Jaccard family Join must return BruteForceJoin's
-// pairs bit for bit — minus the one known divergence, pinned by
-// TestJoinSkipsEmptyTokenSets — and for the two verify-after-filter
-// functions a subset of them with the same bits; always in strictly
-// ascending (Left, Right) order.
+// pairs bit for bit, and for the two verify-after-filter functions a
+// subset of them with the same bits; always in strictly ascending
+// (Left, Right) order.
 func FuzzJoinMatchesBruteForce(f *testing.F) {
 	f.Add("University of California|University of Chicago|Duke Uni.", "Univ. of California|Duke Univ.|Microsoft")
 	f.Add("a|a||b| |ab", "|a|b|b|ba ab|\t")
@@ -160,9 +152,7 @@ func FuzzJoinMatchesBruteForce(f *testing.F) {
 				}
 				want := map[[2]int]float64{}
 				for _, p := range BruteForceJoin(fn, left, right, eps) {
-					if !emptySet(fn, left[p.Left]) || !emptySet(fn, right[p.Right]) {
-						want[[2]int{p.Left, p.Right}] = p.Sim
-					}
+					want[[2]int{p.Left, p.Right}] = p.Sim
 				}
 				for _, p := range got {
 					s, ok := want[[2]int{p.Left, p.Right}]
@@ -178,20 +168,28 @@ func FuzzJoinMatchesBruteForce(f *testing.F) {
 	})
 }
 
-// TestJoinSkipsEmptyTokenSets pins the one place Join and
-// BruteForceJoin differ: Similarity scores two empty token sets as 1,
-// while a record without tokens has no postings and joins nothing.
+// TestJoinSkipsEmptyTokenSets: a record without tokens ("" or all
+// whitespace) joins nothing, in Join and in the brute-force reference
+// alike, although Similarity scores two empty token sets as 1.
 // exec.BuildPlan drops "" cells either way.
 func TestJoinSkipsEmptyTokenSets(t *testing.T) {
 	left, right := []string{"", "ab", "  "}, []string{"\t", "ab", ""}
+	only := []Pair{{Left: 1, Right: 1, Sim: 1}}
 	for _, fn := range []Func{Gram2Jaccard, TokenJaccard, EditDistance, Cosine} {
-		got := Join(fn, left, right, 0.3)
-		if len(got) != 1 || got[0] != (Pair{Left: 1, Right: 1, Sim: 1}) {
-			t.Errorf("%v: Join = %+v, want only the (1, 1) pair", fn, got)
+		if Similarity(fn, "", " ") != 1 {
+			t.Errorf("%v: Similarity of two empty records changed", fn)
 		}
-		if n := len(BruteForceJoin(fn, left, right, 0.3)); n != 5 {
-			t.Errorf("%v: brute force found %d pairs, want (1, 1) and the four empty-empty ones", fn, n)
+		for _, eps := range []float64{0.3, 0} {
+			if got := Join(fn, left, right, eps); !reflect.DeepEqual(got, only) {
+				t.Errorf("%v eps=%v: Join = %+v, want only the (1, 1) pair", fn, eps, got)
+			}
+			if got := BruteForceJoin(fn, left, right, eps); !reflect.DeepEqual(got, only) {
+				t.Errorf("%v eps=%v: BruteForceJoin = %+v, want only the (1, 1) pair", fn, eps, got)
+			}
 		}
+	}
+	if n := len(BruteForceJoin(NoSim, left, right, 0.3)); n != len(Join(NoSim, left, right, 0.3)) || n != 9 {
+		t.Errorf("NoSim: brute force keeps %d pairs, want all 9 like Join", n)
 	}
 }
 

@@ -221,3 +221,36 @@ func TestMetricsSummaryListsSimJoin(t *testing.T) {
 		t.Errorf("no cdb_sim_join_seconds histogram line in:\n%s", buf.String())
 	}
 }
+
+// TestMetricsSummaryListsBuildAndRescore: graph build and cost rescore
+// are duration histograms in the `cdbsh \metrics` rendering, and the
+// bundle-term counter sits beside the scored-edges histogram so edges ÷
+// terms — how many edges shared each hypothetical cut — can be read from
+// the running system.
+func TestMetricsSummaryListsBuildAndRescore(t *testing.T) {
+	db := cdb.Open(cdb.WithDataset("example", 0, 1), cdb.WithPerfectWorkers(30), cdb.WithSeed(7))
+	if _, err := db.Exec(`SELECT Researcher.name, Citation.number
+		FROM Paper, Researcher, Citation
+		WHERE Paper.author CROWDJOIN Researcher.name AND
+		      Paper.title CROWDJOIN Citation.title;`); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cdb.WriteMetricsSummary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	value := map[string]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 {
+			value[f[0]] = f[1]
+		}
+	}
+	if n, _ := strconv.Atoi(value["cdb_cost_bundle_terms_total"]); n <= 0 {
+		t.Errorf("cdb_cost_bundle_terms_total = %q, want a positive count", value["cdb_cost_bundle_terms_total"])
+	}
+	for _, name := range []string{"cdb_exec_graph_build_seconds", "cdb_cost_rescore_seconds", "cdb_cost_scored_edges_per_rescore"} {
+		if !strings.HasPrefix(value[name], "count=") {
+			t.Errorf("no %s histogram line in:\n%s", name, buf.String())
+		}
+	}
+}
