@@ -7,12 +7,17 @@
 //
 // Each experiment prints one or more aligned text tables; see
 // EXPERIMENTS.md for the mapping to the paper and the expected shapes.
+// It writes no file unless -trace, -cpuprofile or -memprofile names
+// one. The crowd is simulated and seeded, so the counts are exact:
+// internal/bench's tests assert on the same tables, and that is the
+// only fidelity guard. Timings are measured by benchmark/.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"cdb/internal/bench"
@@ -21,30 +26,14 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment id (fig1, fig8, fig11, fig14, fig17, fig18, fig20, fig21, fig22, fig23, table5, chaos, serve, trans, shard, plan) or 'all'")
-		dataset    = flag.String("dataset", "paper", "dataset: paper or award")
-		scale      = flag.Float64("scale", 0.12, "dataset scale (1.0 = the paper's Table 2/3 sizes)")
-		reps       = flag.Int("reps", 3, "repetitions per cell (the paper averages 1000)")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		red        = flag.Int("redundancy", 5, "answers per task")
-		workerQ    = flag.Float64("workerq", 0.8, "mean simulated worker accuracy")
-		samples    = flag.Int("samples", 20, "MinCut sampling count")
-		costbench  = flag.Bool("costbench", false, "run the incremental cost-engine benchmarks and write BENCH_cost.json")
-		benchOut   = flag.String("costbenchout", "BENCH_cost.json", "output path for -costbench")
-		benchProcs = flag.Int("costbenchprocs", 0, "pin GOMAXPROCS for -costbench (0 = leave as is)")
-
-		serveClients = flag.Int("serve-clients", 8, "serve experiment: concurrent in-flight queries")
-		serveQueries = flag.Int("serve-queries", 24, "serve experiment: workload size over the 5 query templates")
-		serveOut     = flag.String("serve-out", "BENCH_engine.json", "serve experiment: report path (empty skips the artifact)")
-
-		transOut = flag.String("trans-out", "BENCH_trans.json", "trans experiment: report path (empty skips the artifact)")
-
-		planOut = flag.String("plan-out", "BENCH_plan.json", "plan experiment: report path (empty skips the artifact)")
-
-		shardClients = flag.Int("shard-clients", 8, "shard experiment: concurrent clients driving the coordinator")
-		shardQueries = flag.Int("shard-queries", 40, "shard experiment: workload size over the 5 query templates")
-		shardDelay   = flag.Int("shard-delay-ms", 60, "shard experiment: simulated crowd round-trip per completed round")
-		shardOut     = flag.String("shard-out", "BENCH_shard.json", "shard experiment: report path (empty skips the artifact)")
+		exp     = flag.String("exp", "all", "experiment id ("+strings.Join(bench.ExperimentIDs(), ", ")+") or 'all'")
+		dataset = flag.String("dataset", "paper", "dataset: paper or award")
+		scale   = flag.Float64("scale", 0.12, "dataset scale (1.0 = the paper's Table 2/3 sizes)")
+		reps    = flag.Int("reps", 3, "repetitions per cell (the paper averages 1000)")
+		seed    = flag.Uint64("seed", 1, "random seed")
+		red     = flag.Int("redundancy", 5, "answers per task")
+		workerQ = flag.Float64("workerq", 0.8, "mean simulated worker accuracy")
+		samples = flag.Int("samples", 20, "MinCut sampling count")
 
 		faultSeed      = flag.Uint64("fault-seed", 1, "chaos engine seed (same seed replays identical faults)")
 		faultDrop      = flag.Float64("fault-drop", 0, "fraction of crowd answers dropped (chaos experiment sweeps its own grid unless set)")
@@ -101,14 +90,6 @@ func main() {
 		}()
 	}
 
-	if *costbench {
-		if err := bench.RunCostBench(*benchOut, *benchProcs, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "cdbench: costbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	cfg := bench.DefaultConfig()
 	cfg.Dataset = *dataset
 	cfg.Scale = *scale
@@ -119,6 +100,7 @@ func main() {
 	cfg.Samples = *samples
 	cfg.Observer = observer
 	cfg.FaultSeed = *faultSeed
+	cfg.FaultDrop = *faultDrop
 	cfg.FaultStraggler = *faultStraggler
 	cfg.FaultDup = *faultDup
 	cfg.FaultCorrupt = *faultCorrupt
@@ -126,20 +108,6 @@ func main() {
 	cfg.TaskDeadline = *deadline
 	cfg.MaxRetries = *retries
 	cfg.HedgeFrac = *hedge
-	cfg.ServeClients = *serveClients
-	cfg.ServeQueries = *serveQueries
-	cfg.ServeOut = *serveOut
-	cfg.TransOut = *transOut
-	cfg.PlanOut = *planOut
-	cfg.ShardClients = *shardClients
-	cfg.ShardQueries = *shardQueries
-	cfg.ShardDelayMs = *shardDelay
-	cfg.ShardOut = *shardOut
-	if *faultDrop > 0 {
-		// An explicit drop rate pins the chaos experiment's whole grid
-		// to that single intensity.
-		bench.SetChaosDropGrid([]float64{*faultDrop})
-	}
 
 	ids := []string{*exp}
 	if *exp == "all" {

@@ -49,7 +49,7 @@ type Config struct {
 	// fault rates injected into the asynchronous transport, plus the
 	// executor's reliability policy. All zero means a clean transport.
 	FaultSeed      uint64
-	FaultDrop      float64
+	FaultDrop      float64 // > 0 pins the chaos sweep to this one drop rate
 	FaultStraggler float64
 	FaultDup       float64
 	FaultCorrupt   float64
@@ -57,23 +57,6 @@ type Config struct {
 	TaskDeadline   int64   // per-HIT deadline in virtual ticks (0 = default)
 	MaxRetries     int     // reissue waves per round (0 = default)
 	HedgeFrac      float64 // slowest fraction hedged (0 = default)
-
-	// Serving knobs (the "serve" experiment and cdbench -serve-* flags).
-	ServeClients int    // engine concurrency (in-flight queries)
-	ServeQueries int    // workload size (arrivals over the 5 templates)
-	ServeOut     string // BENCH_engine.json path ("" skips the artifact)
-
-	// Transitive-inference knobs (the "trans" experiment).
-	TransOut string // BENCH_trans.json path ("" skips the artifact)
-
-	// Greedy-planner knobs (the "plan" experiment).
-	PlanOut string // BENCH_plan.json path ("" skips the artifact)
-
-	// Scale-out knobs (the "shard" experiment and cdbench -shard-* flags).
-	ShardClients int    // concurrent clients driving the coordinator
-	ShardQueries int    // workload size (arrivals over the 5 templates)
-	ShardDelayMs int    // simulated crowd round-trip per completed round
-	ShardOut     string // BENCH_shard.json path ("" skips the artifact)
 }
 
 // DefaultConfig returns settings sized for minutes-scale regeneration.
@@ -89,19 +72,6 @@ func DefaultConfig() Config {
 		WorkerSD:   0.1,
 		PoolSize:   50,
 		Samples:    20,
-
-		ServeClients: 8,
-		ServeQueries: 24,
-		ServeOut:     "BENCH_engine.json",
-
-		TransOut: "BENCH_trans.json",
-
-		PlanOut: "BENCH_plan.json",
-
-		ShardClients: 8,
-		ShardQueries: 40,
-		ShardDelayMs: 60,
-		ShardOut:     "BENCH_shard.json",
 	}
 }
 
@@ -269,15 +239,13 @@ var Registry = map[string]func(Config) ([]*Table, error){
 	"fig23":  Fig23to24,
 	"table5": Table5,
 	"chaos":  Chaos,
-	"serve":  Serve,
 	"trans":  Trans,
-	"shard":  Shard,
 	"plan":   PlanBench,
 }
 
 // ExperimentIDs returns the registry keys in canonical order.
 func ExperimentIDs() []string {
-	return []string{"fig1", "fig8", "fig11", "fig14", "fig17", "fig18", "fig20", "fig21", "fig22", "fig23", "table5", "chaos", "serve", "trans", "shard", "plan"}
+	return []string{"fig1", "fig8", "fig11", "fig14", "fig17", "fig18", "fig20", "fig21", "fig22", "fig23", "table5", "chaos", "trans", "plan"}
 }
 
 // aliases used by several experiments.

@@ -14,17 +14,9 @@ import (
 )
 
 // chaosDropGrid is the fault intensities the chaos experiment sweeps
-// when no explicit -fault-drop is given: from a clean baseline to a
-// platform losing a fifth of its assignments.
+// when cfg.FaultDrop is unset: from a clean baseline to a platform
+// losing a fifth of its assignments.
 var chaosDropGrid = []float64{0, 0.05, 0.1, 0.2}
-
-// SetChaosDropGrid overrides the sweep (cdbench -fault-drop pins it to
-// one intensity).
-func SetChaosDropGrid(grid []float64) {
-	if len(grid) > 0 {
-		chaosDropGrid = grid
-	}
-}
 
 // ParseBlackout parses a "market:from:until" outage spec ("" market
 // means every platform, e.g. ":100:400").
@@ -113,9 +105,14 @@ func chaosCell(d *dataset.Data, query, method string, cfg Config, rng *stats.RNG
 // reports how gracefully quality and cost degrade: the robustness
 // counterpart of the paper's clean-crowd evaluation. Every cell runs
 // the 2-join query with CDB and CDB+ under drop rates of
-// chaosDropGrid (straggler/duplicate/corrupt rates and a blackout
-// window ride along from the config).
+// chaosDropGrid, or under cfg.FaultDrop alone when it is set
+// (straggler/duplicate/corrupt rates and a blackout window ride along
+// from the config).
 func Chaos(cfg Config) ([]*Table, error) {
+	grid := chaosDropGrid
+	if cfg.FaultDrop > 0 {
+		grid = []float64{cfg.FaultDrop}
+	}
 	d := genData(cfg, cfg.Seed)
 	query := dataset.Queries(d.Name)["2J"]
 	rng := stats.NewRNG(cfg.Seed + 77)
@@ -127,7 +124,7 @@ func Chaos(cfg Config) ([]*Table, error) {
 		ValueNames: []string{"f1", "tasks", "lost", "retried", "hedged", "late", "dups", "partial"},
 	}
 	for _, method := range []string{"CDB", "CDB+"} {
-		for _, drop := range chaosDropGrid {
+		for _, drop := range grid {
 			var agg stats.Agg
 			var lost, retried, hedged, late, dups, partial float64
 			for rep := 0; rep < cfg.Reps; rep++ {

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
 
 	"cdb/internal/cost"
 	"cdb/internal/crowd"
@@ -14,31 +11,31 @@ import (
 	"cdb/internal/stats"
 )
 
-// TransModeResult is one execution mode's totals over the transitive-
+// transTotals is one execution mode's totals over the transitive-
 // inference workload.
-type TransModeResult struct {
-	Mode        string  `json:"mode"` // "baseline" or "transitive"
-	Tasks       int     `json:"tasks"`
-	Rounds      int     `json:"rounds"`
-	Assignments int     `json:"assignments"`
-	HITs        int     `json:"hits"`
-	Inferred    int     `json:"inferred,omitempty"`
-	F1          float64 `json:"f1"` // mean per-query F1
+type transTotals struct {
+	tasks, rounds, assignments, hits, inferred int
+	f1                                         stats.Agg
 }
 
-// TransBenchReport is the schema of BENCH_trans.json: the paper join
-// workload with transitive inference off vs on, same crowd seeds.
-type TransBenchReport struct {
-	Date       string          `json:"date"`
-	Dataset    string          `json:"dataset"`
-	Scale      float64         `json:"scale"`
-	Redundancy int             `json:"redundancy"`
-	Reps       int             `json:"reps"`
-	Baseline   TransModeResult `json:"baseline"`
-	Transitive TransModeResult `json:"transitive"`
-	TasksSaved int             `json:"tasks_saved"`
-	HITsSaved  int             `json:"hits_saved"`
-	F1Delta    float64         `json:"f1_delta"` // transitive − baseline
+func (m *transTotals) add(r *exec.Report) {
+	m.tasks += r.Metrics.Tasks
+	m.rounds += r.Metrics.Rounds
+	m.assignments += r.Assignments
+	m.hits += r.HITs
+	m.inferred += r.Inferred
+	m.f1.Add(r.Metrics)
+}
+
+// meanF1 is the mean per-query F1.
+func (m *transTotals) meanF1() float64 {
+	_, _, _, _, f1 := m.f1.Mean()
+	return f1
+}
+
+func (m *transTotals) row(mode string) Row {
+	return Row{Labels: []string{mode}, Values: []float64{
+		float64(m.tasks), float64(m.hits), float64(m.assignments), float64(m.rounds), float64(m.inferred), m.meanF1()}}
 }
 
 // transCell runs one (query, mode) cell. Both modes of a cell get a
@@ -60,13 +57,10 @@ func transCell(d *dataset.Data, query string, transitive bool, cfg Config, poolS
 // Trans is the "trans" experiment: every paper benchmark query
 // replayed with transitive inference off and on, equal crowd seeds,
 // reporting the crowd work inference saves and the (bounded) quality
-// movement. Writes BENCH_trans.json (cfg.TransOut) as the committed
-// artifact.
+// movement. TestTransSavesHITs holds the table to its floors.
 func Trans(cfg Config) ([]*Table, error) {
 	rng := stats.NewRNG(cfg.Seed)
-	base := TransModeResult{Mode: "baseline"}
-	trans := TransModeResult{Mode: "transitive"}
-	var baseF1, transF1 stats.Agg
+	var base, trans transTotals
 	cells := 0
 
 	for rep := 0; rep < cfg.Reps; rep++ {
@@ -82,55 +76,18 @@ func Trans(cfg Config) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			base.Tasks += rb.Metrics.Tasks
-			base.Rounds += rb.Metrics.Rounds
-			base.Assignments += rb.Assignments
-			base.HITs += rb.HITs
-			baseF1.Add(rb.Metrics)
-			trans.Tasks += rt.Metrics.Tasks
-			trans.Rounds += rt.Metrics.Rounds
-			trans.Assignments += rt.Assignments
-			trans.HITs += rt.HITs
-			trans.Inferred += rt.Inferred
-			transF1.Add(rt.Metrics)
+			base.add(rb)
+			trans.add(rt)
 			cells++
 		}
 	}
-	_, _, _, _, base.F1 = baseF1.Mean()
-	_, _, _, _, trans.F1 = transF1.Mean()
-
-	report := TransBenchReport{
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		Dataset:    cfg.Dataset,
-		Scale:      cfg.Scale,
-		Redundancy: cfg.Redundancy,
-		Reps:       cfg.Reps,
-		Baseline:   base,
-		Transitive: trans,
-		TasksSaved: base.Tasks - trans.Tasks,
-		HITsSaved:  base.HITs - trans.HITs,
-		F1Delta:    trans.F1 - base.F1,
-	}
-	if cfg.TransOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(cfg.TransOut, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-	}
-
 	t := &Table{
 		ID: "trans",
 		Title: fmt.Sprintf("transitive join inference over %d query runs: %d tasks saved (%d HITs), %d labels inferred, F1 %+0.4f",
-			cells, report.TasksSaved, report.HITsSaved, trans.Inferred, report.F1Delta),
+			cells, base.tasks-trans.tasks, base.hits-trans.hits, trans.inferred, trans.meanF1()-base.meanF1()),
 		LabelNames: []string{"mode"},
 		ValueNames: []string{"tasks", "hits", "assignments", "rounds", "inferred", "f1"},
-		Rows: []Row{
-			{Labels: []string{"baseline"}, Values: []float64{float64(base.Tasks), float64(base.HITs), float64(base.Assignments), float64(base.Rounds), 0, base.F1}},
-			{Labels: []string{"transitive"}, Values: []float64{float64(trans.Tasks), float64(trans.HITs), float64(trans.Assignments), float64(trans.Rounds), float64(trans.Inferred), trans.F1}},
-		},
+		Rows:       []Row{base.row("baseline"), trans.row("transitive")},
 	}
 	return []*Table{t}, nil
 }

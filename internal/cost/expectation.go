@@ -24,9 +24,9 @@
 // large graph costs O(dirty region), not O(E). Eq. 1's α/β term is a
 // property of a (tuple, predicate) bundle, not of an edge, so a rescore
 // computes each bundle's term once and every edge's score is the sum of
-// its two endpoints' terms. The result is bit-identical to
-// NaiveExpectation's per-edge full rescan — the equivalence is enforced
-// by property tests in this package.
+// its two endpoints' terms. The result is bit-identical to a per-edge
+// full rescan — the test-only reference NaiveExpectation (naive_test.go)
+// and the property tests in this package enforce the equivalence.
 package cost
 
 import (
@@ -498,8 +498,8 @@ func yieldLess(g *graph.Graph, score, yield []float64, a, b int) bool {
 
 // PruningExpectation computes Eq. 1 for edge id: the expected number
 // of tasks saved by asking it, from both endpoint bundles. It is the
-// per-edge reference (NaiveExpectation, the property tests);
-// Expectation.scoreEdges shares the bundle terms between edges.
+// per-edge reference the test-only NaiveExpectation and the property
+// tests score with; Expectation.scoreEdges shares the bundle terms between edges.
 func PruningExpectation(g *graph.Graph, id int) float64 {
 	e := g.Edge(id)
 	return bundleTerm(g, e.U, e.Pred) + bundleTerm(g, e.V, e.Pred)

@@ -12,8 +12,8 @@ import (
 // expectation of every valid uncolored edge and re-sorts from scratch.
 // It is retained as the equivalence reference for the incremental
 // engine — the property tests run both side by side and require
-// bit-identical orderings and batches — and as the baseline for the
-// round-scoring benchmarks. Production code should use Expectation.
+// bit-identical orderings and batches. It lives in a _test.go file, so
+// the shipped build carries only Expectation.
 type NaiveExpectation struct {
 	// Serial disables the latency scheduler (one task per round).
 	Serial bool

@@ -16,9 +16,9 @@ import (
 var mInferred = obs.Default.Counter("cdb_exec_inferred_edges_total")
 
 // ClosureCarrier is implemented by strategies that can consult the
-// transitive-inference overlay (Expectation, NaiveExpectation,
-// Budget). The executor installs the run's closure before the first
-// round and removes it after.
+// transitive-inference overlay (Expectation, Budget). The executor
+// installs the run's closure before the first round and removes it
+// after.
 type ClosureCarrier interface {
 	SetClosure(*graph.Closure)
 }

@@ -10,8 +10,9 @@ import (
 
 // Case is one randomized multi-way CROWDJOIN scenario: a catalog of
 // 3–6 tables and a SELECT joining them in a chain or star. The
-// property tests and the plan benchmark (cdbench -exp plan) share this
-// generator so they exercise identical workloads.
+// property tests and the plan experiment (cdbench -exp plan, guarded by
+// internal/bench's TestPlanSavesHITs) share this generator so they
+// exercise identical workloads.
 type Case struct {
 	Catalog *table.Catalog
 	Query   string
