@@ -22,22 +22,17 @@ package cdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 
-	"cdb/internal/baselines"
 	"cdb/internal/cost"
 	"cdb/internal/cql"
 	"cdb/internal/crowd"
-	"cdb/internal/dataset"
 	"cdb/internal/engine"
 	"cdb/internal/exec"
 	"cdb/internal/faults"
 	"cdb/internal/meta"
 	"cdb/internal/obs"
 	"cdb/internal/plan"
-	"cdb/internal/quality"
 	"cdb/internal/sim"
 	"cdb/internal/stats"
 	"cdb/internal/table"
@@ -73,82 +68,58 @@ const mincutSamples = 20
 // DB is a CDB instance: a catalog of relations, a simulated crowd, and
 // the optimizer configuration.
 type DB struct {
-	catalog   *table.Catalog
-	oracle    exec.Oracle
-	rng       *stats.RNG
-	simFunc   sim.Func
-	epsilon   float64
-	strategy  string
-	fillTruth func(tableName string, row int, col string) string
-	universe  map[string][]string // COLLECT universes per table
-	observer  obs.Observer
-	planner   plan.Config
-	tracing   bool
-	faults    *faults.Injector
+	// cfg is the resolved Config: every default applied, every invalid
+	// field at its default. err joins what resolve found wrong with it.
+	cfg Config
+	err error
+
+	catalog     *table.Catalog
+	oracle      exec.Oracle
+	rng         *stats.RNG
+	simFunc     sim.Func
+	newStrategy exec.StrategyMaker
+	planner     plan.Config
+	faults      *faults.Injector
 	// run is the executor configuration every SELECT shares — crowd,
 	// redundancy, quality mode, markets, metadata store, calibration,
 	// transitivity, reliability policy — kept in the form the pipeline
-	// consumes. async selects the fault-tolerant transport even without
-	// injected faults (WithReliability).
-	run   exec.Options
-	async bool
-
-	// errs accumulates option-validation failures. Open keeps the
-	// historical lenient behaviour (invalid knobs fall back to
-	// defaults) but records what was wrong; Err surfaces it, and
-	// OpenConfig turns it into a construction failure.
-	errs []error
+	// consumes.
+	run exec.Options
 }
 
-// Err reports the configuration errors recorded while applying
-// options: unknown dataset, similarity or strategy names, out-of-range
-// epsilon or redundancy, and the like. Open never fails — invalid
-// knobs fall back to their documented defaults so old callers keep
-// working — but the mistake is no longer silent: check Err after Open
-// (OpenConfig does it for you and refuses to construct).
-func (db *DB) Err() error { return errors.Join(db.errs...) }
+// Err reports what was wrong with the configuration, every invalid
+// field's error joined. Open never fails — an invalid field runs at its
+// default — so check Err after it; OpenConfig refuses to construct.
+func (db *DB) Err() error { return db.err }
 
-// saveErr records one option-validation failure.
-func (db *DB) saveErr(err error) { db.errs = append(db.errs, err) }
-
-// Option configures Open.
-type Option func(*DB)
+// Option sets one or more Config fields; see Open.
+type Option func(*Config)
 
 // WithSeed fixes the random seed (defaults to 1); equal seeds replay
 // identical crowds and answers.
 func WithSeed(seed uint64) Option {
-	return func(db *DB) { db.rng = stats.NewRNG(seed) }
+	return func(c *Config) { c.Seed = seed }
 }
 
 // WithWorkers configures the simulated worker pool: n workers with
 // latent accuracy drawn from N(mean, stddev²), the paper's model.
 func WithWorkers(n int, mean, stddev float64) Option {
-	return func(db *DB) {
-		if n <= 0 {
-			db.saveErr(fmt.Errorf("cdb: worker count %d must be positive", n))
-			return
-		}
-		if mean < 0 || mean > 1 {
-			db.saveErr(fmt.Errorf("cdb: worker accuracy %v out of range [0, 1]", mean))
-			return
-		}
-		if stddev < 0 {
-			db.saveErr(fmt.Errorf("cdb: worker accuracy stddev %v must be non-negative", stddev))
-			return
-		}
-		db.run.Pool = crowd.NewPool(n, mean, stddev, db.rng.Split())
+	return func(c *Config) {
+		c.Workers, c.WorkerAccuracy, c.WorkerStddev, c.PerfectWorkers = n, mean, stddev, false
 	}
 }
 
-// WithPerfectWorkers installs an infallible crowd — useful to study
-// cost behaviour in isolation.
+// WithPerfectWorkers installs an infallible crowd of n workers —
+// useful to study cost behaviour in isolation.
 func WithPerfectWorkers(n int) Option {
-	return func(db *DB) { db.run.Pool = crowd.NewPerfectPool(n, db.rng.Split()) }
+	return func(c *Config) {
+		c.Workers, c.WorkerAccuracy, c.WorkerStddev, c.PerfectWorkers = n, 0, 0, true
+	}
 }
 
 // WithOracle installs a ground-truth oracle for the simulation.
 func WithOracle(o MatchOracle) Option {
-	return func(db *DB) { db.oracle = o }
+	return func(c *Config) { c.Oracle = o }
 }
 
 // WithDataset loads a built-in dataset: "paper" or "award" (the
@@ -157,91 +128,31 @@ func WithOracle(o MatchOracle) Option {
 // Table 1 / Figure 4). The dataset's ground-truth oracle is installed
 // automatically.
 func WithDataset(name string, scale float64, seed uint64) Option {
-	return func(db *DB) {
-		var d *dataset.Data
-		switch name {
-		case "award":
-			d = dataset.GenAward(dataset.Config{Seed: seed, Scale: scale})
-		case "example":
-			d = dataset.RunningExample()
-		case "paper":
-			d = dataset.GenPaper(dataset.Config{Seed: seed, Scale: scale})
-		default:
-			db.saveErr(fmt.Errorf("cdb: unknown dataset %q (want paper, award or example)", name))
-			d = dataset.GenPaper(dataset.Config{Seed: seed, Scale: scale})
-		}
-		db.catalog = d.Catalog
-		db.oracle = d.Oracle
-	}
+	return func(c *Config) { c.Dataset, c.DatasetScale, c.DatasetSeed = name, scale, seed }
 }
 
 // WithSimilarity selects the matching-probability estimator:
 // "2gram" (default), "token", "edit", "cosine" or "none".
 func WithSimilarity(name string) Option {
-	return func(db *DB) {
-		f, err := simByName(name)
-		if err != nil {
-			db.saveErr(err)
-			return
-		}
-		db.simFunc = f
-	}
+	return func(c *Config) { c.Similarity = name }
 }
 
-// simByName resolves a similarity-estimator name.
-func simByName(name string) (sim.Func, error) {
-	switch name {
-	case "token":
-		return sim.TokenJaccard, nil
-	case "edit":
-		return sim.EditDistance, nil
-	case "cosine":
-		return sim.Cosine, nil
-	case "none":
-		return sim.NoSim, nil
-	case "2gram", "":
-		return sim.Gram2Jaccard, nil
-	default:
-		return sim.Gram2Jaccard, fmt.Errorf("cdb: unknown similarity %q (want 2gram, token, edit, cosine or none)", name)
-	}
-}
-
-// WithEpsilon sets the similarity pruning threshold (default 0.3).
-// Values outside (0, 1] are recorded as validation errors (see Err)
-// and ignored.
+// WithEpsilon sets the similarity pruning threshold in (0, 1]
+// (default 0.3).
 func WithEpsilon(eps float64) Option {
-	return func(db *DB) {
-		if eps <= 0 || eps > 1 {
-			db.saveErr(fmt.Errorf("cdb: epsilon %v out of range (0, 1]", eps))
-			return
-		}
-		db.epsilon = eps
-	}
+	return func(c *Config) { c.Epsilon = eps }
 }
 
 // WithRedundancy sets the answers collected per task (default 5).
-// Non-positive values are recorded as validation errors (see Err) and
-// ignored.
 func WithRedundancy(k int) Option {
-	return func(db *DB) {
-		if k <= 0 {
-			db.saveErr(fmt.Errorf("cdb: redundancy %d must be positive", k))
-			return
-		}
-		db.run.Redundancy = k
-	}
+	return func(c *Config) { c.Redundancy = k }
 }
 
 // WithQualityControl toggles CDB+ mode: EM truth inference with a
 // persistent worker model and entropy-driven task assignment, instead
 // of plain majority voting.
 func WithQualityControl(on bool) Option {
-	return func(db *DB) {
-		db.run.Quality = exec.MajorityVoting
-		if on {
-			db.run.Quality = exec.CDBPlus
-		}
-	}
+	return func(c *Config) { c.QualityControl = on }
 }
 
 // WithTransitivity toggles transitive join inference: crowd answers
@@ -253,43 +164,30 @@ func WithQualityControl(on bool) Option {
 // crowd rounds: edges whose label the round could entail are deferred,
 // trading latency for tasks.
 func WithTransitivity(on bool) Option {
-	return func(db *DB) { db.run.Transitive = on }
+	return func(c *Config) { c.Transitive = on }
 }
 
 // WithStrategy selects the task-selection strategy (see the Strategy*
-// constants). Unknown names fall back to the CDB default and record a
-// validation error on the DB (see Err).
+// constants; names match case-insensitively).
 func WithStrategy(name string) Option {
-	return func(db *DB) {
-		s := strings.ToLower(name)
-		if !validStrategy(s) {
-			db.saveErr(fmt.Errorf("cdb: unknown strategy %q (want cdb, mincut, crowddb, qurk, deco, opttree, trans or acd)", name))
-			return
-		}
-		db.strategy = s
-	}
-}
-
-// validStrategy reports whether name is one of the Strategy* constants.
-func validStrategy(name string) bool {
-	switch name {
-	case StrategyCDB, StrategyMinCut, StrategyCrowdDB, StrategyQurk,
-		StrategyDeco, StrategyOptTree, StrategyTrans, StrategyACD:
-		return true
-	}
-	return false
+	return func(c *Config) { c.Strategy = name }
 }
 
 // WithFillTruth supplies the ground truth for FILL simulations: the
 // true value of (table, row, column).
 func WithFillTruth(f func(tableName string, row int, col string) string) Option {
-	return func(db *DB) { db.fillTruth = f }
+	return func(c *Config) { c.FillTruth = f }
 }
 
 // WithCollectUniverse registers the hidden item universe workers draw
 // from when COLLECTing rows for the named crowd table.
 func WithCollectUniverse(tableName string, items []string) Option {
-	return func(db *DB) { db.universe[strings.ToLower(tableName)] = items }
+	return func(c *Config) {
+		if c.CollectUniverse == nil {
+			c.CollectUniverse = map[string][]string{}
+		}
+		c.CollectUniverse[tableName] = items
+	}
 }
 
 // WithMetadata enables CDB's relational metadata store (§2.1): every
@@ -297,7 +195,7 @@ func WithCollectUniverse(tableName string, items []string) Option {
 // cdb_tasks / cdb_workers / cdb_assignments relations, retrievable via
 // Metadata().
 func WithMetadata() Option {
-	return func(db *DB) { db.run.Meta = meta.NewStore() }
+	return func(c *Config) { c.Metadata = true }
 }
 
 // WithCalibration enables adaptive similarity→probability calibration
@@ -305,11 +203,13 @@ func WithMetadata() Option {
 // re-weights the remaining edges with isotonic-calibrated
 // probabilities mid-query.
 func WithCalibration(on bool) Option {
-	return func(db *DB) { db.run.Calibrate = on }
+	return func(c *Config) { c.Calibration = on }
 }
 
 // MarketSpec describes one crowdsourcing market for cross-market HIT
-// deployment (the AMT/CrowdFlower/ChinaCrowd feature of §2.2).
+// deployment (the AMT/CrowdFlower/ChinaCrowd feature of §2.2). Names
+// must be non-empty and distinct, Workers positive, Accuracy in [0, 1]
+// and Stddev non-negative.
 type MarketSpec struct {
 	Name string
 	// AssignControl mirrors AMT's developer model (requester-controlled
@@ -323,14 +223,7 @@ type MarketSpec struct {
 // WithMarkets deploys HITs across several markets round-robin instead
 // of a single pool.
 func WithMarkets(specs ...MarketSpec) Option {
-	return func(db *DB) {
-		var markets []*crowd.Market
-		for _, s := range specs {
-			pool := crowd.NewPool(s.Workers, s.Accuracy, s.Stddev, db.rng.Split())
-			markets = append(markets, crowd.NewMarket(s.Name, s.AssignControl, pool))
-		}
-		db.run.Router = crowd.NewRouter(markets...)
-	}
+	return func(c *Config) { c.Markets = specs }
 }
 
 // BlackoutSpec is a market outage window in the transport's virtual
@@ -349,7 +242,7 @@ type FaultConfig = faults.Config
 // wedging on lost answers, they return partial results flagged in
 // Stats.Partial with per-answer confidences.
 func WithFaults(fc FaultConfig) Option {
-	return func(db *DB) { db.faults = faults.New(fc) }
+	return func(c *Config) { c.Faults = &fc }
 }
 
 // ReliabilityPolicy tunes the executor's fault tolerance over the
@@ -362,31 +255,7 @@ type ReliabilityPolicy = exec.Reliability
 // the asynchronous transport even without injected faults (useful to
 // impose deadlines and cancellation on clean runs).
 func WithReliability(rp ReliabilityPolicy) Option {
-	return func(db *DB) {
-		db.run.Reliability = rp
-		db.async = true
-	}
-}
-
-// Open creates a CDB instance.
-func Open(options ...Option) *DB {
-	db := &DB{
-		catalog:  table.NewCatalog(),
-		oracle:   exec.ExactOracle{},
-		rng:      stats.NewRNG(1),
-		simFunc:  sim.Gram2Jaccard,
-		epsilon:  0.3,
-		strategy: StrategyCDB,
-		universe: map[string][]string{},
-		run:      exec.Options{Redundancy: 5, Workers: quality.NewWorkerModel()},
-	}
-	for _, opt := range options {
-		opt(db)
-	}
-	if db.run.Pool == nil {
-		db.run.Pool = crowd.NewPool(50, 0.8, 0.1, db.rng.Split())
-	}
-	return db
+	return func(c *Config) { c.Reliability = &rp }
 }
 
 // Stats summarizes one execution's crowd interaction: tasks, rounds,
@@ -535,43 +404,16 @@ func (db *DB) Dump(tableName string) ([][]string, error) {
 	return out, nil
 }
 
-// strategyFor builds the configured task-selection strategy for one
-// bound plan.
-func (db *DB) strategyFor(p *exec.Plan) cost.Strategy {
-	switch db.strategy {
-	case StrategyMinCut:
-		return cost.NewMinCutSampling(mincutSamples, db.rng.Split())
-	case StrategyCrowdDB:
-		return baselines.NewTreeModel("CrowdDB", baselines.CrowdDBOrder(p.S))
-	case StrategyQurk:
-		return baselines.NewTreeModel("Qurk", baselines.QurkOrder(p.S))
-	case StrategyDeco:
-		return baselines.NewTreeModel("Deco", baselines.DecoOrder(p.G))
-	case StrategyOptTree:
-		return baselines.NewTreeModel("OptTree", baselines.OptTreeOrder(p.G, p.Truth))
-	case StrategyTrans:
-		s := baselines.NewTrans()
-		s.Side = p.ERSideOracle(0.35)
-		return s
-	case StrategyACD:
-		s := baselines.NewACD()
-		s.Side = p.ERSideOracle(0.35)
-		return s
-	default:
-		return &cost.Expectation{}
-	}
-}
-
 // transportFor builds the per-query asynchronous transport when the
 // fault-tolerant path is selected (fault injection or an explicit
 // reliability policy), nil for the legacy synchronous path. The
 // pipeline closes it.
 func (db *DB) transportFor() *crowd.Transport {
-	if db.faults == nil && !db.async {
+	if db.faults == nil && db.cfg.Reliability == nil {
 		return nil
 	}
 	markets := []*crowd.Market{crowd.NewMarket("default", true, db.run.Pool)}
-	if db.run.Router != nil && len(db.run.Router.Markets) > 0 {
+	if db.run.Router != nil {
 		markets = db.run.Router.Markets
 	}
 	return crowd.NewTransport(crowd.TransportConfig{
@@ -586,7 +428,7 @@ func (db *DB) source() engine.Source {
 	return engine.Source{
 		Catalog:    db.catalog,
 		Oracle:     db.oracle,
-		PlanConfig: exec.PlanConfig{Sim: db.simFunc, Epsilon: db.epsilon},
+		PlanConfig: exec.PlanConfig{Sim: db.simFunc, Epsilon: db.cfg.Epsilon},
 	}
 }
 
@@ -597,7 +439,7 @@ func (db *DB) execSelect(ctx context.Context, s *cql.Select, tr *obs.Tracer) (*R
 	req := &engine.SelectRequest{
 		Source:    db.source(),
 		Stmt:      s,
-		Strategy:  db.strategyFor,
+		Strategy:  func(p *exec.Plan) cost.Strategy { return db.newStrategy(p, mincutSamples, db.rng) },
 		Planner:   db.planner,
 		PureSeed:  func() uint64 { return db.rng.Split().Uint64() },
 		Transport: db.transportFor,

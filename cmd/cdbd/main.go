@@ -80,18 +80,20 @@ func parseShards(spec string) ([]cluster.Backend, error) {
 }
 
 func main() {
+	cfg := cdb.Config{Planner: &cdb.PlannerConfig{}}
+	flag.StringVar(&cfg.Dataset, "dataset", "example", "dataset to serve: example, paper or award")
+	flag.Float64Var(&cfg.DatasetScale, "scale", 0.1, "dataset scale for paper/award")
+	flag.Uint64Var(&cfg.Seed, "seed", 1, "engine seed (equal seeds replay identical verdicts)")
+	flag.IntVar(&cfg.Workers, "workers", 50, "simulated worker count")
+	flag.Float64Var(&cfg.WorkerAccuracy, "accuracy", 0.85, "mean worker accuracy")
+	flag.Float64Var(&cfg.WorkerStddev, "stddev", 0.1, "worker accuracy stddev")
+	flag.StringVar(&cfg.Similarity, "similarity", "2gram", "similarity estimator: 2gram, token, edit, cosine or none")
+	flag.Float64Var(&cfg.Epsilon, "epsilon", 0.3, "similarity pruning threshold")
+	flag.IntVar(&cfg.Redundancy, "redundancy", 5, "answers per crowd task")
+	flag.BoolVar(&cfg.Planner.Greedy, "planner", false, "greedy multi-join planning: SELECTs run joins cheapest-first with plan-time early exit, /v1/explain and streams report the plan")
+
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		datasetN   = flag.String("dataset", "example", "dataset to serve: example, paper or award")
-		scale      = flag.Float64("scale", 0.1, "dataset scale for paper/award")
-		seed       = flag.Uint64("seed", 1, "engine seed (equal seeds replay identical verdicts)")
-		workers    = flag.Int("workers", 50, "simulated worker count")
-		accuracy   = flag.Float64("accuracy", 0.85, "mean worker accuracy")
-		stddev     = flag.Float64("stddev", 0.1, "worker accuracy stddev")
-		similarity = flag.String("similarity", "2gram", "similarity estimator: 2gram, token, edit, cosine or none")
-		epsilon    = flag.Float64("epsilon", 0.3, "similarity pruning threshold")
-		redundancy = flag.Int("redundancy", 5, "answers per crowd task")
-		planner    = flag.Bool("planner", false, "greedy multi-join planning: SELECTs run joins cheapest-first with plan-time early exit, /v1/explain and streams report the plan")
+		addr = flag.String("addr", ":8080", "listen address")
 
 		maxInFlight = flag.Int("max-inflight", 8, "concurrently executing queries")
 		maxQueue    = flag.Int("max-queue", 64, "queries queued behind the in-flight set")
@@ -126,18 +128,7 @@ func main() {
 		qlog = server.NewQueryLog(f, time.Duration(*slowQueryMs)*time.Millisecond)
 	}
 
-	db, err := cdb.OpenConfig(cdb.Config{
-		Seed:           *seed,
-		Dataset:        *datasetN,
-		DatasetScale:   *scale,
-		Workers:        *workers,
-		WorkerAccuracy: *accuracy,
-		WorkerStddev:   *stddev,
-		Similarity:     *similarity,
-		Epsilon:        *epsilon,
-		Redundancy:     *redundancy,
-		Planner:        &cdb.PlannerConfig{Greedy: *planner},
-	})
+	db, err := cdb.OpenConfig(cfg)
 	if err != nil {
 		logger.Fatalf("config: %v", err)
 	}
@@ -236,7 +227,7 @@ func main() {
 	}()
 
 	logger.Printf("serving dataset %q (scale %v, seed %d) on %s: tables %v",
-		*datasetN, *scale, *seed, *addr, db.TableNames())
+		cfg.Dataset, cfg.DatasetScale, cfg.Seed, *addr, db.TableNames())
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Fatalf("listen: %v", err)
 	}

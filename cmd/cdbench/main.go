@@ -25,26 +25,27 @@ import (
 )
 
 func main() {
+	cfg := bench.DefaultConfig()
+	exp := flag.String("exp", "all", "experiment id ("+strings.Join(bench.ExperimentIDs(), ", ")+") or 'all'")
+	flag.StringVar(&cfg.Dataset, "dataset", cfg.Dataset, "dataset: paper or award")
+	flag.Float64Var(&cfg.Scale, "scale", cfg.Scale, "dataset scale (1.0 = the paper's Table 2/3 sizes)")
+	flag.IntVar(&cfg.Reps, "reps", cfg.Reps, "repetitions per cell (the paper averages 1000)")
+	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
+	flag.IntVar(&cfg.Redundancy, "redundancy", cfg.Redundancy, "answers per task")
+	flag.Float64Var(&cfg.WorkerQ, "workerq", cfg.WorkerQ, "mean simulated worker accuracy")
+	flag.IntVar(&cfg.Samples, "samples", cfg.Samples, "MinCut sampling count")
+
+	flag.Uint64Var(&cfg.FaultSeed, "fault-seed", 1, "chaos engine seed (same seed replays identical faults)")
+	flag.Float64Var(&cfg.FaultDrop, "fault-drop", 0, "fraction of crowd answers dropped (chaos experiment sweeps its own grid unless set)")
+	flag.Float64Var(&cfg.FaultStraggler, "fault-straggler", 0, "fraction of answers delayed past the round deadline")
+	flag.Float64Var(&cfg.FaultDup, "fault-dup", 0, "fraction of answers delivered twice")
+	flag.Float64Var(&cfg.FaultCorrupt, "fault-corrupt", 0, "fraction of answers replaced by random verdicts")
+	flag.StringVar(&cfg.FaultBlackout, "fault-blackout", "", "market outage as market:from:until in virtual ticks (empty market = all)")
+	flag.Int64Var(&cfg.TaskDeadline, "deadline", 0, "per-HIT deadline in virtual ticks (0 = executor default)")
+	flag.IntVar(&cfg.MaxRetries, "retries", 0, "reissue waves per round (0 = executor default, negative disables)")
+	flag.Float64Var(&cfg.HedgeFrac, "hedge", 0, "slowest fraction of a round hedged early (0 = executor default, negative disables)")
+
 	var (
-		exp     = flag.String("exp", "all", "experiment id ("+strings.Join(bench.ExperimentIDs(), ", ")+") or 'all'")
-		dataset = flag.String("dataset", "paper", "dataset: paper or award")
-		scale   = flag.Float64("scale", 0.12, "dataset scale (1.0 = the paper's Table 2/3 sizes)")
-		reps    = flag.Int("reps", 3, "repetitions per cell (the paper averages 1000)")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		red     = flag.Int("redundancy", 5, "answers per task")
-		workerQ = flag.Float64("workerq", 0.8, "mean simulated worker accuracy")
-		samples = flag.Int("samples", 20, "MinCut sampling count")
-
-		faultSeed      = flag.Uint64("fault-seed", 1, "chaos engine seed (same seed replays identical faults)")
-		faultDrop      = flag.Float64("fault-drop", 0, "fraction of crowd answers dropped (chaos experiment sweeps its own grid unless set)")
-		faultStraggler = flag.Float64("fault-straggler", 0, "fraction of answers delayed past the round deadline")
-		faultDup       = flag.Float64("fault-dup", 0, "fraction of answers delivered twice")
-		faultCorrupt   = flag.Float64("fault-corrupt", 0, "fraction of answers replaced by random verdicts")
-		faultBlackout  = flag.String("fault-blackout", "", "market outage as market:from:until in virtual ticks (empty market = all)")
-		deadline       = flag.Int64("deadline", 0, "per-HIT deadline in virtual ticks (0 = executor default)")
-		retries        = flag.Int("retries", 0, "reissue waves per round (0 = executor default, negative disables)")
-		hedge          = flag.Float64("hedge", 0, "slowest fraction of a round hedged early (0 = executor default, negative disables)")
-
 		traceOut    = flag.String("trace", "", "write query-lifecycle spans as JSONL to this file")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (\":0\" picks a port)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -73,7 +74,6 @@ func main() {
 			}
 		}()
 	}
-	var observer obs.Observer
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -81,7 +81,7 @@ func main() {
 			os.Exit(1)
 		}
 		jw := obs.NewJSONLWriter(f)
-		observer = jw
+		cfg.Observer = jw
 		defer func() {
 			if err := jw.Err(); err != nil {
 				fmt.Fprintf(os.Stderr, "cdbench: trace: %v\n", err)
@@ -89,25 +89,6 @@ func main() {
 			f.Close()
 		}()
 	}
-
-	cfg := bench.DefaultConfig()
-	cfg.Dataset = *dataset
-	cfg.Scale = *scale
-	cfg.Reps = *reps
-	cfg.Seed = *seed
-	cfg.Redundancy = *red
-	cfg.WorkerQ = *workerQ
-	cfg.Samples = *samples
-	cfg.Observer = observer
-	cfg.FaultSeed = *faultSeed
-	cfg.FaultDrop = *faultDrop
-	cfg.FaultStraggler = *faultStraggler
-	cfg.FaultDup = *faultDup
-	cfg.FaultCorrupt = *faultCorrupt
-	cfg.FaultBlackout = *faultBlackout
-	cfg.TaskDeadline = *deadline
-	cfg.MaxRetries = *retries
-	cfg.HedgeFrac = *hedge
 
 	ids := []string{*exp}
 	if *exp == "all" {

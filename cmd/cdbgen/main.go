@@ -40,16 +40,10 @@ func main() {
 		}()
 	}
 
-	var d *dataset.Data
-	switch *name {
-	case "award":
-		d = dataset.GenAward(dataset.Config{Seed: *seed, Scale: *scale})
-	case "example":
-		d = dataset.RunningExample()
-	default:
-		d = dataset.GenPaper(dataset.Config{Seed: *seed, Scale: *scale})
+	d, err := dataset.ByName(*name, dataset.Config{Seed: *seed, Scale: *scale})
+	if err != nil {
+		fatal(err)
 	}
-
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}

@@ -31,19 +31,21 @@ import (
 
 	"cdb"
 	"cdb/client"
+	"cdb/internal/exec"
 )
 
 func main() {
+	cfg := cdb.Config{WorkerStddev: 0.1, Metadata: true}
+	flag.StringVar(&cfg.Dataset, "dataset", "", "preload dataset: example, paper or award")
+	flag.Float64Var(&cfg.DatasetScale, "scale", 0.1, "dataset scale for paper/award")
+	flag.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
+	flag.IntVar(&cfg.Workers, "workers", 50, "simulated worker count")
+	flag.Float64Var(&cfg.WorkerAccuracy, "accuracy", 0.85, "mean worker accuracy")
+	flag.StringVar(&cfg.Strategy, "strategy", "cdb", "task selection strategy ("+strings.Join(exec.StrategyNames(), ", ")+")")
+	flag.BoolVar(&cfg.QualityControl, "quality", false, "enable CDB+ quality control (EM + task assignment)")
+
 	var (
 		connect = flag.String("connect", "", "remote mode: address of a cdbd server (host:port)")
-
-		datasetName = flag.String("dataset", "", "preload dataset: example, paper or award")
-		scale       = flag.Float64("scale", 0.1, "dataset scale for paper/award")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		workers     = flag.Int("workers", 50, "simulated worker count")
-		accuracy    = flag.Float64("accuracy", 0.85, "mean worker accuracy")
-		strategy    = flag.String("strategy", "cdb", "task selection strategy (cdb, mincut, crowddb, qurk, deco, opttree, trans, acd)")
-		qc          = flag.Bool("quality", false, "enable CDB+ quality control (EM + task assignment)")
 
 		traceOut    = flag.String("trace", "", "write query-lifecycle spans as JSONL to this file")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (\":0\" picks a port)")
@@ -78,13 +80,6 @@ func main() {
 		}()
 	}
 
-	opts := []cdb.Option{
-		cdb.WithSeed(*seed),
-		cdb.WithWorkers(*workers, *accuracy, 0.1),
-		cdb.WithStrategy(*strategy),
-		cdb.WithQualityControl(*qc),
-		cdb.WithMetadata(),
-	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -92,7 +87,7 @@ func main() {
 			os.Exit(1)
 		}
 		jw := cdb.NewJSONLWriter(f)
-		opts = append(opts, cdb.WithObserver(jw))
+		cfg.Observer = jw
 		defer func() {
 			if err := jw.Err(); err != nil {
 				fmt.Fprintf(os.Stderr, "cdbsh: trace: %v\n", err)
@@ -100,14 +95,15 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *datasetName != "" {
-		opts = append(opts, cdb.WithDataset(*datasetName, *scale, *seed))
+	db, err := cdb.OpenConfig(cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cdbsh: config: %v\n", err)
+		os.Exit(1)
 	}
-	db := cdb.Open(opts...)
 
 	fmt.Println("cdbsh — crowd-powered CQL shell (end statements with ';', \\quit to exit)")
-	if *datasetName != "" {
-		fmt.Printf("loaded dataset %q: tables %v\n", *datasetName, db.TableNames())
+	if cfg.Dataset != "" {
+		fmt.Printf("loaded dataset %q: tables %v\n", cfg.Dataset, db.TableNames())
 	}
 
 	scanner := bufio.NewScanner(os.Stdin)

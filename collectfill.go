@@ -44,8 +44,8 @@ func (db *DB) execFill(s *cql.Fill) (*Result, error) {
 		}
 	}
 	truthOf := func(row int) string {
-		if db.fillTruth != nil {
-			return db.fillTruth(tb.Schema.Name, row, tb.Schema.Columns[col].Name)
+		if db.cfg.FillTruth != nil {
+			return db.cfg.FillTruth(tb.Schema.Name, row, tb.Schema.Columns[col].Name)
 		}
 		for v := range pool {
 			return v // arbitrary but deterministic enough for demos
@@ -102,7 +102,7 @@ func (db *DB) execCollect(s *cql.Collect) (*Result, error) {
 	if !tb.Schema.CrowdTable {
 		return nil, fmt.Errorf("cdb: %s is not a CROWD table", tabName)
 	}
-	universe := db.universe[strings.ToLower(tabName)]
+	universe := db.cfg.CollectUniverse[strings.ToLower(tabName)]
 	if len(universe) == 0 {
 		return nil, fmt.Errorf("cdb: no collect universe registered for %s (use WithCollectUniverse)", tabName)
 	}

@@ -1,14 +1,28 @@
 package cdb
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"strings"
 
-// Config is the struct-based alternative to Open's option soup: fill
-// the fields you care about, leave the rest zero, and OpenConfig
-// applies the same defaults the options document. Unlike Open — which
-// stays lenient for historical callers and only records invalid knobs
-// on Err — OpenConfig refuses to construct a DB from an invalid
-// configuration, so a typo in a dataset or strategy name is an error
-// at the call site rather than a silently different experiment.
+	"cdb/internal/crowd"
+	"cdb/internal/dataset"
+	"cdb/internal/exec"
+	"cdb/internal/faults"
+	"cdb/internal/meta"
+	"cdb/internal/quality"
+	"cdb/internal/sim"
+	"cdb/internal/stats"
+	"cdb/internal/table"
+)
+
+// Config is the whole configuration of a DB and its only
+// representation: every Option sets the field(s) it names, and Open and
+// OpenConfig hand the finished struct to resolve, which alone applies
+// defaults, validates and draws from the seed. A zero field means its
+// documented default. OpenConfig refuses an invalid Config — a typo in a
+// dataset or strategy name is an error at the call site, not a silently
+// different experiment — while Open runs it and reports it on Err.
 type Config struct {
 	// Seed fixes the random seed; 0 means the documented default of 1.
 	Seed uint64
@@ -21,9 +35,11 @@ type Config struct {
 	DatasetSeed  uint64
 
 	// Workers configures the simulated pool: Workers workers with
-	// accuracy ~ N(WorkerAccuracy, WorkerStddev²). Zero Workers keeps
-	// the default pool (50 workers, 0.8 ± 0.1). PerfectWorkers
-	// installs an infallible crowd of Workers (or 50) instead.
+	// accuracy ~ N(WorkerAccuracy, WorkerStddev²). All three zero is
+	// the default pool (50 workers, 0.8 ± 0.1); with any of them set, a
+	// zero Workers means 50 and a zero WorkerAccuracy 0.8.
+	// PerfectWorkers installs an infallible crowd of Workers instead:
+	// Workers must then be set, the accuracy fields must not.
 	Workers        int
 	WorkerAccuracy float64
 	WorkerStddev   float64
@@ -48,20 +64,27 @@ type Config struct {
 	Transitive     bool
 
 	// Planner configures the greedy multi-join planner (see
-	// PlannerConfig): greedy or fixed planned order, histogram bins. Nil
-	// leaves the planner off.
+	// PlannerConfig): greedy or fixed planned order. Nil leaves the
+	// planner off.
 	Planner *PlannerConfig
 
-	// Oracle overrides the simulation ground truth (the dataset's
-	// oracle, when one is loaded, is installed first).
-	Oracle MatchOracle
+	// Oracle overrides the simulation ground truth, the loaded
+	// dataset's included. FillTruth supplies the true value of (table,
+	// row, column) for FILL simulations, and CollectUniverse the hidden
+	// item universe workers draw from when COLLECTing rows, per crowd
+	// table (names match case-insensitively).
+	Oracle          MatchOracle
+	FillTruth       func(tableName string, row int, col string) string
+	CollectUniverse map[string][]string
 
 	// Metadata enables the relational metadata store (§2.1);
 	// Calibration the adaptive similarity→probability mapping (§4.1);
-	// Tracing per-statement span trees on every Result.
+	// Tracing per-statement span trees on every Result. Observer
+	// streams every finished span as well, and implies Tracing.
 	Metadata    bool
 	Calibration bool
 	Tracing     bool
+	Observer    Observer
 
 	// Markets optionally deploys HITs across several crowdsourcing
 	// markets instead of the single default pool.
@@ -74,95 +97,161 @@ type Config struct {
 	Reliability *ReliabilityPolicy
 }
 
-// OpenConfig creates a CDB instance from a validated Config. It is
-// Open with errors: any knob Open would silently fall back on —
-// unknown dataset, similarity or strategy names, out-of-range epsilon,
-// non-positive redundancy or worker counts — fails construction
-// instead.
+// Open creates a CDB instance from options. It never fails: an invalid
+// field runs at its default and is reported by Err.
+func Open(options ...Option) *DB {
+	var cfg Config
+	for _, opt := range options {
+		opt(&cfg)
+	}
+	return resolve(cfg)
+}
+
+// OpenConfig creates a CDB instance from cfg, or fails with every
+// invalid field's error joined.
 func OpenConfig(cfg Config) (*DB, error) {
-	var opts []Option
-	if cfg.Seed != 0 {
-		opts = append(opts, WithSeed(cfg.Seed))
-	}
-	switch {
-	case cfg.PerfectWorkers:
-		n := cfg.Workers
-		if n == 0 {
-			n = 50
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("cdb: worker count %d must be positive", n)
-		}
-		opts = append(opts, WithPerfectWorkers(n))
-	case cfg.Workers != 0 || cfg.WorkerAccuracy != 0 || cfg.WorkerStddev != 0:
-		n, mean, sd := cfg.Workers, cfg.WorkerAccuracy, cfg.WorkerStddev
-		if n == 0 {
-			n = 50
-		}
-		if mean == 0 {
-			mean = 0.8
-		}
-		opts = append(opts, WithWorkers(n, mean, sd))
-	}
-	if cfg.Dataset != "" {
-		scale := cfg.DatasetScale
-		if scale == 0 {
-			scale = 1.0
-		}
-		dseed := cfg.DatasetSeed
-		if dseed == 0 {
-			dseed = cfg.Seed
-			if dseed == 0 {
-				dseed = 1
-			}
-		}
-		opts = append(opts, WithDataset(cfg.Dataset, scale, dseed))
-	}
-	if cfg.Oracle != nil {
-		opts = append(opts, WithOracle(cfg.Oracle))
-	}
-	if cfg.Similarity != "" {
-		opts = append(opts, WithSimilarity(cfg.Similarity))
-	}
-	if cfg.Epsilon != 0 {
-		opts = append(opts, WithEpsilon(cfg.Epsilon))
-	}
-	if cfg.Redundancy != 0 {
-		opts = append(opts, WithRedundancy(cfg.Redundancy))
-	}
-	if cfg.Strategy != "" {
-		opts = append(opts, WithStrategy(cfg.Strategy))
-	}
-	if cfg.Planner != nil {
-		opts = append(opts, WithPlanner(*cfg.Planner))
-	}
-	if cfg.QualityControl {
-		opts = append(opts, WithQualityControl(true))
-	}
-	if cfg.Transitive {
-		opts = append(opts, WithTransitivity(true))
-	}
-	if cfg.Metadata {
-		opts = append(opts, WithMetadata())
-	}
-	if cfg.Calibration {
-		opts = append(opts, WithCalibration(true))
-	}
-	if cfg.Tracing {
-		opts = append(opts, WithTracing(true))
-	}
-	if len(cfg.Markets) > 0 {
-		opts = append(opts, WithMarkets(cfg.Markets...))
-	}
-	if cfg.Faults != nil {
-		opts = append(opts, WithFaults(*cfg.Faults))
-	}
-	if cfg.Reliability != nil {
-		opts = append(opts, WithReliability(*cfg.Reliability))
-	}
-	db := Open(opts...)
-	if err := db.Err(); err != nil {
-		return nil, err
+	db := resolve(cfg)
+	if db.err != nil {
+		return nil, db.err
 	}
 	return db, nil
+}
+
+// field validates one scalar Config field and fills its default: an
+// invalid value is reported and then, like a zero one, replaced by def.
+func field[T comparable](errs *[]error, v *T, def T, valid bool, format string) {
+	var zero T
+	if !valid {
+		*errs = append(*errs, fmt.Errorf("cdb: "+format, *v))
+		*v = zero
+	}
+	if *v == zero {
+		*v = def
+	}
+}
+
+// resolve is the one place a Config becomes a DB. It validates every
+// field, fills every zero or invalid one with its default, and performs
+// the seeded draws in a fixed order — seed, then the pool if the worker
+// fields configure one, then one pool per market, then the default pool
+// if none was configured — so the crowd depends on the Config alone,
+// never on the order its fields were set in. The DB is usable even when
+// its err, which joins every invalid field's, is non-nil.
+func resolve(cfg Config) *DB {
+	var errs []error
+	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf("cdb: "+format, args...)) }
+
+	field(&errs, &cfg.Seed, 1, true, "")
+	field(&errs, &cfg.DatasetSeed, cfg.Seed, true, "")
+	field(&errs, &cfg.DatasetScale, 0, cfg.DatasetScale >= 0, "dataset scale %v must be non-negative")
+	field(&errs, &cfg.Epsilon, 0.3, cfg.Epsilon >= 0 && cfg.Epsilon <= 1, "epsilon %v out of range (0, 1]")
+	field(&errs, &cfg.Redundancy, 5, cfg.Redundancy >= 0, "redundancy %d must be positive")
+	field(&errs, &cfg.Similarity, "2gram", true, "")
+	field(&errs, &cfg.Strategy, StrategyCDB, true, "")
+
+	checked := len(errs)
+	switch {
+	case cfg.Workers < 0 || cfg.PerfectWorkers && cfg.Workers == 0:
+		bad("worker count %d must be positive", cfg.Workers)
+	case cfg.WorkerAccuracy < 0 || cfg.WorkerAccuracy > 1:
+		bad("worker accuracy %v out of range [0, 1]", cfg.WorkerAccuracy)
+	case cfg.WorkerStddev < 0:
+		bad("worker accuracy stddev %v must be non-negative", cfg.WorkerStddev)
+	case cfg.PerfectWorkers && (cfg.WorkerAccuracy != 0 || cfg.WorkerStddev != 0):
+		bad("perfect workers contradict worker accuracy %v ± %v", cfg.WorkerAccuracy, cfg.WorkerStddev)
+	}
+	if len(errs) > checked {
+		cfg.Workers, cfg.WorkerAccuracy, cfg.WorkerStddev = 0, 0, 0
+	}
+	configured := cfg.PerfectWorkers || cfg.Workers != 0 || cfg.WorkerAccuracy != 0 || cfg.WorkerStddev != 0
+	if !configured {
+		cfg.WorkerStddev = 0.1
+	}
+	field(&errs, &cfg.Workers, 50, true, "")
+	field(&errs, &cfg.WorkerAccuracy, 0.8, true, "")
+
+	seen := map[string]bool{}
+	for _, m := range cfg.Markets {
+		if m.Name == "" || seen[m.Name] || m.Workers <= 0 || m.Accuracy < 0 || m.Accuracy > 1 || m.Stddev < 0 {
+			bad("market %+v: want a distinct non-empty name, workers > 0, accuracy in [0, 1] and stddev >= 0", m)
+			cfg.Markets = nil
+			break
+		}
+		seen[m.Name] = true
+	}
+	universe := make(map[string][]string, len(cfg.CollectUniverse))
+	for name, items := range cfg.CollectUniverse {
+		universe[strings.ToLower(name)] = items
+	}
+	cfg.CollectUniverse = universe
+
+	db := &DB{
+		cfg:     cfg,
+		catalog: table.NewCatalog(),
+		oracle:  exec.ExactOracle{},
+		rng:     stats.NewRNG(cfg.Seed),
+		run: exec.Options{
+			Redundancy: cfg.Redundancy,
+			Workers:    quality.NewWorkerModel(),
+			Calibrate:  cfg.Calibration,
+			Transitive: cfg.Transitive,
+		},
+	}
+	var err error
+	if db.simFunc, err = sim.ByName(cfg.Similarity); err != nil {
+		bad("%v", err) // ByName's fallback is the default estimator
+	}
+	if db.newStrategy, err = exec.StrategyByName(cfg.Strategy); err != nil {
+		bad("%v", err)
+		db.newStrategy, _ = exec.StrategyByName(StrategyCDB)
+	}
+	if cfg.Dataset != "" {
+		dcfg := dataset.Config{Seed: cfg.DatasetSeed, Scale: cfg.DatasetScale}
+		d, err := dataset.ByName(cfg.Dataset, dcfg)
+		if err != nil {
+			bad("%v", err)
+			d, _ = dataset.ByName("paper", dcfg)
+		}
+		db.catalog, db.oracle = d.Catalog, d.Oracle
+	}
+	if cfg.Oracle != nil {
+		db.oracle = cfg.Oracle
+	}
+	if cfg.Planner != nil {
+		db.planner = *cfg.Planner
+	}
+	if cfg.QualityControl {
+		db.run.Quality = exec.CDBPlus
+	}
+	if cfg.Metadata {
+		db.run.Meta = meta.NewStore()
+	}
+	if cfg.Faults != nil {
+		db.faults = faults.New(*cfg.Faults)
+	}
+	if cfg.Reliability != nil {
+		db.run.Reliability = *cfg.Reliability
+	}
+
+	newPool := func() *crowd.Pool {
+		if cfg.PerfectWorkers {
+			return crowd.NewPerfectPool(cfg.Workers, db.rng.Split())
+		}
+		return crowd.NewPool(cfg.Workers, cfg.WorkerAccuracy, cfg.WorkerStddev, db.rng.Split())
+	}
+	if configured {
+		db.run.Pool = newPool()
+	}
+	if len(cfg.Markets) > 0 {
+		markets := make([]*crowd.Market, len(cfg.Markets))
+		for i, m := range cfg.Markets {
+			markets[i] = crowd.NewMarket(m.Name, m.AssignControl, crowd.NewPool(m.Workers, m.Accuracy, m.Stddev, db.rng.Split()))
+		}
+		db.run.Router = crowd.NewRouter(markets...)
+	}
+	if !configured {
+		db.run.Pool = newPool()
+	}
+	db.err = errors.Join(errs...)
+	return db
 }

@@ -110,15 +110,18 @@ func (db *DB) NewEngine(opts ...EngineOption) (*Engine, error) {
 		opt(&o)
 	}
 	cfg := o.Config
+	if cfg.MaxInFlight < 0 || cfg.MaxQueue < 0 || cfg.CacheSize < 0 {
+		return nil, fmt.Errorf("cdb: negative engine size (max in flight %d, max queue %d, verdict cache %d); 0 means the default", cfg.MaxInFlight, cfg.MaxQueue, cfg.CacheSize)
+	}
 	cfg.Catalog = db.catalog
 	cfg.Oracle = db.oracle
 	cfg.Pool = db.run.Pool
 	cfg.Sim = db.simFunc
-	cfg.Epsilon = db.epsilon
+	cfg.Epsilon = db.cfg.Epsilon
 	cfg.Redundancy = db.run.Redundancy
-	cfg.Tracing = db.tracing
+	cfg.Tracing = db.cfg.Tracing
 	cfg.Transitive = db.run.Transitive
-	cfg.Planner = plan.Config{Greedy: db.planner.Greedy, Bins: db.planner.Bins}
+	cfg.Planner = plan.Config{Greedy: db.planner.Greedy}
 	cfg.Seed = db.rng.Split().Uint64()
 	if o.ledgerDir != "" {
 		policy, err := ledger.ParsePolicy(o.ledgerFsync)

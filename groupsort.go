@@ -22,7 +22,7 @@ func (db *DB) applyGroupSort(s *cql.Select, ans *engine.Answer) error {
 		Pool:       db.run.Pool,
 		Redundancy: db.run.Redundancy,
 		Sim:        db.simFunc,
-		Epsilon:    db.epsilon,
+		Epsilon:    db.cfg.Epsilon,
 	}
 	if s.GroupBy != nil {
 		pos, err := projectedColumn(ans.Columns, *s.GroupBy)

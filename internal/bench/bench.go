@@ -17,7 +17,6 @@ import (
 	"io"
 	"strings"
 
-	"cdb/internal/baselines"
 	"cdb/internal/cost"
 	"cdb/internal/cql"
 	"cdb/internal/crowd"
@@ -25,7 +24,6 @@ import (
 	"cdb/internal/exec"
 	"cdb/internal/obs"
 	"cdb/internal/quality"
-	"cdb/internal/sim"
 	"cdb/internal/stats"
 )
 
@@ -124,15 +122,6 @@ func pad(cells []string) []string {
 	return out
 }
 
-// genData builds the configured dataset.
-func genData(cfg Config, seed uint64) *dataset.Data {
-	dcfg := dataset.Config{Seed: seed, Scale: cfg.Scale}
-	if cfg.Dataset == "award" {
-		return dataset.GenAward(dcfg)
-	}
-	return dataset.GenPaper(dcfg)
-}
-
 // buildPlan parses and binds one of the benchmark queries.
 func buildPlan(d *dataset.Data, query string, planCfg exec.PlanConfig) (*exec.Plan, error) {
 	st, err := cql.Parse(query)
@@ -146,30 +135,20 @@ func buildPlan(d *dataset.Data, query string, planCfg exec.PlanConfig) (*exec.Pl
 	return exec.BuildPlan(sel, d.Catalog, d.Oracle, planCfg)
 }
 
-// strategyFor instantiates the named method over a fresh plan.
-func strategyFor(method string, p *exec.Plan, cfg Config, rng *stats.RNG) cost.Strategy {
-	switch method {
-	case "CrowdDB":
-		return baselines.NewTreeModel(method, baselines.CrowdDBOrder(p.S))
-	case "Qurk":
-		return baselines.NewTreeModel(method, baselines.QurkOrder(p.S))
-	case "Deco":
-		return baselines.NewTreeModel(method, baselines.DecoOrder(p.G))
-	case "OptTree":
-		return baselines.NewTreeModel(method, baselines.OptTreeOrder(p.G, p.Truth))
-	case "Trans":
-		s := baselines.NewTrans()
-		s.Side = p.ERSideOracle(0.35)
-		return s
-	case "ACD":
-		s := baselines.NewACD()
-		s.Side = p.ERSideOracle(0.35)
-		return s
-	case "MinCut":
-		return cost.NewMinCutSampling(cfg.Samples, rng.Split())
-	default: // CDB, CDB+
-		return &cost.Expectation{}
+// methodFor resolves a method label to its strategy over a fresh plan
+// and its quality mode: "CDB+" selects tasks like "CDB" and adds CDB+
+// quality control.
+func methodFor(method string, p *exec.Plan, cfg Config, rng *stats.RNG) (cost.Strategy, exec.QualityMode, error) {
+	name, plus := strings.CutSuffix(method, "+")
+	newStrategy, err := exec.StrategyByName(name)
+	if err != nil {
+		return nil, 0, err
 	}
+	qm := exec.MajorityVoting
+	if plus {
+		qm = exec.CDBPlus
+	}
+	return newStrategy(p, cfg.Samples, rng), qm, nil
 }
 
 // runCell executes one (query, method) cell once and returns metrics.
@@ -180,10 +159,6 @@ func runCell(d *dataset.Data, query, method string, cfg Config, rng *stats.RNG,
 	if err != nil {
 		return stats.Metrics{}, err
 	}
-	qm := exec.MajorityVoting
-	if method == "CDB+" {
-		qm = exec.CDBPlus
-	}
 	var tr *obs.Tracer
 	var root obs.SpanID
 	if cfg.Observer != nil {
@@ -191,8 +166,12 @@ func runCell(d *dataset.Data, query, method string, cfg Config, rng *stats.RNG,
 		root = tr.Begin(obs.SpanQuery)
 		tr.Mutate(root, func(s *obs.Span) { s.Query = query; s.Label = method })
 	}
+	strat, qm, err := methodFor(method, p, cfg, rng)
+	if err != nil {
+		return stats.Metrics{}, err
+	}
 	rep, err := exec.Run(context.Background(), p, exec.Options{
-		Strategy:   strategyFor(method, p, cfg, rng),
+		Strategy:   strat,
 		Redundancy: cfg.Redundancy,
 		Quality:    qm,
 		MaxRounds:  maxRounds,
@@ -248,5 +227,6 @@ func ExperimentIDs() []string {
 	return []string{"fig1", "fig8", "fig11", "fig14", "fig17", "fig18", "fig20", "fig21", "fig22", "fig23", "table5", "chaos", "trans", "plan"}
 }
 
-// aliases used by several experiments.
-var defaultSim = sim.Gram2Jaccard
+// planCfg is the paper's planning point (2-gram Jaccard, ε = 0.3),
+// which every experiment but the similarity ablation runs at.
+var planCfg = exec.DefaultPlanConfig()

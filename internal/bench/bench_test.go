@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"cdb/internal/dataset"
+	"cdb/internal/exec"
+	"cdb/internal/stats"
 )
 
 func tinyConfig() Config {
@@ -178,12 +182,36 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestGenDataDatasets(t *testing.T) {
 	cfg := tinyConfig()
-	if d := genData(cfg, 1); d.Name != "paper" {
-		t.Fatalf("default dataset = %s", d.Name)
-	}
 	cfg.Dataset = "award"
-	if d := genData(cfg, 1); d.Name != "award" {
-		t.Fatalf("award dataset = %s", d.Name)
+	if _, err := Fig22(cfg); err != nil {
+		t.Fatal(err)
+	}
+	// A typo is an error naming the valid datasets, not a silent "paper".
+	cfg.Dataset = "papr"
+	for id, run := range map[string]func(Config) ([]*Table, error){"fig8": Fig8to10, "chaos": Chaos, "trans": Trans} {
+		if _, err := run(cfg); err == nil || !strings.Contains(err.Error(), "want paper, award, example") {
+			t.Errorf("%s on dataset papr: error = %v", id, err)
+		}
+	}
+}
+
+// TestMethodsConstruct pins that every method label of the figures
+// resolves through the shared strategy table.
+func TestMethodsConstruct(t *testing.T) {
+	cfg := tinyConfig()
+	d, err := dataset.ByName(cfg.Dataset, dataset.Config{Seed: 1, Scale: cfg.Scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := buildPlan(d, dataset.Queries("paper")["2J"], planCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range Methods {
+		s, qm, err := methodFor(method, p, cfg, stats.NewRNG(1))
+		if err != nil || s == nil || (qm == exec.CDBPlus) != (method == "CDB+") {
+			t.Errorf("methodFor(%s) = %v, %v, %v", method, s, qm, err)
+		}
 	}
 }
 

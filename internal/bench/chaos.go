@@ -65,13 +65,9 @@ func injectorFor(cfg Config, drop float64) (*faults.Injector, error) {
 func chaosCell(d *dataset.Data, query, method string, cfg Config, rng *stats.RNG,
 	inj *faults.Injector) (stats.Metrics, exec.ReliabilityStats, error) {
 
-	p, err := buildPlan(d, query, exec.PlanConfig{Sim: defaultSim, Epsilon: 0.3})
+	p, err := buildPlan(d, query, planCfg)
 	if err != nil {
 		return stats.Metrics{}, exec.ReliabilityStats{}, err
-	}
-	qm := exec.MajorityVoting
-	if method == "CDB+" {
-		qm = exec.CDBPlus
 	}
 	pool := crowd.NewPool(cfg.PoolSize, cfg.WorkerQ, cfg.WorkerSD, rng.Split())
 	tp := crowd.NewTransport(crowd.TransportConfig{
@@ -83,8 +79,12 @@ func chaosCell(d *dataset.Data, query, method string, cfg Config, rng *stats.RNG
 		Seed:   rng.Split().Uint64(),
 	})
 	defer tp.Close()
+	strat, qm, err := methodFor(method, p, cfg, rng)
+	if err != nil {
+		return stats.Metrics{}, exec.ReliabilityStats{}, err
+	}
 	rep, err := exec.Run(context.Background(), p, exec.Options{
-		Strategy:   strategyFor(method, p, cfg, rng),
+		Strategy:   strat,
 		Redundancy: cfg.Redundancy,
 		Quality:    qm,
 		Pool:       pool,
@@ -113,7 +113,10 @@ func Chaos(cfg Config) ([]*Table, error) {
 	if cfg.FaultDrop > 0 {
 		grid = []float64{cfg.FaultDrop}
 	}
-	d := genData(cfg, cfg.Seed)
+	d, err := dataset.ByName(cfg.Dataset, dataset.Config{Seed: cfg.Seed, Scale: cfg.Scale})
+	if err != nil {
+		return nil, err
+	}
 	query := dataset.Queries(d.Name)["2J"]
 	rng := stats.NewRNG(cfg.Seed + 77)
 

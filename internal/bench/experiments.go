@@ -101,8 +101,10 @@ func Fig1(cfg Config) ([]*Table, error) {
 // for the nine methods on the five representative queries.
 func Fig8to10(cfg Config) ([]*Table, error) {
 	rng := stats.NewRNG(cfg.Seed)
-	d := genData(cfg, rng.Uint64())
-	planCfg := exec.PlanConfig{Sim: defaultSim, Epsilon: 0.3}
+	d, err := dataset.ByName(cfg.Dataset, dataset.Config{Seed: rng.Uint64(), Scale: cfg.Scale})
+	if err != nil {
+		return nil, err
+	}
 
 	cost8 := &Table{ID: "fig8", Title: "Cost (#tasks), simulated workers N(q,0.01)",
 		LabelNames: []string{"query", "method"}, ValueNames: []string{"tasks"}}
@@ -133,8 +135,10 @@ func Fig8to10(cfg Config) ([]*Table, error) {
 // the five queries, as the paper's per-dataset panels do).
 func Fig11(cfg Config) ([]*Table, error) {
 	rng := stats.NewRNG(cfg.Seed + 11)
-	d := genData(cfg, rng.Uint64())
-	planCfg := exec.PlanConfig{Sim: defaultSim, Epsilon: 0.3}
+	d, err := dataset.ByName(cfg.Dataset, dataset.Config{Seed: rng.Uint64(), Scale: cfg.Scale})
+	if err != nil {
+		return nil, err
+	}
 	out := &Table{ID: "fig11", Title: "Varying worker quality",
 		LabelNames: []string{"workerQ", "method"}, ValueNames: []string{"tasks", "f1", "rounds"}}
 	for _, q := range []float64{0.7, 0.8, 0.9} {
@@ -170,8 +174,10 @@ func Fig14to16(cfg Config) ([]*Table, error) {
 	c.WorkerQ = 0.92
 	c.WorkerSD = 0.05
 	rng := stats.NewRNG(cfg.Seed + 14)
-	d := genData(c, rng.Uint64())
-	planCfg := exec.PlanConfig{Sim: defaultSim, Epsilon: 0.3}
+	d, err := dataset.ByName(c.Dataset, dataset.Config{Seed: rng.Uint64(), Scale: c.Scale})
+	if err != nil {
+		return nil, err
+	}
 
 	cost14 := &Table{ID: "fig14", Title: "Real-crowd cost (#tasks and $)",
 		LabelNames: []string{"query", "method"}, ValueNames: []string{"tasks", "dollars"}}
@@ -190,12 +196,12 @@ func Fig14to16(cfg Config) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				qm := exec.MajorityVoting
-				if method == "CDB+" {
-					qm = exec.CDBPlus
+				strat, qm, err := methodFor(method, p, c, rng)
+				if err != nil {
+					return nil, err
 				}
 				r, err := exec.Run(context.Background(), p, exec.Options{
-					Strategy:   strategyFor(method, p, c, rng),
+					Strategy:   strat,
 					Redundancy: c.Redundancy,
 					Quality:    qm,
 					Pool:       crowd.NewPool(c.PoolSize, c.WorkerQ, c.WorkerSD, rng.Split()),
@@ -219,8 +225,10 @@ func Fig14to16(cfg Config) ([]*Table, error) {
 // precision of Baseline, CDB and CDB+ as the task budget grows.
 func Fig18(cfg Config) ([]*Table, error) {
 	rng := stats.NewRNG(cfg.Seed + 18)
-	d := genData(cfg, rng.Uint64())
-	planCfg := exec.PlanConfig{Sim: defaultSim, Epsilon: 0.3}
+	d, err := dataset.ByName(cfg.Dataset, dataset.Config{Seed: rng.Uint64(), Scale: cfg.Scale})
+	if err != nil {
+		return nil, err
+	}
 	query := dataset.Queries(d.Name)["2J"]
 
 	out := &Table{ID: "fig18", Title: "Budget-aware selection: recall/precision vs budget",
@@ -280,8 +288,10 @@ func Fig20(cfg Config) ([]*Table, error) {
 		c.Reps = 6
 	}
 	c.WorkerQ = 0.75 // the regime where inference matters most
-	d := genData(c, rng.Uint64())
-	planCfg := exec.PlanConfig{Sim: defaultSim, Epsilon: 0.3}
+	d, err := dataset.ByName(c.Dataset, dataset.Config{Seed: rng.Uint64(), Scale: c.Scale})
+	if err != nil {
+		return nil, err
+	}
 	query := dataset.Queries(d.Name)["3J2S"]
 	out := &Table{ID: "fig20", Title: "Quality vs redundancy on 3J2S (CDB+ vs majority voting)",
 		LabelNames: []string{"redundancy", "method"}, ValueNames: []string{"f1"}}
@@ -318,8 +328,10 @@ func Fig21(cfg Config) ([]*Table, error) {
 		c.Reps = 6
 	}
 	c.WorkerQ = 0.75
-	d := genData(c, rng.Uint64())
-	planCfg := exec.PlanConfig{Sim: defaultSim, Epsilon: 0.3}
+	d, err := dataset.ByName(c.Dataset, dataset.Config{Seed: rng.Uint64(), Scale: c.Scale})
+	if err != nil {
+		return nil, err
+	}
 	query := dataset.Queries(d.Name)["3J2S"]
 	out := &Table{ID: "fig21", Title: "Quality vs #questions on 3J2S (redundancy 5)",
 		LabelNames: []string{"budget", "method"}, ValueNames: []string{"f1"}}
@@ -367,8 +379,10 @@ func Fig21(cfg Config) ([]*Table, error) {
 // for the first r−1 rounds and floods the rest in round r.
 func Fig22(cfg Config) ([]*Table, error) {
 	rng := stats.NewRNG(cfg.Seed + 22)
-	d := genData(cfg, rng.Uint64())
-	planCfg := exec.PlanConfig{Sim: defaultSim, Epsilon: 0.3}
+	d, err := dataset.ByName(cfg.Dataset, dataset.Config{Seed: rng.Uint64(), Scale: cfg.Scale})
+	if err != nil {
+		return nil, err
+	}
 	query := dataset.Queries(d.Name)["3J"]
 	out := &Table{ID: "fig22", Title: "Cost vs latency constraint (rounds) on 3J",
 		LabelNames: []string{"rounds", "method"}, ValueNames: []string{"tasks"}}
@@ -393,7 +407,10 @@ func Fig22(cfg Config) ([]*Table, error) {
 // distance, token Jaccard and 2-gram Jaccard probabilities.
 func Fig23to24(cfg Config) ([]*Table, error) {
 	rng := stats.NewRNG(cfg.Seed + 23)
-	d := genData(cfg, rng.Uint64())
+	d, err := dataset.ByName(cfg.Dataset, dataset.Config{Seed: rng.Uint64(), Scale: cfg.Scale})
+	if err != nil {
+		return nil, err
+	}
 	funcs := []struct {
 		label string
 		f     sim.Func
@@ -410,8 +427,7 @@ func Fig23to24(cfg Config) ([]*Table, error) {
 	for _, q := range []string{"2J", "3J"} {
 		query := dataset.Queries(d.Name)[q]
 		for _, fn := range funcs {
-			planCfg := exec.PlanConfig{Sim: fn.f, Epsilon: 0.3}
-			agg, err := averageCell(d, query, "CDB", cfg, rng, planCfg, 0)
+			agg, err := averageCell(d, query, "CDB", cfg, rng, exec.PlanConfig{Sim: fn.f, Epsilon: planCfg.Epsilon}, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -430,11 +446,12 @@ func Table5(cfg Config) ([]*Table, error) {
 	out := &Table{ID: "table5", Title: "Task-selection efficiency (ms, first round)",
 		LabelNames: []string{"dataset", "query"}, ValueNames: []string{"millis"}}
 	for _, ds := range []string{"paper", "award"} {
-		c := cfg
-		c.Dataset = ds
-		d := genData(c, rng.Uint64())
+		d, err := dataset.ByName(ds, dataset.Config{Seed: rng.Uint64(), Scale: cfg.Scale})
+		if err != nil {
+			return nil, err
+		}
 		for _, q := range dataset.QueryLabels() {
-			p, err := buildPlan(d, dataset.Queries(ds)[q], exec.PlanConfig{Sim: defaultSim, Epsilon: 0.3})
+			p, err := buildPlan(d, dataset.Queries(ds)[q], planCfg)
 			if err != nil {
 				return nil, err
 			}

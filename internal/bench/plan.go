@@ -36,7 +36,7 @@ func buildCasePlan(c plan.Case) (*exec.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exec.BuildPlan(st.(*cql.Select), c.Catalog, exec.ExactOracle{}, exec.PlanConfig{Sim: defaultSim, Epsilon: 0.3})
+	return exec.BuildPlan(st.(*cql.Select), c.Catalog, exec.ExactOracle{}, planCfg)
 }
 
 // coloredEdges counts edges no longer Unknown — crowd work that touched

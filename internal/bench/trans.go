@@ -42,7 +42,7 @@ func (m *transTotals) row(mode string) Row {
 // pool built from the same seed, so the comparison differs only in the
 // inference overlay, never in worker-quality draws.
 func transCell(d *dataset.Data, query string, transitive bool, cfg Config, poolSeed uint64) (*exec.Report, error) {
-	p, err := buildPlan(d, query, exec.PlanConfig{Sim: defaultSim, Epsilon: 0.3})
+	p, err := buildPlan(d, query, planCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +64,10 @@ func Trans(cfg Config) ([]*Table, error) {
 	cells := 0
 
 	for rep := 0; rep < cfg.Reps; rep++ {
-		d := genData(cfg, rng.Uint64())
+		d, err := dataset.ByName(cfg.Dataset, dataset.Config{Seed: rng.Uint64(), Scale: cfg.Scale})
+		if err != nil {
+			return nil, err
+		}
 		qs := dataset.Queries(cfg.Dataset)
 		for _, label := range dataset.QueryLabels() {
 			poolSeed := rng.Uint64()

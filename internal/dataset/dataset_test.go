@@ -295,3 +295,23 @@ func TestAwardQueriesReferenceRealColumns(t *testing.T) {
 		t.Fatal("award queries malformed")
 	}
 }
+
+// TestByNameComplete pins the dataset table: ByName knows exactly
+// paper, award and example, hands them the Config, and answers a typo
+// with an error that lists them instead of generating paper.
+func TestByNameComplete(t *testing.T) {
+	cfg := Config{Seed: 3, Scale: 0.03}
+	for name, want := range map[string]string{"paper": "paper", "award": "award", "example": "running-example"} {
+		d, err := ByName(name, cfg)
+		if err != nil || d.Name != want {
+			t.Fatalf("ByName(%s) = %v, %v", name, d, err)
+		}
+	}
+	if a, _ := ByName("paper", cfg); a.Catalog.MustGet("Paper").Len() != GenPaper(cfg).Catalog.MustGet("Paper").Len() {
+		t.Error("ByName(paper) did not generate at the given Config")
+	}
+	d, err := ByName("papr", cfg)
+	if d != nil || err == nil || err.Error() != `unknown dataset "papr" (want paper, award, example)` {
+		t.Fatalf("ByName(papr) = %v, %v", d, err)
+	}
+}

@@ -152,6 +152,31 @@ type Config struct {
 	Scale float64 // 1.0 reproduces the paper's Table 2/3 cardinalities
 }
 
+// generators is the one table of built-in datasets: "paper" and
+// "award" are the synthetic Table 2/3 benchmarks, "example" the
+// 12-tuple running example of Table 1 (which ignores cfg).
+var generators = []struct {
+	name string
+	gen  func(Config) *Data
+}{
+	{"paper", GenPaper},
+	{"award", GenAward},
+	{"example", func(Config) *Data { return RunningExample() }},
+}
+
+// ByName generates the named built-in dataset; an unknown name's error
+// lists the valid ones.
+func ByName(name string, cfg Config) (*Data, error) {
+	names := make([]string, len(generators))
+	for i, g := range generators {
+		if g.name == name {
+			return g.gen(cfg), nil
+		}
+		names[i] = g.name
+	}
+	return nil, fmt.Errorf("unknown dataset %q (want %s)", name, strings.Join(names, ", "))
+}
+
 func (c Config) scale(n int) int {
 	s := c.Scale
 	if s <= 0 {

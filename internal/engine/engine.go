@@ -271,12 +271,13 @@ func (e *Engine) Submit(ctx context.Context, query string) (*Handle, error) {
 // is invoked at the end of every completed crowd round with the
 // executor's RoundUpdate snapshot, so the number of invocations always
 // equals the final Stats.Rounds (rounds discarded by cancellation never
-// report). A progress query always executes for real — it bypasses the
-// whole-answer cache and in-flight attach, which would complete
-// without any rounds to report — but still shares HITs and verdicts
-// through the coalescer, so its rows and Stats are bit-identical to an
-// unobserved Submit. onRound runs on the query's goroutine; hand off to
-// a channel if the consumer can stall.
+// report). Feature-pair rule (DESIGN.md §17's table, pinned by
+// TestFeaturePairRules): progress × answer cache executes for real — a
+// cached answer has no rounds to report, so a progress query bypasses
+// the whole-answer cache and in-flight attach — but still shares HITs
+// and verdicts through the coalescer, so its rows and Stats are
+// bit-identical to an unobserved Submit. onRound runs on the query's
+// goroutine; hand off to a channel if the consumer can stall.
 func (e *Engine) SubmitWithProgress(ctx context.Context, query string, onRound func(exec.RoundUpdate)) (*Handle, error) {
 	return e.submit(ctx, query, onRound, nil)
 }

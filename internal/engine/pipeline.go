@@ -57,7 +57,7 @@ func (src Source) Explain(st cql.Statement, cfg plan.Config) (*plan.Explained, e
 	if err != nil {
 		return nil, err
 	}
-	return plan.Describe(p, plan.Greedy(p, cfg.Bins), cfg.Greedy), nil
+	return plan.Describe(p, plan.Greedy(p, 0), cfg.Greedy), nil
 }
 
 // SelectRequest is one SELECT's trip through the pipeline.
@@ -123,9 +123,9 @@ func (req *SelectRequest) chooseOrder(p *exec.Plan) (exec.Options, *plan.Decisio
 	}
 	var decision *plan.Decision
 	if req.Planner.Greedy {
-		decision = plan.Greedy(p, req.Planner.Bins)
+		decision = plan.Greedy(p, 0)
 	} else {
-		decision = plan.Fixed(p, req.Planner.Bins)
+		decision = plan.Fixed(p, 0)
 	}
 	opts.Strategy = &plan.Ordered{Order: decision.Order}
 	if opts.Resolver == nil {

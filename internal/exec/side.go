@@ -16,9 +16,6 @@ import (
 // from the plan's oracle; answer noise on side pairs is not modelled
 // (a strictly ER-favourable simplification, recorded in DESIGN.md).
 func (p *Plan) ERSideOracle(epsSide float64) baselines.SideOracle {
-	if epsSide <= 0 {
-		epsSide = 0.55
-	}
 	return func(pred int, alive map[int]bool) []baselines.SidePair {
 		if pred < 0 || pred >= len(p.Bindings) {
 			return nil

@@ -30,8 +30,7 @@ import (
 	"cdb/internal/graph"
 )
 
-// DefaultBins is the similarity-histogram resolution used when a
-// Config leaves Bins zero.
+// DefaultBins is the similarity-histogram resolution of plan steps.
 const DefaultBins = 8
 
 // Config is the greedy multi-join planner's configuration — the public
@@ -48,9 +47,6 @@ type Config struct {
 	// the baseline greedy is measured against. Ignored when Greedy is
 	// set.
 	FixedOrder bool
-	// Bins is the similarity-histogram resolution of plan steps
-	// (0 = DefaultBins).
-	Bins int
 }
 
 // Step is one planned join step: a predicate, where it landed in the

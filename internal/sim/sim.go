@@ -9,6 +9,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 )
@@ -29,6 +30,20 @@ const (
 	// NoSim returns 0.5 for every pair (the paper's no-estimation ablation).
 	NoSim
 )
+
+// names are the estimator names ByName accepts, indexed by Func.
+var names = [...]string{Gram2Jaccard: "2gram", TokenJaccard: "token", EditDistance: "edit", Cosine: "cosine", NoSim: "none"}
+
+// ByName resolves a similarity-estimator name; an unknown name's error
+// lists the valid ones.
+func ByName(name string) (Func, error) {
+	for f, n := range names {
+		if n == name {
+			return Func(f), nil
+		}
+	}
+	return Gram2Jaccard, fmt.Errorf("unknown similarity %q (want %s)", name, strings.Join(names[:], ", "))
+}
 
 // String implements fmt.Stringer.
 func (f Func) String() string {

@@ -202,6 +202,20 @@ func TestFuncString(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for name, want := range map[string]Func{
+		"2gram": Gram2Jaccard, "token": TokenJaccard, "edit": EditDistance, "cosine": Cosine, "none": NoSim,
+	} {
+		if f, err := ByName(name); err != nil || f != want {
+			t.Errorf("ByName(%s) = %v, %v, want %v", name, f, err, want)
+		}
+	}
+	_, err := ByName("3gram")
+	if err == nil || err.Error() != `unknown similarity "3gram" (want 2gram, token, edit, cosine, none)` {
+		t.Errorf("ByName(3gram) error = %v", err)
+	}
+}
+
 // --- join tests ---
 
 func joinKeys(ps []Pair) map[string]float64 {

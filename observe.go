@@ -148,22 +148,22 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 // finishes, and attaches the full trace to each Result. Use
 // NewJSONLWriter for a ready-made file sink.
 func WithObserver(o Observer) Option {
-	return func(db *DB) { db.observer = o }
+	return func(c *Config) { c.Observer = o }
 }
 
 // WithTracing toggles trace collection without an observer: each
 // Result carries its Trace, but nothing is streamed. WithObserver
 // implies tracing.
 func WithTracing(on bool) Option {
-	return func(db *DB) { db.tracing = on }
+	return func(c *Config) { c.Tracing = on }
 }
 
 // tracer returns a fresh per-statement tracer, or nil when
 // observability is off — the nil tracer disables every probe downstream
 // at the cost of one branch each.
 func (db *DB) tracer() *obs.Tracer {
-	if db.observer == nil && !db.tracing {
+	if db.cfg.Observer == nil && !db.cfg.Tracing {
 		return nil
 	}
-	return obs.NewTracer(db.observer)
+	return obs.NewTracer(db.cfg.Observer)
 }

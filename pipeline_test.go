@@ -113,6 +113,24 @@ func TestFeaturePairRules(t *testing.T) {
 			}, q, false, false},
 		{"planner composes with transitivity/exec", Config{Planner: greedy, Transitive: true}, viaExec, q, true, true},
 		{"planner composes with transitivity/engine", Config{Planner: greedy, Transitive: true}, viaEngine, q, true, true},
+		{"progress executes for real over a cached answer/engine", Config{},
+			func(db *DB, q string) *Result {
+				rounds := 0
+				res := engineResult(t, db, func(e *Engine) (*Future, error) {
+					first, err := e.Submit(context.Background(), q)
+					if err != nil {
+						return nil, err
+					}
+					if _, err := first.Result(context.Background()); err != nil {
+						return nil, err
+					}
+					return e.SubmitWithProgress(context.Background(), q, func(RoundUpdate) { rounds++ })
+				})
+				if rounds == 0 || rounds != res.Stats.Rounds {
+					t.Errorf("progress hook saw %d rounds of %d: the cached answer was served", rounds, res.Stats.Rounds)
+				}
+				return res
+			}, q, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,8 +23,7 @@ type PlanStep = plan.Step
 // PlannerConfig configures the greedy multi-join planner: Greedy turns
 // on cheapest-first join ordering with plan-time early exits,
 // FixedOrder runs the same planned executor in statement order (the
-// baseline greedy is measured against; ignored when Greedy is set), and
-// Bins is the similarity-histogram resolution of plan steps (0 = 8).
+// baseline greedy is measured against; ignored when Greedy is set).
 // It is accepted both as WithPlanner(cfg) and as Config.Planner; the
 // zero value leaves the planner off. How the planner combines with
 // BUDGET, the fault-tolerant transport and transitivity is decided in
@@ -34,10 +33,7 @@ type PlannerConfig = plan.Config
 // WithPlanner applies a PlannerConfig; see Config.Planner for the
 // struct-based route.
 func WithPlanner(cfg PlannerConfig) Option {
-	return func(db *DB) {
-		cfg.FixedOrder = cfg.FixedOrder && !cfg.Greedy
-		db.planner = cfg
-	}
+	return func(c *Config) { c.Planner = &cfg }
 }
 
 // Explain plans q without executing it — and without issuing a single
