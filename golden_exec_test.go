@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cdb/internal/dataset"
+	"cdb/internal/obs"
 )
 
 // TestExecGolden pins what DB.Exec returns for a fixed statement list
@@ -74,5 +75,35 @@ func TestExecGolden(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRoundsDoNotBuildPartition: on tree-shaped plans neither the packed
+// scheduler nor the rescore derives the edge-component partition, so a
+// cold query of every benchmark shape leaves the rebuild counter where
+// it was. A reader creeping back into the round loop would pay an O(E)
+// flood per round; this catches it without a timing.
+func TestRoundsDoNotBuildPartition(t *testing.T) {
+	rebuilds := obs.Default.Counter("cdb_graph_component_rebuild_full_total")
+	db, err := OpenConfig(Config{Seed: 1, Dataset: "paper", DatasetSeed: 1, DatasetScale: 0.12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rebuilds.Value()
+	queries := dataset.Queries("paper")
+	if len(queries) != 5 {
+		t.Fatalf("%d paper query shapes, want 5", len(queries))
+	}
+	for label, q := range queries {
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if res.Stats.Rounds == 0 {
+			t.Fatalf("%s: ran no round", label)
+		}
+	}
+	if got := rebuilds.Value() - before; got != 0 {
+		t.Errorf("%d partition rebuilds across %d cold queries, want 0", got, len(queries))
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // randomShapedGraph builds a random chain, star, or tree structure with
-// random tuple counts and edge density — the space the incremental
-// engine must agree with the naive rescan on.
+// random tuple counts and edge density — the space the cached engine
+// must agree with the naive rescan on.
 func randomShapedGraph(r *stats.RNG) *graph.Graph {
 	var s *graph.Structure
 	switch r.Intn(3) {
@@ -47,7 +47,7 @@ func randomShapedGraph(r *stats.RNG) *graph.Graph {
 	return g
 }
 
-// checkRound asserts the incremental engine's ordering, scores, and
+// checkRound asserts the cached engine's ordering, scores, and
 // scheduled batch are bit-identical to the naive full rescan's, then
 // colors the batch randomly. Returns false when the run is complete.
 func checkRound(t *testing.T, trial, round int, g *graph.Graph, e *Expectation, r *stats.RNG) bool {
@@ -96,7 +96,7 @@ func checkRound(t *testing.T, trial, round int, g *graph.Graph, e *Expectation, 
 
 // TestIncrementalMatchesNaive is the engine's core property test: over
 // randomized chain/star/tree graphs and random coloring sequences, the
-// cached delta-rescored ordering must equal the naive full rescan
+// cached, bundle-shared ordering must equal the naive per-edge rescan
 // exactly — same edges, same order, same float bits — every round until
 // the run completes.
 func TestIncrementalMatchesNaive(t *testing.T) {
@@ -147,41 +147,42 @@ func distinctBundles(g *graph.Graph, edges []int) int {
 }
 
 // TestScoreEdgesOneCutLossPerBundle pins what the bundle table is for:
-// a rescore, full or delta, evaluates exactly one term per distinct
-// (tuple, predicate) among the edges it scores — never one per edge
-// endpoint — on chain, star and tree graphs alike.
+// a rescore — the first, and each one after a colored batch — evaluates
+// exactly one term per distinct (tuple, predicate) among the edges it
+// scores, never one per edge endpoint, on chain, star and tree graphs
+// alike.
 func TestScoreEdgesOneCutLossPerBundle(t *testing.T) {
 	r := stats.NewRNG(2024)
 	e := &Expectation{}
-	shared, deltas := 0, 0
+	shared, later := 0, 0
 	for trial := 0; trial < 120; trial++ {
 		g := randomShapedGraph(r)
 		before := mBundleTerms.Value()
 		order, _ := e.orderScored(g)
 		got := int(mBundleTerms.Value() - before)
 		if want := distinctBundles(g, order); got != want {
-			t.Fatalf("trial %d full rescore: %d terms for %d bundles (%d edges)", trial, got, want, len(order))
+			t.Fatalf("trial %d first rescore: %d terms for %d bundles (%d edges)", trial, got, want, len(order))
 		}
 		if got < 2*len(order) {
 			shared++
 		}
 		for len(order) > 0 {
 			colorSome(g, order, 2, r)
-			_, delta, _ := e.CacheStats()
+			full, _, _ := e.CacheStats()
 			before = mBundleTerms.Value()
 			order, _ = e.orderScored(g)
-			if _, d, _ := e.CacheStats(); d != delta+1 {
-				t.Fatalf("trial %d: coloring edges did not take the delta path", trial)
+			if f, _, _ := e.CacheStats(); f != full+1 {
+				t.Fatalf("trial %d: coloring edges did not rescore", trial)
 			}
-			deltas++
+			later++
 			got = int(mBundleTerms.Value() - before)
-			if want := distinctBundles(g, e.dirtyBuf); got != want {
-				t.Fatalf("trial %d delta rescore: %d terms for %d bundles (%d edges)", trial, got, want, len(e.dirtyBuf))
+			if want := distinctBundles(g, order); got != want {
+				t.Fatalf("trial %d rescore after a batch: %d terms for %d bundles (%d edges)", trial, got, want, len(order))
 			}
 		}
 	}
-	if shared == 0 || deltas == 0 {
-		t.Fatalf("vacuous: %d graphs with a shared bundle, %d delta rescores", shared, deltas)
+	if shared == 0 || later == 0 {
+		t.Fatalf("vacuous: %d graphs with a shared bundle, %d rescores after a batch", shared, later)
 	}
 }
 

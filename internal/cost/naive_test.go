@@ -7,13 +7,14 @@ import (
 	"cdb/internal/latency"
 )
 
-// NaiveExpectation is the full-rescan implementation of the
-// expectation strategy (Eq. 1): every round it recomputes the pruning
-// expectation of every valid uncolored edge and re-sorts from scratch.
-// It is retained as the equivalence reference for the incremental
-// engine — the property tests run both side by side and require
-// bit-identical orderings and batches. It lives in a _test.go file, so
-// the shipped build carries only Expectation.
+// NaiveExpectation is the per-edge implementation of the expectation
+// strategy (Eq. 1): every call recomputes the pruning expectation of
+// every valid uncolored edge, one hypothetical cut per edge endpoint,
+// and re-sorts from scratch. It is retained as the equivalence reference
+// for Expectation's cache and shared bundle terms — the property tests
+// run both side by side and require bit-identical orderings and batches.
+// It lives in a _test.go file, so the shipped build carries only
+// Expectation.
 type NaiveExpectation struct {
 	// Serial disables the latency scheduler (one task per round).
 	Serial bool
@@ -70,7 +71,7 @@ func NaiveOrderScored(g *graph.Graph) ([]int, []float64) {
 // NaiveOrderScoredClosure is NaiveOrderScored under transitive
 // inference: entailed edges are dropped and the ordering is yield-
 // first, all recomputed from scratch per call. It is the equivalence
-// reference for Expectation's incremental closure mode.
+// reference for Expectation's closure mode.
 func NaiveOrderScoredClosure(g *graph.Graph, c *graph.Closure) ([]int, []float64) {
 	edges := closureFilter(g.ValidUncolored(), c)
 	score := make([]float64, g.NumEdges())

@@ -140,6 +140,7 @@ func corrupt(s string, r *stats.RNG) string {
 type Pool struct {
 	workers []*Worker
 	rng     *stats.RNG
+	perm    []int // DistinctArrivals' shuffle scratch
 }
 
 // NewPool creates n workers with latent accuracies drawn from
@@ -182,12 +183,24 @@ func (p *Pool) Arrive() *Worker {
 }
 
 // DistinctArrivals draws k distinct workers (k ≤ Size), modelling a
-// HIT that forbids repeat judgements by the same worker.
+// HIT that forbids repeat judgements by the same worker: the first k of
+// rng.Perm(Size) — the same draws in the same order, so the same workers
+// and the same stream position — shuffled in the pool's scratch.
 func (p *Pool) DistinctArrivals(k int) []*Worker {
 	if k > len(p.workers) {
 		k = len(p.workers)
 	}
-	perm := p.rng.Perm(len(p.workers))
+	if len(p.perm) != len(p.workers) {
+		p.perm = make([]int, len(p.workers))
+	}
+	perm := p.perm
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := len(perm) - 1; i > 0; i-- { // rng.Shuffle, without a call per swap
+		j := p.rng.Intn(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
 	out := make([]*Worker, k)
 	for i := 0; i < k; i++ {
 		out[i] = p.workers[perm[i]]

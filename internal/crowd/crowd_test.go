@@ -151,6 +151,32 @@ func TestDistinctArrivals(t *testing.T) {
 	}
 }
 
+// TestDistinctArrivalsMatchesPerm pins the in-place shuffle to what it
+// replaced: over 1 000 draws, the workers are the first k of rng.Perm on
+// a clone of the pool's generator, and both generators end at the same
+// stream position.
+func TestDistinctArrivalsMatchesPerm(t *testing.T) {
+	rng := stats.NewRNG(11)
+	p := NewPool(50, 0.8, 0.1, rng)
+	ref := *rng
+	for draw := 0; draw < 1000; draw++ {
+		k := 1 + draw%7
+		ws := p.DistinctArrivals(k)
+		perm := ref.Perm(p.Size())
+		if len(ws) != k {
+			t.Fatalf("draw %d: %d workers, want %d", draw, len(ws), k)
+		}
+		for i, w := range ws {
+			if w != p.Workers()[perm[i]] {
+				t.Fatalf("draw %d: worker %d is %d, rng.Perm picks %d", draw, i, w.ID, perm[i])
+			}
+		}
+	}
+	if got, want := rng.Uint64(), ref.Uint64(); got != want {
+		t.Fatalf("stream position diverged: next Uint64 %d, want %d", got, want)
+	}
+}
+
 func TestArrive(t *testing.T) {
 	rng := stats.NewRNG(8)
 	p := NewPool(3, 0.8, 0.1, rng)

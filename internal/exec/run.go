@@ -299,11 +299,11 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		roundStart := time.Now()
 		roundSpan := tr.Begin(obs.SpanRound)
 		validBefore := 0
-		var cacheF0, cacheD0, cacheH0 uint64
+		var cacheF0, cacheH0 uint64
 		if tr != nil {
 			validBefore = g.CountValidUncolored()
 			if cacheStats != nil {
-				cacheF0, cacheD0, cacheH0 = cacheStats.CacheStats()
+				cacheF0, _, cacheH0 = cacheStats.CacheStats()
 			}
 		}
 
@@ -447,9 +447,8 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 					s.Pruned = pruned
 				}
 				if cacheStats != nil {
-					f1, d1, h1 := cacheStats.CacheStats()
+					f1, _, h1 := cacheStats.CacheStats()
 					s.CacheFull = int(f1 - cacheF0)
-					s.CacheDelta = int(d1 - cacheD0)
 					s.CacheHit = int(h1 - cacheH0)
 				}
 			})

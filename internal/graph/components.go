@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"cdb/internal/obs"
@@ -9,142 +9,70 @@ import (
 
 // Cached edge-component partition. Components connect edges through
 // non-red edges sharing a vertex; red edges belong to no component.
-// The latency scheduler consults the partition every round (§5.2), and
-// the incremental cost engine uses it to bound the region whose
-// pruning expectations a round's answers can have changed — so instead
-// of re-deriving the partition per round, the graph keeps it cached
-// and refreshes only the components a color change touched.
+// Nothing on the round path of a tree-shaped plan reads it — the packed
+// scheduler tests conflicts through cover facts and a rescore is full —
+// so it is not maintained across answers: its readers are shard planning,
+// ConflictIndex on cyclic structures and the PrefixBatch ablation, and
+// the first of them after an invalidating change rebuilds it.
 //
-// Invalidation rules per color transition:
+// Invalidation rules:
 //   - Unknown↔Blue: the partition is unchanged (both are non-red).
-//   - →Red: the edge leaves the partition and may split its component;
-//     only that component is re-derived.
-//   - Red→ anything: the edge rejoins and may merge components; this
-//     never happens on the crowdsourcing path, so it simply forces a
-//     full rebuild.
-//
-// Adding an edge also forces a full rebuild.
+//   - any transition into or out of Red, AddEdge, AddEdges: invalid.
 //
 // Member lists are sorted by construction, never by a sort: a flood only
-// stamps compOf and counts, then carveMembers walks a source that is
-// already in ascending id order — the split component's old member list
-// on a refresh, 0..E on a rebuild — and appends each edge to its
-// component's exact-capacity slice of one arena.
+// stamps compOf and counts, then carveMembers walks the edges in id
+// order and appends each to its component's exact-capacity slice of one
+// arena. Floods start from edges in id order too, so component ids are
+// dense and ordered by smallest member.
 
 var graphUIDCounter uint64
 
 func nextGraphUID() uint64 { return atomic.AddUint64(&graphUIDCounter, 1) }
 
-// Component-cache health metrics: a full rebuild is the O(E) slow
-// path; an incremental refresh re-floods only dirtied components. A
-// high rebuild:refresh ratio on the crowdsourcing path indicates the
-// invalidation rules are being defeated.
-var (
-	mCompRebuildFull = obs.Default.Counter("cdb_graph_component_rebuild_full_total")
-	mCompRefreshIncr = obs.Default.Counter("cdb_graph_component_refresh_incr_total")
-	mCompDirtySize   = obs.Default.Histogram("cdb_graph_component_dirty_per_refresh", obs.SizeBuckets)
-)
+// mCompRebuildFull counts partition rebuilds, each O(E). It should stay
+// flat across the rounds of a tree-shaped plan.
+var mCompRebuildFull = obs.Default.Counter("cdb_graph_component_rebuild_full_total")
 
-// noteColorChange maintains the component cache across one effective
-// color transition. Called by SetColor after the edge is updated.
-func (g *Graph) noteColorChange(id int, old, new Color) {
-	if !g.compsValid {
-		return
-	}
-	switch {
-	case old == Red:
-		// Rejoining edge may merge components: rebuild from scratch.
+// noteColorChange invalidates the component cache when a color
+// transition moves an edge into or out of the partition. Called by
+// SetColor after the edge is updated.
+func (g *Graph) noteColorChange(old, new Color) {
+	if old == Red || new == Red {
 		g.compsValid = false
-	case new == Red:
-		g.markCompDirty(g.compOf[id])
-	default:
-		// Unknown↔Blue: partition unchanged.
 	}
 }
 
-func (g *Graph) markCompDirty(ci int) {
-	if ci < 0 || g.compDirtyMark[ci] {
-		return
-	}
-	g.compDirtyMark[ci] = true
-	g.compDirty = append(g.compDirty, ci)
-}
-
-// ComponentIndex returns the cached component id per edge (-1 for red
-// edges) and an exclusive upper bound on component ids (retired ids —
-// components split by answers — map to nil member lists). The slice is
-// owned by the graph and valid until the next mutation; callers must
-// not modify it.
-func (g *Graph) ComponentIndex() (compOf []int, numCompIDs int) {
-	g.refreshComponents()
+// ComponentIndex returns the component id per edge (-1 for red edges)
+// and the number of components. The slice is owned by the graph and
+// valid until the next mutation; callers must not modify it.
+func (g *Graph) ComponentIndex() (compOf []int, numComps int) {
+	g.ensureComponents()
 	return g.compOf, len(g.compMembers)
 }
 
-// ComponentMembers returns the sorted member edge ids of component ci,
-// nil when the id is retired. The slice is owned by the graph; callers
-// must not modify it.
+// ComponentMembers returns the sorted member edge ids of component ci.
+// The slice is owned by the graph; callers must not modify it.
 func (g *Graph) ComponentMembers(ci int) []int {
-	g.refreshComponents()
+	g.ensureComponents()
 	return g.compMembers[ci]
 }
 
 // ConnectedComponents partitions the *edges* into components connected
 // through non-red edges sharing a vertex. Red edges are excluded
-// entirely (they can no longer interact with any candidate). Used by
-// the latency scheduler (§5.2): tasks in different components are
-// always non-conflicting. Served from the component cache; members are
-// sorted ascending and components ordered by smallest member id.
+// entirely (they can no longer interact with any candidate). Tasks in
+// different components never conflict (§5.2), which is what shard
+// planning splits a plan by. Served from the component cache; members
+// are sorted ascending and components ordered by smallest member id.
 func (g *Graph) ConnectedComponents() [][]int {
-	g.refreshComponents()
-	out := make([][]int, 0, len(g.compMembers))
-	for _, members := range g.compMembers {
-		if members != nil {
-			out = append(out, members)
-		}
-	}
-	// Live member lists are sorted and disjoint, so ordering by first
-	// member is a strict total order.
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	g.ensureComponents()
+	return slices.Clone(g.compMembers)
 }
 
-// refreshComponents brings the cache up to date: a full rebuild when
-// invalidated wholesale (new edges, rejoined red edges, first use),
-// otherwise a re-derivation of just the dirtied components.
-func (g *Graph) refreshComponents() {
+// ensureComponents rebuilds the partition if a change invalidated it.
+func (g *Graph) ensureComponents() {
 	if !g.compsValid {
 		g.buildComponents()
-		return
 	}
-	if len(g.compDirty) == 0 {
-		return
-	}
-	mCompRefreshIncr.Inc()
-	mCompDirtySize.Observe(float64(len(g.compDirty)))
-	for _, ci := range g.compDirty {
-		members := g.compMembers[ci]
-		g.compMembers[ci] = nil
-		g.compDirtyMark[ci] = false
-		// Unassign the old membership, then re-flood each remaining
-		// non-red member. Floods stay inside the old component (two
-		// non-red edges sharing a vertex were already connected), so the
-		// unassigned sentinel confines them.
-		for _, e := range members {
-			if g.edges[e].Color == Red {
-				g.compOf[e] = -1
-			} else {
-				g.compOf[e] = compUnassigned
-			}
-		}
-		first := len(g.compMembers)
-		for _, e := range members {
-			if g.compOf[e] == compUnassigned {
-				g.floodComponent(e)
-			}
-		}
-		g.carveMembers(first, members)
-	}
-	g.compDirty = g.compDirty[:0]
 }
 
 const compUnassigned = -2
@@ -163,14 +91,12 @@ func (g *Graph) buildComponents() {
 		}
 	}
 	g.compMembers = g.compMembers[:0]
-	g.compDirtyMark = g.compDirtyMark[:0]
-	g.compDirty = g.compDirty[:0]
 	for start := range g.edges {
 		if g.compOf[start] == compUnassigned {
 			g.floodComponent(start)
 		}
 	}
-	g.carveMembers(0, nil)
+	g.carveMembers()
 	g.compsValid = true
 }
 
@@ -216,38 +142,26 @@ func (g *Graph) floodComponent(start int) {
 	}
 	g.floodStack = stack[:0]
 	g.compMembers = append(g.compMembers, nil)
-	g.compDirtyMark = append(g.compDirtyMark, false)
 	g.floodCounts = append(g.floodCounts, n)
 }
 
-// carveMembers builds the member lists of the components flooded since
-// id first (their sizes are in floodCounts) from one arena. src lists,
-// in ascending order, every edge those floods could have reached; nil
-// stands for all edges.
-func (g *Graph) carveMembers(first int, src []int) {
+// carveMembers builds the member lists of the flooded components (their
+// sizes are in floodCounts) from one arena, in ascending edge order.
+func (g *Graph) carveMembers() {
 	total := 0
 	for _, n := range g.floodCounts {
 		total += n
 	}
 	arena := make([]int, total)
 	off := 0
-	for k, n := range g.floodCounts {
-		g.compMembers[first+k] = arena[off : off : off+n]
+	for ci, n := range g.floodCounts {
+		g.compMembers[ci] = arena[off : off : off+n]
 		off += n
 	}
 	g.floodCounts = g.floodCounts[:0]
-	place := func(e int) {
-		if ci := g.compOf[e]; ci >= first {
+	for e, ci := range g.compOf {
+		if ci >= 0 {
 			g.compMembers[ci] = append(g.compMembers[ci], e)
 		}
-	}
-	if src == nil {
-		for e := range g.edges {
-			place(e)
-		}
-		return
-	}
-	for _, e := range src {
-		place(e)
 	}
 }

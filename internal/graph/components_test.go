@@ -100,8 +100,9 @@ func hubGraph(r *stats.RNG) *Graph {
 
 // TestComponentIndexIncremental colors random graphs (every tenth one
 // a high-degree hub graph) edge by edge and checks after every
-// transition that the incrementally maintained partition matches a
-// from-scratch union-find.
+// transition that the cached partition — kept across Unknown↔Blue,
+// rebuilt after anything touching Red — matches a from-scratch
+// union-find.
 func TestComponentIndexIncremental(t *testing.T) {
 	r := stats.NewRNG(31337)
 	for trial := 0; trial < 200; trial++ {
@@ -119,7 +120,7 @@ func TestComponentIndexIncremental(t *testing.T) {
 			case 1:
 				g.SetColor(e, Blue)
 			case 2:
-				g.SetColor(e, Unknown) // forces the full-rebuild path when old was red
+				g.SetColor(e, Unknown) // leaves Red: the edge rejoins, components may merge
 			}
 			compOf, _ = g.ComponentIndex()
 			samePartition(t, compOf, naivePartition(g), "after step")
@@ -146,13 +147,17 @@ func giantComponent(n int) *Graph {
 }
 
 // checkMembers verifies that the member lists agree with the index,
-// cover exactly the non-red edges and are strictly ascending.
+// cover exactly the non-red edges, are strictly ascending, and that
+// component ids are dense (no id without members).
 func checkMembers(t *testing.T, g *Graph) {
 	t.Helper()
 	compOf, n := g.ComponentIndex()
 	counted := 0
 	for ci := 0; ci < n; ci++ {
 		members := g.ComponentMembers(ci)
+		if len(members) == 0 {
+			t.Fatalf("comp %d of %d has no members", ci, n)
+		}
 		for k, e := range members {
 			if compOf[e] != ci {
 				t.Fatalf("member %d of comp %d has compOf %d", e, ci, compOf[e])
@@ -178,9 +183,9 @@ func checkMembers(t *testing.T, g *Graph) {
 }
 
 // TestComponentMembersConsistent checks the member lists after the
-// initial build and after every incremental split, on random graphs, a
-// hub graph and one giant component: nothing sorts them any more, so
-// ascending order has to come out of how they are carved.
+// initial build and after every split by a Red, on random graphs, a hub
+// graph and one giant component: nothing sorts them, so ascending order
+// has to come out of how they are carved.
 func TestComponentMembersConsistent(t *testing.T) {
 	r := stats.NewRNG(99)
 	for trial := 0; trial < 52; trial++ {
@@ -199,12 +204,13 @@ func TestComponentMembersConsistent(t *testing.T) {
 	}
 }
 
-// TestComponentRefreshAllocs holds an incremental refresh to one
-// allocation per dirty component — the arena its pieces are carved
-// from — however many pieces the split leaves.
+// TestComponentRefreshAllocs holds the rebuild after a Red to one
+// allocation — the arena the member lists are carved from — however
+// many pieces the split leaves: the index slice and the flood scratch
+// are reused.
 func TestComponentRefreshAllocs(t *testing.T) {
 	g := giantComponent(400)
-	g.ComponentIndex()
+	compOf, _ := g.ComponentIndex()
 	r := stats.NewRNG(5)
 	allocs := testing.AllocsPerRun(200, func() {
 		for {
@@ -216,7 +222,10 @@ func TestComponentRefreshAllocs(t *testing.T) {
 		g.ComponentIndex()
 	})
 	if allocs > 1 {
-		t.Fatalf("incremental refresh: %.0f allocations per dirty component, want 1", allocs)
+		t.Fatalf("rebuild after a Red: %.0f allocations, want 1", allocs)
+	}
+	if after, _ := g.ComponentIndex(); &after[0] != &compOf[0] {
+		t.Fatal("rebuild reallocated the component index")
 	}
 }
 

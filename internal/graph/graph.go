@@ -177,21 +177,19 @@ type Graph struct {
 	beyond [][]uint64
 	walk   walkScratch
 
-	// Color journal: every effective SetColor is appended, so
-	// incremental consumers (the cost engine) can locate the dirty
-	// region of a round instead of rescanning the whole graph.
+	// Color journal: every effective SetColor is appended, so a consumer
+	// that remembers the length it last saw (the cost engine, the
+	// closure) knows whether, and by what, the coloring has changed.
 	colorLog []ColorEvent
 
 	// Cached edge-component partition (components.go).
-	compOf        []int   // per edge: component id, -1 for red edges
-	compMembers   [][]int // per component id: sorted member edge ids (nil = retired)
-	compDirty     []int   // component ids pending an incremental refresh
-	compDirtyMark []bool  // per component id: already queued in compDirty
-	compsValid    bool    // false forces a full rebuild
-	floodStamp    []int   // per vertex: flood epoch that last visited it
-	floodEpoch    int
-	floodStack    []int // reusable vertex stack for floodComponent
-	floodCounts   []int // sizes of the components flooded since the last carve
+	compOf      []int   // per edge: component id, -1 for red edges
+	compMembers [][]int // per component id: sorted member edge ids
+	compsValid  bool    // false: the next reader rebuilds
+	floodStamp  []int   // per vertex: flood epoch that last visited it
+	floodEpoch  int
+	floodStack  []int // reusable vertex stack for floodComponent
+	floodCounts []int // sizes of the components flooded since the last carve
 
 	uid           uint64 // process-unique graph identity for external caches
 	weightVersion int    // bumped by SetWeight; score caches reset on change
@@ -406,7 +404,7 @@ func (g *Graph) SetColor(id int, c Color) {
 	}
 	g.edges[id].Color = c
 	g.colorLog = append(g.colorLog, ColorEvent{Edge: id, Old: old, New: c})
-	g.noteColorChange(id, old, c)
+	g.noteColorChange(old, c)
 	g.noteColorValidity(id, old, c)
 }
 

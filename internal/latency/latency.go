@@ -39,7 +39,6 @@ var (
 type batchScratch struct {
 	bestRank  []int
 	rankOf    []int
-	closed    []bool
 	batch     []int
 	conflicts graph.ConflictIndex // the tasks packed so far
 }
@@ -96,10 +95,6 @@ func PrefixBatch(g *graph.Graph, order []int) []int {
 
 func scanBatch(g *graph.Graph, order []int, score []float64, prefixOnly bool) []int {
 	g.Revalidate()
-	// The component partition is cached by the graph and refreshed
-	// incrementally as answers arrive, so consulting it per round is
-	// O(changed region), not O(E).
-	compOf, nComp := g.ComponentIndex()
 	nPreds := len(g.S.Preds)
 
 	// Priority-aware deferral: an edge waits when a higher-priority
@@ -134,18 +129,16 @@ func scanBatch(g *graph.Graph, order []int, score []float64, prefixOnly bool) []
 		}
 	}
 
-	// closed marks components whose prefix has ended (a conflicting edge
-	// was encountered).
-	closed := sc.closed
-	if cap(closed) < nComp {
+	// Only the prefix rule reads the component partition: closed marks
+	// components whose prefix has ended (a conflicting edge was
+	// encountered). Packing never derives it.
+	var compOf []int
+	var closed []bool
+	if prefixOnly {
+		var nComp int
+		compOf, nComp = g.ComponentIndex()
 		closed = make([]bool, nComp)
-	} else {
-		closed = closed[:nComp]
-		for i := range closed {
-			closed[i] = false
-		}
 	}
-	sc.closed = closed
 	packed := &sc.conflicts
 	packed.Reset(g)
 	batch := sc.batch[:0]
@@ -155,15 +148,11 @@ func scanBatch(g *graph.Graph, order []int, score []float64, prefixOnly bool) []
 		if ed.Color != graph.Unknown || !g.IsValid(e) {
 			continue
 		}
-		ci := compOf[e]
-		if ci < 0 {
-			continue // red/isolated; nothing to schedule
-		}
-		if closed[ci] {
+		if prefixOnly && closed[compOf[e]] {
 			continue
 		}
-		rank := rankOf[e] - 1
 		if !prefixOnly {
+			rank := rankOf[e] - 1
 			deferred := false
 			for _, v := range [2]int{ed.U, ed.V} {
 				for _, q := range g.TablePreds(g.TableOf(v)) {
@@ -195,7 +184,7 @@ func scanBatch(g *graph.Graph, order []int, score []float64, prefixOnly bool) []
 		}
 		if packed.Conflicts(e) {
 			if prefixOnly {
-				closed[ci] = true
+				closed[compOf[e]] = true
 			}
 			continue
 		}

@@ -64,12 +64,11 @@ type Span struct {
 	Red    int    `json:"red,omitempty"`    // edges refuted this round
 	Pruned int    `json:"pruned,omitempty"` // edges invalidated without asking
 	Edges  int    `json:"edges,omitempty"`  // valid uncolored edges remaining
-	// Incremental-cache activity attributed to this span (the cost
-	// engine's full rescans / delta rescans / pure cache serves).
-	CacheFull  int    `json:"cache_full,omitempty"`
-	CacheDelta int    `json:"cache_delta,omitempty"`
-	CacheHit   int    `json:"cache_hit,omitempty"`
-	Err        string `json:"err,omitempty"`
+	// Score-cache activity attributed to this span (the cost engine's
+	// full rescores / pure cache serves).
+	CacheFull int    `json:"cache_full,omitempty"`
+	CacheHit  int    `json:"cache_hit,omitempty"`
+	Err       string `json:"err,omitempty"`
 }
 
 // SpanID identifies an open span within its Tracer. The zero Tracer
@@ -356,7 +355,9 @@ type TraceCarrier interface {
 // cache; the executor diffs consecutive readings to attribute cache
 // activity to each round's span.
 type CacheStatser interface {
-	// CacheStats returns monotone totals: full rescans, delta rescans,
-	// and rounds served entirely from cache.
+	// CacheStats returns monotone totals: full rescores and rounds
+	// served entirely from cache. delta (partial rescores) is 0 — no
+	// strategy has one — and stays a result until a benchmark-archetype
+	// PR retires the benchmark's delta-rescore metric, which reads it.
 	CacheStats() (full, delta, hit uint64)
 }
