@@ -302,9 +302,8 @@ func ftoa(f float64) string {
 	return itoa(int(f*10)) + "e-1"
 }
 
-// BenchmarkAblationScheduler contrasts the three latency-control
-// modes: the default score-aware packing, the paper's literal
-// longest-prefix rule, and fully serial asking.
+// BenchmarkAblationScheduler contrasts the two latency-control modes:
+// the default score-aware packing and fully serial asking.
 func BenchmarkAblationScheduler(b *testing.B) {
 	d := dataset.GenPaper(dataset.Config{Seed: 42, Scale: 0.08})
 	st, _ := cql.Parse(dataset.Queries("paper")["2J"])

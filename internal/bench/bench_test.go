@@ -215,14 +215,17 @@ func TestMethodsConstruct(t *testing.T) {
 	}
 }
 
-// TestTransSavesHITs and TestPlanSavesHITs are the fidelity guards of
-// the trans and plan experiments: the crowd is simulated and seeded, so
-// the counts are exact and the floors hold on any machine. A saving may
-// fall to 75 % of what DefaultConfig measures (630 HITs by the closure,
-// 325 by the greedy order) before it counts as a regression.
+// TestTransSavesHITs, TestPlanSavesHITs and TestPlanComposesWithClosure
+// are the fidelity guards of the trans and plan experiments: the crowd
+// is simulated and seeded, so the counts are exact and the floors hold
+// on any machine. A saving may fall to 75 % of what DefaultConfig
+// measures (630 HITs by the closure, 325 by the greedy order, a further
+// 168 by the closure under the greedy order) before it counts as a
+// regression.
 const (
-	transHITsSavedFloor = 473
-	planHITsSavedFloor  = 244
+	transHITsSavedFloor       = 473
+	planHITsSavedFloor        = 244
+	planClosureHITsSavedFloor = 126
 )
 
 func TestTransSavesHITs(t *testing.T) {
@@ -254,10 +257,29 @@ func TestPlanSavesHITs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := rowsByLabel(tables[0])
-	// values: hits, early_exits, plan_p95_us
+	// values: hits, early_exits, plan_p95_us, inferred
 	fixed, greedy := rows["fixed"], rows["greedy"]
 	if saved := fixed[0] - greedy[0]; saved < planHITsSavedFloor {
 		t.Fatalf("greedy order saves %v HITs, want at least %d", saved, planHITsSavedFloor)
+	}
+}
+
+// TestPlanComposesWithClosure holds planner × transitivity to a profit:
+// the planned order is one key of the strategy that batches with the
+// closure, so the greedy order with inference on must undercut the
+// greedy order alone, by labels inference actually answered.
+func TestPlanComposesWithClosure(t *testing.T) {
+	tables, err := PlanBench(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := rowsByLabel(tables[0])
+	greedy, closed := rows["greedy"], rows["greedy+closure"]
+	if saved := greedy[0] - closed[0]; saved < planClosureHITsSavedFloor {
+		t.Fatalf("closure saves %v HITs under the greedy order, want at least %d", saved, planClosureHITsSavedFloor)
+	}
+	if closed[3] <= 0 {
+		t.Fatalf("no label inferred under the greedy order: %v", closed)
 	}
 }
 

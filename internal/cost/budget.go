@@ -14,9 +14,6 @@ import (
 // exhausted.
 type Budget struct {
 	B int
-	// CandidateCap bounds candidate enumeration per round; 0 means the
-	// package default (100000).
-	CandidateCap int
 
 	// closure, when set via SetClosure, excludes entailed edges from
 	// the budget: an edge whose label transitivity already determines
@@ -25,6 +22,9 @@ type Budget struct {
 
 	spent int
 }
+
+// budgetCandidateCap bounds candidate enumeration per round.
+const budgetCandidateCap = 100000
 
 // NewBudget builds a budget strategy for B tasks.
 func NewBudget(b int) *Budget { return &Budget{B: b} }
@@ -60,11 +60,7 @@ func (b *Budget) NextRound(g *graph.Graph) []int {
 	if b.closure != nil {
 		b.closure.Update()
 	}
-	cap := b.CandidateCap
-	if cap <= 0 {
-		cap = 100000
-	}
-	cands := g.Candidates(cap)
+	cands := g.Candidates(budgetCandidateCap)
 	var pick *graph.Embedding
 	for i := range cands {
 		for _, e := range cands[i].Edges {

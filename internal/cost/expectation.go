@@ -22,11 +22,17 @@
 // component's scores survive it. What a rescore does share is Eq. 1's
 // α/β term — a property of a (tuple, predicate) bundle, not of an edge —
 // so each bundle's term is computed once and every edge's score is the
-// sum of its two endpoints' terms; a call with no new colour event is
-// served the previous ordering. The result is bit-identical to a
+// sum of its two endpoints' terms. The result is bit-identical to a
 // per-edge rescan — the test-only reference NaiveExpectation
 // (naive_test.go) and the property tests in this package enforce the
 // equivalence.
+//
+// Expectation is also the only labeling-order mechanism: a planned join
+// order (internal/plan) is the same strategy with a leading
+// predicate-priority key in its one comparator, and transitive inference
+// a second key (expected yield) ahead of Eq. 1 — so the planner, the
+// closure and the conflict-free packing compose instead of replacing
+// one another.
 package cost
 
 import (
@@ -49,12 +55,10 @@ type Strategy interface {
 	Flush(g *graph.Graph) []int
 }
 
-// Score-cache health metrics (once-per-round updates, not per-edge): a
-// "full" rescore scored and sorted every remaining edge, a "hit" served
-// the cached ordering untouched.
+// Rescore metrics (once-per-round updates, not per-edge): a "full"
+// rescore scored and sorted every remaining edge — the only kind.
 var (
 	mRescoreFull = obs.Default.Counter("cdb_cost_rescore_full_total")
-	mOrderHit    = obs.Default.Counter("cdb_cost_order_cache_hit_total")
 	mScoredEdges = obs.Default.Histogram("cdb_cost_scored_edges_per_rescore", obs.SizeBuckets)
 	// Bundle terms computed for those edges: edges ÷ terms is how many
 	// edges shared each hypothetical cut.
@@ -66,14 +70,22 @@ var (
 // valid uncolored edge by its pruning expectation (Eq. 1) and ask the
 // largest conflict-free prefix in parallel each round.
 //
-// The struct carries the score cache, so it must not be
+// The struct carries the rescore's scratch buffers, so it must not be
 // shared between goroutines; one strategy value drives one execution
-// at a time (it may be reused across graphs — the cache resets itself
-// when the graph changes identity or shape).
+// at a time (it may be reused across graphs — every call rescores the
+// graph it is handed).
 type Expectation struct {
 	// Serial disables the latency scheduler (one task per round); used
 	// only by ablations.
 	Serial bool
+
+	// Priority, when non-nil, is the leading key of the ordering: each
+	// predicate's rank (indexed by predicate, smaller first) in a planned
+	// join order, so every edge of a better-ranked predicate sorts ahead
+	// of every edge of a worse one. Nil is the paper's order.
+	// plan.Decision.Strategy is where a plan sets it, and says what the
+	// key does to the rounds.
+	Priority []int
 
 	// closure, when set via SetClosure, is the transitive-inference
 	// overlay: edges whose label it already entails are excluded from
@@ -85,16 +97,10 @@ type Expectation struct {
 	// Eq. 1 breaking ties.
 	closure *graph.Closure
 
-	// Score cache.
-	cacheUID     uint64 // graph identity the cache belongs to
-	cacheEdges   int
-	cacheWeightV int
-	cacheClosure *graph.Closure // overlay the cached ordering was filtered by
-	cursor       int            // ColorEvents consumed so far
-	haveCache    bool
-	score        []float64 // dense, by edge id
-	order        []int     // cached ordering (valid uncolored at last scoring)
-	yield        []float64 // dense inference-yield cache (closure mode only)
+	// The last rescore's result, reused as the next one's buffers.
+	score []float64 // dense, by edge id
+	order []int     // valid uncolored (and not entailed) edges, best first
+	yield []float64 // dense inference yields (closure mode only)
 
 	// Bundle-term table of the current rescore, dense by
 	// vertex*nPreds+pred: term[i] is valid iff termEpoch[i] == epoch, so
@@ -105,10 +111,10 @@ type Expectation struct {
 	nPreds    int // row stride of the table
 	nTerms    int // terms computed by the current rescore
 
-	// Cache activity totals (see CacheStats) and the per-query tracer
-	// the executor may install; both are inert by default.
-	statFull, statHit uint64
-	tracer            *obs.Tracer
+	// Rescore total (see CacheStats) and the per-query tracer the
+	// executor may install; both are inert by default.
+	statFull uint64
+	tracer   *obs.Tracer
 }
 
 // Name implements Strategy.
@@ -159,16 +165,15 @@ func (e *Expectation) SetTracer(t *obs.Tracer) { e.tracer = t }
 
 // SetClosure installs (or, with nil, removes) a transitive-inference
 // overlay. The executor calls this when Options.Transitive is on; the
-// overlay must belong to the same graph the strategy is driving. The
-// score cache detects the change and rescores.
+// overlay must belong to the same graph the strategy is driving.
 func (e *Expectation) SetClosure(c *graph.Closure) { e.closure = c }
 
-// CacheStats implements obs.CacheStatser with monotone totals of the
-// cache's full rescores and pure hits. There is no delta rescore: delta
-// is 0, and stays a result until a benchmark-archetype PR retires the
-// benchmark's delta-rescore metric, which reads it.
+// CacheStats implements obs.CacheStatser with the monotone total of
+// rescores. Every rescore is full: delta and hit are 0, and stay
+// results until a benchmark-archetype PR retires the benchmark's
+// delta-rescore and order-hit metrics, which read them.
 func (e *Expectation) CacheStats() (full, delta, hit uint64) {
-	return e.statFull, 0, e.statHit
+	return e.statFull, 0, 0
 }
 
 // Flush implements Strategy: everything valid and uncolored, minus
@@ -241,40 +246,22 @@ func closureFilter(edges []int, c *graph.Closure) []int {
 	return kept
 }
 
-// orderScored returns the current ordering and dense scores, serving
-// from the cache when possible. The returned slices are owned by the
-// strategy and valid until the next call.
+// orderScored returns the current ordering and dense scores:
+// revalidate, then rescore what is left. The returned slices are owned
+// by the strategy and valid until the next call.
 func (e *Expectation) orderScored(g *graph.Graph) ([]int, []float64) {
 	g.Revalidate()
-	if e.closure != nil {
-		// Keep the overlay current before filtering or yield-ranking; the
-		// overlay journals nothing itself, so this cannot dirty the cache.
-		e.closure.Update()
-	}
-	events := len(g.ColorEvents())
-	if e.haveCache && e.cacheUID == g.UID() && e.cacheEdges == g.NumEdges() &&
-		e.cacheWeightV == g.WeightVersion() && e.cacheClosure == e.closure &&
-		e.cursor == events {
-		e.statHit++
-		mOrderHit.Inc()
-		return e.order, e.score
-	}
 	start := time.Now()
 	e.statFull++
 	mRescoreFull.Inc()
 	e.rescoreAll(g)
 	mRescoreSecs.Observe(time.Since(start).Seconds())
-	e.cursor = events
-	e.haveCache = true
-	e.cacheUID = g.UID()
-	e.cacheEdges = g.NumEdges()
-	e.cacheWeightV = g.WeightVersion()
-	e.cacheClosure = e.closure
 	return e.order, e.score
 }
 
 // rescoreAll scores and sorts every valid uncolored edge (minus
-// entailed ones in closure mode).
+// entailed ones in closure mode; closureFilter brings the overlay up
+// to date first).
 func (e *Expectation) rescoreAll(g *graph.Graph) {
 	e.order = closureFilter(g.ValidUncoloredInto(e.order), e.closure)
 	if len(e.score) != g.NumEdges() {
@@ -312,16 +299,33 @@ func inferenceYield(g *graph.Graph, c *graph.Closure, id int) float64 {
 	return ed.W * (pairs - 1)
 }
 
-// sortEdges orders edges under the active comparator: plain Eq. 1
-// ordering, or yield-first in closure mode.
+// sortEdges orders edges by the labeling order. The keys in force are
+// chosen once per sort: with neither a planned priority nor a closure
+// the comparator is plain Eq. 1, so the default path pays this one
+// branch per rescore and none per comparison.
 func (e *Expectation) sortEdges(g *graph.Graph, edges []int) {
-	if e.closure == nil {
+	if e.Priority == nil && e.closure == nil {
 		sortEdgesByScore(g, edges, e.score)
 		return
 	}
 	slices.SortFunc(edges, func(a, b int) int {
-		return cmpLess(yieldLess(g, e.score, e.yield, a, b))
+		return cmpLess(e.less(g, a, b))
 	})
+}
+
+// less is the labeling order with every key: planned predicate rank
+// ascending, then (closure mode) expected inference yield, then Eq. 1 —
+// a strict total order because its last key is one.
+func (e *Expectation) less(g *graph.Graph, a, b int) bool {
+	if e.Priority != nil {
+		if ra, rb := e.Priority[g.Edge(a).Pred], e.Priority[g.Edge(b).Pred]; ra != rb {
+			return ra < rb
+		}
+	}
+	if e.closure != nil {
+		return yieldLess(g, e.score, e.yield, a, b)
+	}
+	return scoredLess(g, e.score, a, b)
 }
 
 // scoreEdges fills e.score for the given edges. Many edges share a

@@ -186,9 +186,10 @@ func TestScoreEdgesOneCutLossPerBundle(t *testing.T) {
 	}
 }
 
-// TestIncrementalCacheResets exercises the cache-invalidation guards:
-// graph swap, edge addition, weight change, and un-coloring must all
-// force a full rescore rather than serving stale state.
+// TestIncrementalCacheResets is the no-stale-order test: one strategy
+// value reuses its order, score and term buffers across calls, and
+// after a graph swap, a weight change and an un-coloring each call must
+// return the from-scratch order, never the previous one.
 func TestIncrementalCacheResets(t *testing.T) {
 	r := stats.NewRNG(77)
 	e := &Expectation{}

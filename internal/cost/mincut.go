@@ -17,8 +17,6 @@ import (
 type MinCutSampling struct {
 	Samples int
 	RNG     *stats.RNG
-	// Serial disables the latency scheduler (ablation only).
-	Serial bool
 }
 
 // NewMinCutSampling builds the strategy with the given sample count
@@ -86,9 +84,6 @@ func (m *MinCutSampling) NextRound(g *graph.Graph) []int {
 	order, score := m.OrderScored(g)
 	if len(order) == 0 {
 		return nil
-	}
-	if m.Serial {
-		return latency.SerialBatch(g, order)
 	}
 	return latency.ParallelBatchScored(g, order, score)
 }

@@ -11,7 +11,7 @@ import (
 // strategy (Eq. 1): every call recomputes the pruning expectation of
 // every valid uncolored edge, one hypothetical cut per edge endpoint,
 // and re-sorts from scratch. It is retained as the equivalence reference
-// for Expectation's cache and shared bundle terms — the property tests
+// for Expectation's shared bundle terms and reused buffers — the property tests
 // run both side by side and require bit-identical orderings and batches.
 // It lives in a _test.go file, so the shipped build carries only
 // Expectation.

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"slices"
 	"testing"
 
 	"cdb/internal/graph"
@@ -107,6 +108,47 @@ func TestTransIncrementalMatchesNaiveReused(t *testing.T) {
 			}
 			if !checkTransRound(t, trial, round, g, e, r) {
 				break
+			}
+		}
+	}
+}
+
+// TestPriorityLeadsTheOrder pins what a planned order is to the
+// strategy: a leading key over the keys it already had. Every round,
+// with the closure and without, the order must be the naive reference's
+// regrouped stably by predicate rank — nothing inside a rank moves.
+func TestPriorityLeadsTheOrder(t *testing.T) {
+	r := stats.NewRNG(2020)
+	for trial := 0; trial < 120; trial++ {
+		g := randomShapedGraph(r)
+		e := &Expectation{Priority: r.Perm(len(g.S.Preds))}
+		var cl *graph.Closure
+		if trial%2 == 1 {
+			cl = graph.NewClosure(g)
+			e.SetClosure(cl)
+		}
+		for round := 0; ; round++ {
+			if round > 200 {
+				t.Fatalf("trial %d: does not terminate", trial)
+			}
+			want, _ := NaiveOrderScoredClosure(g, cl)
+			slices.SortStableFunc(want, func(a, b int) int {
+				return e.Priority[g.Edge(a).Pred] - e.Priority[g.Edge(b).Pred]
+			})
+			if got := e.Order(g); !slices.Equal(got, want) {
+				t.Fatalf("trial %d round %d (closure %v): order %v, want the reference grouped by rank %v",
+					trial, round, cl != nil, got, want)
+			}
+			batch := e.NextRound(g)
+			if len(batch) == 0 {
+				break
+			}
+			for _, id := range batch {
+				if r.Bool(g.Edge(id).W) {
+					g.SetColor(id, graph.Blue)
+				} else {
+					g.SetColor(id, graph.Red)
+				}
 			}
 		}
 	}

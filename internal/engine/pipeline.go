@@ -90,15 +90,16 @@ type SelectRequest struct {
 	Planned func(*exec.Plan, *plan.Decision)
 }
 
-// chooseOrder picks the labeling order of one run. Join order,
-// expected-yield order and budget order are all cost.Strategy values;
-// this is the only place that decides between them, and the table is
-// the only place features constrain each other:
+// chooseOrder picks the labeling order of one run. A planned join order
+// and the expected-yield order are keys of one cost.Expectation, the
+// budget order its own cost.Strategy; this is the only place that
+// decides between them, and the table is the only place features
+// constrain each other:
 //
 //	BUDGET n    × planner        budget wins: the run follows cost.Budget's spend-capped order
 //	transport   × planner        transport wins: the planner's pure resolver would shadow it
 //	shard scope × planner        configured order: a shard's round structure must match the fleet's
-//	planner     × transitivity   compose: Transitive stays as configured
+//	planner     × transitivity   compose: one strategy, keys priority → expected yield → Eq. 1
 //
 // The configured strategy and the transport are built — in that order —
 // before the planner may replace the former: building either can draw
@@ -127,7 +128,7 @@ func (req *SelectRequest) chooseOrder(p *exec.Plan) (exec.Options, *plan.Decisio
 	} else {
 		decision = plan.Fixed(p, 0)
 	}
-	opts.Strategy = &plan.Ordered{Order: decision.Order}
+	opts.Strategy = decision.Strategy(p)
 	if opts.Resolver == nil {
 		// Content-pure verdicts are what make reordering
 		// answer-preserving; the seed is drawn the same way for the

@@ -243,7 +243,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 	g := p.G
 	tr := opts.Trace
 	// Attribute the strategy's internal phases (scoring, batching) and
-	// its score-cache activity to this query's trace.
+	// its rescores to this query's trace.
 	if tc, ok := opts.Strategy.(obs.TraceCarrier); ok {
 		tc.SetTracer(tr)
 		defer tc.SetTracer(nil)
@@ -299,11 +299,11 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		roundStart := time.Now()
 		roundSpan := tr.Begin(obs.SpanRound)
 		validBefore := 0
-		var cacheF0, cacheH0 uint64
+		var cacheF0 uint64
 		if tr != nil {
 			validBefore = g.CountValidUncolored()
 			if cacheStats != nil {
-				cacheF0, _, cacheH0 = cacheStats.CacheStats()
+				cacheF0, _, _ = cacheStats.CacheStats()
 			}
 		}
 
@@ -447,9 +447,8 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 					s.Pruned = pruned
 				}
 				if cacheStats != nil {
-					f1, _, h1 := cacheStats.CacheStats()
+					f1, _, _ := cacheStats.CacheStats()
 					s.CacheFull = int(f1 - cacheF0)
-					s.CacheHit = int(h1 - cacheH0)
 				}
 			})
 		}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"cdb/internal/obs"
 )
@@ -11,9 +10,9 @@ import (
 // non-red edges sharing a vertex; red edges belong to no component.
 // Nothing on the round path of a tree-shaped plan reads it — the packed
 // scheduler tests conflicts through cover facts and a rescore is full —
-// so it is not maintained across answers: its readers are shard planning,
-// ConflictIndex on cyclic structures and the PrefixBatch ablation, and
-// the first of them after an invalidating change rebuilds it.
+// so it is not maintained across answers: its readers are shard planning
+// (exec/shard.go) and ConflictIndex on cyclic structures, and the first
+// of them after an invalidating change rebuilds it.
 //
 // Invalidation rules:
 //   - Unknown↔Blue: the partition is unchanged (both are non-red).
@@ -24,10 +23,6 @@ import (
 // order and appends each to its component's exact-capacity slice of one
 // arena. Floods start from edges in id order too, so component ids are
 // dense and ordered by smallest member.
-
-var graphUIDCounter uint64
-
-func nextGraphUID() uint64 { return atomic.AddUint64(&graphUIDCounter, 1) }
 
 // mCompRebuildFull counts partition rebuilds, each O(E). It should stay
 // flat across the rounds of a tree-shaped plan.

@@ -190,9 +190,6 @@ type Graph struct {
 	floodEpoch  int
 	floodStack  []int // reusable vertex stack for floodComponent
 	floodCounts []int // sizes of the components flooded since the last carve
-
-	uid           uint64 // process-unique graph identity for external caches
-	weightVersion int    // bumped by SetWeight; score caches reset on change
 }
 
 // ColorEvent is one journaled color transition.
@@ -256,7 +253,6 @@ func NewGraph(s *Structure, counts []int) (*Graph, error) {
 		g.beyond = g.predsBeyond()
 	}
 	g.dirty = true
-	g.uid = nextGraphUID()
 	return g, nil
 }
 
@@ -414,29 +410,13 @@ func (g *Graph) SetColor(id int, c Color) {
 // owned by the graph; callers must not modify it.
 func (g *Graph) ColorEvents() []ColorEvent { return g.colorLog }
 
-// UID returns a process-unique identity for this graph, letting
-// external caches detect that they are looking at a different graph
-// even when pointer values are reused.
-func (g *Graph) UID() uint64 { return g.uid }
-
 // TreeShaped reports whether the query structure is acyclic, which
 // enables the incremental cover-fact machinery.
 func (g *Graph) TreeShaped() bool { return g.treeShaped }
 
 // SetWeight updates an edge's matching probability (used when a
 // requester supplies a trained probability model).
-func (g *Graph) SetWeight(id int, w float64) {
-	if g.edges[id].W == w {
-		return
-	}
-	g.edges[id].W = w
-	g.weightVersion++
-}
-
-// WeightVersion counts effective SetWeight calls; external score
-// caches reset when it changes, since every pruning expectation can
-// depend on reweighted probabilities.
-func (g *Graph) WeightVersion() int { return g.weightVersion }
+func (g *Graph) SetWeight(id int, w float64) { g.edges[id].W = w }
 
 // PredOrder exposes the connected predicate order enumeration walks
 // predicates in. Answer emission is lexicographic in the chosen-edge

@@ -13,7 +13,7 @@ import (
 // graph.SameCandidate against each task already packed from its
 // component. It is the reference the conflict index must reproduce
 // element for element.
-func pairwiseBatch(g *graph.Graph, order []int, score []float64, prefixOnly bool) []int {
+func pairwiseBatch(g *graph.Graph, order []int, score []float64) []int {
 	compOf, _ := g.ComponentIndex()
 	askable := func(e int) bool { return g.Edge(e).Color == graph.Unknown && g.IsValid(e) }
 	type gate struct{ v, pred int }
@@ -32,33 +32,27 @@ func pairwiseBatch(g *graph.Graph, order []int, score []float64, prefixOnly bool
 		}
 	}
 	accepted := map[int][]int{}
-	closed := map[int]bool{}
 	var batch []int
 scan:
 	for _, e := range order {
-		if !askable(e) || closed[compOf[e]] {
+		if !askable(e) {
 			continue
 		}
 		ed := g.Edge(e)
-		if !prefixOnly {
-			for _, v := range [2]int{ed.U, ed.V} {
-				for _, q := range g.TablePreds(g.TableOf(v)) {
-					r, ok := bestRank[gate{v, q}]
-					if q == ed.Pred || !ok || r >= rankOf[e] {
-						continue
-					}
-					if score != nil && !(score[order[r]] > 2*score[e]+1e-9) {
-						continue
-					}
-					continue scan // deferred behind a more valuable gate
+		for _, v := range [2]int{ed.U, ed.V} {
+			for _, q := range g.TablePreds(g.TableOf(v)) {
+				r, ok := bestRank[gate{v, q}]
+				if q == ed.Pred || !ok || r >= rankOf[e] {
+					continue
 				}
+				if score != nil && !(score[order[r]] > 2*score[e]+1e-9) {
+					continue
+				}
+				continue scan // deferred behind a more valuable gate
 			}
 		}
 		for _, prev := range accepted[compOf[e]] {
 			if g.SameCandidate(prev, e) {
-				if prefixOnly {
-					closed[compOf[e]] = true
-				}
 				continue scan
 			}
 		}
@@ -134,9 +128,8 @@ func sameBatch(a, b []int) bool {
 // TestConflictIndexMatchesPairwise drives random graphs through whole
 // executions — batch, color the batch at random, batch again, so the
 // incremental validity and component state is what a query sees — and
-// compares every round's ParallelBatch, ParallelBatchScored and
-// PrefixBatch with the pairwise reference under a random priority
-// order.
+// compares every round's ParallelBatch and ParallelBatchScored with the
+// pairwise reference under a random priority order.
 func TestConflictIndexMatchesPairwise(t *testing.T) {
 	r := stats.NewRNG(52)
 	shapes := []string{"chain", "star", "tree", "tree", "cyclic"}
@@ -150,14 +143,11 @@ func TestConflictIndexMatchesPairwise(t *testing.T) {
 				score[i] = float64(r.Intn(6)) // coarse: ties and 2x gaps both occur
 			}
 			ctx := fmt.Sprintf("trial %d (%s) round %d", trial, shape, round)
-			if got, want := ParallelBatch(g, order), pairwiseBatch(g, order, nil, false); !sameBatch(got, want) {
+			if got, want := ParallelBatch(g, order), pairwiseBatch(g, order, nil); !sameBatch(got, want) {
 				t.Fatalf("%s: ParallelBatch = %v, pairwise %v", ctx, got, want)
 			}
-			if got, want := PrefixBatch(g, order), pairwiseBatch(g, order, nil, true); !sameBatch(got, want) {
-				t.Fatalf("%s: PrefixBatch = %v, pairwise %v", ctx, got, want)
-			}
 			batch := ParallelBatchScored(g, order, score)
-			if want := pairwiseBatch(g, order, score, false); !sameBatch(batch, want) {
+			if want := pairwiseBatch(g, order, score); !sameBatch(batch, want) {
 				t.Fatalf("%s: ParallelBatchScored = %v, pairwise %v", ctx, batch, want)
 			}
 			if len(batch) == 0 {

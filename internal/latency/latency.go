@@ -6,10 +6,9 @@
 // clearly more valuable pending task touches the same tuple on another
 // predicate). The same-candidate test is exact and asked once per
 // task, against an index of the tasks already packed
-// (graph.ConflictIndex), not once per packed task. The literal
-// longest-prefix rule of the paper's pseudo-code is available as
-// PrefixBatch for ablations; see DESIGN.md §6 for why packing is the
-// default.
+// (graph.ConflictIndex), not once per packed task. See DESIGN.md §6 for
+// why the whole order is packed rather than the literal longest prefix
+// of the paper's pseudo-code.
 package latency
 
 import (
@@ -67,13 +66,13 @@ func grabInts(buf []int, n int) []int {
 // candidate (§5.2). Edges that are already colored or invalid are
 // skipped. An empty result means order carried no askable edge.
 //
-// PrefixBatch implements the stricter longest-prefix rule the paper's
-// pseudo-code describes; packing the full scan keeps the same
-// correctness guarantee (no batch member can prune another directly)
-// while matching the round counts the paper reports (≈ one round per
-// predicate on the benchmark queries).
+// The paper's pseudo-code describes a stricter longest-prefix rule;
+// packing the full scan keeps the same correctness guarantee (no batch
+// member can prune another directly) while matching the round counts
+// the paper reports (≈ one round per predicate on the benchmark
+// queries).
 func ParallelBatch(g *graph.Graph, order []int) []int {
-	return scanBatch(g, order, nil, false)
+	return scanBatch(g, order, nil)
 }
 
 // ParallelBatchScored is ParallelBatch with the cost scores behind the
@@ -83,17 +82,10 @@ func ParallelBatch(g *graph.Graph, order []int) []int {
 // predicate while the cheap-gate-first inference is preserved. score
 // is dense, indexed by edge id.
 func ParallelBatchScored(g *graph.Graph, order []int, score []float64) []int {
-	return scanBatch(g, order, score, false)
+	return scanBatch(g, order, score)
 }
 
-// PrefixBatch stops each component's batch at its first conflicting
-// edge — §5.2's literal "longest prefix" rule. Exposed for the
-// latency-control ablation.
-func PrefixBatch(g *graph.Graph, order []int) []int {
-	return scanBatch(g, order, nil, true)
-}
-
-func scanBatch(g *graph.Graph, order []int, score []float64, prefixOnly bool) []int {
+func scanBatch(g *graph.Graph, order []int, score []float64) []int {
 	g.Revalidate()
 	nPreds := len(g.S.Preds)
 
@@ -129,16 +121,6 @@ func scanBatch(g *graph.Graph, order []int, score []float64, prefixOnly bool) []
 		}
 	}
 
-	// Only the prefix rule reads the component partition: closed marks
-	// components whose prefix has ended (a conflicting edge was
-	// encountered). Packing never derives it.
-	var compOf []int
-	var closed []bool
-	if prefixOnly {
-		var nComp int
-		compOf, nComp = g.ComponentIndex()
-		closed = make([]bool, nComp)
-	}
 	packed := &sc.conflicts
 	packed.Reset(g)
 	batch := sc.batch[:0]
@@ -148,44 +130,33 @@ func scanBatch(g *graph.Graph, order []int, score []float64, prefixOnly bool) []
 		if ed.Color != graph.Unknown || !g.IsValid(e) {
 			continue
 		}
-		if prefixOnly && closed[compOf[e]] {
-			continue
-		}
-		if !prefixOnly {
-			rank := rankOf[e] - 1
-			deferred := false
-			for _, v := range [2]int{ed.U, ed.V} {
-				for _, q := range g.TablePreds(g.TableOf(v)) {
-					if q == ed.Pred {
+		rank := rankOf[e] - 1
+		deferred := false
+		for _, v := range [2]int{ed.U, ed.V} {
+			for _, q := range g.TablePreds(g.TableOf(v)) {
+				if q == ed.Pred {
+					continue
+				}
+				r := bestRank[v*nPreds+q] - 1
+				if r < 0 || r >= rank {
+					continue
+				}
+				if score != nil {
+					// Only a clearly more valuable gate defers us;
+					// near-equals are asked together.
+					blocker := order[r]
+					if !(score[blocker] > 2*score[e]+1e-9) {
 						continue
 					}
-					r := bestRank[v*nPreds+q] - 1
-					if r < 0 || r >= rank {
-						continue
-					}
-					if score != nil {
-						// Only a clearly more valuable gate defers us;
-						// near-equals are asked together.
-						blocker := order[r]
-						if !(score[blocker] > 2*score[e]+1e-9) {
-							continue
-						}
-					}
-					deferred = true
-					break
 				}
-				if deferred {
-					break
-				}
+				deferred = true
+				break
 			}
 			if deferred {
-				continue
+				break
 			}
 		}
-		if packed.Conflicts(e) {
-			if prefixOnly {
-				closed[compOf[e]] = true
-			}
+		if deferred || packed.Conflicts(e) {
 			continue
 		}
 		packed.Add(e)

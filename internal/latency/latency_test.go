@@ -178,16 +178,6 @@ func TestRoundProgress(t *testing.T) {
 	}
 }
 
-func TestPrefixBatchStopsEarly(t *testing.T) {
-	// Priority order interleaves conflicting edges: the strict prefix
-	// rule stops at the first conflict while the greedy scan continues.
-	g := buildChain([]int{1, 1, 1}, 1, nil) // edges 0 (A-B) and 1 (B-C) conflict
-	prefix := PrefixBatch(g, []int{0, 1})
-	if len(prefix) != 1 || prefix[0] != 0 {
-		t.Fatalf("prefix batch = %v, want [0]", prefix)
-	}
-}
-
 func TestParallelBatchScoredDefersVictims(t *testing.T) {
 	// b0 has a cheap gate on pred 1 (high score) and expensive victims
 	// on pred 0 (low score): the scored batch asks the gate first and

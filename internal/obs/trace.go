@@ -64,10 +64,8 @@ type Span struct {
 	Red    int    `json:"red,omitempty"`    // edges refuted this round
 	Pruned int    `json:"pruned,omitempty"` // edges invalidated without asking
 	Edges  int    `json:"edges,omitempty"`  // valid uncolored edges remaining
-	// Score-cache activity attributed to this span (the cost engine's
-	// full rescores / pure cache serves).
+	// Rescores of the cost engine attributed to this span.
 	CacheFull int    `json:"cache_full,omitempty"`
-	CacheHit  int    `json:"cache_hit,omitempty"`
 	Err       string `json:"err,omitempty"`
 }
 
@@ -351,13 +349,14 @@ type TraceCarrier interface {
 	SetTracer(*Tracer)
 }
 
-// CacheStatser is implemented by strategies with an internal score
-// cache; the executor diffs consecutive readings to attribute cache
-// activity to each round's span.
+// CacheStatser is implemented by strategies that count their rescores;
+// the executor diffs consecutive readings to attribute them to each
+// round's span.
 type CacheStatser interface {
-	// CacheStats returns monotone totals: full rescores and rounds
-	// served entirely from cache. delta (partial rescores) is 0 — no
-	// strategy has one — and stays a result until a benchmark-archetype
-	// PR retires the benchmark's delta-rescore metric, which reads it.
+	// CacheStats returns the monotone total of full rescores. delta
+	// (partial rescores) and hit (rounds served from a cached order) are
+	// 0 — no strategy has either — and stay results until a
+	// benchmark-archetype PR retires the benchmark's metrics that read
+	// them.
 	CacheStats() (full, delta, hit uint64)
 }

@@ -14,11 +14,14 @@
 // cost by many orders of magnitude, so the planner optimizes — and the
 // plan benchmark measures — HITs avoided, not CPU.
 //
-// The chosen order is handed to the existing graph executor through
-// the Ordered strategy, whose answers are bit-identical to any other
-// complete strategy under a content-pure resolver (crowd.PureVerdict):
-// an embedding is an answer iff all its edges would-verdict blue,
-// independent of the order they are asked in.
+// The chosen order reaches the graph executor as a term of the one
+// labeling-order mechanism: Decision.Strategy returns cost.Expectation
+// with the order's predicate ranks as the leading key of its
+// comparator, so a planned run packs, traces and infers like any other.
+// Its answers are bit-identical to any other complete strategy's under
+// a content-pure resolver (crowd.PureVerdict): an embedding is an
+// answer iff all its edges would-verdict blue, independent of the order
+// they are asked in.
 package plan
 
 import (
@@ -43,7 +46,7 @@ type Config struct {
 	// zero further HITs. Answers are bit-identical to fixed-order
 	// execution under the same seed (verdicts are content-pure).
 	Greedy bool
-	// FixedOrder runs the same planned executor in statement order —
+	// FixedOrder runs the same planned strategy in statement order —
 	// the baseline greedy is measured against. Ignored when Greedy is
 	// set.
 	FixedOrder bool

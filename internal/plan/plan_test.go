@@ -154,7 +154,7 @@ func TestDescribeWireFields(t *testing.T) {
 
 func TestOrderedStrategyFollowsPlan(t *testing.T) {
 	p := buildPlan(t, chainCatalog(t), chainQuery)
-	o := &plan.Ordered{Order: []int{1, 0}}
+	o := (&plan.Decision{Order: []int{1, 0}}).Strategy(p)
 	batch := o.NextRound(p.G)
 	if len(batch) == 0 {
 		t.Fatal("empty first round")

@@ -3,63 +3,31 @@ package plan
 import (
 	"context"
 
+	"cdb/internal/cost"
 	"cdb/internal/crowd"
 	"cdb/internal/exec"
-	"cdb/internal/graph"
 )
 
-// Ordered executes a planned predicate order: each round asks every
-// valid uncolored edge of the current predicate, advancing once the
-// predicate has none left. Run-time validity pruning composes with the
-// plan — red answers on an early predicate invalidate edges of later
-// ones before they are ever asked, and when validity empties the graph
-// the strategy finishes without touching the remaining predicates.
-// Like every cost.Strategy it drives one execution at a time.
-type Ordered struct {
-	// Order is the predicate execution order (Decision.Order).
-	Order []int
-
-	idx int
-	all []int
-	buf []int
-}
-
-// Name implements cost.Strategy.
-func (o *Ordered) Name() string { return "Planned" }
-
-// NextRound implements cost.Strategy: the valid uncolored edges of the
-// first predicate in the order that still has any.
-func (o *Ordered) NextRound(g *graph.Graph) []int {
-	for o.idx < len(o.Order) {
-		batch := o.collect(g, o.Order[o.idx])
-		if len(batch) > 0 {
-			return batch
-		}
-		o.idx++
+// Strategy is the single place a planned order becomes a labeling
+// order: cost.Expectation with each predicate's position in Order as the
+// leading key of its comparator. Edges of the first predicate that still
+// has askable ones fill a round (they never share a candidate, so none
+// conflicts with another), every askable edge of a later predicate
+// conflicts with one of them and waits, and red answers invalidate later
+// predicates' edges before they are ever asked. Predicates past an early
+// exit rank last: validity already leaves them nothing askable. Because
+// it is the one strategy, a planned run keeps what the unplanned one has —
+// conflict-free packing, the closure's yield key and batching under
+// transitivity, the score and batch spans.
+func (d *Decision) Strategy(p *exec.Plan) *cost.Expectation {
+	rank := make([]int, len(p.S.Preds))
+	for i := range rank {
+		rank[i] = len(d.Order)
 	}
-	return nil
-}
-
-// Flush implements cost.Strategy: everything the plan still intends to
-// ask, flattened across the remaining predicates in order.
-func (o *Ordered) Flush(g *graph.Graph) []int {
-	var out []int
-	for i := o.idx; i < len(o.Order); i++ {
-		out = append(out, o.collect(g, o.Order[i])...)
+	for i, pred := range d.Order {
+		rank[pred] = i
 	}
-	return out
-}
-
-func (o *Ordered) collect(g *graph.Graph, pred int) []int {
-	o.all = g.ValidUncoloredInto(o.all)
-	batch := o.buf[:0]
-	for _, id := range o.all {
-		if g.Edge(id).Pred == pred {
-			batch = append(batch, id)
-		}
-	}
-	o.buf = batch
-	return batch
+	return &cost.Expectation{Priority: rank}
 }
 
 // PureResolver resolves every task through crowd.PureVerdict, making

@@ -70,10 +70,9 @@ func TestEngineTransitivityResult(t *testing.T) {
 // TestFeaturePairRules pins the rule table of the pipeline's order
 // selection (internal/engine/pipeline.go, DESIGN.md §17), one case per
 // row and entry point. A planner-ordered run is recognisable by its
-// Result.Plan, a run with transitivity on by its per-row Provenance
-// (the planned order asks a whole predicate per round, so it leaves
-// nothing for inference to deduce — Stats.Inferred stays 0 until the
-// planner batches with the closure).
+// Result.Plan, a run with transitivity on by its per-row Provenance;
+// where the two compose, the planned order is batched with the closure,
+// so inference must have answered something (Stats.Inferred > 0).
 func TestFeaturePairRules(t *testing.T) {
 	q := dataset.Queries("paper")["2J"]
 	greedy := &PlannerConfig{Greedy: true}
@@ -144,6 +143,9 @@ func TestFeaturePairRules(t *testing.T) {
 			if got := len(res.Provenance) == len(res.Rows); got != tc.transitive {
 				t.Errorf("%d provenance entries for %d rows, want transitivity on = %v",
 					len(res.Provenance), len(res.Rows), tc.transitive)
+			}
+			if tc.planned && tc.transitive && res.Stats.Inferred == 0 {
+				t.Error("planner × transitivity inferred no label: the planned order left the closure nothing to answer")
 			}
 			if tc.query == budgeted && res.Stats.Tasks > 40 {
 				t.Errorf("BUDGET 40 spent %d tasks", res.Stats.Tasks)
