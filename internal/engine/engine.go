@@ -478,11 +478,15 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 		h.err = err
 		return
 	}
+	if fl != nil {
+		// What the cache and attached waiters share is a copy made before
+		// this handle's fields are set: the request id here, the span
+		// tree in the deferred Finish above.
+		shared := *ans
+		fl.ans = &shared
+	}
 	ans.RequestID = entry.req
 	h.ans = ans
-	if fl != nil {
-		fl.ans = ans
-	}
 	if e.cfg.Journal != nil && sr == nil {
 		// Shard-scoped answers never enter the durable answer cache: the
 		// journal keys answers by bare statement, and a replayed partial

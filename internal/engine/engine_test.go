@@ -6,9 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"cdb/internal/cql"
 	"cdb/internal/crowd"
 	"cdb/internal/dataset"
 	"cdb/internal/exec"
+	"cdb/internal/reqid"
 	"cdb/internal/stats"
 	"cdb/internal/testutil"
 )
@@ -384,6 +386,60 @@ func TestVerdictLRU(t *testing.T) {
 	}
 	if l.len() != 2 {
 		t.Fatalf("len = %d, want 2", l.len())
+	}
+}
+
+// TestCachedAnswerCarriesNoTrace: with tracing on, the answer cache holds
+// the owner's rows and report but neither its span tree nor its request
+// id, while the owner's own Result keeps both; a later hit gets its own
+// request id and no trace.
+func TestCachedAnswerCarriesNoTrace(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)()
+	cfg := testConfig(t, 5)
+	cfg.Tracing = true
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	q := dataset.Queries("paper")["2J"]
+	submit := func(req string) *Answer {
+		t.Helper()
+		h, err := e.Submit(reqid.With(context.Background(), reqid.Correlation{RequestID: req}), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := h.wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	owner := submit("req-owner")
+	if owner.Trace == nil || owner.RequestID != "req-owner" {
+		t.Fatalf("owner: trace %v, request id %q", owner.Trace != nil, owner.RequestID)
+	}
+	if res := owner.Result(); res.Trace == nil {
+		t.Fatal("owner's Result lost its trace")
+	}
+	st, err := cql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.resMu.Lock()
+	cached, ok := e.results.get(st.(*cql.Select).String())
+	e.resMu.Unlock()
+	if !ok {
+		t.Fatal("the owner's answer is not in the cache")
+	}
+	if cached.Trace != nil || cached.RequestID != "" {
+		t.Fatalf("cached entry pins trace %v, request id %q", cached.Trace != nil, cached.RequestID)
+	}
+	if cached.Report != owner.Report || len(cached.Rows) != len(owner.Rows) {
+		t.Fatal("cached entry does not share the owner's rows and report")
+	}
+	if hit := submit("req-hit"); hit.Trace != nil || hit.RequestID != "req-hit" || hit.Report != owner.Report {
+		t.Fatalf("cache hit: trace %v, request id %q", hit.Trace != nil, hit.RequestID)
 	}
 }
 

@@ -8,7 +8,7 @@ package exec
 
 import (
 	"fmt"
-	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -149,6 +149,20 @@ func DefaultPlanConfig() PlanConfig {
 	return PlanConfig{Sim: sim.Gram2Jaccard, Epsilon: 0.3}
 }
 
+// candidates is one predicate's edges-to-be, in edge order: a Joiner's
+// slice walked in place, the chunks a streamed join filled, or the list
+// of rows a selection or a traditional join kept.
+type candidates struct {
+	chunks [][]sim.Pair
+	one    [1][]sim.Pair // backs chunks when the pairs are one slice
+	// lvals and rvals are the joined columns when either holds a CNULL
+	// cell: a pair on such a cell is no candidate.
+	lvals, rvals []string
+	// truth is the ground truth by row pair; nil for a traditional
+	// predicate, whose edges are born Blue.
+	truth func(i, j int) bool
+}
+
 // BuildPlan binds stmt against the catalog and instantiates the query
 // graph. The oracle labels every edge with its true color for the
 // crowd simulator.
@@ -174,16 +188,10 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 		p.Tables = append(p.Tables, tb)
 	}
 
-	// Edges are staged in id order — specs[i] becomes edge i with ground
-	// truth p.Truth[i] — and handed to the graph in one call; blue lists
-	// the ones a traditional predicate already decided.
-	var specs []graph.EdgeSpec
-	var blue []int
-	addBlue := func(pred, a, b int) {
-		blue = append(blue, len(specs))
-		specs = append(specs, graph.EdgeSpec{Pred: pred, RowA: a, RowB: b, W: 1})
-		p.Truth = append(p.Truth, true)
-	}
+	// Every predicate's candidates are collected first, cands[i] for
+	// predicate i; the graph and p.Truth are then sized once and each edge
+	// is written once, straight from where its candidate was stored.
+	cands := make([]candidates, len(stmt.Where))
 	counts := make([]int, len(s.Tables))
 	for i, tb := range p.Tables {
 		counts[i] = tb.Len()
@@ -204,18 +212,17 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 		return ti, ci, nil
 	}
 
-	colStrings := func(ti, ci int) []string {
+	// colStrings renders a column, CNULL cells as "" (nulls: there is one).
+	colStrings := func(ti, ci int) (out []string, nulls bool) {
 		tb := p.Tables[ti]
-		out := make([]string, tb.Len())
+		out = make([]string, tb.Len())
 		for r := 0; r < tb.Len(); r++ {
-			v := tb.Cell(r, ci)
-			if v.Null {
-				out[r] = ""
-			} else {
+			if v := tb.Cell(r, ci); !v.Null {
 				out[r] = v.String()
 			}
+			nulls = nulls || out[r] == ""
 		}
-		return out
+		return out, nulls
 	}
 
 	for _, pred := range stmt.Where {
@@ -235,25 +242,24 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 			predIdx := len(s.Preds)
 			s.Preds = append(s.Preds, graph.QPred{A: lt, B: rt, Name: pred.String()})
 			p.Bindings = append(p.Bindings, PredBinding{Pred: pred, LeftTab: lt, RightTab: rt, LeftCol: lc, RightCol: rc})
-			lvals, rvals := colStrings(lt, lc), colStrings(rt, rc)
+			c := &cands[predIdx]
+			lvals, lNulls := colStrings(lt, lc)
+			rvals, rNulls := colStrings(rt, rc)
 			if pred.Kind == cql.CrowdJoin {
-				join := sim.Join
-				if cfg.Joiner != nil {
-					join = cfg.Joiner
-				}
 				joinStart := time.Now()
-				pairs := join(cfg.Sim, lvals, rvals, cfg.Epsilon)
-				joinTime += time.Since(joinStart)
-				truth := joinTruth(orc, s.Tables[lt], pred.Left.Column, s.Tables[rt], pred.Right.Column, lvals, rvals)
-				specs = slices.Grow(specs, len(pairs))
-				p.Truth = slices.Grow(p.Truth, len(pairs))
-				for _, pr := range pairs {
-					if lvals[pr.Left] == "" || rvals[pr.Right] == "" {
-						continue // CNULL cells cannot join
-					}
-					specs = append(specs, graph.EdgeSpec{Pred: predIdx, RowA: pr.Left, RowB: pr.Right, W: pr.Sim})
-					p.Truth = append(p.Truth, truth(pr.Left, pr.Right))
+				if cfg.Joiner != nil {
+					c.one[0] = cfg.Joiner(cfg.Sim, lvals, rvals, cfg.Epsilon)
+					c.chunks = c.one[:]
+				} else {
+					var ps sim.Pairs
+					sim.JoinEach(cfg.Sim, lvals, rvals, cfg.Epsilon, ps.Add)
+					c.chunks = ps.Chunks()
 				}
+				joinTime += time.Since(joinStart)
+				if lNulls || rNulls {
+					c.lvals, c.rvals = lvals, rvals
+				}
+				c.truth = joinTruth(orc, s.Tables[lt], pred.Left.Column, s.Tables[rt], pred.Right.Column, lvals, rvals)
 			} else {
 				rows := map[string][]int{}
 				for j, rv := range rvals {
@@ -261,11 +267,17 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 						rows[rv] = append(rows[rv], j)
 					}
 				}
+				n := 0
+				for _, lv := range lvals {
+					n += len(rows[lv])
+				}
+				c.one[0] = make([]sim.Pair, 0, n)
 				for i, lv := range lvals {
 					for _, j := range rows[lv] {
-						addBlue(predIdx, i, j)
+						c.one[0] = append(c.one[0], sim.Pair{Left: i, Right: j, Sim: 1})
 					}
 				}
+				c.chunks = c.one[:]
 			}
 		case cql.CrowdEqual, cql.Equal:
 			lt, lc, err := resolve(pred.Left)
@@ -280,27 +292,29 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 			predIdx := len(s.Preds)
 			s.Preds = append(s.Preds, graph.QPred{A: lt, B: constIdx, Name: pred.String()})
 			p.Bindings = append(p.Bindings, PredBinding{Pred: pred, LeftTab: lt, RightTab: constIdx, LeftCol: lc, RightCol: -1})
-			vals := colStrings(lt, lc)
+			c := &cands[predIdx]
+			vals, _ := colStrings(lt, lc)
 			if pred.Kind == cql.CrowdEqual {
 				// The constant is tokenised once, not once per row.
 				score := sim.Against(cfg.Sim, pred.Value)
-				truth := selTruth(orc, s.Tables[lt], pred.Left.Column, vals, pred.Value)
 				for i, v := range vals {
 					if v == "" {
 						continue
 					}
 					if w := score(v); w >= cfg.Epsilon {
-						specs = append(specs, graph.EdgeSpec{Pred: predIdx, RowA: i, RowB: 0, W: w})
-						p.Truth = append(p.Truth, truth(i))
+						c.one[0] = append(c.one[0], sim.Pair{Left: i, Sim: w})
 					}
 				}
+				truth := selTruth(orc, s.Tables[lt], pred.Left.Column, vals, pred.Value)
+				c.truth = func(i, _ int) bool { return truth(i) }
 			} else {
 				for i, v := range vals {
 					if v != "" && v == pred.Value {
-						addBlue(predIdx, i, 0)
+						c.one[0] = append(c.one[0], sim.Pair{Left: i, Sim: 1})
 					}
 				}
 			}
+			c.chunks = c.one[:]
 		}
 	}
 
@@ -311,10 +325,31 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	if err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
-	g.AddEdges(specs)
-	for _, id := range blue {
-		g.SetColor(id, graph.Blue)
+	walk := func(yield func(graph.EdgeSpec)) {
+		for pred := range cands {
+			c := &cands[pred]
+			for _, chunk := range c.chunks {
+				for _, pr := range chunk {
+					if c.lvals != nil && (c.lvals[pr.Left] == "" || c.rvals[pr.Right] == "") {
+						continue // CNULL cells cannot join
+					}
+					yield(graph.EdgeSpec{Pred: pred, RowA: pr.Left, RowB: pr.Right, W: pr.Sim})
+				}
+			}
+		}
 	}
+	g.AddEdgesFunc(walk)
+	p.Truth = make([]bool, g.NumEdges())
+	id := 0
+	walk(func(sp graph.EdgeSpec) {
+		if truth := cands[sp.Pred].truth; truth != nil {
+			p.Truth[id] = truth(sp.RowA, sp.RowB)
+		} else {
+			p.Truth[id] = true
+			g.SetColor(id, graph.Blue)
+		}
+		id++
+	})
 	p.S = s
 	p.G = g
 	if len(cfg.Selectivity) > 0 {
@@ -386,14 +421,15 @@ func (p *Plan) AnswerKeys() map[string]bool {
 }
 
 func assignKey(assign []int) string {
-	var b strings.Builder
+	var arr [64]byte
+	b := arr[:0]
 	for i, v := range assign {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // ProjectAnswer materializes one answer embedding into the statement's

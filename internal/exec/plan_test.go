@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"cdb/internal/cql"
@@ -197,6 +198,36 @@ func TestBuildPlanAllocs(t *testing.T) {
 	if limit := float64(40 * (len(p.S.Tables) + len(p.S.Preds))); allocs > limit {
 		t.Fatalf("BuildPlan: %.0f allocations for %d tables, %d predicates, %d edges (limit %.0f)",
 			allocs, len(p.S.Tables), len(p.S.Preds), p.G.NumEdges(), limit)
+	}
+}
+
+// TestBuildPlanBytes: with the joins replayed, a plan costs what its
+// graph holds — an Edge (48 B), two adjacency entries (16 B) and a truth
+// bit per edge — plus per-row terms: the six rendered columns and their
+// entity ids, and per vertex its table, lists and degree counters (about
+// 100 B in all). The candidate list is not copied on its way in: staged
+// as specs it made 115 B per edge, now 72.
+func TestBuildPlanBytes(t *testing.T) {
+	stmt, d := paper3J(t, 0.3)
+	cfg := replayJoins(t, stmt, d)
+	p, err := BuildPlan(stmt, d.Catalog, d.Oracle, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := BuildPlan(stmt, d.Catalog, d.Oracle, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	edges, verts := p.G.NumEdges(), p.G.NumVertices()
+	if limit := uint64(72*edges + 128*verts); got > limit {
+		t.Fatalf("BuildPlan: %d B for %d edges, %d vertices (%.1f B/edge; limit %d B)",
+			got, edges, verts, float64(got)/float64(edges), limit)
 	}
 }
 

@@ -279,6 +279,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		}
 	}
 	rounds, tasks := 0, 0
+	inBatch := make([]int32, g.NumEdges()) // dedupeUncolored's stamps
 	abort := func(err error) error {
 		// Graceful degradation: surface what completed instead of the
 		// error, unless the caller asked for fail-fast.
@@ -313,7 +314,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		} else {
 			batch = opts.Strategy.NextRound(g)
 		}
-		batch, err := dedupeUncolored(g, batch)
+		batch, err := dedupeUncolored(g, batch, inBatch, int32(rounds+1))
 		if err != nil {
 			// Wrap with query + round context so a misbehaving strategy
 			// is attributable from the error alone.
@@ -519,18 +520,19 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 
 // dedupeUncolored drops duplicate and already-colored edges from a
 // strategy's batch, rejecting out-of-range ids (a buggy strategy used
-// to panic deep inside the graph instead).
-func dedupeUncolored(g *graph.Graph, batch []int) ([]int, error) {
-	seen := map[int]bool{}
-	var out []int
+// to panic deep inside the graph instead). seen holds one stamp per
+// edge, owned by the run: seen[e] == round says e is already in this
+// round's batch, so round must be positive and differ call to call.
+func dedupeUncolored(g *graph.Graph, batch []int, seen []int32, round int32) ([]int, error) {
+	out := make([]int, 0, len(batch))
 	for _, e := range batch {
 		if e < 0 || e >= g.NumEdges() {
 			return nil, fmt.Errorf("batch edge %d out of range [0,%d)", e, g.NumEdges())
 		}
-		if seen[e] || g.Edge(e).Color != graph.Unknown {
+		if seen[e] == round || g.Edge(e).Color != graph.Unknown {
 			continue
 		}
-		seen[e] = true
+		seen[e] = round
 		out = append(out, e)
 	}
 	return out, nil

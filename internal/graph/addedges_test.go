@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"cdb/internal/cql"
+	"cdb/internal/dataset"
 	"cdb/internal/exec"
 	"cdb/internal/graph"
 	"cdb/internal/plan"
 	"cdb/internal/stats"
+	"cdb/internal/table"
 )
 
 // sameGraph requires two graphs over one structure to agree on every
@@ -44,18 +46,21 @@ func sameGraph(t *testing.T, ctx string, got, want *graph.Graph) {
 
 // TestAddEdgesMatchesAddEdge: one AddEdges call leaves the graph
 // exactly as an AddEdge loop over the same specs does, and edges added
-// afterwards — in bulk or one at a time — land where the loop puts them.
-// Structures and edge lists are the planner generator's chain and star
-// cases as BuildPlan instantiates them.
+// afterwards — in bulk, from a walker or one at a time — land where the
+// loop puts them. Structures and edge lists are the planner generator's
+// chain and star cases as BuildPlan instantiates them (itself through a
+// walker over each predicate's candidates), plus two statements whose
+// candidates are not all sim-join output: a selection listed before the
+// joins, and a traditional join, whose edges are born Blue.
 func TestAddEdgesMatchesAddEdge(t *testing.T) {
 	rng := stats.NewRNG(16)
-	for trial := 0; trial < 40; trial++ {
-		c := plan.RandomCase(rng, 3+trial%4)
-		stmt, err := cql.Parse(c.Query)
+	check := func(query string, cat *table.Catalog, orc exec.Oracle) *exec.Plan {
+		t.Helper()
+		stmt, err := cql.Parse(query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := exec.BuildPlan(stmt.(*cql.Select), c.Catalog, exec.ExactOracle{}, exec.DefaultPlanConfig())
+		p, err := exec.BuildPlan(stmt.(*cql.Select), cat, orc, exec.DefaultPlanConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,9 +80,17 @@ func TestAddEdgesMatchesAddEdge(t *testing.T) {
 			}
 		}
 		addLoop(specs)
+		// paint gives g the colors BuildPlan decided (Blue on "=" edges).
+		paint := func(g *graph.Graph) {
+			for id := range specs {
+				g.SetColor(id, p.G.Edge(id).Color)
+			}
+		}
+		paint(loop)
 		sameGraph(t, "BuildPlan", p.G, loop)
 
-		// Split anywhere: AddEdge first, then two bulk calls, then AddEdge.
+		// Split anywhere: AddEdge first, then a bulk call, then a walker
+		// that hands the rest over a few at a time, then AddEdge.
 		a, b := rng.Intn(len(specs)+1), rng.Intn(len(specs)+1)
 		if a > b {
 			a, b = b, a
@@ -89,8 +102,20 @@ func TestAddEdgesMatchesAddEdge(t *testing.T) {
 		if first := bulk.AddEdges(specs[a:b]); first != a {
 			t.Fatalf("AddEdges returned first id %d, want %d", first, a)
 		}
-		bulk.AddEdges(specs[b:])
-		sameGraph(t, "AddEdge+AddEdges+AddEdges", bulk, loop)
+		walks := 0
+		first := bulk.AddEdgesFunc(func(yield func(graph.EdgeSpec)) {
+			walks++
+			for rest := specs[b:]; len(rest) > 0; rest = rest[min(5, len(rest)):] {
+				for _, sp := range rest[:min(5, len(rest))] {
+					yield(sp)
+				}
+			}
+		})
+		if first != b || walks != 2 {
+			t.Fatalf("AddEdgesFunc returned first id %d after %d walks, want %d after 2", first, walks, b)
+		}
+		paint(bulk)
+		sameGraph(t, "AddEdge+AddEdges+AddEdgesFunc", bulk, loop)
 		if len(specs) > 0 {
 			extra := specs[rng.Intn(len(specs))]
 			addLoop([]graph.EdgeSpec{extra, extra})
@@ -98,6 +123,26 @@ func TestAddEdgesMatchesAddEdge(t *testing.T) {
 			bulk.AddEdges([]graph.EdgeSpec{extra})
 			sameGraph(t, "AddEdge after AddEdges", bulk, loop)
 		}
+		return p
+	}
+	for trial := 0; trial < 40; trial++ {
+		c := plan.RandomCase(rng, 3+trial%4)
+		check(c.Query, c.Catalog, exec.ExactOracle{})
+	}
+
+	d := dataset.GenAward(dataset.Config{Seed: 1, Scale: 0.12})
+	p := check(`SELECT Winner.name FROM Winner, City, Celebrity
+		WHERE City.country CROWDEQUAL "USA" AND
+		      Celebrity.name CROWDJOIN Winner.name AND
+		      Celebrity.birthplace CROWDJOIN City.birthplace;`, d.Catalog, d.Oracle)
+	if n := len(p.G.EdgesAt(p.G.VertexID(3, 0), 0)); n == 0 || n == p.G.NumEdges() {
+		t.Fatalf("selection first: %d of %d edges on predicate 0's constant", n, p.G.NumEdges())
+	}
+	p = check(`SELECT Winner.name FROM Winner, City, Celebrity
+		WHERE Celebrity.name = Winner.name AND
+		      Celebrity.birthplace CROWDJOIN City.birthplace;`, d.Catalog, d.Oracle)
+	if _, blue, _ := p.G.CountColors(); blue == 0 || blue == p.G.NumEdges() {
+		t.Fatalf("traditional join: %d of %d edges Blue", blue, p.G.NumEdges())
 	}
 }
 

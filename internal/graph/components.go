@@ -117,7 +117,8 @@ func (g *Graph) floodComponent(start int) {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, lst := range g.adj[v] {
+		first, slots := g.firstList(v)
+		for _, lst := range g.lists[first : first+slots] {
 			for _, nb := range lst {
 				if g.compOf[nb] != compUnassigned {
 					continue

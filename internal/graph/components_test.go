@@ -25,16 +25,14 @@ func naivePartition(g *Graph) []int {
 	union := func(a, b int) { parent[find(a)] = find(b) }
 	for v := 0; v < g.NumVertices(); v++ {
 		first := -1
-		for _, lst := range g.adj[v] {
-			for _, e := range lst {
-				if g.edges[e].Color == Red {
-					continue
-				}
-				if first < 0 {
-					first = e
-				} else {
-					union(first, e)
-				}
+		for _, e := range g.AllEdgesAt(v) {
+			if g.edges[e].Color == Red {
+				continue
+			}
+			if first < 0 {
+				first = e
+			} else {
+				union(first, e)
 			}
 		}
 	}

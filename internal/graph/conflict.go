@@ -101,15 +101,16 @@ func (g *Graph) predPaths() []predPath {
 
 // coversOffPath reports whether v's cover facts hold at every slot but
 // the two given ones (distinct slots of v).
-func (cs *cutState) coversOffPath(v, s1, s2 int) bool {
-	n := cs.falseCount[v]
+func (g *Graph) coversOffPath(v, s1, s2 int) bool {
+	n := g.cs.falseCount[v]
 	if n == 0 {
 		return true
 	}
-	if !cs.cover[v][s1] {
+	first, _ := g.firstList(v)
+	if !g.cs.cover[first+s1] {
 		n--
 	}
-	if !cs.cover[v][s2] {
+	if !g.cs.cover[first+s2] {
 		n--
 	}
 	return n == 0
@@ -170,7 +171,6 @@ func (g *Graph) sameCandidateTree(e1, e2 int) bool {
 	if last < 0 {
 		return from == to
 	}
-	cs := &g.cs
 	w := &g.walk
 	w.begin(g.nVerts)
 	// from covers everything but a's own slot (a is valid), so it may
@@ -180,7 +180,8 @@ func (g *Graph) sameCandidateTree(e1, e2 int) bool {
 		it := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
 		step := pp.steps[it.at]
-		for _, eID := range g.adj[it.v][step.out] {
+		first, _ := g.firstList(it.v)
+		for _, eID := range g.lists[first+step.out] {
 			e := &g.edges[eID]
 			if e.Color == Red {
 				continue
@@ -196,7 +197,7 @@ func (g *Graph) sameCandidateTree(e1, e2 int) bool {
 				}
 				continue
 			}
-			if w.visit(next) && cs.coversOffPath(next, step.in, pp.steps[it.at+1].out) {
+			if w.visit(next) && g.coversOffPath(next, step.in, pp.steps[it.at+1].out) {
 				w.stack = append(w.stack, walkItem{next, it.at + 1})
 			}
 		}
@@ -336,16 +337,16 @@ func (ci *ConflictIndex) Conflicts(e int) bool {
 	if ci.enter(ed.U, g.slotOf(ed.U, ed.Pred)) || ci.enter(ed.V, g.slotOf(ed.V, ed.Pred)) {
 		return true
 	}
-	cs := &g.cs
 	for len(w.stack) > 0 {
 		it := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
 		t := g.tableOf[it.v]
+		first, _ := g.firstList(it.v)
 		for s, p := range g.predsByTable[t] {
-			if s == it.at || g.beyond[t][s]&ci.predMask == 0 || !cs.coversOffPath(it.v, it.at, s) {
+			if s == it.at || g.beyond[t][s]&ci.predMask == 0 || !g.coversOffPath(it.v, it.at, s) {
 				continue
 			}
-			for _, eID := range g.adj[it.v][s] {
+			for _, eID := range g.lists[first+s] {
 				ne := &g.edges[eID]
 				if ne.Color == Red {
 					continue

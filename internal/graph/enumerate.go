@@ -132,13 +132,15 @@ func (en *enumerator) rec(k int) bool {
 	case en.pinned[pIdx] >= 0:
 		return en.try(k, en.pinned[pIdx])
 	case en.assign[p.A] >= 0:
-		for _, eID := range g.adj[en.assign[p.A]][g.slotAt(p.A, pIdx)] {
+		c, n := g.slotLists(p.A, pIdx)
+		for _, eID := range g.lists[c+en.assign[p.A]*n] {
 			if !en.try(k, eID) {
 				return false
 			}
 		}
 	case en.assign[p.B] >= 0:
-		for _, eID := range g.adj[en.assign[p.B]][g.slotAt(p.B, pIdx)] {
+		c, n := g.slotLists(p.B, pIdx)
+		for _, eID := range g.lists[c+en.assign[p.B]*n] {
 			if !en.try(k, eID) {
 				return false
 			}

@@ -16,10 +16,7 @@
 //     transforms of §5.1.1.
 package graph
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Color is the state of an edge: Unknown before crowdsourcing, Blue if
 // the crowd confirmed the predicate holds, Red if refuted.
@@ -147,11 +144,10 @@ type Graph struct {
 	nVerts  int
 
 	edges []Edge
-	// adj[v][k] lists edge ids incident to v on the k-th predicate of
-	// v's table (k indexes predsOf(table(v))). Every adj[v] is a window
-	// into lists, which holds all (vertex, slot) lists in vertex order;
-	// listBase[t] is where table t's first vertex starts.
-	adj      [][][]int
+	// lists holds every (vertex, slot) adjacency list in vertex order:
+	// table t's row r lists the edge ids on the k-th predicate of t (k
+	// indexes predsOf(t)) at lists[listBase[t] + r*len(predsOf(t)) + k].
+	// The cover facts of validity.go are indexed the same way.
 	lists    [][]int
 	listBase []int
 	// predsByTable caches predsOf per table; predSlot[t*nPreds+p] is
@@ -242,11 +238,6 @@ func NewGraph(s *Structure, counts []int) (*Graph, error) {
 		nLists += c * len(g.predsByTable[t])
 	}
 	g.lists = make([][]int, nLists)
-	g.adj = make([][][]int, g.nVerts)
-	for v, rest := 0, g.lists; v < g.nVerts; v++ {
-		n := len(g.predsByTable[g.tableOf[v]])
-		g.adj[v], rest = rest[:n:n], rest[n:]
-	}
 	g.treeShaped = s.Kind() != Cyclic
 	if g.treeShaped {
 		g.paths = g.predPaths()
@@ -312,6 +303,22 @@ func (g *Graph) checkedSlotOf(v, pred int) int {
 	return g.slotAt(g.TableOf(v), pred)
 }
 
+// firstList returns the index in g.lists of vertex v's slot-0 list and
+// the number of slots v has.
+func (g *Graph) firstList(v int) (first, slots int) {
+	t := g.tableOf[v]
+	slots = len(g.predsByTable[t])
+	return g.listBase[t] + (v-g.base[t])*slots, slots
+}
+
+// slotLists returns c and n such that lists[c+v*n] is the list of table
+// t's vertex v on predicate pred (which must touch t): a loop that stays
+// on one side of one predicate pays one multiply-add per vertex.
+func (g *Graph) slotLists(t, pred int) (c, n int) {
+	n = len(g.predsByTable[t])
+	return g.listBase[t] - g.base[t]*n + g.slotAt(t, pred), n
+}
+
 // AddEdge adds a crowd edge on predicate pred between rowA (in the
 // predicate's A table) and rowB (B table) with matching probability w.
 // Returns the edge id.
@@ -324,9 +331,10 @@ func (g *Graph) AddEdge(pred, rowA, rowB int, w float64) int {
 	v := g.VertexID(p.B, rowB)
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{ID: id, Pred: pred, U: u, V: v, W: w})
-	uSlot, vSlot := g.slotAt(p.A, pred), g.slotAt(p.B, pred)
-	g.adj[u][uSlot] = append(g.adj[u][uSlot], id)
-	g.adj[v][vSlot] = append(g.adj[v][vSlot], id)
+	uc, un := g.slotLists(p.A, pred)
+	vc, vn := g.slotLists(p.B, pred)
+	g.lists[uc+u*un] = append(g.lists[uc+u*un], id)
+	g.lists[vc+v*vn] = append(g.lists[vc+v*vn], id)
 	g.dirty = true
 	g.compsValid = false
 	return id
@@ -347,20 +355,33 @@ type EdgeSpec struct {
 // of growing edge by edge. A spec out of range panics, as in AddEdge,
 // before anything is added.
 func (g *Graph) AddEdges(specs []EdgeSpec) (first int) {
+	return g.AddEdgesFunc(func(yield func(EdgeSpec)) {
+		for _, sp := range specs {
+			yield(sp)
+		}
+	})
+}
+
+// AddEdgesFunc is AddEdges for edges that live somewhere other than a
+// slice of specs: walk is called twice, to count and then to fill, and
+// must yield the same specs in the same order both times.
+func (g *Graph) AddEdgesFunc(walk func(yield func(EdgeSpec))) (first int) {
 	first = len(g.edges)
-	deg := make([]int, len(g.lists)) // new edges per (vertex, slot), indexed like g.lists
-	for _, sp := range specs {
+	n := 0
+	deg := make([]int32, len(g.lists)) // new edges per (vertex, slot), indexed like g.lists
+	walk(func(sp EdgeSpec) {
 		if sp.Pred < 0 || sp.Pred >= len(g.S.Preds) {
 			panic(fmt.Sprintf("graph: predicate %d out of range", sp.Pred))
 		}
 		p := g.S.Preds[sp.Pred]
-		g.VertexID(p.A, sp.RowA)
-		g.VertexID(p.B, sp.RowB)
-		deg[g.listBase[p.A]+sp.RowA*len(g.predsByTable[p.A])+g.slotAt(p.A, sp.Pred)]++
-		deg[g.listBase[p.B]+sp.RowB*len(g.predsByTable[p.B])+g.slotAt(p.B, sp.Pred)]++
-	}
+		uc, un := g.slotLists(p.A, sp.Pred)
+		vc, vn := g.slotLists(p.B, sp.Pred)
+		deg[uc+g.VertexID(p.A, sp.RowA)*un]++
+		deg[vc+g.VertexID(p.B, sp.RowB)*vn]++
+		n++
+	})
 	// Lists that already hold edges move into the arena with them.
-	total := 2 * len(specs)
+	total := 2 * n
 	for k, lst := range g.lists {
 		if deg[k] > 0 {
 			total += len(lst)
@@ -369,20 +390,26 @@ func (g *Graph) AddEdges(specs []EdgeSpec) (first int) {
 	arena := make([]int, total)
 	off := 0
 	for k, lst := range g.lists {
-		if n := len(lst) + deg[k]; deg[k] > 0 {
-			g.lists[k] = append(arena[off:off:off+n], lst...)
-			off += n
+		if size := len(lst) + int(deg[k]); deg[k] > 0 {
+			g.lists[k] = append(arena[off:off:off+size], lst...)
+			off += size
 		}
 	}
-	g.edges = slices.Grow(g.edges, len(specs))
-	for _, sp := range specs {
+	if need := len(g.edges) + n; need > cap(g.edges) {
+		g.edges = append(make([]Edge, 0, need), g.edges...)
+	}
+	walk(func(sp EdgeSpec) {
 		p := g.S.Preds[sp.Pred]
 		u, v := g.base[p.A]+sp.RowA, g.base[p.B]+sp.RowB
 		id := len(g.edges)
 		g.edges = append(g.edges, Edge{ID: id, Pred: sp.Pred, U: u, V: v, W: sp.W})
-		uSlot, vSlot := g.slotAt(p.A, sp.Pred), g.slotAt(p.B, sp.Pred)
-		g.adj[u][uSlot] = append(g.adj[u][uSlot], id)
-		g.adj[v][vSlot] = append(g.adj[v][vSlot], id)
+		uc, un := g.slotLists(p.A, sp.Pred)
+		vc, vn := g.slotLists(p.B, sp.Pred)
+		g.lists[uc+u*un] = append(g.lists[uc+u*un], id)
+		g.lists[vc+v*vn] = append(g.lists[vc+v*vn], id)
+	})
+	if len(g.edges) != first+n {
+		panic(fmt.Sprintf("graph: AddEdgesFunc walk yielded %d edges, then %d", n, len(g.edges)-first))
 	}
 	g.dirty = true
 	g.compsValid = false
@@ -438,13 +465,15 @@ func (g *Graph) EdgesAt(v, pred int) []int {
 	if slot < 0 {
 		return nil
 	}
-	return g.adj[v][slot]
+	first, _ := g.firstList(v)
+	return g.lists[first+slot]
 }
 
 // AllEdgesAt returns all edge ids incident to v across predicates.
 func (g *Graph) AllEdgesAt(v int) []int {
 	var out []int
-	for _, lst := range g.adj[v] {
+	first, n := g.firstList(v)
+	for _, lst := range g.lists[first : first+n] {
 		out = append(out, lst...)
 	}
 	return out

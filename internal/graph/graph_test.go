@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"cdb/internal/stats"
@@ -426,6 +428,57 @@ func TestCutLossLeavesStateIntact(t *testing.T) {
 				t.Fatalf("trial %d: validity drifted at edge %d", trial, i)
 			}
 		}
+	}
+}
+
+// TestCutLossRollsFactsBack: on a star whose centre and one spoke also
+// carry a selection (a one-tuple pseudo-table each, so the centre has
+// five slots and the tables differ in slot count), every hypothetical
+// cut leaves the flat cover, support and false-count arrays exactly as
+// it found them, and a rebuild from the colors agrees with them.
+func TestCutLossRollsFactsBack(t *testing.T) {
+	s := &Structure{
+		Tables: []string{"C", "X", "Y", "Z", "$c", "$x"},
+		Preds:  []QPred{{A: 0, B: 1}, {A: 0, B: 2}, {A: 3, B: 0}, {A: 0, B: 4}, {A: 1, B: 5}},
+	}
+	r := stats.NewRNG(22)
+	for trial := 0; trial < 50; trial++ {
+		counts := []int{2 + r.Intn(3), 1 + r.Intn(4), 1 + r.Intn(4), 1 + r.Intn(4), 1, 1}
+		g := MustNewGraph(s, counts)
+		for p, pd := range s.Preds {
+			for a := 0; a < counts[pd.A]; a++ {
+				for b := 0; b < counts[pd.B]; b++ {
+					if r.Bool(0.75) {
+						g.SetColor(g.AddEdge(p, a, b, 0.5), []Color{Unknown, Unknown, Blue, Red}[r.Intn(4)])
+					}
+				}
+			}
+		}
+		g.Revalidate()
+		snapshot := func() ([]bool, []int32, []int32, []bool) {
+			return slices.Clone(g.cs.cover), slices.Clone(g.cs.support), slices.Clone(g.cs.falseCount), slices.Clone(g.valid)
+		}
+		cover, support, falseCount, valid := snapshot()
+		if len(cover) != len(g.lists) || len(support) != len(g.lists) || len(falseCount) != g.nVerts {
+			t.Fatalf("facts sized %d/%d/%d for %d lists, %d vertices", len(cover), len(support), len(falseCount), len(g.lists), g.nVerts)
+		}
+		same := func(ctx string) {
+			t.Helper()
+			c, sp, f, v := snapshot()
+			if !slices.Equal(c, cover) || !slices.Equal(sp, support) || !slices.Equal(f, falseCount) || !slices.Equal(v, valid) {
+				t.Fatalf("trial %d, %s: facts changed\ncover   %v\n     -> %v\nsupport %v\n     -> %v\nfalse   %v\n     -> %v",
+					trial, ctx, cover, c, support, sp, falseCount, f)
+			}
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			for _, pred := range g.predsByTable[g.TableOf(v)] {
+				g.CutLoss(v, pred)
+				same(fmt.Sprintf("after CutLoss(%d, %d)", v, pred))
+			}
+		}
+		g.dirty = true
+		g.Revalidate()
+		same("after a rebuild")
 	}
 }
 

@@ -1,15 +1,19 @@
 package graph
 
+import "math"
+
 // Validity maintenance (Definition 3). An edge is valid iff it appears
 // in at least one candidate: an embedding that assigns one tuple per
 // table such that every predicate's tuple pair is a non-red edge.
 //
 // For tree-shaped query structures we maintain directional cover
-// facts: cover[v][slot] means "tuple v can be extended to satisfy the
-// entire subtree of the query tree that hangs beyond the slot-th
-// predicate of v's table". The fact dependency graph is acyclic (it
-// follows directed query-tree edges), so an optimistic initialization
-// followed by false-propagation computes the unique fixpoint. An edge
+// facts: the fact of (v, slot) means "tuple v can be extended to satisfy
+// the entire subtree of the query tree that hangs beyond the slot-th
+// predicate of v's table". Facts are stored flat, one per adjacency
+// list and at that list's index in g.lists (firstList, slotLists). The
+// fact dependency graph is acyclic (it follows directed query-tree
+// edges), so an optimistic initialization followed by
+// false-propagation computes the unique fixpoint. An edge
 // e=(u,v) on predicate p is then valid iff it is non-red, u covers all
 // its predicates except p, and v covers all its predicates except p.
 //
@@ -21,27 +25,45 @@ package graph
 // and reddenEdgeTree) with the scratch of hypothetical cuts, which
 // mutate the facts temporarily and roll them back.
 type cutState struct {
-	cover      [][]bool // cover[v][slot]: v can cover the subtree beyond that pred
-	support    [][]int  // supporting-edge counters for cover facts
-	falseCount []int    // number of false cover facts per vertex
+	cover      []bool  // per (vertex, slot): v can cover the subtree beyond that pred
+	support    []int32 // supporting-edge counters for cover facts, indexed like cover
+	falseCount []int32 // number of false cover facts per vertex
 
-	epoch     int
-	edgeEpoch []int // scratch for hypothetical-cut dedup
+	epoch     int32
+	edgeEpoch []int32 // scratch for hypothetical-cut dedup
 	journal   []journalEntry
 	work      []fact
 }
 
 // coversAllExcept reports whether vertex v's cover facts hold for
-// every incident predicate slot except skip (-1 means all slots).
-func (cs *cutState) coversAllExcept(v, skipSlot int) bool {
+// every incident predicate slot except the one whose fact is skip (-1
+// means all slots).
+func (cs *cutState) coversAllExcept(v, skip int) bool {
 	switch cs.falseCount[v] {
 	case 0:
 		return true
 	case 1:
-		return skipSlot >= 0 && !cs.cover[v][skipSlot]
+		return skip >= 0 && !cs.cover[skip]
 	default:
 		return false
 	}
+}
+
+// edgeFacts returns the facts of edge e's own slot at U and at V.
+func (g *Graph) edgeFacts(e *Edge) (ku, kv int) {
+	p := g.S.Preds[e.Pred]
+	uc, un := g.slotLists(p.A, e.Pred)
+	vc, vn := g.slotLists(p.B, e.Pred)
+	return uc + e.U*un, vc + e.V*vn
+}
+
+// farFacts returns slotLists for the far side of list q of vertex v,
+// whose slot-0 list is first: an edge of q supports fact c + w*n at its
+// other endpoint w.
+func (g *Graph) farFacts(v, first, q int) (c, n int) {
+	t := g.tableOf[v]
+	pred := g.predsByTable[t][q-first]
+	return g.slotLists(g.S.other(pred, t), pred)
 }
 
 // Revalidate recomputes edge validity from the current colors. It is
@@ -109,7 +131,7 @@ func (g *Graph) CountValidUncolored() int {
 // full rebuild is already pending) falls back to the dirty flag.
 func (g *Graph) noteColorValidity(id int, old, c Color) {
 	if !g.dirty && g.treeShaped && old == Unknown &&
-		len(g.valid) == len(g.edges) && len(g.cs.cover) == g.nVerts {
+		len(g.valid) == len(g.edges) && len(g.cs.falseCount) == g.nVerts {
 		if c == Blue {
 			return
 		}
@@ -128,44 +150,45 @@ func (g *Graph) noteColorValidity(id int, old, c Color) {
 // TestIncrementalValidityMatchesRebuild).
 func (g *Graph) reddenEdgeTree(id int) {
 	cs := &g.cs
-	e := g.edges[id]
+	e := &g.edges[id]
 	g.valid[id] = false
-	uSlot, vSlot := g.slotOf(e.U, e.Pred), g.slotOf(e.V, e.Pred)
+	ku, kv := g.edgeFacts(e)
 	work := g.factWork[:0]
 	// The edge contributed to an endpoint's support only while the
 	// other endpoint covered everything beyond it (the invariant the
 	// propagation maintains), so only live contributions are removed.
-	if cs.coversAllExcept(e.U, uSlot) {
-		cs.support[e.V][vSlot]--
-		if cs.support[e.V][vSlot] == 0 && cs.cover[e.V][vSlot] {
-			work = append(work, fact{e.V, vSlot})
+	if cs.coversAllExcept(e.U, ku) {
+		cs.support[kv]--
+		if cs.support[kv] == 0 && cs.cover[kv] {
+			work = append(work, fact{e.V, kv})
 		}
 	}
-	if cs.coversAllExcept(e.V, vSlot) {
-		cs.support[e.U][uSlot]--
-		if cs.support[e.U][uSlot] == 0 && cs.cover[e.U][uSlot] {
-			work = append(work, fact{e.U, uSlot})
+	if cs.coversAllExcept(e.V, kv) {
+		cs.support[ku]--
+		if cs.support[ku] == 0 && cs.cover[ku] {
+			work = append(work, fact{e.U, ku})
 		}
 	}
 	for len(work) > 0 {
 		f := work[len(work)-1]
 		work = work[:len(work)-1]
-		if !cs.cover[f.v][f.slot] {
+		if !cs.cover[f.k] {
 			continue
 		}
-		cs.cover[f.v][f.slot] = false
+		cs.cover[f.k] = false
 		cs.falseCount[f.v]++
+		first, slots := g.firstList(f.v)
 		switch cs.falseCount[f.v] {
 		case 1:
-			for q := range cs.cover[f.v] {
-				if q != f.slot {
-					work = g.dropSupportInvalidate(cs, f.v, q, work)
+			for q := first; q < first+slots; q++ {
+				if q != f.k {
+					work = g.dropSupportInvalidate(cs, f.v, first, q, work)
 				}
 			}
 		case 2:
-			for q := range cs.cover[f.v] {
-				if q != f.slot && !cs.cover[f.v][q] {
-					work = g.dropSupportInvalidate(cs, f.v, q, work)
+			for q := first; q < first+slots; q++ {
+				if q != f.k && !cs.cover[q] {
+					work = g.dropSupportInvalidate(cs, f.v, first, q, work)
 					break
 				}
 			}
@@ -176,11 +199,11 @@ func (g *Graph) reddenEdgeTree(id int) {
 
 // dropSupportInvalidate is dropSupportSlot with permanent edge
 // invalidation: coversAllExcept(v, q) just flipped false, so every
-// non-red edge at v on slot q left its last candidate.
-func (g *Graph) dropSupportInvalidate(cs *cutState, v, q int, work []fact) []fact {
-	pred := g.predsByTable[g.tableOf[v]][q]
-	for _, eID := range g.adj[v][q] {
-		e := g.edges[eID]
+// non-red edge of v's list q left its last candidate.
+func (g *Graph) dropSupportInvalidate(cs *cutState, v, first, q int, work []fact) []fact {
+	c, n := g.farFacts(v, first, q)
+	for _, eID := range g.lists[q] {
+		e := &g.edges[eID]
 		if e.Color == Red {
 			continue
 		}
@@ -189,77 +212,69 @@ func (g *Graph) dropSupportInvalidate(cs *cutState, v, q int, work []fact) []fac
 		if w == v {
 			w = e.V
 		}
-		wSlot := g.slotOf(w, pred)
-		cs.support[w][wSlot]--
-		if cs.support[w][wSlot] == 0 && cs.cover[w][wSlot] {
-			work = append(work, fact{w, wSlot})
+		kw := c + w*n
+		cs.support[kw]--
+		if cs.support[kw] == 0 && cs.cover[kw] {
+			work = append(work, fact{w, kw})
 		}
 	}
 	return work
 }
 
 func (g *Graph) revalidateTree() {
-	n := g.nVerts
 	cs := &g.cs
-	if cs.cover == nil || len(cs.cover) != n {
-		cs.cover = make([][]bool, n)
-		cs.support = make([][]int, n)
-		cs.falseCount = make([]int, n)
-		for v := 0; v < n; v++ {
-			slots := len(g.predsByTable[g.tableOf[v]])
-			cs.cover[v] = make([]bool, slots)
-			cs.support[v] = make([]int, slots)
-		}
+	if len(cs.falseCount) != g.nVerts {
+		cs.cover = make([]bool, len(g.lists))
+		cs.support = make([]int32, len(g.lists))
+		cs.falseCount = make([]int32, g.nVerts)
 	}
 	// Optimistic init: everything covers; supports count non-red
-	// incident edges per slot.
-	for v := 0; v < n; v++ {
-		cs.falseCount[v] = 0
-		for s := range cs.cover[v] {
-			cs.cover[v][s] = true
-			cnt := 0
-			for _, eID := range g.adj[v][s] {
+	// incident edges per slot. Facts with zero support are false and
+	// seed the worklist.
+	clear(cs.falseCount)
+	work := g.factWork[:0]
+	for v := 0; v < g.nVerts; v++ {
+		first, slots := g.firstList(v)
+		for k := first; k < first+slots; k++ {
+			cs.cover[k] = true
+			cnt := int32(0)
+			for _, eID := range g.lists[k] {
 				if g.edges[eID].Color != Red {
 					cnt++
 				}
 			}
-			cs.support[v][s] = cnt
-		}
-	}
-	// Worklist of facts that are false: zero support.
-	work := g.factWork[:0]
-	for v := 0; v < n; v++ {
-		for s := range cs.cover[v] {
-			if cs.support[v][s] == 0 {
-				work = append(work, fact{v, s})
+			cs.support[k] = cnt
+			if cnt == 0 {
+				work = append(work, fact{v, k})
 			}
 		}
 	}
 	for len(work) > 0 {
 		f := work[len(work)-1]
 		work = work[:len(work)-1]
-		if !cs.cover[f.v][f.slot] {
+		if !cs.cover[f.k] {
 			continue
 		}
-		cs.cover[f.v][f.slot] = false
+		cs.cover[f.k] = false
 		cs.falseCount[f.v]++
+		first, slots := g.firstList(f.v)
 		// f.v stops supporting neighbor facts through every slot q where
 		// coversAllExcept(f.v, q) just flipped from true to false.
 		switch cs.falseCount[f.v] {
 		case 1:
 			// Previously covered everything: coversAllExcept flipped for
 			// every slot except the newly false one.
-			for q := range cs.cover[f.v] {
-				if q != f.slot {
-					work = g.dropSupportSlot(cs, f.v, q, work)
+			for q := first; q < first+slots; q++ {
+				if q != f.k {
+					work = g.dropSupportSlot(cs, f.v, first, q, work)
 				}
 			}
 		case 2:
 			// Previously exactly one false slot f0: coversAllExcept was
 			// true only for q==f0; it flips there now.
-			for q := range cs.cover[f.v] {
-				if q != f.slot && !cs.cover[f.v][q] {
-					work = g.dropSupportSlot(cs, f.v, q, work)
+			for q := first; q < first+slots; q++ {
+				if q != f.k && !cs.cover[q] {
+					work = g.dropSupportSlot(cs, f.v, first, q, work)
 					break
 				}
 			}
@@ -276,21 +291,22 @@ func (g *Graph) revalidateTree() {
 		g.valid[i] = g.edgeValidNow(i)
 	}
 	if len(cs.edgeEpoch) != len(g.edges) {
-		cs.edgeEpoch = make([]int, len(g.edges))
+		cs.edgeEpoch = make([]int32, len(g.edges))
 		cs.epoch = 0
 	}
 }
 
 // fact identifies one directional cover fact: vertex v's coverage of
-// the query subtree beyond its slot-th incident predicate.
-type fact struct{ v, slot int }
+// the query subtree beyond one of its incident predicates, k being the
+// index of that (vertex, slot) in the flat fact arrays.
+type fact struct{ v, k int }
 
 // dropSupportSlot removes v's contribution from neighbor facts across
-// predicate slot q of v (v no longer covers "away from q").
-func (g *Graph) dropSupportSlot(cs *cutState, v, q int, work []fact) []fact {
-	pred := g.predsByTable[g.tableOf[v]][q]
-	for _, eID := range g.adj[v][q] {
-		e := g.edges[eID]
+// v's list q (v no longer covers "away from q").
+func (g *Graph) dropSupportSlot(cs *cutState, v, first, q int, work []fact) []fact {
+	c, n := g.farFacts(v, first, q)
+	for _, eID := range g.lists[q] {
+		e := &g.edges[eID]
 		if e.Color == Red {
 			continue
 		}
@@ -298,10 +314,10 @@ func (g *Graph) dropSupportSlot(cs *cutState, v, q int, work []fact) []fact {
 		if w == v {
 			w = e.V
 		}
-		wSlot := g.slotOf(w, pred)
-		cs.support[w][wSlot]--
-		if cs.support[w][wSlot] == 0 && cs.cover[w][wSlot] {
-			work = append(work, fact{w, wSlot})
+		kw := c + w*n
+		cs.support[kw]--
+		if cs.support[kw] == 0 && cs.cover[kw] {
+			work = append(work, fact{w, kw})
 		}
 	}
 	return work
@@ -309,12 +325,12 @@ func (g *Graph) dropSupportSlot(cs *cutState, v, q int, work []fact) []fact {
 
 // edgeValidNow evaluates validity from the current cover facts.
 func (g *Graph) edgeValidNow(id int) bool {
-	e := g.edges[id]
+	e := &g.edges[id]
 	if e.Color == Red {
 		return false
 	}
-	uSlot, vSlot := g.slotOf(e.U, e.Pred), g.slotOf(e.V, e.Pred)
-	return g.cs.coversAllExcept(e.U, uSlot) && g.cs.coversAllExcept(e.V, vSlot)
+	ku, kv := g.edgeFacts(e)
+	return g.cs.coversAllExcept(e.U, ku) && g.cs.coversAllExcept(e.V, kv)
 }
 
 // revalidateBacktrack is the general fallback: per-edge existence
@@ -331,19 +347,16 @@ func (g *Graph) revalidateBacktrack() {
 		g.valid[i] = g.existsCandidateWithPins([]int{i})
 	}
 	if len(g.cs.edgeEpoch) != len(g.edges) {
-		g.cs.edgeEpoch = make([]int, len(g.edges))
+		g.cs.edgeEpoch = make([]int32, len(g.edges))
 		g.cs.epoch = 0
 	}
 }
 
 // --- hypothetical cuts (Eq. 1 support) ---
 
-// journalEntry records one state mutation for rollback.
-type journalEntry struct {
-	kind int // 0 support dec, 1 cover flip
-	v    int
-	slot int
-}
+// journalEntry records one state mutation for rollback: a decrement of
+// support[k] (v < 0), or cover[k] flipped false at vertex v.
+type journalEntry struct{ k, v int32 }
 
 // CutLoss computes how many currently-valid uncolored edges (excluding
 // the cut bundle itself) would become invalid if all *uncolored* edges
@@ -371,14 +384,24 @@ func (g *Graph) cutLossTree(v, pred int) (loss, bundle int) {
 	}
 	journal := cs.journal[:0]
 	work := cs.work[:0]
+	if cs.epoch == math.MaxInt32 {
+		clear(cs.edgeEpoch)
+		cs.epoch = 0
+	}
 	cs.epoch++
 
 	// Virtually redden the bundle: each non-red edge (v,w) on pred
 	// stops supporting cover facts on BOTH sides. Bundle members are
 	// stamped with the epoch so the loss count can exclude them.
 	epoch := cs.epoch
-	for _, eID := range g.adj[v][slot] {
-		e := g.edges[eID]
+	first, _ := g.firstList(v)
+	kv := first + slot
+	c, n := g.farFacts(v, first, kv)
+	// No fact flips before the propagation below, so whether v covers
+	// everything but the bundle's slot is one answer for the whole bundle.
+	vCovers := cs.coversAllExcept(v, kv)
+	for _, eID := range g.lists[kv] {
+		e := &g.edges[eID]
 		if e.Color != Unknown {
 			continue
 		}
@@ -388,23 +411,23 @@ func (g *Graph) cutLossTree(v, pred int) (loss, bundle int) {
 		if w == v {
 			w = e.V
 		}
-		wSlot := g.slotOf(w, pred)
-		// An edge contributes to support[w][wSlot] only while its other
-		// endpoint covers-all-except the predicate (that is the
+		kw := c + w*n
+		// An edge contributes to its endpoint's support only while its
+		// other endpoint covers-all-except the predicate (that is the
 		// invariant the propagation maintains), so removing the edge
 		// decrements only live contributions.
-		if cs.coversAllExcept(v, slot) {
-			cs.support[w][wSlot]--
-			journal = append(journal, journalEntry{kind: 0, v: w, slot: wSlot})
-			if cs.support[w][wSlot] == 0 && cs.cover[w][wSlot] {
-				work = append(work, fact{w, wSlot})
+		if vCovers {
+			cs.support[kw]--
+			journal = append(journal, journalEntry{k: int32(kw), v: -1})
+			if cs.support[kw] == 0 && cs.cover[kw] {
+				work = append(work, fact{w, kw})
 			}
 		}
-		if cs.coversAllExcept(w, wSlot) {
-			cs.support[v][slot]--
-			journal = append(journal, journalEntry{kind: 0, v: v, slot: slot})
-			if cs.support[v][slot] == 0 && cs.cover[v][slot] {
-				work = append(work, fact{v, slot})
+		if cs.coversAllExcept(w, kw) {
+			cs.support[kv]--
+			journal = append(journal, journalEntry{k: int32(kv), v: -1})
+			if cs.support[kv] == 0 && cs.cover[kv] {
+				work = append(work, fact{v, kv})
 			}
 		}
 	}
@@ -414,31 +437,32 @@ func (g *Graph) cutLossTree(v, pred int) (loss, bundle int) {
 	for len(work) > 0 {
 		f := work[len(work)-1]
 		work = work[:len(work)-1]
-		if !cs.cover[f.v][f.slot] {
+		if !cs.cover[f.k] {
 			continue
 		}
-		cs.cover[f.v][f.slot] = false
+		cs.cover[f.k] = false
 		cs.falseCount[f.v]++
-		journal = append(journal, journalEntry{kind: 1, v: f.v, slot: f.slot})
+		journal = append(journal, journalEntry{k: int32(f.k), v: int32(f.v)})
+		first, slots := g.firstList(f.v)
 
 		// coversAllExcept(f.v, q) flipped false at every other slot (first
 		// false fact) or at the one slot that was already false (second).
 		switch cs.falseCount[f.v] {
 		case 1:
-			for q := range cs.cover[f.v] {
-				if q != f.slot {
-					journal, work = g.dropSupportJournaled(cs, f.v, q, journal, work, &newlyInvalid)
+			for q := first; q < first+slots; q++ {
+				if q != f.k {
+					journal, work = g.dropSupportJournaled(cs, f.v, first, q, journal, work, &newlyInvalid)
 				}
 			}
 		case 2:
-			for q := range cs.cover[f.v] {
-				if q != f.slot && !cs.cover[f.v][q] {
-					journal, work = g.dropSupportJournaled(cs, f.v, q, journal, work, &newlyInvalid)
+			for q := first; q < first+slots; q++ {
+				if q != f.k && !cs.cover[q] {
+					journal, work = g.dropSupportJournaled(cs, f.v, first, q, journal, work, &newlyInvalid)
 					break
 				}
 			}
 		}
-		// Edges on f.slot itself: cover[f.v][f.slot] false does not by
+		// Edges on f's own slot: the fact turning false does not by
 		// itself invalidate those edges (validity looks at
 		// coversAllExcept of both endpoints w.r.t. their own pred), but
 		// coversAllExcept(f.v, q) flips handled above cover that.
@@ -447,11 +471,10 @@ func (g *Graph) cutLossTree(v, pred int) (loss, bundle int) {
 	// Rollback in reverse order.
 	for i := len(journal) - 1; i >= 0; i-- {
 		j := journal[i]
-		switch j.kind {
-		case 0:
-			cs.support[j.v][j.slot]++
-		case 1:
-			cs.cover[j.v][j.slot] = true
+		if j.v < 0 {
+			cs.support[j.k]++
+		} else {
+			cs.cover[j.k] = true
 			cs.falseCount[j.v]--
 		}
 	}
@@ -467,10 +490,10 @@ func (g *Graph) cutLossTree(v, pred int) (loss, bundle int) {
 // once toward the loss. Only uncolored edges count: invalidating an
 // already-asked (blue) edge saves no task. Bundle members carry
 // -epoch, already-counted edges +epoch; both are excluded.
-func (g *Graph) dropSupportJournaled(cs *cutState, v, q int, journal []journalEntry, work []fact, loss *int) ([]journalEntry, []fact) {
-	pred := g.predsByTable[g.tableOf[v]][q]
+func (g *Graph) dropSupportJournaled(cs *cutState, v, first, q int, journal []journalEntry, work []fact, loss *int) ([]journalEntry, []fact) {
+	c, n := g.farFacts(v, first, q)
 	epoch := cs.epoch
-	for _, eID := range g.adj[v][q] {
+	for _, eID := range g.lists[q] {
 		e := &g.edges[eID]
 		if e.Color == Red {
 			continue
@@ -483,11 +506,11 @@ func (g *Graph) dropSupportJournaled(cs *cutState, v, q int, journal []journalEn
 		if w == v {
 			w = e.V
 		}
-		wSlot := g.slotOf(w, pred)
-		cs.support[w][wSlot]--
-		journal = append(journal, journalEntry{kind: 0, v: w, slot: wSlot})
-		if cs.support[w][wSlot] == 0 && cs.cover[w][wSlot] {
-			work = append(work, fact{w, wSlot})
+		kw := c + w*n
+		cs.support[kw]--
+		journal = append(journal, journalEntry{k: int32(kw), v: -1})
+		if cs.support[kw] == 0 && cs.cover[kw] {
+			work = append(work, fact{w, kw})
 		}
 	}
 	return journal, work
@@ -501,7 +524,7 @@ func (g *Graph) cutLossBrute(v, pred int) (loss, bundle int) {
 		return 0, 0
 	}
 	var flipped []int
-	for _, eID := range g.adj[v][slot] {
+	for _, eID := range g.EdgesAt(v, pred) {
 		if g.edges[eID].Color == Unknown {
 			flipped = append(flipped, eID)
 		}

@@ -37,23 +37,72 @@ type Pair struct {
 // whitespace) joins nothing — it gives the crowd nothing to compare —
 // although Similarity scores two empty sets as 1.
 func Join(f Func, left, right []string, eps float64) []Pair {
-	start := time.Now()
-	pairs, touched := joinPairs(f, left, right, eps)
-	mJoins.Inc()
-	mJoinTouched.Add(int64(touched))
-	mJoinPairs.Add(int64(len(pairs)))
-	mJoinSeconds.Observe(time.Since(start).Seconds())
-	return pairs
+	var ps Pairs
+	JoinEach(f, left, right, eps, ps.Add)
+	return ps.Slice()
 }
 
-func joinPairs(f Func, left, right []string, eps float64) (pairs []Pair, touched int) {
+// JoinEach is Join for a caller that keeps the pairs itself: emit
+// receives each one as it is found, in Join's order.
+func JoinEach(f Func, left, right []string, eps float64, emit func(Pair)) {
+	start := time.Now()
+	pairs := 0
+	touched := joinPairs(f, left, right, eps, func(p Pair) {
+		pairs++
+		emit(p)
+	})
+	mJoins.Inc()
+	mJoinTouched.Add(int64(touched))
+	mJoinPairs.Add(int64(pairs))
+	mJoinSeconds.Observe(time.Since(start).Seconds())
+}
+
+// pairChunk is the chunk length of Pairs: 12 KB, an allocator size
+// class, and about what append-growing a slice to 256 pairs allocates.
+const pairChunk = 512
+
+// Pairs stores emitted pairs once, in fixed-size chunks: growing adds a
+// chunk and copies nothing.
+type Pairs struct{ chunks [][]Pair }
+
+// Add appends p.
+func (ps *Pairs) Add(p Pair) {
+	last := len(ps.chunks) - 1
+	if last < 0 || len(ps.chunks[last]) == pairChunk {
+		ps.chunks = append(ps.chunks, make([]Pair, 0, pairChunk))
+		last++
+	}
+	ps.chunks[last] = append(ps.chunks[last], p)
+}
+
+// Chunks returns the stored pairs in order, chunk by chunk. The slices
+// are the storage itself.
+func (ps *Pairs) Chunks() [][]Pair { return ps.chunks }
+
+// Slice copies the stored pairs into one exactly-sized slice.
+func (ps *Pairs) Slice() []Pair {
+	if len(ps.chunks) == 0 {
+		return nil
+	}
+	last := len(ps.chunks) - 1
+	out := make([]Pair, 0, last*pairChunk+len(ps.chunks[last]))
+	for _, c := range ps.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+func joinPairs(f Func, left, right []string, eps float64, emit func(Pair)) (touched int) {
 	switch f {
 	case Gram2Jaccard, TokenJaccard:
 		if eps <= 0 {
 			// Pairs that share nothing qualify too: score every pair.
-			return BruteForceJoin(f, left, right, eps), 0
+			for _, p := range BruteForceJoin(f, left, right, eps) {
+				emit(p)
+			}
+			return 0
 		}
-		return countJoin(left, right, eps, f == TokenJaccard)
+		return countJoin(left, right, eps, f == TokenJaccard, emit)
 	case EditDistance:
 		// Overlap pre-filter: edit similarity >= eps implies the 2-gram
 		// sets overlap somewhat; we use a generous Jaccard pre-threshold
@@ -64,37 +113,31 @@ func joinPairs(f Func, left, right []string, eps float64) (pairs []Pair, touched
 		if pre < 0.05 {
 			pre = 0.05
 		}
-		return verifyJoin(left, right, pre, eps, NormalizedEditSim)
+		return verifyJoin(left, right, pre, eps, NormalizedEditSim, emit)
 	case Cosine:
 		pre := eps * eps / 2
 		if pre < 0.05 {
 			pre = 0.05
 		}
-		return verifyJoin(left, right, pre, eps, CosineSim)
+		return verifyJoin(left, right, pre, eps, CosineSim, emit)
 	case NoSim:
-		out := make([]Pair, 0, len(left)*len(right))
 		for i := range left {
 			for j := range right {
-				out = append(out, Pair{Left: i, Right: j, Sim: 0.5})
+				emit(Pair{Left: i, Right: j, Sim: 0.5})
 			}
 		}
-		return out, 0
-	default:
-		return nil, 0
 	}
+	return 0
 }
 
 // verifyJoin keeps the pairs with 2-gram Jaccard >= pre whose exact
 // similarity reaches eps.
-func verifyJoin(left, right []string, pre, eps float64, exact func(a, b string) float64) ([]Pair, int) {
-	cands, touched := countJoin(left, right, pre, false)
-	out := make([]Pair, 0, len(cands))
-	for _, p := range cands {
+func verifyJoin(left, right []string, pre, eps float64, exact func(a, b string) float64, emit func(Pair)) (touched int) {
+	return countJoin(left, right, pre, false, func(p Pair) {
 		if s := exact(left[p.Left], right[p.Right]); s >= eps {
-			out = append(out, Pair{Left: p.Left, Right: p.Right, Sim: s})
+			emit(Pair{Left: p.Left, Right: p.Right, Sim: s})
 		}
-	}
-	return out, touched
+	})
 }
 
 // BruteForceJoin verifies every pair — the reference implementation
@@ -132,7 +175,7 @@ func tokenless(f Func, s string) bool {
 // postings of its tokens that leaves cnt[j] = |a ∩ b_j|. Jaccard is
 // then read off the counters as c / (|a| + |b_j| - c). The work is one
 // increment per shared token plus one counter read per pair, and the
-// output needs no sort.
+// pairs reach emit in ascending (Left, Right) order.
 //
 // There is deliberately no prefix or length filter in front of the
 // counters. On the columns this system joins the vocabulary is a few
@@ -142,7 +185,7 @@ func tokenless(f Func, s string) bool {
 // branches — about six times the number of tokens the pairs share.
 //
 // touched counts the pairs that share at least one token.
-func countJoin(left, right []string, eps float64, words bool) (out []Pair, touched int) {
+func countJoin(left, right []string, eps float64, words bool, emit func(Pair)) (touched int) {
 	t := newTokenizer(words)
 	r, l := t.sets(right), t.sets(left)
 
@@ -181,9 +224,9 @@ func countJoin(left, right []string, eps float64, words bool) (out []Pair, touch
 			touched++
 			union := len(a) + r.size(j) - int(c)
 			if s := float64(c) / float64(union); s >= eps {
-				out = append(out, Pair{Left: i, Right: j, Sim: s})
+				emit(Pair{Left: i, Right: j, Sim: s})
 			}
 		}
 	}
-	return out, touched
+	return touched
 }

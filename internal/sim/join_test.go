@@ -76,52 +76,73 @@ func orderedGrams(s string) []string {
 // members, and across two strings put through one tokenizer two grams
 // share an id iff they are the same string. The scorer built on the
 // same ids returns Similarity's bits for both Jaccard functions.
+//
+// The seeds past the first line sit on the edges of the printable-ASCII
+// gram table: the runes just outside it (0x1F, 0x80) and just inside
+// (0x20, 0x7F), non-ASCII runes beside ASCII ones, and runes that only
+// become ASCII once lower-cased (İ, the Kelvin sign). Every input also
+// runs through tokenizers that have already handed out nearly, or all of,
+// the ids the table's 16 bits can hold, so the table's grams are looked
+// up beside, and after, grams that had to go to the map.
 func FuzzGramIDs(f *testing.F) {
 	for _, s := range []string{"", " \t\n ", "a", "  a  ", "ab", "a\tb\n\nc  d", "University OF  california",
-		"İstanbul", "Straße STRASSE", "数据库 查询", "a\u00a0b\u0085c", "\xff", "a\xffb\xc3", "\xf0\x9f", "aaaa", "abab ab"} {
+		"İstanbul", "Straße STRASSE", "数据库 查询", "a\u00a0b\u0085c", "\xff", "a\xffb\xc3", "\xf0\x9f", "aaaa", "abab ab",
+		"a\x1fb\x1f\x1f", "a\x7fb\x7f\x7f~", "\x7f", "\x1f", "~\u0080a\u0080", "aéa éa", "数a据a", "İi Iİ", "\u212ak K\u212a"} {
 		f.Add(s, "Univ. of California")
 		f.Add("ab", s)
 		f.Add(s, s)
 	}
 	f.Fuzz(func(t *testing.T, a, b string) {
-		tok := newTokenizer(false)
-		strs := [2]string{a, b}
-		var ids [2][]int32
-		var grams [2][]string
-		for k, s := range strs {
-			ids[k] = tok.appendSet(nil, s)
-			grams[k] = orderedGrams(s)
-			sorted := append([]string(nil), grams[k]...)
-			sort.Strings(sorted)
-			if want := Grams2(s); strings.Join(sorted, "\x00") != strings.Join(want, "\x00") {
-				t.Fatalf("reference grams of %q = %q, Grams2 = %q", s, sorted, want)
-			}
-			if len(ids[k]) != len(grams[k]) {
-				t.Fatalf("%q: %d ids %v for %d grams %q", s, len(ids[k]), ids[k], len(grams[k]), grams[k])
-			}
+		for _, used := range []int{0, math.MaxUint16 - 3, math.MaxUint16} {
+			fuzzGramIDs(t, a, b, used)
 		}
-		for k := range strs {
-			for x, gx := range grams[k] {
-				for y, gy := range grams[1] {
-					if (gx == gy) != (ids[k][x] == ids[1][y]) {
-						t.Fatalf("%q/%q: grams %q, %q got ids %d, %d", strs[k], b, gx, gy, ids[k][x], ids[1][y])
-					}
+	})
+}
+
+// fuzzGramIDs is FuzzGramIDs' check on a tokenizer whose first used ids
+// are taken.
+func fuzzGramIDs(t *testing.T, a, b string, used int) {
+	tok := newTokenizer(false)
+	tok.seen = make([]int32, used)
+	strs := [2]string{a, b}
+	var ids [2][]int32
+	var grams [2][]string
+	for k, s := range strs {
+		ids[k] = tok.appendSet(nil, s)
+		grams[k] = orderedGrams(s)
+		sorted := append([]string(nil), grams[k]...)
+		sort.Strings(sorted)
+		if want := Grams2(s); strings.Join(sorted, "\x00") != strings.Join(want, "\x00") {
+			t.Fatalf("reference grams of %q = %q, Grams2 = %q", s, sorted, want)
+		}
+		if len(ids[k]) != len(grams[k]) {
+			t.Fatalf("%q: %d ids %v for %d grams %q", s, len(ids[k]), ids[k], len(grams[k]), grams[k])
+		}
+	}
+	for k := range strs {
+		for x, gx := range grams[k] {
+			for y, gy := range grams[1] {
+				if (gx == gy) != (ids[k][x] == ids[1][y]) {
+					t.Fatalf("%q/%q: grams %q, %q got ids %d, %d", strs[k], b, gx, gy, ids[k][x], ids[1][y])
 				}
 			}
 		}
-		if again := tok.appendSet(nil, a); !slices.Equal(again, ids[0]) {
-			t.Fatalf("%q: ids changed on a second pass: %v then %v", a, ids[0], again)
+	}
+	if again := tok.appendSet(nil, a); !slices.Equal(again, ids[0]) {
+		t.Fatalf("%q: ids changed on a second pass: %v then %v", a, ids[0], again)
+	}
+	if used > 0 {
+		return
+	}
+	for _, fn := range []Func{Gram2Jaccard, TokenJaccard, EditDistance} {
+		got, want := Against(fn, a)(b), Similarity(fn, b, a)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Against(%v, %q)(%q) = %v, Similarity = %v", fn, a, b, got, want)
 		}
-		for _, fn := range []Func{Gram2Jaccard, TokenJaccard, EditDistance} {
-			got, want := Against(fn, a)(b), Similarity(fn, b, a)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("Against(%v, %q)(%q) = %v, Similarity = %v", fn, a, b, got, want)
-			}
-		}
-		if got, want := len(newTokenizer(true).appendSet(nil, a)), len(Tokens(a)); got != want {
-			t.Fatalf("%q: %d word ids for %d tokens", a, got, want)
-		}
-	})
+	}
+	if got, want := len(newTokenizer(true).appendSet(nil, a)), len(Tokens(a)); got != want {
+		t.Fatalf("%q: %d word ids for %d tokens", a, got, want)
+	}
 }
 
 // FuzzJoinMatchesBruteForce splits each argument on '|' into one side's

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenizer turns strings into sets of dense int32 token ids without
@@ -11,19 +13,31 @@ import (
 // are local to the tokenizer, handed out from 0 in order of first
 // appearance; a join makes one, uses it for both sides and drops it.
 type tokenizer struct {
-	words  bool
+	words bool
+	// ascii resolves a gram of two printable-ASCII runes (0x20–0x7F) by
+	// index, holding id+1 (0: not seen yet); grams takes every other rune
+	// pair, and the ASCII ones first seen once ids no longer fit 16 bits.
+	ascii  *[asciiSpan * asciiSpan]uint16
 	grams  map[uint64]int32 // packed rune pair -> id
 	fields map[string]int32 // lower-cased whitespace field -> id
 	seen   []int32          // seen[id] == serial: id is already in the current set
 	serial int32
 }
 
+// asciiSpan is the number of runes from asciiLow up that the gram table
+// covers per side: 96×96 entries are 18 KB, less than the map grows to
+// on one join's column pair.
+const (
+	asciiLow  = 0x20
+	asciiSpan = 0x80 - asciiLow
+)
+
 func newTokenizer(words bool) *tokenizer {
 	t := &tokenizer{words: words}
 	if words {
 		t.fields = make(map[string]int32)
 	} else {
-		t.grams = make(map[uint64]int32)
+		t.ascii = new([asciiSpan * asciiSpan]uint16)
 	}
 	return t
 }
@@ -53,8 +67,17 @@ func (t *tokenizer) appendSet(dst []int32, s string) []int32 {
 	// a run is only emitted once a later rune shows it is interior.
 	prev, n, space := loneRune, 0, false
 	for _, r := range s {
-		r = unicode.ToLower(r)
-		if unicode.IsSpace(r) {
+		var isSpace bool
+		if r < utf8.RuneSelf {
+			if 'A' <= r && r <= 'Z' {
+				r += 'a' - 'A'
+			}
+			isSpace = r == ' ' || ('\t' <= r && r <= '\r')
+		} else {
+			r = unicode.ToLower(r)
+			isSpace = unicode.IsSpace(r)
+		}
+		if isSpace {
 			space = n > 0
 			continue
 		}
@@ -76,9 +99,23 @@ func (t *tokenizer) appendSet(dst []int32, s string) []int32 {
 }
 
 func (t *tokenizer) gram(dst []int32, a, b rune) []int32 {
+	if x, y := uint32(a-asciiLow), uint32(b-asciiLow); x < asciiSpan && y < asciiSpan {
+		e := &t.ascii[x*asciiSpan+y]
+		if *e != 0 {
+			return t.add(dst, int32(*e)-1)
+		}
+		if len(t.seen) < math.MaxUint16 {
+			id := t.newID()
+			*e = uint16(id + 1)
+			return t.add(dst, id)
+		}
+	}
 	key := uint64(uint32(a))<<32 | uint64(uint32(b))
 	id, ok := t.grams[key]
 	if !ok {
+		if t.grams == nil {
+			t.grams = make(map[uint64]int32)
+		}
 		id = t.newID()
 		t.grams[key] = id
 	}
