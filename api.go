@@ -404,14 +404,11 @@ func (db *DB) Dump(tableName string) ([][]string, error) {
 	return out, nil
 }
 
-// transportFor builds the per-query asynchronous transport when the
-// fault-tolerant path is selected (fault injection or an explicit
-// reliability policy), nil for the legacy synchronous path. The
-// pipeline closes it.
+// transportFor builds the per-query asynchronous transport of the
+// fault-tolerant path; execSelect hands it to the pipeline only when
+// that path is selected (fault injection or an explicit reliability
+// policy). The pipeline closes it.
 func (db *DB) transportFor() *crowd.Transport {
-	if db.faults == nil && db.cfg.Reliability == nil {
-		return nil
-	}
 	markets := []*crowd.Market{crowd.NewMarket("default", true, db.run.Pool)}
 	if db.run.Router != nil {
 		markets = db.run.Router.Markets
@@ -437,13 +434,20 @@ func (db *DB) source() engine.Source {
 // crowd-powered GROUP BY / ORDER BY to the answer.
 func (db *DB) execSelect(ctx context.Context, s *cql.Select, tr *obs.Tracer) (*Result, error) {
 	req := &engine.SelectRequest{
-		Source:    db.source(),
-		Stmt:      s,
-		Strategy:  func(p *exec.Plan) cost.Strategy { return db.newStrategy(p, mincutSamples, db.rng) },
-		Planner:   db.planner,
-		PureSeed:  func() uint64 { return db.rng.Split().Uint64() },
-		Transport: db.transportFor,
-		Exec:      db.run,
+		Source:   db.source(),
+		Stmt:     s,
+		Planner:  db.planner,
+		PureSeed: func() uint64 { return db.rng.Split().Uint64() },
+		Exec:     db.run,
+	}
+	// A constructor the pipeline is handed counts as configured (it decides
+	// the bind's scope before it could call one), so none is passed for
+	// the defaults: the paper's order, the synchronous crowd.
+	if db.newStrategy != nil {
+		req.Strategy = func(p *exec.Plan) cost.Strategy { return db.newStrategy(p, mincutSamples, db.rng) }
+	}
+	if db.faults != nil || db.cfg.Reliability != nil {
+		req.Transport = db.transportFor
 	}
 	req.Exec.Trace = tr
 	ans, err := engine.RunSelect(ctx, req)

@@ -201,9 +201,13 @@ func resolve(cfg Config) *DB {
 	if db.simFunc, err = sim.ByName(cfg.Similarity); err != nil {
 		bad("%v", err) // ByName's fallback is the default estimator
 	}
-	if db.newStrategy, err = exec.StrategyByName(cfg.Strategy); err != nil {
-		bad("%v", err)
-		db.newStrategy, _ = exec.StrategyByName(StrategyCDB)
+	// StrategyCDB is the pipeline's order when none is configured, and
+	// stays unset so that the pipeline can tell.
+	if !strings.EqualFold(cfg.Strategy, StrategyCDB) {
+		if db.newStrategy, err = exec.StrategyByName(cfg.Strategy); err != nil {
+			bad("%v", err)
+			db.newStrategy = nil
+		}
 	}
 	if cfg.Dataset != "" {
 		dcfg := dataset.Config{Seed: cfg.DatasetSeed, Scale: cfg.DatasetScale}

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"encoding/json"
+	"strings"
 
+	"cdb/internal/cql"
 	"cdb/internal/exec"
 	"cdb/internal/ledger"
 	"cdb/internal/obs"
@@ -112,12 +114,31 @@ func (e *Engine) warmFromJournal() {
 
 	// Replanning a logged statement tokenizes and indexes its
 	// similarity joins into the shared join cache; the plan itself is
-	// discarded (serve builds a fresh one per execution anyway). A
+	// discarded (serve builds a fresh one per execution anyway). What is
+	// primed is the join, not the statement: thousands of journalled
+	// statements share a handful of CROWDJOINs, so one whose joins have
+	// all been primed by an earlier statement is not planned again. A
 	// statement that no longer parses or plans — the catalog changed
-	// under the ledger — is skipped, not fatal.
+	// under the ledger — is skipped, not fatal, and primes nothing.
+	primed := map[string]bool{}
 	for _, stmt := range j.Statements() {
-		if s, err := servable(stmt); err == nil {
-			_, _ = e.src.bind(s, nil)
+		s, err := servable(stmt)
+		if err != nil {
+			continue
+		}
+		var joins []string
+		for _, pred := range s.Where {
+			if key := strings.ToLower(pred.Left.String() + "\x00" + pred.Right.String()); pred.Kind == cql.CrowdJoin && !primed[key] {
+				joins = append(joins, key)
+			}
+		}
+		if len(joins) == 0 {
+			continue
+		}
+		if _, err := e.src.bind(s, nil); err == nil {
+			for _, key := range joins {
+				primed[key] = true
+			}
 		}
 	}
 

@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cdb/internal/ledger"
+	"cdb/internal/obs"
 	"cdb/internal/testutil"
 )
 
@@ -210,5 +212,59 @@ func TestLedgerStatsSurface(t *testing.T) {
 	}
 	if ls.Replayed == 0 {
 		t.Fatalf("Replayed = 0 after a warm boot: %+v", ls)
+	}
+}
+
+// TestWarmRestartPrimesJoinsNotStatements: boot replans a journalled
+// statement only while one of its CROWDJOINs is still unprimed — fifteen
+// statements over three joins run three similarity joins and two binds
+// (2J primes two, 3J the third), not fifteen binds — and a statement
+// that no longer parses or plans is skipped, priming nothing and
+// failing nothing.
+func TestWarmRestartPrimesJoinsNotStatements(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)()
+	dir := t.TempDir()
+	jl, err := ledger.Open(dir, ledger.Options{Seed: 42, Fsync: ledger.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost := `SELECT * FROM Ghost, Paper WHERE Ghost.title CROWDJOIN Paper.title;`
+	jl.AppendStatement(ghost)
+	jl.AppendStatement(`SELECT FROM WHERE;`)
+	for _, q := range workload()[:5] {
+		// The ledger keeps a statement once: three projections of each shape.
+		for _, cols := range []string{"*", "Paper.title", "Paper.title, Paper.author"} {
+			jl.AppendStatement("SELECT " + cols + " " + q[strings.Index(q, "FROM"):])
+		}
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jl, err = ledger.Open(dir, ledger.Options{Seed: 42, Fsync: ledger.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(jl.Statements()); n != 17 {
+		t.Fatalf("ledger replays %d statements, want 15 and the two that do not plan", n)
+	}
+	simJoins := obs.Default.Counter("cdb_sim_joins_total")
+	joins, binds := simJoins.Value(), mPhasePlan.Count()
+	cfg := testConfig(t, 42)
+	cfg.Journal = jl
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if d := simJoins.Value() - joins; d != 3 {
+		t.Errorf("boot ran %d similarity joins, want one per distinct CROWDJOIN (3)", d)
+	}
+	if st := e.Stats(); st.JoinsComputed != 3 {
+		t.Errorf("join cache holds %d joins after boot, want 3", st.JoinsComputed)
+	}
+	// The first 2J, the first 3J, and the statement over no such table.
+	if d := mPhasePlan.Count() - binds; d != 3 {
+		t.Errorf("boot bound %d statements, want 3", d)
 	}
 }

@@ -34,7 +34,7 @@ func (src Source) bind(sel *cql.Select, tr *obs.Tracer) (*exec.Plan, error) {
 	span := tr.Begin(obs.SpanPlan)
 	p, err := exec.BuildPlan(sel, src.Catalog, src.Oracle, src.PlanConfig)
 	if err == nil {
-		tr.Mutate(span, func(sp *obs.Span) { sp.Edges = p.G.NumEdges() })
+		tr.Mutate(span, func(sp *obs.Span) { sp.Edges, sp.Candidates = p.G.NumEdges(), p.Candidates })
 	}
 	tr.End(span)
 	mPhasePlan.Observe(time.Since(start).Seconds())
@@ -70,7 +70,8 @@ type SelectRequest struct {
 	Owned func(componentKey string) bool
 
 	// Strategy builds the configured labeling order for the bound plan;
-	// nil means the paper's expectation-based order.
+	// nil means the paper's expectation-based order — and is how a caller
+	// says so: a set Strategy binds every candidate (see liveOnly).
 	Strategy func(*exec.Plan) cost.Strategy
 	// Planner turns on planned execution, subject to chooseOrder's rules.
 	Planner plan.Config
@@ -78,7 +79,8 @@ type SelectRequest struct {
 	// Exec.Resolver is not already one; called only then.
 	PureSeed func() uint64
 	// Transport opens the per-query fault-tolerant transport (nil, or
-	// returning nil, keeps the synchronous path). RunSelect closes it.
+	// returning nil, keeps the synchronous path; only nil also keeps the
+	// pruned bind). RunSelect closes it.
 	Transport func() *crowd.Transport
 
 	// Exec is the executor configuration every order shares; the
@@ -100,6 +102,10 @@ type SelectRequest struct {
 //	transport   × planner        transport wins: the planner's pure resolver would shadow it
 //	shard scope × planner        configured order: a shard's round structure must match the fleet's
 //	planner     × transitivity   compose: one strategy, keys priority → expected yield → Eq. 1
+//
+//	bind scope  × all of these   live-touching subgraph only under the expected-yield order — plain or
+//	                             with the closure, which read no pair between two dead tuples — and the
+//	                             full candidate set for everyone else: see liveOnly
 //
 // The configured strategy and the transport are built — in that order —
 // before the planner may replace the former: building either can draw
@@ -139,10 +145,31 @@ func (req *SelectRequest) chooseOrder(p *exec.Plan) (exec.Options, *plan.Decisio
 	return opts, decision
 }
 
+// liveOnly is the bind-scope row of chooseOrder's table, decided before
+// the bind from what chooseOrder will decide after it: the graph may
+// leave out the pairs between two tuples that cannot be in an answer
+// (exec.PlanConfig.LiveOnly) exactly when the labeling order will be a
+// bare cost.Expectation. Everyone else reads the plan by edge id or by
+// whole candidate set: a configured strategy (MinCut's sampler draws
+// once per edge id, the tree baselines ask dead pairs by definition),
+// BUDGET n (its candidates are embeddings over every edge), a shard
+// scope (the component partition and its keys), a fault-tolerant
+// transport (the injector judges by task id), and the planner, which
+// prices every candidate — its steps' candidate counts, histograms and
+// survivor counts are on the wire and equal EXPLAIN's, which binds in
+// full. A request field that is a constructor counts as set: its maker
+// passes nil when it configures none.
+func (req *SelectRequest) liveOnly() bool {
+	return req.Stmt.Budget == 0 && req.Strategy == nil && req.Transport == nil && req.Owned == nil &&
+		!req.Planner.Greedy && !req.Planner.FixedOrder
+}
+
 // RunSelect executes one SELECT through the pipeline. Cancellation is
 // honored at crowd-round boundaries (see exec.Run).
 func RunSelect(ctx context.Context, req *SelectRequest) (*Answer, error) {
-	p, err := req.bind(req.Stmt, req.Exec.Trace)
+	src := req.Source
+	src.LiveOnly = req.liveOnly()
+	p, err := src.bind(req.Stmt, req.Exec.Trace)
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,15 @@ import (
 )
 
 // mGraphBuild times BuildPlan without its similarity joins, which
-// cdb_sim_join_seconds already covers.
-var mGraphBuild = obs.Default.Histogram("cdb_exec_graph_build_seconds", obs.DurationBuckets)
+// cdb_sim_join_seconds already covers. The two bind counters are what
+// the bind found (candidate pairs, summed over predicates) and what it
+// kept (edges): one minus their ratio is the share of the statements'
+// graphs a LiveOnly bind found dead.
+var (
+	mGraphBuild     = obs.Default.Histogram("cdb_exec_graph_build_seconds", obs.DurationBuckets)
+	mBindCandidates = obs.Default.Counter("cdb_exec_bind_candidates_total")
+	mBindEdges      = obs.Default.Counter("cdb_exec_bind_edges_total")
+)
 
 // Oracle supplies the simulation ground truth: whether two cell values
 // truly denote the same entity. Real deployments have no oracle — it
@@ -120,6 +127,10 @@ type Plan struct {
 	// baselines' side-dedup oracle).
 	Orc Oracle
 	Cfg PlanConfig
+	// Candidates counts the candidate pairs the bind found, over all
+	// predicates; G.NumEdges() of them became edges (all of them, unless
+	// Cfg.LiveOnly dropped some).
+	Candidates int
 }
 
 // PlanConfig controls graph instantiation.
@@ -142,6 +153,16 @@ type PlanConfig struct {
 	// tokenize and index once. The returned slice may be shared and
 	// must not be mutated; nil falls back to sim.Join.
 	Joiner func(f sim.Func, left, right []string, eps float64) []sim.Pair
+	// LiveOnly binds only the candidate pairs that touch a possibly-live
+	// tuple (see liveness): every other pair is never valid, never
+	// asked, in no answer and in no bundle cost.Expectation scores, so a
+	// run under that order — plain, or with the closure — is the full
+	// bind's run with the edges renumbered. Anything that reads the plan
+	// by edge id or by whole candidate set (a sampler, a tree baseline,
+	// the planner's prices, a shard's component keys, Selectivity's
+	// means) needs the default. A statement with nothing but CROWDJOINs
+	// has nothing to start a mask from and binds in full either way.
+	LiveOnly bool
 }
 
 // DefaultPlanConfig mirrors the paper's settings.
@@ -155,12 +176,20 @@ func DefaultPlanConfig() PlanConfig {
 type candidates struct {
 	chunks [][]sim.Pair
 	one    [1][]sim.Pair // backs chunks when the pairs are one slice
-	// lvals and rvals are the joined columns when either holds a CNULL
-	// cell: a pair on such a cell is no candidate.
+	// lvals and rvals are a CROWDJOIN's columns; nulls says one of them
+	// holds a CNULL cell: a pair on such a cell is no candidate.
 	lvals, rvals []string
+	nulls        bool
+	// deferred marks a CROWDJOIN a LiveOnly bind has yet to run.
+	deferred bool
 	// truth is the ground truth by row pair; nil for a traditional
 	// predicate, whose edges are born Blue.
 	truth func(i, j int) bool
+}
+
+// null reports whether pr sits on a CNULL cell, which cannot join.
+func (c *candidates) null(pr sim.Pair) bool {
+	return c.nulls && (c.lvals[pr.Left] == "" || c.rvals[pr.Right] == "")
 }
 
 // BuildPlan binds stmt against the catalog and instantiates the query
@@ -172,8 +201,12 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	if cfg.Epsilon <= 0 {
 		cfg.Epsilon = 0.3
 	}
-	p := &Plan{Stmt: stmt, TableIdx: map[string]int{}, Orc: orc, Cfg: cfg}
-	s := &graph.Structure{}
+	// A FROM table or a selection's constant makes a table, a WHERE term
+	// a predicate: sized once.
+	nTables, nPreds := len(stmt.From)+len(stmt.Where), len(stmt.Where)
+	p := &Plan{Stmt: stmt, TableIdx: map[string]int{}, Orc: orc, Cfg: cfg,
+		Tables: make([]*table.Table, 0, nTables), Bindings: make([]PredBinding, 0, nPreds)}
+	s := &graph.Structure{Tables: make([]string, 0, nTables), Preds: make([]graph.QPred, 0, nPreds)}
 	for _, name := range stmt.From {
 		key := strings.ToLower(name)
 		if _, dup := p.TableIdx[key]; dup {
@@ -192,9 +225,19 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	// predicate i; the graph and p.Truth are then sized once and each edge
 	// is written once, straight from where its candidate was stored.
 	cands := make([]candidates, len(stmt.Where))
-	counts := make([]int, len(s.Tables))
+	counts := make([]int, len(s.Tables), nTables)
 	for i, tb := range p.Tables {
 		counts[i] = tb.Len()
+	}
+
+	// A LiveOnly bind needs a predicate that is cheap to resolve in full
+	// — a selection or a traditional join — to start its masks from, and
+	// leaves a hinted predicate's mean weight alone.
+	prune := false
+	if cfg.LiveOnly && len(cfg.Selectivity) == 0 {
+		for _, pred := range stmt.Where {
+			prune = prune || pred.Kind != cql.CrowdJoin
+		}
 	}
 
 	resolve := func(ref cql.ColRef) (tabIdx, colIdx int, err error) {
@@ -246,19 +289,20 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 			lvals, lNulls := colStrings(lt, lc)
 			rvals, rNulls := colStrings(rt, rc)
 			if pred.Kind == cql.CrowdJoin {
+				c.lvals, c.rvals, c.nulls = lvals, rvals, lNulls || rNulls
 				joinStart := time.Now()
-				if cfg.Joiner != nil {
+				switch {
+				case cfg.Joiner != nil:
 					c.one[0] = cfg.Joiner(cfg.Sim, lvals, rvals, cfg.Epsilon)
 					c.chunks = c.one[:]
-				} else {
+				case prune:
+					c.deferred = true // joined below, masked
+				default:
 					var ps sim.Pairs
 					sim.JoinEach(cfg.Sim, lvals, rvals, cfg.Epsilon, ps.Add)
 					c.chunks = ps.Chunks()
 				}
 				joinTime += time.Since(joinStart)
-				if lNulls || rNulls {
-					c.lvals, c.rvals = lvals, rvals
-				}
 				c.truth = joinTruth(orc, s.Tables[lt], pred.Left.Column, s.Tables[rt], pred.Right.Column, lvals, rvals)
 			} else {
 				rows := map[string][]int{}
@@ -321,6 +365,26 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
+	var lv *liveness
+	if prune {
+		lv = newLiveness(s, counts, cands)
+		lv.settle()
+		// Without a Joiner the CROWDJOINs run now, each masked by what is
+		// still possibly live, the one with the most selective side first;
+		// once a table has no such row no pair is left to find or bind.
+		for !lv.empty {
+			pred, fromLeft := lv.nextJoin()
+			if pred < 0 {
+				break
+			}
+			c, qp := &cands[pred], s.Preds[pred]
+			joinStart := time.Now()
+			c.chunks = sim.JoinMasked(cfg.Sim, c.lvals, c.rvals, cfg.Epsilon, lv.mask(qp.A), lv.mask(qp.B), fromLeft)
+			joinTime += time.Since(joinStart)
+			c.deferred = false // and still due its first sweep
+			lv.settle()
+		}
+	}
 	g, err := graph.NewGraph(s, counts)
 	if err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
@@ -328,10 +392,14 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	walk := func(yield func(graph.EdgeSpec)) {
 		for pred := range cands {
 			c := &cands[pred]
+			var la, lb []bool // set: skip the pairs between two dead rows
+			if lv != nil {
+				la, lb = lv.live[s.Preds[pred].A], lv.live[s.Preds[pred].B]
+			}
 			for _, chunk := range c.chunks {
 				for _, pr := range chunk {
-					if c.lvals != nil && (c.lvals[pr.Left] == "" || c.rvals[pr.Right] == "") {
-						continue // CNULL cells cannot join
+					if c.null(pr) || (la != nil && !la[pr.Left] && !lb[pr.Right]) {
+						continue
 					}
 					yield(graph.EdgeSpec{Pred: pred, RowA: pr.Left, RowB: pr.Right, W: pr.Sim})
 				}
@@ -352,6 +420,13 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	})
 	p.S = s
 	p.G = g
+	for i := range cands {
+		for _, chunk := range cands[i].chunks {
+			p.Candidates += len(chunk)
+		}
+	}
+	mBindCandidates.Add(int64(p.Candidates))
+	mBindEdges.Add(int64(g.NumEdges()))
 	if len(cfg.Selectivity) > 0 {
 		p.applySelectivity(cfg.Selectivity)
 	}

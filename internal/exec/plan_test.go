@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cdb/internal/cql"
@@ -206,49 +207,117 @@ func TestBuildPlanAllocs(t *testing.T) {
 // bit per edge — plus per-row terms: the six rendered columns and their
 // entity ids, and per vertex its table, lists and degree counters (about
 // 100 B in all). The candidate list is not copied on its way in: staged
-// as specs it made 115 B per edge, now 72.
+// as specs it made 115 B per edge, now 72. A LiveOnly bind pays per edge
+// it binds, not per candidate it walks, and three bytes per vertex for
+// its masks and their scratch.
 func TestBuildPlanBytes(t *testing.T) {
-	stmt, d := paper3J(t, 0.3)
-	cfg := replayJoins(t, stmt, d)
-	p, err := BuildPlan(stmt, d.Catalog, d.Oracle, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const runs = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if _, err := BuildPlan(stmt, d.Catalog, d.Oracle, cfg); err != nil {
+	stmt3J, paper := paper3J(t, 0.3)
+	// 861 of this statement's 4 861 candidates touch a possibly-live tuple.
+	live3J2S := strings.NewReplacer(`"USA"`, `"Canada"`, `"Los Angeles"`, `"London"`).Replace(dataset.Queries("award")["3J2S"])
+	for _, c := range []struct {
+		label    string
+		stmt     *cql.Select
+		d        *dataset.Data
+		liveOnly bool
+		perRow   int // bytes per vertex; grows with the columns the statement renders (six, eight)
+	}{
+		{"paper 3J", stmt3J, paper, false, 128},
+		{"award 3J2S live", mustSelect(t, live3J2S), dataset.GenAward(dataset.Config{Seed: 1, Scale: 0.12}), true, 192},
+	} {
+		d := c.d
+		cfg := replayJoins(t, c.stmt, d)
+		cfg.LiveOnly = c.liveOnly
+		p, err := BuildPlan(c.stmt, d.Catalog, d.Oracle, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	got := (after.TotalAlloc - before.TotalAlloc) / runs
-	edges, verts := p.G.NumEdges(), p.G.NumVertices()
-	if limit := uint64(72*edges + 128*verts); got > limit {
-		t.Fatalf("BuildPlan: %d B for %d edges, %d vertices (%.1f B/edge; limit %d B)",
-			got, edges, verts, float64(got)/float64(edges), limit)
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := BuildPlan(c.stmt, d.Catalog, d.Oracle, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / runs
+		edges, verts := p.G.NumEdges(), p.G.NumVertices()
+		if c.liveOnly && 3*edges > p.Candidates {
+			t.Fatalf("%s: %d of %d candidates bound: the case prunes too little to tell per-edge from per-candidate", c.label, edges, p.Candidates)
+		}
+		if limit := uint64(72*edges + c.perRow*verts); got > limit {
+			t.Fatalf("%s: BuildPlan: %d B for %d edges of %d candidates, %d vertices (%.1f B/edge; limit %d B)",
+				c.label, got, edges, p.Candidates, verts, float64(got)/float64(edges), limit)
+		}
 	}
 }
 
 // BenchmarkBuildPlan measures a 3J plan on the paper dataset without
-// its similarity joins (BenchmarkJoin covers those).
+// its similarity joins (BenchmarkJoin covers those), and the two 3J2S
+// plans the cold workloads bind most — full, and LiveOnly over the same
+// replayed lists, which is the serving path's bind.
 func BenchmarkBuildPlan(b *testing.B) {
+	run := func(b *testing.B, stmt *cql.Select, d *dataset.Data, liveOnly bool) {
+		cfg := replayJoins(b, stmt, d)
+		cfg.LiveOnly = liveOnly
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p, err := BuildPlan(stmt, d.Catalog, d.Oracle, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if i == 0 {
+				b.ReportMetric(float64(p.G.NumEdges()), "edges")
+			}
+		}
+	}
 	for _, scale := range []float64{0.3, 1.0} {
 		b.Run(fmt.Sprintf("paper@%.1f", scale), func(b *testing.B) {
 			stmt, d := paper3J(b, scale)
-			cfg := replayJoins(b, stmt, d)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, err := BuildPlan(stmt, d.Catalog, d.Oracle, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(p.G.NumEdges()), "edges")
-				}
-			}
+			run(b, stmt, d, false)
 		})
+	}
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"award", 0.12}, {"paper", 0.3}} {
+		st, err := cql.Parse(dataset.Queries(c.name)["3J2S"])
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := dataset.ByName(c.name, dataset.Config{Seed: 1, Scale: c.scale})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, liveOnly := range []bool{false, true} {
+			mode := map[bool]string{false: "full", true: "live"}[liveOnly]
+			b.Run(fmt.Sprintf("%s-3J2S@%v/%s", c.name, c.scale, mode), func(b *testing.B) {
+				run(b, st.(*cql.Select), d, liveOnly)
+			})
+		}
+	}
+}
+
+// TestBindCounters: a bind adds what it found and what it kept to the
+// two bind counters — the same numbers the plan carries — so their
+// ratio over any window is the share of candidates that were bound.
+func TestBindCounters(t *testing.T) {
+	d := dataset.GenAward(dataset.Config{Seed: 1, Scale: 0.12})
+	stmt := mustSelect(t, dataset.Queries("award")["3J1S"])
+	for _, liveOnly := range []bool{false, true} {
+		cfg := replayJoins(t, stmt, d)
+		cfg.LiveOnly = liveOnly
+		found, kept := mBindCandidates.Value(), mBindEdges.Value()
+		p, err := BuildPlan(stmt, d.Catalog, d.Oracle, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if df, dk := mBindCandidates.Value()-found, mBindEdges.Value()-kept; df != int64(p.Candidates) || dk != int64(p.G.NumEdges()) {
+			t.Errorf("liveOnly=%v: counters moved by %d / %d, plan has %d candidates, %d edges", liveOnly, df, dk, p.Candidates, p.G.NumEdges())
+		}
+		if liveOnly == (p.Candidates == p.G.NumEdges()) {
+			t.Errorf("liveOnly=%v: %d candidates, %d edges", liveOnly, p.Candidates, p.G.NumEdges())
+		}
 	}
 }

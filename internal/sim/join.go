@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"strings"
 	"time"
 
@@ -30,7 +31,7 @@ type Pair struct {
 // in ascending (Left, Right) order.
 //
 // The Jaccard-family functions run an overlap-counting join (see
-// countJoin); EditDistance and Cosine use it over 2-grams at a
+// index); EditDistance and Cosine use it over 2-grams at a
 // conservative pre-threshold to generate candidates and verify those
 // with the exact function; NoSim keeps every pair at weight 0.5, like
 // the paper's ablation. A record with an empty token set ("" or all
@@ -92,52 +93,144 @@ func (ps *Pairs) Slice() []Pair {
 	return out
 }
 
-func joinPairs(f Func, left, right []string, eps float64, emit func(Pair)) (touched int) {
-	switch f {
-	case Gram2Jaccard, TokenJaccard:
-		if eps <= 0 {
-			// Pairs that share nothing qualify too: score every pair.
-			for _, p := range BruteForceJoin(f, left, right, eps) {
-				emit(p)
+// JoinMasked is Join for a caller that can say which rows still matter
+// to it and needs only the pairs that touch one: keepLeft and keepRight
+// mark them (nil: every row of that side). With fromLeft set the result
+// holds, in Join's order, exactly the pairs (a, b) of Join's with
+//
+//	keepLeft[a], or b in R' = {b : keepRight[b], and some a with keepLeft[a] pairs with b}
+//
+// and without it the mirror image, keepRight[b] or a in L'. The columns
+// are tokenised once and probed twice: the kept rows of the driving
+// side against the whole other column, which finds R', then the
+// driving side's other rows against R' alone — |A_k|·|B| + |A_d|·|B'|
+// counter reads instead of |A|·|B|. The two outputs are merged as runs
+// inside the chunks the probes filled: no pair is copied. It counts as
+// one join in the metrics.
+func JoinMasked(f Func, left, right []string, eps float64, keepLeft, keepRight []bool, fromLeft bool) [][]Pair {
+	start := time.Now()
+	// The first probe's pairs, and whom they reach on the other side.
+	var first, second Pairs
+	var found []bool
+	if fromLeft {
+		found = make([]bool, len(right))
+	} else {
+		found = make([]bool, len(left))
+	}
+	note := func(p Pair) {
+		if fromLeft && (keepRight == nil || keepRight[p.Right]) {
+			found[p.Right] = true
+		} else if !fromLeft && (keepLeft == nil || keepLeft[p.Left]) {
+			found[p.Left] = true
+		}
+		first.Add(p)
+	}
+	touched := 0
+	if x, ok := newIndex(f, left, right, eps); ok {
+		if fromLeft {
+			x.probe(keepLeft, true, nil, true, note)
+			x.probe(keepLeft, false, found, true, second.Add)
+		} else {
+			x.probe(nil, true, keepRight, true, note)
+			x.probe(found, true, keepRight, false, second.Add)
+		}
+		touched = x.touched
+	} else {
+		// Nothing to count: join unmasked and deal the pairs out as the
+		// probes would have.
+		var all Pairs
+		touched = joinPairs(f, left, right, eps, all.Add)
+		driver := func(p Pair) bool {
+			if fromLeft {
+				return keepLeft == nil || keepLeft[p.Left]
 			}
-			return 0
+			return keepRight == nil || keepRight[p.Right]
 		}
-		return countJoin(left, right, eps, f == TokenJaccard, emit)
-	case EditDistance:
-		// Overlap pre-filter: edit similarity >= eps implies the 2-gram
-		// sets overlap somewhat; we use a generous Jaccard pre-threshold
-		// and verify with the exact function. The pre-threshold below is
-		// conservative (2-gram Jaccard of strings within edit distance d
-		// of each other degrades roughly linearly in d).
-		pre := eps/3 - 0.05
-		if pre < 0.05 {
-			pre = 0.05
+		for _, c := range all.chunks {
+			for _, p := range c {
+				if driver(p) {
+					note(p)
+				}
+			}
 		}
-		return verifyJoin(left, right, pre, eps, NormalizedEditSim, emit)
-	case Cosine:
-		pre := eps * eps / 2
-		if pre < 0.05 {
-			pre = 0.05
+		for _, c := range all.chunks {
+			for _, p := range c {
+				if !driver(p) && ((fromLeft && found[p.Right]) || (!fromLeft && found[p.Left])) {
+					second.Add(p)
+				}
+			}
 		}
-		return verifyJoin(left, right, pre, eps, CosineSim, emit)
-	case NoSim:
+	}
+	out, n := mergeRuns(first.chunks, second.chunks)
+	mJoins.Inc()
+	mJoinTouched.Add(int64(touched))
+	mJoinPairs.Add(int64(n))
+	mJoinSeconds.Observe(time.Since(start).Seconds())
+	return out
+}
+
+// mergeRuns merges two lists in ascending (Left, Right) order that
+// share no pair: the result is the runs of a's and b's chunks that lie
+// between two pairs of the other list, in order, n pairs in all — one
+// slice header per run instead of a copy per pair (from the left the
+// lists interleave by row; from the right a run is never shorter than
+// in the shorter list). When b is empty a's chunks are the result as
+// they stand.
+func mergeRuns(a, b [][]Pair) (out [][]Pair, n int) {
+	if len(b) == 0 {
+		for _, c := range a {
+			n += len(c)
+		}
+		return a, n
+	}
+	type cursor struct {
+		chunks [][]Pair
+		c, i   int // the head is chunks[c][i]
+	}
+	x, y := &cursor{chunks: a}, &cursor{chunks: b}
+	for x.c < len(x.chunks) || y.c < len(y.chunks) {
+		// x is the list whose head comes first; its run ends at y's head.
+		if x.c == len(x.chunks) || (y.c < len(y.chunks) && before(y.chunks[y.c][y.i], x.chunks[x.c][x.i])) {
+			x, y = y, x
+		}
+		rest := x.chunks[x.c][x.i:]
+		k := len(rest)
+		if y.c < len(y.chunks) {
+			stop := y.chunks[y.c][y.i]
+			k = sort.Search(len(rest), func(i int) bool { return !before(rest[i], stop) })
+		}
+		out, n = append(out, rest[:k]), n+k
+		if x.i += k; x.i == len(x.chunks[x.c]) {
+			x.c, x.i = x.c+1, 0
+		}
+	}
+	return out, n
+}
+
+// before is Join's order.
+func before(p, q Pair) bool {
+	return p.Left < q.Left || (p.Left == q.Left && p.Right < q.Right)
+}
+
+func joinPairs(f Func, left, right []string, eps float64, emit func(Pair)) (touched int) {
+	if x, ok := newIndex(f, left, right, eps); ok {
+		x.probe(nil, true, nil, true, emit)
+		return x.touched
+	}
+	if f == NoSim {
 		for i := range left {
 			for j := range right {
 				emit(Pair{Left: i, Right: j, Sim: 0.5})
 			}
 		}
+		return 0
+	}
+	// Jaccard at eps <= 0: pairs that share nothing qualify too, so
+	// every pair is scored.
+	for _, p := range BruteForceJoin(f, left, right, eps) {
+		emit(p)
 	}
 	return 0
-}
-
-// verifyJoin keeps the pairs with 2-gram Jaccard >= pre whose exact
-// similarity reaches eps.
-func verifyJoin(left, right []string, pre, eps float64, exact func(a, b string) float64, emit func(Pair)) (touched int) {
-	return countJoin(left, right, pre, false, func(p Pair) {
-		if s := exact(left[p.Left], right[p.Right]); s >= eps {
-			emit(Pair{Left: p.Left, Right: p.Right, Sim: s})
-		}
-	})
 }
 
 // BruteForceJoin verifies every pair — the reference implementation
@@ -168,14 +261,18 @@ func tokenless(f Func, s string) bool {
 	return f != NoSim && strings.TrimSpace(s) == ""
 }
 
-// countJoin is the Jaccard threshold join (eps > 0) over 2-gram sets,
-// or whitespace-token sets when words is set, by overlap counting
-// (ScanCount): an inverted index over every right-side token, one
-// counter per right record, and for each left record a walk along the
-// postings of its tokens that leaves cnt[j] = |a ∩ b_j|. Jaccard is
-// then read off the counters as c / (|a| + |b_j| - c). The work is one
-// increment per shared token plus one counter read per pair, and the
-// pairs reach emit in ascending (Left, Right) order.
+// index is the Jaccard threshold join (eps > 0) over 2-gram sets, or
+// whitespace-token sets when words is set, by overlap counting
+// (ScanCount), taken apart so that its two halves are paid for
+// separately: newIndex tokenises and sizes both columns, once, and
+// probe joins a subset of the left rows with a subset of the right rows
+// — an inverted index over the right subset's tokens, one counter per
+// right record of the subset, and for each left record a walk along the
+// postings of its tokens that leaves cnt[k] = |a ∩ b_k|. Jaccard is
+// then read off the counters as c / (|a| + |b_k| - c). The work is one
+// increment per shared token plus one counter read per pair of the two
+// subsets, and the pairs reach emit in ascending (Left, Right) order.
+// Every probe rebuilds the postings in the arrays newIndex sized.
 //
 // There is deliberately no prefix or length filter in front of the
 // counters. On the columns this system joins the vocabulary is a few
@@ -183,50 +280,142 @@ func tokenless(f Func, s string) bool {
 // prefix filter passed 90–93 % of all title pairs (15–74 % on short
 // names) and each survivor then cost a sorted-merge of |a| + |b|
 // branches — about six times the number of tokens the pairs share.
-//
-// touched counts the pairs that share at least one token.
-func countJoin(left, right []string, eps float64, words bool, emit func(Pair)) (touched int) {
-	t := newTokenizer(words)
-	r, l := t.sets(right), t.sets(left)
+type index struct {
+	left, right []string
+	l, r        idSets
+	// A pair is emitted when its Jaccard reaches pre and, if exact is
+	// set, the exact similarity of its two strings then reaches eps.
+	pre, eps float64
+	exact    func(a, b string) float64
 
-	// post[start[id]:start[id+1]] lists the right records holding
-	// token id, ascending.
+	start, fill []int32 // per token: where its postings start, and fill up to
+	post        []int32 // post[start[id]:start[id+1]]: the subset's records holding id, ascending
+	cnt         []int32
+	rows        []int32 // rows[k]: the right row of the subset's k-th record; nil until a probe restricts
+
+	touched int // pairs that shared at least one token, over all probes
+}
+
+// newIndex prepares the join Join(f, left, right, eps) runs as one
+// probe; !ok when f and eps leave nothing to count (NoSim; Jaccard at
+// eps <= 0, where pairs sharing no token qualify too).
+//
+// EditDistance and Cosine count 2-gram overlap at a conservative
+// pre-threshold and verify the survivors with the exact function: edit
+// similarity >= eps implies the 2-gram sets overlap somewhat (2-gram
+// Jaccard of strings within edit distance d of each other degrades
+// roughly linearly in d).
+func newIndex(f Func, left, right []string, eps float64) (x index, ok bool) {
+	x = index{left: left, right: right, pre: eps, eps: eps}
+	switch f {
+	case Gram2Jaccard, TokenJaccard:
+		if eps <= 0 {
+			return x, false
+		}
+	case EditDistance:
+		x.pre, x.exact = max(eps/3-0.05, 0.05), NormalizedEditSim
+	case Cosine:
+		x.pre, x.exact = max(eps*eps/2, 0.05), CosineSim
+	default:
+		return x, false
+	}
+	t := newTokenizer(f == TokenJaccard)
+	x.r, x.l = t.sets(right), t.sets(left)
 	nTok := len(t.seen)
-	start := make([]int32, nTok+1)
-	for _, id := range r.ids {
-		start[id+1]++
+	x.start = make([]int32, nTok+1)
+	x.fill = make([]int32, nTok)
+	x.post = make([]int32, len(x.r.ids))
+	x.cnt = make([]int32, len(right))
+	return x, true
+}
+
+// selected reports whether mask picks row i: the rows it marks when
+// want is set, the others when not; a nil mask marks every row.
+func selected(mask []bool, i int, want bool) bool {
+	return (mask == nil || mask[i]) == want
+}
+
+// probe joins the left rows (lmask, lwant) select with the right rows
+// (rmask, rwant) select.
+func (x *index) probe(lmask []bool, lwant bool, rmask []bool, rwant bool, emit func(Pair)) {
+	if (lmask == nil && !lwant) || (rmask == nil && !rwant) {
+		return
+	}
+	r, l := x.r, x.l
+	nTok := len(x.fill)
+	start, fill, post := x.start, x.fill, x.post
+	// The subset's k-th record is right row rows[k]; unrestricted, row k.
+	var rows []int32
+	if rmask != nil {
+		if x.rows == nil {
+			x.rows = make([]int32, len(x.right))
+		}
+		rows = x.rows[:0]
+		for j := range x.right {
+			if rmask[j] == rwant {
+				rows = append(rows, int32(j))
+			}
+		}
+	}
+	n := len(x.right)
+	if rows != nil {
+		n = len(rows)
+	}
+	row := func(k int) int {
+		if rows != nil {
+			return int(rows[k])
+		}
+		return k
+	}
+	clear(start)
+	for k := 0; k < n; k++ {
+		for _, id := range r.set(row(k)) {
+			start[id+1]++
+		}
 	}
 	for id := 0; id < nTok; id++ {
 		start[id+1] += start[id]
 	}
-	post := make([]int32, len(r.ids))
-	fill := append([]int32(nil), start[:nTok]...)
-	for j := range right {
-		for _, id := range r.set(j) {
-			post[fill[id]] = int32(j)
+	copy(fill, start[:nTok])
+	for k := 0; k < n; k++ {
+		for _, id := range r.set(row(k)) {
+			post[fill[id]] = int32(k)
 			fill[id]++
 		}
 	}
 
-	cnt := make([]int32, len(right))
-	for i := range left {
+	if n == 0 {
+		return
+	}
+	cnt := x.cnt[:n]
+	for i := range x.left {
+		if !selected(lmask, i, lwant) {
+			continue
+		}
 		a := l.set(i)
 		for _, id := range a {
-			for _, j := range post[start[id]:start[id+1]] {
-				cnt[j]++
+			for _, k := range post[start[id]:start[id+1]] {
+				cnt[k]++
 			}
 		}
-		for j, c := range cnt {
+		for k, c := range cnt {
 			if c == 0 {
 				continue
 			}
-			cnt[j] = 0
-			touched++
+			cnt[k] = 0
+			x.touched++
+			j := row(k)
 			union := len(a) + r.size(j) - int(c)
-			if s := float64(c) / float64(union); s >= eps {
-				emit(Pair{Left: i, Right: j, Sim: s})
+			s := float64(c) / float64(union)
+			if s < x.pre {
+				continue
 			}
+			if x.exact != nil {
+				if s = x.exact(x.left[i], x.right[j]); s < x.eps {
+					continue
+				}
+			}
+			emit(Pair{Left: i, Right: j, Sim: s})
 		}
 	}
-	return touched
 }

@@ -186,7 +186,70 @@ func FuzzJoinMatchesBruteForce(f *testing.F) {
 				}
 			}
 		}
+		// Row masks drawn from the input: both driving sides, every function.
+		bits := stats.HashString(l + "|" + r)
+		checkJoinMasked(t, left, right, bits, bits>>32)
 	})
+}
+
+// FuzzJoinMasked hands JoinMasked row masks of the fuzzer's choosing:
+// bit i%64 of lbits (rbits) keeps left (right) row i.
+func FuzzJoinMasked(f *testing.F) {
+	f.Add("University of California|University of Chicago|Duke Uni.", "Univ. of California|Duke Univ.|Microsoft", uint64(1), uint64(6))
+	f.Add("a|a||b| |ab", "|a|b|b|ba ab|\t", uint64(0b101010), uint64(0b010101))
+	f.Add("aa bb|bb aa|AA  BB|cc", "aa bb|cc|bb", uint64(0), uint64(1))
+	f.Add("ab|bc|cd|de", "ab|bc|cd|de", uint64(3), ^uint64(0))
+	f.Add("", "", uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, l, r string, lbits, rbits uint64) {
+		if len(l)+len(r) > 400 {
+			t.Skip("long inputs only slow the quadratic reference down")
+		}
+		checkJoinMasked(t, strings.Split(l, "|"), strings.Split(r, "|"), lbits, rbits)
+	})
+}
+
+// checkJoinMasked: for all five functions, from either side, with and
+// without a mask on each side, JoinMasked returns the reference join's
+// pairs that pass its rule — nothing else, in ascending order, Sim bit
+// for bit. The reference is BruteForceJoin where Join equals it (the
+// Jaccard family) and Join itself for the rest (verify-after-filter
+// finds a subset; NoSim ignores eps).
+func checkJoinMasked(t *testing.T, left, right []string, lbits, rbits uint64) {
+	t.Helper()
+	mask := func(n int, bits uint64) []bool {
+		m := make([]bool, n)
+		for i := range m {
+			m[i] = bits>>(i%64)&1 == 1
+		}
+		return m
+	}
+	for _, fn := range []Func{Gram2Jaccard, TokenJaccard, EditDistance, Cosine, NoSim} {
+		for _, eps := range []float64{0, 0.3, 0.6} {
+			ref := Join(fn, left, right, eps)
+			if fn == Gram2Jaccard || fn == TokenJaccard {
+				ref = BruteForceJoin(fn, left, right, eps)
+			}
+			for _, keepL := range [][]bool{nil, mask(len(left), lbits)} {
+				for _, keepR := range [][]bool{nil, mask(len(right), rbits)} {
+					for _, fromLeft := range []bool{true, false} {
+						want := maskedRule(ref, keepL, keepR, fromLeft)
+						var got []Pair
+						for _, c := range JoinMasked(fn, left, right, eps, keepL, keepR, fromLeft) {
+							got = append(got, c...)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%v eps=%v fromLeft=%v keep %v / %v: %d pairs, want %d\n got %+v\nwant %+v", fn, eps, fromLeft, keepL, keepR, len(got), len(want), got, want)
+						}
+						for k := range want {
+							if got[k].Left != want[k].Left || got[k].Right != want[k].Right || math.Float64bits(got[k].Sim) != math.Float64bits(want[k].Sim) {
+								t.Fatalf("%v eps=%v fromLeft=%v keep %v / %v: pair %d is %+v, want %+v", fn, eps, fromLeft, keepL, keepR, k, got[k], want[k])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestJoinSkipsEmptyTokenSets: a record without tokens ("" or all
@@ -252,5 +315,80 @@ func TestJoinMetrics(t *testing.T) {
 	}
 	if d := mJoinPairs.Value() - pairs; d != int64(len(got)) {
 		t.Errorf("pairs moved by %d, want %d", d, len(got))
+	}
+}
+
+// maskedRule filters a join's pairs by JoinMasked's rule, spelled out.
+func maskedRule(ref []Pair, keepL, keepR []bool, fromLeft bool) []Pair {
+	kept := func(m []bool, i int) bool { return m == nil || m[i] }
+	reached := map[int]bool{} // R' (L' when driving from the right)
+	for _, p := range ref {
+		if kept(keepL, p.Left) && kept(keepR, p.Right) {
+			if fromLeft {
+				reached[p.Right] = true
+			} else {
+				reached[p.Left] = true
+			}
+		}
+	}
+	var want []Pair
+	for _, p := range ref {
+		if (fromLeft && (kept(keepL, p.Left) || reached[p.Right])) ||
+			(!fromLeft && (kept(keepR, p.Right) || reached[p.Left])) {
+			want = append(want, p)
+		}
+	}
+	return want
+}
+
+// TestJoinMaskedMergesChunks: on columns whose join fills several
+// chunks per probe, the two probes' outputs interleave into Join's
+// order as runs of the chunks they filled — 24 B of header per run, not
+// per pair — and when the second probe finds nothing the first one's
+// chunks come back as they are; one tokenisation either way (the
+// allocations of one Join plus the probe's scratch, not of two).
+func TestJoinMaskedMergesChunks(t *testing.T) {
+	r := stats.NewRNG(9)
+	left, right := randomStrings(r, 300), randomStrings(r, 300)
+	ref := Join(Gram2Jaccard, left, right, 0.3)
+	if len(ref) < 4*pairChunk {
+		t.Fatalf("%d pairs: want several chunks", len(ref))
+	}
+	keepL, keepR := make([]bool, len(left)), make([]bool, len(right))
+	for i := range keepL {
+		keepL[i] = r.Bool(0.3)
+	}
+	for j := range keepR {
+		keepR[j] = r.Bool(0.3)
+	}
+	for _, fromLeft := range []bool{true, false} {
+		var got []Pair
+		chunks := JoinMasked(Gram2Jaccard, left, right, 0.3, keepL, keepR, fromLeft)
+		for _, c := range chunks {
+			got = append(got, c...)
+		}
+		want := maskedRule(ref, keepL, keepR, fromLeft)
+		if len(want) <= pairChunk || len(want) >= len(ref) {
+			t.Fatalf("fromLeft=%v: rule keeps %d of %d pairs; want a proper, multi-chunk subset", fromLeft, len(want), len(ref))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("fromLeft=%v: %d pairs, want %d (or out of order)", fromLeft, len(got), len(want))
+		}
+		// From the left the probes' outputs interleave by row; from the
+		// right within rows, by runs of kept right rows.
+		if per := map[bool]int{true: 8, false: 2}[fromLeft]; per*len(chunks) > len(got) {
+			t.Errorf("fromLeft=%v: %d runs for %d pairs, want at least %d pairs a run", fromLeft, len(chunks), len(got), per)
+		}
+	}
+	// No kept right row: nobody is reached, so the first probe is the result.
+	none := make([]bool, len(right))
+	chunks := JoinMasked(Gram2Jaccard, left, right, 0.3, keepL, none, true)
+	if len(chunks) < 2 || len(chunks[0]) != pairChunk {
+		t.Fatalf("empty second probe: %d chunks, first of %d pairs; want the first probe's chunks as stored", len(chunks), len(chunks[0]))
+	}
+	plain := testing.AllocsPerRun(5, func() { Join(Gram2Jaccard, left, right, 0.3) })
+	masked := testing.AllocsPerRun(5, func() { JoinMasked(Gram2Jaccard, left, right, 0.3, keepL, keepR, true) })
+	if masked > plain+8 {
+		t.Errorf("masked join: %v allocations, unmasked %v: the second probe must reuse the first one's arrays", masked, plain)
 	}
 }

@@ -5,7 +5,7 @@
 // instantiates a CROWDJOIN's candidate edges (similarity >= epsilon)
 // without scoring every tuple pair string against string: records go
 // straight to dense token ids and the tokens two records share are
-// counted through an inverted index (see Join and countJoin).
+// counted through an inverted index (see Join and index).
 package sim
 
 import (

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"cdb/internal/cql"
 	"cdb/internal/dataset"
+	"cdb/internal/exec"
 )
 
 // openPaper opens paper@0.12 under the benchmark's seeds plus cfg's
@@ -149,6 +151,95 @@ func TestFeaturePairRules(t *testing.T) {
 			}
 			if tc.query == budgeted && res.Stats.Tasks > 40 {
 				t.Errorf("BUDGET 40 spent %d tasks", res.Stats.Tasks)
+			}
+		})
+	}
+}
+
+// TestBindScopeRule pins the bind-scope row of the pipeline's rule
+// table (engine.SelectRequest.liveOnly): a run under the expected-yield
+// order — plain or with transitivity, through DB.Exec or the engine —
+// binds only the edges that touch a possibly-live tuple, and a
+// configured strategy, a BUDGET, a shard scope, a fault-tolerant
+// transport or the planner binds every candidate. The plan span says
+// which: Edges bound of Candidates found.
+func TestBindScopeRule(t *testing.T) {
+	q := dataset.Queries("paper")["3J2S"]
+	d := dataset.GenPaper(dataset.Config{Seed: 1, Scale: 0.12})
+	edges := map[bool]int{}
+	for _, liveOnly := range []bool{false, true} {
+		cfg := exec.DefaultPlanConfig()
+		cfg.LiveOnly = liveOnly
+		st, err := cql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := exec.BuildPlan(st.(*cql.Select), d.Catalog, d.Oracle, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges[liveOnly] = p.G.NumEdges()
+	}
+	full, pruned := edges[false], edges[true]
+	if pruned == 0 || 2*pruned > full {
+		t.Fatalf("3J2S binds %d of %d edges pruned: the case cannot tell the two binds apart", pruned, full)
+	}
+
+	viaExec := func(db *DB, q string) *Result {
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	viaEngine := func(db *DB, q string) *Result {
+		return engineResult(t, db, func(e *Engine) (*Future, error) {
+			return e.Submit(context.Background(), q)
+		})
+	}
+	viaShard := func(db *DB, q string) *Result {
+		return engineResult(t, db, func(e *Engine) (*Future, error) {
+			run := &ShardRun{Fleet: "a", Target: "a", Owned: func(string) bool { return true }}
+			return e.SubmitShard(context.Background(), q, run, nil)
+		})
+	}
+	budgeted := strings.Replace(q, ";", " BUDGET 40;", 1)
+	cases := []struct {
+		name  string
+		cfg   Config
+		run   func(*DB, string) *Result
+		query string
+		want  int
+	}{
+		{"plain/exec", Config{}, viaExec, q, pruned},
+		{"plain/engine", Config{}, viaEngine, q, pruned},
+		{"named default strategy/exec", Config{Strategy: "CDB"}, viaExec, q, pruned},
+		{"transitive/exec", Config{Transitive: true}, viaExec, q, pruned},
+		{"transitive/engine", Config{Transitive: true}, viaEngine, q, pruned},
+		{"cdb+ quality control/exec", Config{QualityControl: true}, viaExec, q, pruned},
+		{"configured strategy/exec", Config{Strategy: StrategyMinCut}, viaExec, q, full},
+		{"tree baseline/exec", Config{Strategy: StrategyCrowdDB}, viaExec, q, full},
+		{"budget/exec", Config{}, viaExec, budgeted, full},
+		{"budget/engine", Config{}, viaEngine, budgeted, full},
+		{"shard scope/engine", Config{}, viaShard, q, full},
+		{"transport/exec", Config{Reliability: &ReliabilityPolicy{}}, viaExec, q, full},
+		{"planner/exec", Config{Planner: &PlannerConfig{Greedy: true}}, viaExec, q, full},
+		{"planner/engine", Config{Planner: &PlannerConfig{Greedy: true}}, viaEngine, q, full},
+		{"fixed order/exec", Config{Planner: &PlannerConfig{FixedOrder: true}}, viaExec, q, full},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Tracing = true
+			res := tc.run(openPaper(t, tc.cfg), tc.query)
+			plans := res.Trace.ByName(SpanPlan)
+			if len(plans) != 1 {
+				t.Fatalf("%d plan spans", len(plans))
+			}
+			if got := plans[0].Edges; got != tc.want {
+				t.Errorf("bound %d edges, want %d (full bind %d, live-touching %d)", got, tc.want, full, pruned)
+			}
+			if c := plans[0].Candidates; c < plans[0].Edges || (tc.want == full && c != full) {
+				t.Errorf("plan span: %d candidates for %d edges", c, plans[0].Edges)
 			}
 		})
 	}
