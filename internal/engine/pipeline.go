@@ -103,9 +103,9 @@ type SelectRequest struct {
 //	shard scope × planner        configured order: a shard's round structure must match the fleet's
 //	planner     × transitivity   compose: one strategy, keys priority → expected yield → Eq. 1
 //
-//	bind scope  × all of these   live-touching subgraph only under the expected-yield order — plain or
-//	                             with the closure, which read no pair between two dead tuples — and the
-//	                             full candidate set for everyone else: see liveOnly
+//	bind scope  × all of these   live-touching subgraph only under the expected-yield and budget orders —
+//	                             plain or with the closure, which read no pair between two dead tuples —
+//	                             and the full candidate set for everyone else: see liveOnly
 //
 // The configured strategy and the transport are built — in that order —
 // before the planner may replace the former: building either can draw
@@ -149,18 +149,21 @@ func (req *SelectRequest) chooseOrder(p *exec.Plan) (exec.Options, *plan.Decisio
 // the bind from what chooseOrder will decide after it: the graph may
 // leave out the pairs between two tuples that cannot be in an answer
 // (exec.PlanConfig.LiveOnly) exactly when the labeling order will be a
-// bare cost.Expectation. Everyone else reads the plan by edge id or by
-// whole candidate set: a configured strategy (MinCut's sampler draws
-// once per edge id, the tree baselines ask dead pairs by definition),
-// BUDGET n (its candidates are embeddings over every edge), a shard
-// scope (the component partition and its keys), a fault-tolerant
-// transport (the injector judges by task id), and the planner, which
-// prices every candidate — its steps' candidate counts, histograms and
-// survivor counts are on the wire and equal EXPLAIN's, which binds in
-// full. A request field that is a constructor counts as set: its maker
-// passes nil when it configures none.
+// bare cost.Expectation or BUDGET n's cost.Budget. A budget's candidates
+// are embeddings over non-red edges, which a pair between two dead
+// tuples is in none of, and its heaviest-first ties break by edge id,
+// which the pruned bind renumbers in order: it runs the full bind's run.
+// Everyone else reads the plan by edge id or by whole candidate set: a
+// configured strategy (MinCut's sampler draws once per edge id, the tree
+// baselines ask dead pairs by definition), a shard scope (the component
+// partition and its keys), a fault-tolerant transport (the injector
+// judges by task id), and the planner, which prices every candidate —
+// its steps' candidate counts, histograms and survivor counts are on the
+// wire and equal EXPLAIN's, which binds in full. A request field that is
+// a constructor counts as set: its maker passes nil when it configures
+// none.
 func (req *SelectRequest) liveOnly() bool {
-	return req.Stmt.Budget == 0 && req.Strategy == nil && req.Transport == nil && req.Owned == nil &&
+	return req.Strategy == nil && req.Transport == nil && req.Owned == nil &&
 		!req.Planner.Greedy && !req.Planner.FixedOrder
 }
 

@@ -765,3 +765,55 @@ func TestStatsFeedbackLoop(t *testing.T) {
 		t.Fatalf("feedback run metrics: %+v", rep.Metrics)
 	}
 }
+
+// TestMetadataRecordsTheAskingRound: every crowdsourcing path — majority
+// voting, CDB+, a shared resolver (pureResolver, plan.PureResolver's
+// scheme) and the fault-tolerant transport — records each task with the
+// 1-based round that asked it, the RoundUpdate.Round that round
+// completes as: the recorded rounds span 1…Rounds and each holds
+// exactly its update's Tasks.
+func TestMetadataRecordsTheAskingRound(t *testing.T) {
+	for _, path := range []string{"majority", "cdb+", "resolver", "transport"} {
+		t.Run(path, func(t *testing.T) {
+			p := examplePlan(t)
+			opts := Options{
+				Strategy:   &cost.Expectation{},
+				Redundancy: 3,
+				Pool:       crowd.NewPool(25, 0.85, 0.05, stats.NewRNG(61)),
+			}
+			switch path {
+			case "cdb+":
+				opts.Quality = CDBPlus
+			case "resolver":
+				opts.Resolver = pureResolver{seed: 9, pool: opts.Pool}
+			case "transport":
+				var tp *crowd.Transport
+				opts, tp = asyncSetup(3, nil)
+				defer tp.Close()
+			}
+			store := meta.NewStore()
+			var updates []RoundUpdate
+			opts.Meta = store
+			opts.Progress = func(u RoundUpdate) { updates = append(updates, u) }
+			rep, err := Run(context.Background(), p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Metrics.Rounds < 2 || len(updates) != rep.Metrics.Rounds {
+				t.Fatalf("%d rounds, %d updates: the case needs a multi-round query", rep.Metrics.Rounds, len(updates))
+			}
+			perRound := map[int64]int{}
+			for _, row := range store.Tasks().Rows {
+				perRound[row[6].I]++
+			}
+			if len(perRound) != rep.Metrics.Rounds {
+				t.Fatalf("tasks recorded in rounds %v, want 1…%d", perRound, rep.Metrics.Rounds)
+			}
+			for _, u := range updates {
+				if got := perRound[int64(u.Round)]; got != u.Tasks {
+					t.Fatalf("round %d: %d tasks recorded, update says %d (all rounds %v)", u.Round, got, u.Tasks, perRound)
+				}
+			}
+		})
+	}
+}

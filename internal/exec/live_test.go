@@ -323,10 +323,23 @@ func (r *recorder) NextRound(g *graph.Graph) []int {
 	return b
 }
 
+// budgetRecorder remembers the batches a Budget returned.
+type budgetRecorder struct {
+	*cost.Budget
+	batches [][]int
+}
+
+func (r *budgetRecorder) NextRound(g *graph.Graph) []int {
+	b := r.Budget.NextRound(g)
+	r.batches = append(r.batches, append([]int(nil), b...))
+	return b
+}
+
 // TestLiveOnlyRunsTheFullBindsRun: Algorithm 1 under cost.Expectation —
-// plain, with a predicate-priority key, with the closure — asks the same
-// edges round by round over the pruned plan as over the full one, from
-// the same worker draws, and reports the same answers and counts.
+// plain, with a predicate-priority key, with the closure — and under
+// cost.Budget asks the same edges round by round over the pruned plan as
+// over the full one, from the same worker draws, and reports the same
+// answers and counts.
 func TestLiveOnlyRunsTheFullBindsRun(t *testing.T) {
 	type kase struct {
 		label, q string
@@ -353,8 +366,10 @@ func TestLiveOnlyRunsTheFullBindsRun(t *testing.T) {
 	}
 	asked := 0
 	for _, c := range cases {
-		for _, mode := range []string{"plain", "priority", "closure"} {
+		for _, mode := range []string{"plain", "priority", "closure", "budget 10", "budget 40"} {
 			label := c.label + " / " + mode
+			budget := 0
+			fmt.Sscanf(mode, "budget %d", &budget)
 			run := func(p *exec.Plan) (*exec.Report, [][]int) {
 				rec := &recorder{Expectation: &cost.Expectation{}}
 				if mode == "priority" {
@@ -362,15 +377,21 @@ func TestLiveOnlyRunsTheFullBindsRun(t *testing.T) {
 						rec.Priority = append(rec.Priority, len(p.S.Preds)-1-pred)
 					}
 				}
+				var strategy cost.Strategy = rec
+				batches := &rec.batches
+				if budget > 0 {
+					brec := &budgetRecorder{Budget: cost.NewBudget(budget)}
+					strategy, batches = brec, &brec.batches
+				}
 				rep, err := exec.Run(context.Background(), p, exec.Options{
-					Strategy:   rec,
+					Strategy:   strategy,
 					Pool:       crowd.NewPool(30, 0.8, 0.1, stats.NewRNG(5)),
 					Transitive: mode == "closure",
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				return rep, rec.batches
+				return rep, *batches
 			}
 			// A run colours its plan: bind a fresh pair per mode.
 			full, live, toFull := bindThree(t, label, c.q, c.cat, c.orc, sim.Gram2Jaccard, memoJoiner())

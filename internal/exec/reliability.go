@@ -196,7 +196,7 @@ func (rep *Report) crowdsourceAsync(ctx context.Context, p *Plan, batch []int, o
 		st := &asyncTask{edge: e, metaID: -1}
 		if opts.Meta != nil {
 			pred, l, r := p.TaskDescription(e)
-			st.metaID = opts.Meta.RecordTask(taskKindOf(p, e), pred, l, r, rep.Metrics.Rounds)
+			st.metaID = opts.Meta.RecordTask(taskKindOf(p, e), pred, l, r, rep.round)
 		}
 		cur[e] = st
 		specs = append(specs, crowd.TaskSpec{ID: e, Truth: p.Truth[e], K: k, Deadline: deadline})

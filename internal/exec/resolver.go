@@ -147,7 +147,7 @@ func (rep *Report) crowdsourceResolver(ctx context.Context, p *Plan, batch []int
 		}
 		if opts.Meta != nil {
 			pred, l, r := p.TaskDescription(e)
-			id := opts.Meta.RecordTask(taskKindOf(p, e), pred, l, r, rep.Metrics.Rounds)
+			id := opts.Meta.RecordTask(taskKindOf(p, e), pred, l, r, rep.round)
 			_ = opts.Meta.RecordVerdict(id, v.Value)
 		}
 	}

@@ -202,6 +202,9 @@ type Report struct {
 	inferredEdges map[int]bool
 	// retryBudget is the query-wide allowance of reissued assignments.
 	retryBudget int
+	// round is the 1-based number of the round being asked (the
+	// RoundUpdate.Round it completes as), recorded with each task.
+	round int
 }
 
 // Run executes the plan with Algorithm 1. The plan's graph is mutated
@@ -349,6 +352,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 			}
 		}
 
+		rep.round = rounds + 1
 		issueStart := time.Now()
 		issueSpan := tr.Begin(obs.SpanIssue)
 		var verdicts map[int]bool
@@ -558,7 +562,7 @@ func (rep *Report) crowdsourceMajority(p *Plan, batch []int, opts Options) map[i
 		taskID := -1
 		if opts.Meta != nil {
 			pred, l, r := p.TaskDescription(e)
-			taskID = opts.Meta.RecordTask(taskKindOf(p, e), pred, l, r, rep.Metrics.Rounds)
+			taskID = opts.Meta.RecordTask(taskKindOf(p, e), pred, l, r, rep.round)
 		}
 		yes := 0
 		for _, w := range workers {
@@ -626,7 +630,7 @@ func (rep *Report) crowdsourceAdaptive(p *Plan, batch []int, opts Options) map[i
 		metaIDs[i] = -1
 		if opts.Meta != nil {
 			pred, l, r := p.TaskDescription(batch[i])
-			metaIDs[i] = opts.Meta.RecordTask(taskKindOf(p, batch[i]), pred, l, r, rep.Metrics.Rounds)
+			metaIDs[i] = opts.Meta.RecordTask(taskKindOf(p, batch[i]), pred, l, r, rep.round)
 		}
 	}
 	answerTask := func(i int, w *crowd.Worker) {

@@ -3,12 +3,12 @@ package graph
 // The conflict test of the latency scheduler (§5.2) on tree-shaped
 // structures, answered from the cover facts validity.go maintains.
 //
-// Two edges a, b on different predicates share a candidate iff both
-// are valid and the tuples along the unique query-tree path between
-// their predicates can be chosen consistently. Validity already says
-// that each edge's far endpoint covers everything beyond it and that
-// its near endpoint covers every subtree except the edge's own — the
-// subtrees of a tree are independent, so what remains is the path:
+// Two valid edges a, b on different predicates share a candidate iff
+// the tuples along the unique query-tree path between their predicates
+// can be chosen consistently. Validity already says that each edge's
+// far endpoint covers everything beyond it and that its near endpoint
+// covers every subtree except the edge's own — the subtrees of a tree
+// are independent, so what remains is the path:
 //
 //   - predicates sharing a table: the two near endpoints are tuples of
 //     that table and must be the same tuple. Nothing else is needed —
@@ -19,85 +19,8 @@ package graph
 //     walk itself supplies them).
 //
 // Cyclic structures have no such decomposition and keep the
-// backtracking search, as their validity and cut losses do.
-
-// pathStep is one hop of a query-tree path: cross a predicate, leaving
-// a tuple through its slot out and entering the next tuple at its slot
-// in.
-type pathStep struct{ out, in int }
-
-// predPath is the query-tree path from one predicate to another:
-// which endpoint of each is the near one (V side when true), and the
-// predicates strictly between the two near tables. No steps means the
-// predicates share a table.
-type predPath struct {
-	fromV, toV bool
-	steps      []pathStep
-}
-
-// predPaths precomputes the path between every ordered predicate pair
-// of an acyclic structure, indexed from*nPreds+to.
-func (g *Graph) predPaths() []predPath {
-	s, nP := g.S, g.nPreds
-	adj := s.adjacency()
-	// via[r][t] is the predicate through which t is reached when the
-	// table tree is rooted at r (-1 at the root).
-	via := make([][]int, len(s.Tables))
-	for r := range via {
-		via[r] = make([]int, len(s.Tables))
-		for t := range via[r] {
-			via[r][t] = -2
-		}
-		via[r][r] = -1
-		stack := []int{r}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nb := range adj[u] {
-				if via[r][nb[0]] == -2 {
-					via[r][nb[0]] = nb[1]
-					stack = append(stack, nb[0])
-				}
-			}
-		}
-	}
-	// tablePath lists the hops from table r to table t.
-	tablePath := func(r, t int) []pathStep {
-		var rev []pathStep
-		for t != r {
-			p := via[r][t]
-			prev := s.other(p, t)
-			rev = append(rev, pathStep{out: g.slotAt(prev, p), in: g.slotAt(t, p)})
-			t = prev
-		}
-		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-			rev[i], rev[j] = rev[j], rev[i]
-		}
-		return rev
-	}
-	paths := make([]predPath, nP*nP)
-	for a, pa := range s.Preds {
-		for b, pb := range s.Preds {
-			if a == b {
-				continue
-			}
-			// Of the four endpoint pairings the near one is the shortest:
-			// every other path additionally crosses a or b.
-			best := predPath{steps: tablePath(pa.A, pb.A)}
-			for _, c := range [3]predPath{
-				{toV: true, steps: tablePath(pa.A, pb.B)},
-				{fromV: true, steps: tablePath(pa.B, pb.A)},
-				{fromV: true, toV: true, steps: tablePath(pa.B, pb.B)},
-			} {
-				if len(c.steps) < len(best.steps) {
-					best = c
-				}
-			}
-			paths[a*nP+b] = best
-		}
-	}
-	return paths
-}
+// backtracking search (SameCandidate), as their validity and cut
+// losses do.
 
 // coversOffPath reports whether v's cover facts hold at every slot but
 // the two given ones (distinct slots of v).
@@ -116,14 +39,13 @@ func (g *Graph) coversOffPath(v, s1, s2 int) bool {
 	return n == 0
 }
 
-// walkItem is one pending tuple of a path walk: the vertex, and either
-// the index of the next step to cross (sameCandidateTree) or the slot
-// it was entered through (ConflictIndex).
+// walkItem is one pending tuple of a walk: the vertex and the slot it
+// was entered through.
 type walkItem struct{ v, at int }
 
-// walkScratch is the reusable state of a path walk: a visited stamp
-// per vertex (a tuple is always entered through the same slot, so one
-// stamp per walk suffices) and the pending stack.
+// walkScratch is the reusable state of a walk: a visited stamp per
+// vertex (a tuple is always entered through the same slot, so one stamp
+// per walk suffices) and the pending stack.
 type walkScratch struct {
 	stamp []int
 	epoch int
@@ -149,71 +71,15 @@ func (w *walkScratch) visit(v int) bool {
 	return true
 }
 
-// sameCandidateTree is SameCandidate for two edges on different
-// predicates of a tree-shaped structure. It reads the graph's primary
-// cover facts and uses its walk scratch, so like every other query that
-// revalidates it is not safe for concurrent use.
-func (g *Graph) sameCandidateTree(e1, e2 int) bool {
-	g.Revalidate()
-	if !g.valid[e1] || !g.valid[e2] {
-		return false // in no candidate at all
-	}
-	a, b := &g.edges[e1], &g.edges[e2]
-	pp := &g.paths[a.Pred*g.nPreds+b.Pred]
-	from, to := a.U, b.U
-	if pp.fromV {
-		from = a.V
-	}
-	if pp.toV {
-		to = b.V
-	}
-	last := len(pp.steps) - 1
-	if last < 0 {
-		return from == to
-	}
-	w := &g.walk
-	w.begin(g.nVerts)
-	// from covers everything but a's own slot (a is valid), so it may
-	// leave through any path slot; later tuples are checked on entry.
-	w.stack = append(w.stack, walkItem{from, 0})
-	for len(w.stack) > 0 {
-		it := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
-		step := pp.steps[it.at]
-		first, _ := g.firstList(it.v)
-		for _, eID := range g.lists[first+step.out] {
-			e := &g.edges[eID]
-			if e.Color == Red {
-				continue
-			}
-			next := e.U
-			if next == it.v {
-				next = e.V
-			}
-			if it.at == last {
-				// to covers everything but b's slot (b is valid).
-				if next == to {
-					return true
-				}
-				continue
-			}
-			if w.visit(next) && g.coversOffPath(next, step.in, pp.steps[it.at+1].out) {
-				w.stack = append(w.stack, walkItem{next, it.at + 1})
-			}
-		}
-	}
-	return false
-}
-
 // ConflictIndex answers "does this edge share a candidate with any
 // edge of a set?" for the latency scheduler, which grows the set one
 // accepted task at a time. On tree-shaped structures it keeps a count
 // of set edges per (tuple, predicate) and walks outward from the
-// queried edge's endpoints exactly as sameCandidateTree walks one path,
-// stopping at the first tuple that carries a set edge on a predicate
-// leading away from the query: O(path neighbourhood) per test instead
-// of one search per set member. Cyclic structures fall back to
-// pairwise SameCandidate within the edge's component.
+// queried edge's endpoints along the paths described above, stopping at
+// the first tuple that carries a set edge on a predicate leading away
+// from the query: O(path neighbourhood) per test instead of one search
+// per set member. Cyclic structures fall back to pairwise SameCandidate
+// within the edge's component.
 //
 // Every edge passed to Add or Conflicts must be valid (IsValid) under
 // the graph's current colors, and the graph must not change between
@@ -272,24 +138,26 @@ func (ci *ConflictIndex) Reset(g *Graph) {
 
 // predsBeyond returns, per table and slot, the bit set (p%64) of the
 // predicates that lie strictly past the slot's own predicate in the
-// query tree. Needs g.paths.
+// query tree: those a walk of the table tree reaches from the slot's far
+// table without crossing back.
 func (g *Graph) predsBeyond() [][]uint64 {
 	beyond := make([][]uint64, len(g.S.Tables))
-	for t := range beyond {
-		beyond[t] = make([]uint64, len(g.predsByTable[t]))
-	}
-	// A predicate q is past slot (t, p) iff the path from p to q leaves
-	// p through its endpoint opposite t.
-	for p, pd := range g.S.Preds {
-		for q := range g.S.Preds {
-			if p == q {
-				continue
+	var stack [][2]int // (table, predicate it was entered through)
+	for t, preds := range g.predsByTable {
+		beyond[t] = make([]uint64, len(preds))
+		for slot, p := range preds {
+			stack = append(stack[:0], [2]int{g.S.other(p, t), p})
+			for len(stack) > 0 {
+				top := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				u, in := top[0], top[1]
+				for _, q := range g.predsByTable[u] {
+					if q != in {
+						beyond[t][slot] |= 1 << (q % 64)
+						stack = append(stack, [2]int{g.S.other(q, u), q})
+					}
+				}
 			}
-			t := pd.A // the near endpoint is V (table B): q is past (A, p)
-			if !g.paths[p*g.nPreds+q].fromV {
-				t = pd.B
-			}
-			beyond[t][g.slotAt(t, p)] |= 1 << (q % 64)
 		}
 	}
 	return beyond

@@ -66,7 +66,7 @@ func denseGraph(s *Structure, r *stats.RNG) *Graph {
 }
 
 // checkAllPairs compares SameCandidate with the backtracking search on
-// every ordered edge pair (the precomputed paths are directed).
+// every ordered edge pair.
 func checkAllPairs(t *testing.T, g *Graph, ctx string) {
 	t.Helper()
 	for e1 := 0; e1 < g.NumEdges(); e1++ {
@@ -84,11 +84,9 @@ func checkAllPairs(t *testing.T, g *Graph, ctx string) {
 }
 
 // TestSameCandidateMatchesBacktracking colors random chain, star, tree
-// and caterpillar graphs (and one cyclic one) edge by edge and checks the
-// cover-fact conflict test against the retained search after every
-// transition: Unknown→Blue/Red exercises the incremental
-// reddenEdgeTree state, un-coloring and Blue→Red the dirty full
-// rebuild, and the pairs cover valid, invalid, blue and red edges.
+// and caterpillar graphs (and one cyclic one) edge by edge and checks
+// SameCandidate's two search-free rules against the search after every
+// transition; the pairs cover valid, invalid, blue and red edges.
 func TestSameCandidateMatchesBacktracking(t *testing.T) {
 	r := stats.NewRNG(20170514)
 	for trial := 0; trial < 120; trial++ {
@@ -132,30 +130,39 @@ func TestSameCandidateMatchesBacktracking(t *testing.T) {
 	}
 }
 
-// TestSameCandidateTreeNoAllocs pins the point of the cover-fact test:
-// on a tree-shaped graph the conflict test allocates nothing, whether
-// the predicates are adjacent or a path walk apart.
-func TestSameCandidateTreeNoAllocs(t *testing.T) {
+// TestConflictIndexTreeNoAllocs pins the point of the cover-fact test:
+// on a tree-shaped graph, once the index has been sized, Reset, Add and
+// Conflicts allocate nothing, whether the predicates are adjacent or a
+// walk apart.
+func TestConflictIndexTreeNoAllocs(t *testing.T) {
 	r := stats.NewRNG(8)
 	g := denseGraph(shapedStructure("chain", 5, r), r)
 	g.SetColor(1, Red)
-	n := g.NumEdges()
+	var valid []int
+	for e := 0; e < g.NumEdges(); e++ {
+		if g.IsValid(e) {
+			valid = append(valid, e)
+		}
+	}
+	var ci ConflictIndex
 	sink := 0
 	count := func() {
-		for e1 := 0; e1 < n; e1++ {
-			for e2 := 0; e2 < n; e2++ {
-				if g.SameCandidate(e1, e2) {
+		for _, x := range valid {
+			ci.Reset(g)
+			ci.Add(x)
+			for _, e := range valid {
+				if e != x && ci.Conflicts(e) {
 					sink++
 				}
 			}
 		}
 	}
-	count() // sizes the walk scratch
-	if sink == 0 {
-		t.Fatal("no conflicting pair: the graph does not exercise the test")
+	count() // sizes the counts and the walk scratch
+	if sink == 0 || ci.Steps <= ci.Tests {
+		t.Fatalf("%d conflicts, %d steps for %d tests: the graph does not exercise the walk", sink, ci.Steps, ci.Tests)
 	}
 	if allocs := testing.AllocsPerRun(5, count); allocs != 0 {
-		t.Fatalf("tree-shaped SameCandidate allocates: %v allocs per all-pairs sweep", allocs)
+		t.Fatalf("tree-shaped ConflictIndex allocates: %v allocs per all-pairs sweep", allocs)
 	}
 }
 
@@ -285,11 +292,12 @@ func TestConflictOffPathCover(t *testing.T) {
 	check(true)
 }
 
-// BenchmarkSameCandidate times the conflict test on a connected
-// three-predicate chain (tuple degree 3): pairs of an edge on the first
-// predicate with edges on the second (adjacent: one comparison) and on
-// the third (a one-hop path walk).
-func BenchmarkSameCandidate(b *testing.B) {
+// BenchmarkConflictIndex times the conflict test on a connected
+// three-predicate chain (tuple degree 3): Reset, Add the first
+// predicate's edges at every sixth tuple (so hits and misses both
+// occur), then test edges of the next predicates — the second (adjacent:
+// one count lookup) and the third (a one-hop walk) in turn.
+func BenchmarkConflictIndex(b *testing.B) {
 	const n, degree = 300, 3
 	s := &Structure{
 		Tables: []string{"A", "B", "C", "D"},
@@ -304,16 +312,18 @@ func BenchmarkSameCandidate(b *testing.B) {
 		}
 	}
 	perPred := n * degree
-	g.Revalidate()
+	var ci ConflictIndex
+	ci.Reset(g)
+	for e := 0; e < perPred; e += 6 * degree {
+		for k := 0; k < degree; k++ {
+			ci.Add(e + k)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		e1 := i % perPred
-		// The neighbourhood of e1 on the later predicates, so that hits
-		// and misses both occur.
-		e2 := perPred*(1+i%2) + (e1+i%7)%perPred
-		if g.SameCandidate(e1, e2) {
+		if ci.Conflicts(perPred*(1+i%2) + (i/2)%perPred) {
 			hits++
 		}
 	}

@@ -211,11 +211,12 @@ func (g *Graph) existsCandidateWithPins(pins []int) bool {
 }
 
 // SameCandidate reports whether two edges co-occur in at least one
-// candidate — the conflict test of the latency scheduler (§5.2). On
-// tree-shaped structures the answer is read off the cover facts
-// (conflict.go); cyclic structures search, after two rules that need
-// none: two distinct edges on the same predicate never conflict, nor do
-// edges containing different tuples of the same table.
+// candidate — the conflict test of the latency scheduler (§5.2) — by
+// search, after two rules that need none: two distinct edges on the
+// same predicate never conflict, nor do edges containing different
+// tuples of the same table. The scheduler asks it only on cyclic
+// structures; on trees ConflictIndex reads the answer off the cover
+// facts, and tests hold it to this reference.
 func (g *Graph) SameCandidate(e1, e2 int) bool {
 	if e1 == e2 {
 		return true
@@ -223,9 +224,6 @@ func (g *Graph) SameCandidate(e1, e2 int) bool {
 	a, b := &g.edges[e1], &g.edges[e2]
 	if a.Pred == b.Pred {
 		return false // a candidate holds exactly one edge per predicate
-	}
-	if g.treeShaped {
-		return g.sameCandidateTree(e1, e2)
 	}
 	// Different tuples of the same table can't co-occur.
 	for _, u := range [2]int{a.U, a.V} {

@@ -163,15 +163,11 @@ type Graph struct {
 	// Validity state (see validity.go).
 	dirty      bool
 	valid      []bool
-	cs         cutState // cover facts + hypothetical-cut scratch
-	treeShaped bool     // whether S is acyclic (enables the DP)
-	factWork   []fact   // reusable worklist for revalidateTree
-	// Conflict-test state for tree-shaped structures (conflict.go): the
-	// query-tree path between every predicate pair, the predicates past
-	// each (table, slot), and the walk scratch.
-	paths  []predPath
+	cs         coverFacts // cover facts + propagation scratch
+	treeShaped bool       // whether S is acyclic (enables the DP)
+	// beyond is the conflict test's map of the query tree (conflict.go):
+	// the predicates past each (table, slot), tree-shaped structures only.
 	beyond [][]uint64
-	walk   walkScratch
 
 	// Color journal: every effective SetColor is appended, so a consumer
 	// that remembers the length it last saw (the cost engine, the
@@ -240,7 +236,6 @@ func NewGraph(s *Structure, counts []int) (*Graph, error) {
 	g.lists = make([][]int, nLists)
 	g.treeShaped = s.Kind() != Cyclic
 	if g.treeShaped {
-		g.paths = g.predPaths()
 		g.beyond = g.predsBeyond()
 	}
 	g.dirty = true

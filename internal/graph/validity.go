@@ -1,7 +1,5 @@
 package graph
 
-import "math"
-
 // Validity maintenance (Definition 3). An edge is valid iff it appears
 // in at least one candidate: an embedding that assigns one tuple per
 // table such that every predicate's tuple pair is a non-red edge.
@@ -17,28 +15,50 @@ import "math"
 // e=(u,v) on predicate p is then valid iff it is non-red, u covers all
 // its predicates except p, and v covers all its predicates except p.
 //
+// One propagation computes that fixpoint for three callers: the full
+// rebuild seeds it with the facts no edge supports, a crowd Red answer
+// withdraws one edge's support and keeps the result, and CutLoss
+// withdraws an uncolored bundle's, counts what the cut would invalidate
+// and rolls back (Eq. 1). False-fact propagation is confluent, so the
+// order in which facts are withdrawn never changes where it lands.
+//
 // Cyclic structures fall back to per-edge backtracking (correct,
 // slower); the planner normally rewrites cycles away first
 // (BreakCycles), matching §5.1.1.
-//
-// cutState bundles the cover-fact arrays (kept current by Revalidate
-// and reddenEdgeTree) with the scratch of hypothetical cuts, which
-// mutate the facts temporarily and roll them back.
-type cutState struct {
+type coverFacts struct {
 	cover      []bool  // per (vertex, slot): v can cover the subtree beyond that pred
 	support    []int32 // supporting-edge counters for cover facts, indexed like cover
 	falseCount []int32 // number of false cover facts per vertex
 
-	epoch     int32
-	edgeEpoch []int32 // scratch for hypothetical-cut dedup
-	journal   []journalEntry
-	work      []fact
+	work []fact // facts whose support reached zero, not yet propagated
+
+	// A hypothetical cut journals every change for rollback and counts
+	// the valid uncolored edges it invalidates; the rebuild and a Red
+	// answer keep their changes and do neither.
+	cutting bool
+	journal []journalEntry
+	loss    int
 }
+
+// fact identifies one directional cover fact: vertex v's coverage of
+// the query subtree beyond one of its incident predicates, k being the
+// index of that (vertex, slot) in the flat fact arrays.
+type fact struct{ v, k int }
+
+// journalEntry records one change of a hypothetical cut for rollback:
+// cover[k] turned false at vertex v (v ≥ 0), or, marked by v,
+// support[k] decremented or valid[k] cleared.
+type journalEntry struct{ k, v int32 }
+
+const (
+	decrementedSupport int32 = -1 - iota
+	clearedValid
+)
 
 // coversAllExcept reports whether vertex v's cover facts hold for
 // every incident predicate slot except the one whose fact is skip (-1
 // means all slots).
-func (cs *cutState) coversAllExcept(v, skip int) bool {
+func (cs *coverFacts) coversAllExcept(v, skip int) bool {
 	switch cs.falseCount[v] {
 	case 0:
 		return true
@@ -125,102 +145,29 @@ func (g *Graph) CountValidUncolored() int {
 // On tree-shaped graphs with current cover facts the steady-state
 // crowd transitions are absorbed in place — Unknown→Blue changes no
 // fact (validity only distinguishes red from non-red), Unknown→Red
-// removes a single edge's support and propagates — so a round that
-// colored k edges costs O(affected region), not O(E). Every other
-// transition (un-coloring, blue→red repairs, or any change while a
-// full rebuild is already pending) falls back to the dirty flag.
+// withdraws a single edge's support and propagates — so a round that
+// colored k edges costs O(affected region), not O(E); the result is the
+// fixpoint a rebuild would compute (enforced by
+// TestIncrementalValidityMatchesRebuild). Every other transition
+// (un-coloring, blue→red repairs, or any change while a full rebuild is
+// already pending) falls back to the dirty flag.
 func (g *Graph) noteColorValidity(id int, old, c Color) {
 	if !g.dirty && g.treeShaped && old == Unknown &&
 		len(g.valid) == len(g.edges) && len(g.cs.falseCount) == g.nVerts {
-		if c == Blue {
-			return
+		if c == Red {
+			g.valid[id] = false
+			g.withdraw(id)
+			g.propagate()
 		}
-		g.reddenEdgeTree(id)
 		return
 	}
 	g.dirty = true
 }
 
-// reddenEdgeTree applies one Unknown→Red transition to the live cover
-// facts: the removed edge stops supporting its endpoints' facts, and
-// the same monotone false-propagation revalidateTree runs from scratch
-// is seeded with just the affected facts, clearing edge validity along
-// the way. False-fact propagation is confluent, so the state lands on
-// the identical fixpoint the full rebuild would compute (enforced by
-// TestIncrementalValidityMatchesRebuild).
-func (g *Graph) reddenEdgeTree(id int) {
-	cs := &g.cs
-	e := &g.edges[id]
-	g.valid[id] = false
-	ku, kv := g.edgeFacts(e)
-	work := g.factWork[:0]
-	// The edge contributed to an endpoint's support only while the
-	// other endpoint covered everything beyond it (the invariant the
-	// propagation maintains), so only live contributions are removed.
-	if cs.coversAllExcept(e.U, ku) {
-		cs.support[kv]--
-		if cs.support[kv] == 0 && cs.cover[kv] {
-			work = append(work, fact{e.V, kv})
-		}
-	}
-	if cs.coversAllExcept(e.V, kv) {
-		cs.support[ku]--
-		if cs.support[ku] == 0 && cs.cover[ku] {
-			work = append(work, fact{e.U, ku})
-		}
-	}
-	for len(work) > 0 {
-		f := work[len(work)-1]
-		work = work[:len(work)-1]
-		if !cs.cover[f.k] {
-			continue
-		}
-		cs.cover[f.k] = false
-		cs.falseCount[f.v]++
-		first, slots := g.firstList(f.v)
-		switch cs.falseCount[f.v] {
-		case 1:
-			for q := first; q < first+slots; q++ {
-				if q != f.k {
-					work = g.dropSupportInvalidate(cs, f.v, first, q, work)
-				}
-			}
-		case 2:
-			for q := first; q < first+slots; q++ {
-				if q != f.k && !cs.cover[q] {
-					work = g.dropSupportInvalidate(cs, f.v, first, q, work)
-					break
-				}
-			}
-		}
-	}
-	g.factWork = work[:0]
-}
-
-// dropSupportInvalidate is dropSupportSlot with permanent edge
-// invalidation: coversAllExcept(v, q) just flipped false, so every
-// non-red edge of v's list q left its last candidate.
-func (g *Graph) dropSupportInvalidate(cs *cutState, v, first, q int, work []fact) []fact {
-	c, n := g.farFacts(v, first, q)
-	for _, eID := range g.lists[q] {
-		e := &g.edges[eID]
-		if e.Color == Red {
-			continue
-		}
-		g.valid[eID] = false
-		w := e.U
-		if w == v {
-			w = e.V
-		}
-		kw := c + w*n
-		cs.support[kw]--
-		if cs.support[kw] == 0 && cs.cover[kw] {
-			work = append(work, fact{w, kw})
-		}
-	}
-	return work
-}
-
+// revalidateTree rebuilds facts and validity from the colors: every
+// fact starts true, supported by the non-red edges of its list, and
+// every non-red edge valid; the facts with no support seed the
+// propagation.
 func (g *Graph) revalidateTree() {
 	cs := &g.cs
 	if len(cs.falseCount) != g.nVerts {
@@ -228,11 +175,13 @@ func (g *Graph) revalidateTree() {
 		cs.support = make([]int32, len(g.lists))
 		cs.falseCount = make([]int32, g.nVerts)
 	}
-	// Optimistic init: everything covers; supports count non-red
-	// incident edges per slot. Facts with zero support are false and
-	// seed the worklist.
+	if len(g.valid) != len(g.edges) {
+		g.valid = make([]bool, len(g.edges))
+	}
+	for i := range g.edges {
+		g.valid[i] = g.edges[i].Color != Red
+	}
 	clear(cs.falseCount)
-	work := g.factWork[:0]
 	for v := 0; v < g.nVerts; v++ {
 		first, slots := g.firstList(v)
 		for k := first; k < first+slots; k++ {
@@ -245,18 +194,57 @@ func (g *Graph) revalidateTree() {
 			}
 			cs.support[k] = cnt
 			if cnt == 0 {
-				work = append(work, fact{v, k})
+				cs.work = append(cs.work, fact{v, k})
 			}
 		}
 	}
-	for len(work) > 0 {
-		f := work[len(work)-1]
-		work = work[:len(work)-1]
+	g.propagate()
+}
+
+// withdraw takes edge id's support away from the facts of its slot at
+// both endpoints. An edge supports one endpoint's fact only while the
+// other endpoint covers everything beyond it (the invariant propagate
+// maintains), so only live contributions are removed.
+func (g *Graph) withdraw(id int) {
+	e := &g.edges[id]
+	ku, kv := g.edgeFacts(e)
+	if g.cs.coversAllExcept(e.U, ku) {
+		g.unsupport(e.V, kv)
+	}
+	if g.cs.coversAllExcept(e.V, kv) {
+		g.unsupport(e.U, ku)
+	}
+}
+
+// unsupport removes one supporting edge from fact k of vertex w and
+// queues the fact when that was its last.
+func (g *Graph) unsupport(w, k int) {
+	cs := &g.cs
+	cs.support[k]--
+	if cs.cutting {
+		cs.journal = append(cs.journal, journalEntry{k: int32(k), v: decrementedSupport})
+	}
+	if cs.support[k] == 0 && cs.cover[k] {
+		cs.work = append(cs.work, fact{w, k})
+	}
+}
+
+// propagate turns the queued facts false, and every fact whose support
+// that exhausts, until the fixpoint. It is the one place a cover fact
+// turns false.
+func (g *Graph) propagate() {
+	cs := &g.cs
+	for len(cs.work) > 0 {
+		f := cs.work[len(cs.work)-1]
+		cs.work = cs.work[:len(cs.work)-1]
 		if !cs.cover[f.k] {
 			continue
 		}
 		cs.cover[f.k] = false
 		cs.falseCount[f.v]++
+		if cs.cutting {
+			cs.journal = append(cs.journal, journalEntry{k: int32(f.k), v: int32(f.v)})
+		}
 		first, slots := g.firstList(f.v)
 		// f.v stops supporting neighbor facts through every slot q where
 		// coversAllExcept(f.v, q) just flipped from true to false.
@@ -266,7 +254,7 @@ func (g *Graph) revalidateTree() {
 			// every slot except the newly false one.
 			for q := first; q < first+slots; q++ {
 				if q != f.k {
-					work = g.dropSupportSlot(cs, f.v, first, q, work)
+					g.dropList(f.v, first, q)
 				}
 			}
 		case 2:
@@ -274,7 +262,7 @@ func (g *Graph) revalidateTree() {
 			// true only for q==f0; it flips there now.
 			for q := first; q < first+slots; q++ {
 				if q != f.k && !cs.cover[q] {
-					work = g.dropSupportSlot(cs, f.v, first, q, work)
+					g.dropList(f.v, first, q)
 					break
 				}
 			}
@@ -282,55 +270,37 @@ func (g *Graph) revalidateTree() {
 			// Already covered nothing; no supports to drop.
 		}
 	}
-	g.factWork = work[:0]
-	// Edge validity.
-	if len(g.valid) != len(g.edges) {
-		g.valid = make([]bool, len(g.edges))
-	}
-	for i := range g.edges {
-		g.valid[i] = g.edgeValidNow(i)
-	}
-	if len(cs.edgeEpoch) != len(g.edges) {
-		cs.edgeEpoch = make([]int32, len(g.edges))
-		cs.epoch = 0
-	}
 }
 
-// fact identifies one directional cover fact: vertex v's coverage of
-// the query subtree beyond one of its incident predicates, k being the
-// index of that (vertex, slot) in the flat fact arrays.
-type fact struct{ v, k int }
-
-// dropSupportSlot removes v's contribution from neighbor facts across
-// v's list q (v no longer covers "away from q").
-func (g *Graph) dropSupportSlot(cs *cutState, v, first, q int, work []fact) []fact {
+// dropList applies coversAllExcept(v, q) turning false: every non-red
+// edge of v's list q leaves its last candidate and stops supporting the
+// fact at its far endpoint. A hypothetical cut counts each valid
+// uncolored edge it invalidates once (an asked, blue edge saves no
+// task); the cut bundle itself is never reached, since a cut only
+// falsifies facts that look back across the cut predicate.
+func (g *Graph) dropList(v, first, q int) {
+	cs := &g.cs
 	c, n := g.farFacts(v, first, q)
 	for _, eID := range g.lists[q] {
 		e := &g.edges[eID]
 		if e.Color == Red {
 			continue
 		}
+		if g.valid[eID] {
+			g.valid[eID] = false
+			if cs.cutting {
+				cs.journal = append(cs.journal, journalEntry{k: int32(eID), v: clearedValid})
+				if e.Color == Unknown {
+					cs.loss++
+				}
+			}
+		}
 		w := e.U
 		if w == v {
 			w = e.V
 		}
-		kw := c + w*n
-		cs.support[kw]--
-		if cs.support[kw] == 0 && cs.cover[kw] {
-			work = append(work, fact{w, kw})
-		}
+		g.unsupport(w, c+w*n)
 	}
-	return work
-}
-
-// edgeValidNow evaluates validity from the current cover facts.
-func (g *Graph) edgeValidNow(id int) bool {
-	e := &g.edges[id]
-	if e.Color == Red {
-		return false
-	}
-	ku, kv := g.edgeFacts(e)
-	return g.cs.coversAllExcept(e.U, ku) && g.cs.coversAllExcept(e.V, kv)
 }
 
 // revalidateBacktrack is the general fallback: per-edge existence
@@ -346,17 +316,7 @@ func (g *Graph) revalidateBacktrack() {
 		}
 		g.valid[i] = g.existsCandidateWithPins([]int{i})
 	}
-	if len(g.cs.edgeEpoch) != len(g.edges) {
-		g.cs.edgeEpoch = make([]int32, len(g.edges))
-		g.cs.epoch = 0
-	}
 }
-
-// --- hypothetical cuts (Eq. 1 support) ---
-
-// journalEntry records one state mutation for rollback: a decrement of
-// support[k] (v < 0), or cover[k] flipped false at vertex v.
-type journalEntry struct{ k, v int32 }
 
 // CutLoss computes how many currently-valid uncolored edges (excluding
 // the cut bundle itself) would become invalid if all *uncolored* edges
@@ -371,149 +331,33 @@ func (g *Graph) CutLoss(v, pred int) (loss, bundle int) {
 	if !g.treeShaped {
 		return g.cutLossBrute(v, pred)
 	}
-	return g.cutLossTree(v, pred)
-}
-
-// cutLossTree runs the journaled hypothetical cut on the graph's cover
-// facts, mutating them and rolling back before it returns.
-func (g *Graph) cutLossTree(v, pred int) (loss, bundle int) {
-	cs := &g.cs
 	slot := g.checkedSlotOf(v, pred)
 	if slot < 0 {
 		return 0, 0
 	}
-	journal := cs.journal[:0]
-	work := cs.work[:0]
-	if cs.epoch == math.MaxInt32 {
-		clear(cs.edgeEpoch)
-		cs.epoch = 0
-	}
-	cs.epoch++
-
-	// Virtually redden the bundle: each non-red edge (v,w) on pred
-	// stops supporting cover facts on BOTH sides. Bundle members are
-	// stamped with the epoch so the loss count can exclude them.
-	epoch := cs.epoch
+	cs := &g.cs
+	cs.cutting, cs.loss = true, 0
 	first, _ := g.firstList(v)
-	kv := first + slot
-	c, n := g.farFacts(v, first, kv)
-	// No fact flips before the propagation below, so whether v covers
-	// everything but the bundle's slot is one answer for the whole bundle.
-	vCovers := cs.coversAllExcept(v, kv)
-	for _, eID := range g.lists[kv] {
-		e := &g.edges[eID]
-		if e.Color != Unknown {
-			continue
-		}
-		bundle++
-		cs.edgeEpoch[eID] = -epoch
-		w := e.U
-		if w == v {
-			w = e.V
-		}
-		kw := c + w*n
-		// An edge contributes to its endpoint's support only while its
-		// other endpoint covers-all-except the predicate (that is the
-		// invariant the propagation maintains), so removing the edge
-		// decrements only live contributions.
-		if vCovers {
-			cs.support[kw]--
-			journal = append(journal, journalEntry{k: int32(kw), v: -1})
-			if cs.support[kw] == 0 && cs.cover[kw] {
-				work = append(work, fact{w, kw})
-			}
-		}
-		if cs.coversAllExcept(w, kw) {
-			cs.support[kv]--
-			journal = append(journal, journalEntry{k: int32(kv), v: -1})
-			if cs.support[kv] == 0 && cs.cover[kv] {
-				work = append(work, fact{v, kv})
-			}
+	for _, eID := range g.lists[first+slot] {
+		if g.edges[eID].Color == Unknown {
+			bundle++
+			g.withdraw(eID)
 		}
 	}
-
-	// Propagate false facts, counting newly-invalid edges.
-	newlyInvalid := 0
-	for len(work) > 0 {
-		f := work[len(work)-1]
-		work = work[:len(work)-1]
-		if !cs.cover[f.k] {
-			continue
-		}
-		cs.cover[f.k] = false
-		cs.falseCount[f.v]++
-		journal = append(journal, journalEntry{k: int32(f.k), v: int32(f.v)})
-		first, slots := g.firstList(f.v)
-
-		// coversAllExcept(f.v, q) flipped false at every other slot (first
-		// false fact) or at the one slot that was already false (second).
-		switch cs.falseCount[f.v] {
-		case 1:
-			for q := first; q < first+slots; q++ {
-				if q != f.k {
-					journal, work = g.dropSupportJournaled(cs, f.v, first, q, journal, work, &newlyInvalid)
-				}
-			}
-		case 2:
-			for q := first; q < first+slots; q++ {
-				if q != f.k && !cs.cover[q] {
-					journal, work = g.dropSupportJournaled(cs, f.v, first, q, journal, work, &newlyInvalid)
-					break
-				}
-			}
-		}
-		// Edges on f's own slot: the fact turning false does not by
-		// itself invalidate those edges (validity looks at
-		// coversAllExcept of both endpoints w.r.t. their own pred), but
-		// coversAllExcept(f.v, q) flips handled above cover that.
-	}
-
-	// Rollback in reverse order.
-	for i := len(journal) - 1; i >= 0; i-- {
-		j := journal[i]
-		if j.v < 0 {
+	g.propagate()
+	for i := len(cs.journal) - 1; i >= 0; i-- {
+		switch j := cs.journal[i]; j.v {
+		case decrementedSupport:
 			cs.support[j.k]++
-		} else {
+		case clearedValid:
+			g.valid[j.k] = true
+		default:
 			cs.cover[j.k] = true
 			cs.falseCount[j.v]--
 		}
 	}
-	cs.journal = journal[:0]
-	cs.work = work[:0]
-	return newlyInvalid, bundle
-}
-
-// dropSupportJournaled is dropSupportSlot for a hypothetical cut:
-// coversAllExcept(v, q) just flipped false under cs, so every non-red
-// edge at v on slot q stops supporting its far endpoint (journaled for
-// rollback) and, if it was an askable edge outside the bundle, counts
-// once toward the loss. Only uncolored edges count: invalidating an
-// already-asked (blue) edge saves no task. Bundle members carry
-// -epoch, already-counted edges +epoch; both are excluded.
-func (g *Graph) dropSupportJournaled(cs *cutState, v, first, q int, journal []journalEntry, work []fact, loss *int) ([]journalEntry, []fact) {
-	c, n := g.farFacts(v, first, q)
-	epoch := cs.epoch
-	for _, eID := range g.lists[q] {
-		e := &g.edges[eID]
-		if e.Color == Red {
-			continue
-		}
-		if stamp := cs.edgeEpoch[eID]; stamp != -epoch && stamp != epoch && e.Color == Unknown && g.valid[eID] {
-			cs.edgeEpoch[eID] = epoch
-			*loss++
-		}
-		w := e.U
-		if w == v {
-			w = e.V
-		}
-		kw := c + w*n
-		cs.support[kw]--
-		journal = append(journal, journalEntry{k: int32(kw), v: -1})
-		if cs.support[kw] == 0 && cs.cover[kw] {
-			work = append(work, fact{w, kw})
-		}
-	}
-	return journal, work
+	cs.cutting, cs.journal = false, cs.journal[:0]
+	return cs.loss, bundle
 }
 
 // cutLossBrute recomputes validity on a temporarily mutated copy; used

@@ -158,11 +158,11 @@ func TestFeaturePairRules(t *testing.T) {
 
 // TestBindScopeRule pins the bind-scope row of the pipeline's rule
 // table (engine.SelectRequest.liveOnly): a run under the expected-yield
-// order — plain or with transitivity, through DB.Exec or the engine —
-// binds only the edges that touch a possibly-live tuple, and a
-// configured strategy, a BUDGET, a shard scope, a fault-tolerant
-// transport or the planner binds every candidate. The plan span says
-// which: Edges bound of Candidates found.
+// or budget order — plain or with transitivity, through DB.Exec or the
+// engine — binds only the edges that touch a possibly-live tuple, and a
+// configured strategy, a shard scope, a fault-tolerant transport or the
+// planner binds every candidate. The plan span says which: Edges bound
+// of Candidates found.
 func TestBindScopeRule(t *testing.T) {
 	q := dataset.Queries("paper")["3J2S"]
 	d := dataset.GenPaper(dataset.Config{Seed: 1, Scale: 0.12})
@@ -219,8 +219,8 @@ func TestBindScopeRule(t *testing.T) {
 		{"cdb+ quality control/exec", Config{QualityControl: true}, viaExec, q, pruned},
 		{"configured strategy/exec", Config{Strategy: StrategyMinCut}, viaExec, q, full},
 		{"tree baseline/exec", Config{Strategy: StrategyCrowdDB}, viaExec, q, full},
-		{"budget/exec", Config{}, viaExec, budgeted, full},
-		{"budget/engine", Config{}, viaEngine, budgeted, full},
+		{"budget/exec", Config{}, viaExec, budgeted, pruned},
+		{"budget/engine", Config{}, viaEngine, budgeted, pruned},
 		{"shard scope/engine", Config{}, viaShard, q, full},
 		{"transport/exec", Config{Reliability: &ReliabilityPolicy{}}, viaExec, q, full},
 		{"planner/exec", Config{Planner: &PlannerConfig{Greedy: true}}, viaExec, q, full},
