@@ -420,35 +420,36 @@ func (db *DB) transportFor() *crowd.Transport {
 	})
 }
 
-// source is what this DB's SELECTs bind against.
-func (db *DB) source() engine.Source {
-	return engine.Source{
-		Catalog:    db.catalog,
-		Oracle:     db.oracle,
-		PlanConfig: exec.PlanConfig{Sim: db.simFunc, Epsilon: db.cfg.Epsilon},
-	}
-}
-
-// execSelect sends one SELECT through the shared pipeline with this
-// DB's crowd, quality mode and optimizer configuration, then applies
-// crowd-powered GROUP BY / ORDER BY to the answer.
-func (db *DB) execSelect(ctx context.Context, s *cql.Select, tr *obs.Tracer) (*Result, error) {
+// selectRequest is s's trip through the shared pipeline with this DB's
+// crowd, quality mode and optimizer configuration. A constructor the
+// pipeline is handed counts as configured (it decides the order and the
+// bind's scope before it could call one), so none is passed for the
+// defaults: the paper's order, the synchronous crowd.
+func (db *DB) selectRequest(s *cql.Select) *engine.SelectRequest {
 	req := &engine.SelectRequest{
-		Source:   db.source(),
+		Source: engine.Source{
+			Catalog:    db.catalog,
+			Oracle:     db.oracle,
+			PlanConfig: exec.PlanConfig{Sim: db.simFunc, Epsilon: db.cfg.Epsilon},
+		},
 		Stmt:     s,
 		Planner:  db.planner,
 		PureSeed: func() uint64 { return db.rng.Split().Uint64() },
 		Exec:     db.run,
 	}
-	// A constructor the pipeline is handed counts as configured (it decides
-	// the bind's scope before it could call one), so none is passed for
-	// the defaults: the paper's order, the synchronous crowd.
 	if db.newStrategy != nil {
 		req.Strategy = func(p *exec.Plan) cost.Strategy { return db.newStrategy(p, mincutSamples, db.rng) }
 	}
 	if db.faults != nil || db.cfg.Reliability != nil {
 		req.Transport = db.transportFor
 	}
+	return req
+}
+
+// execSelect sends one SELECT through the shared pipeline, then applies
+// crowd-powered GROUP BY / ORDER BY to the answer.
+func (db *DB) execSelect(ctx context.Context, s *cql.Select, tr *obs.Tracer) (*Result, error) {
+	req := db.selectRequest(s)
 	req.Exec.Trace = tr
 	ans, err := engine.RunSelect(ctx, req)
 	if err != nil {

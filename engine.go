@@ -6,7 +6,6 @@ import (
 	"cdb/internal/engine"
 	"cdb/internal/exec"
 	"cdb/internal/ledger"
-	"cdb/internal/plan"
 )
 
 // Engine serves concurrent CQL queries over one DB's catalog and
@@ -121,7 +120,7 @@ func (db *DB) NewEngine(opts ...EngineOption) (*Engine, error) {
 	cfg.Redundancy = db.run.Redundancy
 	cfg.Tracing = db.cfg.Tracing
 	cfg.Transitive = db.run.Transitive
-	cfg.Planner = plan.Config{Greedy: db.planner.Greedy}
+	cfg.Planner = db.planner
 	cfg.Seed = db.rng.Split().Uint64()
 	if o.ledgerDir != "" {
 		policy, err := ledger.ParsePolicy(o.ledgerFsync)

@@ -33,12 +33,16 @@ func planCell(c plan.Case, d *plan.Decision, transitive bool, cfg Config, verdic
 	return rep, p, err
 }
 
+// buildCasePlan binds c's statement as a planned run binds it: the
+// live-touching subgraph.
 func buildCasePlan(c plan.Case) (*exec.Plan, error) {
 	st, err := cql.Parse(c.Query)
 	if err != nil {
 		return nil, err
 	}
-	return exec.BuildPlan(st.(*cql.Select), c.Catalog, exec.ExactOracle{}, planCfg)
+	cfg := planCfg
+	cfg.LiveOnly = true
+	return exec.BuildPlan(st.(*cql.Select), c.Catalog, exec.ExactOracle{}, cfg)
 }
 
 // coloredEdges counts edges no longer Unknown — crowd work that touched

@@ -109,8 +109,9 @@ type Config struct {
 	// Planner configures the greedy multi-join planner. With
 	// Planner.Greedy set, unbudgeted whole-statement SELECTs execute in
 	// the planner's cheapest-first predicate order (answers stay
-	// bit-identical — verdicts are content-pure) and each Result
-	// carries its executed Plan. Explain works either way.
+	// bit-identical — verdicts are content-pure), with FixedOrder in
+	// statement order, and each Result carries its executed Plan.
+	// Explain works either way.
 	Planner plan.Config
 	// Journal, when set, makes paid crowd work durable: every resolved
 	// verdict, executed statement and completed answer is appended, and
@@ -437,38 +438,34 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 		}()
 	}
 
-	req := &SelectRequest{
-		Source:  e.src,
-		Stmt:    s,
-		Planner: e.cfg.Planner,
-		Exec: exec.Options{
-			Redundancy: e.cfg.Redundancy,
-			Quality:    exec.MajorityVoting,
-			Pool:       e.cfg.Pool,
-			Resolver:   e.coal,
-			Transitive: e.cfg.Transitive,
-			Trace:      tr,
-			// The registry sees every completed round regardless of
-			// whether the submitter asked for progress; the caller's
-			// hook (if any) still runs on the query goroutine afterwards.
-			Progress: func(u exec.RoundUpdate) {
-				e.intr.roundDone(entry, u.Round, u.TasksTotal, u.AssignmentsTotal, u.Open)
-				if progress != nil {
-					progress(u)
-				}
-			},
-		},
-		Planned: func(_ *exec.Plan, d *plan.Decision) {
-			if e.cfg.Journal != nil {
-				// The statement is planable against the live catalog: log
-				// it so the next boot replans it and re-primes the
-				// sim-join cache.
-				e.cfg.Journal.AppendStatement(key)
-			}
-			if d != nil {
-				e.intr.setPlan(entry, d.JoinOrder(), d.EarlyExits())
+	req := e.request(s)
+	req.Exec = exec.Options{
+		Redundancy: e.cfg.Redundancy,
+		Quality:    exec.MajorityVoting,
+		Pool:       e.cfg.Pool,
+		Resolver:   e.coal,
+		Transitive: e.cfg.Transitive,
+		Trace:      tr,
+		// The registry sees every completed round regardless of
+		// whether the submitter asked for progress; the caller's
+		// hook (if any) still runs on the query goroutine afterwards.
+		Progress: func(u exec.RoundUpdate) {
+			e.intr.roundDone(entry, u.Round, u.TasksTotal, u.AssignmentsTotal, u.Open)
+			if progress != nil {
+				progress(u)
 			}
 		},
+	}
+	req.Planned = func(_ *exec.Plan, d *plan.Decision) {
+		if e.cfg.Journal != nil {
+			// The statement is planable against the live catalog: log
+			// it so the next boot replans it and re-primes the
+			// sim-join cache.
+			e.cfg.Journal.AppendStatement(key)
+		}
+		if d != nil {
+			e.intr.setPlan(entry, d.JoinOrder(), d.EarlyExits())
+		}
 	}
 	if sr != nil {
 		req.Owned = sr.Owned
@@ -529,9 +526,9 @@ func (e *Engine) shareAnswer(h *Handle, ans *Answer, req string, how *atomic.Int
 	mCoalSaved.Add(int64(ans.Report.Assignments))
 }
 
-// PlannerEnabled reports whether served SELECTs execute the greedy
-// planned order (and therefore whether streams carry a plan event).
-func (e *Engine) PlannerEnabled() bool { return e.cfg.Planner.Greedy }
+// PlannerEnabled reports whether served SELECTs execute a planned order
+// (and therefore whether streams carry a plan event).
+func (e *Engine) PlannerEnabled() bool { return e.cfg.Planner.Greedy || e.cfg.Planner.FixedOrder }
 
 // Explain plans query without executing it and returns the wire-ready
 // plan: join order, per-step predicted candidate edges, and early-exit
@@ -545,7 +542,18 @@ func (e *Engine) Explain(query string) (*plan.Explained, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.src.Explain(st, e.cfg.Planner)
+	s, err := Plannable(st)
+	if err != nil {
+		return nil, err
+	}
+	return e.request(s).Explain()
+}
+
+// request is what every run of s on this engine shares — and all that
+// decides its order and bind; serve adds the per-query executor options,
+// the hook and a shard scope.
+func (e *Engine) request(s *cql.Select) *SelectRequest {
+	return &SelectRequest{Source: e.src, Stmt: s, Planner: e.cfg.Planner}
 }
 
 // Queries snapshots the engine's query registry: every in-flight

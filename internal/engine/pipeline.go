@@ -1,9 +1,10 @@
 package engine
 
 // The one SELECT pipeline (DESIGN.md §11): DB.Exec and the serving
-// engine both fill a SelectRequest and call RunSelect, which binds the
-// tuple graph, scopes it to a shard, picks the labeling order, runs
-// Algorithm 1's round loop and projects the rows. What differs between
+// engine both fill a SelectRequest and call RunSelect, which decides the
+// labeling order, binds the tuple graph that order reads, scopes it to a
+// shard, builds the order, runs Algorithm 1's round loop and projects
+// the rows. What differs between
 // callers is a field of the request; no stage asks who is calling.
 
 import (
@@ -41,11 +42,9 @@ func (src Source) bind(sel *cql.Select, tr *obs.Tracer) (*exec.Plan, error) {
 	return p, err
 }
 
-// Explain plans st — a SELECT or an EXPLAIN SELECT, anything else is
-// ErrUnsupported — without executing it: similarity joins only, zero
-// crowd assignments. The result's Greedy flag reports whether execution
-// under cfg would follow the greedy order.
-func (src Source) Explain(st cql.Statement, cfg plan.Config) (*plan.Explained, error) {
+// Plannable unwraps st to the SELECT an EXPLAIN describes: a SELECT or
+// an EXPLAIN SELECT; anything else is ErrUnsupported.
+func Plannable(st cql.Statement) (*cql.Select, error) {
 	if ex, ok := st.(*cql.Explain); ok {
 		st = ex.Target
 	}
@@ -53,11 +52,7 @@ func (src Source) Explain(st cql.Statement, cfg plan.Config) (*plan.Explained, e
 	if !ok {
 		return nil, fmt.Errorf("%w: %T is not plannable; EXPLAIN takes a SELECT", ErrUnsupported, st)
 	}
-	p, err := src.bind(sel, nil)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Describe(p, plan.Greedy(p, 0), cfg.Greedy), nil
+	return sel, nil
 }
 
 // SelectRequest is one SELECT's trip through the pipeline.
@@ -71,16 +66,16 @@ type SelectRequest struct {
 
 	// Strategy builds the configured labeling order for the bound plan;
 	// nil means the paper's expectation-based order — and is how a caller
-	// says so: a set Strategy binds every candidate (see liveOnly).
+	// says so: a set Strategy is the configured order of order's table.
 	Strategy func(*exec.Plan) cost.Strategy
-	// Planner turns on planned execution, subject to chooseOrder's rules.
+	// Planner turns on planned execution, subject to order's rules.
 	Planner plan.Config
 	// PureSeed seeds the content-pure resolver a planned run needs when
 	// Exec.Resolver is not already one; called only then.
 	PureSeed func() uint64
-	// Transport opens the per-query fault-tolerant transport (nil, or
-	// returning nil, keeps the synchronous path; only nil also keeps the
-	// pruned bind). RunSelect closes it.
+	// Transport opens the per-query fault-tolerant transport; nil keeps
+	// the synchronous path. A set constructor counts as a transport when
+	// the order is decided, before it is called. RunSelect closes it.
 	Transport func() *crowd.Transport
 
 	// Exec is the executor configuration every order shares; the
@@ -92,29 +87,81 @@ type SelectRequest struct {
 	Planned func(*exec.Plan, *plan.Decision)
 }
 
-// chooseOrder picks the labeling order of one run. A planned join order
-// and the expected-yield order are keys of one cost.Expectation, the
-// budget order its own cost.Strategy; this is the only place that
-// decides between them, and the table is the only place features
-// constrain each other:
+// order is the labeling order of one run.
+type order int
+
+const (
+	byExpectedYield order = iota // cost.Expectation, plain or with the closure
+	byBudget                     // BUDGET n's cost.Budget
+	byConfigured                 // the request's Strategy
+	byGreedyPlan                 // the planner's greedy order: a leading key of cost.Expectation
+	byFixedPlan                  // the planner's statement order, likewise
+)
+
+// order decides the labeling order of a run from request fields alone,
+// before the bind. A planned join order and the expected-yield order are
+// keys of one cost.Expectation, the budget order its own cost.Strategy;
+// this is the only place that decides between them, and the table is
+// the only place features constrain each other:
 //
 //	BUDGET n    × planner        budget wins: the run follows cost.Budget's spend-capped order
 //	transport   × planner        transport wins: the planner's pure resolver would shadow it
 //	shard scope × planner        configured order: a shard's round structure must match the fleet's
 //	planner     × transitivity   compose: one strategy, keys priority → expected yield → Eq. 1
+//	planner     × strategy       planner wins: a configured strategy orders unplanned runs only
 //
-//	bind scope  × all of these   live-touching subgraph only under the expected-yield and budget orders —
-//	                             plain or with the closure, which read no pair between two dead tuples —
-//	                             and the full candidate set for everyone else: see liveOnly
+//	bind scope  × all of these   every candidate under a configured strategy (MinCut's sampler draws
+//	                             per edge id, the tree and ER baselines ask dead pairs by definition)
+//	                             or a shard scope (the component partition); the live-touching
+//	                             subgraph for every other order — see scoped
 //
-// The configured strategy and the transport are built — in that order —
-// before the planner may replace the former: building either can draw
-// from the caller's RNG, and the draw order is part of what makes equal
-// seeds replay equal answers.
-func (req *SelectRequest) chooseOrder(p *exec.Plan) (exec.Options, *plan.Decision) {
-	opts := req.Exec
+// A request field that is a constructor counts as set: its maker passes
+// nil when it configures none.
+func (req *SelectRequest) order() order {
+	planned := (req.Planner.Greedy || req.Planner.FixedOrder) && req.Transport == nil && req.Owned == nil
 	switch {
 	case req.Stmt.Budget > 0:
+		return byBudget
+	case planned && req.Planner.Greedy:
+		return byGreedyPlan
+	case planned:
+		return byFixedPlan
+	case req.Strategy != nil:
+		return byConfigured
+	}
+	return byExpectedYield
+}
+
+// scoped is the Source a run under o binds against: with
+// exec.PlanConfig.LiveOnly, the bind-scope row of order's table.
+func (req *SelectRequest) scoped(o order) Source {
+	src := req.Source
+	src.LiveOnly = o != byConfigured && req.Owned == nil
+	return src
+}
+
+// decide is the planner's decision a run under o follows, nil unless
+// the order is planned.
+func (o order) decide(p *exec.Plan) *plan.Decision {
+	switch o {
+	case byGreedyPlan:
+		return plan.Greedy(p, 0)
+	case byFixedPlan:
+		return plan.Fixed(p, 0)
+	}
+	return nil
+}
+
+// build makes the executor options of a run under o over the bound plan.
+// The configured strategy and the transport are built — in that order,
+// and the strategy even when the planner then replaces it — before the
+// pure resolver's seed is drawn: building either can draw from the
+// caller's RNG, and the draw order is part of what makes equal seeds
+// replay equal answers.
+func (req *SelectRequest) build(p *exec.Plan, o order) (exec.Options, *plan.Decision) {
+	opts := req.Exec
+	switch {
+	case o == byBudget:
 		opts.Strategy = cost.NewBudget(req.Stmt.Budget)
 	case req.Strategy != nil:
 		opts.Strategy = req.Strategy(p)
@@ -124,15 +171,9 @@ func (req *SelectRequest) chooseOrder(p *exec.Plan) (exec.Options, *plan.Decisio
 	if req.Transport != nil {
 		opts.Transport = req.Transport()
 	}
-	planned := req.Planner.Greedy || req.Planner.FixedOrder
-	if !planned || req.Stmt.Budget > 0 || opts.Transport != nil || req.Owned != nil {
+	decision := o.decide(p)
+	if decision == nil {
 		return opts, nil
-	}
-	var decision *plan.Decision
-	if req.Planner.Greedy {
-		decision = plan.Greedy(p, 0)
-	} else {
-		decision = plan.Fixed(p, 0)
 	}
 	opts.Strategy = decision.Strategy(p)
 	if opts.Resolver == nil {
@@ -145,34 +186,31 @@ func (req *SelectRequest) chooseOrder(p *exec.Plan) (exec.Options, *plan.Decisio
 	return opts, decision
 }
 
-// liveOnly is the bind-scope row of chooseOrder's table, decided before
-// the bind from what chooseOrder will decide after it: the graph may
-// leave out the pairs between two tuples that cannot be in an answer
-// (exec.PlanConfig.LiveOnly) exactly when the labeling order will be a
-// bare cost.Expectation or BUDGET n's cost.Budget. A budget's candidates
-// are embeddings over non-red edges, which a pair between two dead
-// tuples is in none of, and its heaviest-first ties break by edge id,
-// which the pruned bind renumbers in order: it runs the full bind's run.
-// Everyone else reads the plan by edge id or by whole candidate set: a
-// configured strategy (MinCut's sampler draws once per edge id, the tree
-// baselines ask dead pairs by definition), a shard scope (the component
-// partition and its keys), a fault-tolerant transport (the injector
-// judges by task id), and the planner, which prices every candidate —
-// its steps' candidate counts, histograms and survivor counts are on the
-// wire and equal EXPLAIN's, which binds in full. A request field that is
-// a constructor counts as set: its maker passes nil when it configures
-// none.
-func (req *SelectRequest) liveOnly() bool {
-	return req.Strategy == nil && req.Transport == nil && req.Owned == nil &&
-		!req.Planner.Greedy && !req.Planner.FixedOrder
+// Explain plans the request's statement without executing it: it binds
+// the graph a run binds, similarity joins only, and calls no
+// constructor of the request, so it issues zero crowd assignments and
+// draws nothing from the caller's RNG. It describes the order a run
+// follows when that order is planned, and the greedy order otherwise;
+// the result's Greedy flag reports whether a run follows the greedy
+// order.
+func (req *SelectRequest) Explain() (*plan.Explained, error) {
+	o := req.order()
+	p, err := req.scoped(o).bind(req.Stmt, nil)
+	if err != nil {
+		return nil, err
+	}
+	d := o.decide(p)
+	if d == nil {
+		d = plan.Greedy(p, 0)
+	}
+	return plan.Describe(p, d, o == byGreedyPlan), nil
 }
 
 // RunSelect executes one SELECT through the pipeline. Cancellation is
 // honored at crowd-round boundaries (see exec.Run).
 func RunSelect(ctx context.Context, req *SelectRequest) (*Answer, error) {
-	src := req.Source
-	src.LiveOnly = req.liveOnly()
-	p, err := src.bind(req.Stmt, req.Exec.Trace)
+	o := req.order()
+	p, err := req.scoped(o).bind(req.Stmt, req.Exec.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +218,7 @@ func RunSelect(ctx context.Context, req *SelectRequest) (*Answer, error) {
 	if req.Owned != nil {
 		scope = exec.RestrictToOwned(p, req.Owned)
 	}
-	opts, decision := req.chooseOrder(p)
+	opts, decision := req.build(p, o)
 	if opts.Transport != nil {
 		defer opts.Transport.Close()
 	}
@@ -211,7 +249,7 @@ func RunSelect(ctx context.Context, req *SelectRequest) (*Answer, error) {
 		}
 	}
 	if decision != nil {
-		ans.Plan = plan.Describe(p, decision, req.Planner.Greedy)
+		ans.Plan = plan.Describe(p, decision, o == byGreedyPlan)
 	}
 	return ans, nil
 }

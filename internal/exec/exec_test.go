@@ -696,76 +696,6 @@ func TestCalibrationDoesNotBreakExecution(t *testing.T) {
 	}
 }
 
-func TestSelectivityHintsRescaleWeights(t *testing.T) {
-	d := dataset.RunningExample()
-	cfg := DefaultPlanConfig()
-	base, err := BuildPlan(mustSelect(t, dataset.RunningExampleQuery), d.Catalog, d.Oracle, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	predName := base.S.Preds[0].Name
-	var baseMean float64
-	var n int
-	for e := 0; e < base.G.NumEdges(); e++ {
-		if ed := base.G.Edge(e); ed.Pred == 0 {
-			baseMean += ed.W
-			n++
-		}
-	}
-	baseMean /= float64(n)
-
-	cfg.Selectivity = map[string]float64{predName: baseMean / 2}
-	hinted, err := BuildPlan(mustSelect(t, dataset.RunningExampleQuery), d.Catalog, d.Oracle, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hintedMean float64
-	for e := 0; e < hinted.G.NumEdges(); e++ {
-		if ed := hinted.G.Edge(e); ed.Pred == 0 {
-			hintedMean += ed.W
-		}
-	}
-	hintedMean /= float64(n)
-	if diff := hintedMean - baseMean/2; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("hinted mean = %v, want %v", hintedMean, baseMean/2)
-	}
-	// Other predicates untouched.
-	if hinted.G.Edge(hinted.G.NumEdges()-1).W != base.G.Edge(base.G.NumEdges()-1).W {
-		t.Fatal("unhinted predicate weights changed")
-	}
-}
-
-func TestStatsFeedbackLoop(t *testing.T) {
-	// Run once with metadata, feed the observed selectivities into a
-	// second plan, and verify the second run still finds everything.
-	d := dataset.RunningExample()
-	store := meta.NewStore()
-	p1, err := BuildPlan(mustSelect(t, dataset.RunningExampleQuery), d.Catalog, d.Oracle, DefaultPlanConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(context.Background(), p1, Options{Strategy: &cost.Expectation{}, Redundancy: 1, Pool: perfectPool(81, 20), Meta: store}); err != nil {
-		t.Fatal(err)
-	}
-	hints := store.ComputeStats().Selectivity
-	if len(hints) == 0 {
-		t.Fatal("no selectivities observed")
-	}
-	cfg := DefaultPlanConfig()
-	cfg.Selectivity = hints
-	p2, err := BuildPlan(mustSelect(t, dataset.RunningExampleQuery), d.Catalog, d.Oracle, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(context.Background(), p2, Options{Strategy: &cost.Expectation{}, Redundancy: 1, Pool: perfectPool(82, 20)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Metrics.Recall < 0.99 || rep.Metrics.Precision < 0.99 {
-		t.Fatalf("feedback run metrics: %+v", rep.Metrics)
-	}
-}
-
 // TestMetadataRecordsTheAskingRound: every crowdsourcing path — majority
 // voting, CDB+, a shared resolver (pureResolver, plan.PureResolver's
 // scheme) and the fault-tolerant transport — records each task with the

@@ -140,13 +140,6 @@ type PlanConfig struct {
 	Sim sim.Func
 	// Epsilon prunes edges with similarity below it (default 0.3).
 	Epsilon float64
-	// Selectivity optionally carries observed per-predicate match
-	// rates from earlier queries (the §2.1 statistics store, e.g.
-	// meta.Stats.Selectivity). When a predicate's label is present,
-	// its edge weights are rescaled so their mean equals the observed
-	// rate — similarity still ranks pairs, history calibrates the
-	// level.
-	Selectivity map[string]float64
 	// Joiner, when set, replaces sim.Join for CROWDJOIN graph
 	// instantiation — the engine plugs in its shared similarity-join
 	// cache here so concurrent queries over the same table pair
@@ -156,12 +149,12 @@ type PlanConfig struct {
 	// LiveOnly binds only the candidate pairs that touch a possibly-live
 	// tuple (see liveness): every other pair is never valid, never
 	// asked, in no answer and in no bundle cost.Expectation scores, so a
-	// run under that order — plain, or with the closure — is the full
-	// bind's run with the edges renumbered. Anything that reads the plan
-	// by edge id or by whole candidate set (a sampler, a tree baseline,
-	// the planner's prices, a shard's component keys, Selectivity's
-	// means) needs the default. A statement with nothing but CROWDJOINs
-	// has nothing to start a mask from and binds in full either way.
+	// run under that order — plain, planned, budgeted or with the
+	// closure — is the full bind's run with the edges renumbered.
+	// Anything that reads the plan by edge id or by whole candidate set
+	// (a sampler, a tree baseline, a shard's component keys) needs the
+	// default. A statement with nothing but CROWDJOINs has nothing to
+	// start a mask from and binds in full either way.
 	LiveOnly bool
 }
 
@@ -231,10 +224,9 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	}
 
 	// A LiveOnly bind needs a predicate that is cheap to resolve in full
-	// — a selection or a traditional join — to start its masks from, and
-	// leaves a hinted predicate's mean weight alone.
+	// — a selection or a traditional join — to start its masks from.
 	prune := false
-	if cfg.LiveOnly && len(cfg.Selectivity) == 0 {
+	if cfg.LiveOnly {
 		for _, pred := range stmt.Where {
 			prune = prune || pred.Kind != cql.CrowdJoin
 		}
@@ -427,50 +419,8 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	}
 	mBindCandidates.Add(int64(p.Candidates))
 	mBindEdges.Add(int64(g.NumEdges()))
-	if len(cfg.Selectivity) > 0 {
-		p.applySelectivity(cfg.Selectivity)
-	}
 	mGraphBuild.Observe((time.Since(start) - joinTime).Seconds())
 	return p, nil
-}
-
-// applySelectivity rescales each hinted predicate's uncolored edge
-// weights so their mean matches the observed match rate, clamped to
-// (0, 1).
-func (p *Plan) applySelectivity(hints map[string]float64) {
-	for pred := range p.S.Preds {
-		hint, ok := hints[p.S.Preds[pred].Name]
-		if !ok || hint <= 0 {
-			continue
-		}
-		var sum float64
-		var n int
-		for e := 0; e < p.G.NumEdges(); e++ {
-			ed := p.G.Edge(e)
-			if ed.Pred == pred && ed.Color == graph.Unknown {
-				sum += ed.W
-				n++
-			}
-		}
-		if n == 0 || sum == 0 {
-			continue
-		}
-		scale := hint / (sum / float64(n))
-		for e := 0; e < p.G.NumEdges(); e++ {
-			ed := p.G.Edge(e)
-			if ed.Pred != pred || ed.Color != graph.Unknown {
-				continue
-			}
-			w := ed.W * scale
-			if w < 0.01 {
-				w = 0.01
-			}
-			if w > 0.99 {
-				w = 0.99
-			}
-			p.G.SetWeight(e, w)
-		}
-	}
 }
 
 // TrueAnswerKeys enumerates the ground-truth answers: embeddings whose

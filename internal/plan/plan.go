@@ -61,8 +61,9 @@ type Step struct {
 	// Predicate is the diagnostic label, e.g.
 	// "Paper.author CROWDJOIN Researcher.name".
 	Predicate string `json:"predicate"`
-	// CandidateEdges counts the raw candidates the sim join produced
-	// for this predicate (pre-colored equi-join matches included).
+	// CandidateEdges counts the predicate's bound edges (pre-colored
+	// equi-join matches included): a live-touching bind leaves out the
+	// pairs between two dead tuples (exec.PlanConfig.LiveOnly).
 	CandidateEdges int `json:"candidate_edges"`
 	// PredictedEdges is the crowd tasks this step is expected to issue:
 	// uncolored candidates whose both endpoints still survive the
@@ -284,8 +285,9 @@ type Explained struct {
 	Structure string `json:"structure"`
 	// Tables lists the FROM tables (selection pseudo-tables excluded).
 	Tables []string `json:"tables"`
-	// Greedy reports whether execution will follow this greedy order or
-	// fall back to statement order.
+	// Greedy reports whether execution follows the greedy order: false
+	// under the planner's statement order and whenever the planner does
+	// not decide the order (no planner, BUDGET, a transport).
 	Greedy bool `json:"greedy"`
 	// JoinOrder is the compact order string, e.g. "p2→p0→p1".
 	JoinOrder string `json:"join_order"`
@@ -306,7 +308,7 @@ type Explained struct {
 }
 
 // Describe renders a decision for the wire. greedy reports whether the
-// executor will actually follow the decision's order.
+// executor follows the greedy order.
 func Describe(p *exec.Plan, d *Decision, greedy bool) *Explained {
 	ex := &Explained{
 		Statement:      p.Stmt.String(),

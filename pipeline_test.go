@@ -2,6 +2,7 @@ package cdb
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -105,6 +106,7 @@ func TestFeaturePairRules(t *testing.T) {
 		{"budget beats planner/exec", Config{Planner: greedy}, viaExec, budgeted, false, false},
 		{"budget beats planner/engine", Config{Planner: greedy}, viaEngine, budgeted, false, false},
 		{"transport beats planner/exec", Config{Planner: greedy, Reliability: &ReliabilityPolicy{}}, viaExec, q, false, false},
+		{"planner beats a configured strategy/exec", Config{Planner: greedy, Strategy: StrategyMinCut}, viaExec, q, true, false},
 		{"shard scope keeps the configured order/engine", Config{Planner: greedy},
 			func(db *DB, q string) *Result {
 				return engineResult(t, db, func(e *Engine) (*Future, error) {
@@ -157,16 +159,17 @@ func TestFeaturePairRules(t *testing.T) {
 }
 
 // TestBindScopeRule pins the bind-scope row of the pipeline's rule
-// table (engine.SelectRequest.liveOnly): a run under the expected-yield
-// or budget order — plain or with transitivity, through DB.Exec or the
-// engine — binds only the edges that touch a possibly-live tuple, and a
-// configured strategy, a shard scope, a fault-tolerant transport or the
-// planner binds every candidate. The plan span says which: Edges bound
-// of Candidates found.
+// table (engine.SelectRequest.order): a configured strategy or a shard
+// scope binds every candidate, and every other order — expected-yield,
+// budget or planned; plain, with transitivity or over a fault-tolerant
+// transport; through DB.Exec or the engine — only the edges that touch a
+// possibly-live tuple. The plan span says which: Edges bound of
+// Candidates found. Engine.ComponentKeys, the cluster's routing key
+// space, binds every candidate.
 func TestBindScopeRule(t *testing.T) {
 	q := dataset.Queries("paper")["3J2S"]
 	d := dataset.GenPaper(dataset.Config{Seed: 1, Scale: 0.12})
-	edges := map[bool]int{}
+	plans := map[bool]*exec.Plan{}
 	for _, liveOnly := range []bool{false, true} {
 		cfg := exec.DefaultPlanConfig()
 		cfg.LiveOnly = liveOnly
@@ -174,13 +177,11 @@ func TestBindScopeRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := exec.BuildPlan(st.(*cql.Select), d.Catalog, d.Oracle, cfg)
-		if err != nil {
+		if plans[liveOnly], err = exec.BuildPlan(st.(*cql.Select), d.Catalog, d.Oracle, cfg); err != nil {
 			t.Fatal(err)
 		}
-		edges[liveOnly] = p.G.NumEdges()
 	}
-	full, pruned := edges[false], edges[true]
+	full, pruned := plans[false].G.NumEdges(), plans[true].G.NumEdges()
 	if pruned == 0 || 2*pruned > full {
 		t.Fatalf("3J2S binds %d of %d edges pruned: the case cannot tell the two binds apart", pruned, full)
 	}
@@ -204,6 +205,7 @@ func TestBindScopeRule(t *testing.T) {
 		})
 	}
 	budgeted := strings.Replace(q, ";", " BUDGET 40;", 1)
+	greedy := &PlannerConfig{Greedy: true}
 	cases := []struct {
 		name  string
 		cfg   Config
@@ -221,26 +223,162 @@ func TestBindScopeRule(t *testing.T) {
 		{"tree baseline/exec", Config{Strategy: StrategyCrowdDB}, viaExec, q, full},
 		{"budget/exec", Config{}, viaExec, budgeted, pruned},
 		{"budget/engine", Config{}, viaEngine, budgeted, pruned},
+		{"budget over a configured strategy/exec", Config{Strategy: StrategyMinCut}, viaExec, budgeted, pruned},
 		{"shard scope/engine", Config{}, viaShard, q, full},
-		{"transport/exec", Config{Reliability: &ReliabilityPolicy{}}, viaExec, q, full},
-		{"planner/exec", Config{Planner: &PlannerConfig{Greedy: true}}, viaExec, q, full},
-		{"planner/engine", Config{Planner: &PlannerConfig{Greedy: true}}, viaEngine, q, full},
-		{"fixed order/exec", Config{Planner: &PlannerConfig{FixedOrder: true}}, viaExec, q, full},
+		{"transport/exec", Config{Reliability: &ReliabilityPolicy{}}, viaExec, q, pruned},
+		{"planner/exec", Config{Planner: greedy}, viaExec, q, pruned},
+		{"planner/engine", Config{Planner: greedy}, viaEngine, q, pruned},
+		{"planner over a configured strategy/exec", Config{Planner: greedy, Strategy: StrategyMinCut}, viaExec, q, pruned},
+		{"fixed order/exec", Config{Planner: &PlannerConfig{FixedOrder: true}}, viaExec, q, pruned},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Tracing = true
 			res := tc.run(openPaper(t, tc.cfg), tc.query)
-			plans := res.Trace.ByName(SpanPlan)
-			if len(plans) != 1 {
-				t.Fatalf("%d plan spans", len(plans))
+			spans := res.Trace.ByName(SpanPlan)
+			if len(spans) != 1 {
+				t.Fatalf("%d plan spans", len(spans))
 			}
-			if got := plans[0].Edges; got != tc.want {
+			if got := spans[0].Edges; got != tc.want {
 				t.Errorf("bound %d edges, want %d (full bind %d, live-touching %d)", got, tc.want, full, pruned)
 			}
-			if c := plans[0].Candidates; c < plans[0].Edges || (tc.want == full && c != full) {
-				t.Errorf("plan span: %d candidates for %d edges", c, plans[0].Edges)
+			if c := spans[0].Candidates; c < spans[0].Edges || (tc.want == full && c != full) {
+				t.Errorf("plan span: %d candidates for %d edges", c, spans[0].Edges)
 			}
 		})
+	}
+
+	t.Run("component keys/engine", func(t *testing.T) {
+		want, live := exec.ComponentKeys(plans[false]), exec.ComponentKeys(plans[true])
+		if reflect.DeepEqual(want, live) {
+			t.Fatalf("both binds have the components %v: the case cannot tell them apart", want)
+		}
+		eng, err := openPaper(t, Config{}).NewEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		got, err := eng.ComponentKeys(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d component keys, want the full bind's %d (live-touching: %d)", len(got), len(want), len(live))
+		}
+	})
+}
+
+// TestExplainGreedyFlagFollowsTheOrder: EXPLAIN's greedy flag is the
+// order a run follows, not the planner's configuration. Under a greedy
+// planner BUDGET n and a fault-tolerant transport win, so EXPLAIN says
+// greedy exactly when the run then carries a greedy Result.Plan —
+// through DB.Explain / DB.Exec, and through Engine.Explain /
+// Engine.Submit, where a reliability policy opens no transport and the
+// planner keeps the order.
+func TestExplainGreedyFlagFollowsTheOrder(t *testing.T) {
+	q := dataset.Queries("paper")["3J2S"]
+	budgeted := strings.Replace(q, ";", " BUDGET 40;", 1)
+	check := func(t *testing.T, via string, ex *Plan, res *Result, want bool) {
+		t.Helper()
+		if ex.Greedy != want {
+			t.Errorf("%s: EXPLAIN greedy = %v, want %v", via, ex.Greedy, want)
+		}
+		if got := res.Plan != nil && res.Plan.Greedy; got != want {
+			t.Errorf("%s: the run followed the greedy plan = %v, want %v", via, got, want)
+		}
+	}
+	for _, rel := range []*ReliabilityPolicy{nil, {}} {
+		for _, query := range []string{q, budgeted} {
+			name := map[bool]string{false: "plain", true: "budget"}[query == budgeted] +
+				map[bool]string{false: "", true: "+reliability"}[rel != nil]
+			t.Run(name, func(t *testing.T) {
+				db := openPaper(t, Config{Planner: &PlannerConfig{Greedy: true}, Reliability: rel})
+				ex, err := db.Explain(query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := db.Exec(query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, "DB", ex, res, query == q && rel == nil)
+
+				eng, err := db.NewEngine()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				if ex, err = eng.Explain(query); err != nil {
+					t.Fatal(err)
+				}
+				fut, err := eng.Submit(context.Background(), query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res, err = fut.Result(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				check(t, "Engine", ex, res, query == q)
+			})
+		}
+	}
+}
+
+// TestExplainDescribesTheRun: for every benchmark shape on paper and
+// award at scale 0.12, greedy and fixed, EXPLAIN reports the plan a run
+// then follows — the executed Result.Plan, field by field but for the
+// planning wall time — through DB.Exec and Engine.Submit. Both bind the
+// same graph, so a plan-time proof cannot land at a different step.
+func TestExplainDescribesTheRun(t *testing.T) {
+	same := func(t *testing.T, via string, ex, ran *Plan) {
+		t.Helper()
+		if ran == nil {
+			t.Fatalf("%s: the run carries no plan", via)
+		}
+		a, b := *ex, *ran
+		a.PlanningMicros, b.PlanningMicros = 0, 0
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: EXPLAIN\n%+v\ndiffers from the executed plan\n%+v", via, a, b)
+		}
+	}
+	for _, ds := range []string{"paper", "award"} {
+		for _, pc := range []PlannerConfig{{Greedy: true}, {FixedOrder: true}} {
+			mode := map[bool]string{false: "fixed", true: "greedy"}[pc.Greedy]
+			t.Run(ds+"/"+mode, func(t *testing.T) {
+				db, err := OpenConfig(Config{Seed: 1, Dataset: ds, DatasetScale: 0.12, DatasetSeed: 1, Planner: &pc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := db.NewEngine()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				for _, label := range dataset.QueryLabels() {
+					q := dataset.Queries(ds)[label]
+					ex, err := db.Explain(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := db.Exec(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same(t, label+" via DB.Exec", ex, res.Plan)
+
+					if ex, err = eng.Explain(q); err != nil {
+						t.Fatal(err)
+					}
+					fut, err := eng.Submit(context.Background(), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res, err = fut.Result(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+					same(t, label+" via Engine.Submit", ex, res.Plan)
+				}
+			})
+		}
 	}
 }

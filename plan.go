@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cdb/internal/cql"
+	"cdb/internal/engine"
 	"cdb/internal/plan"
 )
 
@@ -40,19 +41,30 @@ func WithPlanner(cfg PlannerConfig) Option {
 // crowd assignment — and returns the Plan. q may be a SELECT or an
 // EXPLAIN SELECT (the verb unwraps to the same thing); any other
 // statement fails with ErrEngineUnsupported, since only SELECTs are
-// plannable. Greedy on the wire reports whether execution on this DB
-// would actually follow the greedy order.
+// plannable. The Plan describes the graph and, when it is planned, the
+// order an execution on this DB follows; Greedy on the wire reports
+// whether that order is the greedy one.
 func (db *DB) Explain(q string) (*Plan, error) {
 	st, err := cql.Parse(q)
 	if err != nil {
 		return nil, err
 	}
-	return db.source().Explain(st, db.planner)
+	return db.explain(st)
+}
+
+// explain plans st, a SELECT or an EXPLAIN SELECT, as DB.Exec would run
+// it.
+func (db *DB) explain(st cql.Statement) (*Plan, error) {
+	s, err := engine.Plannable(st)
+	if err != nil {
+		return nil, err
+	}
+	return db.selectRequest(s).Explain()
 }
 
 // execExplain serves the EXPLAIN CQL verb on the Exec path.
 func (db *DB) execExplain(e *cql.Explain) (*Result, error) {
-	ex, err := db.source().Explain(e, db.planner)
+	ex, err := db.explain(e)
 	if err != nil {
 		return nil, err
 	}
