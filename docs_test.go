@@ -97,6 +97,69 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 	}
 }
 
+// TestOneDriver: the executor has one driver. No program file but the
+// pipeline (internal/engine/pipeline.go) and the benchmark harness
+// (benchmark/) calls exec.Run or exec.BuildPlan or sets
+// PlanConfig.LiveOnly, so the labeling order, the bind scope and the
+// resolver are decided by SelectRequest.order alone, and DB.Exec, the
+// engine and cdbench all run what it decides.
+func TestOneDriver(t *testing.T) {
+	pipeline := filepath.Join("internal", "engine", "pipeline.go")
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || d.Name() == "testdata" || path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || path == pipeline {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		execName := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"cdb/internal/exec"` {
+				execName = "exec"
+				if imp.Name != nil {
+					execName = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Run" || sel.Sel.Name == "BuildPlan") {
+					if x, ok := sel.X.(*ast.Ident); ok && execName != "" && x.Name == execName {
+						t.Errorf("%s: calls exec.%s; go through engine.RunSelect", fset.Position(n.Pos()), sel.Sel.Name)
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "LiveOnly" {
+						t.Errorf("%s: sets LiveOnly; the bind scope is SelectRequest.order's", fset.Position(n.Pos()))
+					}
+				}
+			case *ast.KeyValueExpr:
+				if k, ok := n.Key.(*ast.Ident); ok && k.Name == "LiveOnly" {
+					t.Errorf("%s: sets LiveOnly; the bind scope is SelectRequest.order's", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // goIndex is what TestDocsNameLiveIdentifiers resolves names against.
 type goIndex struct {
 	pkgs  map[string]map[string]bool // package name → its top-level names

@@ -8,7 +8,8 @@
 // efficiency numbers of Table 5. Absolute values differ from the paper
 // (synthetic data, simulated crowd); the comparisons — who wins, by
 // roughly what factor, where curves cross — are the reproduction
-// target (see EXPERIMENTS.md).
+// target (see EXPERIMENTS.md). Every query a table executes goes
+// through engine.RunSelect, the SELECT pipeline DB.Exec runs.
 package bench
 
 import (
@@ -21,9 +22,9 @@ import (
 	"cdb/internal/cql"
 	"cdb/internal/crowd"
 	"cdb/internal/dataset"
+	"cdb/internal/engine"
 	"cdb/internal/exec"
 	"cdb/internal/obs"
-	"cdb/internal/quality"
 	"cdb/internal/stats"
 )
 
@@ -122,8 +123,25 @@ func pad(cells []string) []string {
 	return out
 }
 
-// buildPlan parses and binds one of the benchmark queries.
-func buildPlan(d *dataset.Data, query string, planCfg exec.PlanConfig) (*exec.Plan, error) {
+// source is what every cell over d binds against, at the paper's
+// planning point.
+func source(d *dataset.Data) engine.Source {
+	return engine.Source{Catalog: d.Catalog, Oracle: d.Oracle, PlanConfig: planCfg}
+}
+
+// pool is one rep's simulated crowd, drawn from r.
+func (cfg Config) pool(r *stats.RNG) *crowd.Pool {
+	return crowd.NewPool(cfg.PoolSize, cfg.WorkerQ, cfg.WorkerSD, r)
+}
+
+// newCell fills the pipeline request of one (query, method) cell over
+// pool: the method's labeling order and quality mode, "CDB+" ordering
+// like "CDB" under CDB+ quality control. CDB and CDB+ configure no
+// strategy, as DB.Exec configures none for "cdb", so they run the
+// expected-yield order over the graph DB.Exec binds; every other method
+// is a configured strategy, built over the full bind with rng (MinCut's
+// sampler draws from it).
+func newCell(src engine.Source, query, method string, cfg Config, pool *crowd.Pool, rng *stats.RNG) (*engine.SelectRequest, error) {
 	st, err := cql.Parse(query)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
@@ -132,76 +150,66 @@ func buildPlan(d *dataset.Data, query string, planCfg exec.PlanConfig) (*exec.Pl
 	if !ok {
 		return nil, fmt.Errorf("bench: query is not a SELECT")
 	}
-	return exec.BuildPlan(sel, d.Catalog, d.Oracle, planCfg)
-}
-
-// methodFor resolves a method label to its strategy over a fresh plan
-// and its quality mode: "CDB+" selects tasks like "CDB" and adds CDB+
-// quality control.
-func methodFor(method string, p *exec.Plan, cfg Config, rng *stats.RNG) (cost.Strategy, exec.QualityMode, error) {
+	req := &engine.SelectRequest{Source: src, Stmt: sel, Exec: exec.Options{Redundancy: cfg.Redundancy, Pool: pool}}
 	name, plus := strings.CutSuffix(method, "+")
-	newStrategy, err := exec.StrategyByName(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	qm := exec.MajorityVoting
 	if plus {
-		qm = exec.CDBPlus
+		req.Exec.Quality = exec.CDBPlus
 	}
-	return newStrategy(p, cfg.Samples, rng), qm, nil
-}
-
-// runCell executes one (query, method) cell once and returns metrics.
-func runCell(d *dataset.Data, query, method string, cfg Config, rng *stats.RNG,
-	planCfg exec.PlanConfig, maxRounds int, workers *quality.WorkerModel) (stats.Metrics, error) {
-
-	p, err := buildPlan(d, query, planCfg)
-	if err != nil {
-		return stats.Metrics{}, err
-	}
-	var tr *obs.Tracer
-	var root obs.SpanID
-	if cfg.Observer != nil {
-		tr = obs.NewTracer(cfg.Observer)
-		root = tr.Begin(obs.SpanQuery)
-		tr.Mutate(root, func(s *obs.Span) { s.Query = query; s.Label = method })
-	}
-	strat, qm, err := methodFor(method, p, cfg, rng)
-	if err != nil {
-		return stats.Metrics{}, err
-	}
-	rep, err := exec.Run(context.Background(), p, exec.Options{
-		Strategy:   strat,
-		Redundancy: cfg.Redundancy,
-		Quality:    qm,
-		MaxRounds:  maxRounds,
-		Pool:       crowd.NewPool(cfg.PoolSize, cfg.WorkerQ, cfg.WorkerSD, rng.Split()),
-		Workers:    workers,
-		Trace:      tr,
-	})
-	if tr != nil {
-		tr.End(root)
-		tr.Finish()
-	}
-	if err != nil {
-		return stats.Metrics{}, err
-	}
-	return rep.Metrics, nil
-}
-
-// averageCell repeats runCell cfg.Reps times with split RNGs.
-func averageCell(d *dataset.Data, query, method string, cfg Config, rng *stats.RNG,
-	planCfg exec.PlanConfig, maxRounds int) (stats.Agg, error) {
-
-	var agg stats.Agg
-	for rep := 0; rep < cfg.Reps; rep++ {
-		m, err := runCell(d, query, method, cfg, rng, planCfg, maxRounds, nil)
+	if !strings.EqualFold(name, "CDB") {
+		newStrategy, err := exec.StrategyByName(name)
 		if err != nil {
-			return agg, err
+			return nil, err
 		}
-		agg.Add(m)
+		req.Strategy = func(p *exec.Plan) cost.Strategy { return newStrategy(p, cfg.Samples, rng) }
 	}
-	return agg, nil
+	return req, nil
+}
+
+// runCell sends one cell through engine.RunSelect, the pipeline DB.Exec
+// runs. The run is traced when req carries a tracer or cfg.Observer is
+// set — one trace per cell, its root span labelled with the method —
+// and the Answer then carries the trace.
+func runCell(req *engine.SelectRequest, cfg Config, method string) (*engine.Answer, error) {
+	tr := req.Exec.Trace
+	if tr == nil && cfg.Observer != nil {
+		tr = obs.NewTracer(cfg.Observer)
+	}
+	root := tr.Begin(obs.SpanQuery)
+	tr.Mutate(root, func(s *obs.Span) { s.Query = req.Stmt.String(); s.Label = method })
+	req.Exec.Trace = tr
+	ans, err := engine.RunSelect(context.Background(), req)
+	tr.End(root)
+	trace := tr.Finish()
+	if err != nil {
+		return nil, err
+	}
+	ans.Trace = trace
+	return ans, nil
+}
+
+// averageCell runs one (query, method) cell cfg.Reps times, each rep
+// over a fresh pool split from rng, and returns the reps' metrics and
+// mean dollar spend. edit, when set, applies a figure's own knob to each
+// rep's request.
+func averageCell(src engine.Source, query, method string, cfg Config, rng *stats.RNG,
+	edit func(*engine.SelectRequest)) (agg stats.Agg, dollars float64, err error) {
+
+	for rep := 0; rep < cfg.Reps; rep++ {
+		req, err := newCell(src, query, method, cfg, cfg.pool(rng.Split()), rng)
+		if err != nil {
+			return agg, 0, err
+		}
+		if edit != nil {
+			edit(req)
+		}
+		ans, err := runCell(req, cfg, method)
+		if err != nil {
+			return agg, 0, err
+		}
+		agg.Add(ans.Report.Metrics)
+		dollars += ans.Report.Dollars
+	}
+	return agg, dollars / float64(cfg.Reps), nil
 }
 
 // Registry maps experiment ids to runners; cmd/cdbench iterates it.

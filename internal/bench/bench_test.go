@@ -195,22 +195,26 @@ func TestGenDataDatasets(t *testing.T) {
 	}
 }
 
-// TestMethodsConstruct pins that every method label of the figures
-// resolves through the shared strategy table.
+// TestMethodsConstruct pins how every method label of the figures
+// fills its pipeline request: CDB and CDB+ configure no strategy, as
+// DB.Exec configures none for "cdb", every other label resolves through
+// the shared strategy table, and CDB+ alone turns on CDB+ quality
+// control.
 func TestMethodsConstruct(t *testing.T) {
 	cfg := tinyConfig()
 	d, err := dataset.ByName(cfg.Dataset, dataset.Config{Seed: 1, Scale: cfg.Scale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := buildPlan(d, dataset.Queries("paper")["2J"], planCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, method := range Methods {
-		s, qm, err := methodFor(method, p, cfg, stats.NewRNG(1))
-		if err != nil || s == nil || (qm == exec.CDBPlus) != (method == "CDB+") {
-			t.Errorf("methodFor(%s) = %v, %v, %v", method, s, qm, err)
+		req, err := newCell(source(d), dataset.Queries("paper")["2J"], method, cfg, nil, stats.NewRNG(1))
+		if err != nil {
+			t.Errorf("%s: %v", method, err)
+			continue
+		}
+		configured := method != "CDB" && method != "CDB+"
+		if (req.Strategy != nil) != configured || (req.Exec.Quality == exec.CDBPlus) != (method == "CDB+") {
+			t.Errorf("%s: configured strategy = %v, quality = %v", method, req.Strategy != nil, req.Exec.Quality)
 		}
 	}
 }

@@ -1,13 +1,13 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"cdb/internal/crowd"
 	"cdb/internal/dataset"
+	"cdb/internal/engine"
 	"cdb/internal/exec"
 	"cdb/internal/faults"
 	"cdb/internal/stats"
@@ -62,43 +62,34 @@ func injectorFor(cfg Config, drop float64) (*faults.Injector, error) {
 // chaosCell runs one (method, fault-rate) cell over the asynchronous
 // transport and reports both the paper's quality metrics and the
 // reliability policy's telemetry.
-func chaosCell(d *dataset.Data, query, method string, cfg Config, rng *stats.RNG,
-	inj *faults.Injector) (stats.Metrics, exec.ReliabilityStats, error) {
+func chaosCell(src engine.Source, query, method string, cfg Config, rng *stats.RNG,
+	inj *faults.Injector) (*exec.Report, error) {
 
-	p, err := buildPlan(d, query, planCfg)
+	pool := cfg.pool(rng.Split())
+	req, err := newCell(src, query, method, cfg, pool, rng)
 	if err != nil {
-		return stats.Metrics{}, exec.ReliabilityStats{}, err
+		return nil, err
 	}
-	pool := crowd.NewPool(cfg.PoolSize, cfg.WorkerQ, cfg.WorkerSD, rng.Split())
-	tp := crowd.NewTransport(crowd.TransportConfig{
-		Markets: []*crowd.Market{
-			crowd.NewMarket("amt", true, pool),
-			crowd.NewMarket("crowdflower", true, crowd.NewPool(cfg.PoolSize, cfg.WorkerQ, cfg.WorkerSD, rng.Split())),
-		},
-		Faults: inj,
-		Seed:   rng.Split().Uint64(),
-	})
-	defer tp.Close()
-	strat, qm, err := methodFor(method, p, cfg, rng)
+	req.Transport = func() *crowd.Transport {
+		return crowd.NewTransport(crowd.TransportConfig{
+			Markets: []*crowd.Market{
+				crowd.NewMarket("amt", true, pool),
+				crowd.NewMarket("crowdflower", true, cfg.pool(rng.Split())),
+			},
+			Faults: inj,
+			Seed:   rng.Split().Uint64(),
+		})
+	}
+	req.Exec.Reliability = exec.Reliability{
+		TaskDeadline: cfg.TaskDeadline,
+		MaxRetries:   cfg.MaxRetries,
+		HedgeFrac:    cfg.HedgeFrac,
+	}
+	ans, err := runCell(req, cfg, method)
 	if err != nil {
-		return stats.Metrics{}, exec.ReliabilityStats{}, err
+		return nil, err
 	}
-	rep, err := exec.Run(context.Background(), p, exec.Options{
-		Strategy:   strat,
-		Redundancy: cfg.Redundancy,
-		Quality:    qm,
-		Pool:       pool,
-		Transport:  tp,
-		Reliability: exec.Reliability{
-			TaskDeadline: cfg.TaskDeadline,
-			MaxRetries:   cfg.MaxRetries,
-			HedgeFrac:    cfg.HedgeFrac,
-		},
-	})
-	if err != nil {
-		return stats.Metrics{}, exec.ReliabilityStats{}, err
-	}
-	return rep.Metrics, rep.Reliability, nil
+	return ans.Report, nil
 }
 
 // Chaos sweeps fault intensity over the fault-tolerant transport and
@@ -135,11 +126,12 @@ func Chaos(cfg Config) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				m, rel, err := chaosCell(d, query, method, cfg, rng, inj)
+				r, err := chaosCell(source(d), query, method, cfg, rng, inj)
 				if err != nil {
 					return nil, err
 				}
-				agg.Add(m)
+				agg.Add(r.Metrics)
+				rel := r.Reliability
 				lost += float64(rel.Lost)
 				retried += float64(rel.Retried)
 				hedged += float64(rel.Hedged)

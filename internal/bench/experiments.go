@@ -1,16 +1,15 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"cdb/internal/baselines"
 	"cdb/internal/cost"
-	"cdb/internal/crowd"
 	"cdb/internal/dataset"
+	"cdb/internal/engine"
 	"cdb/internal/exec"
 	"cdb/internal/graph"
+	"cdb/internal/obs"
 	"cdb/internal/sim"
 	"cdb/internal/stats"
 )
@@ -115,7 +114,7 @@ func Fig8to10(cfg Config) ([]*Table, error) {
 	for _, q := range dataset.QueryLabels() {
 		query := dataset.Queries(d.Name)[q]
 		for _, method := range Methods {
-			agg, err := averageCell(d, query, method, cfg, rng, planCfg, 0)
+			agg, _, err := averageCell(source(d), query, method, cfg, rng, nil)
 			if err != nil {
 				return nil, fmt.Errorf("fig8 %s/%s: %w", q, method, err)
 			}
@@ -146,13 +145,12 @@ func Fig11(cfg Config) ([]*Table, error) {
 		for _, method := range Methods {
 			var agg stats.Agg
 			for _, ql := range dataset.QueryLabels() {
-				a, err := averageCell(d, dataset.Queries(d.Name)[ql], method, c, rng, planCfg, 0)
+				a, _, err := averageCell(source(d), dataset.Queries(d.Name)[ql], method, c, rng, nil)
 				if err != nil {
 					return nil, fmt.Errorf("fig11: %w", err)
 				}
-				t, r, p, rec, f := a.Mean()
+				t, r, p, rec, _ := a.Mean()
 				agg.Add(stats.Metrics{Tasks: int(t + 0.5), Rounds: int(r + 0.5), Precision: p, Recall: rec})
-				_ = f
 			}
 			tasks, rounds, _, _, f1 := agg.Mean()
 			out.Rows = append(out.Rows, Row{
@@ -188,31 +186,12 @@ func Fig14to16(cfg Config) ([]*Table, error) {
 	for _, q := range dataset.QueryLabels() {
 		query := dataset.Queries(d.Name)[q]
 		for _, method := range Methods {
-			var agg stats.Agg
-			dollars := 0.0
-			for rep := 0; rep < c.Reps; rep++ {
-				p, err := buildPlan(d, query, planCfg)
-				if err != nil {
-					return nil, err
-				}
-				strat, qm, err := methodFor(method, p, c, rng)
-				if err != nil {
-					return nil, err
-				}
-				r, err := exec.Run(context.Background(), p, exec.Options{
-					Strategy:   strat,
-					Redundancy: c.Redundancy,
-					Quality:    qm,
-					Pool:       crowd.NewPool(c.PoolSize, c.WorkerQ, c.WorkerSD, rng.Split()),
-				})
-				if err != nil {
-					return nil, err
-				}
-				agg.Add(r.Metrics)
-				dollars += r.Dollars
+			agg, dollars, err := averageCell(source(d), query, method, c, rng, nil)
+			if err != nil {
+				return nil, err
 			}
 			tasks, rounds, _, _, f1 := agg.Mean()
-			cost14.Rows = append(cost14.Rows, Row{Labels: []string{q, method}, Values: []float64{tasks, dollars / float64(c.Reps)}})
+			cost14.Rows = append(cost14.Rows, Row{Labels: []string{q, method}, Values: []float64{tasks, dollars}})
 			qual15.Rows = append(qual15.Rows, Row{Labels: []string{q, method}, Values: []float64{f1}})
 			lat16.Rows = append(lat16.Rows, Row{Labels: []string{q, method}, Values: []float64{rounds}})
 		}
@@ -232,35 +211,19 @@ func Fig18(cfg Config) ([]*Table, error) {
 
 	out := &Table{ID: "fig18", Title: "Budget-aware selection: recall/precision vs budget",
 		LabelNames: []string{"budget", "method"}, ValueNames: []string{"recall", "precision"}}
-	budgets := []int{50, 100, 200, 400, 600, 800}
-	for _, b := range budgets {
+	for _, b := range []int{50, 100, 200, 400, 600, 800} {
 		for _, method := range []string{"Baseline", "CDB", "CDB+"} {
-			var agg stats.Agg
-			for rep := 0; rep < cfg.Reps; rep++ {
-				p, err := buildPlan(d, query, planCfg)
-				if err != nil {
-					return nil, err
+			// CDB and CDB+ run BUDGET b; the greedy baseline is a
+			// configured strategy on the unbudgeted statement.
+			cell, edit := method, budget(b)
+			if method == "Baseline" {
+				cell, edit = "CDB", func(r *engine.SelectRequest) {
+					r.Strategy = func(*exec.Plan) cost.Strategy { return baselines.NewGreedyBudget(b) }
 				}
-				var strat cost.Strategy
-				if method == "Baseline" {
-					strat = baselines.NewGreedyBudget(b)
-				} else {
-					strat = cost.NewBudget(b)
-				}
-				qm := exec.MajorityVoting
-				if method == "CDB+" {
-					qm = exec.CDBPlus
-				}
-				r, err := exec.Run(context.Background(), p, exec.Options{
-					Strategy:   strat,
-					Redundancy: cfg.Redundancy,
-					Quality:    qm,
-					Pool:       crowd.NewPool(cfg.PoolSize, cfg.WorkerQ, cfg.WorkerSD, rng.Split()),
-				})
-				if err != nil {
-					return nil, err
-				}
-				agg.Add(r.Metrics)
+			}
+			agg, _, err := averageCell(source(d), query, cell, cfg, rng, edit)
+			if err != nil {
+				return nil, err
 			}
 			_, _, prec, rec, _ := agg.Mean()
 			out.Rows = append(out.Rows, Row{
@@ -296,18 +259,14 @@ func Fig20(cfg Config) ([]*Table, error) {
 		LabelNames: []string{"redundancy", "method"}, ValueNames: []string{"f1"}}
 	for _, k := range []int{1, 3, 5, 7} {
 		c.Redundancy = k
-		for _, method := range []string{"CDB", "CDB+"} {
-			agg, err := averageCell(d, query, method, c, rng, planCfg, 0)
+		for _, m := range votingModes {
+			agg, _, err := averageCell(source(d), query, m.method, c, rng, nil)
 			if err != nil {
 				return nil, err
 			}
 			_, _, _, _, f1 := agg.Mean()
-			label := "MajorityVote"
-			if method == "CDB+" {
-				label = "CDB+"
-			}
 			out.Rows = append(out.Rows, Row{
-				Labels: []string{fmt.Sprintf("%d", k), label},
+				Labels: []string{fmt.Sprintf("%d", k), m.label},
 				Values: []float64{f1},
 			})
 		}
@@ -335,38 +294,14 @@ func Fig21(cfg Config) ([]*Table, error) {
 	out := &Table{ID: "fig21", Title: "Quality vs #questions on 3J2S (redundancy 5)",
 		LabelNames: []string{"budget", "method"}, ValueNames: []string{"f1"}}
 	for _, b := range []int{40, 80, 120, 160, 200} {
-		for _, method := range []string{"CDB", "CDB+"} {
-			var agg stats.Agg
-			for rep := 0; rep < c.Reps; rep++ {
-				p, err := buildPlan(d, query, planCfg)
-				if err != nil {
-					return nil, err
-				}
-				qm := exec.MajorityVoting
-				label := "MajorityVote"
-				if method == "CDB+" {
-					qm = exec.CDBPlus
-					label = "CDB+"
-				}
-				_ = label
-				r, err := exec.Run(context.Background(), p, exec.Options{
-					Strategy:   cost.NewBudget(b),
-					Redundancy: c.Redundancy,
-					Quality:    qm,
-					Pool:       crowd.NewPool(c.PoolSize, c.WorkerQ, c.WorkerSD, rng.Split()),
-				})
-				if err != nil {
-					return nil, err
-				}
-				agg.Add(r.Metrics)
+		for _, m := range votingModes {
+			agg, _, err := averageCell(source(d), query, m.method, c, rng, budget(b))
+			if err != nil {
+				return nil, err
 			}
 			_, _, _, _, f1 := agg.Mean()
-			label := "MajorityVote"
-			if method == "CDB+" {
-				label = "CDB+"
-			}
 			out.Rows = append(out.Rows, Row{
-				Labels: []string{fmt.Sprintf("%04d", b), label},
+				Labels: []string{fmt.Sprintf("%04d", b), m.label},
 				Values: []float64{f1},
 			})
 		}
@@ -385,15 +320,16 @@ func Fig22(cfg Config) ([]*Table, error) {
 	query := dataset.Queries(d.Name)["3J"]
 	out := &Table{ID: "fig22", Title: "Cost vs latency constraint (rounds) on 3J",
 		LabelNames: []string{"rounds", "method"}, ValueNames: []string{"tasks"}}
-	for _, r := range []int{1, 2, 3, 4, 5, 6} {
+	for _, rounds := range []int{1, 2, 3, 4, 5, 6} {
 		for _, method := range Methods {
-			agg, err := averageCell(d, query, method, cfg, rng, planCfg, r)
+			agg, _, err := averageCell(source(d), query, method, cfg, rng,
+				func(r *engine.SelectRequest) { r.Exec.MaxRounds = rounds })
 			if err != nil {
 				return nil, err
 			}
 			tasks, _, _, _, _ := agg.Mean()
 			out.Rows = append(out.Rows, Row{
-				Labels: []string{fmt.Sprintf("%d", r), method},
+				Labels: []string{fmt.Sprintf("%d", rounds), method},
 				Values: []float64{tasks},
 			})
 		}
@@ -426,7 +362,9 @@ func Fig23to24(cfg Config) ([]*Table, error) {
 	for _, q := range []string{"2J", "3J"} {
 		query := dataset.Queries(d.Name)[q]
 		for _, fn := range funcs {
-			agg, err := averageCell(d, query, "CDB", cfg, rng, exec.PlanConfig{Sim: fn.f, Epsilon: planCfg.Epsilon}, 0)
+			src := source(d)
+			src.PlanConfig = exec.PlanConfig{Sim: fn.f, Epsilon: planCfg.Epsilon}
+			agg, _, err := averageCell(src, query, "CDB", cfg, rng, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -439,10 +377,12 @@ func Fig23to24(cfg Config) ([]*Table, error) {
 }
 
 // Table5 regenerates the optimizer-efficiency table: milliseconds to
-// select the next parallel batch of tasks per query — the first
-// NextRound of a fresh strategy, the selection the executor performs.
+// select the first parallel batch of tasks per query — round 1's score
+// and batch spans of a traced CDB run, the selection the executor
+// performs.
 func Table5(cfg Config) ([]*Table, error) {
 	rng := stats.NewRNG(cfg.Seed + 5)
+	pool := cfg.pool(stats.NewRNG(cfg.Seed))
 	out := &Table{ID: "table5", Title: "Task-selection efficiency (ms, first round)",
 		LabelNames: []string{"dataset", "query"}, ValueNames: []string{"millis"}}
 	for _, ds := range []string{"paper", "award"} {
@@ -451,16 +391,39 @@ func Table5(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		for _, q := range dataset.QueryLabels() {
-			p, err := buildPlan(d, dataset.Queries(ds)[q], planCfg)
+			req, err := newCell(source(d), dataset.Queries(ds)[q], "CDB", cfg, pool, nil)
 			if err != nil {
 				return nil, err
 			}
-			strat := &cost.Expectation{}
-			start := time.Now()
-			strat.NextRound(p.G)
-			ms := float64(time.Since(start).Microseconds()) / 1000.0
-			out.Rows = append(out.Rows, Row{Labels: []string{ds, q}, Values: []float64{ms}})
+			req.Exec.Trace = obs.NewTracer(cfg.Observer)
+			ans, err := runCell(req, cfg, "CDB")
+			if err != nil {
+				return nil, err
+			}
+			out.Rows = append(out.Rows, Row{Labels: []string{ds, q}, Values: []float64{firstSelectionMillis(ans.Trace)}})
 		}
 	}
 	return []*Table{out}, nil
 }
+
+// firstSelectionMillis sums round 1's score and batch spans of tr.
+func firstSelectionMillis(tr *obs.Trace) float64 {
+	round, us := -1, int64(0)
+	for _, s := range tr.Spans {
+		switch {
+		case s.Name == obs.SpanRound && round < 0:
+			round = s.ID
+		case round >= 0 && s.Parent == round && (s.Name == obs.SpanScore || s.Name == obs.SpanBatch):
+			us += s.Dur
+		}
+	}
+	return float64(us) / 1000
+}
+
+// budget is the edit that runs a cell as BUDGET b.
+func budget(b int) func(*engine.SelectRequest) {
+	return func(r *engine.SelectRequest) { r.Stmt.Budget = b }
+}
+
+// votingModes are Figs. 20–21's two aggregations of CDB's order.
+var votingModes = []struct{ method, label string }{{"CDB", "MajorityVote"}, {"CDB+", "CDB+"}}

@@ -1,60 +1,31 @@
 package bench
 
 import (
-	"context"
 	"fmt"
+	"reflect"
 	"sort"
 
-	"cdb/internal/cql"
-	"cdb/internal/crowd"
+	"cdb/internal/engine"
 	"cdb/internal/exec"
-	"cdb/internal/graph"
 	"cdb/internal/plan"
 	"cdb/internal/stats"
 )
 
-// planCell executes one generated query under the given planned order
-// with content-pure verdicts, so answers depend only on (seed, edge
-// content) and both orders of a pair are directly comparable; transitive
-// adds the closure overlay to the same planned strategy.
-func planCell(c plan.Case, d *plan.Decision, transitive bool, cfg Config, verdictSeed, poolSeed uint64) (*exec.Report, *exec.Plan, error) {
-	p, err := buildCasePlan(c)
-	if err != nil {
-		return nil, nil, err
-	}
-	pool := crowd.NewPool(cfg.PoolSize, cfg.WorkerQ, cfg.WorkerSD, stats.NewRNG(poolSeed))
-	rep, err := exec.Run(context.Background(), p, exec.Options{
-		Strategy:   d.Strategy(p),
-		Redundancy: cfg.Redundancy,
-		Pool:       pool,
-		Resolver:   &plan.PureResolver{Seed: verdictSeed, Pool: pool},
-		Transitive: transitive,
-	})
-	return rep, p, err
-}
-
-// buildCasePlan binds c's statement as a planned run binds it: the
-// live-touching subgraph.
-func buildCasePlan(c plan.Case) (*exec.Plan, error) {
-	st, err := cql.Parse(c.Query)
+// caseCell is one generated query's request under the planner
+// configuration pc, with the closure on when transitive. A planned run
+// gets content-pure verdicts seeded by verdictSeed from the pipeline, so
+// answers depend only on (seed, edge content) and both orders of a pair
+// are directly comparable.
+func caseCell(c plan.Case, pc plan.Config, transitive bool, cfg Config, verdictSeed, poolSeed uint64) (*engine.SelectRequest, error) {
+	src := engine.Source{Catalog: c.Catalog, Oracle: exec.ExactOracle{}, PlanConfig: planCfg}
+	req, err := newCell(src, c.Query, "CDB", cfg, cfg.pool(stats.NewRNG(poolSeed)), nil)
 	if err != nil {
 		return nil, err
 	}
-	cfg := planCfg
-	cfg.LiveOnly = true
-	return exec.BuildPlan(st.(*cql.Select), c.Catalog, exec.ExactOracle{}, cfg)
-}
-
-// coloredEdges counts edges no longer Unknown — crowd work that touched
-// the graph. EXPLAIN-only planning must leave it at zero.
-func coloredEdges(g *graph.Graph) int {
-	n := 0
-	for id := 0; id < g.NumEdges(); id++ {
-		if g.Edge(id).Color != graph.Unknown {
-			n++
-		}
-	}
-	return n
+	req.Planner = pc
+	req.PureSeed = func() uint64 { return verdictSeed }
+	req.Exec.Transitive = transitive
+	return req, nil
 }
 
 // PlanBench is the "plan" experiment: the greedy planner against
@@ -64,16 +35,17 @@ func coloredEdges(g *graph.Graph) int {
 // reported apart from the HITs saved: both orders spend zero HITs on a
 // provably empty join (graph validity prunes every edge), so their
 // worth is the fixed-order cost the planner predicted. It fails when an
-// EXPLAIN colours an edge or the two plain orders' answers diverge (the
-// closure rows are held to HITs only: an inferred label is not a
-// content-pure verdict); TestPlanSavesHITs and
-// TestPlanComposesWithClosure hold the table to its floors.
+// EXPLAIN differs from the plan the greedy run then follows or the two
+// plain orders' answers diverge (the closure rows are held to HITs only:
+// an inferred label is not a content-pure verdict); TestPlanSavesHITs
+// and TestPlanComposesWithClosure hold the table to its floors.
 func PlanBench(cfg Config) ([]*Table, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	queries := 12 * cfg.Reps
 	if queries < 24 {
 		queries = 24
 	}
+	greedy, fixed := plan.Config{Greedy: true}, plan.Config{FixedOrder: true}
 
 	var fixedHITs, greedyHITs, earlyExits, earlyExitHITs int
 	var fixedTrans, greedyTrans transTotals
@@ -83,55 +55,58 @@ func PlanBench(cfg Config) ([]*Table, error) {
 		c := plan.RandomCase(rng, 3+rng.Intn(4))
 		verdictSeed := rng.Uint64()
 		poolSeed := rng.Uint64()
-
-		// EXPLAIN first: planning reads the graph and must not colour it.
-		ep, err := buildCasePlan(c)
-		if err != nil {
-			return nil, err
-		}
-		decision := plan.Greedy(ep, 0)
-		plan.Describe(ep, decision, true)
-		if n := coloredEdges(ep.G); n != 0 {
-			return nil, fmt.Errorf("plan bench query %d: EXPLAIN coloured %d edges (want 0)", q, n)
-		}
-		planTimes = append(planTimes, decision.PlanningMicros)
-		if decision.EarlyExit {
-			earlyExits++
-			earlyExitHITs += decision.FixedTasks
-		}
-
-		rg, pg, err := planCell(c, decision, false, cfg, verdictSeed, poolSeed)
-		if err != nil {
-			return nil, err
-		}
-		fixed := plan.Fixed(ep, 0)
-		rf, pf, err := planCell(c, fixed, false, cfg, verdictSeed, poolSeed)
-		if err != nil {
-			return nil, err
-		}
-		greedyHITs += rg.HITs
-		fixedHITs += rf.HITs
-		for _, cell := range []struct {
-			d   *plan.Decision
-			sum *transTotals
-		}{{fixed, &fixedTrans}, {decision, &greedyTrans}} {
-			rt, _, err := planCell(c, cell.d, true, cfg, verdictSeed, poolSeed)
+		run := func(pc plan.Config, transitive bool) (*engine.Answer, error) {
+			req, err := caseCell(c, pc, transitive, cfg, verdictSeed, poolSeed)
 			if err != nil {
 				return nil, err
 			}
-			cell.sum.add(rt)
+			return runCell(req, cfg, "CDB")
 		}
 
+		req, err := caseCell(c, greedy, false, cfg, verdictSeed, poolSeed)
+		if err != nil {
+			return nil, err
+		}
+		ex, err := req.Explain()
+		if err != nil {
+			return nil, err
+		}
+		planTimes = append(planTimes, ex.PlanningMicros)
+		if ex.EarlyExit {
+			earlyExits++
+			earlyExitHITs += ex.FixedTasks
+		}
+
+		rg, err := run(greedy, false)
+		if err != nil {
+			return nil, err
+		}
+		rf, err := run(fixed, false)
+		if err != nil {
+			return nil, err
+		}
+		greedyHITs += rg.Report.HITs
+		fixedHITs += rf.Report.HITs
+		for _, cell := range []struct {
+			pc  plan.Config
+			sum *transTotals
+		}{{fixed, &fixedTrans}, {greedy, &greedyTrans}} {
+			rt, err := run(cell.pc, true)
+			if err != nil {
+				return nil, err
+			}
+			cell.sum.add(rt.Report)
+		}
+
+		ran := *rg.Plan
+		ran.PlanningMicros = ex.PlanningMicros
+		if !reflect.DeepEqual(*ex, ran) {
+			return nil, fmt.Errorf("plan bench query %d: EXPLAIN %+v differs from the executed plan %+v", q, *ex, ran)
+		}
 		// Bit-identity is the planner's correctness contract; a diverging
 		// cell means the content-pure verdict layer broke.
-		gk, fk := pg.AnswerKeys(), pf.AnswerKeys()
-		if len(gk) != len(fk) {
-			return nil, fmt.Errorf("plan bench query %d: %d greedy answers vs %d fixed", q, len(gk), len(fk))
-		}
-		for k := range gk {
-			if !fk[k] {
-				return nil, fmt.Errorf("plan bench query %d: greedy answer %q missing from fixed order", q, k)
-			}
+		if !reflect.DeepEqual(rg.Rows, rf.Rows) {
+			return nil, fmt.Errorf("plan bench query %d: %d greedy answers differ from %d fixed", q, len(rg.Rows), len(rf.Rows))
 		}
 	}
 

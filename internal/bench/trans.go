@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
-	"cdb/internal/cost"
-	"cdb/internal/crowd"
 	"cdb/internal/dataset"
+	"cdb/internal/engine"
 	"cdb/internal/exec"
 	"cdb/internal/stats"
 )
@@ -41,17 +39,17 @@ func (m *transTotals) row(mode string) Row {
 // transCell runs one (query, mode) cell. Both modes of a cell get a
 // pool built from the same seed, so the comparison differs only in the
 // inference overlay, never in worker-quality draws.
-func transCell(d *dataset.Data, query string, transitive bool, cfg Config, poolSeed uint64) (*exec.Report, error) {
-	p, err := buildPlan(d, query, planCfg)
+func transCell(src engine.Source, query string, transitive bool, cfg Config, poolSeed uint64) (*exec.Report, error) {
+	req, err := newCell(src, query, "CDB", cfg, cfg.pool(stats.NewRNG(poolSeed)), nil)
 	if err != nil {
 		return nil, err
 	}
-	return exec.Run(context.Background(), p, exec.Options{
-		Strategy:   &cost.Expectation{},
-		Redundancy: cfg.Redundancy,
-		Pool:       crowd.NewPool(cfg.PoolSize, cfg.WorkerQ, cfg.WorkerSD, stats.NewRNG(poolSeed)),
-		Transitive: transitive,
-	})
+	req.Exec.Transitive = transitive
+	ans, err := runCell(req, cfg, "CDB")
+	if err != nil {
+		return nil, err
+	}
+	return ans.Report, nil
 }
 
 // Trans is the "trans" experiment: every paper benchmark query
@@ -71,11 +69,11 @@ func Trans(cfg Config) ([]*Table, error) {
 		qs := dataset.Queries(cfg.Dataset)
 		for _, label := range dataset.QueryLabels() {
 			poolSeed := rng.Uint64()
-			rb, err := transCell(d, qs[label], false, cfg, poolSeed)
+			rb, err := transCell(source(d), qs[label], false, cfg, poolSeed)
 			if err != nil {
 				return nil, err
 			}
-			rt, err := transCell(d, qs[label], true, cfg, poolSeed)
+			rt, err := transCell(source(d), qs[label], true, cfg, poolSeed)
 			if err != nil {
 				return nil, err
 			}

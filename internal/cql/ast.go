@@ -80,12 +80,6 @@ func (p Predicate) String() string {
 	}
 }
 
-// IsCrowd reports whether the predicate needs the crowd.
-func (p Predicate) IsCrowd() bool { return p.Kind == CrowdJoin || p.Kind == CrowdEqual }
-
-// IsJoin reports whether the predicate relates two tables.
-func (p Predicate) IsJoin() bool { return p.Kind == CrowdJoin || p.Kind == EquiJoin }
-
 // ColDef is one column of a CREATE TABLE.
 type ColDef struct {
 	Name  string

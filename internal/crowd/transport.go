@@ -139,9 +139,6 @@ func NewTransport(cfg TransportConfig) *Transport {
 // Now returns the transport's virtual clock.
 func (t *Transport) Now() Tick { return t.now.Load() }
 
-// Markets returns the market count.
-func (t *Transport) MarketCount() int { return len(t.markets) }
-
 // Issue hands tasks to the platforms, dealing them round-robin across
 // markets. It stamps IssuedAt with the current virtual time and returns
 // the market name each task went to, aligned with specs. Issue and

@@ -113,17 +113,6 @@ func (r *registry) add(canonical string) int {
 // markHot flags an entity as confusable.
 func (r *registry) markHot(id int) { r.hot[id] = true }
 
-// distinctIDs returns the ids of non-hot entities.
-func (r *registry) distinctIDs() []int {
-	var out []int
-	for id, h := range r.hot {
-		if !h {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // size reports the number of entities.
 func (r *registry) size() int { return len(r.canon) }
 

@@ -106,6 +106,8 @@ const (
 //
 //	BUDGET n    × planner        budget wins: the run follows cost.Budget's spend-capped order
 //	transport   × planner        transport wins: the planner's pure resolver would shadow it
+//	CDB+        × planner        CDB+ wins: the pure resolver would aggregate in its place
+//	markets     × planner        markets win: the pure resolver would answer from the default pool
 //	shard scope × planner        configured order: a shard's round structure must match the fleet's
 //	planner     × transitivity   compose: one strategy, keys priority → expected yield → Eq. 1
 //	planner     × strategy       planner wins: a configured strategy orders unplanned runs only
@@ -118,7 +120,8 @@ const (
 // A request field that is a constructor counts as set: its maker passes
 // nil when it configures none.
 func (req *SelectRequest) order() order {
-	planned := (req.Planner.Greedy || req.Planner.FixedOrder) && req.Transport == nil && req.Owned == nil
+	planned := (req.Planner.Greedy || req.Planner.FixedOrder) && req.Transport == nil && req.Owned == nil &&
+		req.Exec.Quality != exec.CDBPlus && req.Exec.Router == nil
 	switch {
 	case req.Stmt.Budget > 0:
 		return byBudget

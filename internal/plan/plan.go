@@ -287,7 +287,8 @@ type Explained struct {
 	Tables []string `json:"tables"`
 	// Greedy reports whether execution follows the greedy order: false
 	// under the planner's statement order and whenever the planner does
-	// not decide the order (no planner, BUDGET, a transport).
+	// not decide the order (no planner, BUDGET, a transport, CDB+,
+	// markets).
 	Greedy bool `json:"greedy"`
 	// JoinOrder is the compact order string, e.g. "p2→p0→p1".
 	JoinOrder string `json:"join_order"`

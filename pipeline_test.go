@@ -106,6 +106,8 @@ func TestFeaturePairRules(t *testing.T) {
 		{"budget beats planner/exec", Config{Planner: greedy}, viaExec, budgeted, false, false},
 		{"budget beats planner/engine", Config{Planner: greedy}, viaEngine, budgeted, false, false},
 		{"transport beats planner/exec", Config{Planner: greedy, Reliability: &ReliabilityPolicy{}}, viaExec, q, false, false},
+		{"cdb+ beats planner/exec", Config{Planner: greedy, QualityControl: true}, viaExec, q, false, false},
+		{"markets beat planner/exec", Config{Planner: greedy, Markets: twoMarkets}, viaExec, q, false, false},
 		{"planner beats a configured strategy/exec", Config{Planner: greedy, Strategy: StrategyMinCut}, viaExec, q, true, false},
 		{"shard scope keeps the configured order/engine", Config{Planner: greedy},
 			func(db *DB, q string) *Result {
@@ -153,6 +155,50 @@ func TestFeaturePairRules(t *testing.T) {
 			}
 			if tc.query == budgeted && res.Stats.Tasks > 40 {
 				t.Errorf("BUDGET 40 spent %d tasks", res.Stats.Tasks)
+			}
+		})
+	}
+}
+
+// twoMarkets is a cross-market deployment whose second market answers
+// worse than the default pool, so a run that ignores the router shows.
+var twoMarkets = []MarketSpec{
+	{Name: "amt", AssignControl: true, Workers: 30, Accuracy: 0.9, Stddev: 0.05},
+	{Name: "cf", Workers: 30, Accuracy: 0.6, Stddev: 0.1},
+}
+
+// TestPlannerKeepsTheCrowdPath: CDB+ quality control and a market
+// router outrank the planner, whose content-pure resolver would answer
+// every task from the default pool by majority vote in their place. With
+// a greedy planner on top, DB.Exec returns exactly what CDB+ or the
+// markets return alone, and DB.Explain says the run is not greedy.
+func TestPlannerKeepsTheCrowdPath(t *testing.T) {
+	q := dataset.Queries("paper")["3J2S"]
+	for name, cfg := range map[string]Config{
+		"cdb+":    {QualityControl: true},
+		"markets": {Markets: twoMarkets},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want, err := openPaper(t, cfg).Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Planner = &PlannerConfig{Greedy: true}
+			db := openPaper(t, cfg)
+			ex, err := db.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Greedy {
+				t.Error("EXPLAIN says the run follows the greedy order")
+			}
+			got, err := db.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("with the planner: %d rows, %+v, plan %v\nwant %d rows, %+v",
+					len(got.Rows), got.Stats, got.Plan != nil, len(want.Rows), want.Stats)
 			}
 		})
 	}

@@ -27,8 +27,8 @@ type PlanStep = plan.Step
 // baseline greedy is measured against; ignored when Greedy is set).
 // It is accepted both as WithPlanner(cfg) and as Config.Planner; the
 // zero value leaves the planner off. How the planner combines with
-// BUDGET, the fault-tolerant transport and transitivity is decided in
-// one place — see DESIGN.md §17.
+// BUDGET, the fault-tolerant transport, CDB+, markets and transitivity
+// is decided in one place — see DESIGN.md §17.
 type PlannerConfig = plan.Config
 
 // WithPlanner applies a PlannerConfig; see Config.Planner for the
