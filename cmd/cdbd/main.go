@@ -7,15 +7,6 @@
 //	cdbd -addr :8080 -dataset example
 //	cdbd -addr :8080 -dataset paper -scale 0.1 -max-inflight 16
 //
-// A fleet of cdbd processes scales horizontally: boot N shards with
-// identical dataset/seed/worker flags (distinct -shard-id, -addr and
-// ledger subdirectories), then a coordinator that routes queries by
-// tuple-graph component and merges scattered slices bit-identically:
-//
-//	cdbd -addr :8081 -shard-id a ...
-//	cdbd -addr :8082 -shard-id b ...
-//	cdbd -addr :8080 -coordinator -shards a:8081,b:8082 ...
-//
 //	curl -s localhost:8080/v1/tables
 //	curl -s -XPOST localhost:8080/v1/query -d '{"query":"SELECT * FROM ..."}'
 //	curl -sN -XPOST localhost:8080/v1/query/stream -d '{"query":"..."}'
@@ -36,48 +27,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"cdb"
-	"cdb/internal/cluster"
 	"cdb/internal/server"
 )
-
-// parseShards turns the -shards flag into ordered (id, base URL)
-// pairs. Each entry is id=host:port, or id:port as shorthand for a
-// local shard on 127.0.0.1.
-func parseShards(spec string) ([]cluster.Backend, error) {
-	var backends []cluster.Backend
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		var id, hostport string
-		if eq := strings.IndexByte(entry, '='); eq >= 0 {
-			id, hostport = entry[:eq], entry[eq+1:]
-		} else if colon := strings.LastIndexByte(entry, ':'); colon >= 0 {
-			id, hostport = entry[:colon], "127.0.0.1:"+entry[colon+1:]
-		} else {
-			return nil, fmt.Errorf("shard entry %q: want id=host:port or id:port", entry)
-		}
-		if id == "" || hostport == "" {
-			return nil, fmt.Errorf("shard entry %q: empty id or address", entry)
-		}
-		base := hostport
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		backends = append(backends, cluster.NewHTTPBackend(id, base, nil))
-	}
-	if len(backends) == 0 {
-		return nil, fmt.Errorf("no shards in %q", spec)
-	}
-	return backends, nil
-}
 
 func main() {
 	cfg := cdb.Config{Planner: &cdb.PlannerConfig{}}
@@ -108,12 +63,6 @@ func main() {
 
 		queryLogPath = flag.String("query-log", "", "append one JSON line per logged query to this file (empty disables)")
 		slowQueryMs  = flag.Int64("slow-query-ms", 0, "only log queries at least this slow (0 logs every query)")
-
-		shardID     = flag.String("shard-id", "", "this node's shard name in a cluster; with -ledger-dir the ledger lives in <dir>/<id> so shards never share a journal (empty: standalone)")
-		coordinator = flag.Bool("coordinator", false, "coordinator mode: route /v1/query across the -shards fleet by tuple-graph component instead of executing locally")
-		shardList   = flag.String("shards", "", "fleet members as id=host:port (or id:port, implying 127.0.0.1) separated by commas, e.g. a:8081,b:8082")
-		spillQueue  = flag.Int("spill-queue", 4, "coordinator: observed shard queue depth past which work spills to a less-loaded shard (0 disables)")
-		replEvery   = flag.Duration("replicate-interval", 500*time.Millisecond, "coordinator: verdict-cache anti-entropy pull interval")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "cdbd: ", log.LstdFlags|log.Lmsgprefix)
@@ -138,15 +87,9 @@ func main() {
 		cdb.WithVerdictCache(*verdictLRU),
 		cdb.WithResultCache(*resultLRU),
 	}
-	// Each shard journals into its own subdirectory: two cdbd processes
-	// must never interleave appends in one ledger file.
-	journalDir := *ledgerDir
-	if journalDir != "" && *shardID != "" {
-		journalDir = filepath.Join(journalDir, *shardID)
-	}
-	if journalDir != "" {
+	if *ledgerDir != "" {
 		engineOpts = append(engineOpts,
-			cdb.WithLedgerDir(journalDir),
+			cdb.WithLedgerDir(*ledgerDir),
 			cdb.WithLedgerFsync(*fsyncPol))
 	}
 	engine, err := db.NewEngine(engineOpts...)
@@ -155,32 +98,7 @@ func main() {
 	}
 	if ls := engine.LedgerStats(); ls.Enabled {
 		logger.Printf("ledger: replayed %d records from %s (%d verdicts, %d statements, %d answers; torn tails truncated: %d; fsync=%s)",
-			ls.Replayed, journalDir, ls.Verdicts, ls.Statements, ls.Answers, ls.TornTruncations, *fsyncPol)
-	}
-
-	var fleet *cluster.Fleet
-	if *coordinator {
-		backends, perr := parseShards(*shardList)
-		if perr != nil {
-			logger.Fatalf("shards: %v", perr)
-		}
-		fleet, err = cluster.New(cluster.Config{
-			Planner:    engine,
-			Backends:   backends,
-			SpillQueue: *spillQueue,
-			Logger:     logger,
-		})
-		if err != nil {
-			logger.Fatalf("cluster: %v", err)
-		}
-		fleet.StartReplication(*replEvery)
-		ids := make([]string, 0, len(backends))
-		for _, b := range backends {
-			ids = append(ids, b.ID())
-		}
-		logger.Printf("coordinator over shards %v (fingerprint %s)", ids, fleet.Fingerprint())
-	} else if *shardList != "" {
-		logger.Fatalf("-shards requires -coordinator")
+			ls.Replayed, *ledgerDir, ls.Verdicts, ls.Statements, ls.Answers, ls.TornTruncations, *fsyncPol)
 	}
 
 	srv, err := server.New(server.Config{
@@ -189,8 +107,6 @@ func main() {
 		Logger:     logger,
 		RetryAfter: *retryAfter,
 		QueryLog:   qlog,
-		ShardID:    *shardID,
-		Fleet:      fleet,
 	})
 	if err != nil {
 		logger.Fatalf("server: %v", err)
@@ -204,9 +120,6 @@ func main() {
 		defer close(done)
 		got := <-sig
 		logger.Printf("received %s, draining", got)
-		if fleet != nil {
-			fleet.StopReplication()
-		}
 		// Drain ordering: stop admitting and wait for every accepted
 		// query first, so their handlers finish writing; only then
 		// close the listener and linger for the final response bytes.

@@ -10,12 +10,6 @@
 //	cdbtop -addr localhost:8080
 //	cdbtop -addr localhost:8080 -interval 1s
 //	cdbtop -addr localhost:8080 -once        # one snapshot, no screen control (CI, scripts)
-//
-// With repeated -connect flags cdbtop watches a whole fleet instead:
-// one column per shard plus fleet totals, including the cross-shard
-// verdict-cache economy (remote hits, replicated imports):
-//
-//	cdbtop -connect coord=localhost:8080 -connect a=localhost:8081 -connect b=localhost:8082
 package main
 
 import (
@@ -33,19 +27,12 @@ import (
 )
 
 func main() {
-	var connects connectList
 	var (
 		addr     = flag.String("addr", "localhost:8080", "cdbd address (host:port or URL)")
 		interval = flag.Duration("interval", 2*time.Second, "poll interval")
 		once     = flag.Bool("once", false, "print one snapshot and exit (no screen control)")
 	)
-	flag.Var(&connects, "connect", "cluster member as id=host:port (repeatable); any -connect switches to the aggregated per-shard view")
 	flag.Parse()
-
-	if len(connects) > 0 {
-		runCluster(parseConnects(connects), *interval, *once)
-		return
-	}
 
 	base := strings.TrimRight(*addr, "/")
 	if !strings.Contains(base, "://") {

@@ -27,11 +27,12 @@ var docsAllowed = map[string]string{
 	"Graph.WeightVersion": "history: §7 says it was deleted",
 }
 
-// TestDocsNameLiveIdentifiers: every Go identifier DESIGN.md and
-// README.md cite in backticks names something the module declares, so a
-// rename or a deletion cannot leave the docs describing code that is
-// gone. The module is parsed with go/parser (test files included, for
-// the tests the docs cite) and a span is checked when it reads as one of:
+// TestDocsNameLiveIdentifiers: every Go identifier DESIGN.md, README.md
+// and EXPERIMENTS.md cite in backticks names something the module
+// declares, so a rename or a deletion cannot leave the docs describing
+// code that is gone. The module is parsed with go/parser (test files
+// included, for the tests the docs cite) and a span is checked when it
+// reads as one of:
 //
 //   - pkg.Name[.Member…], pkg a package of the module: Name is declared
 //     at its top level, each Member a method or field of the type before
@@ -55,7 +56,7 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 		exp      = regexp.MustCompile(`(?:^|\s)-exp (\S+)`)
 		span     = regexp.MustCompile("`([^`]+)`")
 	)
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		f, err := os.Open(doc)
 		if err != nil {
 			t.Fatal(err)

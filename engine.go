@@ -148,18 +148,6 @@ func (db *DB) NewEngine(opts ...EngineOption) (*Engine, error) {
 // query runs.
 type RoundUpdate = exec.RoundUpdate
 
-// ShardInfo is the scatter-gather sidecar of a shard-scoped execution:
-// per-row merge keys plus the owned slice of the ground-truth counts a
-// coordinator needs to recompute precision and recall exactly.
-type ShardInfo = exec.ShardInfo
-
-// ShardRun scopes a submission to the tuple-graph components a cluster
-// shard owns; see Engine.SubmitShard.
-type ShardRun = engine.ShardRun
-
-// CacheEntry is one replicated verdict on the cluster wire.
-type CacheEntry = engine.CacheEntry
-
 // QueryStatus is one query's live (or recently completed) introspection
 // record; see the Query* constants for the lifecycle. This is the unit
 // cdbd serves on GET /v1/queries and cdbtop renders.

@@ -60,17 +60,6 @@ type coalescer struct {
 	inferredPub atomic.Int64 // inferred verdicts accepted into the cache
 	inferredHit atomic.Int64 // cache hits served by an inferred verdict
 	inferredRej atomic.Int64 // inferred verdicts rejected by the agreement check
-	remoteHit   atomic.Int64 // cache hits served by a replicated remote verdict
-	imported    atomic.Int64 // remote verdicts accepted by ImportVerdicts
-
-	// Replication delta log: every verdict this node added to its cache
-	// by paying (owner resolve), deriving (accepted inference) or
-	// replaying (ledger), in order, under its own lock so readers never
-	// contend with the resolve path. deltaBase is the sequence number of
-	// deltaLog[0]; base+len(log) is the next sequence.
-	deltaMu   sync.Mutex
-	deltaBase int64
-	deltaLog  []CacheEntry
 }
 
 // flight is one in-flight HIT: the owner fills verdict and closes
@@ -138,20 +127,9 @@ func (c *coalescer) resolve(ctx context.Context, req exec.TaskRequest) (exec.Tas
 				v.Cached = true
 				c.cached.Add(1)
 			}
-			// The first use settles the verdict; only settled verdicts
-			// replicate (an unsettled one must answer its first use on
-			// the shard that paid for it, or wire Stats diverge from the
-			// single-node warm resume).
-			used := v
-			used.Ledger = false
-			c.appendDelta(key, used)
 		} else {
 			v.Cached = true
 			c.cached.Add(1)
-			if v.Remote {
-				c.remoteHit.Add(1)
-				mRemoteHit.Inc()
-			}
 		}
 		c.saved.Add(int64(v.Assignments))
 		mCoalShared.Inc()
@@ -194,7 +172,6 @@ func (c *coalescer) resolve(ctx context.Context, req exec.TaskRequest) (exec.Tas
 			used.Ledger = false
 			c.cache.put(key, used)
 			c.mu.Unlock()
-			c.appendDelta(key, used)
 			c.ledgerHit.Add(1)
 			mLedgerHits.Inc()
 			if v.Inferred {
@@ -234,7 +211,6 @@ func (c *coalescer) resolve(ctx context.Context, req exec.TaskRequest) (exec.Tas
 	delete(c.inflight, key)
 	c.mu.Unlock()
 	close(fl.done)
-	c.appendDelta(key, fl.verdict)
 	return fl.verdict, nil
 }
 
@@ -299,7 +275,6 @@ func (c *coalescer) PublishInferred(tasks []exec.InferredTask) {
 		}
 		c.inferredPub.Add(1)
 		mInferredPub.Inc()
-		c.appendDelta(key, v)
 	}
 }
 

@@ -245,16 +245,6 @@ func (h *Handle) Result(ctx context.Context) (*Result, error) {
 	return ans.Result(), nil
 }
 
-// ShardInfo blocks like Result and returns the shard sidecar of a
-// SubmitShard execution (nil for whole-statement submissions).
-func (h *Handle) ShardInfo(ctx context.Context) (*exec.ShardInfo, error) {
-	ans, err := h.wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ans.Shard, nil
-}
-
 // Submit admits one CQL SELECT for concurrent execution and returns
 // immediately with a Handle. ctx cancels the query (honored at crowd
 // round boundaries, like DB.ExecContext). Submit itself never blocks:
@@ -265,7 +255,7 @@ func (h *Handle) ShardInfo(ctx context.Context) (*exec.ShardInfo, error) {
 // group/sort runs its tasks outside the per-query graph; both belong
 // on the exclusive DB.Exec path.
 func (e *Engine) Submit(ctx context.Context, query string) (*Handle, error) {
-	return e.submit(ctx, query, nil, nil)
+	return e.submit(ctx, query, nil)
 }
 
 // SubmitWithProgress is Submit with a per-round progress hook: onRound
@@ -280,7 +270,7 @@ func (e *Engine) Submit(ctx context.Context, query string) (*Handle, error) {
 // bit-identical to an unobserved Submit. onRound runs on the query's
 // goroutine; hand off to a channel if the consumer can stall.
 func (e *Engine) SubmitWithProgress(ctx context.Context, query string, onRound func(exec.RoundUpdate)) (*Handle, error) {
-	return e.submit(ctx, query, onRound, nil)
+	return e.submit(ctx, query, onRound)
 }
 
 // servable parses query down to a SELECT the shared serving path can
@@ -302,10 +292,9 @@ func servable(query string) (*cql.Select, error) {
 	return s, nil
 }
 
-// submit is the shared admission path behind Submit,
-// SubmitWithProgress and SubmitShard; sr (nil for whole-statement runs)
-// scopes execution to a shard's owned components.
-func (e *Engine) submit(ctx context.Context, query string, progress func(exec.RoundUpdate), sr *ShardRun) (*Handle, error) {
+// submit is the shared admission path behind Submit and
+// SubmitWithProgress.
+func (e *Engine) submit(ctx context.Context, query string, progress func(exec.RoundUpdate)) (*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -334,7 +323,7 @@ func (e *Engine) submit(ctx context.Context, query string, progress func(exec.Ro
 	mSubmitted.Inc()
 	h := &Handle{query: query, done: make(chan struct{})}
 	entry := e.intr.admit(reqid.From(ctx).RequestID, query)
-	go e.serve(ctx, s, h, progress, entry, sr)
+	go e.serve(ctx, s, h, progress, entry)
 	return h, nil
 }
 
@@ -342,7 +331,7 @@ func (e *Engine) submit(ctx context.Context, query string, progress func(exec.Ro
 // whole answers with identical statements (cache or in-flight
 // attach), otherwise send it through the pipeline with the shared
 // join cache as joiner and the coalescer as resolver.
-func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress func(exec.RoundUpdate), entry *queryEntry, sr *ShardRun) {
+func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress func(exec.RoundUpdate), entry *queryEntry) {
 	defer e.wg.Done()
 	defer func() { <-e.admit }()
 	defer close(h.done)
@@ -375,26 +364,19 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 	// execution slot before registering, so waiting cannot deadlock.
 	var fl *queryFlight
 	key := s.String()
-	// Shard-scoped executions answer a different question than the whole
-	// statement (and than any other ownership split), so they share whole
-	// answers only within their exact fleet layout and target.
-	cacheKey := key
-	if sr != nil {
-		cacheKey = key + "\x1f#shard\x1f" + sr.Fleet + "\x1f" + sr.Target
-	}
 	if e.results != nil && progress == nil {
 		for {
 			e.resMu.Lock()
-			if ans, ok := e.results.get(cacheKey); ok {
+			if ans, ok := e.results.get(key); ok {
 				e.resMu.Unlock()
 				e.shareAnswer(h, ans, entry.req, &e.qCached)
 				finState = StateShared
 				return
 			}
-			owner, ok := e.resInflight[cacheKey]
+			owner, ok := e.resInflight[key]
 			if !ok {
 				fl = &queryFlight{done: make(chan struct{})}
-				e.resInflight[cacheKey] = fl
+				e.resInflight[key] = fl
 				e.resMu.Unlock()
 				break
 			}
@@ -416,9 +398,9 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 		defer func() {
 			e.resMu.Lock()
 			if fl.ans != nil {
-				e.results.put(cacheKey, fl.ans)
+				e.results.put(key, fl.ans)
 			}
-			delete(e.resInflight, cacheKey)
+			delete(e.resInflight, key)
 			e.resMu.Unlock()
 			close(fl.done)
 		}()
@@ -467,9 +449,6 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 			e.intr.setPlan(entry, d.JoinOrder(), d.EarlyExits())
 		}
 	}
-	if sr != nil {
-		req.Owned = sr.Owned
-	}
 	ans, err := RunSelect(ctx, req)
 	if err != nil {
 		h.err = err
@@ -484,10 +463,7 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 	}
 	ans.RequestID = entry.req
 	h.ans = ans
-	if e.cfg.Journal != nil && sr == nil {
-		// Shard-scoped answers never enter the durable answer cache: the
-		// journal keys answers by bare statement, and a replayed partial
-		// answer would poison the whole-statement cache after a restart.
+	if e.cfg.Journal != nil {
 		e.journalAnswer(key, ans)
 	}
 	e.completed.Add(1)
@@ -550,8 +526,8 @@ func (e *Engine) Explain(query string) (*plan.Explained, error) {
 }
 
 // request is what every run of s on this engine shares — and all that
-// decides its order and bind; serve adds the per-query executor options,
-// the hook and a shard scope.
+// decides its order and bind; serve adds the per-query executor options
+// and the hook.
 func (e *Engine) request(s *cql.Select) *SelectRequest {
 	return &SelectRequest{Source: e.src, Stmt: s, Planner: e.cfg.Planner}
 }
@@ -612,11 +588,6 @@ type Stats struct {
 	InferredHits      int64
 	InferredRejected  int64
 
-	// Cluster replication: verdicts imported from peer shards and
-	// cache hits those imports served.
-	RemoteImported int64
-	RemoteHits     int64
-
 	CacheEntries int // live verdict-cache entries
 }
 
@@ -652,9 +623,6 @@ func (e *Engine) Stats() Stats {
 		InferredPublished: e.coal.inferredPub.Load(),
 		InferredHits:      e.coal.inferredHit.Load(),
 		InferredRejected:  e.coal.inferredRej.Load(),
-
-		RemoteImported: e.coal.imported.Load(),
-		RemoteHits:     e.coal.remoteHit.Load(),
 
 		CacheEntries: entries,
 	}

@@ -2,10 +2,10 @@ package engine
 
 // The one SELECT pipeline (DESIGN.md §11): DB.Exec and the serving
 // engine both fill a SelectRequest and call RunSelect, which decides the
-// labeling order, binds the tuple graph that order reads, scopes it to a
-// shard, builds the order, runs Algorithm 1's round loop and projects
-// the rows. What differs between
-// callers is a field of the request; no stage asks who is calling.
+// labeling order, binds the tuple graph that order reads, builds the
+// order, runs Algorithm 1's round loop and projects the rows. What
+// differs between callers is a field of the request; no stage asks who
+// is calling.
 
 import (
 	"context"
@@ -60,10 +60,6 @@ type SelectRequest struct {
 	Source
 	Stmt *cql.Select
 
-	// Owned, when set, scopes the run to the components a cluster shard
-	// owns (by canonical key); the Answer then carries the Shard sidecar.
-	Owned func(componentKey string) bool
-
 	// Strategy builds the configured labeling order for the bound plan;
 	// nil means the paper's expectation-based order — and is how a caller
 	// says so: a set Strategy is the configured order of order's table.
@@ -108,19 +104,17 @@ const (
 //	transport   × planner        transport wins: the planner's pure resolver would shadow it
 //	CDB+        × planner        CDB+ wins: the pure resolver would aggregate in its place
 //	markets     × planner        markets win: the pure resolver would answer from the default pool
-//	shard scope × planner        configured order: a shard's round structure must match the fleet's
 //	planner     × transitivity   compose: one strategy, keys priority → expected yield → Eq. 1
 //	planner     × strategy       planner wins: a configured strategy orders unplanned runs only
 //
 //	bind scope  × all of these   every candidate under a configured strategy (MinCut's sampler draws
-//	                             per edge id, the tree and ER baselines ask dead pairs by definition)
-//	                             or a shard scope (the component partition); the live-touching
-//	                             subgraph for every other order — see scoped
+//	                             per edge id, the tree and ER baselines ask dead pairs by definition);
+//	                             the live-touching subgraph for every other order — see scoped
 //
 // A request field that is a constructor counts as set: its maker passes
 // nil when it configures none.
 func (req *SelectRequest) order() order {
-	planned := (req.Planner.Greedy || req.Planner.FixedOrder) && req.Transport == nil && req.Owned == nil &&
+	planned := (req.Planner.Greedy || req.Planner.FixedOrder) && req.Transport == nil &&
 		req.Exec.Quality != exec.CDBPlus && req.Exec.Router == nil
 	switch {
 	case req.Stmt.Budget > 0:
@@ -139,7 +133,7 @@ func (req *SelectRequest) order() order {
 // exec.PlanConfig.LiveOnly, the bind-scope row of order's table.
 func (req *SelectRequest) scoped(o order) Source {
 	src := req.Source
-	src.LiveOnly = o != byConfigured && req.Owned == nil
+	src.LiveOnly = o != byConfigured
 	return src
 }
 
@@ -217,10 +211,6 @@ func RunSelect(ctx context.Context, req *SelectRequest) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	var scope *exec.ShardScope
-	if req.Owned != nil {
-		scope = exec.RestrictToOwned(p, req.Owned)
-	}
 	opts, decision := req.build(p, o)
 	if opts.Transport != nil {
 		defer opts.Transport.Close()
@@ -240,16 +230,6 @@ func RunSelect(ctx context.Context, req *SelectRequest) (*Answer, error) {
 			return nil, err
 		}
 		ans.Rows = append(ans.Rows, row)
-	}
-	if scope != nil {
-		tt, tc := scope.TruthCounts(p)
-		ans.Shard = &exec.ShardInfo{
-			Components:      scope.OwnedComponents,
-			TotalComponents: scope.TotalComponents,
-			MergeKeys:       exec.MergeKeys(p, rep.Answers),
-			TruthTotal:      tt,
-			TruthCorrect:    tc,
-		}
 	}
 	if decision != nil {
 		ans.Plan = plan.Describe(p, decision, o == byGreedyPlan)

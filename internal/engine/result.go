@@ -105,10 +105,6 @@ type Answer struct {
 	// under (empty without one); per handle even when the Answer rows
 	// are shared.
 	RequestID string
-	// Shard is the scatter-gather sidecar of a shard-scoped run (nil
-	// for whole-statement runs): merge keys per row plus the owned slice
-	// of the ground-truth accounting.
-	Shard *exec.ShardInfo
 	// Plan is the executed plan of a planner-ordered run; nil otherwise.
 	Plan *plan.Explained
 }

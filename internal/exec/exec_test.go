@@ -696,6 +696,22 @@ func TestCalibrationDoesNotBreakExecution(t *testing.T) {
 	}
 }
 
+// pureResolver answers every task through crowd.PureVerdict, the scheme
+// plan.PureResolver and the engine's coalescer share.
+type pureResolver struct {
+	seed uint64
+	pool *crowd.Pool
+}
+
+func (r pureResolver) Resolve(_ context.Context, reqs []TaskRequest) (map[int]TaskVerdict, error) {
+	out := make(map[int]TaskVerdict, len(reqs))
+	for _, req := range reqs {
+		value, conf, asks := crowd.PureVerdict(r.seed, r.pool, req.Key, req.Truth, req.Prior, req.K)
+		out[req.Edge] = TaskVerdict{Value: value, Confidence: conf, Assignments: asks}
+	}
+	return out, nil
+}
+
 // TestMetadataRecordsTheAskingRound: every crowdsourcing path — majority
 // voting, CDB+, a shared resolver (pureResolver, plan.PureResolver's
 // scheme) and the fault-tolerant transport — records each task with the

@@ -152,8 +152,7 @@ type PlanConfig struct {
 	// run under that order — plain, planned, budgeted or with the
 	// closure — is the full bind's run with the edges renumbered.
 	// Anything that reads the plan by edge id or by whole candidate set
-	// (a sampler, a tree baseline, a shard's component keys) needs the
-	// default. A statement with nothing but CROWDJOINs has nothing to
+	// (a sampler, a tree baseline) needs the default. A statement with nothing but CROWDJOINs has nothing to
 	// start a mask from and binds in full either way.
 	LiveOnly bool
 }

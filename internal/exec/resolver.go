@@ -61,12 +61,6 @@ type TaskVerdict struct {
 	// so ledger provenance travels on the engine's introspection and
 	// counters instead.
 	Ledger bool
-	// Remote marks a verdict imported from another shard's cache by
-	// cluster replication. A hit on it reports as an ordinary cache
-	// hit (in the single-node equivalent an earlier query resolved the
-	// task into the shared cache); the flag feeds the engine's
-	// cross-shard savings counters only.
-	Remote bool
 }
 
 // TaskResolver intercepts a round's crowdsourcing. The engine's HIT

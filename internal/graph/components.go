@@ -10,9 +10,9 @@ import (
 // non-red edges sharing a vertex; red edges belong to no component.
 // Nothing on the round path of a tree-shaped plan reads it — the packed
 // scheduler tests conflicts through cover facts and a rescore is full —
-// so it is not maintained across answers: its readers are shard planning
-// (exec/shard.go) and ConflictIndex on cyclic structures, and the first
-// of them after an invalidating change rebuilds it.
+// so it is not maintained across answers: its reader is ConflictIndex on
+// cyclic structures, and the first read after an invalidating change
+// rebuilds it.
 //
 // Invalidation rules:
 //   - Unknown↔Blue: the partition is unchanged (both are non-red).
@@ -55,9 +55,9 @@ func (g *Graph) ComponentMembers(ci int) []int {
 // ConnectedComponents partitions the *edges* into components connected
 // through non-red edges sharing a vertex. Red edges are excluded
 // entirely (they can no longer interact with any candidate). Tasks in
-// different components never conflict (§5.2), which is what shard
-// planning splits a plan by. Served from the component cache; members
-// are sorted ascending and components ordered by smallest member id.
+// different components never conflict (§5.2). Served from the component
+// cache; members are sorted ascending and components ordered by smallest
+// member id.
 func (g *Graph) ConnectedComponents() [][]int {
 	g.ensureComponents()
 	return slices.Clone(g.compMembers)

@@ -440,14 +440,6 @@ func (g *Graph) TreeShaped() bool { return g.treeShaped }
 // requester supplies a trained probability model).
 func (g *Graph) SetWeight(id int, w float64) { g.edges[id].W = w }
 
-// PredOrder exposes the connected predicate order enumeration walks
-// predicates in. Answer emission is lexicographic in the chosen-edge
-// vector laid out along this order (each recursion level tries edges in
-// ascending id order), which is what lets a scatter-gather merge
-// re-establish the single-graph row order from per-shard answer sets.
-// The slice is shared and must not be modified.
-func (g *Graph) PredOrder() []int { return g.predOrder }
-
 // TablePreds returns the predicate ids incident to table t. Unlike
 // Structure.PredsOf it serves the cached list without allocating; the
 // slice is shared and must not be modified.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -21,27 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // incompatible, and update DESIGN.md §15), not discovered by a
 // failed warm restart in production.
 func TestLedgerWireFormat(t *testing.T) {
-	var buf []byte
-	hdr, _ := json.Marshal(header{Version: formatVersion, Kind: "wal", Seed: 7})
-	buf = appendFrame(buf, frameHeader, hdr)
-	stmt, _ := json.Marshal(statementRecord{Stmt: "SELECT * FROM Paper;"})
-	buf = appendFrame(buf, frameStatement, stmt)
-	v, _ := json.Marshal(Verdict{
-		Key:         "15\x1fjoin:a|b",
-		Value:       true,
-		Confidence:  0.875,
-		Assignments: 15,
-		Inferred:    true,
-	})
-	buf = appendFrame(buf, frameVerdict, v)
-	a, _ := json.Marshal(Answer{
-		Stmt:    "SELECT * FROM Paper;",
-		Columns: []string{"title"},
-		Rows:    [][]string{{"x"}, {"y"}},
-		Report:  json.RawMessage(`{"tasks":2,"rounds":1}`),
-	})
-	buf = appendFrame(buf, frameAnswer, a)
-
+	buf := goldenWAL()
 	got := hexDump(buf)
 
 	path := filepath.Join("testdata", "ledger_wire.txt")
@@ -82,6 +63,69 @@ func TestLedgerWireFormat(t *testing.T) {
 	if len(l.verdicts) != 1 || len(l.stmts) != 1 || len(l.answers) != 1 {
 		t.Fatalf("pinned bytes replayed to %d/%d/%d records", len(l.verdicts), len(l.stmts), len(l.answers))
 	}
+}
+
+// goldenWAL is the pinned byte image: a header and one record of each
+// kind.
+func goldenWAL() []byte {
+	var buf []byte
+	hdr, _ := json.Marshal(header{Version: formatVersion, Kind: "wal", Seed: 7})
+	buf = appendFrame(buf, frameHeader, hdr)
+	stmt, _ := json.Marshal(statementRecord{Stmt: "SELECT * FROM Paper;"})
+	buf = appendFrame(buf, frameStatement, stmt)
+	v, _ := json.Marshal(Verdict{
+		Key:         "15\x1fjoin:a|b",
+		Value:       true,
+		Confidence:  0.875,
+		Assignments: 15,
+		Inferred:    true,
+	})
+	buf = appendFrame(buf, frameVerdict, v)
+	a, _ := json.Marshal(Answer{
+		Stmt:    "SELECT * FROM Paper;",
+		Columns: []string{"title"},
+		Rows:    [][]string{{"x"}, {"y"}},
+		Report:  json.RawMessage(`{"tasks":2,"rounds":1}`),
+	})
+	return appendFrame(buf, frameAnswer, a)
+}
+
+// FuzzScanFrames: no input panics the frame scanner, the valid prefix
+// it reports lies inside the buffer, and that prefix alone scans to the
+// same frames and the same length — so truncating a log to it, as
+// replay does to a torn tail, loses nothing that was accepted.
+func FuzzScanFrames(f *testing.F) {
+	golden := goldenWAL()
+	f.Add(golden)
+	f.Add(golden[:len(golden)-3])                                                       // torn tail
+	f.Add(append(golden[:len(golden):len(golden)], 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0)) // oversized length
+	f.Add(appendFrame(nil, 'V', []byte("abc")))
+	f.Add([]byte{})
+	type frame struct {
+		typ  byte
+		body string
+	}
+	scan := func(t *testing.T, buf []byte) ([]frame, int64) {
+		var frames []frame
+		n, err := scanFrames(buf, func(typ byte, body []byte) error {
+			frames = append(frames, frame{typ, string(body)})
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("scanFrames: %v", err)
+		}
+		return frames, n
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		frames, n := scan(t, buf)
+		if n < 0 || n > int64(len(buf)) {
+			t.Fatalf("valid prefix %d of a %d-byte buffer", n, len(buf))
+		}
+		again, m := scan(t, buf[:n])
+		if m != n || !reflect.DeepEqual(frames, again) {
+			t.Fatalf("rescanning the %d-byte prefix: %d frames to %d, want %d frames to %d", n, len(again), m, len(frames), n)
+		}
+	})
 }
 
 // TestRecordJSONFieldOrder pins each record kind's exact JSON: replay

@@ -4,9 +4,9 @@
 // Engine.Submit down to every trace span and query-log line.
 //
 // Crowd queries are long-lived and fail in partial ways; the only way
-// to reason about one of them after the fact — or across the N cdbd
-// shards the roadmap calls for — is a single ID minted (or accepted)
-// at the edge and stamped on everything the request touches. The ID is
+// to reason about one of them after the fact — or across the services
+// a request passes through — is a single ID minted (or accepted) at
+// the edge and stamped on everything the request touches. The ID is
 // deliberately a plain string: caller-supplied IDs pass through
 // verbatim (after sanitizing), so an upstream load balancer's
 // correlation scheme survives the hop into CDB.
@@ -52,7 +52,8 @@ var seq atomic.Uint64
 
 // New mints a process-unique request ID: "req-" + 16 hex chars. The
 // randomness makes IDs unique across processes too, which is what
-// lets traces from N shards be joined by ID without coordination.
+// lets traces from several processes be joined by ID without
+// coordination.
 func New() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -130,22 +131,18 @@ func (tp TraceParent) String() string {
 }
 
 // ParseTraceParent parses a version-00 traceparent header. Returns
-// ok=false for anything malformed — including the all-zero trace or
-// parent IDs the spec declares invalid — so callers fall back to
-// minting a fresh trace rather than propagating garbage.
+// ok=false for anything malformed — including uppercase hex, which the
+// spec's grammar excludes, and the all-zero trace or parent IDs it
+// declares invalid — so callers fall back to minting a fresh trace
+// rather than propagating garbage. An accepted header renders back to
+// itself through String.
 func ParseTraceParent(s string) (TraceParent, bool) {
 	var tp TraceParent
 	if len(s) != 55 || s[0] != '0' || s[1] != '0' || s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return tp, false
 	}
-	if _, err := hex.Decode(tp.TraceID[:], []byte(s[3:35])); err != nil {
-		return tp, false
-	}
-	if _, err := hex.Decode(tp.ParentID[:], []byte(s[36:52])); err != nil {
-		return tp, false
-	}
 	var fb [1]byte
-	if _, err := hex.Decode(fb[:], []byte(s[53:55])); err != nil {
+	if !decodeLowerHex(tp.TraceID[:], s[3:35]) || !decodeLowerHex(tp.ParentID[:], s[36:52]) || !decodeLowerHex(fb[:], s[53:55]) {
 		return tp, false
 	}
 	tp.Flags = fb[0]
@@ -153,6 +150,18 @@ func ParseTraceParent(s string) (TraceParent, bool) {
 		return tp, false
 	}
 	return tp, true
+}
+
+// decodeLowerHex decodes s into dst, accepting lowercase hex digits only
+// (the trace-context grammar's HEXDIGLC).
+func decodeLowerHex(dst []byte, s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	_, err := hex.Decode(dst, []byte(s))
+	return err == nil
 }
 
 func fill(b []byte) {

@@ -104,3 +104,22 @@ func TestTraceParentRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// FuzzTraceParent: no input panics the parser, and every header it
+// accepts renders back to itself — a continued trace never reaches the
+// next hop under a different spelling. The seeds include an uppercase
+// header, which the trace-context grammar excludes.
+func FuzzTraceParent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01")
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A")
+	f.Add("00-00000000000000000000000000000000-00f067aa0ba902b7-01")
+	f.Add("01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		tp, ok := ParseTraceParent(s)
+		if ok && tp.String() != s {
+			t.Fatalf("ParseTraceParent(%q) accepted a header that renders as %q", s, tp.String())
+		}
+	})
+}

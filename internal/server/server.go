@@ -27,7 +27,6 @@ import (
 
 	"cdb"
 	"cdb/client"
-	"cdb/internal/cluster"
 	"cdb/internal/obs"
 	"cdb/internal/reqid"
 )
@@ -102,16 +101,6 @@ type Config struct {
 	// QueryLog receives one JSONL line per completed query at or above
 	// its slowness threshold; nil disables.
 	QueryLog *QueryLog
-	// ShardID names this node in a cluster (reported by
-	// /v1/cluster/health and used as the default coordinator label).
-	// Empty means a standalone "cdbd".
-	ShardID string
-	// Fleet switches the server into coordinator mode: /v1/query and
-	// /v1/query/stream route through it (scatter-gather across shards)
-	// instead of the local engine, and /v1/cluster/shards exposes the
-	// fleet view. The local engine still plans and serves the shard
-	// endpoints. Nil means a standalone node.
-	Fleet *cluster.Fleet
 }
 
 // Server is the HTTP serving layer. Create with New, expose with
@@ -124,9 +113,6 @@ type Server struct {
 	qlog       *QueryLog
 	mux        *http.ServeMux
 	draining   atomic.Bool
-	shardID    string
-	fleet      *cluster.Fleet
-	local      *cluster.LocalBackend
 }
 
 // New builds a server over an opened DB and its Engine.
@@ -140,19 +126,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
-	if cfg.ShardID == "" {
-		cfg.ShardID = "cdbd"
-	}
 	s := &Server{
 		db:         cfg.DB,
 		engine:     cfg.Engine,
 		log:        cfg.Logger,
 		retryAfter: cfg.RetryAfter,
 		qlog:       cfg.QueryLog,
-		shardID:    cfg.ShardID,
-		fleet:      cfg.Fleet,
 	}
-	s.local = cluster.NewLocalBackend(cfg.ShardID, cfg.Engine)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/query/stream", s.handleStream)
@@ -160,7 +140,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/tables", s.handleTables)
 	s.mux.HandleFunc("/v1/queries", s.handleQueries)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
-	s.registerCluster()
 	debug := obs.NewServeMux(obs.Default)
 	s.mux.Handle("/metrics", debug)
 	s.mux.Handle("/debug/", debug)
@@ -276,10 +255,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, &client.ErrorPayload{Code: client.CodeBadRequest, Message: err.Error()})
 		return
 	}
-	if s.fleet != nil {
-		s.queryFleet(w, r, req)
-		return
-	}
 	ctx, cancel := queryContext(r, req)
 	defer cancel()
 	start := time.Now()
@@ -343,10 +318,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		s.writeError(w, http.StatusInternalServerError, &client.ErrorPayload{Code: client.CodeInternal, Message: "response writer cannot stream"})
-		return
-	}
-	if s.fleet != nil {
-		s.streamFleet(w, r, req, flusher)
 		return
 	}
 	ctx, cancel := queryContext(r, req)
@@ -584,19 +555,6 @@ func mapError(err error, retryAfter time.Duration) (int, *client.ErrorPayload) {
 		return http.StatusGatewayTimeout, &client.ErrorPayload{
 			Code:    client.CodeTimeout,
 			Message: "deadline elapsed before the query completed",
-		}
-	case errors.Is(err, cluster.ErrFingerprint):
-		// A mixed-seed fleet: refusing loudly beats returning rows that
-		// depend on which shard ran them.
-		return http.StatusConflict, &client.ErrorPayload{
-			Code:    client.CodeBadRequest,
-			Message: err.Error(),
-		}
-	case errors.Is(err, cluster.ErrDegraded):
-		return http.StatusServiceUnavailable, &client.ErrorPayload{
-			Code:         client.CodeInternal,
-			Message:      err.Error(),
-			RetryAfterMs: retryAfter.Milliseconds(),
 		}
 	default:
 		return http.StatusInternalServerError, &client.ErrorPayload{

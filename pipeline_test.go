@@ -109,13 +109,6 @@ func TestFeaturePairRules(t *testing.T) {
 		{"cdb+ beats planner/exec", Config{Planner: greedy, QualityControl: true}, viaExec, q, false, false},
 		{"markets beat planner/exec", Config{Planner: greedy, Markets: twoMarkets}, viaExec, q, false, false},
 		{"planner beats a configured strategy/exec", Config{Planner: greedy, Strategy: StrategyMinCut}, viaExec, q, true, false},
-		{"shard scope keeps the configured order/engine", Config{Planner: greedy},
-			func(db *DB, q string) *Result {
-				return engineResult(t, db, func(e *Engine) (*Future, error) {
-					run := &ShardRun{Fleet: "a", Target: "a", Owned: func(string) bool { return true }}
-					return e.SubmitShard(context.Background(), q, run, nil)
-				})
-			}, q, false, false},
 		{"planner composes with transitivity/exec", Config{Planner: greedy, Transitive: true}, viaExec, q, true, true},
 		{"planner composes with transitivity/engine", Config{Planner: greedy, Transitive: true}, viaEngine, q, true, true},
 		{"progress executes for real over a cached answer/engine", Config{},
@@ -205,13 +198,11 @@ func TestPlannerKeepsTheCrowdPath(t *testing.T) {
 }
 
 // TestBindScopeRule pins the bind-scope row of the pipeline's rule
-// table (engine.SelectRequest.order): a configured strategy or a shard
-// scope binds every candidate, and every other order — expected-yield,
-// budget or planned; plain, with transitivity or over a fault-tolerant
-// transport; through DB.Exec or the engine — only the edges that touch a
-// possibly-live tuple. The plan span says which: Edges bound of
-// Candidates found. Engine.ComponentKeys, the cluster's routing key
-// space, binds every candidate.
+// table (engine.SelectRequest.order): a configured strategy binds every
+// candidate, and every other order — expected-yield, budget or planned;
+// plain, with transitivity or over a fault-tolerant transport; through
+// DB.Exec or the engine — only the edges that touch a possibly-live
+// tuple. The plan span says which: Edges bound of Candidates found.
 func TestBindScopeRule(t *testing.T) {
 	q := dataset.Queries("paper")["3J2S"]
 	d := dataset.GenPaper(dataset.Config{Seed: 1, Scale: 0.12})
@@ -244,12 +235,6 @@ func TestBindScopeRule(t *testing.T) {
 			return e.Submit(context.Background(), q)
 		})
 	}
-	viaShard := func(db *DB, q string) *Result {
-		return engineResult(t, db, func(e *Engine) (*Future, error) {
-			run := &ShardRun{Fleet: "a", Target: "a", Owned: func(string) bool { return true }}
-			return e.SubmitShard(context.Background(), q, run, nil)
-		})
-	}
 	budgeted := strings.Replace(q, ";", " BUDGET 40;", 1)
 	greedy := &PlannerConfig{Greedy: true}
 	cases := []struct {
@@ -270,7 +255,6 @@ func TestBindScopeRule(t *testing.T) {
 		{"budget/exec", Config{}, viaExec, budgeted, pruned},
 		{"budget/engine", Config{}, viaEngine, budgeted, pruned},
 		{"budget over a configured strategy/exec", Config{Strategy: StrategyMinCut}, viaExec, budgeted, pruned},
-		{"shard scope/engine", Config{}, viaShard, q, full},
 		{"transport/exec", Config{Reliability: &ReliabilityPolicy{}}, viaExec, q, pruned},
 		{"planner/exec", Config{Planner: greedy}, viaExec, q, pruned},
 		{"planner/engine", Config{Planner: greedy}, viaEngine, q, pruned},
@@ -293,25 +277,6 @@ func TestBindScopeRule(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("component keys/engine", func(t *testing.T) {
-		want, live := exec.ComponentKeys(plans[false]), exec.ComponentKeys(plans[true])
-		if reflect.DeepEqual(want, live) {
-			t.Fatalf("both binds have the components %v: the case cannot tell them apart", want)
-		}
-		eng, err := openPaper(t, Config{}).NewEngine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		got, err := eng.ComponentKeys(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%d component keys, want the full bind's %d (live-touching: %d)", len(got), len(want), len(live))
-		}
-	})
 }
 
 // TestExplainGreedyFlagFollowsTheOrder: EXPLAIN's greedy flag is the
