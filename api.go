@@ -32,7 +32,6 @@ import (
 	"cdb/internal/faults"
 	"cdb/internal/meta"
 	"cdb/internal/obs"
-	"cdb/internal/plan"
 	"cdb/internal/sim"
 	"cdb/internal/stats"
 	"cdb/internal/table"
@@ -78,7 +77,6 @@ type DB struct {
 	rng         *stats.RNG
 	simFunc     sim.Func
 	newStrategy exec.StrategyMaker
-	planner     plan.Config
 	faults      *faults.Injector
 	// run is the executor configuration every SELECT shares — crowd,
 	// redundancy, quality mode, markets, metadata store, calibration,
@@ -432,10 +430,9 @@ func (db *DB) selectRequest(s *cql.Select) *engine.SelectRequest {
 			Oracle:     db.oracle,
 			PlanConfig: exec.PlanConfig{Sim: db.simFunc, Epsilon: db.cfg.Epsilon},
 		},
-		Stmt:     s,
-		Planner:  db.planner,
-		PureSeed: func() uint64 { return db.rng.Split().Uint64() },
-		Exec:     db.run,
+		Stmt:    s,
+		Planner: db.cfg.Planner,
+		Exec:    db.run,
 	}
 	if db.newStrategy != nil {
 		req.Strategy = func(p *exec.Plan) cost.Strategy { return db.newStrategy(p, mincutSamples, db.rng) }

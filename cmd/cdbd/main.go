@@ -35,7 +35,7 @@ import (
 )
 
 func main() {
-	cfg := cdb.Config{Planner: &cdb.PlannerConfig{}}
+	var cfg cdb.Config
 	flag.StringVar(&cfg.Dataset, "dataset", "example", "dataset to serve: example, paper or award")
 	flag.Float64Var(&cfg.DatasetScale, "scale", 0.1, "dataset scale for paper/award")
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "engine seed (equal seeds replay identical verdicts)")
@@ -45,7 +45,7 @@ func main() {
 	flag.StringVar(&cfg.Similarity, "similarity", "2gram", "similarity estimator: 2gram, token, edit, cosine or none")
 	flag.Float64Var(&cfg.Epsilon, "epsilon", 0.3, "similarity pruning threshold")
 	flag.IntVar(&cfg.Redundancy, "redundancy", 5, "answers per crowd task")
-	flag.BoolVar(&cfg.Planner.Greedy, "planner", false, "greedy multi-join planning: SELECTs run joins cheapest-first with plan-time early exit, /v1/explain and streams report the plan")
+	flag.BoolVar(&cfg.Planner, "planner", false, "greedy multi-join planning: SELECTs run joins cheapest-first with plan-time early exit, /v1/explain and streams report the plan")
 
 	var (
 		addr = flag.String("addr", ":8080", "listen address")

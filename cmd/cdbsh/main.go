@@ -183,7 +183,7 @@ func command(db *cdb.DB, cmd string) bool {
 // printPlan renders an EXPLAIN result: the join order, each step's
 // predicted crowd work, and the planner's zero-spend guarantee.
 func printPlan(p *cdb.Plan) {
-	mode := "fixed order"
+	mode := "unplanned run"
 	if p.Greedy {
 		mode = "greedy"
 	}

@@ -63,10 +63,8 @@ type Config struct {
 	QualityControl bool
 	Transitive     bool
 
-	// Planner configures the greedy multi-join planner (see
-	// PlannerConfig): greedy or fixed planned order. Nil leaves the
-	// planner off.
-	Planner *PlannerConfig
+	// Planner turns on the greedy multi-join planner (see WithPlanner).
+	Planner bool
 
 	// Oracle overrides the simulation ground truth, the loaded
 	// dataset's included. FillTruth supplies the true value of (table,
@@ -220,9 +218,6 @@ func resolve(cfg Config) *DB {
 	}
 	if cfg.Oracle != nil {
 		db.oracle = cfg.Oracle
-	}
-	if cfg.Planner != nil {
-		db.planner = *cfg.Planner
 	}
 	if cfg.QualityControl {
 		db.run.Quality = exec.CDBPlus

@@ -87,7 +87,7 @@ func optionTable() []struct {
 		{"WithReliability", WithReliability(ReliabilityPolicy{MaxRetries: 2}), Config{Reliability: &ReliabilityPolicy{MaxRetries: 2}}},
 		{"WithObserver", WithObserver(NewJSONLWriter(io.Discard)), Config{Observer: NewJSONLWriter(io.Discard)}},
 		{"WithTracing", WithTracing(true), Config{Tracing: true}},
-		{"WithPlanner", WithPlanner(PlannerConfig{Greedy: true}), Config{Planner: &PlannerConfig{Greedy: true}}},
+		{"WithPlanner", WithPlanner(true), Config{Planner: true}},
 	}
 }
 

@@ -120,7 +120,7 @@ func (db *DB) NewEngine(opts ...EngineOption) (*Engine, error) {
 	cfg.Redundancy = db.run.Redundancy
 	cfg.Tracing = db.cfg.Tracing
 	cfg.Transitive = db.run.Transitive
-	cfg.Planner = db.planner
+	cfg.Planner = db.cfg.Planner
 	cfg.Seed = db.rng.Split().Uint64()
 	if o.ledgerDir != "" {
 		policy, err := ledger.ParsePolicy(o.ledgerFsync)

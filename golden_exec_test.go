@@ -12,12 +12,14 @@ import (
 // TestExecGolden pins what DB.Exec returns for a fixed statement list
 // run sequentially through one DB per dataset: answers, tasks, rounds
 // and assignments per statement. The numbers depend on how far the
-// crowd's random stream has advanced and — in the mincut, planner and
+// crowd's random stream has advanced and — in the mincut and
 // reliability configurations — on the order DB.Exec draws its
-// db.rng.Split()s (strategy, then transport, then planner resolver
-// seed), so a reordered or extra draw fails here in milliseconds
-// instead of surfacing as changed benchmark counts. The pins were
-// generated at the commit before the SELECT pipeline was unified.
+// db.rng.Split()s (strategy, then transport), so a reordered or extra
+// draw fails here in milliseconds instead of surfacing as changed
+// benchmark counts. The default and mincut+reliability pins were
+// generated at the commit before the SELECT pipeline was unified; the
+// mincut+planner pins when the planner stopped installing its own
+// crowd.
 func TestExecGolden(t *testing.T) {
 	labels := []string{"2J", "2J1S", "3J", "3J2S"}
 	cases := []struct {
@@ -34,12 +36,13 @@ func TestExecGolden(t *testing.T) {
 			},
 		},
 		{
-			// Two draws per statement: mincut's sampler, then the planner's
-			// resolver seed.
+			// No draw per statement: the planned order replaces mincut's,
+			// so its sampler is never built, and the verdicts come from
+			// the DB's own pool.
 			name: "mincut+planner",
-			cfg:  Config{Seed: 1, DatasetSeed: 1, Strategy: StrategyMinCut, Planner: &PlannerConfig{Greedy: true}},
+			cfg:  Config{Seed: 1, DatasetSeed: 1, Strategy: StrategyMinCut, Planner: true},
 			want: map[string]string{
-				"paper": "95/362/2/1810 33/159/3/795 234/1110/3/5550 10/205/5/1025",
+				"paper": "102/369/2/1845 32/137/3/685 246/1127/3/5635 20/170/5/850",
 			},
 		},
 		{

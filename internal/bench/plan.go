@@ -5,126 +5,141 @@ import (
 	"reflect"
 	"sort"
 
+	"cdb/internal/dataset"
 	"cdb/internal/engine"
 	"cdb/internal/exec"
 	"cdb/internal/plan"
 	"cdb/internal/stats"
 )
 
-// caseCell is one generated query's request under the planner
-// configuration pc, with the closure on when transitive. A planned run
-// gets content-pure verdicts seeded by verdictSeed from the pipeline, so
-// answers depend only on (seed, edge content) and both orders of a pair
-// are directly comparable.
-func caseCell(c plan.Case, pc plan.Config, transitive bool, cfg Config, verdictSeed, poolSeed uint64) (*engine.SelectRequest, error) {
-	src := engine.Source{Catalog: c.Catalog, Oracle: exec.ExactOracle{}, PlanConfig: planCfg}
-	req, err := newCell(src, c.Query, "CDB", cfg, cfg.pool(stats.NewRNG(poolSeed)), nil)
-	if err != nil {
-		return nil, err
+// pair runs query in the unplanned and in the greedy order, with the
+// closure on when transitive, and EXPLAINs the greedy run first. Every
+// verdict is crowd.PureVerdict's under verdictSeed — the pipeline
+// installs no resolver for a planned run, so the experiment does — and
+// both runs draw the pool from poolSeed, so the two orders ask one crowd.
+// It fails when the EXPLAIN differs from the plan the greedy run follows,
+// or when, without the closure, the two answers differ: bit-identity is
+// the planner's correctness contract. With the closure only their costs
+// compare, since an inferred label is not a content-pure verdict.
+func pair(src engine.Source, query string, transitive bool, cfg Config, verdictSeed, poolSeed uint64) (ans [2]*engine.Answer, ex *plan.Explained, err error) {
+	for i, planned := range []bool{false, true} {
+		pool := cfg.pool(stats.NewRNG(poolSeed))
+		req, err := newCell(src, query, "CDB", cfg, pool, nil)
+		if err != nil {
+			return ans, nil, err
+		}
+		req.Planner, req.Exec.Transitive = planned, transitive
+		req.Exec.Resolver = &plan.PureResolver{Seed: verdictSeed, Pool: pool}
+		if planned {
+			if ex, err = req.Explain(); err != nil {
+				return ans, nil, err
+			}
+		}
+		if ans[i], err = runCell(req, cfg, "CDB"); err != nil {
+			return ans, nil, err
+		}
 	}
-	req.Planner = pc
-	req.PureSeed = func() uint64 { return verdictSeed }
-	req.Exec.Transitive = transitive
-	return req, nil
+	ran := *ans[1].Plan
+	ran.PlanningMicros = ex.PlanningMicros
+	switch {
+	case !reflect.DeepEqual(*ex, ran):
+		return ans, nil, fmt.Errorf("EXPLAIN %+v differs from the executed plan %+v", *ex, ran)
+	case !transitive && !reflect.DeepEqual(ans[0].Rows, ans[1].Rows):
+		return ans, nil, fmt.Errorf("%d greedy answers differ from %d unplanned", len(ans[1].Rows), len(ans[0].Rows))
+	}
+	return ans, ex, nil
 }
 
-// PlanBench is the "plan" experiment: the greedy planner against
-// statement order over randomized chain/star schemas (the same
-// generator the property tests run), equal crowd seeds, each order run
-// once plain and once with transitive inference on. Early exits are
-// reported apart from the HITs saved: both orders spend zero HITs on a
-// provably empty join (graph validity prunes every edge), so their
-// worth is the fixed-order cost the planner predicted. It fails when an
-// EXPLAIN differs from the plan the greedy run then follows or the two
-// plain orders' answers diverge (the closure rows are held to HITs only:
-// an inferred label is not a content-pure verdict); TestPlanSavesHITs
-// and TestPlanComposesWithClosure hold the table to its floors.
+// PlanBench is the "plan" experiment: the greedy planner against the
+// order an unplanned run follows (cost.Expectation with no priority
+// key), equal crowd seeds. Its first table runs randomized chain/star
+// schemas (the generator the property tests run), each pair once plain
+// and once with transitive inference on, and reports early exits with
+// what the unplanned order spent on the same statements; its second runs
+// the configured dataset's Table-4 statements. It fails when a pair
+// does; TestPlanSavesHITs and TestPlanComposesWithClosure hold the
+// tables to their floors.
 func PlanBench(cfg Config) ([]*Table, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	queries := 12 * cfg.Reps
 	if queries < 24 {
 		queries = 24
 	}
-	greedy, fixed := plan.Config{Greedy: true}, plan.Config{FixedOrder: true}
 
-	var fixedHITs, greedyHITs, earlyExits, earlyExitHITs int
-	var fixedTrans, greedyTrans transTotals
+	var cdb, greedy, cdbTrans, greedyTrans transTotals
+	var earlyExits, earlyExitHITs int
 	var planTimes []int64
 
 	for q := 0; q < queries; q++ {
 		c := plan.RandomCase(rng, 3+rng.Intn(4))
 		verdictSeed := rng.Uint64()
 		poolSeed := rng.Uint64()
-		run := func(pc plan.Config, transitive bool) (*engine.Answer, error) {
-			req, err := caseCell(c, pc, transitive, cfg, verdictSeed, poolSeed)
-			if err != nil {
-				return nil, err
-			}
-			return runCell(req, cfg, "CDB")
-		}
-
-		req, err := caseCell(c, greedy, false, cfg, verdictSeed, poolSeed)
+		src := engine.Source{Catalog: c.Catalog, Oracle: exec.ExactOracle{}, PlanConfig: planCfg}
+		plain, ex, err := pair(src, c.Query, false, cfg, verdictSeed, poolSeed)
 		if err != nil {
-			return nil, err
-		}
-		ex, err := req.Explain()
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("plan bench query %d: %w", q, err)
 		}
 		planTimes = append(planTimes, ex.PlanningMicros)
+		cdb.add(plain[0].Report)
+		greedy.add(plain[1].Report)
 		if ex.EarlyExit {
 			earlyExits++
-			earlyExitHITs += ex.FixedTasks
+			earlyExitHITs += plain[0].Report.HITs
 		}
-
-		rg, err := run(greedy, false)
+		closed, _, err := pair(src, c.Query, true, cfg, verdictSeed, poolSeed)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("plan bench query %d: %w", q, err)
 		}
-		rf, err := run(fixed, false)
-		if err != nil {
-			return nil, err
-		}
-		greedyHITs += rg.Report.HITs
-		fixedHITs += rf.Report.HITs
-		for _, cell := range []struct {
-			pc  plan.Config
-			sum *transTotals
-		}{{fixed, &fixedTrans}, {greedy, &greedyTrans}} {
-			rt, err := run(cell.pc, true)
-			if err != nil {
-				return nil, err
-			}
-			cell.sum.add(rt.Report)
-		}
-
-		ran := *rg.Plan
-		ran.PlanningMicros = ex.PlanningMicros
-		if !reflect.DeepEqual(*ex, ran) {
-			return nil, fmt.Errorf("plan bench query %d: EXPLAIN %+v differs from the executed plan %+v", q, *ex, ran)
-		}
-		// Bit-identity is the planner's correctness contract; a diverging
-		// cell means the content-pure verdict layer broke.
-		if !reflect.DeepEqual(rg.Rows, rf.Rows) {
-			return nil, fmt.Errorf("plan bench query %d: %d greedy answers differ from %d fixed", q, len(rg.Rows), len(rf.Rows))
-		}
+		cdbTrans.add(closed[0].Report)
+		greedyTrans.add(closed[1].Report)
 	}
 
 	sort.Slice(planTimes, func(i, j int) bool { return planTimes[i] < planTimes[j] })
-	p95 := planTimes[len(planTimes)*95/100]
+	p95 := float64(planTimes[len(planTimes)*95/100])
+	exits := float64(earlyExits)
 
 	t := &Table{
 		ID: "plan",
-		Title: fmt.Sprintf("greedy multi-join planning over %d queries: %d HITs saved vs statement order, %d early exits worth %d predicted HITs, planning p95 %dµs",
-			queries, fixedHITs-greedyHITs, earlyExits, earlyExitHITs, p95),
+		Title: fmt.Sprintf("greedy multi-join planning over %d queries: %d HITs saved vs the unplanned order, %d early exits (the unplanned order spent %d HITs on them), planning p95 %dµs",
+			queries, cdb.hits-greedy.hits, earlyExits, earlyExitHITs, int64(p95)),
 		LabelNames: []string{"mode"},
 		ValueNames: []string{"hits", "early_exits", "plan_p95_us", "inferred"},
 		Rows: []Row{
-			{Labels: []string{"fixed"}, Values: []float64{float64(fixedHITs), 0, 0, 0}},
-			{Labels: []string{"greedy"}, Values: []float64{float64(greedyHITs), float64(earlyExits), float64(p95), 0}},
-			{Labels: []string{"fixed+closure"}, Values: []float64{float64(fixedTrans.hits), 0, 0, float64(fixedTrans.inferred)}},
-			{Labels: []string{"greedy+closure"}, Values: []float64{float64(greedyTrans.hits), float64(earlyExits), float64(p95), float64(greedyTrans.inferred)}},
+			{Labels: []string{"cdb"}, Values: []float64{float64(cdb.hits), 0, 0, 0}},
+			{Labels: []string{"greedy"}, Values: []float64{float64(greedy.hits), exits, p95, 0}},
+			{Labels: []string{"cdb+closure"}, Values: []float64{float64(cdbTrans.hits), 0, 0, float64(cdbTrans.inferred)}},
+			{Labels: []string{"greedy+closure"}, Values: []float64{float64(greedyTrans.hits), exits, p95, float64(greedyTrans.inferred)}},
 		},
 	}
-	return []*Table{t}, nil
+
+	// The Table-4 statements, each rep over a fresh instance.
+	shapes := &Table{
+		ID:         "plan",
+		Title:      fmt.Sprintf("greedy vs the unplanned order on the %s Table-4 statements, summed over %d reps", cfg.Dataset, cfg.Reps),
+		LabelNames: []string{"query"},
+		ValueNames: []string{"cdb_hits", "greedy_hits", "cdb_rounds", "greedy_rounds"},
+	}
+	rng = stats.NewRNG(cfg.Seed)
+	labels := dataset.QueryLabels()
+	sums := make([][2]transTotals, len(labels))
+	for rep := 0; rep < cfg.Reps; rep++ {
+		d, err := dataset.ByName(cfg.Dataset, dataset.Config{Seed: rng.Uint64(), Scale: cfg.Scale})
+		if err != nil {
+			return nil, err
+		}
+		for i, label := range labels {
+			ans, _, err := pair(source(d), dataset.Queries(cfg.Dataset)[label], false, cfg, rng.Uint64(), rng.Uint64())
+			if err != nil {
+				return nil, fmt.Errorf("plan bench %s rep %d: %w", label, rep, err)
+			}
+			sums[i][0].add(ans[0].Report)
+			sums[i][1].add(ans[1].Report)
+		}
+	}
+	for i, label := range labels {
+		c, g := sums[i][0], sums[i][1]
+		shapes.Rows = append(shapes.Rows, Row{Labels: []string{label},
+			Values: []float64{float64(c.hits), float64(g.hits), float64(c.rounds), float64(g.rounds)}})
+	}
+	return []*Table{t, shapes}, nil
 }

@@ -8,8 +8,8 @@ import "cdb/internal/stats"
 // correctly are drawn from a hash-seeded RNG, so the same task asked by
 // any caller — in any order, interleaved with any other work — yields
 // the same verdict. This is what makes task-level sharing and join
-// reordering answer-preserving: the serving engine's coalescer and the
-// planner's pure resolver both route through it.
+// reordering answer-preserving: the serving engine's coalescer and
+// plan.PureResolver both route through it.
 //
 // k is the requested redundancy (it keys the RNG even when clamped to
 // the pool size). Returns the majority value, its confidence (the

@@ -106,13 +106,12 @@ type Config struct {
 	// Transitive) for every served query, and publishes the inferred
 	// verdicts into the shared cache for cross-query reuse.
 	Transitive bool
-	// Planner configures the greedy multi-join planner. With
-	// Planner.Greedy set, unbudgeted whole-statement SELECTs execute in
-	// the planner's cheapest-first predicate order (answers stay
-	// bit-identical — verdicts are content-pure), with FixedOrder in
-	// statement order, and each Result carries its executed Plan.
-	// Explain works either way.
-	Planner plan.Config
+	// Planner turns on the greedy multi-join planner: unbudgeted
+	// whole-statement SELECTs execute in the planner's cheapest-first
+	// predicate order (answers stay bit-identical — verdicts are
+	// content-pure), and each Result carries its executed Plan. Explain
+	// works either way.
+	Planner bool
 	// Journal, when set, makes paid crowd work durable: every resolved
 	// verdict, executed statement and completed answer is appended, and
 	// New replays the journal into the verdict, sim-join and answer
@@ -504,7 +503,7 @@ func (e *Engine) shareAnswer(h *Handle, ans *Answer, req string, how *atomic.Int
 
 // PlannerEnabled reports whether served SELECTs execute a planned order
 // (and therefore whether streams carry a plan event).
-func (e *Engine) PlannerEnabled() bool { return e.cfg.Planner.Greedy || e.cfg.Planner.FixedOrder }
+func (e *Engine) PlannerEnabled() bool { return e.cfg.Planner }
 
 // Explain plans query without executing it and returns the wire-ready
 // plan: join order, per-step predicted candidate edges, and early-exit

@@ -64,11 +64,9 @@ type SelectRequest struct {
 	// nil means the paper's expectation-based order — and is how a caller
 	// says so: a set Strategy is the configured order of order's table.
 	Strategy func(*exec.Plan) cost.Strategy
-	// Planner turns on planned execution, subject to order's rules.
-	Planner plan.Config
-	// PureSeed seeds the content-pure resolver a planned run needs when
-	// Exec.Resolver is not already one; called only then.
-	PureSeed func() uint64
+	// Planner turns on the greedy planned order, subject to order's
+	// rules.
+	Planner bool
 	// Transport opens the per-query fault-tolerant transport; nil keeps
 	// the synchronous path. A set constructor counts as a transport when
 	// the order is decided, before it is called. RunSelect closes it.
@@ -91,7 +89,6 @@ const (
 	byBudget                     // BUDGET n's cost.Budget
 	byConfigured                 // the request's Strategy
 	byGreedyPlan                 // the planner's greedy order: a leading key of cost.Expectation
-	byFixedPlan                  // the planner's statement order, likewise
 )
 
 // order decides the labeling order of a run from request fields alone,
@@ -101,9 +98,8 @@ const (
 // the only place features constrain each other:
 //
 //	BUDGET n    × planner        budget wins: the run follows cost.Budget's spend-capped order
-//	transport   × planner        transport wins: the planner's pure resolver would shadow it
-//	CDB+        × planner        CDB+ wins: the pure resolver would aggregate in its place
-//	markets     × planner        markets win: the pure resolver would answer from the default pool
+//	planner     × crowd path     compose: the planned order is a key, the verdicts come from the
+//	                             run's own crowd (transport, CDB+, markets or the pool)
 //	planner     × transitivity   compose: one strategy, keys priority → expected yield → Eq. 1
 //	planner     × strategy       planner wins: a configured strategy orders unplanned runs only
 //
@@ -114,15 +110,11 @@ const (
 // A request field that is a constructor counts as set: its maker passes
 // nil when it configures none.
 func (req *SelectRequest) order() order {
-	planned := (req.Planner.Greedy || req.Planner.FixedOrder) && req.Transport == nil &&
-		req.Exec.Quality != exec.CDBPlus && req.Exec.Router == nil
 	switch {
 	case req.Stmt.Budget > 0:
 		return byBudget
-	case planned && req.Planner.Greedy:
+	case req.Planner:
 		return byGreedyPlan
-	case planned:
-		return byFixedPlan
 	case req.Strategy != nil:
 		return byConfigured
 	}
@@ -137,48 +129,26 @@ func (req *SelectRequest) scoped(o order) Source {
 	return src
 }
 
-// decide is the planner's decision a run under o follows, nil unless
-// the order is planned.
-func (o order) decide(p *exec.Plan) *plan.Decision {
-	switch o {
-	case byGreedyPlan:
-		return plan.Greedy(p, 0)
-	case byFixedPlan:
-		return plan.Fixed(p, 0)
-	}
-	return nil
-}
-
-// build makes the executor options of a run under o over the bound plan.
-// The configured strategy and the transport are built — in that order,
-// and the strategy even when the planner then replaces it — before the
-// pure resolver's seed is drawn: building either can draw from the
-// caller's RNG, and the draw order is part of what makes equal seeds
-// replay equal answers.
+// build makes the executor options of a run under o over the bound plan:
+// the strategy o uses, then the transport. Each constructor can draw from
+// the caller's RNG, so this order is part of what makes equal seeds replay
+// equal answers, and a constructor the order does not use is not called.
 func (req *SelectRequest) build(p *exec.Plan, o order) (exec.Options, *plan.Decision) {
 	opts := req.Exec
-	switch {
-	case o == byBudget:
+	var decision *plan.Decision
+	switch o {
+	case byBudget:
 		opts.Strategy = cost.NewBudget(req.Stmt.Budget)
-	case req.Strategy != nil:
+	case byConfigured:
 		opts.Strategy = req.Strategy(p)
+	case byGreedyPlan:
+		decision = plan.Greedy(p, 0)
+		opts.Strategy = decision.Strategy(p)
 	default:
 		opts.Strategy = &cost.Expectation{}
 	}
 	if req.Transport != nil {
 		opts.Transport = req.Transport()
-	}
-	decision := o.decide(p)
-	if decision == nil {
-		return opts, nil
-	}
-	opts.Strategy = decision.Strategy(p)
-	if opts.Resolver == nil {
-		// Content-pure verdicts are what make reordering
-		// answer-preserving; the seed is drawn the same way for the
-		// greedy and fixed orders so equal seeds compare the two over
-		// identical crowds.
-		opts.Resolver = &plan.PureResolver{Seed: req.PureSeed(), Pool: opts.Pool}
 	}
 	return opts, decision
 }
@@ -186,21 +156,15 @@ func (req *SelectRequest) build(p *exec.Plan, o order) (exec.Options, *plan.Deci
 // Explain plans the request's statement without executing it: it binds
 // the graph a run binds, similarity joins only, and calls no
 // constructor of the request, so it issues zero crowd assignments and
-// draws nothing from the caller's RNG. It describes the order a run
-// follows when that order is planned, and the greedy order otherwise;
-// the result's Greedy flag reports whether a run follows the greedy
-// order.
+// draws nothing from the caller's RNG. It describes the greedy order;
+// the result's Greedy flag reports whether a run follows it.
 func (req *SelectRequest) Explain() (*plan.Explained, error) {
 	o := req.order()
 	p, err := req.scoped(o).bind(req.Stmt, nil)
 	if err != nil {
 		return nil, err
 	}
-	d := o.decide(p)
-	if d == nil {
-		d = plan.Greedy(p, 0)
-	}
-	return plan.Describe(p, d, o == byGreedyPlan), nil
+	return plan.Describe(p, plan.Greedy(p, 0), o == byGreedyPlan), nil
 }
 
 // RunSelect executes one SELECT through the pipeline. Cancellation is

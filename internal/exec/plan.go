@@ -7,6 +7,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -29,6 +30,13 @@ var (
 	mBindCandidates = obs.Default.Counter("cdb_exec_bind_candidates_total")
 	mBindEdges      = obs.Default.Counter("cdb_exec_bind_edges_total")
 )
+
+// ErrStatement marks a SELECT that does not bind against the catalog:
+// a table listed twice, an unqualified or unknown column, a predicate
+// within one table, a structure the predicates leave disconnected. The
+// statement is at fault, not the system. (A FROM table the catalog
+// lacks is table.ErrUnknownTable.)
+var ErrStatement = errors.New("statement does not bind")
 
 // Oracle supplies the simulation ground truth: whether two cell values
 // truly denote the same entity. Real deployments have no oracle — it
@@ -202,7 +210,7 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	for _, name := range stmt.From {
 		key := strings.ToLower(name)
 		if _, dup := p.TableIdx[key]; dup {
-			return nil, fmt.Errorf("exec: table %s listed twice in FROM (self-joins need distinct aliases)", name)
+			return nil, fmt.Errorf("exec: %w: table %s listed twice in FROM (self-joins need distinct aliases)", ErrStatement, name)
 		}
 		tb, ok := cat.Get(name)
 		if !ok {
@@ -233,15 +241,15 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 
 	resolve := func(ref cql.ColRef) (tabIdx, colIdx int, err error) {
 		if ref.Table == "" {
-			return 0, 0, fmt.Errorf("exec: column %s must be table-qualified", ref.Column)
+			return 0, 0, fmt.Errorf("exec: %w: column %s must be table-qualified", ErrStatement, ref.Column)
 		}
 		ti, ok := p.TableIdx[strings.ToLower(ref.Table)]
 		if !ok {
-			return 0, 0, fmt.Errorf("exec: predicate references %s, which is not in FROM", ref.Table)
+			return 0, 0, fmt.Errorf("exec: %w: predicate references %s, which is not in FROM", ErrStatement, ref.Table)
 		}
 		ci := p.Tables[ti].Schema.ColIndex(ref.Column)
 		if ci < 0 {
-			return 0, 0, fmt.Errorf("exec: table %s has no column %s", ref.Table, ref.Column)
+			return 0, 0, fmt.Errorf("exec: %w: table %s has no column %s", ErrStatement, ref.Table, ref.Column)
 		}
 		return ti, ci, nil
 	}
@@ -271,7 +279,7 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 				return nil, err
 			}
 			if lt == rt {
-				return nil, fmt.Errorf("exec: join predicate within one table instance: %s", pred)
+				return nil, fmt.Errorf("exec: %w: join predicate within one table instance: %s", ErrStatement, pred)
 			}
 			predIdx := len(s.Preds)
 			s.Preds = append(s.Preds, graph.QPred{A: lt, B: rt, Name: pred.String()})
@@ -354,7 +362,7 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	}
 
 	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("exec: %w", err)
+		return nil, fmt.Errorf("exec: %w: %w", ErrStatement, err)
 	}
 	var lv *liveness
 	if prune {
@@ -475,12 +483,12 @@ func (p *Plan) ProjectAnswer(a graph.Embedding) ([]string, error) {
 	for _, ref := range p.Stmt.Cols {
 		ti, ok := p.TableIdx[strings.ToLower(ref.Table)]
 		if !ok {
-			return nil, fmt.Errorf("exec: projection references unknown table %s", ref.Table)
+			return nil, fmt.Errorf("exec: %w: projection references unknown table %s", ErrStatement, ref.Table)
 		}
 		tb := p.Tables[ti]
 		ci := tb.Schema.ColIndex(ref.Column)
 		if ci < 0 {
-			return nil, fmt.Errorf("exec: projection references unknown column %s", ref)
+			return nil, fmt.Errorf("exec: %w: projection references unknown column %s", ErrStatement, ref)
 		}
 		out = append(out, tb.Cell(p.G.RowOf(a.Assign[ti]), ci).String())
 	}

@@ -97,6 +97,16 @@ func (g *Graph) enumerate(pins []int, keep func(Edge) bool, yield func(assign, e
 	defer func() { en.busy, en.keep, en.yield = false, nil, nil }()
 	en.reset(g)
 	en.keep, en.yield = keep, yield
+	if len(g.S.Preds) == 0 {
+		// A lone table and no predicate: each tuple is an embedding.
+		for row := 0; row < g.TupleCount(0); row++ {
+			en.assign[0] = g.VertexID(0, row)
+			if !yield(en.assign, en.chosen) {
+				return
+			}
+		}
+		return
+	}
 	// Apply pins: fix assignments; bail on inconsistency.
 	for _, eID := range pins {
 		e := g.edges[eID]

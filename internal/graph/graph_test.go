@@ -705,3 +705,25 @@ func TestEnumerateEmbeddingsPins(t *testing.T) {
 		t.Fatal("contradictory pins should yield nothing")
 	}
 }
+
+// TestLoneTableEmbedsEveryTuple: a single table with no predicate (a
+// valid structure) has one embedding per tuple, so SELECT * FROM T
+// answers every row instead of one embedding that assigns no tuple.
+func TestLoneTableEmbedsEveryTuple(t *testing.T) {
+	g, err := NewGraph(&Structure{Tables: []string{"A"}}, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := g.Answers()
+	if len(answers) != 3 {
+		t.Fatalf("%d answers, want 3: %+v", len(answers), answers)
+	}
+	for row, a := range answers {
+		if len(a.Assign) != 1 || a.Assign[0] != g.VertexID(0, row) || len(a.Edges) != 0 {
+			t.Errorf("answer %d = %+v, want tuple %d alone", row, a, row)
+		}
+	}
+	if got := len(g.Candidates(0)); got != 3 {
+		t.Errorf("%d candidates, want 3", got)
+	}
+}

@@ -18,8 +18,11 @@
 // labeling-order mechanism: Decision.Strategy returns cost.Expectation
 // with the order's predicate ranks as the leading key of its
 // comparator, so a planned run packs, traces and infers like any other.
-// Its answers are bit-identical to any other complete strategy's under
-// a content-pure resolver (crowd.PureVerdict): an embedding is an
+// The planner installs no crowd of its own: a planned run draws its
+// verdicts from whatever crowd path the run has (pool, CDB+, markets or
+// the transport). Under a content-pure resolver (crowd.PureVerdict, the
+// serving engine's coalescer and PureResolver) its answers are
+// bit-identical to any other complete strategy's: an embedding is an
 // answer iff all its edges would-verdict blue, independent of the order
 // they are asked in.
 package plan
@@ -35,22 +38,6 @@ import (
 
 // DefaultBins is the similarity-histogram resolution of plan steps.
 const DefaultBins = 8
-
-// Config is the greedy multi-join planner's configuration — the public
-// cdb.PlannerConfig, accepted as cdb.WithPlanner(cfg) and as
-// cdb.Config.Planner. The zero value leaves the planner off.
-type Config struct {
-	// Greedy enables greedy join ordering for SELECT execution: joins
-	// run cheapest-first by live candidate-edge count, and a predicate
-	// with zero surviving candidates terminates the query early with
-	// zero further HITs. Answers are bit-identical to fixed-order
-	// execution under the same seed (verdicts are content-pure).
-	Greedy bool
-	// FixedOrder runs the same planned strategy in statement order —
-	// the baseline greedy is measured against. Ignored when Greedy is
-	// set.
-	FixedOrder bool
-}
 
 // Step is one planned join step: a predicate, where it landed in the
 // order, and what the planner predicted it would cost.
@@ -78,8 +65,8 @@ type Step struct {
 }
 
 // Decision is the planner's output: the predicate execution order with
-// per-step predictions, plus the same prediction replayed over the
-// statement's fixed order for comparison.
+// per-step predictions, plus the same prediction replayed over
+// statement order for comparison.
 type Decision struct {
 	// Order lists predicate indices in execution order. When the plan
 	// exits early the order ends at the proving step; later predicates
@@ -131,16 +118,6 @@ func Greedy(p *exec.Plan, bins int) *Decision {
 	start := time.Now()
 	d := simulate(p, bins, true)
 	d.FixedTasks = simulate(p, bins, false).PredictedTasks
-	d.PlanningMicros = time.Since(start).Microseconds()
-	return d
-}
-
-// Fixed plans p in statement order under the same cost model — the
-// baseline the greedy planner is measured against.
-func Fixed(p *exec.Plan, bins int) *Decision {
-	start := time.Now()
-	d := simulate(p, bins, false)
-	d.FixedTasks = d.PredictedTasks
 	d.PlanningMicros = time.Since(start).Microseconds()
 	return d
 }
@@ -286,9 +263,8 @@ type Explained struct {
 	// Tables lists the FROM tables (selection pseudo-tables excluded).
 	Tables []string `json:"tables"`
 	// Greedy reports whether execution follows the greedy order: false
-	// under the planner's statement order and whenever the planner does
-	// not decide the order (no planner, BUDGET, a transport, CDB+,
-	// markets).
+	// whenever the planner does not decide the order (no planner, or a
+	// BUDGET clause).
 	Greedy bool `json:"greedy"`
 	// JoinOrder is the compact order string, e.g. "p2→p0→p1".
 	JoinOrder string `json:"join_order"`

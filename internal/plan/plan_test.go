@@ -85,17 +85,6 @@ func TestGreedyOrdersCheapestPredicateFirst(t *testing.T) {
 	}
 }
 
-func TestFixedKeepsStatementOrder(t *testing.T) {
-	p := buildPlan(t, chainCatalog(t), chainQuery)
-	d := plan.Fixed(p, 0)
-	if d.Order[0] != 0 || d.Order[1] != 1 {
-		t.Fatalf("fixed order = %v, want [0 1]", d.Order)
-	}
-	if d.FixedTasks != d.PredictedTasks {
-		t.Errorf("fixed decision predicts %d but FixedTasks %d", d.PredictedTasks, d.FixedTasks)
-	}
-}
-
 func TestGreedyEarlyExitOnEmptyPredicate(t *testing.T) {
 	cat := chainCatalog(t)
 	// T3 joins T2.a-side values that share no 2-grams with anything.

@@ -33,10 +33,11 @@ func (d *Decision) Strategy(p *exec.Plan) *cost.Expectation {
 // PureResolver resolves every task through crowd.PureVerdict, making
 // verdicts a pure function of (seed, task key, redundancy) — the same
 // content-pure discipline the serving engine's coalescer follows, minus
-// the sharing machinery. It is what lets DB.Exec compare a greedy plan
-// against the fixed order bit-identically: asking the same question in
-// a different round, or never needing to ask it at all, cannot perturb
-// any other verdict. Stateless and safe for concurrent use.
+// the sharing machinery. A caller installs it as exec.Options.Resolver
+// to compare two orders bit-identically (cdbench's plan experiment
+// does): asking the same question in a different round, or never
+// needing to ask it at all, cannot perturb any other verdict. Stateless
+// and safe for concurrent use.
 type PureResolver struct {
 	Seed uint64
 	Pool *crowd.Pool

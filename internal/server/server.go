@@ -27,6 +27,7 @@ import (
 
 	"cdb"
 	"cdb/client"
+	"cdb/internal/exec"
 	"cdb/internal/obs"
 	"cdb/internal/reqid"
 )
@@ -549,6 +550,11 @@ func mapError(err error, retryAfter time.Duration) (int, *client.ErrorPayload) {
 	case errors.Is(err, cdb.ErrUnknownTable):
 		return http.StatusNotFound, &client.ErrorPayload{
 			Code:    client.CodeUnknownTable,
+			Message: err.Error(),
+		}
+	case errors.Is(err, exec.ErrStatement):
+		return http.StatusBadRequest, &client.ErrorPayload{
+			Code:    client.CodeBadRequest,
 			Message: err.Error(),
 		}
 	case errors.Is(err, context.DeadlineExceeded):

@@ -32,7 +32,7 @@ var testQueries = []string{
 
 // newTestDB opens the canonical test instance. Equal seeds must yield
 // bit-identical verdicts no matter which side of the wire runs them.
-func newTestDB(t *testing.T, opts ...cdb.Option) *cdb.DB {
+func newTestDB(t testing.TB, opts ...cdb.Option) *cdb.DB {
 	t.Helper()
 	db := cdb.Open(append([]cdb.Option{
 		cdb.WithDataset("example", 0, 1),
@@ -395,7 +395,7 @@ func TestServerSharedIdentical(t *testing.T) {
 // typed 400, and planner-enabled streams lead with a "plan" event.
 func TestServerExplain(t *testing.T) {
 	ctx := context.Background()
-	_, eng, hs := newTestServer(t, newTestDB(t, cdb.WithPlanner(cdb.PlannerConfig{Greedy: true})))
+	_, eng, hs := newTestServer(t, newTestDB(t, cdb.WithPlanner(true)))
 	defer eng.Close()
 	c := client.New(hs.URL)
 

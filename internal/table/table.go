@@ -241,8 +241,19 @@ func (c *Catalog) Names() []string {
 // Len reports how many tables are registered.
 func (c *Catalog) Len() int { return len(c.tables) }
 
-// WriteCSV writes the table (header row first) to w.
+// WriteCSV writes the table (header row first) to w. Before writing
+// anything it refuses, naming the row and column, a String cell ReadCSV
+// would not load back as it was: "CNULL" (it loads as a crowd-null),
+// one holding "\r\n" (encoding/csv loads it as "\n"), and the empty
+// cell of a one-column row (a blank line, which loads as no row).
 func (t *Table) WriteCSV(w io.Writer) error {
+	for r, row := range t.Rows {
+		for i, v := range row {
+			if v.Kind == String && !v.Null && (v.S == "CNULL" || strings.Contains(v.S, "\r\n") || v.S == "" && len(row) == 1) {
+				return fmt.Errorf("table %s: row %d col %s: %q would not load back as saved", t.Schema.Name, r+1, t.Schema.Columns[i].Name, v.S)
+			}
+		}
+	}
 	cw := csv.NewWriter(w)
 	header := make([]string, len(t.Schema.Columns))
 	for i, c := range t.Schema.Columns {

@@ -8,6 +8,7 @@ import (
 
 	"cdb/internal/cql"
 	"cdb/internal/dataset"
+	"cdb/internal/engine"
 	"cdb/internal/exec"
 )
 
@@ -75,10 +76,12 @@ func TestEngineTransitivityResult(t *testing.T) {
 // row and entry point. A planner-ordered run is recognisable by its
 // Result.Plan, a run with transitivity on by its per-row Provenance;
 // where the two compose, the planned order is batched with the closure,
-// so inference must have answered something (Stats.Inferred > 0).
+// so inference must have answered something (Stats.Inferred > 0). Where
+// the planner composes with a crowd path, that path must have run: the
+// transport's collect spans, CDB+'s EM infer spans, tasks in both
+// markets.
 func TestFeaturePairRules(t *testing.T) {
 	q := dataset.Queries("paper")["2J"]
-	greedy := &PlannerConfig{Greedy: true}
 	viaExec := func(db *DB, q string) *Result {
 		res, err := db.Exec(q)
 		if err != nil {
@@ -91,6 +94,24 @@ func TestFeaturePairRules(t *testing.T) {
 			return e.Submit(context.Background(), q)
 		})
 	}
+	// viaExecBothMarkets runs q through the pipeline call DB.Exec makes
+	// and fails unless both markets received tasks.
+	viaExecBothMarkets := func(db *DB, q string) *Result {
+		st, err := cql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := engine.RunSelect(context.Background(), db.selectRequest(st.(*cql.Select)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range twoMarkets {
+			if ans.Report.PerMarket[m.Name] == 0 {
+				t.Errorf("market %s received no task: %v", m.Name, ans.Report.PerMarket)
+			}
+		}
+		return ans.Result()
+	}
 	budgeted := strings.Replace(q, ";", " BUDGET 40;", 1)
 
 	cases := []struct {
@@ -98,19 +119,20 @@ func TestFeaturePairRules(t *testing.T) {
 		cfg        Config
 		run        func(*DB, string) *Result
 		query      string
-		planned    bool // the planner's order ran
-		transitive bool // the run kept transitive inference on
+		planned    bool   // the planner's order ran
+		transitive bool   // the run kept transitive inference on
+		span       string // a span only the run's own crowd path emits
 	}{
-		{"planner alone/exec", Config{Planner: greedy}, viaExec, q, true, false},
-		{"planner alone/engine", Config{Planner: greedy}, viaEngine, q, true, false},
-		{"budget beats planner/exec", Config{Planner: greedy}, viaExec, budgeted, false, false},
-		{"budget beats planner/engine", Config{Planner: greedy}, viaEngine, budgeted, false, false},
-		{"transport beats planner/exec", Config{Planner: greedy, Reliability: &ReliabilityPolicy{}}, viaExec, q, false, false},
-		{"cdb+ beats planner/exec", Config{Planner: greedy, QualityControl: true}, viaExec, q, false, false},
-		{"markets beat planner/exec", Config{Planner: greedy, Markets: twoMarkets}, viaExec, q, false, false},
-		{"planner beats a configured strategy/exec", Config{Planner: greedy, Strategy: StrategyMinCut}, viaExec, q, true, false},
-		{"planner composes with transitivity/exec", Config{Planner: greedy, Transitive: true}, viaExec, q, true, true},
-		{"planner composes with transitivity/engine", Config{Planner: greedy, Transitive: true}, viaEngine, q, true, true},
+		{"planner alone/exec", Config{Planner: true}, viaExec, q, true, false, ""},
+		{"planner alone/engine", Config{Planner: true}, viaEngine, q, true, false, ""},
+		{"budget beats planner/exec", Config{Planner: true}, viaExec, budgeted, false, false, ""},
+		{"budget beats planner/engine", Config{Planner: true}, viaEngine, budgeted, false, false, ""},
+		{"planner composes with the transport/exec", Config{Planner: true, Reliability: &ReliabilityPolicy{}}, viaExec, q, true, false, SpanCollect},
+		{"planner composes with cdb+/exec", Config{Planner: true, QualityControl: true}, viaExec, q, true, false, SpanInfer},
+		{"planner composes with markets/exec", Config{Planner: true, Markets: twoMarkets}, viaExecBothMarkets, q, true, false, ""},
+		{"planner beats a configured strategy/exec", Config{Planner: true, Strategy: StrategyMinCut}, viaExec, q, true, false, ""},
+		{"planner composes with transitivity/exec", Config{Planner: true, Transitive: true}, viaExec, q, true, true, ""},
+		{"planner composes with transitivity/engine", Config{Planner: true, Transitive: true}, viaEngine, q, true, true, ""},
 		{"progress executes for real over a cached answer/engine", Config{},
 			func(db *DB, q string) *Result {
 				rounds := 0
@@ -128,11 +150,15 @@ func TestFeaturePairRules(t *testing.T) {
 					t.Errorf("progress hook saw %d rounds of %d: the cached answer was served", rounds, res.Stats.Rounds)
 				}
 				return res
-			}, q, false, false},
+			}, q, false, false, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Tracing = tc.span != ""
 			res := tc.run(openPaper(t, tc.cfg), tc.query)
+			if tc.span != "" && len(res.Trace.ByName(tc.span)) == 0 {
+				t.Errorf("no %s span: the run's own crowd path did not run", tc.span)
+			}
 			if got := res.Plan != nil; got != tc.planned {
 				t.Errorf("planner-ordered = %v, want %v", got, tc.planned)
 			}
@@ -158,43 +184,6 @@ func TestFeaturePairRules(t *testing.T) {
 var twoMarkets = []MarketSpec{
 	{Name: "amt", AssignControl: true, Workers: 30, Accuracy: 0.9, Stddev: 0.05},
 	{Name: "cf", Workers: 30, Accuracy: 0.6, Stddev: 0.1},
-}
-
-// TestPlannerKeepsTheCrowdPath: CDB+ quality control and a market
-// router outrank the planner, whose content-pure resolver would answer
-// every task from the default pool by majority vote in their place. With
-// a greedy planner on top, DB.Exec returns exactly what CDB+ or the
-// markets return alone, and DB.Explain says the run is not greedy.
-func TestPlannerKeepsTheCrowdPath(t *testing.T) {
-	q := dataset.Queries("paper")["3J2S"]
-	for name, cfg := range map[string]Config{
-		"cdb+":    {QualityControl: true},
-		"markets": {Markets: twoMarkets},
-	} {
-		t.Run(name, func(t *testing.T) {
-			want, err := openPaper(t, cfg).Exec(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Planner = &PlannerConfig{Greedy: true}
-			db := openPaper(t, cfg)
-			ex, err := db.Explain(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ex.Greedy {
-				t.Error("EXPLAIN says the run follows the greedy order")
-			}
-			got, err := db.Exec(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("with the planner: %d rows, %+v, plan %v\nwant %d rows, %+v",
-					len(got.Rows), got.Stats, got.Plan != nil, len(want.Rows), want.Stats)
-			}
-		})
-	}
 }
 
 // TestBindScopeRule pins the bind-scope row of the pipeline's rule
@@ -236,7 +225,6 @@ func TestBindScopeRule(t *testing.T) {
 		})
 	}
 	budgeted := strings.Replace(q, ";", " BUDGET 40;", 1)
-	greedy := &PlannerConfig{Greedy: true}
 	cases := []struct {
 		name  string
 		cfg   Config
@@ -256,10 +244,9 @@ func TestBindScopeRule(t *testing.T) {
 		{"budget/engine", Config{}, viaEngine, budgeted, pruned},
 		{"budget over a configured strategy/exec", Config{Strategy: StrategyMinCut}, viaExec, budgeted, pruned},
 		{"transport/exec", Config{Reliability: &ReliabilityPolicy{}}, viaExec, q, pruned},
-		{"planner/exec", Config{Planner: greedy}, viaExec, q, pruned},
-		{"planner/engine", Config{Planner: greedy}, viaEngine, q, pruned},
-		{"planner over a configured strategy/exec", Config{Planner: greedy, Strategy: StrategyMinCut}, viaExec, q, pruned},
-		{"fixed order/exec", Config{Planner: &PlannerConfig{FixedOrder: true}}, viaExec, q, pruned},
+		{"planner/exec", Config{Planner: true}, viaExec, q, pruned},
+		{"planner/engine", Config{Planner: true}, viaEngine, q, pruned},
+		{"planner over a configured strategy/exec", Config{Planner: true, Strategy: StrategyMinCut}, viaExec, q, pruned},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -281,11 +268,11 @@ func TestBindScopeRule(t *testing.T) {
 
 // TestExplainGreedyFlagFollowsTheOrder: EXPLAIN's greedy flag is the
 // order a run follows, not the planner's configuration. Under a greedy
-// planner BUDGET n and a fault-tolerant transport win, so EXPLAIN says
-// greedy exactly when the run then carries a greedy Result.Plan —
-// through DB.Explain / DB.Exec, and through Engine.Explain /
-// Engine.Submit, where a reliability policy opens no transport and the
-// planner keeps the order.
+// planner BUDGET n wins and a fault-tolerant transport composes, so
+// EXPLAIN says greedy exactly when the run then carries a greedy
+// Result.Plan — through DB.Explain / DB.Exec, and through
+// Engine.Explain / Engine.Submit, where a reliability policy opens no
+// transport.
 func TestExplainGreedyFlagFollowsTheOrder(t *testing.T) {
 	q := dataset.Queries("paper")["3J2S"]
 	budgeted := strings.Replace(q, ";", " BUDGET 40;", 1)
@@ -303,7 +290,7 @@ func TestExplainGreedyFlagFollowsTheOrder(t *testing.T) {
 			name := map[bool]string{false: "plain", true: "budget"}[query == budgeted] +
 				map[bool]string{false: "", true: "+reliability"}[rel != nil]
 			t.Run(name, func(t *testing.T) {
-				db := openPaper(t, Config{Planner: &PlannerConfig{Greedy: true}, Reliability: rel})
+				db := openPaper(t, Config{Planner: true, Reliability: rel})
 				ex, err := db.Explain(query)
 				if err != nil {
 					t.Fatal(err)
@@ -312,7 +299,7 @@ func TestExplainGreedyFlagFollowsTheOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				check(t, "DB", ex, res, query == q && rel == nil)
+				check(t, "DB", ex, res, query == q)
 
 				eng, err := db.NewEngine()
 				if err != nil {
@@ -336,8 +323,8 @@ func TestExplainGreedyFlagFollowsTheOrder(t *testing.T) {
 }
 
 // TestExplainDescribesTheRun: for every benchmark shape on paper and
-// award at scale 0.12, greedy and fixed, EXPLAIN reports the plan a run
-// then follows — the executed Result.Plan, field by field but for the
+// award at scale 0.12, EXPLAIN reports the plan a greedy run then
+// follows — the executed Result.Plan, field by field but for the
 // planning wall time — through DB.Exec and Engine.Submit. Both bind the
 // same graph, so a plan-time proof cannot land at a different step.
 func TestExplainDescribesTheRun(t *testing.T) {
@@ -353,43 +340,40 @@ func TestExplainDescribesTheRun(t *testing.T) {
 		}
 	}
 	for _, ds := range []string{"paper", "award"} {
-		for _, pc := range []PlannerConfig{{Greedy: true}, {FixedOrder: true}} {
-			mode := map[bool]string{false: "fixed", true: "greedy"}[pc.Greedy]
-			t.Run(ds+"/"+mode, func(t *testing.T) {
-				db, err := OpenConfig(Config{Seed: 1, Dataset: ds, DatasetScale: 0.12, DatasetSeed: 1, Planner: &pc})
+		t.Run(ds+"/greedy", func(t *testing.T) {
+			db, err := OpenConfig(Config{Seed: 1, Dataset: ds, DatasetScale: 0.12, DatasetSeed: 1, Planner: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := db.NewEngine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			for _, label := range dataset.QueryLabels() {
+				q := dataset.Queries(ds)[label]
+				ex, err := db.Explain(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng, err := db.NewEngine()
+				res, err := db.Exec(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer eng.Close()
-				for _, label := range dataset.QueryLabels() {
-					q := dataset.Queries(ds)[label]
-					ex, err := db.Explain(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := db.Exec(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					same(t, label+" via DB.Exec", ex, res.Plan)
+				same(t, label+" via DB.Exec", ex, res.Plan)
 
-					if ex, err = eng.Explain(q); err != nil {
-						t.Fatal(err)
-					}
-					fut, err := eng.Submit(context.Background(), q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res, err = fut.Result(context.Background()); err != nil {
-						t.Fatal(err)
-					}
-					same(t, label+" via Engine.Submit", ex, res.Plan)
+				if ex, err = eng.Explain(q); err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				fut, err := eng.Submit(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res, err = fut.Result(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				same(t, label+" via Engine.Submit", ex, res.Plan)
+			}
+		})
 	}
 }

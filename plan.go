@@ -21,20 +21,15 @@ type Plan = plan.Explained
 // PlanStep is one step of a Plan.
 type PlanStep = plan.Step
 
-// PlannerConfig configures the greedy multi-join planner: Greedy turns
-// on cheapest-first join ordering with plan-time early exits,
-// FixedOrder runs the same planned executor in statement order (the
-// baseline greedy is measured against; ignored when Greedy is set).
-// It is accepted both as WithPlanner(cfg) and as Config.Planner; the
-// zero value leaves the planner off. How the planner combines with
-// BUDGET, the fault-tolerant transport, CDB+, markets and transitivity
-// is decided in one place — see DESIGN.md §17.
-type PlannerConfig = plan.Config
-
-// WithPlanner applies a PlannerConfig; see Config.Planner for the
-// struct-based route.
-func WithPlanner(cfg PlannerConfig) Option {
-	return func(c *Config) { c.Planner = &cfg }
+// WithPlanner toggles the statistics-free greedy multi-join planner:
+// SELECTs run their joins cheapest-first, with plan-time early exits,
+// and each Result carries its executed Plan. The planned order is a
+// leading key of the default labeling order, so it composes with the
+// rest of the configuration — CDB+, markets, the fault-tolerant
+// transport, transitivity — and only a BUDGET clause takes precedence
+// (DESIGN.md §17).
+func WithPlanner(on bool) Option {
+	return func(c *Config) { c.Planner = on }
 }
 
 // Explain plans q without executing it — and without issuing a single
