@@ -1,8 +1,6 @@
 package cost
 
 import (
-	"sort"
-
 	"cdb/internal/graph"
 	"cdb/internal/maxflow"
 )
@@ -18,18 +16,47 @@ import (
 //
 // The result is sorted and duplicate-free.
 func KnownColorSelect(g *graph.Graph, color func(edgeID int) graph.Color) []int {
-	need := map[int]bool{}
+	var s knownSelect
+	s.run(g, color)
+	n := 0
+	for _, need := range s.need {
+		if need {
+			n++
+		}
+	}
+	out := make([]int, 0, n)
+	for e, need := range s.need {
+		if need {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// knownSelect holds KnownColorSelect's marks, dense by edge and vertex
+// id, so that a caller selecting over many colorings of one graph (the
+// sampler) clears them instead of building them per coloring.
+type knownSelect struct {
+	need     []bool // by edge: the selection
+	bEdge    []bool // by edge: on some all-blue embedding
+	blueNode []bool // by vertex: on some all-blue embedding
+}
+
+// run marks in s.need the edges KnownColorSelect returns.
+func (s *knownSelect) run(g *graph.Graph, color func(edgeID int) graph.Color) {
+	s.need = cleared(s.need, g.NumEdges())
+	s.bEdge = cleared(s.bEdge, g.NumEdges())
+	s.blueNode = cleared(s.blueNode, g.NumVertices())
+	need := s.need
 
 	// Edges on all-blue embeddings must be asked.
 	keepBlue := func(e graph.Edge) bool { return color(e.ID) == graph.Blue }
-	blueNode := map[[2]int]bool{} // (table, vertex) on some blue embedding
-	bEdge := map[int]bool{}
 	g.EnumerateEmbeddings(nil, keepBlue, func(assign, edges []int) bool {
-		for tbl, v := range assign {
-			blueNode[[2]int{tbl, v}] = true
+		for _, v := range assign {
+			s.blueNode[v] = true
 		}
 		for _, e := range edges {
-			bEdge[e] = true
+			s.bEdge[e] = true
 			need[e] = true
 		}
 		return true
@@ -38,7 +65,7 @@ func KnownColorSelect(g *graph.Graph, color func(edgeID int) graph.Color) []int 
 	if g.S.Kind() == graph.Star && len(g.S.Preds) >= 3 {
 		starSelect(g, color, need)
 	} else {
-		chainCutSelect(g, color, blueNode, bEdge, need)
+		chainCutSelect(g, color, s.blueNode, s.bEdge, need)
 	}
 
 	// Completion sweep: the chain linearization of trees and broken
@@ -66,13 +93,17 @@ func KnownColorSelect(g *graph.Graph, color func(edgeID int) graph.Color) []int 
 			break
 		}
 	}
+}
 
-	out := make([]int, 0, len(need))
-	for e := range need {
-		out = append(out, e)
+// cleared returns buf at length n, all zero, reusing its array when it
+// is long enough.
+func cleared[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	sort.Ints(out)
-	return out
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // starSelect applies the paper's star rule: per center tuple, if it
@@ -80,7 +111,7 @@ func KnownColorSelect(g *graph.Graph, color func(edgeID int) graph.Color) []int 
 // asked (every candidate through it is decided edge-by-edge);
 // otherwise it suffices to ask the red edges of the bluest-starved
 // table with the fewest red edges.
-func starSelect(g *graph.Graph, color func(int) graph.Color, need map[int]bool) {
+func starSelect(g *graph.Graph, color func(int) graph.Color, need []bool) {
 	// The center is the table with maximal degree.
 	deg := make([]int, g.NumTables())
 	for _, p := range g.S.Preds {
@@ -135,7 +166,7 @@ func starSelect(g *graph.Graph, color func(int) graph.Color, need map[int]bool) 
 // every non-blue chain segment between blue-path vertices (or the
 // terminals) forms an s–s* path that a red cut edge must sever.
 func chainCutSelect(g *graph.Graph, color func(int) graph.Color,
-	blueNode map[[2]int]bool, bEdge map[int]bool, need map[int]bool) {
+	blueNode, bEdge, need []bool) {
 
 	// Cyclic join structures are first rewritten by duplicating the
 	// far side of each non-tree predicate (§5.1.1); origin maps the
@@ -160,8 +191,7 @@ func chainCutSelect(g *graph.Graph, color func(int) graph.Color,
 		return nodeID[key]
 	}
 	isBlue := func(pos, row int) bool {
-		tbl := dataTable(pos)
-		return blueNode[[2]int{tbl, g.VertexID(tbl, row)}]
+		return blueNode[g.VertexID(dataTable(pos), row)]
 	}
 	base := func(pos, row int) int { return idOf(pos, row, 0) }
 	out := func(pos, row int) int {

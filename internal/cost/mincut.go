@@ -17,6 +17,12 @@ import (
 type MinCutSampling struct {
 	Samples int
 	RNG     *stats.RNG
+
+	// The per-round buffers, kept from round to round: the occurrence
+	// counts, the sampled coloring and the selection's marks.
+	count   []int
+	sampled []graph.Color
+	sel     knownSelect
 }
 
 // NewMinCutSampling builds the strategy with the given sample count
@@ -41,8 +47,9 @@ func (m *MinCutSampling) Order(g *graph.Graph) []int {
 // scores (indexed by edge id) for the latency scheduler.
 func (m *MinCutSampling) OrderScored(g *graph.Graph) ([]int, []float64) {
 	g.Revalidate()
-	count := make([]int, g.NumEdges())
-	sampled := make([]graph.Color, g.NumEdges())
+	m.count = cleared(m.count, g.NumEdges())
+	m.sampled = cleared(m.sampled, g.NumEdges())
+	count, sampled := m.count, m.sampled
 	colorOf := func(e int) graph.Color { return sampled[e] }
 	for s := 0; s < m.Samples; s++ {
 		for e := 0; e < g.NumEdges(); e++ {
@@ -55,8 +62,9 @@ func (m *MinCutSampling) OrderScored(g *graph.Graph) ([]int, []float64) {
 				sampled[e] = graph.Red
 			}
 		}
-		for _, e := range KnownColorSelect(g, colorOf) {
-			if g.Edge(e).Color == graph.Unknown {
+		m.sel.run(g, colorOf)
+		for e, need := range m.sel.need {
+			if need && g.Edge(e).Color == graph.Unknown {
 				count[e]++
 			}
 		}

@@ -176,6 +176,9 @@ func DefaultPlanConfig() PlanConfig {
 type candidates struct {
 	chunks [][]sim.Pair
 	one    [1][]sim.Pair // backs chunks when the pairs are one slice
+	// pairs backs chunks when a streamed or masked join filled them; its
+	// pooled chunks go back once the graph holds the edges.
+	pairs sim.Pairs
 	// lvals and rvals are a CROWDJOIN's columns; nulls says one of them
 	// holds a CNULL cell: a pair on such a cell is no candidate.
 	lvals, rvals []string
@@ -297,9 +300,8 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 				case prune:
 					c.deferred = true // joined below, masked
 				default:
-					var ps sim.Pairs
-					sim.JoinEach(cfg.Sim, lvals, rvals, cfg.Epsilon, ps.Add)
-					c.chunks = ps.Chunks()
+					sim.JoinEach(cfg.Sim, lvals, rvals, cfg.Epsilon, c.pairs.Add)
+					c.chunks = c.pairs.Chunks()
 				}
 				joinTime += time.Since(joinStart)
 				c.truth = joinTruth(orc, s.Tables[lt], pred.Left.Column, s.Tables[rt], pred.Right.Column, lvals, rvals)
@@ -339,15 +341,11 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 			vals, _ := colStrings(lt, lc)
 			if pred.Kind == cql.CrowdEqual {
 				// The constant is tokenised once, not once per row.
-				score := sim.Against(cfg.Sim, pred.Value)
-				for i, v := range vals {
-					if v == "" {
-						continue
-					}
-					if w := score(v); w >= cfg.Epsilon {
+				sim.AgainstEach(cfg.Sim, pred.Value, vals, func(i int, w float64) {
+					if vals[i] != "" && w >= cfg.Epsilon {
 						c.one[0] = append(c.one[0], sim.Pair{Left: i, Sim: w})
 					}
-				}
+				})
 				truth := selTruth(orc, s.Tables[lt], pred.Left.Column, vals, pred.Value)
 				c.truth = func(i, _ int) bool { return truth(i) }
 			} else {
@@ -378,7 +376,8 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 			}
 			c, qp := &cands[pred], s.Preds[pred]
 			joinStart := time.Now()
-			c.chunks = sim.JoinMasked(cfg.Sim, c.lvals, c.rvals, cfg.Epsilon, lv.mask(qp.A), lv.mask(qp.B), fromLeft)
+			c.pairs.JoinMasked(cfg.Sim, c.lvals, c.rvals, cfg.Epsilon, lv.mask(qp.A), lv.mask(qp.B), fromLeft)
+			c.chunks = c.pairs.Chunks()
 			joinTime += time.Since(joinStart)
 			c.deferred = false // and still due its first sweep
 			lv.settle()
@@ -419,10 +418,13 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	})
 	p.S = s
 	p.G = g
+	// The edges are in the graph: the joins' chunks go back to the pool.
+	// A Joiner's slice is the Joiner's and stays as it is.
 	for i := range cands {
 		for _, chunk := range cands[i].chunks {
 			p.Candidates += len(chunk)
 		}
+		cands[i].pairs.Release()
 	}
 	mBindCandidates.Add(int64(p.Candidates))
 	mBindEdges.Add(int64(g.NumEdges()))
@@ -443,10 +445,11 @@ func (p *Plan) TrueAnswerKeys() map[string]bool {
 	return out
 }
 
-// AnswerKeys keys the currently derived answers (all-blue embeddings).
-func (p *Plan) AnswerKeys() map[string]bool {
-	out := map[string]bool{}
-	for _, a := range p.G.Answers() {
+// answerKeys keys derived answers (all-blue embeddings) as
+// TrueAnswerKeys keys the true ones.
+func answerKeys(answers []graph.Embedding) map[string]bool {
+	out := make(map[string]bool, len(answers))
+	for _, a := range answers {
 		out[assignKey(a.Assign)] = true
 	}
 	return out

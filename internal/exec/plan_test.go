@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"cdb/internal/cql"
@@ -250,6 +252,110 @@ func TestBuildPlanBytes(t *testing.T) {
 				c.label, got, edges, p.Candidates, verts, float64(got)/float64(edges), limit)
 		}
 	}
+}
+
+// TestBindSteadyStateBytes: once the similarity join's pools are warm,
+// a LiveOnly bind that runs its own joins allocates what the same bind
+// with the joins' pairs handed in does, plus the chunk lists, merged
+// runs and closures of the joins — 5.4 KB on paper 3J2S at 0.12
+// (152 472 B against 147 040 B; 505 800 B before the join scratch was
+// pooled). None of the scratch fits in the 8 KB slack: not the 18 KB
+// gram table, not a 12 KB pair chunk, not a column's id set, not a
+// join's index arrays. Each side is the least of five binds, so a collection that
+// empties the pools during one bind does not count.
+func TestBindSteadyStateBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop what is put back")
+	}
+	stmt := mustSelect(t, dataset.Queries("paper")["3J2S"])
+	d := dataset.GenPaper(dataset.Config{Seed: 1, Scale: 0.12})
+	bytes := func(cfg PlanConfig) uint64 {
+		cfg.LiveOnly = true
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 6; i++ { // the first bind warms the pools
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := BuildPlan(stmt, d.Catalog, d.Oracle, cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if i > 0 {
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+		}
+		return least
+	}
+	const slack = 8 << 10
+	own, replayed := bytes(DefaultPlanConfig()), bytes(replayJoins(t, stmt, d))
+	if own > replayed+slack {
+		t.Fatalf("LiveOnly bind: %d B running its joins, %d B with them replayed: %d B of join scratch (limit %d B)",
+			own, replayed, own-replayed, slack)
+	}
+}
+
+// TestBindConcurrent: binds that run their own joins from eight
+// goroutines at once — full and LiveOnly, every Table 4 statement of
+// both datasets — build the graphs one goroutine builds alone, edge for
+// edge and truth bit for truth bit, while the join scratch and the pair
+// chunks move between them through the pools.
+func TestBindConcurrent(t *testing.T) {
+	type bind struct {
+		label string
+		stmt  *cql.Select
+		d     *dataset.Data
+		cfg   PlanConfig
+		want  []graph.Edge
+		truth []bool
+	}
+	var binds []bind
+	for _, name := range []string{"paper", "award"} {
+		d, err := dataset.ByName(name, dataset.Config{Seed: 1, Scale: 0.12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"2J", "2J1S", "3J", "3J1S", "3J2S"} {
+			for _, liveOnly := range []bool{false, true} {
+				b := bind{label: fmt.Sprintf("%s %s liveOnly=%v", name, q, liveOnly),
+					stmt: mustSelect(t, dataset.Queries(name)[q]), d: d, cfg: DefaultPlanConfig()}
+				b.cfg.LiveOnly = liveOnly
+				p, err := BuildPlan(b.stmt, d.Catalog, d.Oracle, b.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for e := 0; e < p.G.NumEdges(); e++ {
+					b.want = append(b.want, p.G.Edge(e))
+				}
+				b.truth = p.Truth
+				binds = append(binds, b)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range binds {
+				b := binds[(k+3*g)%len(binds)]
+				p, err := BuildPlan(b.stmt, b.d.Catalog, b.d.Oracle, b.cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if p.G.NumEdges() != len(b.want) {
+					t.Errorf("goroutine %d, %s: %d edges, want %d", g, b.label, p.G.NumEdges(), len(b.want))
+					return
+				}
+				for e, w := range b.want {
+					if got := p.G.Edge(e); got != w || p.Truth[e] != b.truth[e] {
+						t.Errorf("goroutine %d, %s: edge %d is %+v (truth %v), want %+v (truth %v)", g, b.label, e, got, p.Truth[e], w, b.truth[e])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // BenchmarkBuildPlan measures a 3J plan on the paper dataset without

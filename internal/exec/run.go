@@ -513,7 +513,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 			rep.Confidence[i] = c
 		}
 	}
-	precision, recall := stats.PrecisionRecall(p.AnswerKeys(), p.TrueAnswerKeys())
+	precision, recall := stats.PrecisionRecall(answerKeys(rep.Answers), p.TrueAnswerKeys())
 	rep.Metrics = stats.Metrics{Tasks: tasks, Rounds: rounds, Precision: precision, Recall: recall}
 	rep.HITs = opts.Pricing.HITs(rep.Assignments)
 	rep.Dollars = opts.Pricing.Cost(rep.Assignments)

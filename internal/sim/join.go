@@ -3,6 +3,7 @@ package sim
 import (
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"cdb/internal/obs"
@@ -62,41 +63,67 @@ func JoinEach(f Func, left, right []string, eps float64, emit func(Pair)) {
 // class, and about what append-growing a slice to 256 pairs allocates.
 const pairChunk = 512
 
-// Pairs stores emitted pairs once, in fixed-size chunks: growing adds a
-// chunk and copies nothing.
-type Pairs struct{ chunks [][]Pair }
+// chunkPool recycles the chunks of Pairs a caller hands back.
+var chunkPool = sync.Pool{New: func() any { return new([pairChunk]Pair) }}
+
+// Pairs stores emitted pairs once, in fixed-size chunks taken from a
+// pool: growing adds a chunk and copies nothing. A caller done with the
+// pairs hands the chunks back with Release; one that drops them leaves
+// them to the collector.
+type Pairs struct {
+	chunks [][]Pair // the chunks holding the pairs
+	runs   [][]Pair // set by JoinMasked: the pairs in order, as runs of chunks
+}
 
 // Add appends p.
 func (ps *Pairs) Add(p Pair) {
 	last := len(ps.chunks) - 1
 	if last < 0 || len(ps.chunks[last]) == pairChunk {
-		ps.chunks = append(ps.chunks, make([]Pair, 0, pairChunk))
+		ps.chunks = append(ps.chunks, chunkPool.Get().(*[pairChunk]Pair)[:0])
 		last++
 	}
 	ps.chunks[last] = append(ps.chunks[last], p)
 }
 
-// Chunks returns the stored pairs in order, chunk by chunk. The slices
-// are the storage itself.
-func (ps *Pairs) Chunks() [][]Pair { return ps.chunks }
+// Chunks returns the stored pairs in order, chunk by chunk (run by run
+// after JoinMasked). The slices are the storage itself.
+func (ps *Pairs) Chunks() [][]Pair {
+	if ps.runs != nil {
+		return ps.runs
+	}
+	return ps.chunks
+}
 
 // Slice copies the stored pairs into one exactly-sized slice.
 func (ps *Pairs) Slice() []Pair {
-	if len(ps.chunks) == 0 {
+	n := 0
+	for _, c := range ps.Chunks() {
+		n += len(c)
+	}
+	if n == 0 {
 		return nil
 	}
-	last := len(ps.chunks) - 1
-	out := make([]Pair, 0, last*pairChunk+len(ps.chunks[last]))
-	for _, c := range ps.chunks {
+	out := make([]Pair, 0, n)
+	for _, c := range ps.Chunks() {
 		out = append(out, c...)
 	}
 	return out
 }
 
+// Release hands ps's chunks back to the pool and empties ps. No slice
+// Chunks returned may be read after it.
+func (ps *Pairs) Release() {
+	for _, c := range ps.chunks {
+		chunkPool.Put((*[pairChunk]Pair)(c[:pairChunk]))
+	}
+	*ps = Pairs{}
+}
+
 // JoinMasked is Join for a caller that can say which rows still matter
-// to it and needs only the pairs that touch one: keepLeft and keepRight
-// mark them (nil: every row of that side). With fromLeft set the result
-// holds, in Join's order, exactly the pairs (a, b) of Join's with
+// to it and needs only the pairs that touch one, stored in ps, which
+// must be empty: keepLeft and keepRight mark the rows (nil: every row of
+// that side). With fromLeft set ps holds, in Join's order, exactly the
+// pairs (a, b) of Join's with
 //
 //	keepLeft[a], or b in R' = {b : keepRight[b], and some a with keepLeft[a] pairs with b}
 //
@@ -107,26 +134,30 @@ func (ps *Pairs) Slice() []Pair {
 // counter reads instead of |A|·|B|. The two outputs are merged as runs
 // inside the chunks the probes filled: no pair is copied. It counts as
 // one join in the metrics.
-func JoinMasked(f Func, left, right []string, eps float64, keepLeft, keepRight []bool, fromLeft bool) [][]Pair {
+func (ps *Pairs) JoinMasked(f Func, left, right []string, eps float64, keepLeft, keepRight []bool, fromLeft bool) {
 	start := time.Now()
-	// The first probe's pairs, and whom they reach on the other side.
-	var first, second Pairs
-	var found []bool
+	sc := grabScratch(f == TokenJaccard)
+	defer sc.release()
+	// The first probe's pairs go to ps, and found marks whom they reach
+	// on the other side.
+	var second Pairs
+	other := len(left)
 	if fromLeft {
-		found = make([]bool, len(right))
-	} else {
-		found = make([]bool, len(left))
+		other = len(right)
 	}
+	found := resize(sc.found, other)
+	clear(found)
+	sc.found = found
 	note := func(p Pair) {
 		if fromLeft && (keepRight == nil || keepRight[p.Right]) {
 			found[p.Right] = true
 		} else if !fromLeft && (keepLeft == nil || keepLeft[p.Left]) {
 			found[p.Left] = true
 		}
-		first.Add(p)
+		ps.Add(p)
 	}
 	touched := 0
-	if x, ok := newIndex(f, left, right, eps); ok {
+	if x, ok := sc.index(f, left, right, eps); ok {
 		if fromLeft {
 			x.probe(keepLeft, true, nil, true, note)
 			x.probe(keepLeft, false, found, true, second.Add)
@@ -160,13 +191,15 @@ func JoinMasked(f Func, left, right []string, eps float64, keepLeft, keepRight [
 				}
 			}
 		}
+		all.Release()
 	}
-	out, n := mergeRuns(first.chunks, second.chunks)
+	var n int
+	ps.runs, n = mergeRuns(ps.chunks, second.chunks)
+	ps.chunks = append(ps.chunks, second.chunks...)
 	mJoins.Inc()
 	mJoinTouched.Add(int64(touched))
 	mJoinPairs.Add(int64(n))
 	mJoinSeconds.Observe(time.Since(start).Seconds())
-	return out
 }
 
 // mergeRuns merges two lists in ascending (Left, Right) order that
@@ -213,7 +246,9 @@ func before(p, q Pair) bool {
 }
 
 func joinPairs(f Func, left, right []string, eps float64, emit func(Pair)) (touched int) {
-	if x, ok := newIndex(f, left, right, eps); ok {
+	sc := grabScratch(f == TokenJaccard)
+	defer sc.release()
+	if x, ok := sc.index(f, left, right, eps); ok {
 		x.probe(nil, true, nil, true, emit)
 		return x.touched
 	}
@@ -264,7 +299,7 @@ func tokenless(f Func, s string) bool {
 // index is the Jaccard threshold join (eps > 0) over 2-gram sets, or
 // whitespace-token sets when words is set, by overlap counting
 // (ScanCount), taken apart so that its two halves are paid for
-// separately: newIndex tokenises and sizes both columns, once, and
+// separately: scratch.index tokenises and sizes both columns, once, and
 // probe joins a subset of the left rows with a subset of the right rows
 // — an inverted index over the right subset's tokens, one counter per
 // right record of the subset, and for each left record a walk along the
@@ -272,7 +307,7 @@ func tokenless(f Func, s string) bool {
 // then read off the counters as c / (|a| + |b_k| - c). The work is one
 // increment per shared token plus one counter read per pair of the two
 // subsets, and the pairs reach emit in ascending (Left, Right) order.
-// Every probe rebuilds the postings in the arrays newIndex sized.
+// Every probe rebuilds the postings in the arrays scratch.index sized.
 //
 // There is deliberately no prefix or length filter in front of the
 // counters. On the columns this system joins the vocabulary is a few
@@ -291,22 +326,53 @@ type index struct {
 	start, fill []int32 // per token: where its postings start, and fill up to
 	post        []int32 // post[start[id]:start[id+1]]: the subset's records holding id, ascending
 	cnt         []int32
-	rows        []int32 // rows[k]: the right row of the subset's k-th record; nil until a probe restricts
+	rows        []int32 // rows[k]: the right row of the subset's k-th record, when a probe restricts
 
 	touched int // pairs that shared at least one token, over all probes
 }
 
-// newIndex prepares the join Join(f, left, right, eps) runs as one
-// probe; !ok when f and eps leave nothing to count (NoSim; Jaccard at
-// eps <= 0, where pairs sharing no token qualify too).
+// scratch is what a join needs only until it returns: the tokenizer,
+// both columns' id sets, the index's arrays and the masked join's
+// marks. scratchPool recycles it, so a warm pool leaves a join
+// allocating only the pairs it emits. Nothing in it is state between
+// joins: the tokenizer is reset when the scratch is taken, the columns
+// are dropped when it goes back, and the pool sheds what it holds
+// within two collections.
+type scratch struct {
+	tok   tokenizer
+	x     index
+	found []bool
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grabScratch takes a scratch from the pool, its tokenizer reset to
+// tokenise words or 2-grams.
+func grabScratch(words bool) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	sc.tok.reset(words)
+	return sc
+}
+
+// release drops the columns sc's index refers to and returns sc to the
+// pool.
+func (sc *scratch) release() {
+	sc.x.left, sc.x.right, sc.x.exact = nil, nil, nil
+	scratchPool.Put(sc)
+}
+
+// index prepares, in sc's arrays, the join Join(f, left, right, eps)
+// runs as one probe; !ok when f and eps leave nothing to count (NoSim;
+// Jaccard at eps <= 0, where pairs sharing no token qualify too).
 //
 // EditDistance and Cosine count 2-gram overlap at a conservative
 // pre-threshold and verify the survivors with the exact function: edit
 // similarity >= eps implies the 2-gram sets overlap somewhat (2-gram
 // Jaccard of strings within edit distance d of each other degrades
 // roughly linearly in d).
-func newIndex(f Func, left, right []string, eps float64) (x index, ok bool) {
-	x = index{left: left, right: right, pre: eps, eps: eps}
+func (sc *scratch) index(f Func, left, right []string, eps float64) (x *index, ok bool) {
+	x = &sc.x
+	x.left, x.right, x.pre, x.eps, x.exact, x.touched = left, right, eps, eps, nil, 0
 	switch f {
 	case Gram2Jaccard, TokenJaccard:
 		if eps <= 0 {
@@ -319,13 +385,14 @@ func newIndex(f Func, left, right []string, eps float64) (x index, ok bool) {
 	default:
 		return x, false
 	}
-	t := newTokenizer(f == TokenJaccard)
-	x.r, x.l = t.sets(right), t.sets(left)
+	t := &sc.tok
+	x.r, x.l = t.sets(x.r, right), t.sets(x.l, left)
 	nTok := len(t.seen)
-	x.start = make([]int32, nTok+1)
-	x.fill = make([]int32, nTok)
-	x.post = make([]int32, len(x.r.ids))
-	x.cnt = make([]int32, len(right))
+	x.start = resize(x.start, nTok+1)
+	x.fill = resize(x.fill, nTok)
+	x.post = resize(x.post, len(x.r.ids))
+	x.cnt = resize(x.cnt, len(right))
+	clear(x.cnt)
 	return x, true
 }
 
@@ -345,24 +412,23 @@ func (x *index) probe(lmask []bool, lwant bool, rmask []bool, rwant bool, emit f
 	nTok := len(x.fill)
 	start, fill, post := x.start, x.fill, x.post
 	// The subset's k-th record is right row rows[k]; unrestricted, row k.
+	restricted := rmask != nil
 	var rows []int32
-	if rmask != nil {
-		if x.rows == nil {
-			x.rows = make([]int32, len(x.right))
-		}
-		rows = x.rows[:0]
+	if restricted {
+		rows = resize(x.rows, len(x.right))[:0]
 		for j := range x.right {
 			if rmask[j] == rwant {
 				rows = append(rows, int32(j))
 			}
 		}
+		x.rows = rows
 	}
 	n := len(x.right)
-	if rows != nil {
+	if restricted {
 		n = len(rows)
 	}
 	row := func(k int) int {
-		if rows != nil {
+		if restricted {
 			return int(rows[k])
 		}
 		return k

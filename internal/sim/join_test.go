@@ -149,7 +149,7 @@ func fuzzGramIDs(t *testing.T, a, b string, used int) {
 // records. For the Jaccard family Join must return BruteForceJoin's
 // pairs bit for bit, and for the two verify-after-filter functions a
 // subset of them with the same bits; always in strictly ascending
-// (Left, Right) order.
+// (Left, Right) order, and right after a join with another function.
 func FuzzJoinMatchesBruteForce(f *testing.F) {
 	f.Add("University of California|University of Chicago|Duke Uni.", "Univ. of California|Duke Univ.|Microsoft")
 	f.Add("a|a||b| |ab", "|a|b|b|ba ab|\t")
@@ -162,8 +162,12 @@ func FuzzJoinMatchesBruteForce(f *testing.F) {
 			t.Skip("long inputs only slow the quadratic reference down")
 		}
 		left, right := strings.Split(l, "|"), strings.Split(r, "|")
-		for _, fn := range []Func{Gram2Jaccard, TokenJaccard, EditDistance, Cosine} {
+		fns := []Func{Gram2Jaccard, TokenJaccard, EditDistance, Cosine}
+		for k, fn := range fns {
 			for _, eps := range []float64{0.05, 0.3, 0.6, 1.0} {
+				// Right after a join with another function, on the sides
+				// swapped: the pooled scratch comes to this one used.
+				Join(fns[(k+1)%len(fns)], right, left, eps)
 				got := Join(fn, left, right, eps)
 				for k := 1; k < len(got); k++ {
 					p, q := got[k-1], got[k]
@@ -209,7 +213,8 @@ func FuzzJoinMasked(f *testing.F) {
 }
 
 // checkJoinMasked: for all five functions, from either side, with and
-// without a mask on each side, JoinMasked returns the reference join's
+// without a mask on each side, right after a join with another
+// function, JoinMasked returns the reference join's
 // pairs that pass its rule — nothing else, in ascending order, Sim bit
 // for bit. The reference is BruteForceJoin where Join equals it (the
 // Jaccard family) and Join itself for the rest (verify-after-filter
@@ -223,7 +228,8 @@ func checkJoinMasked(t *testing.T, left, right []string, lbits, rbits uint64) {
 		}
 		return m
 	}
-	for _, fn := range []Func{Gram2Jaccard, TokenJaccard, EditDistance, Cosine, NoSim} {
+	fns := []Func{Gram2Jaccard, TokenJaccard, EditDistance, Cosine, NoSim}
+	for k, fn := range fns {
 		for _, eps := range []float64{0, 0.3, 0.6} {
 			ref := Join(fn, left, right, eps)
 			if fn == Gram2Jaccard || fn == TokenJaccard {
@@ -233,6 +239,8 @@ func checkJoinMasked(t *testing.T, left, right []string, lbits, rbits uint64) {
 				for _, keepR := range [][]bool{nil, mask(len(right), rbits)} {
 					for _, fromLeft := range []bool{true, false} {
 						want := maskedRule(ref, keepL, keepR, fromLeft)
+						// Right after a join with another function.
+						Join(fns[(k+1)%len(fns)], right, left, eps)
 						var got []Pair
 						for _, c := range JoinMasked(fn, left, right, eps, keepL, keepR, fromLeft) {
 							got = append(got, c...)

@@ -10,14 +10,17 @@ import (
 // tokenizer turns strings into sets of dense int32 token ids without
 // materialising the token strings: two tokens get the same id iff
 // Grams2 (Tokens, when words is set) would spell them the same. Ids
-// are local to the tokenizer, handed out from 0 in order of first
-// appearance; a join makes one, uses it for both sides and drops it.
+// are local to one use of the tokenizer, handed out from 0 in order of
+// first appearance; a join takes one from the scratch pool, uses it for
+// both sides and resets it.
 type tokenizer struct {
 	words bool
 	// ascii resolves a gram of two printable-ASCII runes (0x20–0x7F) by
 	// index, holding id+1 (0: not seen yet); grams takes every other rune
 	// pair, and the ASCII ones first seen once ids no longer fit 16 bits.
+	// set lists the ascii entries holding an id, for reset.
 	ascii  *[asciiSpan * asciiSpan]uint16
+	set    []uint16
 	grams  map[uint64]int32 // packed rune pair -> id
 	fields map[string]int32 // lower-cased whitespace field -> id
 	seen   []int32          // seen[id] == serial: id is already in the current set
@@ -32,14 +35,24 @@ const (
 	asciiSpan = 0x80 - asciiLow
 )
 
-func newTokenizer(words bool) *tokenizer {
-	t := &tokenizer{words: words}
-	if words {
+// reset forgets every id t handed out — it zeroes the table entries it
+// set, not the whole table, and keeps the maps' and seen's storage — and
+// sets it to tokenise words or 2-grams next.
+func (t *tokenizer) reset(words bool) {
+	for _, e := range t.set {
+		t.ascii[e] = 0
+	}
+	t.set = t.set[:0]
+	clear(t.grams)
+	clear(t.fields)
+	t.seen, t.serial = t.seen[:0], 0
+	t.words = words
+	if words && t.fields == nil {
 		t.fields = make(map[string]int32)
-	} else {
+	}
+	if !words && t.ascii == nil {
 		t.ascii = new([asciiSpan * asciiSpan]uint16)
 	}
-	return t
 }
 
 // loneRune stands in for the first rune of the gram a one-rune string
@@ -107,6 +120,7 @@ func (t *tokenizer) gram(dst []int32, a, b rune) []int32 {
 		if len(t.seen) < math.MaxUint16 {
 			id := t.newID()
 			*e = uint16(id + 1)
+			t.set = append(t.set, uint16(x*asciiSpan+y))
 			return t.add(dst, id)
 		}
 	}
@@ -141,13 +155,17 @@ type idSets struct {
 	off, ids []int32
 }
 
-func (t *tokenizer) sets(recs []string) idSets {
+// sets tokenises recs into out's arrays, growing them only when they
+// are too short.
+func (t *tokenizer) sets(out idSets, recs []string) idSets {
 	bytes := 0
 	for _, s := range recs {
 		bytes += len(s)
 	}
 	// A string has at most one token per byte, so ids never regrows.
-	out := idSets{off: make([]int32, len(recs)+1), ids: make([]int32, 0, bytes)}
+	out.off = resize(out.off, len(recs)+1)
+	out.off[0] = 0
+	out.ids = resize(out.ids, bytes)[:0]
 	for i, s := range recs {
 		out.ids = t.appendSet(out.ids, s)
 		out.off[i+1] = int32(len(out.ids))
@@ -158,32 +176,49 @@ func (t *tokenizer) sets(recs []string) idSets {
 func (s idSets) set(i int) []int32 { return s.ids[s.off[i]:s.off[i+1]] }
 func (s idSets) size(i int) int    { return int(s.off[i+1] - s.off[i]) }
 
-// Against returns a scorer of strings against the fixed string c, for
-// callers that compare one constant with a whole column:
-// Against(f, c)(s) == Similarity(f, s, c), bit for bit, but for the
-// Jaccard family c is normalised and tokenised once instead of once
-// per call. The returned function is not safe for concurrent use.
-func Against(f Func, c string) func(s string) float64 {
-	if f != Gram2Jaccard && f != TokenJaccard {
-		return func(s string) float64 { return Similarity(f, s, c) }
+// resize returns s at length n, reusing its array when it is long
+// enough; the elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	t := newTokenizer(f == TokenJaccard)
-	buf := t.appendSet(nil, c)
-	nc := len(buf) // c's tokens hold exactly the ids below nc
-	return func(s string) float64 {
-		buf = t.appendSet(buf[:0], s)
-		if len(buf) == 0 || nc == 0 {
-			if len(buf) == 0 && nc == 0 {
-				return 1
-			}
-			return 0
+	return s[:n]
+}
+
+// AgainstEach scores every string of col against the fixed string c:
+// emit(i, s) receives s == Similarity(f, col[i], c), bit for bit, in
+// row order. For the Jaccard family c is normalised and tokenised once,
+// not once per row, by a pooled tokenizer that goes back before
+// AgainstEach returns.
+func AgainstEach(f Func, c string, col []string, emit func(i int, s float64)) {
+	if f != Gram2Jaccard && f != TokenJaccard {
+		for i, s := range col {
+			emit(i, Similarity(f, s, c))
 		}
+		return
+	}
+	sc := grabScratch(f == TokenJaccard)
+	defer sc.release()
+	// The ids of c, then of each row, go to the left id set's array.
+	t := &sc.tok
+	buf := t.appendSet(sc.x.l.ids[:0], c)
+	nc := len(buf) // c's tokens hold exactly the ids below nc
+	for i, s := range col {
+		buf = t.appendSet(buf[:0], s)
 		inter := 0
 		for _, id := range buf {
 			if int(id) < nc {
 				inter++
 			}
 		}
-		return float64(inter) / float64(len(buf)+nc-inter)
+		switch {
+		case len(buf) == 0 && nc == 0:
+			emit(i, 1)
+		case len(buf) == 0 || nc == 0:
+			emit(i, 0)
+		default:
+			emit(i, float64(inter)/float64(len(buf)+nc-inter))
+		}
 	}
+	sc.x.l.ids = buf
 }
