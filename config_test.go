@@ -296,6 +296,49 @@ func TestNewEngineInvalid(t *testing.T) {
 	e.Close()
 }
 
+// TestNewEngineRefusesDroppedSettings pins that a DB configured with a
+// setting the engine cannot serve gets an error naming the setting, not
+// an engine that silently serves majority-voting CDB without it.
+func TestNewEngineRefusesDroppedSettings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"QualityControl", Config{QualityControl: true}},
+		{"Strategy " + StrategyMinCut, Config{Strategy: StrategyMinCut}},
+		{"Markets", Config{Markets: []MarketSpec{{Name: "amt", Workers: 10, Accuracy: 0.9}}}},
+		{"Faults", Config{Faults: &FaultConfig{DropRate: 0.1}}},
+		{"Reliability", Config{Reliability: &ReliabilityPolicy{}}},
+		{"Calibration", Config{Calibration: true}},
+		{"Metadata", Config{Metadata: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Dataset = "example"
+			db, err := OpenConfig(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := db.NewEngine()
+			if err == nil {
+				e.Close()
+				t.Fatal("NewEngine accepted a setting it cannot serve")
+			}
+			if !strings.Contains(err.Error(), tc.name) {
+				t.Fatalf("error %q does not name %s", err, tc.name)
+			}
+		})
+	}
+	db, err := OpenConfig(Config{Dataset: "example", Strategy: StrategyCDB, Transitive: true, Planner: true, Tracing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := db.NewEngine()
+	if err != nil {
+		t.Fatalf("settings the engine serves: %v", err)
+	}
+	e.Close()
+}
+
 // TestOpenLenientErr pins Open's backward-compatible contract: invalid
 // knobs never fail construction, but every one is recorded and
 // surfaced — joined — by Err.

@@ -2,6 +2,7 @@ package cdb
 
 import (
 	"fmt"
+	"strings"
 
 	"cdb/internal/engine"
 	"cdb/internal/exec"
@@ -103,7 +104,33 @@ var (
 // inference included. The engine draws one seed from the DB's RNG at
 // construction, so a DB opened with the same WithSeed yields an engine
 // that replays identical verdicts.
+//
+// The engine serves majority-voting CDB over the DB's one pool. A DB
+// configured with anything it cannot serve — QualityControl, a
+// Strategy other than CDB, Markets, Faults, Reliability, Calibration or
+// Metadata — is refused with an error naming each such setting, rather
+// than served without it.
 func (db *DB) NewEngine(opts ...EngineOption) (*Engine, error) {
+	var dropped []string
+	for _, s := range []struct {
+		name string
+		set  bool
+	}{
+		{"QualityControl", db.cfg.QualityControl},
+		{"Strategy " + db.cfg.Strategy, db.newStrategy != nil},
+		{"Markets", len(db.cfg.Markets) > 0},
+		{"Faults", db.cfg.Faults != nil},
+		{"Reliability", db.cfg.Reliability != nil},
+		{"Calibration", db.cfg.Calibration},
+		{"Metadata", db.cfg.Metadata},
+	} {
+		if s.set {
+			dropped = append(dropped, s.name)
+		}
+	}
+	if len(dropped) > 0 {
+		return nil, fmt.Errorf("cdb: the engine serves majority-voting CDB over one pool and cannot honour %s", strings.Join(dropped, ", "))
+	}
 	var o engineOptions
 	for _, opt := range opts {
 		opt(&o)

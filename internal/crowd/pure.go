@@ -1,6 +1,9 @@
 package crowd
 
-import "cdb/internal/stats"
+import (
+	"cdb/internal/quality"
+	"cdb/internal/stats"
+)
 
 // PureVerdict computes the deterministic crowd verdict for one task as
 // a pure function of (seed, key, k) over the pool's latent worker
@@ -43,10 +46,6 @@ func PureVerdict(seed uint64, pool *Pool, key string, truth bool, prior float64,
 			yes++
 		}
 	}
-	value = 2*yes > n
-	conf = float64(yes) / float64(n)
-	if !value {
-		conf = 1 - conf
-	}
+	value, conf = quality.Majority(yes, n)
 	return value, conf, n
 }

@@ -120,25 +120,7 @@ func (c *coalescer) resolve(ctx context.Context, req exec.TaskRequest) (exec.Tas
 			c.cache.put(key, used)
 		}
 		c.mu.Unlock()
-		if v.Ledger {
-			c.ledgerHit.Add(1)
-			mLedgerHits.Inc()
-			if v.Inferred {
-				v.Cached = true
-				c.cached.Add(1)
-			}
-		} else {
-			v.Cached = true
-			c.cached.Add(1)
-		}
-		c.saved.Add(int64(v.Assignments))
-		mCoalShared.Inc()
-		mCoalSaved.Add(int64(v.Assignments))
-		if v.Inferred {
-			c.inferredHit.Add(1)
-			mInferredHit.Inc()
-		}
-		return v, nil
+		return c.served(v), nil
 	}
 	if fl, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
@@ -172,20 +154,7 @@ func (c *coalescer) resolve(ctx context.Context, req exec.TaskRequest) (exec.Tas
 			used.Ledger = false
 			c.cache.put(key, used)
 			c.mu.Unlock()
-			c.ledgerHit.Add(1)
-			mLedgerHits.Inc()
-			if v.Inferred {
-				v.Cached = true
-				c.cached.Add(1)
-			}
-			c.saved.Add(int64(v.Assignments))
-			mCoalShared.Inc()
-			mCoalSaved.Add(int64(v.Assignments))
-			if v.Inferred {
-				c.inferredHit.Add(1)
-				mInferredHit.Inc()
-			}
-			return v, nil
+			return c.served(v), nil
 		}
 	}
 	fl := &flight{done: make(chan struct{})}
@@ -212,6 +181,29 @@ func (c *coalescer) resolve(ctx context.Context, req exec.TaskRequest) (exec.Tas
 	c.mu.Unlock()
 	close(fl.done)
 	return fl.verdict, nil
+}
+
+// served accounts for a verdict answered without crowd work, from the
+// verdict cache or the ledger, and returns it as the asking query sees
+// it. A replayed ledger verdict counts as a ledger hit and, unless it
+// was inferred, not as a cache hit (see resolve).
+func (c *coalescer) served(v exec.TaskVerdict) exec.TaskVerdict {
+	if v.Ledger {
+		c.ledgerHit.Add(1)
+		mLedgerHits.Inc()
+	}
+	if !v.Ledger || v.Inferred {
+		v.Cached = true
+		c.cached.Add(1)
+	}
+	c.saved.Add(int64(v.Assignments))
+	mCoalShared.Inc()
+	mCoalSaved.Add(int64(v.Assignments))
+	if v.Inferred {
+		c.inferredHit.Add(1)
+		mInferredHit.Inc()
+	}
+	return v
 }
 
 // answer simulates one HIT deterministically through the shared

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 
@@ -169,15 +168,16 @@ func (rep *Report) setEdgeConf(e int, conf float64) {
 	rep.edgeConf[e] = conf
 }
 
-// crowdsourceAsync runs one round over the fault-tolerant transport:
+// collectAsync runs one round over the fault-tolerant transport:
 // issue every task with a per-HIT deadline, hedge the slowest tasks at
 // the hedge point, collect to the deadline, then reissue missing
 // assignments in capped backoff waves. Answers are deduped per
 // (task, worker) so injected duplicates and late reissue overlaps feed
-// truth inference exactly once (Eq. 2 stays correct). It returns the
-// round's verdicts, or a context error — in which case the caller
-// discards the whole round so the partial result stays deterministic.
-func (rep *Report) crowdsourceAsync(ctx context.Context, p *Plan, batch []int, opts Options) (map[int]bool, error) {
+// truth inference exactly once (Eq. 2 stays correct). The round's
+// reliability tallies, retry spend and per-market counts are committed
+// to the report only once collection completes; a context error
+// returns before, so the caller can discard the round wholesale.
+func (rep *Report) collectAsync(ctx context.Context, p *Plan, batch []int, opts Options) (asks int, err error) {
 	pol := opts.Reliability
 	tp := opts.Transport
 	tr := opts.Trace
@@ -186,28 +186,22 @@ func (rep *Report) crowdsourceAsync(ctx context.Context, p *Plan, batch []int, o
 	if rep.seen == nil {
 		rep.seen = map[int]map[int]bool{}
 	}
-	if rep.histIndex == nil {
-		rep.histIndex = map[int]int{}
-	}
+	rel, budget := rep.Reliability, rep.retryBudget
+	perMarket := map[string]int{}
 	cur := make(map[int]*asyncTask, len(batch))
 	deadline := tp.Now() + pol.TaskDeadline
 	specs := make([]crowd.TaskSpec, 0, len(batch))
-	for _, e := range batch {
-		st := &asyncTask{edge: e, metaID: -1}
-		if opts.Meta != nil {
-			pred, l, r := p.TaskDescription(e)
-			st.metaID = opts.Meta.RecordTask(taskKindOf(p, e), pred, l, r, rep.round)
-		}
-		cur[e] = st
+	for i, e := range batch {
+		cur[e] = &asyncTask{metaID: int(rep.tasks[i].metaID)}
 		specs = append(specs, crowd.TaskSpec{ID: e, Truth: p.Truth[e], K: k, Deadline: deadline})
-		rep.Reliability.Issued += k
+		rel.Issued += k
 	}
 	tp.Issue(specs)
 
 	absorb := func(ans []crowd.Answer) {
 		for _, a := range ans {
 			if a.Late {
-				rep.Reliability.Late++
+				rel.Late++
 				mAnsLate.Inc()
 			}
 			seen := rep.seen[a.Task]
@@ -218,16 +212,13 @@ func (rep *Report) crowdsourceAsync(ctx context.Context, p *Plan, batch []int, o
 			if seen[a.Worker] {
 				// Idempotent dedup: one opinion per worker per task, no
 				// matter how many deliveries or reissue overlaps.
-				rep.Reliability.Duplicates++
+				rel.Duplicates++
 				mAnsDup.Inc()
 				continue
 			}
 			seen[a.Worker] = true
-			rep.Assignments++
-			if rep.PerMarket == nil {
-				rep.PerMarket = map[string]int{}
-			}
-			rep.PerMarket[a.Market]++
+			asks++
+			perMarket[a.Market]++
 			choice := 0
 			if a.Value {
 				choice = 1
@@ -274,13 +265,13 @@ func (rep *Report) crowdsourceAsync(ctx context.Context, p *Plan, batch []int, o
 		for _, e := range edges {
 			st := cur[e]
 			need := k - len(st.answers)
-			if need <= 0 || rep.retryBudget <= 0 {
+			if need <= 0 || budget <= 0 {
 				continue
 			}
-			if need > rep.retryBudget {
-				need = rep.retryBudget
+			if need > budget {
+				need = budget
 			}
-			rep.retryBudget -= need
+			budget -= need
 			st.attempt++
 			dl := tp.Now() + waveDeadline
 			if pol.JitterFrac > 0 {
@@ -293,14 +284,14 @@ func (rep *Report) crowdsourceAsync(ctx context.Context, p *Plan, batch []int, o
 				maxDl = dl
 			}
 			wave = append(wave, crowd.TaskSpec{ID: e, Attempt: st.attempt, Truth: p.Truth[e], K: need, Deadline: dl})
-			rep.Reliability.Issued += need
-			rep.Reliability.Reissued += need
+			rel.Issued += need
+			rel.Reissued += need
 			if hedge {
-				rep.Reliability.Hedged++
+				rel.Hedged++
 				mTasksHedged.Inc()
 			} else if !st.retried {
 				st.retried = true
-				rep.Reliability.Retried++
+				rel.Retried++
 				mTasksRetry.Inc()
 			}
 		}
@@ -318,7 +309,7 @@ func (rep *Report) crowdsourceAsync(ctx context.Context, p *Plan, batch []int, o
 	if pol.HedgeFrac > 0 {
 		hedgeTick := tp.Now() + int64(pol.HedgeAfter*float64(pol.TaskDeadline))
 		if err := collect(hedgeTick); err != nil {
-			return nil, err
+			return asks, err
 		}
 		cands := missing()
 		sort.Slice(cands, func(i, j int) bool {
@@ -335,13 +326,13 @@ func (rep *Report) crowdsourceAsync(ctx context.Context, p *Plan, batch []int, o
 		reissue(cands, pol.TaskDeadline, true)
 	}
 	if err := collect(deadline); err != nil {
-		return nil, err
+		return asks, err
 	}
 
 	// Retry waves with exponential backoff.
 	for wave := 1; wave <= pol.MaxRetries; wave++ {
 		miss := missing()
-		if len(miss) == 0 || rep.retryBudget <= 0 {
+		if len(miss) == 0 || budget <= 0 {
 			break
 		}
 		waveDeadline := int64(float64(pol.TaskDeadline) * math.Pow(pol.BackoffBase, float64(wave)))
@@ -350,87 +341,31 @@ func (rep *Report) crowdsourceAsync(ctx context.Context, p *Plan, batch []int, o
 			break // budget exhausted before anything went out
 		}
 		if err := collect(maxDl); err != nil {
-			return nil, err
+			return asks, err
 		}
 	}
 
-	// Aggregate. Tasks that still have zero answers are lost: their
-	// verdict degrades gracefully to the optimizer's prior probability,
-	// with the confidence to match.
-	lost := 0
-	verdicts := make(map[int]bool, len(batch))
-	conclude := func(e int, verdict bool, conf float64) {
-		verdicts[e] = verdict
-		rep.setEdgeConf(e, conf)
-		if st := cur[e]; opts.Meta != nil && st.metaID >= 0 {
-			_ = opts.Meta.RecordVerdict(st.metaID, verdict)
+	// Collection is complete: hand each task's answers to conclude and
+	// commit the round's tallies.
+	for i, e := range batch {
+		st, t := cur[e], &rep.tasks[i]
+		t.n = int32(len(st.answers))
+		for _, a := range st.answers {
+			t.yes += int32(a.Choice)
+		}
+		if t.n > 0 && int(t.n) < k {
+			rel.Underfilled++
+		}
+		if opts.Quality == CDBPlus && t.n > 0 {
+			rep.remember(e, quality.ChoiceTask{Choices: 2, Answers: st.answers})
 		}
 	}
-	if opts.Quality == CDBPlus {
-		// EM over the full query history, exactly like the sync path;
-		// late answers absorbed into emHistory above are part of it.
-		for _, e := range batch {
-			st := cur[e]
-			if len(st.answers) == 0 {
-				continue
-			}
-			rep.histIndex[e] = len(rep.emHistory)
-			rep.emHistory = append(rep.emHistory, quality.ChoiceTask{Choices: 2, Answers: st.answers})
+	rep.Reliability, rep.retryBudget = rel, budget
+	for m, n := range perMarket {
+		if rep.PerMarket == nil {
+			rep.PerMarket = map[string]int{}
 		}
-		inferSpan := tr.Begin(obs.SpanInfer)
-		post := opts.Workers.InferEM(rep.emHistory, 50)
-		tr.Mutate(inferSpan, func(s *obs.Span) { s.Tasks = len(rep.emHistory) })
-		tr.End(inferSpan)
-		for _, e := range batch {
-			st := cur[e]
-			if len(st.answers) == 0 {
-				lost++
-				w := p.G.Edge(e).W
-				conclude(e, w >= 0.5, math.Max(w, 1-w))
-				continue
-			}
-			if len(st.answers) < k {
-				rep.Reliability.Underfilled++
-			}
-			pp := post[rep.histIndex[e]]
-			conclude(e, quality.EstimateTruth(pp) == 1, math.Max(pp[0], pp[1]))
-			if opts.Meta != nil {
-				for _, a := range st.answers {
-					opts.Meta.UpdateWorkerQuality(a.Worker, opts.Workers.Quality(a.Worker))
-				}
-			}
-		}
-	} else {
-		for _, e := range batch {
-			st := cur[e]
-			if len(st.answers) == 0 {
-				lost++
-				w := p.G.Edge(e).W
-				conclude(e, w >= 0.5, math.Max(w, 1-w))
-				continue
-			}
-			if len(st.answers) < k {
-				rep.Reliability.Underfilled++
-			}
-			yes := 0
-			for _, a := range st.answers {
-				yes += a.Choice
-			}
-			n := len(st.answers)
-			verdict := 2*yes > n
-			conf := float64(yes) / float64(n)
-			if !verdict {
-				conf = 1 - conf
-			}
-			conclude(e, verdict, conf)
-		}
+		rep.PerMarket[m] += n
 	}
-	if lost > 0 {
-		rep.Reliability.Lost += lost
-		mTasksLost.Add(int64(lost))
-		if pol.Strict {
-			return nil, fmt.Errorf("exec: %d tasks lost after %d retries (strict mode)", lost, pol.MaxRetries)
-		}
-	}
-	return verdicts, nil
+	return asks, nil
 }

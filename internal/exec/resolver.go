@@ -97,12 +97,14 @@ func (p *Plan) TaskKey(edgeID int) string {
 	return b.String()
 }
 
-// crowdsourceResolver runs one round through a shared TaskResolver: the
-// serving layer owns answer collection and aggregation; the executor
-// records verdicts, confidences and sharing telemetry. Metadata gets
-// the task and verdict rows (individual assignments belong to the
-// owning query's resolver and are not re-attributed to subscribers).
-func (rep *Report) crowdsourceResolver(ctx context.Context, p *Plan, batch []int, opts Options) (map[int]bool, error) {
+// collectResolved runs one round through a shared TaskResolver: the
+// serving layer owns answer collection and aggregation, so it returns
+// each task's ruling for conclude to take as served. A batch with
+// any edge left unruled fails before the report is touched. Metadata
+// gets the task and verdict rows only (individual assignments belong to
+// the owning query's resolver and are not re-attributed to
+// subscribers).
+func (rep *Report) collectResolved(ctx context.Context, p *Plan, batch []int, opts Options) (rulings map[int]TaskVerdict, asks int, err error) {
 	reqs := make([]TaskRequest, len(batch))
 	for i, e := range batch {
 		reqs[i] = TaskRequest{
@@ -113,19 +115,18 @@ func (rep *Report) crowdsourceResolver(ctx context.Context, p *Plan, batch []int
 			K:     opts.Redundancy,
 		}
 	}
-	rulings, err := opts.Resolver.Resolve(ctx, reqs)
+	rulings, err = opts.Resolver.Resolve(ctx, reqs)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	verdicts := make(map[int]bool, len(batch))
 	for _, e := range batch {
-		v, ok := rulings[e]
-		if !ok {
-			return nil, fmt.Errorf("exec: resolver returned no verdict for edge %d", e)
+		if _, ok := rulings[e]; !ok {
+			return nil, 0, fmt.Errorf("exec: resolver returned no verdict for edge %d", e)
 		}
-		verdicts[e] = v.Value
-		rep.Assignments += v.Assignments
-		rep.setEdgeConf(e, v.Confidence)
+	}
+	for _, e := range batch {
+		v := rulings[e]
+		asks += v.Assignments
 		mResolved.Inc()
 		if v.Coalesced {
 			rep.Coalesced++
@@ -139,11 +140,6 @@ func (rep *Report) crowdsourceResolver(ctx context.Context, p *Plan, batch []int
 			rep.LedgerTasks++
 			mResLedger.Inc()
 		}
-		if opts.Meta != nil {
-			pred, l, r := p.TaskDescription(e)
-			id := opts.Meta.RecordTask(taskKindOf(p, e), pred, l, r, rep.round)
-			_ = opts.Meta.RecordVerdict(id, v.Value)
-		}
 	}
-	return verdicts, nil
+	return rulings, asks, nil
 }

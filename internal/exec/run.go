@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"cdb/internal/cost"
@@ -188,8 +189,9 @@ type Report struct {
 	// inference always runs over the full evidence (worker quality
 	// estimates sharpen as the query progresses).
 	emHistory []quality.ChoiceTask
-	// histIndex maps a graph edge to its emHistory entry so stragglers
-	// from finished rounds can still feed the worker model.
+	// histIndex maps a graph edge to its emHistory entry, for conclude
+	// and for transport stragglers from finished rounds, which still
+	// feed the worker model.
 	histIndex map[int]int
 	// seen implements idempotent answer dedup: edge → workers whose
 	// answer was already counted.
@@ -205,6 +207,9 @@ type Report struct {
 	// round is the 1-based number of the round being asked (the
 	// RoundUpdate.Round it completes as), recorded with each task.
 	round int
+	// tasks holds the round being asked, aligned with its batch; one
+	// buffer reused round to round.
+	tasks []roundTask
 }
 
 // Run executes the plan with Algorithm 1. The plan's graph is mutated
@@ -335,42 +340,14 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 			tr.End(roundSpan)
 			break
 		}
-		// Snapshot the rollback state: if the round aborts mid-flight
-		// (context cancellation inside an async collect) it is
-		// discarded wholesale, so the partial result reflects exactly
-		// the completed rounds and stays deterministic regardless of
-		// where in the round the cancellation landed.
-		asksBefore := rep.Assignments
-		relBefore := rep.Reliability
-		budgetBefore := rep.retryBudget
-		coalescedBefore, cachedBefore := rep.Coalesced, rep.CachedTasks
-		var perMarketBefore map[string]int
-		if opts.Transport != nil && rep.PerMarket != nil {
-			perMarketBefore = make(map[string]int, len(rep.PerMarket))
-			for k, v := range rep.PerMarket {
-				perMarketBefore[k] = v
-			}
-		}
-
 		rep.round = rounds + 1
 		issueStart := time.Now()
 		issueSpan := tr.Begin(obs.SpanIssue)
-		var verdicts map[int]bool
-		var roundErr error
-		switch {
-		case opts.Resolver != nil:
-			verdicts, roundErr = rep.crowdsourceResolver(ctx, p, batch, opts)
-		case opts.Transport != nil:
-			verdicts, roundErr = rep.crowdsourceAsync(ctx, p, batch, opts)
-		case opts.Quality == CDBPlus:
-			verdicts = rep.crowdsourceAdaptive(p, batch, opts)
-		default:
-			verdicts = rep.crowdsourceMajority(p, batch, opts)
-		}
+		asks, roundErr := rep.crowdsource(ctx, p, batch, opts)
 		mPhaseIssue.Observe(time.Since(issueStart).Seconds())
 		tr.Mutate(issueSpan, func(s *obs.Span) {
 			s.Tasks = len(batch)
-			s.Asks = rep.Assignments - asksBefore
+			s.Asks = asks
 		})
 		tr.End(issueSpan)
 		if roundErr != nil {
@@ -379,18 +356,10 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 			if aerr := abort(roundErr); aerr != nil {
 				return nil, aerr
 			}
-			// Roll the discarded round back out of the report.
-			rep.Assignments = asksBefore
-			rep.Coalesced, rep.CachedTasks = coalescedBefore, cachedBefore
-			relTrunc := relBefore
-			relTrunc.Partial = rep.Reliability.Partial
-			relTrunc.Reason = rep.Reliability.Reason
-			relTrunc.RoundsTruncated++
-			rep.Reliability = relTrunc
-			rep.retryBudget = budgetBefore
-			if opts.Transport != nil {
-				rep.PerMarket = perMarketBefore
-			}
+			// The failed round committed nothing (see crowdsource), so
+			// the partial result reflects exactly the completed rounds
+			// wherever in the round the cancellation landed.
+			rep.Reliability.RoundsTruncated++
 			break
 		}
 		rounds++
@@ -400,7 +369,8 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 
 		colorSpan := tr.Begin(obs.SpanColor)
 		blue, red := 0, 0
-		for e, match := range verdicts {
+		for i, e := range batch {
+			match := rep.tasks[i].match
 			if match {
 				g.SetColor(e, graph.Blue)
 				blue++
@@ -439,12 +409,12 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 
 		if tr != nil {
 			validAfter := g.CountValidUncolored()
-			colored := len(verdicts) + inferredRound
+			colored := len(batch) + inferredRound
 			round := rounds
 			tr.Mutate(roundSpan, func(s *obs.Span) {
 				s.Round = round
 				s.Tasks = len(batch)
-				s.Asks = rep.Assignments - asksBefore
+				s.Asks = asks
 				s.Blue = blue
 				s.Red = red
 				s.Edges = validAfter
@@ -463,7 +433,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 			opts.Progress(RoundUpdate{
 				Round:            rounds,
 				Tasks:            len(batch),
-				Assignments:      rep.Assignments - asksBefore,
+				Assignments:      asks,
 				Blue:             blue,
 				Red:              red,
 				TasksTotal:       tasks,
@@ -476,6 +446,10 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 			break
 		}
 	}
+
+	// The round buffer is scratch; a Report outlives the run in the
+	// engine's answer cache.
+	rep.tasks = nil
 
 	// Strategies that crowdsource tasks outside the query graph (the
 	// ER baselines' within-side dedup pairs) report them here.
@@ -542,12 +516,129 @@ func dedupeUncolored(g *graph.Graph, batch []int, seen []int32, round int32) ([]
 	return out, nil
 }
 
-// crowdsourceMajority asks k distinct workers per task and majority-
-// votes the answers. With a Router configured, consecutive tasks are
-// dealt across markets (cross-market HIT deployment).
-func (rep *Report) crowdsourceMajority(p *Plan, batch []int, opts Options) map[int]bool {
-	verdicts := make(map[int]bool, len(batch))
-	for _, e := range batch {
+// crowdsource runs one crowd round over batch: ask writes the task
+// rows, the run's path collects answers, and conclude turns them into
+// verdicts (rep.tasks[i].match for batch[i]). It returns the worker
+// answers the round collected. A path that fails — the transport on a
+// context error, a resolver that errs or leaves an edge unruled —
+// commits none of its tallies to the report, so Run can discard the
+// round wholesale; conclude itself fails only under Strict, which
+// fails the run.
+func (rep *Report) crowdsource(ctx context.Context, p *Plan, batch []int, opts Options) (asks int, err error) {
+	rep.ask(p, batch, opts)
+	var served map[int]TaskVerdict
+	switch {
+	case opts.Resolver != nil:
+		served, asks, err = rep.collectResolved(ctx, p, batch, opts)
+	case opts.Transport != nil:
+		asks, err = rep.collectAsync(ctx, p, batch, opts)
+	case opts.Quality == CDBPlus:
+		asks = rep.collectAdaptive(p, batch, opts)
+	default:
+		asks = rep.collectMajority(p, batch, opts)
+	}
+	if err != nil {
+		return asks, err
+	}
+	rep.Assignments += asks
+	return asks, rep.conclude(p, batch, served, opts)
+}
+
+// roundTask is one task of the round being asked: the metadata task
+// row (-1 without Options.Meta), the tally of its collected answers —
+// yes of n say "match" — and the verdict conclude draws from them.
+type roundTask struct {
+	metaID, yes, n int32
+	match          bool
+}
+
+// ask opens a round over batch: it resets rep.tasks to one entry per
+// task and writes each task's metadata row, tagged with the round.
+func (rep *Report) ask(p *Plan, batch []int, opts Options) {
+	if cap(rep.tasks) < len(batch) {
+		rep.tasks = make([]roundTask, len(batch))
+	}
+	rep.tasks = rep.tasks[:len(batch)]
+	for i, e := range batch {
+		t := roundTask{metaID: -1}
+		if opts.Meta != nil {
+			pred, l, r := p.TaskDescription(e)
+			t.metaID = int32(opts.Meta.RecordTask(taskKindOf(p, e), pred, l, r, rep.round))
+		}
+		rep.tasks[i] = t
+	}
+}
+
+// remember adds task e's answers to the query's EM history.
+func (rep *Report) remember(e int, t quality.ChoiceTask) {
+	if rep.histIndex == nil {
+		rep.histIndex = map[int]int{}
+	}
+	rep.histIndex[e] = len(rep.emHistory)
+	rep.emHistory = append(rep.emHistory, t)
+}
+
+// conclude is the run's one verdict rule. Each task of the round gets
+// its verdict and confidence from the ruling a resolver served, from
+// CDB+'s EM over the query's whole answer history followed by Bayesian
+// voting (Eq. 2), or from majority voting; a task that collected no
+// answer falls back to the optimizer's prior and counts as lost. The
+// verdict goes to the metadata task row and, under CDB+, each answering
+// worker's refreshed quality to the worker relation. Strict turns a
+// lost task into an error.
+func (rep *Report) conclude(p *Plan, batch []int, served map[int]TaskVerdict, opts Options) error {
+	em := served == nil && opts.Quality == CDBPlus
+	var post [][]float64
+	if em {
+		inferSpan := opts.Trace.Begin(obs.SpanInfer)
+		post = opts.Workers.InferEM(rep.emHistory, 50)
+		opts.Trace.Mutate(inferSpan, func(s *obs.Span) { s.Tasks = len(rep.emHistory) })
+		opts.Trace.End(inferSpan)
+	}
+	lost := 0
+	for i, e := range batch {
+		t := &rep.tasks[i]
+		var conf float64
+		switch {
+		case served != nil:
+			v := served[e]
+			t.match, conf = v.Value, v.Confidence
+		case t.n == 0:
+			lost++
+			w := p.G.Edge(e).W
+			t.match, conf = w >= 0.5, math.Max(w, 1-w)
+		case em:
+			pp := post[rep.histIndex[e]]
+			t.match, conf = quality.EstimateTruth(pp) == 1, math.Max(pp[0], pp[1])
+		default:
+			t.match, conf = quality.Majority(int(t.yes), int(t.n))
+		}
+		rep.setEdgeConf(e, conf)
+		if opts.Meta != nil {
+			// ask wrote the task row, so RecordVerdict cannot miss it.
+			_ = opts.Meta.RecordVerdict(int(t.metaID), t.match)
+			if em && t.n > 0 {
+				for _, a := range rep.emHistory[rep.histIndex[e]].Answers {
+					opts.Meta.UpdateWorkerQuality(a.Worker, opts.Workers.Quality(a.Worker))
+				}
+			}
+		}
+	}
+	if lost > 0 {
+		rep.Reliability.Lost += lost
+		mTasksLost.Add(int64(lost))
+		if opts.Reliability.Strict {
+			return fmt.Errorf("exec: %d tasks lost after %d retries (strict mode)", lost, opts.Reliability.MaxRetries)
+		}
+	}
+	return nil
+}
+
+// collectMajority asks k distinct workers per task and tallies their
+// answers. With a Router configured, consecutive tasks are dealt across
+// markets (cross-market HIT deployment).
+func (rep *Report) collectMajority(p *Plan, batch []int, opts Options) (asks int) {
+	for i, e := range batch {
 		pool := opts.Pool
 		if opts.Router != nil {
 			if m := opts.Router.Route(); m != nil {
@@ -558,34 +649,21 @@ func (rep *Report) crowdsourceMajority(p *Plan, batch []int, opts Options) map[i
 				rep.PerMarket[m.Name]++
 			}
 		}
+		t := &rep.tasks[i]
 		workers := pool.DistinctArrivals(opts.Redundancy)
-		taskID := -1
-		if opts.Meta != nil {
-			pred, l, r := p.TaskDescription(e)
-			taskID = opts.Meta.RecordTask(taskKindOf(p, e), pred, l, r, rep.round)
-		}
-		yes := 0
 		for _, w := range workers {
 			ans := w.AnswerBool(p.Truth[e])
 			if ans {
-				yes++
+				t.yes++
 			}
 			if opts.Meta != nil {
-				opts.Meta.RecordAssignment(taskID, w.ID, boolAnswer(ans))
+				opts.Meta.RecordAssignment(int(t.metaID), w.ID, boolAnswer(ans))
 			}
 		}
-		rep.Assignments += len(workers)
-		verdicts[e] = 2*yes > len(workers)
-		conf := float64(yes) / float64(len(workers))
-		if !verdicts[e] {
-			conf = 1 - conf
-		}
-		rep.setEdgeConf(e, conf)
-		if opts.Meta != nil {
-			_ = opts.Meta.RecordVerdict(taskID, verdicts[e])
-		}
+		t.n = int32(len(workers))
+		asks += len(workers)
 	}
-	return verdicts
+	return asks
 }
 
 func boolAnswer(b bool) string {
@@ -604,13 +682,13 @@ func taskKindOf(p *Plan, edgeID int) meta.TaskKind {
 	return meta.TaskJoin
 }
 
-// crowdsourceAdaptive implements CDB+ quality control for one round:
+// collectAdaptive implements CDB+'s task assignment for one round:
 // every task receives one answer, then the remaining k·|batch|−|batch|
 // answer slots go to the tasks with the highest expected entropy
 // reduction for each arriving worker (Eq. 3), skipping tasks already
-// confident. Truth is inferred by EM (updating the persistent worker
-// model) and Bayesian voting (Eq. 2).
-func (rep *Report) crowdsourceAdaptive(p *Plan, batch []int, opts Options) map[int]bool {
+// confident. The round's tasks join the query's EM history for
+// conclude.
+func (rep *Report) collectAdaptive(p *Plan, batch []int, opts Options) (asks int) {
 	k := opts.Redundancy
 	budget := k * len(batch)
 	maxPerTask := 2 * k
@@ -625,14 +703,6 @@ func (rep *Report) crowdsourceAdaptive(p *Plan, batch []int, opts Options) map[i
 	for i := range posteriors {
 		posteriors[i] = []float64{0.5, 0.5}
 	}
-	metaIDs := make([]int, len(batch))
-	for i := range metaIDs {
-		metaIDs[i] = -1
-		if opts.Meta != nil {
-			pred, l, r := p.TaskDescription(batch[i])
-			metaIDs[i] = opts.Meta.RecordTask(taskKindOf(p, batch[i]), pred, l, r, rep.round)
-		}
-	}
 	answerTask := func(i int, w *crowd.Worker) {
 		choice := 0
 		if w.AnswerBool(p.Truth[batch[i]]) {
@@ -641,10 +711,10 @@ func (rep *Report) crowdsourceAdaptive(p *Plan, batch []int, opts Options) map[i
 		taskList[i].Answers = append(taskList[i].Answers, quality.ChoiceAnswer{Worker: w.ID, Choice: choice})
 		answeredBy[i][w.ID] = true
 		posteriors[i] = quality.BayesianPosterior(taskList[i], opts.Workers.Quality)
-		rep.Assignments++
+		asks++
 		budget--
 		if opts.Meta != nil {
-			opts.Meta.RecordAssignment(metaIDs[i], w.ID, boolAnswer(choice == 1))
+			opts.Meta.RecordAssignment(int(rep.tasks[i].metaID), w.ID, boolAnswer(choice == 1))
 		}
 	}
 	// arrive draws a worker who has not yet judged task i (platforms
@@ -699,30 +769,10 @@ func (rep *Report) crowdsourceAdaptive(p *Plan, batch []int, opts Options) map[i
 		answerTask(pick[0], w)
 	}
 
-	// Truth inference: EM over the full query history refines worker
-	// qualities; this round's verdicts come from the refreshed
-	// posteriors of its own tasks.
-	base := len(rep.emHistory)
-	rep.emHistory = append(rep.emHistory, taskList...)
-	inferSpan := opts.Trace.Begin(obs.SpanInfer)
-	post := opts.Workers.InferEM(rep.emHistory, 50)
-	opts.Trace.Mutate(inferSpan, func(s *obs.Span) { s.Tasks = len(rep.emHistory) })
-	opts.Trace.End(inferSpan)
-	verdicts := make(map[int]bool, len(batch))
 	for i, e := range batch {
-		verdicts[e] = quality.EstimateTruth(post[base+i]) == 1
-		pp := post[base+i]
-		conf := pp[0]
-		if pp[1] > conf {
-			conf = pp[1]
-		}
-		rep.setEdgeConf(e, conf)
-		if opts.Meta != nil {
-			_ = opts.Meta.RecordVerdict(metaIDs[i], verdicts[e])
-			for _, a := range taskList[i].Answers {
-				opts.Meta.UpdateWorkerQuality(a.Worker, opts.Workers.Quality(a.Worker))
-			}
+		if rep.tasks[i].n = int32(len(taskList[i].Answers)); rep.tasks[i].n > 0 {
+			rep.remember(e, taskList[i])
 		}
 	}
-	return verdicts
+	return asks
 }

@@ -293,14 +293,3 @@ func (g *Graph) Candidates(maxN int) []Embedding {
 	})
 	return out
 }
-
-// CountCandidatesThrough counts candidates containing the given edge,
-// up to limit (0 = unlimited). Used by diagnostics and tests.
-func (g *Graph) CountCandidatesThrough(edgeID, limit int) int {
-	n := 0
-	g.enumerate([]int{edgeID}, nonRed, func(_, _ []int) bool {
-		n++
-		return limit <= 0 || n < limit
-	})
-	return n
-}

@@ -596,17 +596,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestCountCandidatesThrough(t *testing.T) {
-	g := buildSmall()
-	// Edge a0b0 participates in 2 candidates (c0 or c1).
-	if n := g.CountCandidatesThrough(0, 0); n != 2 {
-		t.Fatalf("candidates through a0b0 = %d, want 2", n)
-	}
-	if n := g.CountCandidatesThrough(0, 1); n != 1 {
-		t.Fatalf("limited count = %d, want 1", n)
-	}
-}
-
 func TestNewGraphErrors(t *testing.T) {
 	s := chain4()
 	if _, err := NewGraph(s, []int{1, 2}); err == nil {

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"cdb/internal/crowd"
+	"cdb/internal/quality"
 	"cdb/internal/sim"
 )
 
@@ -128,7 +129,8 @@ func GroupBy(values []string, truthSame func(a, b string) bool, cfg Config) ([][
 				yes++
 			}
 		}
-		return 2*yes > len(workers)
+		match, _ := quality.Majority(yes, len(workers))
+		return match
 	}
 
 	for len(pending) > 0 {
@@ -193,7 +195,8 @@ func SortBy(values []string, truthLess func(a, b string) bool, cfg Config) ([]in
 				yes++
 			}
 		}
-		return 2*yes > len(workers)
+		match, _ := quality.Majority(yes, len(workers))
+		return match
 	}
 
 	perm := make([]int, len(values))

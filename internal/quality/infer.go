@@ -93,23 +93,17 @@ type ChoiceTask struct {
 	Answers []ChoiceAnswer
 }
 
-// MajorityVote aggregates by plurality; ties break toward the lowest
-// choice index for determinism. It returns -1 for an empty answer set.
-func MajorityVote(t ChoiceTask) int {
-	if len(t.Answers) == 0 {
-		return -1
+// Majority is the majority-voting rule over n binary answers of which
+// yes say "match": the verdict is a match when more than half do (a tie
+// is a non-match), at the agreeing fraction's confidence. n must be
+// positive for the confidence to be defined.
+func Majority(yes, n int) (match bool, conf float64) {
+	match = 2*yes > n
+	conf = float64(yes) / float64(n)
+	if !match {
+		conf = 1 - conf
 	}
-	counts := make([]int, t.Choices)
-	for _, a := range t.Answers {
-		counts[a.Choice]++
-	}
-	best := 0
-	for i, c := range counts {
-		if c > counts[best] {
-			best = i
-		}
-	}
-	return best
+	return match, conf
 }
 
 // BayesianPosterior computes Eq. 2: the probability of each choice

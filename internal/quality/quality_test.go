@@ -9,19 +9,22 @@ import (
 )
 
 func TestMajorityVote(t *testing.T) {
-	task := ChoiceTask{Choices: 2, Answers: []ChoiceAnswer{
-		{Worker: 0, Choice: 1}, {Worker: 1, Choice: 1}, {Worker: 2, Choice: 0},
-	}}
-	if MajorityVote(task) != 1 {
-		t.Fatal("majority should be 1")
-	}
-	if MajorityVote(ChoiceTask{Choices: 2}) != -1 {
-		t.Fatal("empty task should vote -1")
-	}
-	// Tie breaks to lower index.
-	tie := ChoiceTask{Choices: 2, Answers: []ChoiceAnswer{{Worker: 0, Choice: 1}, {Worker: 1, Choice: 0}}}
-	if MajorityVote(tie) != 0 {
-		t.Fatal("tie should break low")
+	for _, c := range []struct {
+		yes, n int
+		match  bool
+		conf   float64
+	}{
+		{2, 3, true, 2.0 / 3},
+		{1, 3, false, 1 - float64(1)/3},
+		{0, 5, false, 1},
+		{5, 5, true, 1},
+		{1, 2, false, 0.5}, // a tie is a non-match
+		{2, 4, false, 0.5},
+	} {
+		match, conf := Majority(c.yes, c.n)
+		if match != c.match || conf != c.conf {
+			t.Errorf("Majority(%d, %d) = %v at %v, want %v at %v", c.yes, c.n, match, conf, c.match, c.conf)
+		}
 	}
 }
 
@@ -132,7 +135,11 @@ func TestInferEMBeatsMajorityVoting(t *testing.T) {
 		if EstimateTruth(post[i]) == truth[i] {
 			emCorrect++
 		}
-		if MajorityVote(taskList[i]) == truth[i] {
+		yes := 0
+		for _, a := range taskList[i].Answers {
+			yes += a.Choice
+		}
+		if match, _ := Majority(yes, len(taskList[i].Answers)); match == (truth[i] == 1) {
 			mvCorrect++
 		}
 	}

@@ -271,8 +271,8 @@ func TestBindScopeRule(t *testing.T) {
 // planner BUDGET n wins and a fault-tolerant transport composes, so
 // EXPLAIN says greedy exactly when the run then carries a greedy
 // Result.Plan — through DB.Explain / DB.Exec, and through
-// Engine.Explain / Engine.Submit, where a reliability policy opens no
-// transport.
+// Engine.Explain / Engine.Submit. The engine serves no reliability
+// policy, so a DB carrying one gets no engine (NewEngine names it).
 func TestExplainGreedyFlagFollowsTheOrder(t *testing.T) {
 	q := dataset.Queries("paper")["3J2S"]
 	budgeted := strings.Replace(q, ";", " BUDGET 40;", 1)
@@ -302,6 +302,12 @@ func TestExplainGreedyFlagFollowsTheOrder(t *testing.T) {
 				check(t, "DB", ex, res, query == q)
 
 				eng, err := db.NewEngine()
+				if rel != nil {
+					if err == nil || !strings.Contains(err.Error(), "Reliability") {
+						t.Fatalf("NewEngine over a reliability policy: err = %v, want the policy named", err)
+					}
+					return
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
