@@ -2,9 +2,12 @@ package cdb
 
 import (
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"cdb/internal/exec"
 )
 
 func TestQuickstartRunningExample(t *testing.T) {
@@ -104,6 +107,30 @@ func TestStrategySelection(t *testing.T) {
 		if res.Stats.Recall < 0.99 {
 			t.Fatalf("%s recall = %v", strat, res.Stats.Recall)
 		}
+	}
+}
+
+// TestZeroPredicateSelect: a SELECT with no predicate leaves every
+// strategy nothing to ask, so each one returns the rows "cdb" returns.
+func TestZeroPredicateSelect(t *testing.T) {
+	run := func(t *testing.T, strat string) *Result {
+		db := Open(WithDataset("paper", 0.05, 1), WithStrategy(strat), WithSeed(1))
+		res, err := db.Exec("SELECT * FROM Paper;")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(t, StrategyCDB)
+	if len(want.Rows) == 0 {
+		t.Fatal("cdb returned no rows")
+	}
+	for _, strat := range exec.StrategyNames() {
+		t.Run(strat, func(t *testing.T) {
+			if got := run(t, strat); !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Errorf("%d rows, cdb returns %d", len(got.Rows), len(want.Rows))
+			}
+		})
 	}
 }
 

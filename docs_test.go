@@ -46,7 +46,9 @@ var docsAllowed = map[string]string{
 // Calls are read without their arguments. Everything else — paths,
 // metric and JSON names (they carry underscores), standard-library
 // references, CQL — is prose to this test. Fig. 8's method labels
-// (bench.Methods) are names too; docsAllowed lists the rest.
+// (bench.Methods) are names too; docsAllowed lists the rest. The docs
+// also never cite a ROADMAP item by number: items are renumbered, so
+// they name the mechanism instead.
 func TestDocsNameLiveIdentifiers(t *testing.T) {
 	ix := indexModule(t, ".")
 	experiments := append(bench.ExperimentIDs(), "all")
@@ -55,6 +57,7 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 		ref      = regexp.MustCompile(`^\*?([A-Za-z]\w*(?:\.[A-Za-z]\w*)*)(?:\(.*\))?(\*)?$`)
 		exp      = regexp.MustCompile(`(?:^|\s)-exp (\S+)`)
 		span     = regexp.MustCompile("`([^`]+)`")
+		item     = regexp.MustCompile(`ROADMAP item \d+`)
 	)
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		f, err := os.Open(doc)
@@ -70,6 +73,9 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 			}
 			if fenced {
 				continue
+			}
+			if m := item.FindString(sc.Text()); m != "" {
+				t.Errorf("%s:%d: %q: name the mechanism, not its ROADMAP number", doc, line, m)
 			}
 			for _, m := range span.FindAllStringSubmatch(sc.Text(), -1) {
 				s := m[1]

@@ -161,7 +161,7 @@ func TestERDeductions(t *testing.T) {
 	e0 := g.AddEdge(0, 0, 0, 0.9) // a0-b0, truth blue
 	e1 := g.AddEdge(0, 1, 0, 0.8) // a1-b0, truth blue (same entity)
 	tr := NewTrans()
-	tr.Side = func(pred int, alive map[int]bool) []SidePair {
+	tr.Side = func(pred int, alive []bool) []SidePair {
 		return []SidePair{{U: g.VertexID(0, 0), V: g.VertexID(0, 1), Match: true}}
 	}
 	b1 := tr.NextRound(g)
@@ -190,7 +190,7 @@ func TestACDDoesNotTrustPositive(t *testing.T) {
 	e0 := g.AddEdge(0, 0, 0, 0.9)
 	e1 := g.AddEdge(0, 1, 0, 0.8)
 	acd := NewACD()
-	acd.Side = func(int, map[int]bool) []SidePair {
+	acd.Side = func(int, []bool) []SidePair {
 		return []SidePair{{U: g.VertexID(0, 0), V: g.VertexID(0, 1), Match: true}}
 	}
 	b1 := acd.NextRound(g)
@@ -214,7 +214,7 @@ func TestERNegativeDeduction(t *testing.T) {
 		e0 := g.AddEdge(0, 0, 0, 0.9)
 		e1 := g.AddEdge(0, 0, 1, 0.8)
 		er := mk()
-		er.Side = func(int, map[int]bool) []SidePair {
+		er.Side = func(int, []bool) []SidePair {
 			return []SidePair{{U: g.VertexID(1, 0), V: g.VertexID(1, 1), Match: true}}
 		}
 		b1 := er.NextRound(g)
@@ -336,21 +336,6 @@ func TestGreedyBudgetFollowsBlueForFree(t *testing.T) {
 	}
 }
 
-func TestConnectedGroups(t *testing.T) {
-	s := &graph.Structure{
-		Tables: []string{"A", "B", "C", "D"},
-		Preds:  []graph.QPred{{A: 0, B: 1}, {A: 2, B: 3}, {A: 1, B: 2}},
-	}
-	groups := connectedGroups(s, []int{0, 1})
-	if len(groups) != 2 {
-		t.Fatalf("groups = %v, want 2 disconnected groups", groups)
-	}
-	groups = connectedGroups(s, []int{0, 1, 2})
-	if len(groups) != 1 {
-		t.Fatalf("groups = %v, want 1 connected group", groups)
-	}
-}
-
 func TestERFlushDrainsEverything(t *testing.T) {
 	g, _ := chainGraph([][4]interface{}{
 		{0, 0, 0, true}, {0, 1, 1, true},
@@ -408,8 +393,8 @@ func TestGreedyBudgetFlush(t *testing.T) {
 }
 
 func TestERUnionMergesNonMatchConstraints(t *testing.T) {
-	// a0-b0 red (nonmatch between clusters), then side dedup merges
-	// b0~b1: the constraint must survive the merge so a0-b1 is deduced.
+	// a0-b0 comes back red, then side dedup merges b0~b1: the
+	// non-match must survive the merge so a0-b1 is deduced red.
 	s := &graph.Structure{
 		Tables: []string{"A", "B"},
 		Preds:  []graph.QPred{{A: 0, B: 1}},
@@ -423,13 +408,14 @@ func TestERUnionMergesNonMatchConstraints(t *testing.T) {
 		t.Fatalf("round 1 = %v", b1)
 	}
 	g.SetColor(e0, graph.Red)
-	// Directly exercise the union-with-constraints path.
-	tr.absorb(g)
-	tr.union(g.VertexID(1, 0), g.VertexID(1, 1))
-	if !tr.nonMatch[normPair(tr.find(g.VertexID(0, 0)), tr.find(g.VertexID(1, 1)))] {
-		t.Fatal("nonmatch constraint lost across union")
+	tr.cl.Update()
+	tr.cl.Assume(0, g.VertexID(1, 0), g.VertexID(1, 1), true)
+	if b2 := tr.NextRound(g); b2 != nil {
+		t.Fatalf("round 2 = %v, want nil (a0-b1 deduced)", b2)
 	}
-	_ = e1
+	if g.Edge(e1).Color != graph.Red {
+		t.Fatal("non-match lost across the merge: a0-b1 not deduced red")
+	}
 }
 
 func TestGreedyBudgetNothingLeft(t *testing.T) {

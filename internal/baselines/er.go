@@ -1,8 +1,6 @@
 package baselines
 
-import (
-	"cdb/internal/graph"
-)
+import "cdb/internal/graph"
 
 // ER is the crowdsourced entity-resolution family of baselines:
 // processes join predicates one by one (best estimated order); within
@@ -28,14 +26,13 @@ type ER struct {
 	// cross pairs).
 	Side SideOracle
 
-	order       []int
-	stage       int
-	pending     []int // pairs of the current join, weight-descending
-	asked       []int // pairs asked in the previous wave
-	uf          map[int]int
-	nonMatch    map[[2]int]bool
-	initialized bool
-	extra       int
+	order   []int
+	stage   int
+	pending []int // pairs of the current join, weight-descending
+	// cl clusters each join's tuples on the crowd's answers and the
+	// side-dedup answers it assumes; nil until the first call.
+	cl    *graph.Closure
+	extra int
 }
 
 // SidePair is one within-table dedup comparison (two values of the
@@ -48,8 +45,9 @@ type SidePair struct {
 }
 
 // SideOracle returns the within-side similar pairs of a predicate
-// restricted to the currently-alive vertices.
-type SideOracle func(pred int, alive map[int]bool) []SidePair
+// restricted to the currently-alive vertices (alive is indexed by
+// vertex id).
+type SideOracle func(pred int, alive []bool) []SidePair
 
 // ExtraTasks reports tasks issued outside the query graph (side
 // dedup); the executor adds them to the cost metric.
@@ -64,87 +62,37 @@ func NewACD() *ER { return &ER{Label: "ACD"} }
 // Name implements the Strategy contract.
 func (t *ER) Name() string { return t.Label }
 
-func (t *ER) find(x int) int {
-	if _, ok := t.uf[x]; !ok {
-		t.uf[x] = x
-		return x
-	}
-	if t.uf[x] != x {
-		t.uf[x] = t.find(t.uf[x])
-	}
-	return t.uf[x]
-}
-
-func (t *ER) union(a, b int) {
-	ra, rb := t.find(a), t.find(b)
-	if ra == rb {
-		return
-	}
-	t.uf[ra] = rb
-	// Merge non-match constraints onto the surviving root.
-	for key := range t.nonMatch {
-		if key[0] == ra || key[1] == ra {
-			x, y := key[0], key[1]
-			if x == ra {
-				x = rb
-			}
-			if y == ra {
-				y = rb
-			}
-			delete(t.nonMatch, key)
-			t.nonMatch[normPair(x, y)] = true
+// start fixes the join order and starts the first join on the first
+// call; false means no join is left, which is at once the case for a
+// statement without predicates.
+func (t *ER) start(g *graph.Graph) bool {
+	if t.cl == nil {
+		t.order = DecoOrder(g)
+		t.cl = graph.NewClosure(g)
+		if len(t.order) > 0 {
+			t.startJoin(g, t.order[0])
 		}
 	}
-}
-
-func normPair(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
-}
-
-// absorb folds the previous wave's crowd answers into the clustering.
-func (t *ER) absorb(g *graph.Graph) {
-	for _, e := range t.asked {
-		ed := g.Edge(e)
-		switch ed.Color {
-		case graph.Blue:
-			t.union(ed.U, ed.V)
-		case graph.Red:
-			t.nonMatch[normPair(t.find(ed.U), t.find(ed.V))] = true
-		}
-	}
-	t.asked = nil
+	return t.stage < len(t.order)
 }
 
 // startJoin initializes the pending pair list for the predicate,
 // restricted to tuples alive after the previously processed joins.
 func (t *ER) startJoin(g *graph.Graph, p int) {
-	t.uf = map[int]int{}
-	t.nonMatch = map[[2]int]bool{}
-	alive := aliveVertices(g, t.order[:t.stage], liveColor(g))
+	alive := g.Survivors(t.order[:t.stage], blue)
 	t.pending = nil
 	for _, e := range sortedEdgeIDs(g, p) {
-		ed := g.Edge(e)
-		if ed.Color != graph.Unknown || !alive[ed.U] || !alive[ed.V] {
-			continue
+		if ed := g.Edge(e); ed.Color == graph.Unknown && alive[ed.U] && alive[ed.V] {
+			t.pending = append(t.pending, e)
 		}
-		t.pending = append(t.pending, e)
-		t.uf[ed.U] = ed.U
-		t.uf[ed.V] = ed.V
 	}
-	// Pay for and absorb within-side dedup: its answers seed the
-	// clusters (matches) and constraints (non-matches) that transitive
-	// deduction works from.
+	// Pay for within-side dedup: its answers seed the clusters
+	// (matches) and constraints (non-matches) that transitive deduction
+	// works from.
 	if t.Side != nil && len(t.pending) > 0 {
 		for _, sp := range t.Side(p, alive) {
 			t.extra++
-			if sp.Match {
-				t.union(sp.U, sp.V)
-			} else {
-				t.nonMatch[normPair(t.find(sp.U), t.find(sp.V))] = true
-			}
+			t.cl.Assume(p, sp.U, sp.V, sp.Match)
 		}
 	}
 }
@@ -152,16 +100,16 @@ func (t *ER) startJoin(g *graph.Graph, p int) {
 // NextRound implements the Strategy contract: one wave of mutually
 // endpoint-disjoint, non-deducible pairs of the current join.
 func (t *ER) NextRound(g *graph.Graph) []int {
-	if !t.initialized {
-		t.order = DecoOrder(g)
-		t.initialized = true
-		t.startJoin(g, t.order[t.stage])
+	if !t.start(g) {
+		return nil
 	}
 	for {
-		t.absorb(g)
-		// Deduce what transitivity already knows, then build a wave of
-		// endpoint-cluster-disjoint pairs (pairs sharing a cluster must
-		// wait: their outcome may become deducible).
+		t.cl.Update()
+		// Deduce what transitivity already knows (ACD re-asks a Blue
+		// deduction), then build a wave of endpoint-cluster-disjoint
+		// pairs (pairs sharing a cluster must wait: their outcome may
+		// become deducible).
+		p := t.order[t.stage]
 		var wave []int
 		busy := map[int]bool{}
 		remaining := t.pending[:0]
@@ -170,27 +118,19 @@ func (t *ER) NextRound(g *graph.Graph) []int {
 			if ed.Color != graph.Unknown {
 				continue
 			}
-			ra, rb := t.find(ed.U), t.find(ed.V)
-			if ra == rb {
-				if t.TrustPositive {
-					g.SetColor(e, graph.Blue) // deduced, free
-					continue
-				}
-			} else if t.nonMatch[normPair(ra, rb)] {
-				g.SetColor(e, graph.Red) // deduced, free
+			if c, _, ok := t.cl.Entails(e); ok && (c == graph.Red || t.TrustPositive) {
+				g.SetColor(e, c) // deduced, free
 				continue
 			}
-			if busy[ra] || busy[rb] {
-				remaining = append(remaining, e)
-				continue
-			}
-			busy[ra], busy[rb] = true, true
-			wave = append(wave, e)
 			remaining = append(remaining, e)
+			ra, rb := t.cl.ClusterRoot(p, ed.U), t.cl.ClusterRoot(p, ed.V)
+			if !busy[ra] && !busy[rb] {
+				busy[ra], busy[rb] = true, true
+				wave = append(wave, e)
+			}
 		}
-		t.pending = append([]int(nil), remaining...)
+		t.pending = remaining
 		if len(wave) > 0 {
-			t.asked = wave
 			return wave
 		}
 		// Current join finished; advance.
@@ -205,30 +145,16 @@ func (t *ER) NextRound(g *graph.Graph) []int {
 // Flush implements the Strategy contract: everything still pending on
 // this and later joins, without further deduction opportunities.
 func (t *ER) Flush(g *graph.Graph) []int {
-	if !t.initialized {
-		t.order = DecoOrder(g)
-		t.initialized = true
-		t.startJoin(g, t.order[t.stage])
+	if !t.start(g) {
+		return nil
 	}
-	t.absorb(g)
 	var all []int
-	seen := map[int]bool{}
-	add := func(e int) {
-		if !seen[e] && g.Edge(e).Color == graph.Unknown {
-			seen[e] = true
+	for _, e := range t.pending {
+		if g.Edge(e).Color == graph.Unknown {
 			all = append(all, e)
 		}
 	}
-	for _, e := range t.pending {
-		add(e)
-	}
-	for s := t.stage + 1; s < len(t.order); s++ {
-		alive := aliveVertices(g, t.order[:s], optimisticColor(g))
-		for _, e := range frontierEdges(g, t.order[s], alive) {
-			add(e)
-		}
-	}
-	t.stage = len(t.order)
-	t.pending = nil
+	all = flood(g, t.order, t.stage+1, all)
+	t.stage, t.pending = len(t.order), nil
 	return all
 }

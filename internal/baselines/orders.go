@@ -143,16 +143,10 @@ func DecoOrder(g *graph.Graph) []int {
 // SimulateOrderCost computes the EXACT number of tasks a tree-model
 // execution of order would ask, given the true edge colors.
 func SimulateOrderCost(g *graph.Graph, truth []bool, order []int) int {
-	isBlue := func(e int) bool { return truth[e] }
+	isBlue := func(e graph.Edge) bool { return truth[e.ID] }
 	cost := 0
 	for stage, p := range order {
-		alive := aliveVertices(g, order[:stage], isBlue)
-		for e := 0; e < g.NumEdges(); e++ {
-			ed := g.Edge(e)
-			if ed.Pred == p && ed.Color == graph.Unknown && alive[ed.U] && alive[ed.V] {
-				cost++
-			}
-		}
+		cost += len(frontierEdges(g, p, g.Survivors(order[:stage], isBlue)))
 	}
 	return cost
 }

@@ -9,11 +9,7 @@
 // the quality/latency machinery treat every system identically.
 package baselines
 
-import (
-	"sort"
-
-	"cdb/internal/graph"
-)
+import "cdb/internal/graph"
 
 // TreeModel executes a fixed table-level predicate order: round k asks
 // every edge of predicate order[k] whose already-joined endpoints
@@ -38,7 +34,7 @@ func (t *TreeModel) Name() string { return t.Label }
 func (t *TreeModel) NextRound(g *graph.Graph) []int {
 	for t.stage < len(t.Order) {
 		p := t.Order[t.stage]
-		alive := aliveVertices(g, t.Order[:t.stage], liveColor(g))
+		alive := g.Survivors(t.Order[:t.stage], blue)
 		t.stage++
 		batch := frontierEdges(g, p, alive)
 		if len(batch) > 0 {
@@ -51,196 +47,36 @@ func (t *TreeModel) NextRound(g *graph.Graph) []int {
 // Flush implements the Strategy contract: all edges of the remaining
 // predicates restricted to currently-alive tuples, in one flood.
 func (t *TreeModel) Flush(g *graph.Graph) []int {
-	var all []int
-	seen := map[int]bool{}
-	for t.stage < len(t.Order) {
-		p := t.Order[t.stage]
-		// Optimistic aliveness: unanswered edges might turn blue, so
-		// their tuples' downstream tasks are still "remaining".
-		alive := aliveVertices(g, t.Order[:t.stage], optimisticColor(g))
-		t.stage++
-		for _, e := range frontierEdges(g, p, alive) {
-			if !seen[e] {
-				seen[e] = true
-				all = append(all, e)
-			}
-		}
-	}
+	all := flood(g, t.Order, t.stage, nil)
+	t.stage = len(t.Order)
 	return all
 }
 
-// liveColor adapts the graph's current colors for alive computation.
-func liveColor(g *graph.Graph) func(int) bool {
-	return func(e int) bool { return g.Edge(e).Color == graph.Blue }
+// flood appends to batch the uncolored edges of order[from:] whose
+// endpoints survive the predicates before them. Survival is
+// optimistic: an unanswered edge might still turn blue, so its tuples'
+// downstream tasks still remain.
+func flood(g *graph.Graph, order []int, from int, batch []int) []int {
+	for s := from; s < len(order); s++ {
+		batch = append(batch, frontierEdges(g, order[s], g.Survivors(order[:s], notRed))...)
+	}
+	return batch
 }
 
-// optimisticColor treats uncolored edges as potentially blue — used by
-// Flush, which must enumerate every task that COULD still matter.
-func optimisticColor(g *graph.Graph) func(int) bool {
-	return func(e int) bool { return g.Edge(e).Color != graph.Red }
-}
+// blue keeps the edges the crowd confirmed; notRed also keeps the
+// unanswered ones.
+func blue(e graph.Edge) bool   { return e.Color == graph.Blue }
+func notRed(e graph.Edge) bool { return e.Color != graph.Red }
 
-// frontierEdges returns the uncolored edges of predicate p whose
-// endpoints are alive.
-func frontierEdges(g *graph.Graph, p int, alive map[int]bool) []int {
+// frontierEdges returns, in id order, the uncolored edges of predicate
+// p whose endpoints are alive.
+func frontierEdges(g *graph.Graph, p int, alive []bool) []int {
 	var out []int
 	for e := 0; e < g.NumEdges(); e++ {
 		ed := g.Edge(e)
-		if ed.Pred != p || ed.Color != graph.Unknown {
-			continue
-		}
-		if alive[ed.U] && alive[ed.V] {
+		if ed.Pred == p && ed.Color == graph.Unknown && alive[ed.U] && alive[ed.V] {
 			out = append(out, e)
 		}
 	}
-	sort.Ints(out)
 	return out
-}
-
-// aliveVertices computes which vertices survive the processed
-// predicates: a vertex of a touched table is alive iff it appears in
-// an all-blue embedding of its connected group of processed
-// predicates; vertices of untouched tables are all alive. isBlue
-// supplies edge colors (current graph colors during execution, ground
-// truth during OptTree's oracle simulation).
-func aliveVertices(g *graph.Graph, processed []int, isBlue func(edgeID int) bool) map[int]bool {
-	alive := map[int]bool{}
-	touched := map[int]bool{}
-	for _, p := range processed {
-		touched[g.S.Preds[p].A] = true
-		touched[g.S.Preds[p].B] = true
-	}
-	for tab := 0; tab < g.NumTables(); tab++ {
-		if touched[tab] {
-			continue
-		}
-		for row := 0; row < g.TupleCount(tab); row++ {
-			alive[g.VertexID(tab, row)] = true
-		}
-	}
-	for _, group := range connectedGroups(g.S, processed) {
-		markAlive(g, group, isBlue, alive)
-	}
-	return alive
-}
-
-// connectedGroups partitions a predicate subset into groups connected
-// through shared tables.
-func connectedGroups(s *graph.Structure, preds []int) [][]int {
-	parent := map[int]int{}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	tableOwner := map[int]int{} // table -> representative pred
-	for _, p := range preds {
-		parent[p] = p
-	}
-	for _, p := range preds {
-		for _, tab := range []int{s.Preds[p].A, s.Preds[p].B} {
-			if o, ok := tableOwner[tab]; ok {
-				union(o, p)
-			} else {
-				tableOwner[tab] = p
-			}
-		}
-	}
-	byRoot := map[int][]int{}
-	for _, p := range preds {
-		byRoot[find(p)] = append(byRoot[find(p)], p)
-	}
-	out := make([][]int, 0, len(byRoot))
-	for _, g := range byRoot {
-		sort.Ints(g)
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// markAlive enumerates all-blue embeddings of one connected predicate
-// group by backtracking and marks their vertices alive.
-func markAlive(g *graph.Graph, group []int, isBlue func(int) bool, alive map[int]bool) {
-	// Order the group's predicates connectedly.
-	order := make([]int, 0, len(group))
-	used := map[int]bool{}
-	tabs := map[int]bool{}
-	order = append(order, group[0])
-	used[group[0]] = true
-	tabs[g.S.Preds[group[0]].A] = true
-	tabs[g.S.Preds[group[0]].B] = true
-	for len(order) < len(group) {
-		for _, p := range group {
-			if used[p] {
-				continue
-			}
-			if tabs[g.S.Preds[p].A] || tabs[g.S.Preds[p].B] {
-				used[p] = true
-				tabs[g.S.Preds[p].A] = true
-				tabs[g.S.Preds[p].B] = true
-				order = append(order, p)
-			}
-		}
-	}
-
-	assign := map[int]int{} // table -> vertex
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(order) {
-			for _, v := range assign {
-				alive[v] = true
-			}
-			return
-		}
-		p := order[k]
-		pd := g.S.Preds[p]
-		try := func(eID int) {
-			if !isBlue(eID) {
-				return
-			}
-			e := g.Edge(eID)
-			savedA, okA := assign[pd.A]
-			savedB, okB := assign[pd.B]
-			if okA && savedA != e.U {
-				return
-			}
-			if okB && savedB != e.V {
-				return
-			}
-			assign[pd.A], assign[pd.B] = e.U, e.V
-			rec(k + 1)
-			if okA {
-				assign[pd.A] = savedA
-			} else {
-				delete(assign, pd.A)
-			}
-			if okB {
-				assign[pd.B] = savedB
-			} else {
-				delete(assign, pd.B)
-			}
-		}
-		if v, ok := assign[pd.A]; ok {
-			for _, eID := range g.EdgesAt(v, p) {
-				try(eID)
-			}
-			return
-		}
-		if v, ok := assign[pd.B]; ok {
-			for _, eID := range g.EdgesAt(v, p) {
-				try(eID)
-			}
-			return
-		}
-		for eID := 0; eID < g.NumEdges(); eID++ {
-			if g.Edge(eID).Pred == p {
-				try(eID)
-			}
-		}
-	}
-	rec(0)
 }

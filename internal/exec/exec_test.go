@@ -546,7 +546,7 @@ func TestERSideOracle(t *testing.T) {
 func TestERSideOracleRespectsAlive(t *testing.T) {
 	p := examplePlan(t)
 	side := p.ERSideOracle(0.4)
-	empty := map[int]bool{} // nothing alive
+	empty := make([]bool, p.G.NumVertices()) // nothing alive
 	if pairs := side(0, empty); len(pairs) != 0 {
 		t.Fatalf("no alive vertices should mean no side pairs, got %d", len(pairs))
 	}

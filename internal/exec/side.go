@@ -16,7 +16,7 @@ import (
 // from the plan's oracle; answer noise on side pairs is not modelled
 // (a strictly ER-favourable simplification, recorded in DESIGN.md).
 func (p *Plan) ERSideOracle(epsSide float64) baselines.SideOracle {
-	return func(pred int, alive map[int]bool) []baselines.SidePair {
+	return func(pred int, alive []bool) []baselines.SidePair {
 		if pred < 0 || pred >= len(p.Bindings) {
 			return nil
 		}

@@ -22,8 +22,8 @@ import "cdb/internal/obs"
 // the overlay absorbs the suffix incrementally; any reverse transition
 // (recoloring, Unknown-ing) cannot be expressed by a union-find, so
 // Update falls back to a full rebuild from the current edge colors.
-// Either way the resulting clusters are a pure function of the journal
-// — replaying the same journal yields the same entailments in the same
+// Either way the clusters are a pure function of the journal (and of
+// any Assume facts) — replaying it yields the same entailments in the same
 // order, which is what keeps engine-level result sharing bit-identical
 // (the property tests in closure_test.go enforce replay identity).
 //
@@ -67,8 +67,17 @@ type Closure struct {
 	// between the two clusters; symmetric.
 	red map[int]map[int]float64
 
+	// assumed holds the facts Assume supplied, replayed on every reset.
+	assumed []assumption
+
 	conflicts int
 	rebuilds  int
+}
+
+// assumption is one assumed label between two (pred, vertex) nodes.
+type assumption struct {
+	pred, u, v int
+	col        Color
 }
 
 // NewClosure creates an empty overlay for g. Call Update to absorb the
@@ -138,18 +147,42 @@ func (c *Closure) resetNodes() {
 	c.red = make(map[int]map[int]float64)
 	c.conflicts = 0
 	c.cursor = 0
+	for _, f := range c.assumed {
+		c.fold(f.pred, f.u, f.v, f.col, 1)
+	}
+}
+
+// Assume folds in, with full confidence, a label the graph holds no
+// edge for: u and v, two vertices under pred, match or not. The ER
+// baselines assume their within-side dedup answers this way. Every
+// reset replays the assumptions, so the overlay stays a pure function
+// of the journal and them.
+func (c *Closure) Assume(pred, u, v int, match bool) {
+	f := assumption{pred: pred, u: u, v: v, col: Red}
+	if match {
+		f.col = Blue
+	}
+	c.assumed = append(c.assumed, f)
+	if c.parent != nil {
+		c.fold(f.pred, f.u, f.v, f.col, 1)
+	}
 }
 
 // observe folds one colored edge into the overlay.
 func (c *Closure) observe(id int, col Color) {
 	e := c.g.edges[id]
-	a := c.node(e.Pred, e.U)
-	b := c.node(e.Pred, e.V)
+	c.fold(e.Pred, e.U, e.V, col, c.confOf(id))
+}
+
+// fold merges the clusters of u and v under pred on Blue evidence with
+// confidence w, or links them on Red.
+func (c *Closure) fold(pred, u, v int, col Color, w float64) {
+	a, b := c.node(pred, u), c.node(pred, v)
 	switch col {
 	case Blue:
-		c.union(a, b, c.confOf(id))
+		c.union(a, b, w)
 	case Red:
-		c.markRed(a, b, c.confOf(id))
+		c.markRed(a, b, w)
 	}
 }
 

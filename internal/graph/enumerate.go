@@ -17,39 +17,45 @@ type Embedding struct {
 
 // predOrder returns the predicates in a connected order: every
 // predicate after the first shares a table with some earlier one.
-// Structure.Validate guarantees such an order exists.
+// Structure.Validate guarantees one group holds them all.
 func (s *Structure) predOrder() []int {
-	if len(s.Preds) == 0 {
-		return nil
+	all := make([]int, len(s.Preds))
+	for p := range all {
+		all[p] = p
 	}
+	if groups := s.predGroups(all); len(groups) > 0 {
+		return groups[0]
+	}
+	return nil
+}
+
+// predGroups splits a predicate subset into the groups its shared
+// tables connect, each in a connected order. A group grows from the
+// first predicate of preds not yet placed, sweeping preds in the order
+// given.
+func (s *Structure) predGroups(preds []int) [][]int {
 	used := make([]bool, len(s.Preds))
-	tableSeen := make([]bool, len(s.Tables))
-	order := make([]int, 0, len(s.Preds))
-	order = append(order, 0)
-	used[0] = true
-	tableSeen[s.Preds[0].A] = true
-	tableSeen[s.Preds[0].B] = true
-	for len(order) < len(s.Preds) {
-		advanced := false
-		for p := range s.Preds {
-			if used[p] {
-				continue
-			}
-			if tableSeen[s.Preds[p].A] || tableSeen[s.Preds[p].B] {
-				used[p] = true
-				tableSeen[s.Preds[p].A] = true
-				tableSeen[s.Preds[p].B] = true
-				order = append(order, p)
-				advanced = true
+	seen := make([]bool, len(s.Tables))
+	var groups [][]int
+	for _, first := range preds {
+		if used[first] {
+			continue
+		}
+		group := []int{first}
+		used[first], seen[s.Preds[first].A], seen[s.Preds[first].B] = true, true, true
+		for grown := true; grown; {
+			grown = false
+			for _, p := range preds {
+				if q := s.Preds[p]; !used[p] && (seen[q.A] || seen[q.B]) {
+					used[p], seen[q.A], seen[q.B] = true, true, true
+					group = append(group, p)
+					grown = true
+				}
 			}
 		}
-		if !advanced {
-			// Disconnected; Validate would have rejected this, but avoid
-			// an infinite loop in pathological use.
-			break
-		}
+		groups = append(groups, group)
 	}
-	return order
+	return groups
 }
 
 // enumerator is the state of one embedding walk. The graph keeps one
@@ -57,6 +63,7 @@ func (s *Structure) predOrder() []int {
 // of its own.
 type enumerator struct {
 	g                      *Graph
+	order                  []int // the connected predicate order walked
 	assign, chosen, pinned []int
 	keep                   func(Edge) bool
 	yield                  func(assign, edges []int) bool
@@ -82,11 +89,12 @@ func fillMinus1(buf []int, n int) []int {
 	return buf
 }
 
-// enumerate walks all embeddings over edges accepted by keep,
-// pre-pinning the given edges, and calls yield for each complete
-// embedding. yield returning false stops the walk. keep must reject
-// red edges for candidate semantics.
-func (g *Graph) enumerate(pins []int, keep func(Edge) bool, yield func(assign, edges []int) bool) {
+// enumerate walks all embeddings of the connected predicate order
+// over edges accepted by keep, pre-pinning the given edges, and calls
+// yield for each complete embedding; tables no predicate of order
+// touches stay -1. yield returning false stops the walk. keep must
+// reject red edges for candidate semantics.
+func (g *Graph) enumerate(order, pins []int, keep func(Edge) bool, yield func(assign, edges []int) bool) {
 	en := &g.enum
 	if en.busy {
 		// A yield callback is enumerating again: the outer walk still
@@ -94,9 +102,9 @@ func (g *Graph) enumerate(pins []int, keep func(Edge) bool, yield func(assign, e
 		en = &enumerator{}
 	}
 	en.busy = true
-	defer func() { en.busy, en.keep, en.yield = false, nil, nil }()
+	defer func() { en.busy, en.order, en.keep, en.yield = false, nil, nil, nil }()
 	en.reset(g)
-	en.keep, en.yield = keep, yield
+	en.order, en.keep, en.yield = order, keep, yield
 	if len(g.S.Preds) == 0 {
 		// A lone table and no predicate: each tuple is an embedding.
 		for row := 0; row < g.TupleCount(0); row++ {
@@ -133,10 +141,10 @@ func (g *Graph) enumerate(pins []int, keep func(Edge) bool, yield func(assign, e
 // order; false means yield asked to stop.
 func (en *enumerator) rec(k int) bool {
 	g := en.g
-	if k == len(g.predOrder) {
+	if k == len(en.order) {
 		return en.yield(en.assign, en.chosen)
 	}
-	pIdx := g.predOrder[k]
+	pIdx := en.order[k]
 	p := g.S.Preds[pIdx]
 	switch {
 	case en.pinned[pIdx] >= 0:
@@ -206,14 +214,14 @@ func allBlue(e Edge) bool { return e.Color == Blue }
 // cost-control package uses to reason about hypothetical colorings
 // (e.g. sampled graphs) without mutating the graph.
 func (g *Graph) EnumerateEmbeddings(pins []int, keep func(Edge) bool, yield func(assign, edges []int) bool) {
-	g.enumerate(pins, keep, yield)
+	g.enumerate(g.predOrder, pins, keep, yield)
 }
 
 // existsCandidateWithPins reports whether some candidate (embedding
 // over non-red edges) contains every pinned edge.
 func (g *Graph) existsCandidateWithPins(pins []int) bool {
 	found := false
-	g.enumerate(pins, nonRed, func(_, _ []int) bool {
+	g.enumerate(g.predOrder, pins, nonRed, func(_, _ []int) bool {
 		found = true
 		return false
 	})
@@ -246,11 +254,39 @@ func (g *Graph) SameCandidate(e1, e2 int) bool {
 	return g.existsCandidateWithPins([]int{e1, e2})
 }
 
+// Survivors reports, per vertex id, whether the tuple survives the
+// predicates preds under the colouring keep accepts: a vertex of a
+// table no predicate of preds touches survives, and any other survives
+// iff it lies in a keep-embedding of its connected group of preds. The
+// baselines ask it for the tuples left after the predicates they have
+// processed.
+func (g *Graph) Survivors(preds []int, keep func(Edge) bool) []bool {
+	alive := make([]bool, g.nVerts)
+	touched := make([]bool, len(g.S.Tables))
+	for _, p := range preds {
+		touched[g.S.Preds[p].A], touched[g.S.Preds[p].B] = true, true
+	}
+	for v, t := range g.tableOf {
+		alive[v] = !touched[t]
+	}
+	for _, order := range g.S.predGroups(preds) {
+		g.enumerate(order, nil, keep, func(assign, _ []int) bool {
+			for _, v := range assign {
+				if v >= 0 {
+					alive[v] = true
+				}
+			}
+			return true
+		})
+	}
+	return alive
+}
+
 // Answers enumerates all current answers: embeddings whose every edge
 // is blue (Definition 4).
 func (g *Graph) Answers() []Embedding {
 	var out []Embedding
-	g.enumerate(nil, allBlue, func(assign, edges []int) bool {
+	g.enumerate(g.predOrder, nil, allBlue, func(assign, edges []int) bool {
 		out = append(out, Embedding{
 			Assign: append([]int(nil), assign...),
 			Edges:  append([]int(nil), edges...),
@@ -266,7 +302,7 @@ func (g *Graph) Answers() []Embedding {
 // the assignment for determinism). maxN <= 0 means no cap.
 func (g *Graph) Candidates(maxN int) []Embedding {
 	var out []Embedding
-	g.enumerate(nil, nonRed, func(assign, edges []int) bool {
+	g.enumerate(g.predOrder, nil, nonRed, func(assign, edges []int) bool {
 		prob := 1.0
 		for _, eID := range edges {
 			if e := g.edges[eID]; e.Color == Unknown {
