@@ -443,8 +443,8 @@ func (db *DB) selectRequest(s *cql.Select) *engine.SelectRequest {
 	return req
 }
 
-// execSelect sends one SELECT through the shared pipeline, then applies
-// crowd-powered GROUP BY / ORDER BY to the answer.
+// execSelect sends one SELECT through the shared pipeline, GROUP BY
+// included, then applies crowd-powered ORDER BY to the answer.
 func (db *DB) execSelect(ctx context.Context, s *cql.Select, tr *obs.Tracer) (*Result, error) {
 	req := db.selectRequest(s)
 	req.Exec.Trace = tr
@@ -452,7 +452,7 @@ func (db *DB) execSelect(ctx context.Context, s *cql.Select, tr *obs.Tracer) (*R
 	if err != nil {
 		return nil, err
 	}
-	if err := db.applyGroupSort(s, ans); err != nil {
+	if err := db.applyOrderBy(s, ans); err != nil {
 		return nil, err
 	}
 	return ans.Result(), nil

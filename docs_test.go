@@ -106,29 +106,16 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 
 // TestOneDriver: the executor has one driver. No program file but the
 // pipeline (internal/engine/pipeline.go) and the benchmark harness
-// (benchmark/) calls exec.Run or exec.BuildPlan or sets
+// (benchmark/) calls exec.Run, exec.BuildPlan or exec.ValuePlan or sets
 // PlanConfig.LiveOnly, so the labeling order, the bind scope and the
-// resolver are decided by SelectRequest.order alone, and DB.Exec, the
-// engine and cdbench all run what it decides.
+// resolver are decided by SelectRequest.order alone, GROUP BY's value
+// plan is run by SelectRequest.groupBy alone, and DB.Exec, the engine
+// and cdbench all run what they decide.
 func TestOneDriver(t *testing.T) {
 	pipeline := filepath.Join("internal", "engine", "pipeline.go")
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "benchmark" || d.Name() == "testdata" || path != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || path == pipeline {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+	eachProgramFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if path == pipeline {
+			return
 		}
 		execName := ""
 		for _, imp := range f.Imports {
@@ -142,7 +129,7 @@ func TestOneDriver(t *testing.T) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Run" || sel.Sel.Name == "BuildPlan") {
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && slices.Contains([]string{"Run", "BuildPlan", "ValuePlan"}, sel.Sel.Name) {
 					if x, ok := sel.X.(*ast.Ident); ok && execName != "" && x.Name == execName {
 						t.Errorf("%s: calls exec.%s; go through engine.RunSelect", fset.Position(n.Pos()), sel.Sel.Name)
 					}
@@ -160,6 +147,101 @@ func TestOneDriver(t *testing.T) {
 			}
 			return true
 		})
+	})
+}
+
+// crowdForks are the program functions outside the crowd's own
+// machinery that still draw answers from a pool themselves, each with
+// the reason it is not yet a run of the executor. The list only
+// shrinks.
+var crowdForks = map[string]string{
+	".:DB.execFill": "FILL collects free-text answers outside any plan",
+	".:sortBy":      "ORDER BY's comparator: a merge sort's comparisons are no plan's tasks yet",
+}
+
+// TestOneCrowd: the crowd is asked in one place. Only the crowd
+// simulator (internal/crowd), the executor (internal/exec), the
+// engine's coalescer and plan.PureResolver call DistinctArrivals,
+// AnswerBool, AnswerFill or PureVerdict; every other program function
+// that does is a fork of the crowd path and must be listed in
+// crowdForks. A fork asks outside the executor's rounds, so its tasks
+// miss the metadata store, the trace, the progress hook, the transport
+// and the engine's sharing.
+func TestOneCrowd(t *testing.T) {
+	asks := []string{"DistinctArrivals", "AnswerBool", "AnswerFill", "PureVerdict"}
+	crowd := []string{filepath.Join("internal", "crowd"), filepath.Join("internal", "exec")}
+	owners := map[string]bool{"internal/engine:coalescer": true, "internal/plan:PureResolver": true}
+	seen := map[string]bool{}
+	eachProgramFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		dir := filepath.Dir(path)
+		if slices.Contains(crowd, dir) {
+			return
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			name, recv := fn.Name.Name, ""
+			if fn.Recv != nil {
+				typ := fn.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					recv = id.Name
+					name = recv + "." + name
+				}
+			}
+			if owners[filepath.ToSlash(dir)+":"+recv] {
+				continue
+			}
+			key := filepath.ToSlash(dir) + ":" + name
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && slices.Contains(asks, sel.Sel.Name) {
+						if _, fork := crowdForks[key]; fork {
+							seen[key] = true
+						} else {
+							t.Errorf("%s: %s calls %s; ask the crowd through an exec.Run", fset.Position(call.Pos()), name, sel.Sel.Name)
+						}
+					}
+				}
+				return true
+			})
+		}
+	})
+	for key := range crowdForks {
+		if !seen[key] {
+			t.Errorf("crowdForks lists %s, which no longer asks the crowd; drop it", key)
+		}
+	}
+}
+
+// eachProgramFile parses every non-test Go file of the module outside
+// the benchmark harness, testdata and hidden directories, and hands it
+// to fn with its path relative to the module root.
+func eachProgramFile(t *testing.T, fn func(fset *token.FileSet, path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || d.Name() == "testdata" || path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(fset, path, f)
 		return nil
 	})
 	if err != nil {

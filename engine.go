@@ -22,11 +22,13 @@ import (
 // alone or raced the whole fleet; Stats.Coalesced / Stats.CachedTasks
 // and EngineStats report how much crowd work the sharing saved.
 //
-// Only SELECT without GROUP BY / ORDER BY is served (those need the
-// exclusive DB.Exec path), aggregation is majority voting, and the
-// catalog must not be mutated while the engine serves. Both entry
-// points run the same SELECT pipeline (internal/engine/pipeline.go);
-// the engine adds admission, sharing and durability around it.
+// Only SELECT without ORDER BY is served (its crowd merge sort asks
+// the pool outside any plan, so its comparisons have no task key to
+// share or journal; it needs the exclusive DB.Exec path), aggregation
+// is majority voting, and the catalog must not be mutated while the
+// engine serves. Both entry points run the same SELECT pipeline
+// (internal/engine/pipeline.go), GROUP BY included; the engine adds
+// admission, sharing and durability around it.
 type Engine = engine.Engine
 
 // Future is the pending result of one submitted query.
@@ -101,9 +103,11 @@ var (
 
 // NewEngine builds a serving engine over the DB's catalog, oracle,
 // crowd pool and optimizer configuration, tracing and transitive
-// inference included. The engine draws one seed from the DB's RNG at
-// construction, so a DB opened with the same WithSeed yields an engine
-// that replays identical verdicts.
+// inference included. It serves SELECT and SELECT ... GROUP BY, whose
+// grouping tasks share, cache and journal like the join tasks; ORDER
+// BY is refused with ErrEngineUnsupported. The engine draws one seed
+// from the DB's RNG at construction, so a DB opened with the same
+// WithSeed yields an engine that replays identical verdicts.
 //
 // The engine serves majority-voting CDB over the DB's one pool. A DB
 // configured with anything it cannot serve — QualityControl, a

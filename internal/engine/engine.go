@@ -249,10 +249,11 @@ func (h *Handle) Result(ctx context.Context) (*Result, error) {
 // round boundaries, like DB.ExecContext). Submit itself never blocks:
 // a full queue returns ErrOverloaded.
 //
-// Only SELECT without GROUP BY / ORDER BY is served — DDL and
-// collection statements mutate the catalog, and crowd-powered
-// group/sort runs its tasks outside the per-query graph; both belong
-// on the exclusive DB.Exec path.
+// Only SELECT without ORDER BY is served — DDL and collection
+// statements mutate the catalog, and ORDER BY's crowd merge sort draws
+// its comparisons from the pool outside any plan, so the coalescer
+// cannot key them; both belong on the exclusive DB.Exec path. GROUP BY
+// is served: it is one more run of the pipeline.
 func (e *Engine) Submit(ctx context.Context, query string) (*Handle, error) {
 	return e.submit(ctx, query, nil)
 }
@@ -285,8 +286,8 @@ func servable(query string) (*cql.Select, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %T is not served concurrently; use DB.Exec", ErrUnsupported, st)
 	}
-	if s.GroupBy != nil || s.OrderBy != nil {
-		return nil, fmt.Errorf("%w: GROUP BY / ORDER BY need the exclusive DB.Exec path", ErrUnsupported)
+	if s.OrderBy != nil {
+		return nil, fmt.Errorf("%w: ORDER BY's crowd merge sort runs on the exclusive DB.Exec path", ErrUnsupported)
 	}
 	return s, nil
 }

@@ -432,6 +432,49 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	return p, nil
 }
 
+// ValuePlan is the plan a GROUP BY runs over its statement's answer:
+// values, the grouped column's projected values in row order, as two
+// instances of one table joined by one predicate labelled by the
+// column, so TaskKey keys each task by the two values it compares. The
+// identity edges (Lᵢ, Rᵢ) are born Blue, as BuildPlan's exact equi-join
+// edges are, so each value is one entity on both sides. Then come the
+// pairs (Lᵢ, Rⱼ), i < j, whose similarity reaches ε, in (i, j) order,
+// weighted by it and labelled by whether the oracle says the two values
+// denote one entity.
+func ValuePlan(ref cql.ColRef, values []string, orc Oracle, cfg PlanConfig) *Plan {
+	if cfg.Epsilon <= 0 {
+		cfg.Epsilon = 0.3
+	}
+	n := len(values)
+	tb := table.New(table.Schema{Name: ref.Table, Columns: []table.Column{{Name: ref.Column, Kind: table.String}}})
+	tb.Rows = make([]table.Tuple, n)
+	for i, v := range values {
+		tb.Rows[i] = table.Tuple{table.SV(v)}
+	}
+	s := &graph.Structure{Tables: []string{ref.Table, ref.Table}, Preds: []graph.QPred{{A: 0, B: 1, Name: ref.String()}}}
+	specs := make([]graph.EdgeSpec, n)
+	truth := make([]bool, n)
+	for i := range values {
+		specs[i], truth[i] = graph.EdgeSpec{RowA: i, RowB: i, W: 1}, true
+	}
+	for i := range values {
+		for j := i + 1; j < n; j++ {
+			if w := sim.Similarity(cfg.Sim, values[i], values[j]); w >= cfg.Epsilon {
+				specs = append(specs, graph.EdgeSpec{RowA: i, RowB: j, W: w})
+				truth = append(truth, orc.JoinMatch(ref.Table, ref.Column, ref.Table, ref.Column, values[i], values[j]))
+			}
+		}
+	}
+	g := graph.MustNewGraph(s, []int{n, n})
+	g.AddEdges(specs)
+	for i := 0; i < n; i++ {
+		g.SetColor(i, graph.Blue)
+	}
+	return &Plan{S: s, G: g, Truth: truth, Tables: []*table.Table{tb, tb}, Orc: orc, Cfg: cfg,
+		Bindings:   []PredBinding{{Pred: cql.Predicate{Kind: cql.CrowdJoin, Left: ref, Right: ref}, RightTab: 1}},
+		Candidates: len(specs) - n}
+}
+
 // TrueAnswerKeys enumerates the ground-truth answers: embeddings whose
 // every edge is truth-true, keyed by their assignment for
 // precision/recall scoring.

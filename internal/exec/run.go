@@ -212,6 +212,41 @@ type Report struct {
 	tasks []roundTask
 }
 
+// Charge adds the crowd work of o, a further run the same statement
+// paid for (its GROUP BY), to rep: tasks, rounds, assignments, HITs,
+// dollars, the sharing and per-market counts, and the fault policy's
+// tallies, a partial o making rep partial. Answers, confidences,
+// provenance and the quality metrics stay rep's.
+func (rep *Report) Charge(o *Report) {
+	rep.Metrics.Tasks += o.Metrics.Tasks
+	rep.Metrics.Rounds += o.Metrics.Rounds
+	rep.Assignments += o.Assignments
+	rep.HITs += o.HITs
+	rep.Dollars += o.Dollars
+	rep.Coalesced += o.Coalesced
+	rep.CachedTasks += o.CachedTasks
+	rep.LedgerTasks += o.LedgerTasks
+	for m, n := range o.PerMarket {
+		if rep.PerMarket == nil {
+			rep.PerMarket = map[string]int{}
+		}
+		rep.PerMarket[m] += n
+	}
+	r, or := &rep.Reliability, o.Reliability
+	if or.Partial && !r.Partial {
+		r.Partial, r.Reason = true, or.Reason
+	}
+	r.Issued += or.Issued
+	r.Reissued += or.Reissued
+	r.Lost += or.Lost
+	r.Underfilled += or.Underfilled
+	r.Retried += or.Retried
+	r.Hedged += or.Hedged
+	r.Late += or.Late
+	r.Duplicates += or.Duplicates
+	r.RoundsTruncated += or.RoundsTruncated
+}
+
 // Run executes the plan with Algorithm 1. The plan's graph is mutated
 // (colored); build a fresh plan per run.
 //
