@@ -62,6 +62,18 @@ type Reliability struct {
 	Strict bool
 }
 
+// RetryLeft returns pol for a further run the same query pays for (its
+// GROUP BY), its RetryBudget cut to what rep left unspent, so the cap
+// holds across both runs. A zero RetryBudget means the default, so a
+// spent budget turns reissues off instead: no retry waves, no hedges.
+func (rep *Report) RetryLeft(pol Reliability) Reliability {
+	pol.RetryBudget = rep.retryBudget
+	if pol.RetryBudget <= 0 {
+		pol.MaxRetries, pol.HedgeFrac = -1, -1
+	}
+	return pol
+}
+
 // withDefaults resolves the zero value into the documented defaults.
 func (r Reliability) withDefaults() Reliability {
 	if r.TaskDeadline <= 0 {
