@@ -78,17 +78,16 @@ type QueryInfo struct {
 }
 
 // LedgerInfo is the server-wide durability summary on GET /v1/queries:
-// what the crowd-work ledger holds, what it replayed at boot, and how
-// much of this session's traffic the replayed work served.
+// what the crowd-work ledger (one write-ahead log) holds, what it
+// replayed at boot, and how much of this session's traffic the
+// replayed work served.
 type LedgerInfo struct {
 	// Replayed is the records applied from disk at boot; TornTruncated
 	// counts torn WAL tails cut at the last valid CRC frame on the way.
 	Replayed      int64 `json:"replayed"`
 	TornTruncated int64 `json:"torn_truncated,omitempty"`
-	// Appended / Compactions count records logged and snapshot
-	// compactions since boot.
-	Appended    int64 `json:"appended"`
-	Compactions int64 `json:"compactions,omitempty"`
+	// Appended counts records logged since boot.
+	Appended int64 `json:"appended"`
 	// Hits is the session traffic served from replayed verdicts — paid
 	// crowd work that was not re-issued.
 	Hits int64 `json:"hits"`

@@ -128,8 +128,8 @@ func main() {
 		// before the process exits.
 		srv.Drain()
 		if ls := engine.LedgerStats(); ls.Enabled {
-			logger.Printf("ledger: synced and closed (%d records appended this session, %d replay hits, %d compactions)",
-				ls.Appended, ls.Hits, ls.Compactions)
+			logger.Printf("ledger: synced and closed (%d records appended this session, %d replay hits)",
+				ls.Appended, ls.Hits)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()

@@ -315,8 +315,8 @@ func remoteCommand(ctx context.Context, c *client.Client, cmd string) bool {
 		}
 		fmt.Printf("ledger: %d verdicts, %d statements, %d answers durable\n", l.Verdicts, l.Statements, l.Answers)
 		fmt.Printf("        replayed %d records at boot (%d torn tails truncated)\n", l.Replayed, l.TornTruncated)
-		fmt.Printf("        appended %d this session, %d compactions, %d replay hits (paid HIT work not re-issued)\n",
-			l.Appended, l.Compactions, l.Hits)
+		fmt.Printf("        appended %d this session, %d replay hits (paid HIT work not re-issued)\n",
+			l.Appended, l.Hits)
 	default:
 		fmt.Println("unknown remote command; try \\tables, \\explain <select>, \\ledger, \\quit")
 	}

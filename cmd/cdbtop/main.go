@@ -144,9 +144,9 @@ func render(w io.Writer, base string, prev, cur *metricsSnapshot, q *client.Quer
 		cur.scalar("cdb_server_queries_total"),
 		cur.scalar("cdb_server_streams_total"))
 	if l := q.Ledger; l != nil {
-		fmt.Fprintf(w, "ledger    verdicts=%d stmts=%d answers=%d  replayed=%d appended=%d compactions=%d  hits=%d torn=%d\n",
+		fmt.Fprintf(w, "ledger    verdicts=%d stmts=%d answers=%d  replayed=%d appended=%d  hits=%d torn=%d\n",
 			l.Verdicts, l.Statements, l.Answers,
-			l.Replayed, l.Appended, l.Compactions, l.Hits, l.TornTruncated)
+			l.Replayed, l.Appended, l.Hits, l.TornTruncated)
 	}
 	fmt.Fprintln(w)
 

@@ -114,10 +114,10 @@ var pinnedHashes = map[string]uint64{
 	"resolver":                        0x7c63cd7566974df3,
 	"transport-clean":                 0xb73115ce94176b35,
 	"transport-drops-retries":         0x7595e5e2d9e1e81c,
-	"transport-stragglers-duplicates": 0x670dc7350bdd99aa,
+	"transport-stragglers-duplicates": 0x2e895143d0ebc8a2,
 	"transport-lost":                  0xc387112e039095c2,
 	"transport-cdb+":                  0xe5e1b50fd8856f64,
-	"transport-cancelled":             0x8b852c9b002b9956,
+	"transport-cancelled":             0x50cf6101a13bb5c6,
 }
 
 // hashRun runs p under opts with metadata recording on and digests

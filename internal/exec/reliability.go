@@ -151,7 +151,6 @@ type ReliabilityStats struct {
 type asyncTask struct {
 	edge    int
 	attempt int
-	metaID  int
 	retried bool
 	answers []quality.ChoiceAnswer
 }
@@ -203,8 +202,14 @@ func (rep *Report) collectAsync(ctx context.Context, p *Plan, batch []int, opts 
 	cur := make(map[int]*asyncTask, len(batch))
 	deadline := tp.Now() + pol.TaskDeadline
 	specs := make([]crowd.TaskSpec, 0, len(batch))
+	if opts.Meta != nil && rep.metaOf == nil {
+		rep.metaOf = map[int]int32{}
+	}
 	for i, e := range batch {
-		cur[e] = &asyncTask{metaID: int(rep.tasks[i].metaID)}
+		cur[e] = &asyncTask{}
+		if opts.Meta != nil {
+			rep.metaOf[e] = rep.tasks[i].metaID
+		}
 		specs = append(specs, crowd.TaskSpec{ID: e, Truth: p.Truth[e], K: k, Deadline: deadline})
 		rel.Issued += k
 	}
@@ -236,11 +241,13 @@ func (rep *Report) collectAsync(ctx context.Context, p *Plan, batch []int, opts 
 				choice = 1
 			}
 			ca := quality.ChoiceAnswer{Worker: a.Worker, Choice: choice}
+			if opts.Meta != nil {
+				// Every accepted answer is paid, a straggler from an
+				// earlier round included: each is a row of its own task.
+				opts.Meta.RecordAssignment(int(rep.metaOf[a.Task]), a.Worker, boolAnswer(a.Value))
+			}
 			if st, active := cur[a.Task]; active {
 				st.answers = append(st.answers, ca)
-				if opts.Meta != nil {
-					opts.Meta.RecordAssignment(st.metaID, a.Worker, boolAnswer(a.Value))
-				}
 			} else if idx, ok := rep.histIndex[a.Task]; ok {
 				// A straggler from an earlier round: its verdict is
 				// already colored, but the answer still sharpens the EM
@@ -253,7 +260,12 @@ func (rep *Report) collectAsync(ctx context.Context, p *Plan, batch []int, opts 
 	collect := func(until crowd.Tick) error {
 		span := tr.Begin(obs.SpanCollect)
 		ans, err := tp.Collect(ctx, until)
-		absorb(ans)
+		if err == nil {
+			// A cancelled Collect returns whatever arrived before it saw
+			// the context, which depends on scheduling. The round is
+			// discarded and none of it paid, so none of it is recorded.
+			absorb(ans)
+		}
 		tr.Mutate(span, func(s *obs.Span) { s.Asks = len(ans) })
 		tr.End(span)
 		return err

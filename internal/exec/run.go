@@ -196,6 +196,10 @@ type Report struct {
 	// seen implements idempotent answer dedup: edge → workers whose
 	// answer was already counted.
 	seen map[int]map[int]bool
+	// metaOf maps an edge asked on the transport to its metadata task
+	// row, so an answer arriving after its round still records against
+	// it (nil without Options.Meta).
+	metaOf map[int]int32
 	// edgeConf records per-edge verdict confidence.
 	edgeConf map[int]float64
 	// crowdEdges / inferredEdges track per-edge label origin for

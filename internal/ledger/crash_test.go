@@ -13,7 +13,7 @@ import (
 // file directly, durability is irrelevant.
 func writeSession(t *testing.T, dir string, n int) []byte {
 	t.Helper()
-	l := openT(t, dir, Options{Seed: 11, Fsync: FsyncNever, SnapshotBytes: -1})
+	l := openT(t, dir, Options{Seed: 11, Fsync: FsyncNever})
 	for i := 0; i < n; i++ {
 		l.AppendVerdict(testVerdict(i))
 		if i%4 == 0 {
@@ -145,41 +145,5 @@ func TestCrashRecoveryBitFlip(t *testing.T) {
 	}
 	if st.Verdicts == 0 {
 		t.Fatalf("records before the damage were lost: %+v", st)
-	}
-}
-
-// TestCrashBetweenSnapshotAndTruncate simulates the compaction crash
-// window: the snapshot is durable but the WAL still holds the full
-// pre-compaction history. Replay must apply both idempotently.
-func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)()
-	dir := t.TempDir()
-	l := openT(t, dir, Options{Seed: 5, Fsync: FsyncNever, SnapshotBytes: -1})
-	for i := 0; i < 8; i++ {
-		l.AppendVerdict(testVerdict(i))
-	}
-	l.Close()
-
-	// Fabricate the crash: snapshot written, WAL untouched.
-	wal, err := os.ReadFile(filepath.Join(dir, walName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2 := openT(t, dir, Options{Seed: 5, Fsync: FsyncNever, SnapshotBytes: -1})
-	l2.Compact()
-	l2.Close()
-	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l3 := openT(t, dir, Options{Seed: 5, Fsync: FsyncNever})
-	defer l3.Close()
-	st := l3.Stats()
-	if st.Verdicts != 8 {
-		t.Fatalf("duplicate replay broke idempotence: %+v", st)
-	}
-	// Snapshot already applied all 8; WAL replays the same 8 again.
-	if st.Replayed != 16 {
-		t.Fatalf("Replayed = %d, want 16 (8 snapshot + 8 duplicate WAL)", st.Replayed)
 	}
 }

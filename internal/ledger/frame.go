@@ -17,8 +17,8 @@ import (
 // replay applies whole valid frames and stops at the first frame that
 // is short, fails its CRC, or carries an absurd length — the torn-tail
 // truncation rule. Nothing in a frame is positional beyond the first
-// header, so duplicate records from a crash between snapshot and WAL
-// truncation replay idempotently.
+// header, so a record that both a legacy snapshot and the WAL hold
+// replays idempotently.
 const (
 	frameOverhead = 8
 	// maxFramePayload bounds a single record. Real records are a few

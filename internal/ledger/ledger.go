@@ -1,23 +1,24 @@
 // Package ledger is CDB's durability substrate: an append-only,
 // CRC-framed write-ahead log of the crowd work a serving engine has
-// already paid for, plus periodic compacted snapshots. Crowd answers
-// are the one thing in the system that costs real money, and they are
-// pure functions of (engine seed, task key, redundancy) — which makes
-// them safe to persist and replay: a verdict served from the ledger is
-// byte-identical to the one a fresh resolve would produce, it just
-// charges the crowd nothing.
+// already paid for. Crowd answers are the one thing in the system that
+// costs real money, and they are pure functions of (engine seed, task
+// key, redundancy) — which makes them safe to persist and replay: a
+// verdict served from the ledger is byte-identical to the one a fresh
+// resolve would produce, it just charges the crowd nothing.
 //
 // Three record kinds are logged: every resolved task verdict (keyed by
 // the redundancy-qualified canonical task key the engine's coalescer
 // already shares on), every canonical statement that reached execution
 // (so a warm boot can rebuild plans and re-prime the similarity-join
 // cache), and every completed query's full answer (so a re-submitted
-// statement after a restart is served whole). On Open the snapshot is
-// replayed first, then the WAL; a torn tail — a frame cut mid-write by
-// a crash — is truncated at the last valid CRC frame, never fatal.
-// Replay is idempotent (records are content-keyed values), which is
-// what makes compaction crash-safe: a crash between the snapshot
-// rename and the WAL truncation merely replays duplicates.
+// statement after a restart is served whole). Appends drop duplicate
+// keys before they write, so the WAL never holds a superseded record
+// and is the ledger's one durable file. On Open the WAL is replayed; a
+// torn tail — a frame cut mid-write by a crash — is truncated at the
+// last valid CRC frame, never fatal. A snapshot.ldg left by an older
+// build that compacted is replayed first and never written: it holds
+// paid verdicts nowhere else. Replay is idempotent (records are
+// content-keyed values), so records the two files share apply once.
 //
 // Durability is tunable per Options.Fsync: every append, a background
 // interval, or never (the OS decides). Close always flushes and syncs
@@ -32,7 +33,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -44,12 +44,12 @@ var (
 	mAppends    = obs.Default.Counter("cdb_ledger_appends_total")
 	mAppendErrs = obs.Default.Counter("cdb_ledger_append_errors_total")
 	mReplayed   = obs.Default.Counter("cdb_ledger_replayed_total")
-	mCompact    = obs.Default.Counter("cdb_ledger_compactions_total")
 	mTorn       = obs.Default.Counter("cdb_ledger_torn_truncations_total")
 	mFsyncs     = obs.Default.Counter("cdb_ledger_fsyncs_total")
 )
 
-// File names inside a ledger directory.
+// File names inside a ledger directory. Open only reads snapName:
+// earlier builds compacted the WAL into it.
 const (
 	walName  = "wal.ldg"
 	snapName = "snapshot.ldg"
@@ -110,15 +110,12 @@ type Options struct {
 	Fsync FsyncPolicy
 	// FsyncEvery is the interval policy's tick (default 100ms).
 	FsyncEvery time.Duration
-	// SnapshotBytes triggers compaction once the WAL grows past it
-	// (default 4MB; negative disables automatic compaction).
-	SnapshotBytes int64
 }
 
 // header is the first record of every ledger file.
 type header struct {
 	Version int    `json:"version"`
-	Kind    string `json:"kind"` // "wal" or "snap"
+	Kind    string `json:"kind"` // "wal"; "snap" in a legacy snapshot
 	Seed    uint64 `json:"seed"`
 }
 
@@ -169,7 +166,6 @@ type Stats struct {
 	Replayed        int64 // records applied from disk at Open
 	Appended        int64 // records appended since Open
 	AppendErrors    int64 // appends or syncs that failed (state kept in memory)
-	Compactions     int64 // snapshot compactions since Open
 	TornTruncations int64 // torn WAL tails truncated at Open
 	WALBytes        int64 // current WAL size
 }
@@ -195,12 +191,8 @@ type Log struct {
 	aorder   []string
 
 	// Global first-logged sequence, the basis of Verdict.Settled.
-	// Compaction emits records in this interleaved order so the
-	// settled/unsettled split survives snapshot replay.
 	seq     int64
 	vseq    map[string]int64
-	sseq    map[string]int64
-	aseq    map[string]int64
 	lastAns int64 // seq of the most recent answer, 0 if none
 
 	walBytes int64
@@ -210,16 +202,14 @@ type Log struct {
 	done chan struct{}
 }
 
-// Open opens (creating if needed) the ledger in dir, replays snapshot
-// then WAL into memory, truncates any torn WAL tail at the last valid
-// CRC frame, and starts the background sync loop if the policy is
-// FsyncInterval. The directory must not be shared between live Logs.
+// Open opens (creating if needed) the ledger in dir, replays a legacy
+// snapshot (if any) then the WAL into memory, truncates any torn WAL
+// tail at the last valid CRC frame, and starts the background sync loop
+// if the policy is FsyncInterval. It writes nothing but the WAL. The
+// directory must not be shared between live Logs.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.FsyncEvery <= 0 {
 		opts.FsyncEvery = 100 * time.Millisecond
-	}
-	if opts.SnapshotBytes == 0 {
-		opts.SnapshotBytes = 4 << 20
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
@@ -231,14 +221,13 @@ func Open(dir string, opts Options) (*Log, error) {
 		stmts:    make(map[string]bool),
 		answers:  make(map[string]Answer),
 		vseq:     make(map[string]int64),
-		sseq:     make(map[string]int64),
-		aseq:     make(map[string]int64),
 	}
 
-	// Snapshot first: it is the compacted prefix of the log. A torn or
-	// corrupt tail inside it just ends its replay early — the records
-	// past the damage are gone, but the WAL (and idempotent appends
-	// from the resumed workload) heal forward.
+	// A legacy snapshot first: it is the compacted prefix of the log an
+	// older build left. It is read, never rewritten. A torn or corrupt
+	// tail inside it just ends its replay early — the records past the
+	// damage are gone, but the WAL (and idempotent appends from the
+	// resumed workload) heal forward.
 	snap, err := os.ReadFile(filepath.Join(dir, snapName))
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("ledger: %w", err)
@@ -253,8 +242,15 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
-	wal, err := io.ReadAll(f)
+	// Read the WAL into one buffer of its size: growing a buffer
+	// through io.ReadAll copies a large log several times over.
+	fi, err := f.Stat()
 	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("ledger: %w", err)
+	}
+	wal := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, wal); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
@@ -345,7 +341,6 @@ func (l *Log) replay(buf []byte) (int64, error) {
 				l.stmts[s.Stmt] = true
 				l.sorder = append(l.sorder, s.Stmt)
 				l.seq++
-				l.sseq[s.Stmt] = l.seq
 			}
 		case frameAnswer:
 			var a Answer
@@ -356,7 +351,6 @@ func (l *Log) replay(buf []byte) (int64, error) {
 				l.answers[a.Stmt] = a
 				l.aorder = append(l.aorder, a.Stmt)
 				l.seq++
-				l.aseq[a.Stmt] = l.seq
 				l.lastAns = l.seq
 			}
 		default:
@@ -381,9 +375,9 @@ func (l *Log) writeLocked(typ byte, body []byte) error {
 	return nil
 }
 
-// appendLocked logs one record under the active fsync policy and runs
-// the compaction trigger. I/O failures are absorbed into
-// Stats.AppendErrors — in-memory state already holds the record.
+// appendLocked logs one record under the active fsync policy. I/O
+// failures are absorbed into Stats.AppendErrors — in-memory state
+// already holds the record.
 func (l *Log) appendLocked(typ byte, rec any) {
 	if l.closed || l.f == nil {
 		return
@@ -401,9 +395,6 @@ func (l *Log) appendLocked(typ byte, rec any) {
 	mAppends.Inc()
 	if l.opts.Fsync == FsyncAlways {
 		l.syncLocked()
-	}
-	if l.opts.SnapshotBytes > 0 && l.walBytes >= l.opts.SnapshotBytes {
-		l.compactLocked()
 	}
 }
 
@@ -435,7 +426,6 @@ func (l *Log) AppendStatement(stmt string) {
 	l.stmts[stmt] = true
 	l.sorder = append(l.sorder, stmt)
 	l.seq++
-	l.sseq[stmt] = l.seq
 	l.appendLocked(frameStatement, statementRecord{Stmt: stmt})
 }
 
@@ -450,7 +440,6 @@ func (l *Log) AppendAnswer(a Answer) {
 	l.answers[a.Stmt] = a
 	l.aorder = append(l.aorder, a.Stmt)
 	l.seq++
-	l.aseq[a.Stmt] = l.seq
 	l.lastAns = l.seq
 	l.appendLocked(frameAnswer, a)
 }
@@ -552,117 +541,6 @@ func (l *Log) syncLoop() {
 			l.mu.Unlock()
 		}
 	}
-}
-
-// Compact writes the entire in-memory state as a fresh snapshot (temp
-// file + atomic rename) and resets the WAL to just its header. Safe at
-// any point: a crash before the rename leaves the old snapshot, a
-// crash after it but before the WAL truncation replays duplicates
-// idempotently.
-func (l *Log) Compact() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || l.f == nil {
-		return
-	}
-	l.compactLocked()
-}
-
-func (l *Log) compactLocked() {
-	var buf []byte
-	hdr, _ := json.Marshal(header{Version: formatVersion, Kind: "snap", Seed: l.opts.Seed})
-	buf = appendFrame(buf, frameHeader, hdr)
-	// Emit records merged by global first-logged sequence, not grouped
-	// by kind: Verdict.Settled is "an answer was logged after me", and a
-	// kind-grouped snapshot (answers last) would mark a killed query's
-	// tail verdicts settled on the next boot.
-	type rec struct {
-		seq  int64
-		typ  byte
-		body any
-	}
-	recs := make([]rec, 0, len(l.sorder)+len(l.vorder)+len(l.aorder))
-	for _, s := range l.sorder {
-		recs = append(recs, rec{l.sseq[s], frameStatement, statementRecord{Stmt: s}})
-	}
-	for _, k := range l.vorder {
-		recs = append(recs, rec{l.vseq[k], frameVerdict, l.verdicts[k]})
-	}
-	for _, k := range l.aorder {
-		recs = append(recs, rec{l.aseq[k], frameAnswer, l.answers[k]})
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
-	for _, r := range recs {
-		body, err := json.Marshal(r.body)
-		if err != nil {
-			continue
-		}
-		buf = appendFrame(buf, r.typ, body)
-	}
-
-	fail := func() {
-		l.stats.AppendErrors++
-		mAppendErrs.Inc()
-	}
-	tmp, err := os.CreateTemp(l.dir, snapName+".tmp-*")
-	if err != nil {
-		fail()
-		return
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		fail()
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		fail()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		fail()
-		return
-	}
-	if err := os.Rename(tmpName, filepath.Join(l.dir, snapName)); err != nil {
-		os.Remove(tmpName)
-		fail()
-		return
-	}
-	syncDir(l.dir)
-
-	// The snapshot is durable; the WAL restarts from just a header.
-	if err := l.f.Truncate(0); err != nil {
-		fail()
-		return
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		fail()
-		return
-	}
-	l.walBytes = 0
-	whdr, _ := json.Marshal(header{Version: formatVersion, Kind: "wal", Seed: l.opts.Seed})
-	if err := l.writeLocked(frameHeader, whdr); err != nil {
-		fail()
-		return
-	}
-	l.syncLocked()
-	l.stats.Compactions++
-	mCompact.Inc()
-}
-
-// syncDir best-effort fsyncs a directory so a rename inside it is
-// durable.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	defer d.Close()
-	_ = d.Sync()
 }
 
 // Close stops the background sync loop (if any), flushes and syncs all

@@ -153,56 +153,73 @@ func TestSeedMismatchRefusesOpen(t *testing.T) {
 	}
 }
 
-func TestCompactionPreservesStateAndShrinksWAL(t *testing.T) {
+// TestOpenReplaysLegacySnapshot pins the read path kept for ledger
+// directories an older build compacted: Open replays snapshot.ldg, in
+// its interleaved first-logged order, before the WAL, applies records
+// the two files share once, and never rewrites the snapshot.
+func TestOpenReplaysLegacySnapshot(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)()
 	dir := t.TempDir()
-	l := openT(t, dir, Options{Seed: 3, Fsync: FsyncNever, SnapshotBytes: -1})
-	for i := 0; i < 50; i++ {
+	frame := func(buf []byte, typ byte, rec any) []byte {
+		body, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return appendFrame(buf, typ, body)
+	}
+	v0, v1, v2 := testVerdict(0), testVerdict(1), testVerdict(2)
+	ans := Answer{Stmt: "SELECT * FROM A;", Columns: []string{"x"}, Rows: [][]string{{"1"}}}
+
+	// v0 was logged before the answer, so its query finished; v1 after
+	// it, the tail a kill cut mid-query.
+	var snap []byte
+	snap = frame(snap, frameHeader, header{Version: formatVersion, Kind: "snap", Seed: 5})
+	snap = frame(snap, frameVerdict, v0)
+	snap = frame(snap, frameAnswer, ans)
+	snap = frame(snap, frameVerdict, v1)
+	var wal []byte
+	wal = frame(wal, frameHeader, header{Version: formatVersion, Kind: "wal", Seed: 5})
+	wal = frame(wal, frameVerdict, v0)
+	wal = frame(wal, frameVerdict, v2)
+	snapPath := filepath.Join(dir, snapName)
+	if err := os.WriteFile(snapPath, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l := openT(t, dir, Options{Seed: 5, Fsync: FsyncNever})
+	st := l.Stats()
+	if st.Verdicts != 3 || st.Answers != 1 {
+		t.Fatalf("stats = %+v, want 3 verdicts and 1 answer", st)
+	}
+	// Headers are not records; the WAL's repeat of v0 still counts.
+	if st.Replayed != 5 {
+		t.Fatalf("Replayed = %d, want 5 (3 from the snapshot, 2 from the WAL)", st.Replayed)
+	}
+	for _, c := range []struct {
+		v       Verdict
+		settled bool
+	}{{v0, true}, {v1, false}, {v2, false}} {
+		got, ok := l.Verdict(c.v.Key)
+		if !ok || got.Settled != c.settled {
+			t.Fatalf("Verdict(%q) = %+v, %v; want Settled=%v", c.v.Key, got, ok, c.settled)
+		}
+	}
+
+	for i := 3; i < 40; i++ {
 		l.AppendVerdict(testVerdict(i))
 	}
-	l.AppendStatement("SELECT * FROM A;")
-	l.AppendAnswer(Answer{Stmt: "SELECT * FROM A;", Columns: []string{"x"}, Rows: [][]string{{"1"}}})
-	before := l.Stats().WALBytes
-	l.Compact()
-	st := l.Stats()
-	if st.Compactions != 1 {
-		t.Fatalf("Compactions = %d, want 1", st.Compactions)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if st.WALBytes >= before {
-		t.Fatalf("WAL did not shrink: %d -> %d", before, st.WALBytes)
+	after, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Verdicts != 50 || st.Statements != 1 || st.Answers != 1 {
-		t.Fatalf("in-memory state lost by compaction: %+v", st)
-	}
-	// Appends keep working after compaction, and reopen sees snapshot +
-	// post-compaction WAL.
-	l.AppendVerdict(testVerdict(50))
-	l.Close()
-
-	l2 := openT(t, dir, Options{Seed: 3, Fsync: FsyncNever})
-	defer l2.Close()
-	st = l2.Stats()
-	if st.Verdicts != 51 || st.Statements != 1 || st.Answers != 1 {
-		t.Fatalf("post-reopen state = %+v", st)
-	}
-	if st.TornTruncations != 0 {
-		t.Fatalf("compaction produced a torn tail: %+v", st)
-	}
-}
-
-func TestAutomaticCompactionTrigger(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)()
-	l := openT(t, t.TempDir(), Options{Seed: 3, Fsync: FsyncNever, SnapshotBytes: 2048})
-	defer l.Close()
-	for i := 0; i < 200; i++ {
-		l.AppendVerdict(testVerdict(i))
-	}
-	st := l.Stats()
-	if st.Compactions == 0 {
-		t.Fatalf("no automatic compaction after %d bytes of appends", st.WALBytes)
-	}
-	if st.Verdicts != 200 {
-		t.Fatalf("verdicts lost across compactions: %+v", st)
+	if string(after) != string(snap) {
+		t.Fatalf("snapshot.ldg rewritten: %d bytes, was %d", len(after), len(snap))
 	}
 }
 

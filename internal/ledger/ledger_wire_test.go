@@ -50,8 +50,6 @@ func TestLedgerWireFormat(t *testing.T) {
 		stmts:    make(map[string]bool),
 		answers:  make(map[string]Answer),
 		vseq:     make(map[string]int64),
-		sseq:     make(map[string]int64),
-		aseq:     make(map[string]int64),
 	}
 	valid, err := l.replay(buf)
 	if err != nil {

@@ -51,21 +51,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// PublishExpvar exposes the registry under the given expvar name
-// (visible at /debug/vars of any expvar-serving mux). Safe to call
-// repeatedly on the same registry; only the first call publishes.
-// Panics (from expvar) if another variable already owns the name.
-func (r *Registry) PublishExpvar(name string) {
-	r.mu.Lock()
-	already := r.published
-	r.published = true
-	r.mu.Unlock()
-	if already {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-}
-
 // Handler returns an http.Handler serving the registry in Prometheus
 // text format — mount it at /metrics.
 func (r *Registry) Handler() http.Handler {

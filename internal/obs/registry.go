@@ -120,11 +120,10 @@ var (
 // hot paths should resolve their metrics once (package-level vars) and
 // update them lock-free afterwards.
 type Registry struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	published bool
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
 }
 
 // NewRegistry creates an empty registry.

@@ -203,9 +203,6 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain gracefully stops the server's query side: new submissions are
 // shed with 503 immediately, and Drain blocks until every in-flight
 // and queued query has finished — their handlers then write complete
@@ -456,7 +453,6 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 			Replayed:      ls.Replayed,
 			TornTruncated: ls.TornTruncations,
 			Appended:      ls.Appended,
-			Compactions:   ls.Compactions,
 			Hits:          ls.Hits,
 			Verdicts:      ls.Verdicts,
 			Statements:    ls.Statements,

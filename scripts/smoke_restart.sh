@@ -10,7 +10,9 @@
 #      rounds),
 #   3. boot replay handled the kill -9 WAL (torn final frame truncated,
 #      never fatal),
-#   4. SIGTERM drain syncs and closes the ledger cleanly.
+#   4. SIGTERM drain syncs and closes the ledger cleanly,
+#   5. the ledger directory then holds exactly one file, wal.ldg — the
+#      ledger is its write-ahead log and writes no second file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,5 +119,8 @@ SRV=""
 trap - EXIT
 grep -q 'ledger: synced and closed' "$LOG_B" || { echo "missing ledger close log line"; cat "$LOG_B"; exit 1; }
 grep -q 'drained cleanly' "$LOG_B" || { echo "missing clean-drain log line"; cat "$LOG_B"; exit 1; }
+LEDGER_FILES=$(ls -A "$LEDGER")
+[ "$LEDGER_FILES" = "wal.ldg" ] || {
+  echo "ledger directory must hold exactly wal.ldg, holds:"; ls -la "$LEDGER"; exit 1; }
 
 echo "restart-smoke: OK (logs in $SMOKE_DIR)"
