@@ -256,10 +256,14 @@ func WithReliability(rp ReliabilityPolicy) Option {
 	return func(c *Config) { c.Reliability = &rp }
 }
 
-// Stats summarizes one execution's crowd interaction: tasks, rounds,
+// Stats summarizes one statement's crowd interaction, all its runs
+// together (a GROUP BY's grouping included): tasks, rounds,
 // assignments, HITs and dollars, quality against the oracle, and the
-// reliability, sharing and inference telemetry. Its json tags are the
-// wire schema of the HTTP serving layer, pinned by a golden-file test.
+// reliability, sharing and inference telemetry. Partial flags a
+// degraded result — cancelled, timed out, tasks lost, or a GROUP BY its
+// BUDGET cut short — and Reason names the first cause. Its json tags
+// are the wire schema of the HTTP serving layer, pinned by a
+// golden-file test.
 type Stats = engine.QueryStats
 
 // Result is the outcome of one Exec call or one Future: projected

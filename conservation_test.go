@@ -1,0 +1,103 @@
+package cdb
+
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"cdb/internal/cql"
+	"cdb/internal/engine"
+)
+
+// The running example's join and the same join grouped by a dirty
+// column, its BUDGET below what the join spends unbudgeted, and the
+// tight retry budget of the fault paths.
+const (
+	exampleJoin    = `SELECT Paper.conference FROM Paper, Citation WHERE Paper.title CROWDJOIN Citation.title;`
+	exampleGrouped = `SELECT Paper.conference FROM Paper, Citation WHERE Paper.title CROWDJOIN Citation.title GROUP BY Paper.conference;`
+	exampleBudget  = 5
+	tightRetries   = 4
+)
+
+// budgeted appends BUDGET exampleBudget to q.
+func budgeted(q string) string { return strings.Replace(q, ";", " BUDGET 5;", 1) }
+
+// conservationPaths are DB.Exec's crowd paths; the fault paths run
+// under a tight retry budget.
+var conservationPaths = map[string][]Option{
+	"majority":              {WithWorkers(30, 0.8, 0.1)},
+	"markets":               {WithMarkets(twoMarkets...)},
+	"transitive-calibrated": {WithWorkers(30, 0.8, 0.1), WithTransitivity(true), WithCalibration(true)},
+	"cdb+":                  {WithWorkers(30, 0.8, 0.1), WithQualityControl(true)},
+	"faults-drops":          {WithFaults(FaultConfig{Seed: 7, DropRate: 0.3}), tightRetryBudget},
+	"faults-stragglers-duplicates": {
+		WithFaults(FaultConfig{Seed: 13, StragglerRate: 0.6, DuplicateRate: 0.2}), tightRetryBudget},
+	"faults-lost": {WithFaults(FaultConfig{Seed: 21, DropRate: 1}), tightRetryBudget},
+	"faults-cdb+": {WithQualityControl(true), WithFaults(FaultConfig{Seed: 9, DropRate: 0.2, StragglerRate: 0.3}), tightRetryBudget},
+}
+
+var tightRetryBudget = WithReliability(ReliabilityPolicy{RetryBudget: tightRetries})
+
+// TestStatementConservation: a statement is one account, however many
+// runs it takes. On every DB.Exec crowd path, for a plain SELECT and a
+// GROUP BY, with and without a BUDGET below the join's unbudgeted
+// spend, the metadata store holds exactly the tasks and assignments the
+// Stats charge, the Stats stay within the BUDGET, and the reissues of
+// both runs together stay within the retry budget. A served budgeted
+// GROUP BY (the resolver path) stays within its BUDGET too.
+func TestStatementConservation(t *testing.T) {
+	for name, path := range conservationPaths {
+		for _, q := range []string{exampleJoin, exampleGrouped, budgeted(exampleJoin), budgeted(exampleGrouped)} {
+			t.Run(name+"/"+q, func(t *testing.T) {
+				db := Open(append([]Option{WithDataset("example", 0, 1), WithSeed(3), WithMetadata()}, path...)...)
+				st, err := cql.Parse(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ans, err := engine.RunSelect(context.Background(), db.selectRequest(st.(*cql.Select)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats, store := ans.Result().Stats, db.Metadata().ComputeStats()
+				if store.Tasks != stats.Tasks || store.Assignments != stats.Assignments {
+					t.Errorf("store holds %d tasks / %d assignments, Stats charge %d / %d",
+						store.Tasks, store.Assignments, stats.Tasks, stats.Assignments)
+				}
+				if q != exampleJoin && q != exampleGrouped && stats.Tasks > exampleBudget {
+					t.Errorf("BUDGET %d spent %d tasks", exampleBudget, stats.Tasks)
+				}
+				if strings.HasPrefix(name, "faults") && ans.Report.Reliability.Reissued > tightRetries {
+					t.Errorf("reissued %d, retry budget %d", ans.Report.Reliability.Reissued, tightRetries)
+				}
+			})
+		}
+	}
+	t.Run("served", func(t *testing.T) {
+		res := engineResult(t, Open(WithDataset("example", 0, 1), WithSeed(3)), func(e *Engine) (*Future, error) {
+			return e.Submit(context.Background(), budgeted(exampleGrouped))
+		})
+		if res.Stats.Tasks > exampleBudget {
+			t.Errorf("served BUDGET %d spent %d tasks", exampleBudget, res.Stats.Tasks)
+		}
+	})
+}
+
+// TestBudgetBoundsGroupBy: the running example's GROUP BY under BUDGET
+// 5 spends what its join leaves, which is nothing, so its groups are the
+// exact values and the result is Partial for the budget; the same
+// statement without GROUP BY spends its 5 tasks unflagged, as it
+// always has.
+func TestBudgetBoundsGroupBy(t *testing.T) {
+	db := Open(WithDataset("example", 0, 1), WithSeed(3))
+	plain := db.MustExec(budgeted(exampleJoin))
+	grouped := Open(WithDataset("example", 0, 1), WithSeed(3)).MustExec(budgeted(exampleGrouped))
+	if s := plain.Stats; s.Tasks != 5 || s.Rounds != 5 || s.Assignments != 25 || s.Partial {
+		t.Fatalf("plain: %+v, want 5 tasks, 5 rounds, 25 assignments, complete", s)
+	}
+	if s := grouped.Stats; s.Tasks > exampleBudget || !s.Partial || s.Reason != "budget" {
+		t.Fatalf("grouped: %+v, want at most %d tasks, partial for the budget", s, exampleBudget)
+	}
+	if len(grouped.Rows) != len(plain.Rows) {
+		t.Fatalf("%d groups of %d rows: a grouping with nothing left must keep the exact values apart", len(grouped.Rows), len(plain.Rows))
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -148,6 +149,94 @@ func TestOneDriver(t *testing.T) {
 			return true
 		})
 	})
+}
+
+// testOnlyExports are the exported internal/ functions and methods that
+// only tests call, each with the reason it stays exported.
+var testOnlyExports = map[string]string{
+	"cost.KnownColorSelect":               "§5.1.1's optimal selection for a known coloring, the reference its tests and benchmark check",
+	"cost.PruningExpectation":             "Eq. 1 for one edge, the reference NaiveExpectation and the property tests score with",
+	"quality.AssignFill":                  "FILL's task assignment, waiting for FILL to run as crowd rounds",
+	"quality.Chao92":                      "COLLECT's species estimator, waiting for COLLECT to run as crowd rounds",
+	"quality.CompletenessScore":           "COLLECT's completeness measure, waiting for COLLECT to run as crowd rounds",
+	"quality.DecomposeMulti":              "multi-choice FILL answers, waiting for FILL to run as crowd rounds",
+	"quality.Calibrator.Curve":            "the fitted calibration curve, waiting for Eq. 1's weights to be calibrated by default",
+	"quality.WorkerModel.CalibrateGolden": "golden-task worker calibration, waiting for Eq. 1's weights to be calibrated by default",
+}
+
+// TestNoTestOnlyExports: no exported function or method of an internal/
+// package exists for tests alone. Each must be named by some non-test
+// file — the benchmark harness's included, for it imports internal/
+// packages — other than at its declaration, or be listed in
+// testOnlyExports; a helper only tests need belongs in a _test.go file.
+// The scan is by name, so a name any program file uses counts for every
+// declaration of it. internal/testutil exists for tests and is exempt.
+func TestNoTestOnlyExports(t *testing.T) {
+	used := map[string]bool{}
+	type decl struct{ key, pos string }
+	var decls []decl
+	scan := func(fset *token.FileSet, path string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		declared := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declared[fn.Name] = true
+			if !strings.HasPrefix(dir, "internal/") || dir == "internal/testutil" || !fn.Name.IsExported() {
+				continue
+			}
+			key := filepath.Base(dir) + "." + fn.Name.Name
+			if fn.Recv != nil {
+				typ := fn.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					key = filepath.Base(dir) + "." + id.Name + "." + fn.Name.Name
+				}
+			}
+			decls = append(decls, decl{key, fset.Position(fn.Pos()).String()})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+	}
+	eachProgramFile(t, scan)
+	harness, err := filepath.Glob(filepath.Join("benchmark", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range harness {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan(fset, path, f)
+	}
+	stale := maps.Clone(testOnlyExports)
+	for _, d := range decls {
+		name := d.key[strings.LastIndex(d.key, ".")+1:]
+		_, allowed := testOnlyExports[d.key]
+		delete(stale, d.key)
+		switch {
+		case allowed && used[name]:
+			t.Errorf("testOnlyExports lists %s, which a program file now calls; drop it", d.key)
+		case !allowed && !used[name]:
+			t.Errorf("%s: %s is exported for tests alone; unexport it or move it into a _test.go file", d.pos, d.key)
+		}
+	}
+	for key := range stale {
+		t.Errorf("testOnlyExports lists %s, which is no longer declared; drop it", key)
+	}
 }
 
 // crowdForks are the program functions outside the crowd's own

@@ -280,8 +280,8 @@ func TestGreedyBudgetStopsAtBudget(t *testing.T) {
 			t.Fatal("budget not honoured")
 		}
 	}
-	if asked != 5 || gb.Spent() != 5 {
-		t.Fatalf("asked %d (spent %d), want 5", asked, gb.Spent())
+	if asked != 5 || gb.spent != 5 {
+		t.Fatalf("asked %d (spent %d), want 5", asked, gb.spent)
 	}
 }
 
@@ -387,8 +387,8 @@ func TestGreedyBudgetFlush(t *testing.T) {
 	if len(flush) != 2 {
 		t.Fatalf("flush = %v, want budget-capped first-pred edges", flush)
 	}
-	if gb.Spent() != 2 {
-		t.Fatalf("spent = %d", gb.Spent())
+	if gb.spent != 2 {
+		t.Fatalf("spent = %d", gb.spent)
 	}
 }
 

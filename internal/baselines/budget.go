@@ -28,9 +28,6 @@ func NewGreedyBudget(b int) *GreedyBudget { return &GreedyBudget{B: b, lastEdge:
 // Name implements the Strategy contract.
 func (s *GreedyBudget) Name() string { return "Baseline" }
 
-// Spent reports issued tasks.
-func (s *GreedyBudget) Spent() int { return s.spent }
-
 func (s *GreedyBudget) init(g *graph.Graph) {
 	s.order = DecoOrder(g)
 	s.reset(g)

@@ -6,37 +6,27 @@ import (
 	"cdb/internal/graph"
 )
 
-// Budget implements budget-aware task selection (§5.1.3): maximize the
-// number of answers found with at most B tasks. Each round it picks
+// Budget is the order of budget-aware task selection (§5.1.3): to
+// find as many answers as possible within B tasks, each round it picks
 // the candidate with the highest answer expectation — the product of
 // its unresolved edge probabilities (blue edges count 1) — and asks
-// that candidate's unknown edges, heaviest first, until the budget is
-// exhausted.
+// that candidate's unknown edges, heaviest first. The cap on B is the
+// executor's (exec.Account), not the order's.
 type Budget struct {
-	B int
-
 	// closure, when set via SetClosure, excludes entailed edges from
-	// the budget: an edge whose label transitivity already determines
+	// the order: an edge whose label transitivity already determines
 	// is treated as resolved, so no budgeted task is spent on it.
 	closure *graph.Closure
-
-	spent int
 }
 
 // budgetCandidateCap bounds candidate enumeration per round.
 const budgetCandidateCap = 100000
-
-// NewBudget builds a budget strategy for B tasks.
-func NewBudget(b int) *Budget { return &Budget{B: b} }
 
 // Name implements Strategy.
 func (b *Budget) Name() string { return "CDB-Budget" }
 
 // SetClosure installs (or removes) the transitive-inference overlay.
 func (b *Budget) SetClosure(c *graph.Closure) { b.closure = c }
-
-// Spent reports how many tasks the strategy has issued so far.
-func (b *Budget) Spent() int { return b.spent }
 
 // unresolved reports whether an edge still needs crowd work: uncolored
 // and not entailed by the overlay.
@@ -54,9 +44,6 @@ func (b *Budget) unresolved(g *graph.Graph, e int) bool {
 
 // NextRound implements Strategy.
 func (b *Budget) NextRound(g *graph.Graph) []int {
-	if b.spent >= b.B {
-		return nil
-	}
 	if b.closure != nil {
 		b.closure.Update()
 	}
@@ -90,14 +77,10 @@ func (b *Budget) NextRound(g *graph.Graph) []int {
 		}
 		return ask[i] < ask[j]
 	})
-	if remain := b.B - b.spent; len(ask) > remain {
-		ask = ask[:remain]
-	}
-	b.spent += len(ask)
 	return ask
 }
 
-// Flush implements Strategy: one more best-candidate batch within the
-// remaining budget (repeating without fresh colors would re-pick the
-// same candidate, so a single batch is all a final round can use).
+// Flush implements Strategy: one more best-candidate batch (repeating
+// without fresh colors would re-pick the same candidate, so a single
+// batch is all a final round can use).
 func (b *Budget) Flush(g *graph.Graph) []int { return b.NextRound(g) }

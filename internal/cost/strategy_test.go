@@ -136,22 +136,6 @@ func TestMinCutSamplingDefaultSamples(t *testing.T) {
 	}
 }
 
-func TestBudgetRespectsLimit(t *testing.T) {
-	r := stats.NewRNG(404)
-	for _, budget := range []int{0, 1, 3, 7, 1000} {
-		g := buildRandomChain(r, []int{3, 3, 3, 3}, 0.6)
-		o := newOracle(g, r, 0.5)
-		b := NewBudget(budget)
-		tasks, _ := drive(t, g, b, o)
-		if tasks > budget {
-			t.Fatalf("budget %d: asked %d tasks", budget, tasks)
-		}
-		if b.Spent() != tasks {
-			t.Fatalf("Spent() = %d, tasks = %d", b.Spent(), tasks)
-		}
-	}
-}
-
 func TestBudgetPrefersLikelyCandidates(t *testing.T) {
 	// Two disjoint chains: one with weight 0.9 edges, one with 0.2.
 	// With budget 2 the strategy must spend on the likely chain.
@@ -164,7 +148,7 @@ func TestBudgetPrefersLikelyCandidates(t *testing.T) {
 	hi2 := g.AddEdge(1, 0, 0, 0.9)
 	g.AddEdge(0, 1, 1, 0.2)
 	g.AddEdge(1, 1, 1, 0.2)
-	b := NewBudget(2)
+	b := &Budget{}
 	batch := b.NextRound(g)
 	if len(batch) != 2 {
 		t.Fatalf("batch = %v", batch)
@@ -176,7 +160,8 @@ func TestBudgetPrefersLikelyCandidates(t *testing.T) {
 }
 
 func TestBudgetFindsAnswersEfficiently(t *testing.T) {
-	// All edges truth-blue on the likely chain; budget exactly covers it.
+	// All edges truth-blue on the likely chain: the first round, two
+	// tasks, asks exactly it and finds its answer.
 	s := &graph.Structure{
 		Tables: []string{"A", "B", "C"},
 		Preds:  []graph.QPred{{A: 0, B: 1}, {A: 1, B: 2}},
@@ -187,10 +172,12 @@ func TestBudgetFindsAnswersEfficiently(t *testing.T) {
 	g.AddEdge(0, 1, 1, 0.3)
 	g.AddEdge(1, 1, 1, 0.3)
 	o := &oracle{truth: map[int]graph.Color{e0: graph.Blue, e1: graph.Blue, 2: graph.Red, 3: graph.Red}}
-	b := NewBudget(2)
-	drive(t, g, b, o)
-	if len(g.Answers()) != 1 {
-		t.Fatalf("answers = %d, want 1 within budget 2", len(g.Answers()))
+	batch := (&Budget{}).NextRound(g)
+	for _, e := range batch {
+		g.SetColor(e, o.truth[e])
+	}
+	if len(batch) != 2 || len(g.Answers()) != 1 {
+		t.Fatalf("first round %v found %d answers, want 1 within 2 tasks", batch, len(g.Answers()))
 	}
 }
 

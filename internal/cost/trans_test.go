@@ -183,7 +183,7 @@ func TestFlushSkipsEntailed(t *testing.T) {
 			t.Fatal("NaiveExpectation.Flush returned an entailed edge")
 		}
 	}
-	bd := NewBudget(10)
+	bd := &Budget{}
 	bd.SetClosure(cl)
 	for _, id := range bd.NextRound(g) {
 		if id == e11 {

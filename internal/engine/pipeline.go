@@ -10,6 +10,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -77,7 +78,7 @@ type SelectRequest struct {
 	Transport func() *crowd.Transport
 
 	// Exec is the executor configuration every order shares; the
-	// pipeline fills in Strategy and Transport.
+	// pipeline fills in Strategy, Transport and the statement's Account.
 	Exec exec.Options
 
 	// Planned, when set, runs between planning and the first round with
@@ -101,7 +102,9 @@ const (
 // this is the only place that decides between them, and the table is
 // the only place features constrain each other:
 //
-//	BUDGET n    × planner        budget wins: the run follows cost.Budget's spend-capped order
+//	BUDGET n    × planner        budget wins: the run follows cost.Budget's order, the account caps its spend
+//	BUDGET n    × GROUP BY       one cap: the grouping spends what the join left; a cut grouping is
+//	                             Partial, reason budget
 //	planner     × crowd path     compose: the planned order is a key, the verdicts come from the
 //	                             run's own crowd (transport, CDB+, markets or the pool)
 //	planner     × transitivity   compose: one strategy, keys priority → expected yield → Eq. 1
@@ -134,15 +137,21 @@ func (req *SelectRequest) scoped(o order) Source {
 }
 
 // build makes the executor options of a run under o over the bound plan:
-// the strategy o uses, then the transport. Each constructor can draw from
-// the caller's RNG, so this order is part of what makes equal seeds replay
+// the statement's account, capped at its BUDGET, then the strategy o
+// uses, then the transport. Each request constructor can draw from the
+// caller's RNG, so this order is part of what makes equal seeds replay
 // equal answers, and a constructor the order does not use is not called.
 func (req *SelectRequest) build(p *exec.Plan, o order) (exec.Options, *plan.Decision) {
 	opts := req.Exec
+	tasks := math.MaxInt
+	if req.Stmt.Budget > 0 {
+		tasks = req.Stmt.Budget
+	}
+	opts.Account = exec.NewAccount(tasks, opts.Reliability)
 	var decision *plan.Decision
 	switch o {
 	case byBudget:
-		opts.Strategy = cost.NewBudget(req.Stmt.Budget)
+		opts.Strategy = &cost.Budget{}
 	case byConfigured:
 		opts.Strategy = req.Strategy(p)
 	case byGreedyPlan:
@@ -235,13 +244,14 @@ func ColumnIndex(columns []string, ref cql.ColRef) (int, error) {
 // own crowd — pool or markets, quality mode, fault policy or resolver —
 // and recorded in its metadata, trace and progress, but under none of
 // its order (planner, closure, calibration, round cap). It opens a
-// transport of its own and spends what the statement left of the
-// query's retry budget. The groups are the closure's clusters, first
-// member first; each keeps its first member's row plus a group_count
-// column. A group is only as trustworthy as its least-confident member,
-// so confidences fold by min; provenance folds by summing the members'
-// edge counts. The grouping's crowd work is charged to the statement's
-// report.
+// transport of its own and spends from the statement's account what the
+// join left of its BUDGET and retry budget. A grouping the account cuts
+// short leaves its unasked pairs in separate groups, which splits an
+// entity over rows, so the statement turns Partial with reason "budget".
+// The groups are the closure's clusters, first member first; each keeps
+// its first member's row plus a group_count column. A group is only as
+// trustworthy as its least-confident member, so confidences fold by min;
+// provenance folds by summing the members' edge counts.
 func (req *SelectRequest) groupBy(ctx context.Context, ans *Answer, pos int, opts exec.Options) error {
 	rep := ans.Report
 	values := make([]string, len(ans.Rows))
@@ -258,22 +268,13 @@ func (req *SelectRequest) groupBy(ctx context.Context, ans *Answer, pos int, opt
 		run.Transport = req.Transport()
 		defer run.Transport.Close()
 	}
-	run.Reliability = rep.RetryLeft(opts.Reliability)
-	if opts.Progress != nil {
-		// The grouping's rounds continue the statement's.
-		rounds, tasks, asks := rep.Metrics.Rounds, rep.Metrics.Tasks, rep.Assignments
-		run.Progress = func(u exec.RoundUpdate) {
-			u.Round += rounds
-			u.TasksTotal += tasks
-			u.AssignmentsTotal += asks
-			opts.Progress(u)
-		}
-	}
 	grouping, err := exec.Run(ctx, p, run)
 	if err != nil {
 		return err
 	}
-	rep.Charge(grouping)
+	if grouping.Capped && !rep.Reliability.Partial {
+		rep.Reliability.Partial, rep.Reliability.Reason = true, "budget"
+	}
 
 	cl := graph.NewClosure(p.G)
 	cl.Update()

@@ -25,9 +25,14 @@ type QueryStats struct {
 	F1          float64 `json:"f1"`
 
 	// Reliability telemetry, populated on the fault-tolerant transport
-	// (WithFaults / WithReliability). Partial marks a degraded result:
-	// the query ran out of time, retries, or was cancelled, and Reason
-	// says which. The counters attribute where answers went.
+	// (WithFaults / WithReliability). Partial marks a degraded result,
+	// and Reason names its first cause: the query was cancelled or ran
+	// out of time ("canceled", "deadline"), lost tasks after its retries
+	// ("tasks-lost"), or its BUDGET ran out before its GROUP BY had
+	// grouped ("budget"; one entity may then span rows). A budgeted
+	// SELECT without GROUP BY is never partial for its BUDGET: fewer
+	// answers within B is what BUDGET asks for. The counters attribute
+	// where answers went.
 	Partial         bool   `json:"partial,omitempty"`
 	Reason          string `json:"reason,omitempty"`
 	Lost            int    `json:"lost,omitempty"`             // tasks that never got any answer

@@ -300,10 +300,40 @@ func TestFewerRoundsAllowedMeansMoreTasks(t *testing.T) {
 	}
 }
 
+// TestBudgetRespectsLimit: a run whose account holds B tasks asks the
+// crowd at most B, under the budget order and under the expected-yield
+// order; its Report charges exactly the tasks the crowd was asked, and
+// it is Capped exactly when the unbudgeted run asks more.
+func TestBudgetRespectsLimit(t *testing.T) {
+	for _, b := range []int{0, 1, 3, 7, 1000} {
+		for _, order := range []func() cost.Strategy{
+			func() cost.Strategy { return &cost.Budget{} },
+			func() cost.Strategy { return &cost.Expectation{} },
+		} {
+			free, err := Run(context.Background(), examplePlan(t), Options{Strategy: order(), Redundancy: 1, Pool: perfectPool(3, 10)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := meta.NewStore()
+			rep, err := Run(context.Background(), examplePlan(t), Options{
+				Strategy: order(), Redundancy: 1, Pool: perfectPool(3, 10), Meta: store, Account: NewAccount(b, Reliability{}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if asked := store.Tasks().Len(); asked > b || asked != rep.Metrics.Tasks {
+				t.Fatalf("budget %d: asked %d tasks, the report charges %d", b, asked, rep.Metrics.Tasks)
+			}
+			if rep.Capped != (free.Metrics.Tasks > b) {
+				t.Fatalf("budget %d: capped = %v, unbudgeted run asks %d", b, rep.Capped, free.Metrics.Tasks)
+			}
+		}
+	}
+}
+
 func TestRunBudgetStrategy(t *testing.T) {
 	p := examplePlan(t)
-	b := cost.NewBudget(6)
-	rep, err := Run(context.Background(), p, Options{Strategy: b, Redundancy: 1, Pool: perfectPool(8, 30)})
+	rep, err := Run(context.Background(), p, Options{Strategy: &cost.Budget{}, Account: NewAccount(6, Reliability{}), Redundancy: 1, Pool: perfectPool(8, 30)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +363,7 @@ func TestBudgetBeatsGreedyBaseline(t *testing.T) {
 		return p
 	}
 	pC := build()
-	repC, err := Run(context.Background(), pC, Options{Strategy: cost.NewBudget(budget), Redundancy: 1, Pool: perfectPool(21, 10)})
+	repC, err := Run(context.Background(), pC, Options{Strategy: &cost.Budget{}, Account: NewAccount(budget, Reliability{}), Redundancy: 1, Pool: perfectPool(21, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,11 @@ func possiblyLive(p *exec.Plan) []bool {
 			for _, pred := range g.TablePreds(g.TableOf(v)) {
 				ok := false
 				for _, e := range g.EdgesAt(v, pred) {
-					ok = ok || live[g.Other(e, v)]
+					other := g.Edge(e).U
+					if other == v {
+						other = g.Edge(e).V
+					}
+					ok = ok || live[other]
 				}
 				if !ok {
 					live[v], changed = false, true
@@ -92,7 +96,7 @@ func checkLiveSubgraph(t *testing.T, label string, full, live *exec.Plan) []int 
 		for v := range alive {
 			alive[v] = true
 		}
-	} else if full.G.TreeShaped() {
+	} else if full.G.S.Kind() != graph.Cyclic {
 		// On a tree, possibly live is "has a valid edge at birth".
 		valid := make([]bool, len(alive))
 		for e := 0; e < full.G.NumEdges(); e++ {
@@ -276,7 +280,7 @@ func TestLiveOnlyBindsTheLiveTouchingSubgraph(t *testing.T) {
 		if c.label == "empty" && (live.G.NumEdges() != 0 || full.G.NumEdges() == 0) {
 			t.Errorf("empty: %d of %d edges bound, want none of some", live.G.NumEdges(), full.G.NumEdges())
 		}
-		if c.label == "cyclic" && full.G.TreeShaped() {
+		if c.label == "cyclic" && full.G.S.Kind() != graph.Cyclic {
 			t.Error("cyclic: the structure is a tree")
 		}
 	}
@@ -379,12 +383,15 @@ func TestLiveOnlyRunsTheFullBindsRun(t *testing.T) {
 				}
 				var strategy cost.Strategy = rec
 				batches := &rec.batches
+				var acct *exec.Account
 				if budget > 0 {
-					brec := &budgetRecorder{Budget: cost.NewBudget(budget)}
+					brec := &budgetRecorder{Budget: &cost.Budget{}}
 					strategy, batches = brec, &brec.batches
+					acct = exec.NewAccount(budget, exec.Reliability{})
 				}
 				rep, err := exec.Run(context.Background(), p, exec.Options{
 					Strategy:   strategy,
+					Account:    acct,
 					Pool:       crowd.NewPool(30, 0.8, 0.1, stats.NewRNG(5)),
 					Transitive: mode == "closure",
 				})

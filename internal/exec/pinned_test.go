@@ -117,12 +117,15 @@ var pinnedHashes = map[string]uint64{
 	"transport-stragglers-duplicates": 0x2e895143d0ebc8a2,
 	"transport-lost":                  0xc387112e039095c2,
 	"transport-cdb+":                  0xe5e1b50fd8856f64,
-	"transport-cancelled":             0x50cf6101a13bb5c6,
+	"transport-cancelled":             0xef2bdfd547eb2c86,
 }
 
 // hashRun runs p under opts with metadata recording on and digests
 // the colour of every edge after every round, the Report's public
-// fields and the metadata store's three tables.
+// fields and the metadata store's three tables. The store must hold
+// exactly the tasks and assignments the Report charges — a discarded
+// round leaves nothing — except that on the resolver path the answers
+// are the resolver's, so no assignment is recorded.
 func hashRun(t *testing.T, p *Plan, opts Options, cancelAt int) uint64 {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -145,6 +148,12 @@ func hashRun(t *testing.T, p *Plan, opts Options, cancelAt int) uint64 {
 		t.Fatal(err)
 	}
 	writeReport(h, rep)
+	if got := store.Tasks().Len(); got != rep.Metrics.Tasks {
+		t.Errorf("store holds %d tasks, the report charges %d", got, rep.Metrics.Tasks)
+	}
+	if got := store.Assignments().Len(); opts.Resolver == nil && got != rep.Assignments {
+		t.Errorf("store holds %d assignments, the report charges %d", got, rep.Assignments)
+	}
 	for _, tbl := range []*table.Table{store.Tasks(), store.Assignments(), store.Workers()} {
 		fmt.Fprintf(h, "%s: %d rows\n", tbl.Schema.Name, tbl.Len())
 		for _, r := range tbl.Rows {
@@ -242,10 +251,11 @@ func publicReport(r *Report) Report {
 	rel := r.Reliability
 	rel.Partial, rel.Reason, rel.RoundsTruncated = false, "", 0
 	return Report{
-		Metrics: r.Metrics, Assignments: r.Assignments, HITs: r.HITs, Dollars: r.Dollars,
-		Answers: r.Answers, Confidence: r.Confidence, Reliability: rel,
-		Coalesced: r.Coalesced, CachedTasks: r.CachedTasks, LedgerTasks: r.LedgerTasks,
-		Inferred: r.Inferred, Provenance: r.Provenance, PerMarket: r.PerMarket,
+		Account: &Account{
+			Metrics: r.Metrics, Assignments: r.Assignments, HITs: r.HITs, Dollars: r.Dollars, Reliability: rel,
+			Coalesced: r.Coalesced, CachedTasks: r.CachedTasks, LedgerTasks: r.LedgerTasks, PerMarket: r.PerMarket,
+		},
+		Answers: r.Answers, Confidence: r.Confidence, Inferred: r.Inferred, Provenance: r.Provenance,
 	}
 }
 

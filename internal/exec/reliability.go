@@ -38,9 +38,10 @@ type Reliability struct {
 	// disables retries).
 	MaxRetries int
 	// RetryBudget caps the extra worker assignments reissues may charge
-	// to the whole query — retries spend real money, and the paper's
-	// BUDGET semantics must keep holding under chaos (default 256;
-	// negative means unlimited).
+	// to the whole statement, all its runs together (the Account keeps
+	// what is left) — retries spend real money, and the paper's BUDGET
+	// semantics must keep holding under chaos (default 256; negative
+	// means unlimited).
 	RetryBudget int
 	// BackoffBase multiplies the deadline of successive reissue waves
 	// (default 2: 64, 128, 256, … ticks).
@@ -60,18 +61,6 @@ type Reliability struct {
 	// task exhausting its retries turns into an error instead of a
 	// partial Result.
 	Strict bool
-}
-
-// RetryLeft returns pol for a further run the same query pays for (its
-// GROUP BY), its RetryBudget cut to what rep left unspent, so the cap
-// holds across both runs. A zero RetryBudget means the default, so a
-// spent budget turns reissues off instead: no retry waves, no hedges.
-func (rep *Report) RetryLeft(pol Reliability) Reliability {
-	pol.RetryBudget = rep.retryBudget
-	if pol.RetryBudget <= 0 {
-		pol.MaxRetries, pol.HedgeFrac = -1, -1
-	}
-	return pol
 }
 
 // withDefaults resolves the zero value into the documented defaults.
@@ -113,14 +102,14 @@ func (r Reliability) withDefaults() Reliability {
 }
 
 // ReliabilityStats reports what the fault policy saw and did during one
-// execution. All counts are zero on the clean synchronous path.
+// statement. All counts are zero on the clean synchronous path.
 type ReliabilityStats struct {
 	// Partial marks a degraded result: the query was cancelled, hit its
-	// deadline, or abandoned tasks after exhausting retries. The
-	// remaining fields say which.
+	// deadline, abandoned tasks after exhausting retries, or its BUDGET
+	// cut its GROUP BY short. The remaining fields say which.
 	Partial bool
-	// Reason is "" for a complete result, else "canceled", "deadline",
-	// or "tasks-lost".
+	// Reason is "" for a complete result, else the first degradation:
+	// "canceled", "deadline", "tasks-lost" or "budget".
 	Reason string
 	// Issued counts worker assignments handed to the transport,
 	// including hedge and retry waves; Reissued counts just the waves.
@@ -186,7 +175,8 @@ func (rep *Report) setEdgeConf(e int, conf float64) {
 // (task, worker) so injected duplicates and late reissue overlaps feed
 // truth inference exactly once (Eq. 2 stays correct). The round's
 // reliability tallies, retry spend and per-market counts are committed
-// to the report only once collection completes; a context error
+// to the report only once collection completes, and the answers reach
+// the metadata store only when the round commits; a context error
 // returns before, so the caller can discard the round wholesale.
 func (rep *Report) collectAsync(ctx context.Context, p *Plan, batch []int, opts Options) (asks int, err error) {
 	pol := opts.Reliability
@@ -197,19 +187,13 @@ func (rep *Report) collectAsync(ctx context.Context, p *Plan, batch []int, opts 
 	if rep.seen == nil {
 		rep.seen = map[int]map[int]bool{}
 	}
-	rel, budget := rep.Reliability, rep.retryBudget
+	rel, budget := rep.Reliability, rep.retries
 	perMarket := map[string]int{}
 	cur := make(map[int]*asyncTask, len(batch))
 	deadline := tp.Now() + pol.TaskDeadline
 	specs := make([]crowd.TaskSpec, 0, len(batch))
-	if opts.Meta != nil && rep.metaOf == nil {
-		rep.metaOf = map[int]int32{}
-	}
-	for i, e := range batch {
+	for _, e := range batch {
 		cur[e] = &asyncTask{}
-		if opts.Meta != nil {
-			rep.metaOf[e] = rep.tasks[i].metaID
-		}
 		specs = append(specs, crowd.TaskSpec{ID: e, Truth: p.Truth[e], K: k, Deadline: deadline})
 		rel.Issued += k
 	}
@@ -241,11 +225,9 @@ func (rep *Report) collectAsync(ctx context.Context, p *Plan, batch []int, opts 
 				choice = 1
 			}
 			ca := quality.ChoiceAnswer{Worker: a.Worker, Choice: choice}
-			if opts.Meta != nil {
-				// Every accepted answer is paid, a straggler from an
-				// earlier round included: each is a row of its own task.
-				opts.Meta.RecordAssignment(int(rep.metaOf[a.Task]), a.Worker, boolAnswer(a.Value))
-			}
+			// Every accepted answer is paid, a straggler from an earlier
+			// round included: each is a row of its own task.
+			rep.collected(opts.Meta, a.Task, a.Worker, a.Value)
 			if st, active := cur[a.Task]; active {
 				st.answers = append(st.answers, ca)
 			} else if idx, ok := rep.histIndex[a.Task]; ok {
@@ -282,7 +264,7 @@ func (rep *Report) collectAsync(ctx context.Context, p *Plan, batch []int, opts 
 	}
 
 	// reissue sends fresh assignments for each listed task, charging
-	// the query's retry budget, and returns the latest deadline issued.
+	// the statement's retry budget, and returns the latest deadline issued.
 	reissue := func(edges []int, waveDeadline int64, hedge bool) crowd.Tick {
 		var wave []crowd.TaskSpec
 		maxDl := tp.Now()
@@ -384,7 +366,7 @@ func (rep *Report) collectAsync(ctx context.Context, p *Plan, batch []int, opts 
 			rep.remember(e, quality.ChoiceTask{Choices: 2, Answers: st.answers})
 		}
 	}
-	rep.Reliability, rep.retryBudget = rel, budget
+	rep.Reliability, rep.retries = rel, budget
 	for m, n := range perMarket {
 		if rep.PerMarket == nil {
 			rep.PerMarket = map[string]int{}

@@ -145,22 +145,27 @@ type Options struct {
 	// into the graph for free, closure-aware strategies stop asking
 	// entailed edges, and Report gains Inferred / Provenance.
 	Transitive bool
+	// Account is the statement's spend, shared by all its runs; nil
+	// opens an uncapped account for this run alone.
+	Account *Account
 }
 
-// Report is the outcome of one execution.
-type Report struct {
+// Account is one statement's crowd spend. Every run of the statement —
+// its join order, its GROUP BY grouping — draws on the one Account
+// (Options.Account): the tasks its BUDGET leaves, the reissues its
+// Reliability.RetryBudget leaves, and the running tallies that number
+// its rounds, progress updates and metadata task rows and make its
+// Stats. Each Report of the statement embeds it, so any of them reads
+// the statement's totals.
+type Account struct {
+	// Metrics counts the statement's tasks and rounds. Precision and
+	// Recall score the answers of the account's first run: a later run
+	// regroups those answers rather than producing new ones.
 	Metrics     stats.Metrics
 	Assignments int     // worker answers collected
-	HITs        int     // priced HITs
+	HITs        int     // priced HITs, each run priced on its own
 	Dollars     float64 // simulated spend
-	Answers     []graph.Embedding
-	// Confidence holds the executor's confidence in each answer,
-	// aligned with Answers: the minimum verdict confidence over the
-	// answer's edges (majority margin, Bayesian posterior, or — for
-	// tasks lost to faults — the optimizer's prior). 1.0 for edges
-	// decided without the crowd.
-	Confidence []float64
-	// Reliability reports the fault policy's view of the execution;
+	// Reliability reports the fault policy's view of the statement;
 	// Reliability.Partial marks a gracefully degraded result.
 	Reliability ReliabilityStats
 	// Coalesced / CachedTasks count tasks answered by a shared
@@ -175,15 +180,44 @@ type Report struct {
 	// uninterrupted run; the split surfaces via introspection and
 	// engine counters only.
 	LedgerTasks int
+	// PerMarket counts tasks routed to each market when a Router is
+	// configured (async transport: accepted answers per market).
+	PerMarket map[string]int
+
+	// left is the tasks the BUDGET leaves (math.MaxInt without one);
+	// retries the reissued assignments the retry budget leaves.
+	left, retries int
+	// scored marks that a run has set Metrics' Precision and Recall.
+	scored bool
+}
+
+// NewAccount opens a statement's account: tasks caps the tasks its runs
+// may ask (its BUDGET; math.MaxInt for none), and rel.RetryBudget, after
+// defaults, the assignments they may reissue.
+func NewAccount(tasks int, rel Reliability) *Account {
+	return &Account{left: tasks, retries: rel.withDefaults().RetryBudget}
+}
+
+// Report is the outcome of one execution: its answers over the
+// statement's Account.
+type Report struct {
+	*Account
+	Answers []graph.Embedding
+	// Confidence holds the executor's confidence in each answer,
+	// aligned with Answers: the minimum verdict confidence over the
+	// answer's edges (majority margin, Bayesian posterior, or — for
+	// tasks lost to faults — the optimizer's prior). 1.0 for edges
+	// decided without the crowd.
+	Confidence []float64
 	// Inferred counts edges labeled by transitive inference instead of
 	// crowd work; Provenance breaks each answer's supporting edges down
 	// by origin, aligned with Answers. Both zero/nil unless
 	// Options.Transitive.
 	Inferred   int
 	Provenance []AnswerProvenance
-	// PerMarket counts tasks routed to each market when a Router is
-	// configured (async transport: accepted answers per market).
-	PerMarket map[string]int
+	// Capped reports that the account's task cap cut a batch of this
+	// run: the order had more to ask than the BUDGET left.
+	Capped bool `json:",omitempty"`
 
 	// emHistory accumulates every CDB+ task across rounds so truth
 	// inference always runs over the full evidence (worker quality
@@ -196,9 +230,9 @@ type Report struct {
 	// seen implements idempotent answer dedup: edge → workers whose
 	// answer was already counted.
 	seen map[int]map[int]bool
-	// metaOf maps an edge asked on the transport to its metadata task
-	// row, so an answer arriving after its round still records against
-	// it (nil without Options.Meta).
+	// metaOf maps an asked edge to its metadata task row, so an answer
+	// arriving after its round still records against it (nil without
+	// Options.Meta).
 	metaOf map[int]int32
 	// edgeConf records per-edge verdict confidence.
 	edgeConf map[int]float64
@@ -206,49 +240,11 @@ type Report struct {
 	// Provenance (only populated in transitive mode).
 	crowdEdges    map[int]bool
 	inferredEdges map[int]bool
-	// retryBudget is the query-wide allowance of reissued assignments.
-	retryBudget int
-	// round is the 1-based number of the round being asked (the
-	// RoundUpdate.Round it completes as), recorded with each task.
-	round int
-	// tasks holds the round being asked, aligned with its batch; one
-	// buffer reused round to round.
-	tasks []roundTask
-}
-
-// Charge adds the crowd work of o, a further run the same statement
-// paid for (its GROUP BY), to rep: tasks, rounds, assignments, HITs,
-// dollars, the sharing and per-market counts, and the fault policy's
-// tallies, a partial o making rep partial. Answers, confidences,
-// provenance and the quality metrics stay rep's.
-func (rep *Report) Charge(o *Report) {
-	rep.Metrics.Tasks += o.Metrics.Tasks
-	rep.Metrics.Rounds += o.Metrics.Rounds
-	rep.Assignments += o.Assignments
-	rep.HITs += o.HITs
-	rep.Dollars += o.Dollars
-	rep.Coalesced += o.Coalesced
-	rep.CachedTasks += o.CachedTasks
-	rep.LedgerTasks += o.LedgerTasks
-	for m, n := range o.PerMarket {
-		if rep.PerMarket == nil {
-			rep.PerMarket = map[string]int{}
-		}
-		rep.PerMarket[m] += n
-	}
-	r, or := &rep.Reliability, o.Reliability
-	if or.Partial && !r.Partial {
-		r.Partial, r.Reason = true, or.Reason
-	}
-	r.Issued += or.Issued
-	r.Reissued += or.Reissued
-	r.Lost += or.Lost
-	r.Underfilled += or.Underfilled
-	r.Retried += or.Retried
-	r.Hedged += or.Hedged
-	r.Late += or.Late
-	r.Duplicates += or.Duplicates
-	r.RoundsTruncated += or.RoundsTruncated
+	// tasks holds the round being asked, aligned with its batch, and
+	// answers the worker answers it collected for the metadata store;
+	// buffers reused round to round.
+	tasks   []roundTask
+	answers []roundAnswer
 }
 
 // Run executes the plan with Algorithm 1. The plan's graph is mutated
@@ -283,10 +279,14 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 	if opts.Pricing.TasksPerHIT == 0 {
 		opts.Pricing = crowd.DefaultPricing
 	}
+	if opts.Account == nil {
+		opts.Account = NewAccount(math.MaxInt, opts.Reliability)
+	}
 	opts.Reliability = opts.Reliability.withDefaults()
 
 	mQueries.Inc()
-	rep := &Report{retryBudget: opts.Reliability.RetryBudget}
+	rep := &Report{Account: opts.Account}
+	asks0, partial0 := rep.Assignments, rep.Reliability.Partial
 	g := p.G
 	tr := opts.Trace
 	// Attribute the strategy's internal phases (scoring, batching) and
@@ -329,12 +329,14 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 	inBatch := make([]int32, g.NumEdges()) // dedupeUncolored's stamps
 	abort := func(err error) error {
 		// Graceful degradation: surface what completed instead of the
-		// error, unless the caller asked for fail-fast.
+		// error, unless the caller asked for fail-fast. The statement's
+		// first degradation names the reason.
 		if opts.Reliability.Strict {
 			return err
 		}
-		rep.Reliability.Partial = true
-		rep.Reliability.Reason = reasonOf(err)
+		if !rep.Reliability.Partial {
+			rep.Reliability.Partial, rep.Reliability.Reason = true, reasonOf(err)
+		}
 		return nil
 	}
 	for {
@@ -370,16 +372,18 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 			tr.End(roundSpan)
 			return nil, err
 		}
+		if len(batch) > rep.left {
+			batch, rep.Capped = batch[:rep.left], true
+		}
 		if len(batch) == 0 {
-			// The final strategy probe that found nothing to ask: not a
-			// crowd round, but its scoring work is real — keep the span
-			// under a distinct name so round spans count exactly
-			// Metrics.Rounds.
+			// The final strategy probe that found nothing to ask, or
+			// nothing the account could pay for: not a crowd round, but
+			// its scoring work is real — keep the span under a distinct
+			// name so round spans count exactly Metrics.Rounds.
 			tr.Mutate(roundSpan, func(s *obs.Span) { s.Name = obs.SpanDrain })
 			tr.End(roundSpan)
 			break
 		}
-		rep.round = rounds + 1
 		issueStart := time.Now()
 		issueSpan := tr.Begin(obs.SpanIssue)
 		asks, roundErr := rep.crowdsource(ctx, p, batch, opts)
@@ -449,7 +453,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		if tr != nil {
 			validAfter := g.CountValidUncolored()
 			colored := len(batch) + inferredRound
-			round := rounds
+			round := rep.Metrics.Rounds
 			tr.Mutate(roundSpan, func(s *obs.Span) {
 				s.Round = round
 				s.Tasks = len(batch)
@@ -470,12 +474,12 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		mPhaseRound.Observe(time.Since(roundStart).Seconds())
 		if opts.Progress != nil {
 			opts.Progress(RoundUpdate{
-				Round:            rounds,
+				Round:            rep.Metrics.Rounds,
 				Tasks:            len(batch),
 				Assignments:      asks,
 				Blue:             blue,
 				Red:              red,
-				TasksTotal:       tasks,
+				TasksTotal:       rep.Metrics.Tasks,
 				AssignmentsTotal: rep.Assignments,
 				Open:             g.CountValidUncolored(),
 				Inferred:         inferredRound,
@@ -486,15 +490,16 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		}
 	}
 
-	// The round buffer is scratch; a Report outlives the run in the
+	// The round buffers are scratch; a Report outlives the run in the
 	// engine's answer cache.
-	rep.tasks = nil
+	rep.tasks, rep.answers = nil, nil
 
 	// Strategies that crowdsource tasks outside the query graph (the
 	// ER baselines' within-side dedup pairs) report them here.
 	if et, ok := opts.Strategy.(interface{ ExtraTasks() int }); ok {
 		if extra := et.ExtraTasks(); extra > 0 {
 			tasks += extra
+			rep.Metrics.Tasks += extra
 			rep.Assignments += extra * opts.Redundancy
 			mTasks.Add(int64(extra))
 			tr.Event("extra-tasks", func(s *obs.Span) { s.Tasks = extra })
@@ -507,7 +512,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 			rep.Reliability.Reason = "tasks-lost"
 		}
 	}
-	if rep.Reliability.Partial {
+	if rep.Reliability.Partial && !partial0 {
 		mPartials.Inc()
 	}
 	rep.Answers = g.Answers()
@@ -526,10 +531,12 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 			rep.Confidence[i] = c
 		}
 	}
-	precision, recall := stats.PrecisionRecall(answerKeys(rep.Answers), p.TrueAnswerKeys())
-	rep.Metrics = stats.Metrics{Tasks: tasks, Rounds: rounds, Precision: precision, Recall: recall}
-	rep.HITs = opts.Pricing.HITs(rep.Assignments)
-	rep.Dollars = opts.Pricing.Cost(rep.Assignments)
+	if !rep.scored {
+		rep.scored = true
+		rep.Metrics.Precision, rep.Metrics.Recall = stats.PrecisionRecall(answerKeys(rep.Answers), p.TrueAnswerKeys())
+	}
+	rep.HITs += opts.Pricing.HITs(rep.Assignments - asks0)
+	rep.Dollars += opts.Pricing.Cost(rep.Assignments - asks0)
 	mQueryTasks.Observe(float64(tasks))
 	mQueryRnds.Observe(float64(rounds))
 	return rep, nil
@@ -555,16 +562,17 @@ func dedupeUncolored(g *graph.Graph, batch []int, seen []int32, round int32) ([]
 	return out, nil
 }
 
-// crowdsource runs one crowd round over batch: ask writes the task
-// rows, the run's path collects answers, and conclude turns them into
-// verdicts (rep.tasks[i].match for batch[i]). It returns the worker
-// answers the round collected. A path that fails — the transport on a
-// context error, a resolver that errs or leaves an edge unruled —
-// commits none of its tallies to the report, so Run can discard the
-// round wholesale; conclude itself fails only under Strict, which
-// fails the run.
+// crowdsource runs one crowd round over batch: the run's path collects
+// answers, the round is charged to the account, and conclude turns the
+// answers into verdicts (rep.tasks[i].match for batch[i]) and writes the
+// round to the metadata store. It returns the worker answers the round
+// collected. A path that fails — the transport on a context error, a
+// resolver that errs or leaves an edge unruled — commits none of its
+// tallies to the report and writes nothing, so Run can discard the
+// round wholesale; conclude itself fails only under Strict, which fails
+// the run.
 func (rep *Report) crowdsource(ctx context.Context, p *Plan, batch []int, opts Options) (asks int, err error) {
-	rep.ask(p, batch, opts)
+	rep.ask(batch)
 	var served map[int]TaskVerdict
 	switch {
 	case opts.Resolver != nil:
@@ -579,32 +587,61 @@ func (rep *Report) crowdsource(ctx context.Context, p *Plan, batch []int, opts O
 	if err != nil {
 		return asks, err
 	}
+	rep.Metrics.Rounds++
+	rep.Metrics.Tasks += len(batch)
+	rep.left -= len(batch)
 	rep.Assignments += asks
 	return asks, rep.conclude(p, batch, served, opts)
 }
 
-// roundTask is one task of the round being asked: the metadata task
-// row (-1 without Options.Meta), the tally of its collected answers —
-// yes of n say "match" — and the verdict conclude draws from them.
+// roundTask is one task of the round being asked: the tally of its
+// collected answers — yes of n say "match" — and the verdict conclude
+// draws from them.
 type roundTask struct {
-	metaID, yes, n int32
-	match          bool
+	yes, n int32
+	match  bool
 }
 
-// ask opens a round over batch: it resets rep.tasks to one entry per
-// task and writes each task's metadata row, tagged with the round.
-func (rep *Report) ask(p *Plan, batch []int, opts Options) {
+// roundAnswer is one worker answer a round collected, kept for the
+// metadata store until the round commits; edge may be a task of an
+// earlier round (a transport straggler).
+type roundAnswer struct {
+	edge, worker int
+	match        bool
+}
+
+// ask opens a round over batch: one zeroed entry per task, and no
+// answer yet.
+func (rep *Report) ask(batch []int) {
 	if cap(rep.tasks) < len(batch) {
 		rep.tasks = make([]roundTask, len(batch))
 	}
 	rep.tasks = rep.tasks[:len(batch)]
-	for i, e := range batch {
-		t := roundTask{metaID: -1}
-		if opts.Meta != nil {
-			pred, l, r := p.TaskDescription(e)
-			t.metaID = int32(opts.Meta.RecordTask(taskKindOf(p, e), pred, l, r, rep.round))
-		}
-		rep.tasks[i] = t
+	clear(rep.tasks)
+	rep.answers = rep.answers[:0]
+}
+
+// collected keeps a worker answer on edge for the metadata store m, if
+// any.
+func (rep *Report) collected(m *meta.Store, edge, worker int, match bool) {
+	if m != nil {
+		rep.answers = append(rep.answers, roundAnswer{edge, worker, match})
+	}
+}
+
+// record writes a committed round to the metadata store: a task row
+// per task of batch, tagged with the round, then every answer the
+// round collected, in arrival order.
+func (rep *Report) record(p *Plan, batch []int, m *meta.Store) {
+	if rep.metaOf == nil {
+		rep.metaOf = make(map[int]int32, len(batch))
+	}
+	for _, e := range batch {
+		pred, l, r := p.TaskDescription(e)
+		rep.metaOf[e] = int32(m.RecordTask(taskKindOf(p, e), pred, l, r, rep.Metrics.Rounds))
+	}
+	for _, a := range rep.answers {
+		m.RecordAssignment(int(rep.metaOf[a.edge]), a.worker, boolAnswer(a.match))
 	}
 }
 
@@ -626,6 +663,9 @@ func (rep *Report) remember(e int, t quality.ChoiceTask) {
 // worker's refreshed quality to the worker relation. Strict turns a
 // lost task into an error.
 func (rep *Report) conclude(p *Plan, batch []int, served map[int]TaskVerdict, opts Options) error {
+	if opts.Meta != nil {
+		rep.record(p, batch, opts.Meta)
+	}
 	em := served == nil && opts.Quality == CDBPlus
 	var post [][]float64
 	if em {
@@ -654,8 +694,8 @@ func (rep *Report) conclude(p *Plan, batch []int, served map[int]TaskVerdict, op
 		}
 		rep.setEdgeConf(e, conf)
 		if opts.Meta != nil {
-			// ask wrote the task row, so RecordVerdict cannot miss it.
-			_ = opts.Meta.RecordVerdict(int(t.metaID), t.match)
+			// record wrote the task row, so RecordVerdict cannot miss it.
+			_ = opts.Meta.RecordVerdict(int(rep.metaOf[e]), t.match)
 			if em && t.n > 0 {
 				for _, a := range rep.emHistory[rep.histIndex[e]].Answers {
 					opts.Meta.UpdateWorkerQuality(a.Worker, opts.Workers.Quality(a.Worker))
@@ -695,9 +735,7 @@ func (rep *Report) collectMajority(p *Plan, batch []int, opts Options) (asks int
 			if ans {
 				t.yes++
 			}
-			if opts.Meta != nil {
-				opts.Meta.RecordAssignment(int(t.metaID), w.ID, boolAnswer(ans))
-			}
+			rep.collected(opts.Meta, e, w.ID, ans)
 		}
 		t.n = int32(len(workers))
 		asks += len(workers)
@@ -752,9 +790,7 @@ func (rep *Report) collectAdaptive(p *Plan, batch []int, opts Options) (asks int
 		posteriors[i] = quality.BayesianPosterior(taskList[i], opts.Workers.Quality)
 		asks++
 		budget--
-		if opts.Meta != nil {
-			opts.Meta.RecordAssignment(int(rep.tasks[i].metaID), w.ID, boolAnswer(choice == 1))
-		}
+		rep.collected(opts.Meta, batch[i], w.ID, choice == 1)
 	}
 	// arrive draws a worker who has not yet judged task i (platforms
 	// reject repeat judgements; answering twice would correlate

@@ -237,10 +237,6 @@ func (c *Closure) ClusterRoot(pred, v int) int {
 // count means worker error rates are undermining inference.
 func (c *Closure) Conflicts() int { return c.conflicts }
 
-// Rebuilds counts full reconstructions (the slow path; zero on a pure
-// crowdsourcing run).
-func (c *Closure) Rebuilds() int { return c.rebuilds }
-
 func (c *Closure) node(pred, v int) int { return pred*c.g.nVerts + v }
 
 func (c *Closure) confOf(id int) float64 {

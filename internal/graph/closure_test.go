@@ -316,8 +316,8 @@ func TestClosureConflictsAndFixpoint(t *testing.T) {
 					trial, id)
 			}
 		}
-		if c.Rebuilds() != 0 {
-			t.Fatalf("trial %d: crowdsourcing-only run forced %d rebuilds", trial, c.Rebuilds())
+		if c.rebuilds != 0 {
+			t.Fatalf("trial %d: crowdsourcing-only run forced %d rebuilds", trial, c.rebuilds)
 		}
 	}
 }

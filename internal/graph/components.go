@@ -45,13 +45,6 @@ func (g *Graph) ComponentIndex() (compOf []int, numComps int) {
 	return g.compOf, len(g.compMembers)
 }
 
-// ComponentMembers returns the sorted member edge ids of component ci.
-// The slice is owned by the graph; callers must not modify it.
-func (g *Graph) ComponentMembers(ci int) []int {
-	g.ensureComponents()
-	return g.compMembers[ci]
-}
-
 // ConnectedComponents partitions the *edges* into components connected
 // through non-red edges sharing a vertex. Red edges are excluded
 // entirely (they can no longer interact with any candidate). Tasks in

@@ -152,7 +152,7 @@ func checkMembers(t *testing.T, g *Graph) {
 	compOf, n := g.ComponentIndex()
 	counted := 0
 	for ci := 0; ci < n; ci++ {
-		members := g.ComponentMembers(ci)
+		members := g.compMembers[ci]
 		if len(members) == 0 {
 			t.Fatalf("comp %d of %d has no members", ci, n)
 		}

@@ -93,7 +93,7 @@ func TestSameCandidateMatchesBacktracking(t *testing.T) {
 		shape := shapes[trial%len(shapes)]
 		s := shapedStructure(shape, 3+r.Intn(4), r)
 		g := denseGraph(s, r)
-		if !g.TreeShaped() {
+		if !g.treeShaped {
 			t.Fatalf("%s structure classified cyclic", shape)
 		}
 		checkAllPairs(t, g, shape+" initial")
@@ -121,7 +121,7 @@ func TestSameCandidateMatchesBacktracking(t *testing.T) {
 		Preds:  []QPred{{A: 0, B: 1}, {A: 1, B: 2}, {A: 2, B: 0}},
 	}
 	g := denseGraph(tri, r)
-	if g.TreeShaped() {
+	if g.treeShaped {
 		t.Fatal("triangle classified tree-shaped")
 	}
 	for step := 0; step < 6; step++ {

@@ -432,10 +432,6 @@ func (g *Graph) SetColor(id int, c Color) {
 // owned by the graph; callers must not modify it.
 func (g *Graph) ColorEvents() []ColorEvent { return g.colorLog }
 
-// TreeShaped reports whether the query structure is acyclic, which
-// enables the incremental cover-fact machinery.
-func (g *Graph) TreeShaped() bool { return g.treeShaped }
-
 // SetWeight updates an edge's matching probability (used when a
 // requester supplies a trained probability model).
 func (g *Graph) SetWeight(id int, w float64) { g.edges[id].W = w }
@@ -464,28 +460,4 @@ func (g *Graph) AllEdgesAt(v int) []int {
 		out = append(out, lst...)
 	}
 	return out
-}
-
-// Other returns the endpoint of edge id opposite to vertex v.
-func (g *Graph) Other(id, v int) int {
-	e := g.edges[id]
-	if e.U == v {
-		return e.V
-	}
-	return e.U
-}
-
-// CountColors tallies edges by color.
-func (g *Graph) CountColors() (unknown, blue, red int) {
-	for _, e := range g.edges {
-		switch e.Color {
-		case Unknown:
-			unknown++
-		case Blue:
-			blue++
-		default:
-			red++
-		}
-	}
-	return
 }

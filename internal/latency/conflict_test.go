@@ -128,7 +128,7 @@ func sameBatch(a, b []int) bool {
 // TestConflictIndexMatchesPairwise drives random graphs through whole
 // executions — batch, color the batch at random, batch again, so the
 // incremental validity and component state is what a query sees — and
-// compares every round's ParallelBatch and ParallelBatchScored with the
+// compares every round's parallelBatch and ParallelBatchScored with the
 // pairwise reference under a random priority order.
 func TestConflictIndexMatchesPairwise(t *testing.T) {
 	r := stats.NewRNG(52)
@@ -143,8 +143,8 @@ func TestConflictIndexMatchesPairwise(t *testing.T) {
 				score[i] = float64(r.Intn(6)) // coarse: ties and 2x gaps both occur
 			}
 			ctx := fmt.Sprintf("trial %d (%s) round %d", trial, shape, round)
-			if got, want := ParallelBatch(g, order), pairwiseBatch(g, order, nil); !sameBatch(got, want) {
-				t.Fatalf("%s: ParallelBatch = %v, pairwise %v", ctx, got, want)
+			if got, want := parallelBatch(g, order), pairwiseBatch(g, order, nil); !sameBatch(got, want) {
+				t.Fatalf("%s: parallelBatch = %v, pairwise %v", ctx, got, want)
 			}
 			batch := ParallelBatchScored(g, order, score)
 			if want := pairwiseBatch(g, order, score); !sameBatch(batch, want) {
@@ -204,6 +204,6 @@ func TestScanBatchSteadyStateAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, func() { ParallelBatchScored(g, order, score) })
 	if allocs > 1 {
-		t.Fatalf("steady-state scanBatch allocates %v times per round, want 1 (the returned batch)", allocs)
+		t.Fatalf("steady-state ParallelBatchScored allocates %v times per round, want 1 (the returned batch)", allocs)
 	}
 }

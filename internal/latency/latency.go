@@ -31,10 +31,10 @@ var (
 	mConflictSteps = obs.Default.Counter("cdb_latency_conflict_walk_steps_total")
 )
 
-// batchScratch holds scanBatch's per-round dense scratch slices. Rounds
-// over large graphs need a few hundred KB of zeroed scratch; recycling
-// it through a pool leaves the returned batch as the steady-state
-// scheduler's only allocation.
+// batchScratch holds ParallelBatchScored's per-round dense scratch
+// slices. Rounds over large graphs need a few hundred KB of zeroed
+// scratch; recycling it through a pool leaves the returned batch as the
+// steady-state scheduler's only allocation.
 type batchScratch struct {
 	bestRank  []int
 	rankOf    []int
@@ -57,7 +57,7 @@ func grabInts(buf []int, n int) []int {
 	return buf
 }
 
-// ParallelBatch selects the sub-sequence of order (task ids, most
+// ParallelBatchScored selects the sub-sequence of order (task ids, most
 // valuable first) that can be crowdsourced simultaneously: it scans
 // the whole priority order and greedily packs every task that does not
 // conflict with an already-packed one (a maximal conflict-free set
@@ -71,21 +71,14 @@ func grabInts(buf []int, n int) []int {
 // member can prune another directly) while matching the round counts
 // the paper reports (≈ one round per predicate on the benchmark
 // queries).
-func ParallelBatch(g *graph.Graph, order []int) []int {
-	return scanBatch(g, order, nil)
-}
-
-// ParallelBatchScored is ParallelBatch with the cost scores behind the
-// order: an edge is deferred only behind a strictly more valuable
-// pending edge at the same tuple (score more than double), so
-// co-equal gates share a round and the round count stays near one per
-// predicate while the cheap-gate-first inference is preserved. score
-// is dense, indexed by edge id.
+//
+// score carries the cost scores behind the order, dense by edge id: an
+// edge is deferred only behind a strictly more valuable pending edge at
+// the same tuple (score more than double), so co-equal gates share a
+// round and the round count stays near one per predicate while the
+// cheap-gate-first inference is preserved. A nil score defers an edge
+// behind any earlier gate at the same tuple.
 func ParallelBatchScored(g *graph.Graph, order []int, score []float64) []int {
-	return scanBatch(g, order, score)
-}
-
-func scanBatch(g *graph.Graph, order []int, score []float64) []int {
 	g.Revalidate()
 	nPreds := len(g.S.Preds)
 

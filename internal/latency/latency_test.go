@@ -25,6 +25,9 @@ func buildChain(counts []int, density float64, r *stats.RNG) *graph.Graph {
 	return g
 }
 
+// parallelBatch is ParallelBatchScored without scores.
+func parallelBatch(g *graph.Graph, order []int) []int { return ParallelBatchScored(g, order, nil) }
+
 func order(g *graph.Graph) []int {
 	out := make([]int, g.NumEdges())
 	for i := range out {
@@ -37,7 +40,7 @@ func TestParallelBatchNoConflicts(t *testing.T) {
 	r := stats.NewRNG(5)
 	for trial := 0; trial < 50; trial++ {
 		g := buildChain([]int{2, 3, 2}, 0.8, r)
-		batch := ParallelBatch(g, order(g))
+		batch := parallelBatch(g, order(g))
 		for i := 0; i < len(batch); i++ {
 			for j := i + 1; j < len(batch); j++ {
 				if g.SameCandidate(batch[i], batch[j]) {
@@ -53,7 +56,7 @@ func TestParallelBatchSkipsColoredAndInvalid(t *testing.T) {
 	g.SetColor(0, graph.Blue)
 	g.SetColor(4, graph.Red)
 	g.SetColor(5, graph.Red) // b0 cut off from C: edges 0,2 invalid
-	batch := ParallelBatch(g, order(g))
+	batch := parallelBatch(g, order(g))
 	for _, e := range batch {
 		if g.Edge(e).Color != graph.Unknown {
 			t.Fatalf("batch contains colored edge %d", e)
@@ -75,7 +78,7 @@ func TestParallelBatchSameTableRule(t *testing.T) {
 			g.AddEdge(0, a, b, 0.5)
 		}
 	}
-	batch := ParallelBatch(g, order(g))
+	batch := parallelBatch(g, order(g))
 	if len(batch) != 9 {
 		t.Fatalf("single-predicate batch = %d, want all 9", len(batch))
 	}
@@ -87,7 +90,7 @@ func TestParallelBatchStopsAtConflict(t *testing.T) {
 	// was accepted first.
 	g := buildChain([]int{1, 1, 1}, 1, nil)
 	// Edges: 0 = a0-b0, 1 = b0-c0; they conflict (same candidate).
-	batch := ParallelBatch(g, []int{0, 1})
+	batch := parallelBatch(g, []int{0, 1})
 	if len(batch) != 1 || batch[0] != 0 {
 		t.Fatalf("batch = %v, want [0]", batch)
 	}
@@ -105,7 +108,7 @@ func TestParallelBatchComponentsIndependent(t *testing.T) {
 	g.AddEdge(1, 0, 0, 0.5) // comp 1
 	g.AddEdge(0, 1, 1, 0.5) // comp 2
 	g.AddEdge(1, 1, 1, 0.5) // comp 2
-	batch := ParallelBatch(g, []int{0, 1, 2, 3})
+	batch := parallelBatch(g, []int{0, 1, 2, 3})
 	if len(batch) != 2 {
 		t.Fatalf("batch = %v, want one edge per component", batch)
 	}
@@ -114,7 +117,7 @@ func TestParallelBatchComponentsIndependent(t *testing.T) {
 func TestParallelBatchRespectsOrderGreed(t *testing.T) {
 	// Highest-priority edge must always be included.
 	g := buildChain([]int{2, 2, 2}, 1, nil)
-	batch := ParallelBatch(g, []int{7, 6, 5, 4, 3, 2, 1, 0})
+	batch := parallelBatch(g, []int{7, 6, 5, 4, 3, 2, 1, 0})
 	if len(batch) == 0 || batch[0] != 7 {
 		t.Fatalf("batch = %v, want it to start with edge 7", batch)
 	}
@@ -143,7 +146,7 @@ func TestParallelBatchEmptyWhenDone(t *testing.T) {
 	g := buildChain([]int{1, 1, 1}, 1, nil)
 	g.SetColor(0, graph.Red)
 	g.SetColor(1, graph.Red)
-	if batch := ParallelBatch(g, order(g)); len(batch) != 0 {
+	if batch := parallelBatch(g, order(g)); len(batch) != 0 {
 		t.Fatalf("batch on finished graph = %v", batch)
 	}
 }
@@ -156,7 +159,7 @@ func TestRoundProgress(t *testing.T) {
 		g := buildChain([]int{2, 3, 2}, 0.9, r)
 		rounds := 0
 		for {
-			batch := ParallelBatch(g, order(g))
+			batch := parallelBatch(g, order(g))
 			if len(batch) == 0 {
 				break
 			}
@@ -200,7 +203,7 @@ func TestParallelBatchScoredDefersVictims(t *testing.T) {
 	}
 	// Without scores the same-value gates/victims rule still defers the
 	// victims because the gate ranks first at vertex b0.
-	batch = ParallelBatch(g, order)
+	batch = parallelBatch(g, order)
 	if len(batch) != 1 || batch[0] != gate {
 		t.Fatalf("unscored batch = %v, want just the gate", batch)
 	}

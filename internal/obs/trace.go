@@ -283,20 +283,6 @@ func (tr *Trace) ByName(name string) []Span {
 	return out
 }
 
-// WriteJSONL writes every span as one JSON object per line, in begin
-// order (offline analyzers re-nest via the parent field).
-func (tr *Trace) WriteJSONL(w io.Writer) error {
-	if tr == nil {
-		return nil
-	}
-	for i := range tr.Spans {
-		if err := writeSpanLine(w, &tr.Spans[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // jsonlBufPool recycles encode buffers so steady-state JSONL emission
 // does not allocate per span.
 var jsonlBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Metrics is the triple of crowdsourcing optimization goals the paper
@@ -105,9 +104,6 @@ func (a *Agg) Add(m Metrics) {
 	a.f1.add(m.F1(), a.n)
 }
 
-// N reports how many repetitions have been added.
-func (a *Agg) N() int { return a.n }
-
 // Mean returns the component-wise means. F-measure is averaged per
 // repetition (mean of F1s), not recomputed from mean P/R.
 func (a *Agg) Mean() (tasks, rounds, precision, recall, f1 float64) {
@@ -151,58 +147,6 @@ func (a *Agg) CI95() (tasks, rounds, precision, recall, f1 float64) {
 func (a *Agg) String() string {
 	t, r, p, rec, f := a.Mean()
 	return fmt.Sprintf("tasks=%.1f rounds=%.1f P=%.3f R=%.3f F1=%.3f", t, r, p, rec, f)
-}
-
-// Summary describes a distribution of float64 observations.
-type Summary struct {
-	N            int
-	Mean, Stddev float64
-	Min, Max     float64
-	P50, P95     float64
-}
-
-// Summarize computes a Summary of xs. An empty input yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var sum, sumSq float64
-	for _, x := range sorted {
-		sum += x
-		sumSq += x * x
-	}
-	n := float64(len(sorted))
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return Summary{
-		N:      len(sorted),
-		Mean:   mean,
-		Stddev: math.Sqrt(variance),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		P50:    quantile(sorted, 0.50),
-		P95:    quantile(sorted, 0.95),
-	}
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Entropy returns the Shannon entropy (natural log) of a probability

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -188,8 +189,8 @@ func TestAgg(t *testing.T) {
 	if math.Abs(f1-wantF1) > 1e-12 {
 		t.Fatalf("f1 mean = %v, want %v", f1, wantF1)
 	}
-	if a.N() != 2 {
-		t.Fatalf("N = %d", a.N())
+	if a.n != 2 {
+		t.Fatalf("n = %d", a.n)
 	}
 }
 
@@ -239,6 +240,58 @@ func TestAggEmpty(t *testing.T) {
 	if tasks != 0 || rounds != 0 || p != 0 || r != 0 || f1 != 0 {
 		t.Fatal("empty Agg should report zeros")
 	}
+}
+
+// Summary describes a distribution of float64 observations.
+type Summary struct {
+	N            int
+	Mean, Stddev float64
+	Min, Max     float64
+	P50, P95     float64
+}
+
+// Summarize computes a Summary of xs. An empty input yields a zero
+// Summary.
+func Summarize(xs []float64) Summary {
+	if len(xs) == 0 {
+		return Summary{}
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	var sum, sumSq float64
+	for _, x := range sorted {
+		sum += x
+		sumSq += x * x
+	}
+	n := float64(len(sorted))
+	mean := sum / n
+	variance := sumSq/n - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	return Summary{
+		N:      len(sorted),
+		Mean:   mean,
+		Stddev: math.Sqrt(variance),
+		Min:    sorted[0],
+		Max:    sorted[len(sorted)-1],
+		P50:    quantile(sorted, 0.50),
+		P95:    quantile(sorted, 0.95),
+	}
+}
+
+func quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 1 {
+		return sorted[0]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 func TestSummarize(t *testing.T) {

@@ -113,6 +113,7 @@ func TestFeaturePairRules(t *testing.T) {
 		return ans.Result()
 	}
 	budgeted := strings.Replace(q, ";", " BUDGET 40;", 1)
+	groupedBudgeted := strings.Replace(q, ";", " GROUP BY Researcher.affiliation BUDGET 40;", 1)
 
 	cases := []struct {
 		name       string
@@ -127,6 +128,8 @@ func TestFeaturePairRules(t *testing.T) {
 		{"planner alone/engine", Config{Planner: true}, viaEngine, q, true, false, ""},
 		{"budget beats planner/exec", Config{Planner: true}, viaExec, budgeted, false, false, ""},
 		{"budget beats planner/engine", Config{Planner: true}, viaEngine, budgeted, false, false, ""},
+		{"budget bounds the grouping/exec", Config{}, viaExec, groupedBudgeted, false, false, ""},
+		{"budget bounds the grouping/engine", Config{}, viaEngine, groupedBudgeted, false, false, ""},
 		{"planner composes with the transport/exec", Config{Planner: true, Reliability: &ReliabilityPolicy{}}, viaExec, q, true, false, SpanCollect},
 		{"planner composes with cdb+/exec", Config{Planner: true, QualityControl: true}, viaExec, q, true, false, SpanInfer},
 		{"planner composes with markets/exec", Config{Planner: true, Markets: twoMarkets}, viaExecBothMarkets, q, true, false, ""},
@@ -172,7 +175,7 @@ func TestFeaturePairRules(t *testing.T) {
 			if tc.planned && tc.transitive && res.Stats.Inferred == 0 {
 				t.Error("planner × transitivity inferred no label: the planned order left the closure nothing to answer")
 			}
-			if tc.query == budgeted && res.Stats.Tasks > 40 {
+			if strings.Contains(tc.query, "BUDGET 40") && res.Stats.Tasks > 40 {
 				t.Errorf("BUDGET 40 spent %d tasks", res.Stats.Tasks)
 			}
 		})
