@@ -448,15 +448,12 @@ func (db *DB) selectRequest(s *cql.Select) *engine.SelectRequest {
 }
 
 // execSelect sends one SELECT through the shared pipeline, GROUP BY
-// included, then applies crowd-powered ORDER BY to the answer.
+// and ORDER BY included.
 func (db *DB) execSelect(ctx context.Context, s *cql.Select, tr *obs.Tracer) (*Result, error) {
 	req := db.selectRequest(s)
 	req.Exec.Trace = tr
 	ans, err := engine.RunSelect(ctx, req)
 	if err != nil {
-		return nil, err
-	}
-	if err := db.applyOrderBy(s, ans); err != nil {
 		return nil, err
 	}
 	return ans.Result(), nil

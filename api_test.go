@@ -3,6 +3,7 @@ package cdb
 import (
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -309,12 +310,15 @@ func TestCrossMarketOption(t *testing.T) {
 	}
 }
 
+// TestOrderByViaCQL: with perfect workers ORDER BY sorts the join's
+// rows, and its rounds beyond the join's are the longest chain of
+// dependent comparisons in a merge sort of the join's distinct values.
 func TestOrderByViaCQL(t *testing.T) {
-	db := Open(WithDataset("example", 0, 1), WithPerfectWorkers(30), WithSeed(33))
-	res, err := db.Exec(`SELECT Paper.title, Citation.number
+	const join = `SELECT Paper.title, Citation.number
 		FROM Paper, Citation
-		WHERE Paper.title CROWDJOIN Citation.title
-		ORDER BY Citation.number;`)
+		WHERE Paper.title CROWDJOIN Citation.title`
+	open := func() *DB { return Open(WithDataset("example", 0, 1), WithPerfectWorkers(30), WithSeed(33)) }
+	res, err := open().Exec(join + ` ORDER BY Citation.number;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,6 +335,16 @@ func TestOrderByViaCQL(t *testing.T) {
 			t.Fatalf("not sorted: %v", res.Rows)
 		}
 		prev = n
+	}
+	plain := open().MustExec(join + `;`)
+	var values []string
+	for _, r := range plain.Rows {
+		if !slices.Contains(values, r[1]) {
+			values = append(values, r[1])
+		}
+	}
+	if got, want := res.Stats.Rounds-plain.Stats.Rounds, longestChain(values, lessNum); got != want {
+		t.Fatalf("the sort took %d rounds, its longest chain is %d", got, want)
 	}
 }
 

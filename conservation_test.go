@@ -2,19 +2,24 @@ package cdb
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cdb/internal/cql"
+	"cdb/internal/crowd"
 	"cdb/internal/engine"
+	"cdb/internal/exec"
+	"cdb/internal/meta"
 )
 
-// The running example's join and the same join grouped by a dirty
-// column, its BUDGET below what the join spends unbudgeted, and the
-// tight retry budget of the fault paths.
+// The running example's join, the same join grouped by a dirty column
+// and ordered by it, its BUDGET below what the join spends unbudgeted,
+// and the tight retry budget of the fault paths.
 const (
 	exampleJoin    = `SELECT Paper.conference FROM Paper, Citation WHERE Paper.title CROWDJOIN Citation.title;`
 	exampleGrouped = `SELECT Paper.conference FROM Paper, Citation WHERE Paper.title CROWDJOIN Citation.title GROUP BY Paper.conference;`
+	exampleOrdered = `SELECT Paper.conference FROM Paper, Citation WHERE Paper.title CROWDJOIN Citation.title ORDER BY Paper.conference;`
 	exampleBudget  = 5
 	tightRetries   = 4
 )
@@ -39,22 +44,31 @@ var conservationPaths = map[string][]Option{
 var tightRetryBudget = WithReliability(ReliabilityPolicy{RetryBudget: tightRetries})
 
 // TestStatementConservation: a statement is one account, however many
-// runs it takes. On every DB.Exec crowd path, for a plain SELECT and a
-// GROUP BY, with and without a BUDGET below the join's unbudgeted
-// spend, the metadata store holds exactly the tasks and assignments the
-// Stats charge, the Stats stay within the BUDGET, and the reissues of
-// both runs together stay within the retry budget. A served budgeted
-// GROUP BY (the resolver path) stays within its BUDGET too.
+// runs it takes. On every DB.Exec crowd path, for a plain SELECT, a
+// GROUP BY and an ORDER BY, with and without a BUDGET below the join's
+// unbudgeted spend, the metadata store holds exactly the tasks and
+// assignments the Stats charge, the progress hook reports each of the
+// Stats' rounds once, the HITs are each run's pricing of its own
+// assignments, the Stats stay within the BUDGET, and the reissues of
+// all runs together stay within the retry budget. A served budgeted
+// GROUP BY or ORDER BY (the resolver path) stays within its BUDGET too.
 func TestStatementConservation(t *testing.T) {
+	statements := []string{exampleJoin, exampleGrouped, exampleOrdered}
+	for _, q := range statements {
+		statements = append(statements, budgeted(q))
+	}
 	for name, path := range conservationPaths {
-		for _, q := range []string{exampleJoin, exampleGrouped, budgeted(exampleJoin), budgeted(exampleGrouped)} {
+		for _, q := range statements {
 			t.Run(name+"/"+q, func(t *testing.T) {
 				db := Open(append([]Option{WithDataset("example", 0, 1), WithSeed(3), WithMetadata()}, path...)...)
 				st, err := cql.Parse(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ans, err := engine.RunSelect(context.Background(), db.selectRequest(st.(*cql.Select)))
+				req := db.selectRequest(st.(*cql.Select))
+				updates := 0
+				req.Exec.Progress = func(exec.RoundUpdate) { updates++ }
+				ans, err := engine.RunSelect(context.Background(), req)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,7 +77,13 @@ func TestStatementConservation(t *testing.T) {
 					t.Errorf("store holds %d tasks / %d assignments, Stats charge %d / %d",
 						store.Tasks, store.Assignments, stats.Tasks, stats.Assignments)
 				}
-				if q != exampleJoin && q != exampleGrouped && stats.Tasks > exampleBudget {
+				if updates != stats.Rounds {
+					t.Errorf("%d progress updates for %d rounds", updates, stats.Rounds)
+				}
+				if hits := runHITs(db.Metadata()); hits != stats.HITs {
+					t.Errorf("runs price their assignments at %d HITs, Stats charge %d", hits, stats.HITs)
+				}
+				if strings.Contains(q, "BUDGET") && stats.Tasks > exampleBudget {
 					t.Errorf("BUDGET %d spent %d tasks", exampleBudget, stats.Tasks)
 				}
 				if strings.HasPrefix(name, "faults") && ans.Report.Reliability.Reissued > tightRetries {
@@ -72,21 +92,43 @@ func TestStatementConservation(t *testing.T) {
 			})
 		}
 	}
-	t.Run("served", func(t *testing.T) {
-		res := engineResult(t, Open(WithDataset("example", 0, 1), WithSeed(3)), func(e *Engine) (*Future, error) {
-			return e.Submit(context.Background(), budgeted(exampleGrouped))
+	for _, q := range []string{budgeted(exampleGrouped), budgeted(exampleOrdered)} {
+		t.Run("served/"+q, func(t *testing.T) {
+			res := engineResult(t, Open(WithDataset("example", 0, 1), WithSeed(3)), func(e *Engine) (*Future, error) {
+				return e.Submit(context.Background(), q)
+			})
+			if res.Stats.Tasks > exampleBudget {
+				t.Errorf("served BUDGET %d spent %d tasks", exampleBudget, res.Stats.Tasks)
+			}
 		})
-		if res.Stats.Tasks > exampleBudget {
-			t.Errorf("served BUDGET %d spent %d tasks", exampleBudget, res.Stats.Tasks)
-		}
-	})
+	}
+}
+
+// runHITs prices the store's assignments run by run, as the executor
+// prices them. Each run of the example's statements asks under one
+// predicate label of its own — the join's, the grouped column's, the
+// ordered column's — so a label stands for its run.
+func runHITs(store *meta.Store) int {
+	label := map[int64]string{}
+	for _, row := range store.Tasks().Rows {
+		label[row[0].I] = row[2].S
+	}
+	asks := map[string]int{}
+	for _, row := range store.Assignments().Rows {
+		asks[label[row[0].I]]++
+	}
+	hits := 0
+	for _, n := range asks {
+		hits += crowd.DefaultPricing.HITs(n)
+	}
+	return hits
 }
 
 // TestBudgetBoundsGroupBy: the running example's GROUP BY under BUDGET
 // 5 spends what its join leaves, which is nothing, so its groups are the
-// exact values and the result is Partial for the budget; the same
-// statement without GROUP BY spends its 5 tasks unflagged, as it
-// always has.
+// exact values and the result is Partial for the budget; so does its
+// ORDER BY, whose rows keep the join's order. The same statement
+// without either spends its 5 tasks unflagged, as it always has.
 func TestBudgetBoundsGroupBy(t *testing.T) {
 	db := Open(WithDataset("example", 0, 1), WithSeed(3))
 	plain := db.MustExec(budgeted(exampleJoin))
@@ -99,5 +141,12 @@ func TestBudgetBoundsGroupBy(t *testing.T) {
 	}
 	if len(grouped.Rows) != len(plain.Rows) {
 		t.Fatalf("%d groups of %d rows: a grouping with nothing left must keep the exact values apart", len(grouped.Rows), len(plain.Rows))
+	}
+	ordered := Open(WithDataset("example", 0, 1), WithSeed(3)).MustExec(budgeted(exampleOrdered))
+	if s := ordered.Stats; s.Tasks > exampleBudget || !s.Partial || s.Reason != "budget" {
+		t.Fatalf("ordered: %+v, want at most %d tasks, partial for the budget", s, exampleBudget)
+	}
+	if !reflect.DeepEqual(ordered.Rows, plain.Rows) {
+		t.Fatalf("ordered rows %v, join rows %v: a sort with nothing left must keep its input order", ordered.Rows, plain.Rows)
 	}
 }

@@ -107,11 +107,12 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 
 // TestOneDriver: the executor has one driver. No program file but the
 // pipeline (internal/engine/pipeline.go) and the benchmark harness
-// (benchmark/) calls exec.Run, exec.BuildPlan or exec.ValuePlan or sets
-// PlanConfig.LiveOnly, so the labeling order, the bind scope and the
-// resolver are decided by SelectRequest.order alone, GROUP BY's value
-// plan is run by SelectRequest.groupBy alone, and DB.Exec, the engine
-// and cdbench all run what they decide.
+// (benchmark/) calls exec.Run, exec.BuildPlan, exec.ValuePlan or
+// exec.OrderPlan or sets PlanConfig.LiveOnly, so the labeling order, the
+// bind scope and the resolver are decided by SelectRequest.order alone,
+// GROUP BY's value plan is run by SelectRequest.groupBy alone, ORDER BY's
+// order plan by SelectRequest.orderBy alone, and DB.Exec, the engine and
+// cdbench all run what they decide.
 func TestOneDriver(t *testing.T) {
 	pipeline := filepath.Join("internal", "engine", "pipeline.go")
 	eachProgramFile(t, func(fset *token.FileSet, path string, f *ast.File) {
@@ -130,7 +131,7 @@ func TestOneDriver(t *testing.T) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && slices.Contains([]string{"Run", "BuildPlan", "ValuePlan"}, sel.Sel.Name) {
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && slices.Contains([]string{"Run", "BuildPlan", "ValuePlan", "OrderPlan"}, sel.Sel.Name) {
 					if x, ok := sel.X.(*ast.Ident); ok && execName != "" && x.Name == execName {
 						t.Errorf("%s: calls exec.%s; go through engine.RunSelect", fset.Position(n.Pos()), sel.Sel.Name)
 					}
@@ -245,7 +246,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 // shrinks.
 var crowdForks = map[string]string{
 	".:DB.execFill": "FILL collects free-text answers outside any plan",
-	".:sortBy":      "ORDER BY's comparator: a merge sort's comparisons are no plan's tasks yet",
 }
 
 // TestOneCrowd: the crowd is asked in one place. Only the crowd

@@ -22,13 +22,11 @@ import (
 // alone or raced the whole fleet; Stats.Coalesced / Stats.CachedTasks
 // and EngineStats report how much crowd work the sharing saved.
 //
-// Only SELECT without ORDER BY is served (its crowd merge sort asks
-// the pool outside any plan, so its comparisons have no task key to
-// share or journal; it needs the exclusive DB.Exec path), aggregation
-// is majority voting, and the catalog must not be mutated while the
-// engine serves. Both entry points run the same SELECT pipeline
-// (internal/engine/pipeline.go), GROUP BY included; the engine adds
-// admission, sharing and durability around it.
+// Every SELECT is served, aggregation is majority voting, and the
+// catalog must not be mutated while the engine serves. Both entry
+// points run the same SELECT pipeline (internal/engine/pipeline.go),
+// GROUP BY and ORDER BY included; the engine adds admission, sharing
+// and durability around it.
 type Engine = engine.Engine
 
 // Future is the pending result of one submitted query.
@@ -103,9 +101,9 @@ var (
 
 // NewEngine builds a serving engine over the DB's catalog, oracle,
 // crowd pool and optimizer configuration, tracing and transitive
-// inference included. It serves SELECT and SELECT ... GROUP BY, whose
-// grouping tasks share, cache and journal like the join tasks; ORDER
-// BY is refused with ErrEngineUnsupported. The engine draws one seed
+// inference included. It serves every SELECT, GROUP BY and ORDER BY
+// included, whose grouping tasks and comparisons share, cache and
+// journal like the join tasks. The engine draws one seed
 // from the DB's RNG at construction, so a DB opened with the same
 // WithSeed yields an engine that replays identical verdicts.
 //

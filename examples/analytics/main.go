@@ -45,6 +45,7 @@ func main() {
 		}
 		fmt.Printf("  %-52s %s\n", title, row[1])
 	}
+	fmt.Printf("  (%d crowd tasks in %d rounds)\n", res.Stats.Tasks, res.Stats.Rounds)
 
 	fmt.Println("\n-- crowd metadata (§2.1's Task/Worker/Assignment store) --")
 	var sb strings.Builder

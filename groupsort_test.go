@@ -1,12 +1,70 @@
 package cdb
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
+	"cdb/internal/cql"
 	"cdb/internal/crowd"
+	"cdb/internal/exec"
 	"cdb/internal/stats"
 )
+
+// sortBy ranks values as ORDER BY does: exec.OrderPlan's comparisons
+// asked in exec.MergeOrder's rounds, k workers of pool each. It returns
+// the permutation (indices into values, first first) and the
+// comparisons (tasks) and rounds the run took.
+func sortBy(t *testing.T, values []string, pool *crowd.Pool, k int) (perm []int, tasks, rounds int) {
+	t.Helper()
+	p, order := exec.OrderPlan(cql.ColRef{Table: "T", Column: "v"}, values)
+	rep, err := exec.Run(context.Background(), p, exec.Options{Strategy: order, Pool: pool, Redundancy: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return order.Perm(p.G), rep.Metrics.Tasks, rep.Metrics.Rounds
+}
+
+// longestChain is the longest chain of dependent comparisons in a
+// bottom-up merge sort of distinct values under less: a merge's first
+// comparison waits for both its inputs, each later one for the one
+// before it, and an odd last run waits a level.
+func longestChain(values []string, less func(a, b string) bool) int {
+	type run struct {
+		vals []string
+		done int // the chain that ends with the run sorted
+	}
+	runs := make([]run, len(values))
+	for i, v := range values {
+		runs[i] = run{vals: []string{v}}
+	}
+	for len(runs) > 1 {
+		var next []run
+		for k := 0; k+1 < len(runs); k += 2 {
+			a, b := runs[k], runs[k+1]
+			m := run{done: max(a.done, b.done)}
+			i, j := 0, 0
+			for i < len(a.vals) && j < len(b.vals) {
+				m.done++
+				if less(a.vals[i], b.vals[j]) {
+					m.vals, i = append(m.vals, a.vals[i]), i+1
+				} else {
+					m.vals, j = append(m.vals, b.vals[j]), j+1
+				}
+			}
+			m.vals = append(append(m.vals, a.vals[i:]...), b.vals[j:]...)
+			next = append(next, m)
+		}
+		if len(runs)%2 == 1 {
+			next = append(next, runs[len(runs)-1])
+		}
+		runs = next
+	}
+	if len(runs) == 0 {
+		return 0
+	}
+	return runs[0].done
+}
 
 func lessNum(a, b string) bool {
 	x, _ := strconv.Atoi(a)
@@ -16,7 +74,7 @@ func lessNum(a, b string) bool {
 
 func TestSortByPerfectWorkers(t *testing.T) {
 	values := []string{"30", "5", "12", "7", "100", "1", "50"}
-	perm, tasks, rounds := sortBy(values, lessNum, crowd.NewPerfectPool(10, stats.NewRNG(4)), 5)
+	perm, tasks, rounds := sortBy(t, values, crowd.NewPerfectPool(10, stats.NewRNG(4)), 5)
 	got := make([]string, len(perm))
 	for i, idx := range perm {
 		got[i] = values[idx]
@@ -27,13 +85,14 @@ func TestSortByPerfectWorkers(t *testing.T) {
 			t.Fatalf("sorted = %v, want %v", got, want)
 		}
 	}
-	// Merge sort task bound.
-	if tasks > 20 {
-		t.Fatalf("too many comparisons: %d", tasks)
+	// The merge sort's comparisons, one task each.
+	if tasks != 13 {
+		t.Fatalf("comparisons = %d, want 13", tasks)
 	}
-	// ceil(log2 7) = 3 merge levels.
-	if rounds != 3 {
-		t.Fatalf("rounds = %d, want 3", rounds)
+	// A round per link of the longest chain of dependent comparisons
+	// (9 here), not a round per merge level.
+	if want := longestChain(values, lessNum); rounds != want {
+		t.Fatalf("rounds = %d, want the longest chain, %d", rounds, want)
 	}
 }
 
@@ -43,7 +102,7 @@ func TestSortByNoisyWorkersMostlyOrdered(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		values = append(values, strconv.Itoa(i))
 	}
-	perm, _, _ := sortBy(values, lessNum, pool, 5)
+	perm, _, _ := sortBy(t, values, pool, 5)
 	// Count pairwise inversions; noisy workers may cause a few, but the
 	// order must be far better than random (random ≈ 60 of 120).
 	inv := 0
@@ -60,13 +119,17 @@ func TestSortByNoisyWorkersMostlyOrdered(t *testing.T) {
 }
 
 func TestSortByEmptyAndSingle(t *testing.T) {
-	less := func(a, b string) bool { return a < b }
-	perm, tasks, _ := sortBy(nil, less, crowd.NewPerfectPool(3, stats.NewRNG(8)), 5)
+	perm, tasks, _ := sortBy(t, nil, crowd.NewPerfectPool(3, stats.NewRNG(8)), 5)
 	if len(perm) != 0 || tasks != 0 {
 		t.Fatalf("empty sort = %v, %d tasks", perm, tasks)
 	}
-	perm, tasks, _ = sortBy([]string{"x"}, less, crowd.NewPerfectPool(3, stats.NewRNG(9)), 5)
+	perm, tasks, _ = sortBy(t, []string{"x"}, crowd.NewPerfectPool(3, stats.NewRNG(9)), 5)
 	if len(perm) != 1 || tasks != 0 {
 		t.Fatalf("single sort = %v, %d tasks", perm, tasks)
+	}
+	// Equal values are one value: no comparison, input order kept.
+	perm, tasks, _ = sortBy(t, []string{"x", "x", "x"}, crowd.NewPerfectPool(3, stats.NewRNG(9)), 5)
+	if len(perm) != 3 || perm[0] != 0 || perm[1] != 1 || perm[2] != 2 || tasks != 0 {
+		t.Fatalf("equal values sort = %v, %d tasks", perm, tasks)
 	}
 }

@@ -249,11 +249,9 @@ func (h *Handle) Result(ctx context.Context) (*Result, error) {
 // round boundaries, like DB.ExecContext). Submit itself never blocks:
 // a full queue returns ErrOverloaded.
 //
-// Only SELECT without ORDER BY is served — DDL and collection
-// statements mutate the catalog, and ORDER BY's crowd merge sort draws
-// its comparisons from the pool outside any plan, so the coalescer
-// cannot key them; both belong on the exclusive DB.Exec path. GROUP BY
-// is served: it is one more run of the pipeline.
+// Only SELECT is served — DDL and collection statements mutate the
+// catalog and belong on the exclusive DB.Exec path. GROUP BY and ORDER
+// BY are served: each is one more run of the pipeline.
 func (e *Engine) Submit(ctx context.Context, query string) (*Handle, error) {
 	return e.submit(ctx, query, nil)
 }
@@ -285,9 +283,6 @@ func servable(query string) (*cql.Select, error) {
 	s, ok := st.(*cql.Select)
 	if !ok {
 		return nil, fmt.Errorf("%w: %T is not served concurrently; use DB.Exec", ErrUnsupported, st)
-	}
-	if s.OrderBy != nil {
-		return nil, fmt.Errorf("%w: ORDER BY's crowd merge sort runs on the exclusive DB.Exec path", ErrUnsupported)
 	}
 	return s, nil
 }

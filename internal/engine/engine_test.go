@@ -3,6 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,6 +13,7 @@ import (
 	"cdb/internal/crowd"
 	"cdb/internal/dataset"
 	"cdb/internal/exec"
+	"cdb/internal/ledger"
 	"cdb/internal/reqid"
 	"cdb/internal/stats"
 	"cdb/internal/testutil"
@@ -244,8 +248,8 @@ func TestBackpressureAndCancellation(t *testing.T) {
 }
 
 // TestRejectsUnsupported checks the statements the shared path must
-// refuse, that it serves GROUP BY, and that a closed engine refuses
-// everything.
+// refuse, that it serves GROUP BY and ORDER BY, and that a closed engine
+// refuses everything.
 func TestRejectsUnsupported(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)()
 	cfg := testConfig(t, 5)
@@ -253,13 +257,8 @@ func TestRejectsUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{
-		"CREATE TABLE t (a varchar(8));",
-		`SELECT Paper.title FROM Paper, Citation WHERE Paper.title CROWDJOIN Citation.title ORDER BY Paper.title;`,
-	} {
-		if _, err := e.Submit(context.Background(), q); !errors.Is(err, ErrUnsupported) {
-			t.Fatalf("%s: want ErrUnsupported, got %v", q, err)
-		}
+	if _, err := e.Submit(context.Background(), "CREATE TABLE t (a varchar(8));"); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("CREATE TABLE: want ErrUnsupported, got %v", err)
 	}
 	h, err := e.Submit(context.Background(), `SELECT Paper.title FROM Paper, Citation WHERE Paper.title CROWDJOIN Citation.title GROUP BY Paper.title;`)
 	if err != nil {
@@ -268,12 +267,137 @@ func TestRejectsUnsupported(t *testing.T) {
 	if ans, err := h.wait(context.Background()); err != nil || ans.Columns[len(ans.Columns)-1] != "group_count" {
 		t.Fatalf("GROUP BY served as %v, %v", ans, err)
 	}
+	h, err = e.Submit(context.Background(), orderByQueries[0])
+	if err != nil {
+		t.Fatalf("ORDER BY refused: %v", err)
+	}
+	if ans, err := h.wait(context.Background()); err != nil || len(ans.Rows) == 0 {
+		t.Fatalf("ORDER BY served as %v, %v", ans, err)
+	}
 	if _, err := e.Submit(context.Background(), "SELECT FROM;"); err == nil {
 		t.Fatal("parse error not surfaced")
 	}
 	e.Close()
 	if _, err := e.Submit(context.Background(), dataset.Queries("paper")["2J"]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed after Close, got %v", err)
+	}
+}
+
+// orderByQueries order the test dataset's join by a string column, by a
+// number column, and after a GROUP BY.
+var orderByQueries = []string{
+	`SELECT Paper.title FROM Paper, Citation WHERE Paper.title CROWDJOIN Citation.title ORDER BY Paper.title;`,
+	`SELECT Paper.title, Citation.number FROM Paper, Citation WHERE Paper.title CROWDJOIN Citation.title ORDER BY Citation.number;`,
+	`SELECT Paper.conference FROM Paper, Citation WHERE Paper.title CROWDJOIN Citation.title GROUP BY Paper.conference ORDER BY Paper.conference;`,
+}
+
+// TestEngineOrderByConcurrentMatchesSequential: a served ORDER BY
+// returns the same rows and Stats whether the engine runs one query at
+// a time or eight that share their comparisons' HITs.
+func TestEngineOrderByConcurrentMatchesSequential(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)()
+	const seed = 17
+	queries := append(slices.Clone(orderByQueries), orderByQueries...)
+	want := runSequential(t, seed, queries, false)
+	cfg := testConfig(t, seed)
+	cfg.MaxInFlight = 8
+	cfg.MaxQueue = len(queries)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	handles := make([]*Handle, len(queries))
+	for i, q := range queries {
+		if handles[i], err = e.Submit(context.Background(), q); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	got := make([]outcome, len(queries))
+	for i, h := range handles {
+		ans, err := h.wait(context.Background())
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		got[i] = outcome{cols: ans.Columns, rows: ans.Rows, rep: ans.Report}
+	}
+	sameCharges(t, "engine@8 vs engine@1", got, want)
+	for i, o := range want[:len(orderByQueries)] {
+		if len(o.rows) < 2 || o.rep.Metrics.Rounds < 2 {
+			t.Fatalf("query %d: %d rows in %d rounds; the sort asked nothing", i, len(o.rows), o.rep.Metrics.Rounds)
+		}
+	}
+}
+
+// TestEngineOrderByWarmRestart: the comparisons of a served ORDER BY
+// are journalled like any verdict, so an engine restarted on its ledger
+// with the answer cache off re-serves the statements, rows and Stats
+// unchanged, without a new assignment.
+func TestEngineOrderByWarmRestart(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)()
+	dir := t.TempDir()
+	serve := func() ([]outcome, Stats) {
+		jl, err := ledger.Open(dir, ledger.Options{Seed: 23, Fsync: ledger.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(t, 23)
+		cfg.Journal, cfg.ResultCacheSize = jl, -1
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		out := make([]outcome, len(orderByQueries))
+		for i, q := range orderByQueries {
+			h, err := e.Submit(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ans, err := h.wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = outcome{cols: ans.Columns, rows: ans.Rows, rep: ans.Report}
+		}
+		return out, e.Stats()
+	}
+	cold, st := serve()
+	if st.AssignmentsIssued == 0 {
+		t.Fatal("the cold run issued no assignments")
+	}
+	jl, err := ledger.Open(dir, ledger.Options{Seed: 23, Fsync: ledger.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comparisons := 0
+	for _, v := range jl.Verdicts() {
+		if strings.Contains(v.Key, "\x1fcmp\x1f") {
+			comparisons++
+		}
+	}
+	jl.Close()
+	if comparisons == 0 {
+		t.Fatal("the ledger holds no comparison")
+	}
+	warm, st := serve()
+	if st.AssignmentsIssued != 0 {
+		t.Fatalf("warm restart issued %d assignments", st.AssignmentsIssued)
+	}
+	sameCharges(t, "warm restart", warm, cold)
+}
+
+// sameCharges is sameOutcomes without the sharing telemetry: which
+// tasks were coalesced or cached is the scheduler's and the caches'
+// business, what a query returns and is charged is not.
+func sameCharges(t *testing.T, label string, got, want []outcome) {
+	t.Helper()
+	for i := range want {
+		g, w := toWire(got[i]), toWire(want[i])
+		g.cachedTasks, g.coalesced, w.cachedTasks, w.coalesced = 0, 0, 0, 0
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: query %d:\ngot  %+v\nwant %+v", label, i, g, w)
+		}
 	}
 }
 

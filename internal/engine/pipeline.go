@@ -105,6 +105,10 @@ const (
 //	BUDGET n    × planner        budget wins: the run follows cost.Budget's order, the account caps its spend
 //	BUDGET n    × GROUP BY       one cap: the grouping spends what the join left; a cut grouping is
 //	                             Partial, reason budget
+//	BUDGET n    × ORDER BY       one cap: the sort spends what the join and the grouping left; a cut
+//	                             sort keeps its unfinished merges in input order and is Partial,
+//	                             reason budget
+//	GROUP BY    × ORDER BY       compose: the grouping runs first, the sort orders its groups
 //	planner     × crowd path     compose: the planned order is a key, the verdicts come from the
 //	                             run's own crowd (transport, CDB+, markets or the pool)
 //	planner     × transitivity   compose: one strategy, keys priority → expected yield → Eq. 1
@@ -180,9 +184,9 @@ func (req *SelectRequest) Explain() (*plan.Explained, error) {
 	return plan.Describe(p, plan.Greedy(p, 0), o == byGreedyPlan), nil
 }
 
-// RunSelect executes one SELECT through the pipeline, its GROUP BY
-// included. Cancellation is honored at crowd-round boundaries (see
-// exec.Run).
+// RunSelect executes one SELECT through the pipeline, its GROUP BY and
+// then its ORDER BY included. Cancellation is honored at crowd-round
+// boundaries (see exec.Run).
 func RunSelect(ctx context.Context, req *SelectRequest) (*Answer, error) {
 	o := req.order()
 	p, err := req.scoped(o).bind(req.Stmt, req.Exec.Trace)
@@ -190,9 +194,14 @@ func RunSelect(ctx context.Context, req *SelectRequest) (*Answer, error) {
 		return nil, err
 	}
 	columns := p.ProjectionColumns()
-	grouped := -1
+	grouped, ordered := -1, -1
 	if ref := req.Stmt.GroupBy; ref != nil {
-		if grouped, err = ColumnIndex(columns, *ref); err != nil {
+		if grouped, err = columnIndex(columns, *ref); err != nil {
+			return nil, err
+		}
+	}
+	if ref := req.Stmt.OrderBy; ref != nil {
+		if ordered, err = columnIndex(columns, *ref); err != nil {
 			return nil, err
 		}
 	}
@@ -221,15 +230,20 @@ func RunSelect(ctx context.Context, req *SelectRequest) (*Answer, error) {
 			return nil, err
 		}
 	}
+	if ordered >= 0 {
+		if err := req.orderBy(ctx, ans, ordered, opts); err != nil {
+			return nil, err
+		}
+	}
 	if decision != nil {
 		ans.Plan = plan.Describe(p, decision, o == byGreedyPlan)
 	}
 	return ans, nil
 }
 
-// ColumnIndex finds a Table.column reference among an answer's
+// columnIndex finds a Table.column reference among an answer's
 // columns: the GROUP BY and ORDER BY column must be projected.
-func ColumnIndex(columns []string, ref cql.ColRef) (int, error) {
+func columnIndex(columns []string, ref cql.ColRef) (int, error) {
 	for i, c := range columns {
 		if strings.EqualFold(c, ref.String()) {
 			return i, nil
@@ -238,42 +252,58 @@ func ColumnIndex(columns []string, ref cql.ColRef) (int, error) {
 	return 0, fmt.Errorf("engine: %w: GROUP/ORDER BY column %s must appear in the projection (have %v)", exec.ErrStatement, ref, columns)
 }
 
-// groupBy folds ans into one row per group of the values in its column
-// pos, the §4.2 Remark's crowdsourced entity resolution with
-// transitivity: the Trans order over exec.ValuePlan, asked of the run's
-// own crowd — pool or markets, quality mode, fault policy or resolver —
-// and recorded in its metadata, trace and progress, but under none of
-// its order (planner, closure, calibration, round cap). It opens a
-// transport of its own and spends from the statement's account what the
-// join left of its BUDGET and retry budget. A grouping the account cuts
-// short leaves its unasked pairs in separate groups, which splits an
-// entity over rows, so the statement turns Partial with reason "budget".
-// The groups are the closure's clusters, first member first; each keeps
-// its first member's row plus a group_count column. A group is only as
-// trustworthy as its least-confident member, so confidences fold by min;
-// provenance folds by summing the members' edge counts.
-func (req *SelectRequest) groupBy(ctx context.Context, ans *Answer, pos int, opts exec.Options) error {
-	rep := ans.Report
+// ask runs p, a plan over the statement's answer, in the order s: asked
+// of the run's own crowd — pool or markets, quality mode, fault policy
+// or resolver — and recorded in its metadata, trace and progress, but
+// under none of its order (planner, closure, calibration, round cap).
+// It opens a transport of its own and spends from the statement's
+// account what the runs before it left of its BUDGET and retry budget.
+// A run the account cuts short leaves the answer coarser than the
+// statement asks, so the statement turns Partial with reason "budget".
+func (req *SelectRequest) ask(ctx context.Context, rep *exec.Report, p *exec.Plan, s cost.Strategy, opts exec.Options) error {
+	run := opts
+	run.Strategy = s
+	run.MaxRounds, run.Calibrate, run.Transitive = 0, false, false
+	if req.Transport != nil {
+		// A transport of its own: the plan's edge ids restart at 0, and
+		// the statement's stragglers must not answer its tasks.
+		run.Transport = req.Transport()
+		defer run.Transport.Close()
+	}
+	r, err := exec.Run(ctx, p, run)
+	if err != nil {
+		return err
+	}
+	if r.Capped && !rep.Reliability.Partial {
+		rep.Reliability.Partial, rep.Reliability.Reason = true, "budget"
+	}
+	return nil
+}
+
+// column is the values of ans's column pos, in row order.
+func column(ans *Answer, pos int) []string {
 	values := make([]string, len(ans.Rows))
 	for i, row := range ans.Rows {
 		values[i] = row[pos]
 	}
+	return values
+}
+
+// groupBy folds ans into one row per group of the values in its column
+// pos, the §4.2 Remark's crowdsourced entity resolution with
+// transitivity: the Trans order over exec.ValuePlan, asked as ask asks.
+// A grouping the account cuts short leaves its unasked pairs in
+// separate groups, which splits an entity over rows. The groups are the
+// closure's clusters, first member first; each keeps its first member's
+// row plus a group_count column. A group is only as trustworthy as its
+// least-confident member, so confidences fold by min; provenance folds
+// by summing the members' edge counts.
+func (req *SelectRequest) groupBy(ctx context.Context, ans *Answer, pos int, opts exec.Options) error {
+	rep := ans.Report
+	values := column(ans, pos)
 	p := exec.ValuePlan(*req.Stmt.GroupBy, values, req.Oracle, req.PlanConfig)
-	run := opts
-	run.Strategy = baselines.NewTrans()
-	run.MaxRounds, run.Calibrate, run.Transitive = 0, false, false
-	if req.Transport != nil {
-		// A transport of its own: the grouping's edge ids restart at 0,
-		// and the statement's stragglers must not answer its tasks.
-		run.Transport = req.Transport()
-		defer run.Transport.Close()
-	}
-	grouping, err := exec.Run(ctx, p, run)
-	if err != nil {
+	if err := req.ask(ctx, rep, p, baselines.NewTrans(), opts); err != nil {
 		return err
-	}
-	if grouping.Capped && !rep.Reliability.Partial {
-		rep.Reliability.Partial, rep.Reliability.Reason = true, "budget"
 	}
 
 	cl := graph.NewClosure(p.G)
@@ -317,4 +347,35 @@ func (req *SelectRequest) groupBy(ctx context.Context, ans *Answer, pos int, opt
 	ans.Columns = append(append([]string(nil), ans.Columns...), "group_count")
 	rep.Confidence, rep.Provenance = conf, prov
 	return nil
+}
+
+// orderBy sorts ans by the values in its column pos, the §4.2 Remark's
+// crowd-compared ORDER BY: exec.OrderPlan's comparisons in
+// exec.MergeOrder's rounds, asked as ask asks. A sort the account cuts
+// short leaves its unfinished merges in their inputs' order. Rows of
+// equal value keep their order, and confidences and provenance move
+// with their rows.
+func (req *SelectRequest) orderBy(ctx context.Context, ans *Answer, pos int, opts exec.Options) error {
+	rep := ans.Report
+	p, merges := exec.OrderPlan(*req.Stmt.OrderBy, column(ans, pos))
+	if err := req.ask(ctx, rep, p, merges, opts); err != nil {
+		return err
+	}
+	perm := merges.Perm(p.G)
+	ans.Rows = permute(ans.Rows, perm)
+	rep.Confidence = permute(rep.Confidence, perm)
+	rep.Provenance = permute(rep.Provenance, perm)
+	return nil
+}
+
+// permute returns xs in the order perm gives; nil stays nil.
+func permute[T any](xs []T, perm []int) []T {
+	if xs == nil {
+		return nil
+	}
+	out := make([]T, len(perm))
+	for i, k := range perm {
+		out[i] = xs[k]
+	}
+	return out
 }

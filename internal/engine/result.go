@@ -29,8 +29,9 @@ type QueryStats struct {
 	// and Reason names its first cause: the query was cancelled or ran
 	// out of time ("canceled", "deadline"), lost tasks after its retries
 	// ("tasks-lost"), or its BUDGET ran out before its GROUP BY had
-	// grouped ("budget"; one entity may then span rows). A budgeted
-	// SELECT without GROUP BY is never partial for its BUDGET: fewer
+	// grouped or its ORDER BY had sorted ("budget"; one entity may then
+	// span rows, and the rows are only partly ordered). A budgeted
+	// SELECT without either is never partial for its BUDGET: fewer
 	// answers within B is what BUDGET asks for. The counters attribute
 	// where answers went.
 	Partial         bool   `json:"partial,omitempty"`

@@ -139,6 +139,9 @@ type Plan struct {
 	// predicates; G.NumEdges() of them became edges (all of them, unless
 	// Cfg.LiveOnly dropped some).
 	Candidates int
+	// compare marks an OrderPlan: its edges ask whether the left value
+	// comes before the right one, not whether the two match.
+	compare bool
 }
 
 // PlanConfig controls graph instantiation.
@@ -446,11 +449,7 @@ func ValuePlan(ref cql.ColRef, values []string, orc Oracle, cfg PlanConfig) *Pla
 		cfg.Epsilon = 0.3
 	}
 	n := len(values)
-	tb := table.New(table.Schema{Name: ref.Table, Columns: []table.Column{{Name: ref.Column, Kind: table.String}}})
-	tb.Rows = make([]table.Tuple, n)
-	for i, v := range values {
-		tb.Rows[i] = table.Tuple{table.SV(v)}
-	}
+	tb := valueTable(ref, values)
 	s := &graph.Structure{Tables: []string{ref.Table, ref.Table}, Preds: []graph.QPred{{A: 0, B: 1, Name: ref.String()}}}
 	specs := make([]graph.EdgeSpec, n)
 	truth := make([]bool, n)
@@ -473,6 +472,16 @@ func ValuePlan(ref cql.ColRef, values []string, orc Oracle, cfg PlanConfig) *Pla
 	return &Plan{S: s, G: g, Truth: truth, Tables: []*table.Table{tb, tb}, Orc: orc, Cfg: cfg,
 		Bindings:   []PredBinding{{Pred: cql.Predicate{Kind: cql.CrowdJoin, Left: ref, Right: ref}, RightTab: 1}},
 		Candidates: len(specs) - n}
+}
+
+// valueTable is the one-column table ref holding values, one row each.
+func valueTable(ref cql.ColRef, values []string) *table.Table {
+	tb := table.New(table.Schema{Name: ref.Table, Columns: []table.Column{{Name: ref.Column, Kind: table.String}}})
+	tb.Rows = make([]table.Tuple, len(values))
+	for i, v := range values {
+		tb.Rows[i] = table.Tuple{table.SV(v)}
+	}
+	return tb
 }
 
 // TrueAnswerKeys enumerates the ground-truth answers: embeddings whose

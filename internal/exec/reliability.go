@@ -106,7 +106,7 @@ func (r Reliability) withDefaults() Reliability {
 type ReliabilityStats struct {
 	// Partial marks a degraded result: the query was cancelled, hit its
 	// deadline, abandoned tasks after exhausting retries, or its BUDGET
-	// cut its GROUP BY short. The remaining fields say which.
+	// cut its GROUP BY or ORDER BY short. The remaining fields say which.
 	Partial bool
 	// Reason is "" for a complete result, else the first degradation:
 	// "canceled", "deadline", "tasks-lost" or "budget".

@@ -76,13 +76,17 @@ type TaskResolver interface {
 // predicate label, and the two cell values, with the sides ordered
 // lexicographically (a "do these match?" HIT is symmetric, so queries
 // phrasing the join in either direction coalesce). Selection tasks pin
-// the constant on the right.
+// the constant on the right. An OrderPlan's comparison ("cmp") already
+// has the smaller value on the left, so it is keyed as asked.
 func (p *Plan) TaskKey(edgeID int) string {
 	pred, left, right := p.TaskDescription(edgeID)
 	kind := "join"
-	if p.Bindings[p.G.Edge(edgeID).Pred].RightCol < 0 {
+	switch {
+	case p.compare:
+		kind = "cmp"
+	case p.Bindings[p.G.Edge(edgeID).Pred].RightCol < 0:
 		kind = "sel"
-	} else if right < left {
+	case right < left:
 		left, right = right, left
 	}
 	var b strings.Builder

@@ -73,7 +73,8 @@ type RoundUpdate struct {
 	TasksTotal       int `json:"tasks_total"`
 	AssignmentsTotal int `json:"assignments_total"`
 	// Open counts the valid uncolored edges still in play — the
-	// crowd work that may remain.
+	// crowd work that may remain; for an ORDER BY, the comparisons its
+	// unfinished merges may still ask.
 	Open int `json:"open"`
 	// Inferred counts edges this round labeled by transitive inference
 	// instead of crowd work (zero unless Options.Transitive).
@@ -151,12 +152,12 @@ type Options struct {
 }
 
 // Account is one statement's crowd spend. Every run of the statement —
-// its join order, its GROUP BY grouping — draws on the one Account
-// (Options.Account): the tasks its BUDGET leaves, the reissues its
-// Reliability.RetryBudget leaves, and the running tallies that number
-// its rounds, progress updates and metadata task rows and make its
-// Stats. Each Report of the statement embeds it, so any of them reads
-// the statement's totals.
+// its join order, its GROUP BY grouping, its ORDER BY sort — draws on
+// the one Account (Options.Account): the tasks its BUDGET leaves, the
+// reissues its Reliability.RetryBudget leaves, and the running tallies
+// that number its rounds, progress updates and metadata task rows and
+// make its Stats. Each Report of the statement embeds it, so any of
+// them reads the statement's totals.
 type Account struct {
 	// Metrics counts the statement's tasks and rounds. Precision and
 	// Recall score the answers of the account's first run: a later run
@@ -327,6 +328,13 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 	}
 	rounds, tasks := 0, 0
 	inBatch := make([]int32, g.NumEdges()) // dedupeUncolored's stamps
+	// open counts the work the run may still ask, for progress and
+	// tracing: the graph's valid uncolored edges, unless the strategy
+	// binds edges as it asks them and counts its own (MergeOrder).
+	open := g.CountValidUncolored
+	if oc, ok := opts.Strategy.(interface{ Open(*graph.Graph) int }); ok {
+		open = func() int { return oc.Open(g) }
+	}
 	abort := func(err error) error {
 		// Graceful degradation: surface what completed instead of the
 		// error, unless the caller asked for fail-fast. The statement's
@@ -351,7 +359,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		validBefore := 0
 		var cacheF0 uint64
 		if tr != nil {
-			validBefore = g.CountValidUncolored()
+			validBefore = open()
 			if cacheStats != nil {
 				cacheF0, _, _ = cacheStats.CacheStats()
 			}
@@ -363,6 +371,8 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		} else {
 			batch = opts.Strategy.NextRound(g)
 		}
+		// Edges the strategy just bound (MergeOrder binds as it asks).
+		inBatch = append(inBatch, make([]int32, g.NumEdges()-len(inBatch))...)
 		batch, err := dedupeUncolored(g, batch, inBatch, int32(rounds+1))
 		if err != nil {
 			// Wrap with query + round context so a misbehaving strategy
@@ -451,7 +461,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		}
 
 		if tr != nil {
-			validAfter := g.CountValidUncolored()
+			validAfter := open()
 			colored := len(batch) + inferredRound
 			round := rep.Metrics.Rounds
 			tr.Mutate(roundSpan, func(s *obs.Span) {
@@ -481,7 +491,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 				Red:              red,
 				TasksTotal:       rep.Metrics.Tasks,
 				AssignmentsTotal: rep.Assignments,
-				Open:             g.CountValidUncolored(),
+				Open:             open(),
 				Inferred:         inferredRound,
 			})
 		}
@@ -751,9 +761,12 @@ func boolAnswer(b bool) string {
 }
 
 // taskKindOf distinguishes selection tasks (one side is a constant)
-// from join tasks.
+// and comparisons from join tasks.
 func taskKindOf(p *Plan, edgeID int) meta.TaskKind {
-	if p.Bindings[p.G.Edge(edgeID).Pred].RightCol < 0 {
+	switch {
+	case p.compare:
+		return meta.TaskCompare
+	case p.Bindings[p.G.Edge(edgeID).Pred].RightCol < 0:
 		return meta.TaskSelection
 	}
 	return meta.TaskJoin

@@ -33,6 +33,7 @@ type TaskKind string
 const (
 	TaskJoin      TaskKind = "join"
 	TaskSelection TaskKind = "selection"
+	TaskCompare   TaskKind = "compare"
 	TaskFill      TaskKind = "fill"
 	TaskCollect   TaskKind = "collect"
 )

@@ -63,7 +63,7 @@ type Span struct {
 	Blue   int    `json:"blue,omitempty"`   // edges confirmed this round
 	Red    int    `json:"red,omitempty"`    // edges refuted this round
 	Pruned int    `json:"pruned,omitempty"` // edges invalidated without asking
-	Edges  int    `json:"edges,omitempty"`  // valid uncolored edges remaining; on a plan span, edges bound
+	Edges  int    `json:"edges,omitempty"`  // valid uncolored edges remaining (an ORDER BY's: comparisons left to ask); on a plan span, edges bound
 	// Candidate pairs the bind found (plan span); Edges of them were bound.
 	Candidates int `json:"candidates,omitempty"`
 	// Rescores of the cost engine attributed to this span.

@@ -114,6 +114,8 @@ func TestFeaturePairRules(t *testing.T) {
 	}
 	budgeted := strings.Replace(q, ";", " BUDGET 40;", 1)
 	groupedBudgeted := strings.Replace(q, ";", " GROUP BY Researcher.affiliation BUDGET 40;", 1)
+	orderedBudgeted := strings.Replace(q, ";", " ORDER BY Citation.number BUDGET 40;", 1)
+	groupedOrdered := strings.Replace(q, ";", " GROUP BY Researcher.affiliation ORDER BY Researcher.affiliation;", 1)
 
 	cases := []struct {
 		name       string
@@ -130,6 +132,10 @@ func TestFeaturePairRules(t *testing.T) {
 		{"budget beats planner/engine", Config{Planner: true}, viaEngine, budgeted, false, false, ""},
 		{"budget bounds the grouping/exec", Config{}, viaExec, groupedBudgeted, false, false, ""},
 		{"budget bounds the grouping/engine", Config{}, viaEngine, groupedBudgeted, false, false, ""},
+		{"budget bounds the sort/exec", Config{}, viaExec, orderedBudgeted, false, false, ""},
+		{"budget bounds the sort/engine", Config{}, viaEngine, orderedBudgeted, false, false, ""},
+		{"the sort orders the groups/exec", Config{}, viaExec, groupedOrdered, false, false, ""},
+		{"the sort orders the groups/engine", Config{}, viaEngine, groupedOrdered, false, false, ""},
 		{"planner composes with the transport/exec", Config{Planner: true, Reliability: &ReliabilityPolicy{}}, viaExec, q, true, false, SpanCollect},
 		{"planner composes with cdb+/exec", Config{Planner: true, QualityControl: true}, viaExec, q, true, false, SpanInfer},
 		{"planner composes with markets/exec", Config{Planner: true, Markets: twoMarkets}, viaExecBothMarkets, q, true, false, ""},
@@ -177,6 +183,12 @@ func TestFeaturePairRules(t *testing.T) {
 			}
 			if strings.Contains(tc.query, "BUDGET 40") && res.Stats.Tasks > 40 {
 				t.Errorf("BUDGET 40 spent %d tasks", res.Stats.Tasks)
+			}
+			if tc.query == orderedBudgeted && (!res.Stats.Partial || res.Stats.Reason != "budget") {
+				t.Errorf("the join spends the BUDGET, so the sort is cut short, yet the result is %+v", res.Stats)
+			}
+			if tc.query == groupedOrdered && res.Columns[len(res.Columns)-1] != "group_count" {
+				t.Errorf("columns %v: the sort ordered something other than the groups", res.Columns)
 			}
 		})
 	}
