@@ -47,15 +47,15 @@ var groupByCrowds = map[string][]Option{
 
 // pinnedGroupBy holds the pins, keyed "dataset/crowd".
 var pinnedGroupBy = map[string]groupByPin{
-	"example/perfect":          {18, 4, 90, 2, 0xd1b8c7387f03715},
-	"example/noisy":            {18, 4, 90, 3, 0x58591735b67bfc33},
-	"example/noisy-transitive": {18, 4, 90, 3, 0x8b4815994d5f60c3},
-	"paper/perfect":            {392, 21, 1960, 37, 0x9bd99398881e35f7},
-	"paper/noisy":              {370, 18, 1850, 34, 0xd6f834858be8cf41},
-	"paper/noisy-transitive":   {376, 23, 1880, 34, 0xb55b6e0fc3fca072},
-	"award/perfect":            {2381, 9, 11905, 14, 0x34f1053eb9c9f945},
-	"award/noisy":              {2504, 9, 12520, 26, 0x62dfddabae5d0c4a},
-	"award/noisy-transitive":   {2145, 14, 10725, 24, 0x5ea9a974a791cad7},
+	"example/perfect":          {16, 3, 80, 2, 0xd1b8c7387f03715},
+	"example/noisy":            {16, 3, 80, 3, 0x9f37db1efc8600f0},
+	"example/noisy-transitive": {16, 3, 80, 3, 0x906c155edf5dcfb0},
+	"paper/perfect":            {364, 20, 1820, 37, 0x9bd99398881e35f7},
+	"paper/noisy":              {313, 14, 1565, 31, 0x7f428ec9dac377ff},
+	"paper/noisy-transitive":   {338, 20, 1690, 34, 0xf073c24d303afd1},
+	"award/perfect":            {1834, 3, 9170, 14, 0x34f1053eb9c9f945},
+	"award/noisy":              {1842, 3, 9210, 15, 0x6ce3b010d81f80e3},
+	"award/noisy-transitive":   {1478, 8, 7390, 14, 0x16bf4486eeb59f14},
 }
 
 // runGroupBy executes the pinned statement of dataset under crowd on a

@@ -1,6 +1,8 @@
 package cost
 
 import (
+	"slices"
+
 	"cdb/internal/graph"
 	"cdb/internal/maxflow"
 )
@@ -18,13 +20,7 @@ import (
 func KnownColorSelect(g *graph.Graph, color func(edgeID int) graph.Color) []int {
 	var s knownSelect
 	s.run(g, color)
-	n := 0
-	for _, need := range s.need {
-		if need {
-			n++
-		}
-	}
-	out := make([]int, 0, n)
+	var out []int
 	for e, need := range s.need {
 		if need {
 			out = append(out, e)
@@ -44,6 +40,13 @@ type knownSelect struct {
 
 // run marks in s.need the edges KnownColorSelect returns.
 func (s *knownSelect) run(g *graph.Graph, color func(edgeID int) graph.Color) {
+	s.cut(g, color)
+	sweep(g, color, s.need)
+}
+
+// cut marks in s.need the edges on all-blue embeddings and the red
+// edges of the star rule or of the chain linearization's min cut.
+func (s *knownSelect) cut(g *graph.Graph, color func(edgeID int) graph.Color) {
 	s.need = cleared(s.need, g.NumEdges())
 	s.bEdge = cleared(s.bEdge, g.NumEdges())
 	s.blueNode = cleared(s.blueNode, g.NumVertices())
@@ -67,32 +70,24 @@ func (s *knownSelect) run(g *graph.Graph, color func(edgeID int) graph.Color) {
 	} else {
 		chainCutSelect(g, color, s.blueNode, s.bEdge, need)
 	}
+}
 
-	// Completion sweep: the chain linearization of trees and broken
-	// cycles can leave candidates unrefuted (the paper's "invalid join
-	// tuples" caveat) — enumerate the candidates not yet refuted by a
-	// needed red edge and pin one red edge of each. Refuted candidates
-	// are pruned from the walk by excluding their cut edges, so this
-	// pass only visits the (few) leftovers.
-	keepUnrefuted := func(e graph.Edge) bool {
-		return !(color(e.ID) == graph.Red && need[e.ID])
-	}
-	for {
-		added := false
-		g.EnumerateEmbeddings(nil, keepUnrefuted, func(_, edges []int) bool {
-			for _, e := range edges {
-				if color(e) == graph.Red {
-					need[e] = true
-					added = true
-					return false // restart: the new cut prunes others
-				}
-			}
-			return true // all blue: already in need via bEdge
-		})
-		if !added {
-			break
+// sweep completes a selection: the chain linearization of trees and
+// broken cycles can leave candidates unrefuted (the paper's "invalid
+// join tuples" caveat), so it pins the first red edge of each candidate
+// no needed red edge refutes, in one walk. keep is read lazily, so a
+// pin prunes the rest of the walk, bar the candidates whose prefix the
+// walk had already passed; yield skips those as refuted.
+func sweep(g *graph.Graph, color func(edgeID int) graph.Color, need []bool) {
+	isRed := func(e int) bool { return color(e) == graph.Red }
+	refuted := func(e int) bool { return isRed(e) && need[e] }
+	keepUnrefuted := func(e graph.Edge) bool { return !refuted(e.ID) }
+	g.EnumerateEmbeddings(nil, keepUnrefuted, func(_, edges []int) bool {
+		if k := slices.IndexFunc(edges, isRed); k >= 0 && !slices.ContainsFunc(edges, refuted) {
+			need[edges[k]] = true
 		}
-	}
+		return true
+	})
 }
 
 // cleared returns buf at length n, all zero, reusing its array when it

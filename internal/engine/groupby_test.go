@@ -3,9 +3,11 @@ package engine
 import (
 	"context"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"cdb/internal/cql"
 	"cdb/internal/crowd"
@@ -24,16 +26,28 @@ func (o entityOracle) SelMatch(_, _, v, c string) bool        { return o(v) == o
 // rows (value, group_count) and the report the grouping charged.
 func groupValues(t *testing.T, values []string, same entityOracle, n int, seed uint64) ([][]string, *exec.Report) {
 	t.Helper()
+	return groupOver(t, values, same, crowd.NewPerfectPool(n, stats.NewRNG(seed)))
+}
+
+// groupOver is groupValues over pool. Answer row i carries provenance
+// Crowd 1<<i (0 past row 62), which the grouping sums over a group's
+// rows, so a group's Provenance.Crowd is the set of its rows.
+func groupOver(t *testing.T, values []string, same entityOracle, pool *crowd.Pool) ([][]string, *exec.Report) {
+	t.Helper()
 	acct := exec.NewAccount(math.MaxInt, exec.Reliability{})
 	ans := &Answer{Columns: []string{"T.v"}, Report: &exec.Report{Account: acct}}
-	for _, v := range values {
+	ans.Report.Provenance = make([]exec.AnswerProvenance, len(values))
+	for i, v := range values {
 		ans.Rows = append(ans.Rows, []string{v})
+		if i < 63 {
+			ans.Report.Provenance[i].Crowd = 1 << i
+		}
 	}
 	req := &SelectRequest{
 		Source: Source{Oracle: same},
 		Stmt:   &cql.Select{GroupBy: &cql.ColRef{Table: "T", Column: "v"}},
 	}
-	opts := exec.Options{Pool: crowd.NewPerfectPool(n, stats.NewRNG(seed)), Redundancy: 5, Account: acct}
+	opts := exec.Options{Pool: pool, Redundancy: 5, Account: acct}
 	if err := req.groupBy(context.Background(), ans, 0, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -100,5 +114,81 @@ func TestGroupBySingletons(t *testing.T) {
 	// All pairs are below epsilon: free.
 	if rep.Metrics.Tasks != 0 {
 		t.Fatalf("dissimilar values should not be asked: %d tasks", rep.Metrics.Tasks)
+	}
+}
+
+// TestGroupByBindsValues groups 3 000 rows of 20 mutually dissimilar
+// values: the bind holds the 20 values, not the rows, so no pair
+// reaches ε and the grouping asks nothing. It measured 0.55 MB and
+// 0.5–1.2 ms on a 2-core box (4–9 ms under -race); the bounds leave
+// room for a loaded runner, and binding the rows would pass neither.
+func TestGroupByBindsValues(t *testing.T) {
+	words := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliett",
+		"kilo", "lima", "mike", "november", "oscar", "papa", "quebec", "romeo", "sierra", "tango"}
+	r := stats.NewRNG(5)
+	values := make([]string, 3000)
+	for i := range values {
+		values[i] = words[r.Intn(len(words))]
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	rows, rep := groupValues(t, values, func(v string) string { return v }, 5, 6)
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	t.Logf("%d rows: %v, %d bytes", len(values), took, after.TotalAlloc-before.TotalAlloc)
+	if len(rows) != len(words) || rep.Metrics.Tasks != 0 {
+		t.Fatalf("%d groups after %d tasks, want %d groups and no task", len(rows), rep.Metrics.Tasks, len(words))
+	}
+	total := 0
+	for _, row := range rows {
+		n, _ := strconv.Atoi(row[1])
+		total += n
+	}
+	if total != len(values) {
+		t.Fatalf("group counts sum to %d rows, want %d", total, len(values))
+	}
+	if limit := 2 << 20; after.TotalAlloc-before.TotalAlloc > uint64(limit) {
+		t.Fatalf("grouping allocated %d bytes, over %d", after.TotalAlloc-before.TotalAlloc, limit)
+	}
+	if limit := 100 * time.Millisecond; took > limit {
+		t.Fatalf("grouping took %v, over %v", took, limit)
+	}
+}
+
+// TestGroupByNeverSplitsAValue: under a noisy crowd (q = 0.6) the
+// grouping may merge or separate variants wrongly, but the rows of one
+// value are one vertex of the plan, so they always land in one group.
+func TestGroupByNeverSplitsAValue(t *testing.T) {
+	variants := []string{"acme corp", "Acme Corp.", "acme  corp", "ACME corporation", "beta inc", "Beta Inc.", "beta incorporated"}
+	entity := func(v string) string { return strings.ToLower(v)[:4] }
+	for seed := uint64(1); seed <= 8; seed++ {
+		r := stats.NewRNG(seed)
+		values := make([]string, 60)
+		for i := range values {
+			values[i] = variants[r.Intn(len(variants))]
+		}
+		rows, rep := groupOver(t, values, entity, crowd.NewPool(20, 0.6, 0.05, stats.NewRNG(seed+100)))
+		if rep.Metrics.Tasks == 0 {
+			t.Fatalf("seed %d: grouping asked no tasks", seed)
+		}
+		groupOf := map[string]int{}
+		var all int
+		for g, members := range rep.Provenance {
+			for i, v := range values {
+				if members.Crowd&(1<<i) == 0 {
+					continue
+				}
+				if h, ok := groupOf[v]; ok && h != g {
+					t.Fatalf("seed %d: rows of %q in groups %d and %d (%v)", seed, v, h, g, rows)
+				}
+				groupOf[v] = g
+			}
+			all |= members.Crowd
+		}
+		if all != 1<<len(values)-1 {
+			t.Fatalf("seed %d: groups hold rows %b, want all %d", seed, all, len(values))
+		}
 	}
 }

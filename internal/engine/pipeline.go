@@ -292,16 +292,15 @@ func column(ans *Answer, pos int) []string {
 // groupBy folds ans into one row per group of the values in its column
 // pos, the §4.2 Remark's crowdsourced entity resolution with
 // transitivity: the Trans order over exec.ValuePlan, asked as ask asks.
-// A grouping the account cuts short leaves its unasked pairs in
-// separate groups, which splits an entity over rows. The groups are the
-// closure's clusters, first member first; each keeps its first member's
-// row plus a group_count column. A group is only as trustworthy as its
-// least-confident member, so confidences fold by min; provenance folds
-// by summing the members' edge counts.
+// A grouping the account cuts short leaves its unasked pairs of values
+// in separate groups, which splits an entity over rows. The groups are
+// the closure's clusters of the rows' values, first row first; each
+// keeps its first row plus a group_count column. A group is only as
+// trustworthy as its least-confident row, so confidences fold by min;
+// provenance folds by summing the rows' edge counts.
 func (req *SelectRequest) groupBy(ctx context.Context, ans *Answer, pos int, opts exec.Options) error {
 	rep := ans.Report
-	values := column(ans, pos)
-	p := exec.ValuePlan(*req.Stmt.GroupBy, values, req.Oracle, req.PlanConfig)
+	p, valueOf := exec.ValuePlan(*req.Stmt.GroupBy, column(ans, pos), req.Oracle, req.PlanConfig)
 	if err := req.ask(ctx, rep, p, baselines.NewTrans(), opts); err != nil {
 		return err
 	}
@@ -310,8 +309,8 @@ func (req *SelectRequest) groupBy(ctx context.Context, ans *Answer, pos int, opt
 	cl.Update()
 	var groups [][]int
 	groupOf := map[int]int{}
-	for i := range values {
-		root := cl.ClusterRoot(0, p.G.VertexID(0, i))
+	for i, k := range valueOf {
+		root := cl.ClusterRoot(0, p.G.VertexID(0, k))
 		g, ok := groupOf[root]
 		if !ok {
 			g = len(groups)

@@ -23,19 +23,8 @@ import (
 // when a merge first asks it, so the plan holds the comparisons the sort
 // asks, about n·log₂n of n values' n(n−1)/2 pairs.
 func OrderPlan(ref cql.ColRef, values []string) (*Plan, *MergeOrder) {
-	m := &MergeOrder{row: make([]int, len(values))}
-	first := map[string]int{}
-	var distinct []string
-	for i, v := range values {
-		k, ok := first[v]
-		if !ok {
-			k = len(distinct)
-			first[v] = k
-			distinct = append(distinct, v)
-		}
-		m.row[i] = k
-	}
-	n := len(distinct)
+	distinct, row := firstAppearance(values)
+	m, n := &MergeOrder{row: row}, len(distinct)
 	m.values = slices.Clone(distinct)
 	slices.Sort(m.values)
 	m.rank = make([]int, n)

@@ -435,43 +435,59 @@ func BuildPlan(stmt *cql.Select, cat *table.Catalog, orc Oracle, cfg PlanConfig)
 	return p, nil
 }
 
-// ValuePlan is the plan a GROUP BY runs over its statement's answer:
-// values, the grouped column's projected values in row order, as two
-// instances of one table joined by one predicate labelled by the
-// column, so TaskKey keys each task by the two values it compares. The
-// identity edges (Lᵢ, Rᵢ) are born Blue, as BuildPlan's exact equi-join
-// edges are, so each value is one entity on both sides. Then come the
-// pairs (Lᵢ, Rⱼ), i < j, whose similarity reaches ε, in (i, j) order,
-// weighted by it and labelled by whether the oracle says the two values
-// denote one entity.
-func ValuePlan(ref cql.ColRef, values []string, orc Oracle, cfg PlanConfig) *Plan {
+// ValuePlan is the plan a GROUP BY runs over its statement's answer,
+// and the map row from the answer's rows to the plan's values. values
+// are the grouped column's projected values in row order; the plan
+// binds each distinct one once, in first-appearance order, on both
+// sides of one predicate labelled by the column, so TaskKey keys each
+// task by the two values it compares. The identity edges (Lₖ, Rₖ) are
+// born Blue, as BuildPlan's exact equi-join edges are, so equal values
+// always share a group. Then come the pairs (Lₖ, Rₗ), k < l, that the
+// similarity join finds at ε, in (k, l) order, weighted by their
+// similarity and labelled by whether the oracle says they match.
+func ValuePlan(ref cql.ColRef, values []string, orc Oracle, cfg PlanConfig) (p *Plan, row []int) {
 	if cfg.Epsilon <= 0 {
 		cfg.Epsilon = 0.3
 	}
-	n := len(values)
-	tb := valueTable(ref, values)
+	distinct, row := firstAppearance(values)
+	n := len(distinct)
+	tb := valueTable(ref, distinct)
 	s := &graph.Structure{Tables: []string{ref.Table, ref.Table}, Preds: []graph.QPred{{A: 0, B: 1, Name: ref.String()}}}
 	specs := make([]graph.EdgeSpec, n)
 	truth := make([]bool, n)
-	for i := range values {
-		specs[i], truth[i] = graph.EdgeSpec{RowA: i, RowB: i, W: 1}, true
+	for k := range distinct {
+		specs[k], truth[k] = graph.EdgeSpec{RowA: k, RowB: k, W: 1}, true
 	}
-	for i := range values {
-		for j := i + 1; j < n; j++ {
-			if w := sim.Similarity(cfg.Sim, values[i], values[j]); w >= cfg.Epsilon {
-				specs = append(specs, graph.EdgeSpec{RowA: i, RowB: j, W: w})
-				truth = append(truth, orc.JoinMatch(ref.Table, ref.Column, ref.Table, ref.Column, values[i], values[j]))
-			}
+	sim.JoinEach(cfg.Sim, distinct, distinct, cfg.Epsilon, func(pr sim.Pair) {
+		if pr.Left < pr.Right {
+			specs = append(specs, graph.EdgeSpec{RowA: pr.Left, RowB: pr.Right, W: pr.Sim})
+			truth = append(truth, orc.JoinMatch(ref.Table, ref.Column, ref.Table, ref.Column, distinct[pr.Left], distinct[pr.Right]))
 		}
-	}
+	})
 	g := graph.MustNewGraph(s, []int{n, n})
 	g.AddEdges(specs)
-	for i := 0; i < n; i++ {
-		g.SetColor(i, graph.Blue)
+	for k := 0; k < n; k++ {
+		g.SetColor(k, graph.Blue)
 	}
 	return &Plan{S: s, G: g, Truth: truth, Tables: []*table.Table{tb, tb}, Orc: orc, Cfg: cfg,
 		Bindings:   []PredBinding{{Pred: cql.Predicate{Kind: cql.CrowdJoin, Left: ref, Right: ref}, RightTab: 1}},
-		Candidates: len(specs) - n}
+		Candidates: len(specs) - n}, row
+}
+
+// firstAppearance numbers values by first appearance: distinct holds
+// each value once, in that order, and row maps each input row to its
+// value's number.
+func firstAppearance(values []string) (distinct []string, row []int) {
+	row = make([]int, len(values))
+	number := map[string]int{}
+	for i, v := range values {
+		if _, ok := number[v]; !ok {
+			number[v] = len(distinct)
+			distinct = append(distinct, v)
+		}
+		row[i] = number[v]
+	}
+	return distinct, row
 }
 
 // valueTable is the one-column table ref holding values, one row each.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -424,6 +425,98 @@ func TestBindCounters(t *testing.T) {
 		}
 		if liveOnly == (p.Candidates == p.G.NumEdges()) {
 			t.Errorf("liveOnly=%v: %d candidates, %d edges", liveOnly, p.Candidates, p.G.NumEdges())
+		}
+	}
+}
+
+// TestValuePlanMatchesBruteForce: ValuePlan binds the distinct values of
+// a column with repeats and whitespace-only values, in first-appearance
+// order, and maps every row to its value. Past the Blue identity edges,
+// its edges and weights are the reference join's pairs i < j over the
+// distinct values, labelled by the oracle, for every similarity
+// function (the pre-filtered subset of them for edit distance and
+// cosine, as in every join); so, like BuildPlan's joins, it pairs no
+// two tokenless values.
+func TestValuePlanMatchesBruteForce(t *testing.T) {
+	r := stats.NewRNG(21)
+	words := []string{"acme", "corp", "Acme", "corp.", "univ", "wisconsin", "of", "a"}
+	ref := cql.ColRef{Table: "T", Column: "v"}
+	for trial := 0; trial < 60; trial++ {
+		pool := []string{"", " ", "\t "}
+		for len(pool) < 12 {
+			var b strings.Builder
+			for k := 1 + r.Intn(3); k > 0; k-- {
+				b.WriteString(words[r.Intn(len(words))] + " ")
+			}
+			pool = append(pool, strings.TrimSpace(b.String()))
+		}
+		values := make([]string, 1+r.Intn(40))
+		for i := range values {
+			values[i] = pool[r.Intn(len(pool))]
+		}
+		var distinct []string
+		for _, v := range values {
+			if !slices.Contains(distinct, v) {
+				distinct = append(distinct, v)
+			}
+		}
+		for f := sim.Gram2Jaccard; f <= sim.NoSim; f++ {
+			cfg := PlanConfig{Sim: f, Epsilon: 0.3}
+			p, row := ValuePlan(ref, values, ExactOracle{}, cfg)
+			tb := p.Tables[0]
+			if len(tb.Rows) != len(distinct) || p.Tables[1] != tb {
+				t.Fatalf("trial %d %v: table holds %d values, want the %d distinct ones", trial, f, len(tb.Rows), len(distinct))
+			}
+			for k, v := range distinct {
+				if got := tb.Cell(k, 0).String(); got != v {
+					t.Fatalf("trial %d %v: value %d is %q, want %q", trial, f, k, got, v)
+				}
+			}
+			for i, v := range values {
+				if got := tb.Cell(row[i], 0).String(); got != v {
+					t.Fatalf("trial %d %v: row %d maps to %q, holds %q", trial, f, i, got, v)
+				}
+			}
+			n := len(distinct)
+			for k := 0; k < n; k++ {
+				if e := p.G.Edge(k); p.G.RowOf(e.U) != k || p.G.RowOf(e.V) != k || e.Color != graph.Blue || !p.Truth[k] {
+					t.Fatalf("trial %d %v: edge %d is %+v, want value %d's Blue identity", trial, f, k, e, k)
+				}
+			}
+			pairs := sim.BruteForceJoin(f, distinct, distinct, cfg.Epsilon)
+			if f == sim.EditDistance || f == sim.Cosine {
+				// These two verify only the pairs a 2-gram pre-filter
+				// passes, a subset of the reference's with the same
+				// weights: the bind is held to the join, the join to that.
+				brute := map[[2]int]float64{}
+				for _, pr := range pairs {
+					brute[[2]int{pr.Left, pr.Right}] = pr.Sim
+				}
+				pairs = sim.Join(f, distinct, distinct, cfg.Epsilon)
+				for _, pr := range pairs {
+					if w, ok := brute[[2]int{pr.Left, pr.Right}]; !ok || w != pr.Sim {
+						t.Fatalf("trial %d %v: join pair %+v, reference weight %v (present %v)", trial, f, pr, w, ok)
+					}
+				}
+			}
+			var want []sim.Pair
+			for _, pr := range pairs {
+				if pr.Left < pr.Right {
+					want = append(want, pr)
+				}
+			}
+			if got := p.G.NumEdges() - n; got != len(want) || p.Candidates != len(want) {
+				t.Fatalf("trial %d %v: %d candidate edges (Candidates %d), reference has %d", trial, f, got, p.Candidates, len(want))
+			}
+			for id, pr := range want {
+				e := p.G.Edge(n + id)
+				if p.G.RowOf(e.U) != pr.Left || p.G.RowOf(e.V) != pr.Right || e.W != pr.Sim || e.Color != graph.Unknown {
+					t.Fatalf("trial %d %v: edge %d is %+v, reference pair %+v", trial, f, n+id, e, pr)
+				}
+				if want := (ExactOracle{}).JoinMatch("T", "v", "T", "v", distinct[pr.Left], distinct[pr.Right]); p.Truth[n+id] != want {
+					t.Fatalf("trial %d %v: pair %+v labelled %v", trial, f, pr, p.Truth[n+id])
+				}
+			}
 		}
 	}
 }
