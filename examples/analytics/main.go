@@ -3,7 +3,7 @@
 // After the crowd joins papers with their citations, the conference
 // strings are still dirty ("sigmod16", "acm sigmod", "sigmod10" are
 // the same venue). GROUP BY runs crowdsourced entity resolution over
-// them; ORDER BY ranks the joined rows with crowd-compared merge sort.
+// them; ORDER BY ranks the joined rows with a crowd-compared quicksort.
 //
 //	go run ./examples/analytics
 package main

@@ -12,7 +12,7 @@ import (
 )
 
 // sortBy ranks values as ORDER BY does: exec.OrderPlan's comparisons
-// asked in exec.MergeOrder's rounds, k workers of pool each. It returns
+// asked in exec.PivotOrder's rounds, k workers of pool each. It returns
 // the permutation (indices into values, first first) and the
 // comparisons (tasks) and rounds the run took.
 func sortBy(t *testing.T, values []string, pool *crowd.Pool, k int) (perm []int, tasks, rounds int) {
@@ -23,53 +23,6 @@ func sortBy(t *testing.T, values []string, pool *crowd.Pool, k int) (perm []int,
 		t.Fatal(err)
 	}
 	return order.Perm(p.G), rep.Metrics.Tasks, rep.Metrics.Rounds
-}
-
-// longestChain is the longest chain of dependent comparisons in a
-// bottom-up merge sort of distinct values under less: a merge's first
-// comparison waits for both its inputs, each later one for the one
-// before it, and an odd last run waits a level.
-func longestChain(values []string, less func(a, b string) bool) int {
-	type run struct {
-		vals []string
-		done int // the chain that ends with the run sorted
-	}
-	runs := make([]run, len(values))
-	for i, v := range values {
-		runs[i] = run{vals: []string{v}}
-	}
-	for len(runs) > 1 {
-		var next []run
-		for k := 0; k+1 < len(runs); k += 2 {
-			a, b := runs[k], runs[k+1]
-			m := run{done: max(a.done, b.done)}
-			i, j := 0, 0
-			for i < len(a.vals) && j < len(b.vals) {
-				m.done++
-				if less(a.vals[i], b.vals[j]) {
-					m.vals, i = append(m.vals, a.vals[i]), i+1
-				} else {
-					m.vals, j = append(m.vals, b.vals[j]), j+1
-				}
-			}
-			m.vals = append(append(m.vals, a.vals[i:]...), b.vals[j:]...)
-			next = append(next, m)
-		}
-		if len(runs)%2 == 1 {
-			next = append(next, runs[len(runs)-1])
-		}
-		runs = next
-	}
-	if len(runs) == 0 {
-		return 0
-	}
-	return runs[0].done
-}
-
-func lessNum(a, b string) bool {
-	x, _ := strconv.Atoi(a)
-	y, _ := strconv.Atoi(b)
-	return x < y
 }
 
 func TestSortByPerfectWorkers(t *testing.T) {
@@ -85,14 +38,11 @@ func TestSortByPerfectWorkers(t *testing.T) {
 			t.Fatalf("sorted = %v, want %v", got, want)
 		}
 	}
-	// The merge sort's comparisons, one task each.
-	if tasks != 13 {
-		t.Fatalf("comparisons = %d, want 13", tasks)
-	}
-	// A round per link of the longest chain of dependent comparisons
-	// (9 here), not a round per merge level.
-	if want := longestChain(values, lessNum); rounds != want {
-		t.Fatalf("rounds = %d, want the longest chain, %d", rounds, want)
+	// The quicksort's comparisons, one task each, and a round per level
+	// of its recursion, every part of a level asked at once.
+	const wantTasks, wantRounds = 15, 4
+	if tasks != wantTasks || rounds != wantRounds {
+		t.Fatalf("comparisons, rounds = %d, %d, want %d, %d", tasks, rounds, wantTasks, wantRounds)
 	}
 }
 

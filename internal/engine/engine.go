@@ -328,8 +328,11 @@ func (e *Engine) submit(ctx context.Context, query string, progress func(exec.Ro
 // join cache as joiner and the coalescer as resolver.
 func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress func(exec.RoundUpdate), entry *queryEntry) {
 	defer e.wg.Done()
-	defer func() { <-e.admit }()
+	// Deferred calls run last-registered first: the admission ticket
+	// returns before h.done closes, so a caller woken by its answer
+	// never finds its own ticket still held when it submits again.
 	defer close(h.done)
+	defer func() { <-e.admit }()
 
 	// Retire the registry entry with whatever final state the paths
 	// below chose; deferred last so it runs before h.done closes and a

@@ -247,6 +247,33 @@ func TestBackpressureAndCancellation(t *testing.T) {
 	e.Close()
 }
 
+// TestAdmissionTicketReturnsBeforeDone submits one query at a time
+// against room for one, and checks after each answer that its
+// admission ticket is back: a caller woken by Done can submit again
+// without being shed by its own last query.
+func TestAdmissionTicketReturnsBeforeDone(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)()
+	cfg := testConfig(t, 5)
+	cfg.MaxInFlight = 1
+	cfg.MaxQueue = 1
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	q := dataset.Queries("paper")["2J"]
+	for i := 0; i < 200; i++ {
+		h, err := e.Submit(context.Background(), q)
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+		<-h.Done()
+		if held := len(e.admit); held != 0 {
+			t.Fatalf("submission %d: %d admission tickets held after its answer", i, held)
+		}
+	}
+}
+
 // TestRejectsUnsupported checks the statements the shared path must
 // refuse, that it serves GROUP BY and ORDER BY, and that a closed engine
 // refuses everything.

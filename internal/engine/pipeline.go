@@ -106,7 +106,7 @@ const (
 //	BUDGET n    × GROUP BY       one cap: the grouping spends what the join left; a cut grouping is
 //	                             Partial, reason budget
 //	BUDGET n    × ORDER BY       one cap: the sort spends what the join and the grouping left; a cut
-//	                             sort keeps its unfinished merges in input order and is Partial,
+//	                             sort keeps its unsplit parts in input order and is Partial,
 //	                             reason budget
 //	GROUP BY    × ORDER BY       compose: the grouping runs first, the sort orders its groups
 //	planner     × crowd path     compose: the planned order is a key, the verdicts come from the
@@ -350,17 +350,17 @@ func (req *SelectRequest) groupBy(ctx context.Context, ans *Answer, pos int, opt
 
 // orderBy sorts ans by the values in its column pos, the §4.2 Remark's
 // crowd-compared ORDER BY: exec.OrderPlan's comparisons in
-// exec.MergeOrder's rounds, asked as ask asks. A sort the account cuts
-// short leaves its unfinished merges in their inputs' order. Rows of
-// equal value keep their order, and confidences and provenance move
-// with their rows.
+// exec.PivotOrder's rounds, every unsorted part against its pivot at
+// once, asked as ask asks. A sort the account cuts short leaves its
+// unsplit parts in input order. Rows of equal value keep their order,
+// and confidences and provenance move with their rows.
 func (req *SelectRequest) orderBy(ctx context.Context, ans *Answer, pos int, opts exec.Options) error {
 	rep := ans.Report
-	p, merges := exec.OrderPlan(*req.Stmt.OrderBy, column(ans, pos))
-	if err := req.ask(ctx, rep, p, merges, opts); err != nil {
+	p, order := exec.OrderPlan(*req.Stmt.OrderBy, column(ans, pos))
+	if err := req.ask(ctx, rep, p, order, opts); err != nil {
 		return err
 	}
-	perm := merges.Perm(p.G)
+	perm := order.Perm(p.G)
 	ans.Rows = permute(ans.Rows, perm)
 	rep.Confidence = permute(rep.Confidence, perm)
 	rep.Provenance = permute(rep.Provenance, perm)

@@ -74,7 +74,7 @@ type RoundUpdate struct {
 	AssignmentsTotal int `json:"assignments_total"`
 	// Open counts the valid uncolored edges still in play — the
 	// crowd work that may remain; for an ORDER BY, the comparisons its
-	// unfinished merges may still ask.
+	// unsorted parts ask and have no answer for.
 	Open int `json:"open"`
 	// Inferred counts edges this round labeled by transitive inference
 	// instead of crowd work (zero unless Options.Transitive).
@@ -330,7 +330,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 	inBatch := make([]int32, g.NumEdges()) // dedupeUncolored's stamps
 	// open counts the work the run may still ask, for progress and
 	// tracing: the graph's valid uncolored edges, unless the strategy
-	// binds edges as it asks them and counts its own (MergeOrder).
+	// binds edges as it asks them and counts its own (PivotOrder).
 	open := g.CountValidUncolored
 	if oc, ok := opts.Strategy.(interface{ Open(*graph.Graph) int }); ok {
 		open = func() int { return oc.Open(g) }
@@ -371,7 +371,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		} else {
 			batch = opts.Strategy.NextRound(g)
 		}
-		// Edges the strategy just bound (MergeOrder binds as it asks).
+		// Edges the strategy just bound (PivotOrder binds as it asks).
 		inBatch = append(inBatch, make([]int32, g.NumEdges()-len(inBatch))...)
 		batch, err := dedupeUncolored(g, batch, inBatch, int32(rounds+1))
 		if err != nil {

@@ -32,10 +32,12 @@ type Pair struct {
 // in ascending (Left, Right) order.
 //
 // The Jaccard-family functions run an overlap-counting join (see
-// index); EditDistance and Cosine use it over 2-grams at a
-// conservative pre-threshold to generate candidates and verify those
-// with the exact function; NoSim keeps every pair at weight 0.5, like
-// the paper's ablation. A record with an empty token set ("" or all
+// index), which is exact. EditDistance and Cosine use it over 2-grams
+// as a heuristic candidate filter and verify the candidates with the
+// exact function; the filter can drop pairs that reach eps ("a corp"
+// and "Acme" have edit similarity 0.33 >= 0.3 and share no 2-gram), so
+// their pairs are a subset of BruteForceJoin's. NoSim keeps every pair
+// at weight 0.5, like the paper's ablation. A record with an empty token set ("" or all
 // whitespace) joins nothing — it gives the crowd nothing to compare —
 // although Similarity scores two empty sets as 1.
 func Join(f Func, left, right []string, eps float64) []Pair {
@@ -365,11 +367,13 @@ func (sc *scratch) release() {
 // runs as one probe; !ok when f and eps leave nothing to count (NoSim;
 // Jaccard at eps <= 0, where pairs sharing no token qualify too).
 //
-// EditDistance and Cosine count 2-gram overlap at a conservative
-// pre-threshold and verify the survivors with the exact function: edit
-// similarity >= eps implies the 2-gram sets overlap somewhat (2-gram
-// Jaccard of strings within edit distance d of each other degrades
-// roughly linearly in d).
+// EditDistance and Cosine count 2-gram overlap at a pre-threshold and
+// verify the survivors with the exact function. The pre-threshold is a
+// heuristic candidate filter, not a bound: 2-gram Jaccard of strings
+// within edit distance d of each other degrades roughly linearly in d,
+// but a pair can reach eps while sharing no 2-gram at all ("a corp" and
+// "Acme": edit similarity 0.33, no common 2-gram), and such a pair is
+// never a candidate.
 func (sc *scratch) index(f Func, left, right []string, eps float64) (x *index, ok bool) {
 	x = &sc.x
 	x.left, x.right, x.pre, x.eps, x.exact, x.touched = left, right, eps, eps, nil, 0
