@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 
-	"cdb/internal/cost"
 	"cdb/internal/cql"
 	"cdb/internal/crowd"
 	"cdb/internal/engine"
@@ -49,21 +48,6 @@ type MatchOracle interface {
 	SelMatch(table, col, val, constant string) bool
 }
 
-// Strategy names accepted by WithStrategy.
-const (
-	StrategyCDB     = "cdb"     // expectation-based selection (the default)
-	StrategyMinCut  = "mincut"  // sampling + min-cut greedy
-	StrategyCrowdDB = "crowddb" // rule-based tree baseline
-	StrategyQurk    = "qurk"    // rule-based tree baseline
-	StrategyDeco    = "deco"    // cost-based tree baseline
-	StrategyOptTree = "opttree" // oracle-optimal tree baseline
-	StrategyTrans   = "trans"   // transitivity entity resolution
-	StrategyACD     = "acd"     // adaptive correlation clustering ER
-)
-
-// mincutSamples is the sampling depth of StrategyMinCut.
-const mincutSamples = 20
-
 // DB is a CDB instance: a catalog of relations, a simulated crowd, and
 // the optimizer configuration.
 type DB struct {
@@ -72,12 +56,11 @@ type DB struct {
 	cfg Config
 	err error
 
-	catalog     *table.Catalog
-	oracle      exec.Oracle
-	rng         *stats.RNG
-	simFunc     sim.Func
-	newStrategy exec.StrategyMaker
-	faults      *faults.Injector
+	catalog *table.Catalog
+	oracle  exec.Oracle
+	rng     *stats.RNG
+	simFunc sim.Func
+	faults  *faults.Injector
 	// run is the executor configuration every SELECT shares — crowd,
 	// redundancy, quality mode, markets, metadata store, calibration,
 	// transitivity, reliability policy — kept in the form the pipeline
@@ -163,12 +146,6 @@ func WithQualityControl(on bool) Option {
 // trading latency for tasks.
 func WithTransitivity(on bool) Option {
 	return func(c *Config) { c.Transitive = on }
-}
-
-// WithStrategy selects the task-selection strategy (see the Strategy*
-// constants; names match case-insensitively).
-func WithStrategy(name string) Option {
-	return func(c *Config) { c.Strategy = name }
 }
 
 // WithFillTruth supplies the ground truth for FILL simulations: the
@@ -423,10 +400,10 @@ func (db *DB) transportFor() *crowd.Transport {
 }
 
 // selectRequest is s's trip through the shared pipeline with this DB's
-// crowd, quality mode and optimizer configuration. A constructor the
-// pipeline is handed counts as configured (it decides the order and the
-// bind's scope before it could call one), so none is passed for the
-// defaults: the paper's order, the synchronous crowd.
+// crowd, quality mode and optimizer configuration. It configures no
+// strategy, so the pipeline runs the paper's order, and passes a
+// transport constructor only when the fault-tolerant path is selected:
+// a constructor counts as set before it is called.
 func (db *DB) selectRequest(s *cql.Select) *engine.SelectRequest {
 	req := &engine.SelectRequest{
 		Source: engine.Source{
@@ -437,9 +414,6 @@ func (db *DB) selectRequest(s *cql.Select) *engine.SelectRequest {
 		Stmt:    s,
 		Planner: db.cfg.Planner,
 		Exec:    db.run,
-	}
-	if db.newStrategy != nil {
-		req.Strategy = func(p *exec.Plan) cost.Strategy { return db.newStrategy(p, mincutSamples, db.rng) }
 	}
 	if db.faults != nil || db.cfg.Reliability != nil {
 		req.Transport = db.transportFor

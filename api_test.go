@@ -3,13 +3,10 @@ package cdb
 import (
 	"math/bits"
 	"os"
-	"reflect"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
-
-	"cdb/internal/exec"
 )
 
 func TestQuickstartRunningExample(t *testing.T) {
@@ -92,47 +89,6 @@ func TestDumpAndTableNames(t *testing.T) {
 	}
 	if _, err := db.Dump("ghost"); err == nil {
 		t.Fatal("dump of missing table should fail")
-	}
-}
-
-func TestStrategySelection(t *testing.T) {
-	for _, strat := range []string{StrategyCDB, StrategyMinCut, StrategyCrowdDB, StrategyQurk,
-		StrategyDeco, StrategyOptTree, StrategyTrans, StrategyACD} {
-		db := Open(WithDataset("example", 0, 1), WithPerfectWorkers(30), WithStrategy(strat), WithSeed(11))
-		res, err := db.Exec(`SELECT * FROM Paper, Researcher, Citation, University
-			WHERE Paper.author CROWDJOIN Researcher.name AND
-			      Paper.title CROWDJOIN Citation.title AND
-			      Researcher.affiliation CROWDJOIN University.name;`)
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		if res.Stats.Recall < 0.99 {
-			t.Fatalf("%s recall = %v", strat, res.Stats.Recall)
-		}
-	}
-}
-
-// TestZeroPredicateSelect: a SELECT with no predicate leaves every
-// strategy nothing to ask, so each one returns the rows "cdb" returns.
-func TestZeroPredicateSelect(t *testing.T) {
-	run := func(t *testing.T, strat string) *Result {
-		db := Open(WithDataset("paper", 0.05, 1), WithStrategy(strat), WithSeed(1))
-		res, err := db.Exec("SELECT * FROM Paper;")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := run(t, StrategyCDB)
-	if len(want.Rows) == 0 {
-		t.Fatal("cdb returned no rows")
-	}
-	for _, strat := range exec.StrategyNames() {
-		t.Run(strat, func(t *testing.T) {
-			if got := run(t, strat); !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Errorf("%d rows, cdb returns %d", len(got.Rows), len(want.Rows))
-			}
-		})
 	}
 }
 
@@ -495,31 +451,29 @@ func TestLoadDirErrors(t *testing.T) {
 
 func TestCyclicQueryEndToEnd(t *testing.T) {
 	// Three mutually joined tables — a cyclic join structure (§5.1.1's
-	// graph case). Validity falls back to backtracking and the MinCut
-	// sampler works over the cycle-broken linearization.
-	for _, strat := range []string{StrategyCDB, StrategyMinCut} {
-		db := Open(WithPerfectWorkers(20), WithSeed(47), WithStrategy(strat), WithEpsilon(0.2))
-		db.MustExec(`CREATE TABLE A (x varchar(16), y varchar(16));`)
-		db.MustExec(`CREATE TABLE B (x varchar(16), y varchar(16));`)
-		db.MustExec(`CREATE TABLE C (x varchar(16), y varchar(16));`)
-		// One true triangle (alpha) and one broken one (beta/gamma).
-		_ = db.Insert("A", "alpha", "alpha")
-		_ = db.Insert("B", "alpha", "alpha")
-		_ = db.Insert("C", "alpha", "alpha")
-		_ = db.Insert("A", "beta", "beta")
-		_ = db.Insert("B", "beta", "betb") // similar but unequal: red edge
-		_ = db.Insert("C", "beta", "beta")
-		res, err := db.Exec(`SELECT A.x, B.x, C.x FROM A, B, C
-			WHERE A.x CROWDJOIN B.x AND B.y CROWDJOIN C.y AND C.x CROWDJOIN A.y;`)
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		if res.Stats.Recall < 1 || res.Stats.Precision < 1 {
-			t.Fatalf("%s: stats %+v rows %v", strat, res.Stats, res.Rows)
-		}
-		if len(res.Rows) != 1 || res.Rows[0][0] != "alpha" {
-			t.Fatalf("%s: rows = %v", strat, res.Rows)
-		}
+	// graph case). Validity falls back to backtracking; internal/engine's
+	// TestCyclicQueryMinCut runs the MinCut sampler over the same case.
+	db := Open(WithPerfectWorkers(20), WithSeed(47), WithEpsilon(0.2))
+	db.MustExec(`CREATE TABLE A (x varchar(16), y varchar(16));`)
+	db.MustExec(`CREATE TABLE B (x varchar(16), y varchar(16));`)
+	db.MustExec(`CREATE TABLE C (x varchar(16), y varchar(16));`)
+	// One true triangle (alpha) and one broken one (beta/gamma).
+	_ = db.Insert("A", "alpha", "alpha")
+	_ = db.Insert("B", "alpha", "alpha")
+	_ = db.Insert("C", "alpha", "alpha")
+	_ = db.Insert("A", "beta", "beta")
+	_ = db.Insert("B", "beta", "betb") // similar but unequal: red edge
+	_ = db.Insert("C", "beta", "beta")
+	res, err := db.Exec(`SELECT A.x, B.x, C.x FROM A, B, C
+		WHERE A.x CROWDJOIN B.x AND B.y CROWDJOIN C.y AND C.x CROWDJOIN A.y;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Recall < 1 || res.Stats.Precision < 1 {
+		t.Fatalf("stats %+v rows %v", res.Stats, res.Rows)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != "alpha" {
+		t.Fatalf("rows = %v", res.Rows)
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 
 	"cdb"
 	"cdb/client"
-	"cdb/internal/exec"
 )
 
 func main() {
@@ -41,7 +40,6 @@ func main() {
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
 	flag.IntVar(&cfg.Workers, "workers", 50, "simulated worker count")
 	flag.Float64Var(&cfg.WorkerAccuracy, "accuracy", 0.85, "mean worker accuracy")
-	flag.StringVar(&cfg.Strategy, "strategy", "cdb", "task selection strategy ("+strings.Join(exec.StrategyNames(), ", ")+")")
 	flag.BoolVar(&cfg.QualityControl, "quality", false, "enable CDB+ quality control (EM + task assignment)")
 
 	var (

@@ -21,8 +21,9 @@ import (
 // OpenConfig hand the finished struct to resolve, which alone applies
 // defaults, validates and draws from the seed. A zero field means its
 // documented default. OpenConfig refuses an invalid Config — a typo in a
-// dataset or strategy name is an error at the call site, not a silently
-// different experiment — while Open runs it and reports it on Err.
+// dataset or similarity name is an error at the call site, not a
+// silently different experiment — while Open runs it and reports it on
+// Err.
 type Config struct {
 	// Seed fixes the random seed; 0 means the documented default of 1.
 	Seed uint64
@@ -53,13 +54,10 @@ type Config struct {
 	Epsilon    float64
 	Redundancy int
 
-	// Strategy names the task-selection strategy (see the Strategy*
-	// constants); empty means StrategyCDB. QualityControl enables
-	// CDB+ (EM truth inference + entropy-driven assignment).
-	// Transitive enables transitive join inference (see
+	// QualityControl enables CDB+ (EM truth inference + entropy-driven
+	// assignment). Transitive enables transitive join inference (see
 	// WithTransitivity): answered equalities deduce entailed labels for
 	// free at the price of extra latency rounds.
-	Strategy       string
 	QualityControl bool
 	Transitive     bool
 
@@ -145,7 +143,6 @@ func resolve(cfg Config) *DB {
 	field(&errs, &cfg.Epsilon, 0.3, cfg.Epsilon >= 0 && cfg.Epsilon <= 1, "epsilon %v out of range (0, 1]")
 	field(&errs, &cfg.Redundancy, 5, cfg.Redundancy >= 0, "redundancy %d must be positive")
 	field(&errs, &cfg.Similarity, "2gram", true, "")
-	field(&errs, &cfg.Strategy, StrategyCDB, true, "")
 
 	checked := len(errs)
 	switch {
@@ -198,14 +195,6 @@ func resolve(cfg Config) *DB {
 	var err error
 	if db.simFunc, err = sim.ByName(cfg.Similarity); err != nil {
 		bad("%v", err) // ByName's fallback is the default estimator
-	}
-	// StrategyCDB is the pipeline's order when none is configured, and
-	// stays unset so that the pipeline can tell.
-	if !strings.EqualFold(cfg.Strategy, StrategyCDB) {
-		if db.newStrategy, err = exec.StrategyByName(cfg.Strategy); err != nil {
-			bad("%v", err)
-			db.newStrategy = nil
-		}
 	}
 	if cfg.Dataset != "" {
 		dcfg := dataset.Config{Seed: cfg.DatasetSeed, Scale: cfg.DatasetScale}

@@ -76,7 +76,6 @@ func optionTable() []struct {
 		{"WithRedundancy", WithRedundancy(3), Config{Redundancy: 3}},
 		{"WithQualityControl", WithQualityControl(true), Config{QualityControl: true}},
 		{"WithTransitivity", WithTransitivity(true), Config{Transitive: true}},
-		{"WithStrategy", WithStrategy("MinCut"), Config{Strategy: "MinCut"}},
 		{"WithFillTruth", WithFillTruth(truth), Config{FillTruth: truth}},
 		{"WithCollectUniverse", WithCollectUniverse("Col", []string{"a", "b", "c"}),
 			Config{CollectUniverse: map[string][]string{"Col": {"a", "b", "c"}}}},
@@ -239,7 +238,6 @@ func TestOpenConfigInvalid(t *testing.T) {
 	}{
 		{"dataset", Config{Dataset: "imdb"}, `unknown dataset "imdb" (want paper, award, example)`},
 		{"similarity", Config{Similarity: "3gram"}, `unknown similarity "3gram" (want 2gram, token, edit, cosine, none)`},
-		{"strategy", Config{Strategy: "greedy"}, `unknown strategy "greedy" (want cdb, mincut, crowddb, qurk, deco, opttree, trans, acd)`},
 		{"epsilon-high", Config{Epsilon: 1.5}, "epsilon 1.5 out of range"},
 		{"epsilon-negative", Config{Epsilon: -0.1}, "epsilon -0.1 out of range"},
 		{"redundancy", Config{Redundancy: -3}, "redundancy -3 must be positive"},
@@ -305,7 +303,6 @@ func TestNewEngineRefusesDroppedSettings(t *testing.T) {
 		cfg  Config
 	}{
 		{"QualityControl", Config{QualityControl: true}},
-		{"Strategy " + StrategyMinCut, Config{Strategy: StrategyMinCut}},
 		{"Markets", Config{Markets: []MarketSpec{{Name: "amt", Workers: 10, Accuracy: 0.9}}}},
 		{"Faults", Config{Faults: &FaultConfig{DropRate: 0.1}}},
 		{"Reliability", Config{Reliability: &ReliabilityPolicy{}}},
@@ -328,7 +325,7 @@ func TestNewEngineRefusesDroppedSettings(t *testing.T) {
 			}
 		})
 	}
-	db, err := OpenConfig(Config{Dataset: "example", Strategy: StrategyCDB, Transitive: true, Planner: true, Tracing: true})
+	db, err := OpenConfig(Config{Dataset: "example", Transitive: true, Planner: true, Tracing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +343,7 @@ func TestOpenLenientErr(t *testing.T) {
 	db := Open(
 		WithDataset("imdb", 1, 1),
 		WithEpsilon(2),
-		WithStrategy("greedy"),
+		WithSimilarity("3gram"),
 	)
 	if db == nil {
 		t.Fatal("Open returned nil for invalid options")
@@ -355,7 +352,7 @@ func TestOpenLenientErr(t *testing.T) {
 	if err == nil {
 		t.Fatal("Err() = nil after three invalid options")
 	}
-	for _, want := range []string{`unknown dataset "imdb"`, "epsilon 2 out of range", `unknown strategy "greedy"`} {
+	for _, want := range []string{`unknown dataset "imdb"`, "epsilon 2 out of range", `unknown similarity "3gram"`} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("Err() %q does not mention %q", err, want)
 		}

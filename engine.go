@@ -108,10 +108,9 @@ var (
 // WithSeed yields an engine that replays identical verdicts.
 //
 // The engine serves majority-voting CDB over the DB's one pool. A DB
-// configured with anything it cannot serve — QualityControl, a
-// Strategy other than CDB, Markets, Faults, Reliability, Calibration or
-// Metadata — is refused with an error naming each such setting, rather
-// than served without it.
+// configured with anything it cannot serve — QualityControl, Markets,
+// Faults, Reliability, Calibration or Metadata — is refused with an
+// error naming each such setting, rather than served without it.
 func (db *DB) NewEngine(opts ...EngineOption) (*Engine, error) {
 	var dropped []string
 	for _, s := range []struct {
@@ -119,7 +118,6 @@ func (db *DB) NewEngine(opts ...EngineOption) (*Engine, error) {
 		set  bool
 	}{
 		{"QualityControl", db.cfg.QualityControl},
-		{"Strategy " + db.cfg.Strategy, db.newStrategy != nil},
 		{"Markets", len(db.cfg.Markets) > 0},
 		{"Faults", db.cfg.Faults != nil},
 		{"Reliability", db.cfg.Reliability != nil},

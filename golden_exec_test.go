@@ -12,14 +12,11 @@ import (
 // TestExecGolden pins what DB.Exec returns for a fixed statement list
 // run sequentially through one DB per dataset: answers, tasks, rounds
 // and assignments per statement. The numbers depend on how far the
-// crowd's random stream has advanced and — in the mincut and
-// reliability configurations — on the order DB.Exec draws its
-// db.rng.Split()s (strategy, then transport), so a reordered or extra
-// draw fails here in milliseconds instead of surfacing as changed
-// benchmark counts. The default and mincut+reliability pins were
-// generated at the commit before the SELECT pipeline was unified; the
-// mincut+planner pins when the planner stopped installing its own
-// crowd.
+// crowd's random stream has advanced, so a reordered or extra draw
+// fails here in milliseconds instead of surfacing as changed benchmark
+// counts. The default pins were generated at the commit before the
+// SELECT pipeline was unified, the planner pins when the planner
+// stopped installing its own crowd.
 func TestExecGolden(t *testing.T) {
 	labels := []string{"2J", "2J1S", "3J", "3J2S"}
 	cases := []struct {
@@ -36,22 +33,22 @@ func TestExecGolden(t *testing.T) {
 			},
 		},
 		{
-			// No draw per statement: the planned order replaces mincut's,
-			// so its sampler is never built, and the verdicts come from
-			// the DB's own pool.
-			name: "mincut+planner",
-			cfg:  Config{Seed: 1, DatasetSeed: 1, Strategy: StrategyMinCut, Planner: true},
+			// The planned order draws nothing; the verdicts come from the
+			// DB's own pool.
+			name: "planner",
+			cfg:  Config{Seed: 1, DatasetSeed: 1, Planner: true},
 			want: map[string]string{
 				"paper": "102/369/2/1845 32/137/3/685 246/1127/3/5635 20/170/5/850",
 			},
 		},
 		{
-			// Two draws per statement: mincut's sampler, then the transport
-			// seed.
-			name: "mincut+reliability",
-			cfg:  Config{Seed: 1, DatasetSeed: 1, Strategy: StrategyMinCut, Reliability: &ReliabilityPolicy{}},
+			// The default's answers: the fault-free transport takes one
+			// seed per statement from the DB's stream and leaves the
+			// pool's stream alone.
+			name: "reliability",
+			cfg:  Config{Seed: 1, DatasetSeed: 1, Reliability: &ReliabilityPolicy{}},
 			want: map[string]string{
-				"paper": "102/368/2/1840 35/150/3/750 239/1231/3/6155 24/168/6/840",
+				"paper": "101/352/2/1760 32/149/3/745 268/1216/4/6080 9/152/6/760",
 			},
 		},
 	}

@@ -9,21 +9,19 @@ import (
 // and extend the partial chain depth-first along the order, always
 // taking the heaviest compatible edge. When an extension comes back
 // red (or a dead end is reached) the walk restarts. One task per
-// round, until the budget is exhausted — the paper shows its recall
-// grows far more slowly than CDB's candidate-driven selection.
+// round; the statement's account (exec.Account) caps how many — the
+// paper shows its recall grows far more slowly than CDB's
+// candidate-driven selection.
 type GreedyBudget struct {
-	B int
-
 	order       []int
 	initialized bool
-	spent       int
 	depth       int   // next predicate index in order to extend
 	tabAssign   []int // table index -> chosen vertex, -1 unset
 	lastEdge    int   // edge asked in the previous round, -1 none
 }
 
-// NewGreedyBudget builds the baseline with budget b.
-func NewGreedyBudget(b int) *GreedyBudget { return &GreedyBudget{B: b, lastEdge: -1} }
+// NewGreedyBudget builds the baseline.
+func NewGreedyBudget() *GreedyBudget { return &GreedyBudget{lastEdge: -1} }
 
 // Name implements the Strategy contract.
 func (s *GreedyBudget) Name() string { return "Baseline" }
@@ -48,9 +46,6 @@ func (s *GreedyBudget) NextRound(g *graph.Graph) []int {
 	if !s.initialized {
 		s.init(g)
 	}
-	if s.spent >= s.B {
-		return nil
-	}
 	// If the previous extension failed (red), restart the walk; if the
 	// chain is complete, start hunting for the next answer.
 	if s.lastEdge >= 0 && g.Edge(s.lastEdge).Color != graph.Blue {
@@ -69,7 +64,6 @@ func (s *GreedyBudget) NextRound(g *graph.Graph) []int {
 			s.tabAssign[g.TableOf(ed.V)] = ed.V
 			s.depth++
 			s.lastEdge = e
-			s.spent++
 			return []int{e}
 		}
 		// No unresolved extension here: traverse a confirmed blue edge
@@ -164,10 +158,10 @@ func (s *GreedyBudget) bestEdge(g *graph.Graph, p int) int {
 	return best
 }
 
-// Flush implements the Strategy contract: spend the remaining budget
-// in one round. Without fresh answers between picks the walk cannot
-// extend reliably, so the flush drains edges heaviest-first along the
-// predicate order.
+// Flush implements the Strategy contract: every unknown edge in one
+// round, for the account to cut at what the budget leaves. Without
+// fresh answers between picks the walk cannot extend reliably, so the
+// flush drains edges heaviest-first along the predicate order.
 func (s *GreedyBudget) Flush(g *graph.Graph) []int {
 	if !s.initialized {
 		s.init(g)
@@ -175,14 +169,9 @@ func (s *GreedyBudget) Flush(g *graph.Graph) []int {
 	var all []int
 	for _, p := range s.order {
 		for _, e := range sortedEdgeIDs(g, p) {
-			if s.spent >= s.B {
-				return all
+			if g.Edge(e).Color == graph.Unknown {
+				all = append(all, e)
 			}
-			if g.Edge(e).Color != graph.Unknown {
-				continue
-			}
-			all = append(all, e)
-			s.spent++
 		}
 	}
 	return all

@@ -137,10 +137,10 @@ func (cfg Config) pool(r *stats.RNG) *crowd.Pool {
 // newCell fills the pipeline request of one (query, method) cell over
 // pool: the method's labeling order and quality mode, "CDB+" ordering
 // like "CDB" under CDB+ quality control. CDB and CDB+ configure no
-// strategy, as DB.Exec configures none for "cdb", so they run the
-// expected-yield order over the graph DB.Exec binds; every other method
-// is a configured strategy, built over the full bind with rng (MinCut's
-// sampler draws from it).
+// strategy, as DB.Exec never does, so they run the pipeline's own order
+// over the graph DB.Exec binds; every other method is a configured
+// strategy, built over the full bind with rng (MinCut's sampler draws
+// from it).
 func newCell(src engine.Source, query, method string, cfg Config, pool *crowd.Pool, rng *stats.RNG) (*engine.SelectRequest, error) {
 	st, err := cql.Parse(query)
 	if err != nil {
@@ -156,11 +156,11 @@ func newCell(src engine.Source, query, method string, cfg Config, pool *crowd.Po
 		req.Exec.Quality = exec.CDBPlus
 	}
 	if !strings.EqualFold(name, "CDB") {
-		newStrategy, err := exec.StrategyByName(name)
+		build, err := exec.StrategyByName(name)
 		if err != nil {
 			return nil, err
 		}
-		req.Strategy = func(p *exec.Plan) cost.Strategy { return newStrategy(p, cfg.Samples, rng) }
+		req.Strategy = func(p *exec.Plan) cost.Strategy { return build(p, cfg.Samples, rng) }
 	}
 	return req, nil
 }

@@ -197,9 +197,8 @@ func TestGenDataDatasets(t *testing.T) {
 
 // TestMethodsConstruct pins how every method label of the figures
 // fills its pipeline request: CDB and CDB+ configure no strategy, as
-// DB.Exec configures none for "cdb", every other label resolves through
-// the shared strategy table, and CDB+ alone turns on CDB+ quality
-// control.
+// DB.Exec never does, every other label resolves through the shared
+// strategy table, and CDB+ alone turns on CDB+ quality control.
 func TestMethodsConstruct(t *testing.T) {
 	cfg := tinyConfig()
 	d, err := dataset.ByName(cfg.Dataset, dataset.Config{Seed: 1, Scale: cfg.Scale})

@@ -213,12 +213,13 @@ func Fig18(cfg Config) ([]*Table, error) {
 		LabelNames: []string{"budget", "method"}, ValueNames: []string{"recall", "precision"}}
 	for _, b := range []int{50, 100, 200, 400, 600, 800} {
 		for _, method := range []string{"Baseline", "CDB", "CDB+"} {
-			// CDB and CDB+ run BUDGET b; the greedy baseline is a
-			// configured strategy on the unbudgeted statement.
+			// Every method runs BUDGET b; the greedy baseline is a
+			// configured strategy, which the statement's account caps.
 			cell, edit := method, budget(b)
 			if method == "Baseline" {
 				cell, edit = "CDB", func(r *engine.SelectRequest) {
-					r.Strategy = func(*exec.Plan) cost.Strategy { return baselines.NewGreedyBudget(b) }
+					r.Stmt.Budget = b
+					r.Strategy = func(*exec.Plan) cost.Strategy { return baselines.NewGreedyBudget() }
 				}
 			}
 			agg, _, err := averageCell(source(d), query, cell, cfg, rng, edit)

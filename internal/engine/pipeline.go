@@ -65,9 +65,9 @@ type SelectRequest struct {
 	Source
 	Stmt *cql.Select
 
-	// Strategy builds the configured labeling order for the bound plan;
-	// nil means the paper's expectation-based order — and is how a caller
-	// says so: a set Strategy is the configured order of order's table.
+	// Strategy, when set, builds the labeling order for the bound plan:
+	// one of §6's competitors, which only cdbench configures. nil leaves
+	// the order to the statement and Planner (see order).
 	Strategy func(*exec.Plan) cost.Strategy
 	// Planner turns on the greedy planned order, subject to order's
 	// rules.
@@ -97,11 +97,17 @@ const (
 )
 
 // order decides the labeling order of a run from request fields alone,
-// before the bind. A planned join order and the expected-yield order are
-// keys of one cost.Expectation, the budget order its own cost.Strategy;
-// this is the only place that decides between them, and the table is
-// the only place features constrain each other:
+// before the bind, in one precedence: a configured strategy, else
+// BUDGET's cost.Budget, else the planner's greedy order, else expected
+// yield. A planned join order and the expected-yield order are keys of
+// one cost.Expectation; whichever order runs, the statement's
+// exec.Account caps its tasks. This is the only place that decides
+// between them, and the table is the only place features constrain each
+// other:
 //
+//	strategy    × anything       the configured strategy is the order, over the full bind (cdbench
+//	                             only: MinCut's sampler draws per edge id, the tree and ER baselines
+//	                             ask dead pairs by definition); the account caps it
 //	BUDGET n    × planner        budget wins: the run follows cost.Budget's order, the account caps its spend
 //	BUDGET n    × GROUP BY       one cap: the grouping spends what the join left; a cut grouping is
 //	                             Partial, reason budget
@@ -112,22 +118,18 @@ const (
 //	planner     × crowd path     compose: the planned order is a key, the verdicts come from the
 //	                             run's own crowd (transport, CDB+, markets or the pool)
 //	planner     × transitivity   compose: one strategy, keys priority → expected yield → Eq. 1
-//	planner     × strategy       planner wins: a configured strategy orders unplanned runs only
-//
-//	bind scope  × all of these   every candidate under a configured strategy (MinCut's sampler draws
-//	                             per edge id, the tree and ER baselines ask dead pairs by definition);
-//	                             the live-touching subgraph for every other order — see scoped
+//	bind scope  × other orders   the live-touching subgraph — see scoped
 //
 // A request field that is a constructor counts as set: its maker passes
 // nil when it configures none.
 func (req *SelectRequest) order() order {
 	switch {
+	case req.Strategy != nil:
+		return byConfigured
 	case req.Stmt.Budget > 0:
 		return byBudget
 	case req.Planner:
 		return byGreedyPlan
-	case req.Strategy != nil:
-		return byConfigured
 	}
 	return byExpectedYield
 }

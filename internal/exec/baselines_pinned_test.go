@@ -42,16 +42,16 @@ func (r recordingStrategy) ExtraTasks() int {
 // baselinesPinned are the digests of every §6 competitor's run (see
 // TestBaselinesPinned), by dataset and query.
 var baselinesPinned = map[string]uint64{
-	"paper/2J":   0xa087eae5b535e51c,
-	"paper/2J1S": 0x15e1fd405e81b6f6,
-	"paper/3J":   0x72455791fbb40e3,
-	"paper/3J1S": 0xf58affeda9fa3d04,
-	"paper/3J2S": 0x220b55d33cc7932b,
-	"award/2J":   0x862677f6b0a0c64b,
-	"award/2J1S": 0xb6619f93b261cb2b,
-	"award/3J":   0xb79b38a5c4b7e1a0,
-	"award/3J1S": 0xa19bff7d5e0731bd,
-	"award/3J2S": 0xa553a9345e3d1db9,
+	"paper/2J":   0x2d42cfb62e773201,
+	"paper/2J1S": 0x6148819732f0df59,
+	"paper/3J":   0xa6fdb9a84c403d58,
+	"paper/3J1S": 0xdbfac21b8711843f,
+	"paper/3J2S": 0xaa7a078b16a33f22,
+	"award/2J":   0xf619c68135e080ad,
+	"award/2J1S": 0xcfc9342d17c68812,
+	"award/3J":   0x8d54342080c0e575,
+	"award/3J1S": 0x81d64458c7583c9c,
+	"award/3J2S": 0x408a521475d0cec6,
 }
 
 // TestBaselinesPinned pins every round of every baseline — the tree
@@ -60,24 +60,23 @@ var baselinesPinned = map[string]uint64{
 // both datasets at scale 0.12 under a noisy pool: each round's batch,
 // the side-dedup tasks charged so far, the assignments and the final
 // colour of every edge. Each run goes once unbounded and once with
-// two rounds, so the second round floods Flush. The goldens average
-// over repetitions; this test pins each round.
+// two rounds, so the second round floods Flush. The greedy baseline
+// runs under an account of 60 tasks, and its batches are logged as
+// proposed, before the account trims them. The goldens average over
+// repetitions; this test pins each round.
 func TestBaselinesPinned(t *testing.T) {
-	makers := []struct {
-		name string
-		make func(p *Plan) cost.Strategy
-	}{
-		{"greedy-budget", func(*Plan) cost.Strategy { return baselines.NewGreedyBudget(60) }},
+	type maker struct {
+		name   string
+		make   func(p *Plan) cost.Strategy
+		budget int // the account's task cap; 0 means none
 	}
+	makers := []maker{{"greedy-budget", func(*Plan) cost.Strategy { return baselines.NewGreedyBudget() }, 60}}
 	for _, name := range []string{"crowddb", "qurk", "deco", "opttree", "trans", "acd"} {
 		mk, err := StrategyByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		makers = append(makers, struct {
-			name string
-			make func(p *Plan) cost.Strategy
-		}{name, func(p *Plan) cost.Strategy { return mk(p, 0, nil) }})
+		makers = append(makers, maker{name, func(p *Plan) cost.Strategy { return mk(p, 0, nil) }, 0})
 	}
 	for _, ds := range []string{"paper", "award"} {
 		d, err := dataset.ByName(ds, dataset.Config{Seed: 7, Scale: 0.12})
@@ -94,13 +93,16 @@ func TestBaselinesPinned(t *testing.T) {
 						t.Fatal(err)
 					}
 					fmt.Fprintf(h, "%s max %d\n", m.name, maxRounds)
-					rs := recordingStrategy{m.make(p), h}
-					rep, err := Run(context.Background(), p, Options{
-						Strategy:   rs,
+					opts := Options{
+						Strategy:   recordingStrategy{m.make(p), h},
 						Redundancy: 3,
 						MaxRounds:  maxRounds,
 						Pool:       noisyPool(61),
-					})
+					}
+					if m.budget > 0 {
+						opts.Account = NewAccount(m.budget, Reliability{})
+					}
+					rep, err := Run(context.Background(), p, opts)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -331,6 +332,42 @@ func TestBudgetRespectsLimit(t *testing.T) {
 	}
 }
 
+// TestGreedyBudgetUnderAccount: the greedy baseline has no cap of its
+// own; the statement's account stops it. Round by round it asks one
+// task a round until the account is spent, and a flush, which proposes
+// every unknown edge, is cut to the heaviest the account can pay for.
+func TestGreedyBudgetUnderAccount(t *testing.T) {
+	rep, err := Run(context.Background(), examplePlan(t), Options{Strategy: baselines.NewGreedyBudget(),
+		Account: NewAccount(5, Reliability{}), Redundancy: 1, Pool: perfectPool(5, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := rep.Metrics; m.Tasks != 5 || m.Rounds != 5 || !rep.Capped {
+		t.Fatalf("account of 5: %d tasks in %d rounds, capped = %v; want 5 in 5, capped", m.Tasks, m.Rounds, rep.Capped)
+	}
+
+	p := examplePlan(t)
+	want := baselines.NewGreedyBudget().Flush(examplePlan(t).G)
+	if len(want) <= 2 {
+		t.Fatalf("the flush proposes %v: the case cannot show the cap", want)
+	}
+	rep, err = Run(context.Background(), p, Options{Strategy: baselines.NewGreedyBudget(), MaxRounds: 1,
+		Account: NewAccount(2, Reliability{}), Redundancy: 1, Pool: perfectPool(5, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var asked []int
+	for e := 0; e < p.G.NumEdges(); e++ {
+		if p.G.Edge(e).Color != graph.Unknown {
+			asked = append(asked, e)
+		}
+	}
+	slices.Sort(want[:2])
+	if !slices.Equal(asked, want[:2]) || rep.Metrics.Rounds != 1 || !rep.Capped {
+		t.Fatalf("flush under an account of 2 asked %v in %d rounds (capped = %v); want %v in 1", asked, rep.Metrics.Rounds, rep.Capped, want[:2])
+	}
+}
+
 func TestRunBudgetStrategy(t *testing.T) {
 	p := examplePlan(t)
 	rep, err := Run(context.Background(), p, Options{Strategy: &cost.Budget{}, Account: NewAccount(6, Reliability{}), Redundancy: 1, Pool: perfectPool(8, 30)})
@@ -368,7 +405,7 @@ func TestBudgetBeatsGreedyBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	pB := build()
-	repB, err := Run(context.Background(), pB, Options{Strategy: baselines.NewGreedyBudget(budget), Redundancy: 1, Pool: perfectPool(21, 10)})
+	repB, err := Run(context.Background(), pB, Options{Strategy: baselines.NewGreedyBudget(), Account: NewAccount(budget, Reliability{}), Redundancy: 1, Pool: perfectPool(21, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,14 @@ import (
 // only MinCut draws from it (one Split).
 type StrategyMaker func(p *Plan, samples int, rng *stats.RNG) cost.Strategy
 
-// strategies is the one table of task-selection strategies: the
-// public cdb.Strategy* names, which are also — case aside — the method
-// labels of internal/bench.
+// strategies is the one table of the §6 competitors a run can be
+// configured with; the names are, case aside, internal/bench's method
+// labels. CDB is not a row: it is the order of a run that configures
+// none.
 var strategies = []struct {
 	name string
 	make StrategyMaker
 }{
-	{"cdb", func(*Plan, int, *stats.RNG) cost.Strategy { return &cost.Expectation{} }},
 	{"mincut", func(_ *Plan, samples int, rng *stats.RNG) cost.Strategy {
 		return cost.NewMinCutSampling(samples, rng.Split())
 	}},
@@ -48,22 +48,15 @@ func er(newER func() *baselines.ER) StrategyMaker {
 	}
 }
 
-// StrategyNames lists the names StrategyByName accepts.
-func StrategyNames() []string {
-	names := make([]string, len(strategies))
-	for i, s := range strategies {
-		names[i] = s.name
-	}
-	return names
-}
-
 // StrategyByName resolves a strategy name, case-insensitively, to its
 // maker; an unknown name's error lists the valid ones.
 func StrategyByName(name string) (StrategyMaker, error) {
-	for _, s := range strategies {
+	names := make([]string, len(strategies))
+	for i, s := range strategies {
 		if strings.EqualFold(s.name, name) {
 			return s.make, nil
 		}
+		names[i] = s.name
 	}
-	return nil, fmt.Errorf("unknown strategy %q (want %s)", name, strings.Join(StrategyNames(), ", "))
+	return nil, fmt.Errorf("unknown strategy %q (want %s)", name, strings.Join(names, ", "))
 }

@@ -139,7 +139,6 @@ func TestFeaturePairRules(t *testing.T) {
 		{"planner composes with the transport/exec", Config{Planner: true, Reliability: &ReliabilityPolicy{}}, viaExec, q, true, false, SpanCollect},
 		{"planner composes with cdb+/exec", Config{Planner: true, QualityControl: true}, viaExec, q, true, false, SpanInfer},
 		{"planner composes with markets/exec", Config{Planner: true, Markets: twoMarkets}, viaExecBothMarkets, q, true, false, ""},
-		{"planner beats a configured strategy/exec", Config{Planner: true, Strategy: StrategyMinCut}, viaExec, q, true, false, ""},
 		{"planner composes with transitivity/exec", Config{Planner: true, Transitive: true}, viaExec, q, true, true, ""},
 		{"planner composes with transitivity/engine", Config{Planner: true, Transitive: true}, viaEngine, q, true, true, ""},
 		{"progress executes for real over a cached answer/engine", Config{},
@@ -202,11 +201,13 @@ var twoMarkets = []MarketSpec{
 }
 
 // TestBindScopeRule pins the bind-scope row of the pipeline's rule
-// table (engine.SelectRequest.order): a configured strategy binds every
-// candidate, and every other order — expected-yield, budget or planned;
-// plain, with transitivity or over a fault-tolerant transport; through
-// DB.Exec or the engine — only the edges that touch a possibly-live
-// tuple. The plan span says which: Edges bound of Candidates found.
+// table (engine.SelectRequest.order): every order a DB runs —
+// expected-yield, budget or planned; plain, with transitivity or over a
+// fault-tolerant transport; through DB.Exec or the engine — binds only
+// the edges that touch a possibly-live tuple. The plan span says so:
+// Edges bound of Candidates found. A configured strategy, which only
+// cdbench sets, binds every candidate (internal/engine's
+// TestConfiguredStrategyBindsEveryCandidate).
 func TestBindScopeRule(t *testing.T) {
 	q := dataset.Queries("paper")["3J2S"]
 	d := dataset.GenPaper(dataset.Config{Seed: 1, Scale: 0.12})
@@ -245,23 +246,17 @@ func TestBindScopeRule(t *testing.T) {
 		cfg   Config
 		run   func(*DB, string) *Result
 		query string
-		want  int
 	}{
-		{"plain/exec", Config{}, viaExec, q, pruned},
-		{"plain/engine", Config{}, viaEngine, q, pruned},
-		{"named default strategy/exec", Config{Strategy: "CDB"}, viaExec, q, pruned},
-		{"transitive/exec", Config{Transitive: true}, viaExec, q, pruned},
-		{"transitive/engine", Config{Transitive: true}, viaEngine, q, pruned},
-		{"cdb+ quality control/exec", Config{QualityControl: true}, viaExec, q, pruned},
-		{"configured strategy/exec", Config{Strategy: StrategyMinCut}, viaExec, q, full},
-		{"tree baseline/exec", Config{Strategy: StrategyCrowdDB}, viaExec, q, full},
-		{"budget/exec", Config{}, viaExec, budgeted, pruned},
-		{"budget/engine", Config{}, viaEngine, budgeted, pruned},
-		{"budget over a configured strategy/exec", Config{Strategy: StrategyMinCut}, viaExec, budgeted, pruned},
-		{"transport/exec", Config{Reliability: &ReliabilityPolicy{}}, viaExec, q, pruned},
-		{"planner/exec", Config{Planner: true}, viaExec, q, pruned},
-		{"planner/engine", Config{Planner: true}, viaEngine, q, pruned},
-		{"planner over a configured strategy/exec", Config{Planner: true, Strategy: StrategyMinCut}, viaExec, q, pruned},
+		{"plain/exec", Config{}, viaExec, q},
+		{"plain/engine", Config{}, viaEngine, q},
+		{"transitive/exec", Config{Transitive: true}, viaExec, q},
+		{"transitive/engine", Config{Transitive: true}, viaEngine, q},
+		{"cdb+ quality control/exec", Config{QualityControl: true}, viaExec, q},
+		{"budget/exec", Config{}, viaExec, budgeted},
+		{"budget/engine", Config{}, viaEngine, budgeted},
+		{"transport/exec", Config{Reliability: &ReliabilityPolicy{}}, viaExec, q},
+		{"planner/exec", Config{Planner: true}, viaExec, q},
+		{"planner/engine", Config{Planner: true}, viaEngine, q},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -271,10 +266,10 @@ func TestBindScopeRule(t *testing.T) {
 			if len(spans) != 1 {
 				t.Fatalf("%d plan spans", len(spans))
 			}
-			if got := spans[0].Edges; got != tc.want {
-				t.Errorf("bound %d edges, want %d (full bind %d, live-touching %d)", got, tc.want, full, pruned)
+			if got := spans[0].Edges; got != pruned {
+				t.Errorf("bound %d edges, want the live-touching %d (full bind %d)", got, pruned, full)
 			}
-			if c := spans[0].Candidates; c < spans[0].Edges || (tc.want == full && c != full) {
+			if c := spans[0].Candidates; c < spans[0].Edges {
 				t.Errorf("plan span: %d candidates for %d edges", c, spans[0].Edges)
 			}
 		})

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# A misspelt dataset or strategy name must stop every CLI with a
+# A misspelt dataset or similarity name must stop every CLI with a
 # non-zero exit and the list of valid names on stderr — none may fall
 # back to a default and run a different experiment in silence.
 set -uo pipefail
@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 
 BIN=${CDB_BIN:-./bin}
 mkdir -p "$BIN"
-go build -o "$BIN/" ./cmd/cdbsh ./cmd/cdbgen ./cmd/cdbench || exit 1
+go build -o "$BIN/" ./cmd/cdbsh ./cmd/cdbgen ./cmd/cdbench ./cmd/cdbd || exit 1
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
@@ -23,7 +23,7 @@ check() { # check "<valid-name list>" command...
     echo "ok: $* -> $err"
   fi
 }
-check "want cdb, mincut, crowddb, qurk, deco, opttree, trans, acd" "$BIN/cdbsh" -strategy nope
+check "want 2gram, token, edit, cosine, none" "$BIN/cdbd" -similarity 3gram
 check "want paper, award, example" "$BIN/cdbsh" -dataset imdb
 check "want paper, award, example" "$BIN/cdbgen" -dataset papr -out "$out"
 check "want paper, award, example" "$BIN/cdbench" -dataset papr -exp fig8
