@@ -63,8 +63,7 @@ type DB struct {
 	faults  *faults.Injector
 	// run is the executor configuration every SELECT shares — crowd,
 	// redundancy, quality mode, markets, metadata store, calibration,
-	// transitivity, reliability policy — kept in the form the pipeline
-	// consumes.
+	// reliability policy — kept in the form the pipeline consumes.
 	run exec.Options
 }
 
@@ -136,18 +135,6 @@ func WithQualityControl(on bool) Option {
 	return func(c *Config) { c.QualityControl = on }
 }
 
-// WithTransitivity toggles transitive join inference: crowd answers
-// are chained through per-predicate equivalence (A=B ∧ B=C ⟹ A=C;
-// A=B ∧ B≠C ⟹ A≠C), entailed labels are applied without spending
-// tasks, and question ordering prefers the answers that entail the
-// most. Stats.Inferred counts the labels deduced for free and
-// Result.Provenance attributes each answer's evidence. Costs extra
-// crowd rounds: edges whose label the round could entail are deferred,
-// trading latency for tasks.
-func WithTransitivity(on bool) Option {
-	return func(c *Config) { c.Transitive = on }
-}
-
 // WithFillTruth supplies the ground truth for FILL simulations: the
 // true value of (table, row, column).
 func WithFillTruth(f func(tableName string, row int, col string) string) Option {
@@ -166,7 +153,7 @@ func WithCollectUniverse(tableName string, items []string) Option {
 }
 
 // WithMetadata enables CDB's relational metadata store (§2.1): every
-// task, worker answer and inferred verdict is recorded into the
+// task, worker answer and verdict is recorded into the
 // cdb_tasks / cdb_workers / cdb_assignments relations, retrievable via
 // Metadata().
 func WithMetadata() Option {
@@ -245,15 +232,10 @@ type Stats = engine.QueryStats
 
 // Result is the outcome of one Exec call or one Future: projected
 // Columns and Rows for SELECT (Message explains DDL and collection
-// statements), Stats, per-row Confidence and Provenance, and the Trace,
+// statements), Stats, per-row Confidence, and the Trace,
 // RequestID and Plan when those features are on. Like Stats, its json
 // tags are the serving layer's wire schema.
 type Result = engine.Result
-
-// AnswerProvenance breaks one answer's supporting edges down by how
-// their labels were decided: crowd-answered, transitively inferred, or
-// prior evidence (exact equi-join matches colored at plan build).
-type AnswerProvenance = exec.AnswerProvenance
 
 // Exec parses and executes one CQL statement. It is ExecContext with
 // a background context: no deadline, never cancelled.

@@ -55,11 +55,8 @@ type Config struct {
 	Redundancy int
 
 	// QualityControl enables CDB+ (EM truth inference + entropy-driven
-	// assignment). Transitive enables transitive join inference (see
-	// WithTransitivity): answered equalities deduce entailed labels for
-	// free at the price of extra latency rounds.
+	// assignment).
 	QualityControl bool
-	Transitive     bool
 
 	// Planner turns on the greedy multi-join planner (see WithPlanner).
 	Planner bool
@@ -189,7 +186,6 @@ func resolve(cfg Config) *DB {
 			Redundancy: cfg.Redundancy,
 			Workers:    quality.NewWorkerModel(),
 			Calibrate:  cfg.Calibration,
-			Transitive: cfg.Transitive,
 		},
 	}
 	var err error

@@ -75,7 +75,6 @@ func optionTable() []struct {
 		{"WithEpsilon", WithEpsilon(0.2), Config{Epsilon: 0.2}},
 		{"WithRedundancy", WithRedundancy(3), Config{Redundancy: 3}},
 		{"WithQualityControl", WithQualityControl(true), Config{QualityControl: true}},
-		{"WithTransitivity", WithTransitivity(true), Config{Transitive: true}},
 		{"WithFillTruth", WithFillTruth(truth), Config{FillTruth: truth}},
 		{"WithCollectUniverse", WithCollectUniverse("Col", []string{"a", "b", "c"}),
 			Config{CollectUniverse: map[string][]string{"Col": {"a", "b", "c"}}}},
@@ -325,7 +324,7 @@ func TestNewEngineRefusesDroppedSettings(t *testing.T) {
 			}
 		})
 	}
-	db, err := OpenConfig(Config{Dataset: "example", Transitive: true, Planner: true, Tracing: true})
+	db, err := OpenConfig(Config{Dataset: "example", Planner: true, Tracing: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,12 +100,11 @@ var (
 )
 
 // NewEngine builds a serving engine over the DB's catalog, oracle,
-// crowd pool and optimizer configuration, tracing and transitive
-// inference included. It serves every SELECT, GROUP BY and ORDER BY
-// included, whose grouping tasks and comparisons share, cache and
-// journal like the join tasks. The engine draws one seed
-// from the DB's RNG at construction, so a DB opened with the same
-// WithSeed yields an engine that replays identical verdicts.
+// crowd pool and optimizer configuration, tracing included. It serves
+// every SELECT, GROUP BY and ORDER BY included, whose grouping tasks and
+// comparisons share, cache and journal like the join tasks. The engine
+// draws one seed from the DB's RNG at construction, so a DB opened with
+// the same WithSeed yields an engine that replays identical verdicts.
 //
 // The engine serves majority-voting CDB over the DB's one pool. A DB
 // configured with anything it cannot serve — QualityControl, Markets,
@@ -146,7 +145,6 @@ func (db *DB) NewEngine(opts ...EngineOption) (*Engine, error) {
 	cfg.Epsilon = db.cfg.Epsilon
 	cfg.Redundancy = db.run.Redundancy
 	cfg.Tracing = db.cfg.Tracing
-	cfg.Transitive = db.run.Transitive
 	cfg.Planner = db.cfg.Planner
 	cfg.Seed = db.rng.Split().Uint64()
 	if o.ledgerDir != "" {

@@ -118,7 +118,7 @@ func (t *ER) NextRound(g *graph.Graph) []int {
 			if ed.Color != graph.Unknown {
 				continue
 			}
-			if c, _, ok := t.cl.Entails(e); ok && (c == graph.Red || t.TrustPositive) {
+			if c, ok := t.cl.Entails(e); ok && (c == graph.Red || t.TrustPositive) {
 				g.SetColor(e, c) // deduced, free
 				continue
 			}

@@ -226,13 +226,12 @@ var Registry = map[string]func(Config) ([]*Table, error){
 	"fig23":  Fig23to24,
 	"table5": Table5,
 	"chaos":  Chaos,
-	"trans":  Trans,
 	"plan":   PlanBench,
 }
 
 // ExperimentIDs returns the registry keys in canonical order.
 func ExperimentIDs() []string {
-	return []string{"fig1", "fig8", "fig11", "fig14", "fig17", "fig18", "fig20", "fig21", "fig22", "fig23", "table5", "chaos", "trans", "plan"}
+	return []string{"fig1", "fig8", "fig11", "fig14", "fig17", "fig18", "fig20", "fig21", "fig22", "fig23", "table5", "chaos", "plan"}
 }
 
 // planCfg is the paper's planning point (2-gram Jaccard, ε = 0.3),

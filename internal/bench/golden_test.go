@@ -15,7 +15,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run
 // goldenExperiments are the experiments TestGoldenTables pins: all of
 // cdbench but fig20 and fig21, which force scale 0.3 and would take the
 // test from seconds to minutes, and table5, which is nothing but timings.
-var goldenExperiments = []string{"fig1", "fig8", "fig11", "fig14", "fig17", "fig18", "fig22", "fig23", "chaos", "trans", "plan"}
+var goldenExperiments = []string{"fig1", "fig8", "fig11", "fig14", "fig17", "fig18", "fig22", "fig23", "chaos", "plan"}
 
 // planP95 is the planning-time figure of the plan table's title, the
 // one wall-clock number these experiments print.

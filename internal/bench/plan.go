@@ -12,23 +12,31 @@ import (
 	"cdb/internal/stats"
 )
 
-// pair runs query in the unplanned and in the greedy order, with the
-// closure on when transitive, and EXPLAINs the greedy run first. Every
-// verdict is crowd.PureVerdict's under verdictSeed — the pipeline
-// installs no resolver for a planned run, so the experiment does — and
-// both runs draw the pool from poolSeed, so the two orders ask one crowd.
-// It fails when the EXPLAIN differs from the plan the greedy run follows,
-// or when, without the closure, the two answers differ: bit-identity is
-// the planner's correctness contract. With the closure only their costs
-// compare, since an inferred label is not a content-pure verdict.
-func pair(src engine.Source, query string, transitive bool, cfg Config, verdictSeed, poolSeed uint64) (ans [2]*engine.Answer, ex *plan.Explained, err error) {
+// runTotals is one order's totals over a run of statements.
+type runTotals struct {
+	rounds, hits int
+}
+
+func (m *runTotals) add(r *exec.Report) {
+	m.rounds += r.Metrics.Rounds
+	m.hits += r.HITs
+}
+
+// pair runs query in the unplanned and in the greedy order, and EXPLAINs
+// the greedy run first. Every verdict is crowd.PureVerdict's under
+// verdictSeed — the pipeline installs no resolver for a planned run, so
+// the experiment does — and both runs draw the pool from poolSeed, so
+// the two orders ask one crowd. It fails when the EXPLAIN differs from
+// the plan the greedy run follows, or when the two answers differ:
+// bit-identity is the planner's correctness contract.
+func pair(src engine.Source, query string, cfg Config, verdictSeed, poolSeed uint64) (ans [2]*engine.Answer, ex *plan.Explained, err error) {
 	for i, planned := range []bool{false, true} {
 		pool := cfg.pool(stats.NewRNG(poolSeed))
 		req, err := newCell(src, query, "CDB", cfg, pool, nil)
 		if err != nil {
 			return ans, nil, err
 		}
-		req.Planner, req.Exec.Transitive = planned, transitive
+		req.Planner = planned
 		req.Exec.Resolver = &plan.PureResolver{Seed: verdictSeed, Pool: pool}
 		if planned {
 			if ex, err = req.Explain(); err != nil {
@@ -44,7 +52,7 @@ func pair(src engine.Source, query string, transitive bool, cfg Config, verdictS
 	switch {
 	case !reflect.DeepEqual(*ex, ran):
 		return ans, nil, fmt.Errorf("EXPLAIN %+v differs from the executed plan %+v", *ex, ran)
-	case !transitive && !reflect.DeepEqual(ans[0].Rows, ans[1].Rows):
+	case !reflect.DeepEqual(ans[0].Rows, ans[1].Rows):
 		return ans, nil, fmt.Errorf("%d greedy answers differ from %d unplanned", len(ans[1].Rows), len(ans[0].Rows))
 	}
 	return ans, ex, nil
@@ -53,12 +61,10 @@ func pair(src engine.Source, query string, transitive bool, cfg Config, verdictS
 // PlanBench is the "plan" experiment: the greedy planner against the
 // order an unplanned run follows (cost.Expectation with no priority
 // key), equal crowd seeds. Its first table runs randomized chain/star
-// schemas (the generator the property tests run), each pair once plain
-// and once with transitive inference on, and reports early exits with
-// what the unplanned order spent on the same statements; its second runs
-// the configured dataset's Table-4 statements. It fails when a pair
-// does; TestPlanSavesHITs and TestPlanComposesWithClosure hold the
-// tables to their floors.
+// schemas (the generator the property tests run) and reports early exits
+// with what the unplanned order spent on the same statements; its second
+// runs the configured dataset's Table-4 statements. It fails when a pair
+// does; TestPlanSavesHITs reports the selection statements' HITs.
 func PlanBench(cfg Config) ([]*Table, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	queries := 12 * cfg.Reps
@@ -66,7 +72,7 @@ func PlanBench(cfg Config) ([]*Table, error) {
 		queries = 24
 	}
 
-	var cdb, greedy, cdbTrans, greedyTrans transTotals
+	var cdb, greedy runTotals
 	var earlyExits, earlyExitHITs int
 	var planTimes []int64
 
@@ -75,7 +81,7 @@ func PlanBench(cfg Config) ([]*Table, error) {
 		verdictSeed := rng.Uint64()
 		poolSeed := rng.Uint64()
 		src := engine.Source{Catalog: c.Catalog, Oracle: exec.ExactOracle{}, PlanConfig: planCfg}
-		plain, ex, err := pair(src, c.Query, false, cfg, verdictSeed, poolSeed)
+		plain, ex, err := pair(src, c.Query, cfg, verdictSeed, poolSeed)
 		if err != nil {
 			return nil, fmt.Errorf("plan bench query %d: %w", q, err)
 		}
@@ -86,12 +92,6 @@ func PlanBench(cfg Config) ([]*Table, error) {
 			earlyExits++
 			earlyExitHITs += plain[0].Report.HITs
 		}
-		closed, _, err := pair(src, c.Query, true, cfg, verdictSeed, poolSeed)
-		if err != nil {
-			return nil, fmt.Errorf("plan bench query %d: %w", q, err)
-		}
-		cdbTrans.add(closed[0].Report)
-		greedyTrans.add(closed[1].Report)
 	}
 
 	sort.Slice(planTimes, func(i, j int) bool { return planTimes[i] < planTimes[j] })
@@ -103,12 +103,10 @@ func PlanBench(cfg Config) ([]*Table, error) {
 		Title: fmt.Sprintf("greedy multi-join planning over %d queries: %d HITs saved vs the unplanned order, %d early exits (the unplanned order spent %d HITs on them), planning p95 %dµs",
 			queries, cdb.hits-greedy.hits, earlyExits, earlyExitHITs, int64(p95)),
 		LabelNames: []string{"mode"},
-		ValueNames: []string{"hits", "early_exits", "plan_p95_us", "inferred"},
+		ValueNames: []string{"hits", "early_exits", "plan_p95_us"},
 		Rows: []Row{
-			{Labels: []string{"cdb"}, Values: []float64{float64(cdb.hits), 0, 0, 0}},
-			{Labels: []string{"greedy"}, Values: []float64{float64(greedy.hits), exits, p95, 0}},
-			{Labels: []string{"cdb+closure"}, Values: []float64{float64(cdbTrans.hits), 0, 0, float64(cdbTrans.inferred)}},
-			{Labels: []string{"greedy+closure"}, Values: []float64{float64(greedyTrans.hits), exits, p95, float64(greedyTrans.inferred)}},
+			{Labels: []string{"cdb"}, Values: []float64{float64(cdb.hits), 0, 0}},
+			{Labels: []string{"greedy"}, Values: []float64{float64(greedy.hits), exits, p95}},
 		},
 	}
 
@@ -121,14 +119,14 @@ func PlanBench(cfg Config) ([]*Table, error) {
 	}
 	rng = stats.NewRNG(cfg.Seed)
 	labels := dataset.QueryLabels()
-	sums := make([][2]transTotals, len(labels))
+	sums := make([][2]runTotals, len(labels))
 	for rep := 0; rep < cfg.Reps; rep++ {
 		d, err := dataset.ByName(cfg.Dataset, dataset.Config{Seed: rng.Uint64(), Scale: cfg.Scale})
 		if err != nil {
 			return nil, err
 		}
 		for i, label := range labels {
-			ans, _, err := pair(source(d), dataset.Queries(cfg.Dataset)[label], false, cfg, rng.Uint64(), rng.Uint64())
+			ans, _, err := pair(source(d), dataset.Queries(cfg.Dataset)[label], cfg, rng.Uint64(), rng.Uint64())
 			if err != nil {
 				return nil, fmt.Errorf("plan bench %s rep %d: %w", label, rep, err)
 			}

@@ -12,12 +12,7 @@ import (
 // its unresolved edge probabilities (blue edges count 1) — and asks
 // that candidate's unknown edges, heaviest first. The cap on B is the
 // executor's (exec.Account), not the order's.
-type Budget struct {
-	// closure, when set via SetClosure, excludes entailed edges from
-	// the order: an edge whose label transitivity already determines
-	// is treated as resolved, so no budgeted task is spent on it.
-	closure *graph.Closure
-}
+type Budget struct{}
 
 // budgetCandidateCap bounds candidate enumeration per round.
 const budgetCandidateCap = 100000
@@ -25,33 +20,13 @@ const budgetCandidateCap = 100000
 // Name implements Strategy.
 func (b *Budget) Name() string { return "CDB-Budget" }
 
-// SetClosure installs (or removes) the transitive-inference overlay.
-func (b *Budget) SetClosure(c *graph.Closure) { b.closure = c }
-
-// unresolved reports whether an edge still needs crowd work: uncolored
-// and not entailed by the overlay.
-func (b *Budget) unresolved(g *graph.Graph, e int) bool {
-	if g.Edge(e).Color != graph.Unknown {
-		return false
-	}
-	if b.closure != nil {
-		if _, _, ok := b.closure.Entails(e); ok {
-			return false
-		}
-	}
-	return true
-}
-
 // NextRound implements Strategy.
 func (b *Budget) NextRound(g *graph.Graph) []int {
-	if b.closure != nil {
-		b.closure.Update()
-	}
 	cands := g.Candidates(budgetCandidateCap)
 	var pick *graph.Embedding
 	for i := range cands {
 		for _, e := range cands[i].Edges {
-			if b.unresolved(g, e) {
+			if g.Edge(e).Color == graph.Unknown {
 				pick = &cands[i]
 				break
 			}
@@ -61,11 +36,11 @@ func (b *Budget) NextRound(g *graph.Graph) []int {
 		}
 	}
 	if pick == nil {
-		return nil // everything resolvable is resolved or entailed
+		return nil // everything resolvable is resolved
 	}
 	var ask []int
 	for _, e := range pick.Edges {
-		if b.unresolved(g, e) {
+		if g.Edge(e).Color == graph.Unknown {
 			ask = append(ask, e)
 		}
 	}

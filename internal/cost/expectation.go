@@ -29,9 +29,8 @@
 //
 // Expectation is also the only labeling-order mechanism: a planned join
 // order (internal/plan) is the same strategy with a leading
-// predicate-priority key in its one comparator, and transitive inference
-// a second key (expected yield) ahead of Eq. 1 — so the planner, the
-// closure and the conflict-free packing compose instead of replacing
+// predicate-priority key ahead of Eq. 1 in its one comparator — so the
+// planner and the conflict-free packing compose instead of replacing
 // one another.
 package cost
 
@@ -87,20 +86,9 @@ type Expectation struct {
 	// key does to the rounds.
 	Priority []int
 
-	// closure, when set via SetClosure, is the transitive-inference
-	// overlay: edges whose label it already entails are excluded from
-	// the ordering (they cost a HIT but reveal nothing), and the
-	// ordering becomes expected-optimal for inference — candidates are
-	// ranked first by expected inference yield (matching probability ×
-	// endpoint cluster sizes: a likely-Blue answer inside large clusters
-	// entails the most labels for free), with the pruning expectation of
-	// Eq. 1 breaking ties.
-	closure *graph.Closure
-
 	// The last rescore's result, reused as the next one's buffers.
 	score []float64 // dense, by edge id
-	order []int     // valid uncolored (and not entailed) edges, best first
-	yield []float64 // dense inference yields (closure mode only)
+	order []int     // valid uncolored edges, best first
 
 	// Bundle-term table of the current rescore, dense by
 	// vertex*nPreds+pred: term[i] is valid iff termEpoch[i] == epoch, so
@@ -151,7 +139,7 @@ func (e *Expectation) NextRound(g *graph.Graph) []int {
 	if e.Serial {
 		batch = latency.SerialBatch(g, order)
 	} else {
-		batch = TransBatch(g, e.closure, latency.ParallelBatchScored(g, order, score))
+		batch = latency.ParallelBatchScored(g, order, score)
 	}
 	e.tracer.Mutate(bt, func(s *obs.Span) { s.Tasks = len(batch) })
 	e.tracer.End(bt)
@@ -163,11 +151,6 @@ func (e *Expectation) NextRound(g *graph.Graph) []int {
 // spans. A nil tracer (the default) keeps both phases span-free.
 func (e *Expectation) SetTracer(t *obs.Tracer) { e.tracer = t }
 
-// SetClosure installs (or, with nil, removes) a transitive-inference
-// overlay. The executor calls this when Options.Transitive is on; the
-// overlay must belong to the same graph the strategy is driving.
-func (e *Expectation) SetClosure(c *graph.Closure) { e.closure = c }
-
 // CacheStats implements obs.CacheStatser with the monotone total of
 // rescores. Every rescore is full: delta and hit are 0, and stay
 // results until a benchmark-archetype PR retires the benchmark's
@@ -176,75 +159,16 @@ func (e *Expectation) CacheStats() (full, delta, hit uint64) {
 	return e.statFull, 0, 0
 }
 
-// Flush implements Strategy: everything valid and uncolored, minus
-// edges whose label the overlay already entails — a flush round must
-// not spend HITs on answers inference provides for free.
+// Flush implements Strategy: everything valid and uncolored.
 func (e *Expectation) Flush(g *graph.Graph) []int {
-	return closureFilter(g.ValidUncolored(), e.closure)
+	return g.ValidUncolored()
 }
 
-// TransBatch drops every batch edge whose label the round's other
-// answers could entail, so inference gets a chance to answer it for
-// free: per predicate, the edges asked together must connect the
-// closure's current clusters as a forest. A cycle-closing edge is
-// determined by the rest of its cycle whenever those answers chain
-// (all Blue, or a Blue path plus one Red), so asking it in the same
-// round can only waste HITs — deferring it costs at most a round of
-// latency, never a task. The batch arrives in priority order, so the
-// most valuable edges of each would-be cycle survive; the scan is a
-// pure function of (batch order, closure state), keeping rounds
-// deterministic. Filters in place. A nil closure passes through.
-func TransBatch(g *graph.Graph, c *graph.Closure, batch []int) []int {
-	if c == nil || len(batch) == 0 {
-		return batch
-	}
-	// Batch-local union-find over closure cluster roots. Roots embed
-	// the predicate, so clusters of different predicates never meet.
-	parent := make(map[int]int, 2*len(batch))
-	var find func(x int) int
-	find = func(x int) int {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
-		}
-		if p == x {
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
-	}
-	kept := batch[:0]
-	for _, id := range batch {
-		ed := g.Edge(id)
-		ra := find(c.ClusterRoot(ed.Pred, ed.U))
-		rb := find(c.ClusterRoot(ed.Pred, ed.V))
-		if ra == rb {
-			continue // would close a cluster cycle: entailable, defer
-		}
-		parent[ra] = rb
-		kept = append(kept, id)
-	}
-	return kept
-}
-
-// closureFilter drops entailed edges from a batch in place. A nil
-// closure passes the batch through; otherwise the closure is brought
-// up to date first.
-func closureFilter(edges []int, c *graph.Closure) []int {
-	if c == nil {
-		return edges
-	}
-	c.Update()
-	kept := edges[:0]
-	for _, id := range edges {
-		if _, _, ok := c.Entails(id); !ok {
-			kept = append(kept, id)
-		}
-	}
-	return kept
-}
+// TransBatch returns batch unchanged. It remains only because the
+// benchmark's staged driver (benchmark/trace.go) calls it, and that
+// module changes only together with the benchmark's definition; it goes
+// when the driver stops calling it.
+func TransBatch(_ *graph.Graph, _ *graph.Closure, batch []int) []int { return batch }
 
 // orderScored returns the current ordering and dense scores:
 // revalidate, then rescore what is left. The returned slices are owned
@@ -259,52 +183,22 @@ func (e *Expectation) orderScored(g *graph.Graph) ([]int, []float64) {
 	return e.order, e.score
 }
 
-// rescoreAll scores and sorts every valid uncolored edge (minus
-// entailed ones in closure mode; closureFilter brings the overlay up
-// to date first).
+// rescoreAll scores and sorts every valid uncolored edge.
 func (e *Expectation) rescoreAll(g *graph.Graph) {
-	e.order = closureFilter(g.ValidUncoloredInto(e.order), e.closure)
+	e.order = g.ValidUncoloredInto(e.order)
 	if len(e.score) != g.NumEdges() {
 		e.score = make([]float64, g.NumEdges())
 	}
 	e.scoreEdges(g, e.order)
-	e.computeYields(g, e.order)
 	e.sortEdges(g, e.order)
 }
 
-// computeYields fills the dense yield cache for the given edges in
-// closure mode: W · (|cluster(U)|·|cluster(V)| − 1), the expected
-// number of *other* labels an answer to this edge would entail (every
-// cluster-pair combination beyond the asked edge itself), weighted by
-// the matching probability because Blue answers merge clusters and
-// compound future inference. Between two singletons the yield is zero,
-// so the ordering degrades exactly to the Eq. 1 pruning expectation
-// until clusters form.
-func (e *Expectation) computeYields(g *graph.Graph, edges []int) {
-	if e.closure == nil {
-		return
-	}
-	if len(e.yield) != g.NumEdges() {
-		e.yield = make([]float64, g.NumEdges())
-	}
-	for _, id := range edges {
-		e.yield[id] = inferenceYield(g, e.closure, id)
-	}
-}
-
-// inferenceYield is the expected-optimal labeling key of one edge.
-func inferenceYield(g *graph.Graph, c *graph.Closure, id int) float64 {
-	ed := g.Edge(id)
-	pairs := float64(c.ClusterSize(ed.Pred, ed.U)) * float64(c.ClusterSize(ed.Pred, ed.V))
-	return ed.W * (pairs - 1)
-}
-
 // sortEdges orders edges by the labeling order. The keys in force are
-// chosen once per sort: with neither a planned priority nor a closure
-// the comparator is plain Eq. 1, so the default path pays this one
-// branch per rescore and none per comparison.
+// chosen once per sort: without a planned priority the comparator is
+// plain Eq. 1, so the default path pays this one branch per rescore and
+// none per comparison.
 func (e *Expectation) sortEdges(g *graph.Graph, edges []int) {
-	if e.Priority == nil && e.closure == nil {
+	if e.Priority == nil {
 		sortEdgesByScore(g, edges, e.score)
 		return
 	}
@@ -314,16 +208,13 @@ func (e *Expectation) sortEdges(g *graph.Graph, edges []int) {
 }
 
 // less is the labeling order with every key: planned predicate rank
-// ascending, then (closure mode) expected inference yield, then Eq. 1 —
-// a strict total order because its last key is one.
+// ascending, then Eq. 1 — a strict total order because its last key is
+// one.
 func (e *Expectation) less(g *graph.Graph, a, b int) bool {
 	if e.Priority != nil {
 		if ra, rb := e.Priority[g.Edge(a).Pred], e.Priority[g.Edge(b).Pred]; ra != rb {
 			return ra < rb
 		}
-	}
-	if e.closure != nil {
-		return yieldLess(g, e.score, e.yield, a, b)
 	}
 	return scoredLess(g, e.score, a, b)
 }
@@ -389,17 +280,6 @@ func cmpLess(less bool) int {
 		return -1
 	}
 	return 1
-}
-
-// yieldLess is the expected-optimal labeling order used in closure
-// mode: expected inference yield descending (ask the likely-Blue pair
-// whose answer entails the most other labels first), with the plain
-// expectation order breaking ties — still a strict total order.
-func yieldLess(g *graph.Graph, score, yield []float64, a, b int) bool {
-	if yield[a] != yield[b] {
-		return yield[a] > yield[b]
-	}
-	return scoredLess(g, score, a, b)
 }
 
 // PruningExpectation computes Eq. 1 for edge id: the expected number

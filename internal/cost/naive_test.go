@@ -1,8 +1,6 @@
 package cost
 
 import (
-	"sort"
-
 	"cdb/internal/graph"
 	"cdb/internal/latency"
 )
@@ -18,18 +16,10 @@ import (
 type NaiveExpectation struct {
 	// Serial disables the latency scheduler (one task per round).
 	Serial bool
-
-	// closure mirrors Expectation's transitive-inference mode with a
-	// from-scratch filter and yield ranking per call.
-	closure *graph.Closure
 }
 
 // Name implements Strategy.
 func (e *NaiveExpectation) Name() string { return "CDB-naive" }
-
-// SetClosure installs (or removes) the transitive-inference overlay,
-// mirroring Expectation.SetClosure.
-func (e *NaiveExpectation) SetClosure(c *graph.Closure) { e.closure = c }
 
 // Order ranks valid uncolored edges by pruning expectation.
 func (e *NaiveExpectation) Order(g *graph.Graph) []int {
@@ -39,7 +29,7 @@ func (e *NaiveExpectation) Order(g *graph.Graph) []int {
 
 // OrderScored returns the full-rescan ordering and dense scores.
 func (e *NaiveExpectation) OrderScored(g *graph.Graph) ([]int, []float64) {
-	return NaiveOrderScoredClosure(g, e.closure)
+	return NaiveOrderScored(g)
 }
 
 // NextRound implements Strategy.
@@ -51,13 +41,12 @@ func (e *NaiveExpectation) NextRound(g *graph.Graph) []int {
 	if e.Serial {
 		return latency.SerialBatch(g, order)
 	}
-	return TransBatch(g, e.closure, latency.ParallelBatchScored(g, order, score))
+	return latency.ParallelBatchScored(g, order, score)
 }
 
-// Flush implements Strategy: everything valid, uncolored and not
-// entailed.
+// Flush implements Strategy: everything valid and uncolored.
 func (e *NaiveExpectation) Flush(g *graph.Graph) []int {
-	return closureFilter(g.ValidUncolored(), e.closure)
+	return g.ValidUncolored()
 }
 
 // NaiveOrderScored computes the expectation ordering by rescoring and
@@ -65,29 +54,11 @@ func (e *NaiveExpectation) Flush(g *graph.Graph) []int {
 // a full sort per call. The returned score slice is dense, indexed by
 // edge id.
 func NaiveOrderScored(g *graph.Graph) ([]int, []float64) {
-	return NaiveOrderScoredClosure(g, nil)
-}
-
-// NaiveOrderScoredClosure is NaiveOrderScored under transitive
-// inference: entailed edges are dropped and the ordering is yield-
-// first, all recomputed from scratch per call. It is the equivalence
-// reference for Expectation's closure mode.
-func NaiveOrderScoredClosure(g *graph.Graph, c *graph.Closure) ([]int, []float64) {
-	edges := closureFilter(g.ValidUncolored(), c)
+	edges := g.ValidUncolored()
 	score := make([]float64, g.NumEdges())
 	for _, id := range edges {
 		score[id] = PruningExpectation(g, id)
 	}
-	if c == nil {
-		sortEdgesByScore(g, edges, score)
-		return edges, score
-	}
-	yield := make([]float64, g.NumEdges())
-	for _, id := range edges {
-		yield[id] = inferenceYield(g, c, id)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		return yieldLess(g, score, yield, edges[i], edges[j])
-	})
+	sortEdgesByScore(g, edges, score)
 	return edges, score
 }

@@ -14,12 +14,9 @@ import (
 
 // Coalescer metrics (process-wide, across all engines).
 var (
-	mCoalTasks   = obs.Default.Counter("cdb_engine_tasks_total")
-	mCoalShared  = obs.Default.Counter("cdb_engine_tasks_shared_total")
-	mCoalSaved   = obs.Default.Counter("cdb_engine_assignments_saved_total")
-	mInferredPub = obs.Default.Counter("cdb_engine_inferred_published_total")
-	mInferredHit = obs.Default.Counter("cdb_engine_inferred_hits_total")
-	mInferredRej = obs.Default.Counter("cdb_engine_inferred_rejected_total")
+	mCoalTasks  = obs.Default.Counter("cdb_engine_tasks_total")
+	mCoalShared = obs.Default.Counter("cdb_engine_tasks_shared_total")
+	mCoalSaved  = obs.Default.Counter("cdb_engine_assignments_saved_total")
 )
 
 // coalescer is the engine's shared serving layer for crowd tasks: it
@@ -51,15 +48,12 @@ type coalescer struct {
 	inflight map[string]*flight
 	cache    *lruCache[exec.TaskVerdict]
 
-	resolved    atomic.Int64 // tasks resolved
-	issued      atomic.Int64 // assignments actually drawn from the crowd
-	saved       atomic.Int64 // assignments avoided by sharing
-	coalesced   atomic.Int64 // tasks attached to an in-flight HIT
-	cached      atomic.Int64 // tasks served from the verdict cache
-	ledgerHit   atomic.Int64 // tasks served from replayed ledger verdicts
-	inferredPub atomic.Int64 // inferred verdicts accepted into the cache
-	inferredHit atomic.Int64 // cache hits served by an inferred verdict
-	inferredRej atomic.Int64 // inferred verdicts rejected by the agreement check
+	resolved  atomic.Int64 // tasks resolved
+	issued    atomic.Int64 // assignments actually drawn from the crowd
+	saved     atomic.Int64 // assignments avoided by sharing
+	coalesced atomic.Int64 // tasks attached to an in-flight HIT
+	cached    atomic.Int64 // tasks served from the verdict cache
+	ledgerHit atomic.Int64 // tasks served from replayed ledger verdicts
 }
 
 // flight is one in-flight HIT: the owner fills verdict and closes
@@ -109,11 +103,9 @@ func (c *coalescer) resolve(ctx context.Context, req exec.TaskRequest) (exec.Tas
 		// set, then downgrades to an ordinary cache entry. That keeps the
 		// wire-visible Stats of a warm resume bit-identical to an
 		// uninterrupted run: a replayed crowd verdict's first use mirrors
-		// the owner resolve (Cached=false), later uses mirror cache hits;
-		// a replayed inferred verdict mirrors a publish that preceded
-		// every resolve, so even its first use counts Cached. Ledger
-		// provenance is reported out of band (Report.LedgerTasks, engine
-		// counters), never through the sharing telemetry.
+		// the owner resolve (Cached=false), later uses mirror cache hits.
+		// Ledger provenance is reported out of band (Report.LedgerTasks,
+		// engine counters), never through the sharing telemetry.
 		if v.Ledger {
 			used := v
 			used.Ledger = false
@@ -146,7 +138,6 @@ func (c *coalescer) resolve(ctx context.Context, req exec.TaskRequest) (exec.Tas
 				Value:       rec.Value,
 				Confidence:  rec.Confidence,
 				Assignments: rec.Assignments,
-				Inferred:    rec.Inferred,
 				Ledger:      true,
 			}
 			// Re-cache already downgraded: this lookup IS the first use.
@@ -185,24 +176,19 @@ func (c *coalescer) resolve(ctx context.Context, req exec.TaskRequest) (exec.Tas
 
 // served accounts for a verdict answered without crowd work, from the
 // verdict cache or the ledger, and returns it as the asking query sees
-// it. A replayed ledger verdict counts as a ledger hit and, unless it
-// was inferred, not as a cache hit (see resolve).
+// it. A replayed ledger verdict counts as a ledger hit, not as a cache
+// hit (see resolve).
 func (c *coalescer) served(v exec.TaskVerdict) exec.TaskVerdict {
 	if v.Ledger {
 		c.ledgerHit.Add(1)
 		mLedgerHits.Inc()
-	}
-	if !v.Ledger || v.Inferred {
+	} else {
 		v.Cached = true
 		c.cached.Add(1)
 	}
 	c.saved.Add(int64(v.Assignments))
 	mCoalShared.Inc()
 	mCoalSaved.Add(int64(v.Assignments))
-	if v.Inferred {
-		c.inferredHit.Add(1)
-		mInferredHit.Inc()
-	}
 	return v
 }
 
@@ -216,58 +202,6 @@ func (c *coalescer) served(v exec.TaskVerdict) exec.TaskVerdict {
 func (c *coalescer) answer(req exec.TaskRequest) exec.TaskVerdict {
 	value, conf, asks := crowd.PureVerdict(c.seed, c.pool, req.Key, req.Truth, req.Prior, req.K)
 	return exec.TaskVerdict{Value: value, Confidence: conf, Assignments: asks}
-}
-
-// PublishInferred implements exec.InferredPublisher: a transitive
-// query pushes the labels its closure derived into the shared verdict
-// cache, so later queries asking the same task are served without
-// crowd work.
-//
-// Bit-identity is preserved by an agreement filter: the deterministic
-// crowd verdict for the task is computed (a pure function of seed, key
-// and redundancy — no assignments are issued), and the inferred label
-// is published only when the two agree. The cached entry is then
-// byte-identical to what a real resolve would have produced, merely
-// flagged Inferred, so a query observes the same answers whether it
-// hit this entry, the crowd, or ran before the publisher. A
-// disagreeing label — inference chained through wrong answers, or the
-// crowd itself would err — is dropped and counted, never cached.
-// Entries already resolved or in flight are left untouched.
-func (c *coalescer) PublishInferred(tasks []exec.InferredTask) {
-	for _, t := range tasks {
-		v := c.answer(t.Req)
-		if v.Value != t.Value {
-			c.inferredRej.Add(1)
-			mInferredRej.Inc()
-			continue
-		}
-		v.Inferred = true
-		key := strconv.Itoa(t.Req.K) + "\x1f" + t.Req.Key
-		c.mu.Lock()
-		_, have := c.cache.items[key]
-		_, flying := c.inflight[key]
-		if !have && !flying {
-			c.cache.put(key, v)
-		}
-		c.mu.Unlock()
-		if have || flying {
-			continue
-		}
-		// Accepted inferred verdicts are durable too: after a restart
-		// they answer their task from the ledger exactly as they would
-		// have from the cache.
-		if c.journal != nil {
-			c.journal.AppendVerdict(ledger.Verdict{
-				Key:         key,
-				Value:       v.Value,
-				Confidence:  v.Confidence,
-				Assignments: v.Assignments,
-				Inferred:    true,
-			})
-		}
-		c.inferredPub.Add(1)
-		mInferredPub.Inc()
-	}
 }
 
 // lruCache is a bounded string-keyed map with least-recently-used

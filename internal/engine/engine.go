@@ -102,10 +102,6 @@ type Config struct {
 	// Tracing attaches a per-query obs.Tracer; each Result then
 	// carries its own span tree.
 	Tracing bool
-	// Transitive turns on transitive join inference (exec.Options.
-	// Transitive) for every served query, and publishes the inferred
-	// verdicts into the shared cache for cross-query reuse.
-	Transitive bool
 	// Planner turns on the greedy multi-join planner: unbudgeted
 	// whole-statement SELECTs execute in the planner's cheapest-first
 	// predicate order (answers stay bit-identical — verdicts are
@@ -424,7 +420,6 @@ func (e *Engine) serve(ctx context.Context, s *cql.Select, h *Handle, progress f
 		Quality:    exec.MajorityVoting,
 		Pool:       e.cfg.Pool,
 		Resolver:   e.coal,
-		Transitive: e.cfg.Transitive,
 		Trace:      tr,
 		// The registry sees every completed round regardless of
 		// whether the submitter asked for progress; the caller's
@@ -578,14 +573,6 @@ type Stats struct {
 	JoinsComputed int64 // similarity joins executed
 	JoinsShared   int64 // similarity joins reused from the cache
 
-	// Transitive-inference sharing: labels one query derived entering
-	// the verdict cache, later queries served by them, and inferred
-	// labels dropped because they disagreed with the deterministic
-	// crowd verdict.
-	InferredPublished int64
-	InferredHits      int64
-	InferredRejected  int64
-
 	CacheEntries int // live verdict-cache entries
 }
 
@@ -617,10 +604,6 @@ func (e *Engine) Stats() Stats {
 
 		JoinsComputed: e.joins.computed.Load(),
 		JoinsShared:   e.joins.shared.Load(),
-
-		InferredPublished: e.coal.inferredPub.Load(),
-		InferredHits:      e.coal.inferredHit.Load(),
-		InferredRejected:  e.coal.inferredRej.Load(),
 
 		CacheEntries: entries,
 	}

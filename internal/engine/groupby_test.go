@@ -29,32 +29,30 @@ func groupValues(t *testing.T, values []string, same entityOracle, n int, seed u
 	return groupOver(t, values, same, crowd.NewPerfectPool(n, stats.NewRNG(seed)))
 }
 
-// groupOver is groupValues over pool. Answer row i carries provenance
-// Crowd 1<<i (0 past row 62), which the grouping sums over a group's
-// rows, so a group's Provenance.Crowd is the set of its rows.
+// groupOver is groupValues over pool.
 func groupOver(t *testing.T, values []string, same entityOracle, pool *crowd.Pool) ([][]string, *exec.Report) {
 	t.Helper()
 	acct := exec.NewAccount(math.MaxInt, exec.Reliability{})
 	ans := &Answer{Columns: []string{"T.v"}, Report: &exec.Report{Account: acct}}
-	ans.Report.Provenance = make([]exec.AnswerProvenance, len(values))
-	for i, v := range values {
+	for _, v := range values {
 		ans.Rows = append(ans.Rows, []string{v})
-		if i < 63 {
-			ans.Report.Provenance[i].Crowd = 1 << i
-		}
-	}
-	req := &SelectRequest{
-		Source: Source{Oracle: same},
-		Stmt:   &cql.Select{GroupBy: &cql.ColRef{Table: "T", Column: "v"}},
 	}
 	opts := exec.Options{Pool: pool, Redundancy: 5, Account: acct}
-	if err := req.groupBy(context.Background(), ans, 0, opts); err != nil {
+	if err := groupRequest(same).groupBy(context.Background(), ans, 0, opts); err != nil {
 		t.Fatal(err)
 	}
 	if got := ans.Columns; len(got) != 2 || got[1] != "group_count" {
 		t.Fatalf("columns = %v", got)
 	}
 	return ans.Rows, ans.Report
+}
+
+// groupRequest is a GROUP BY T.v over same.
+func groupRequest(same entityOracle) *SelectRequest {
+	return &SelectRequest{
+		Source: Source{Oracle: same},
+		Stmt:   &cql.Select{GroupBy: &cql.ColRef{Table: "T", Column: "v"}},
+	}
 }
 
 func TestGroupByClustersVariants(t *testing.T) {
@@ -169,26 +167,29 @@ func TestGroupByNeverSplitsAValue(t *testing.T) {
 		for i := range values {
 			values[i] = variants[r.Intn(len(variants))]
 		}
-		rows, rep := groupOver(t, values, entity, crowd.NewPool(20, 0.6, 0.05, stats.NewRNG(seed+100)))
-		if rep.Metrics.Tasks == 0 {
+		acct := exec.NewAccount(math.MaxInt, exec.Reliability{})
+		opts := exec.Options{Pool: crowd.NewPool(20, 0.6, 0.05, stats.NewRNG(seed+100)), Redundancy: 5, Account: acct}
+		groups, err := groupRequest(entity).group(context.Background(), &exec.Report{Account: acct}, values, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acct.Metrics.Tasks == 0 {
 			t.Fatalf("seed %d: grouping asked no tasks", seed)
 		}
 		groupOf := map[string]int{}
-		var all int
-		for g, members := range rep.Provenance {
-			for i, v := range values {
-				if members.Crowd&(1<<i) == 0 {
-					continue
-				}
+		all := 0
+		for g, members := range groups {
+			for _, i := range members {
+				v := values[i]
 				if h, ok := groupOf[v]; ok && h != g {
-					t.Fatalf("seed %d: rows of %q in groups %d and %d (%v)", seed, v, h, g, rows)
+					t.Fatalf("seed %d: rows of %q in groups %d and %d (%v)", seed, v, h, g, groups)
 				}
 				groupOf[v] = g
 			}
-			all |= members.Crowd
+			all += len(members)
 		}
-		if all != 1<<len(values)-1 {
-			t.Fatalf("seed %d: groups hold rows %b, want all %d", seed, all, len(values))
+		if all != len(values) {
+			t.Fatalf("seed %d: groups hold %d rows, want all %d", seed, all, len(values))
 		}
 	}
 }

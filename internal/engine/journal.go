@@ -25,8 +25,7 @@ var mLedgerHits = obs.Default.Counter("cdb_engine_ledger_hits_total")
 // served from the journal is byte-identical to the one a fresh resolve
 // would produce.
 type Journal interface {
-	// AppendVerdict records one resolved task verdict (crowd or
-	// agreement-filtered inferred), keyed by the coalescer's
+	// AppendVerdict records one resolved task verdict, keyed by the coalescer's
 	// redundancy-qualified task key. Must be idempotent on key.
 	AppendVerdict(ledger.Verdict)
 	// Verdict looks a logged verdict back up at resolve time.
@@ -108,7 +107,6 @@ func (e *Engine) warmFromJournal() {
 			Value:       v.Value,
 			Confidence:  v.Confidence,
 			Assignments: v.Assignments,
-			Inferred:    v.Inferred,
 			Ledger:      !v.Settled,
 		}
 		e.coal.mu.Lock()

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -60,7 +63,6 @@ type wireView struct {
 	dollars                float64
 	confidence             []float64
 	cachedTasks, coalesced int
-	inferred               int
 	partial                bool
 	partialReason          string
 }
@@ -73,7 +75,7 @@ func toWire(o outcome) wireView {
 		precision: r.Metrics.Precision, recall: r.Metrics.Recall,
 		assignments: r.Assignments, hits: r.HITs, dollars: r.Dollars,
 		confidence:  r.Confidence,
-		cachedTasks: r.CachedTasks, coalesced: r.Coalesced, inferred: r.Inferred,
+		cachedTasks: r.CachedTasks, coalesced: r.Coalesced,
 		partial: r.Reliability.Partial, partialReason: r.Reliability.Reason,
 	}
 }
@@ -94,7 +96,7 @@ func sameOutcomes(t *testing.T, label string, got, want []outcome) {
 func TestJournalDoesNotPerturbResults(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)()
 	queries := workload()[:5]
-	ref := runSequential(t, 42, queries, false)
+	ref := runSequential(t, 42, queries)
 	got, st := runWithJournal(t, t.TempDir(), 42, queries)
 	sameOutcomes(t, "with-journal vs without", got, ref)
 	if st.LedgerHits != 0 {
@@ -110,7 +112,7 @@ func TestWarmRestartBitIdentical(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)()
 	dir := t.TempDir()
 	queries := workload()[:5]
-	ref := runSequential(t, 42, queries, false)
+	ref := runSequential(t, 42, queries)
 
 	first, _ := runWithJournal(t, dir, 42, queries)
 	sameOutcomes(t, "first ledger run", first, ref)
@@ -137,7 +139,7 @@ func TestTruncatedLedgerResumes(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)()
 	master := t.TempDir()
 	queries := workload()[:3]
-	ref := runSequential(t, 42, queries, false)
+	ref := runSequential(t, 42, queries)
 	if _, st := runWithJournal(t, master, 42, queries); st.AssignmentsIssued == 0 {
 		t.Fatalf("seeding run issued no assignments")
 	}
@@ -162,6 +164,69 @@ func TestTruncatedLedgerResumes(t *testing.T) {
 		if cut == 0 && st.LedgerHits != 0 {
 			t.Fatalf("cut=0: empty ledger produced replay hits")
 		}
+	}
+}
+
+// TestInferredLedgerVerdictReplays: ledgers written while the engine
+// could publish inferred verdicts carry verdict frames with
+// "inferred":true. The reader ignores the field, so such a verdict
+// warm-restarts as an ordinary ledger hit: a WAL cut after the
+// seeding run's verdicts, before its answers, with every verdict frame
+// re-written to carry the field, resumes bit-identical to the
+// uninterrupted run, pays the crowd nothing, and counts each verdict's
+// first use as a ledger hit, not a cache hit.
+func TestInferredLedgerVerdictReplays(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)()
+	master := t.TempDir()
+	queries := workload()[:1]
+	ref := runSequential(t, 42, queries)
+	_, seeded := runWithJournal(t, master, 42, queries)
+	wal, err := os.ReadFile(filepath.Join(master, "wal.ldg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Frame layout (internal/ledger/frame.go): uint32 LE payload
+	// length, uint32 LE CRC32-IEEE of the payload, then the payload —
+	// a record-type byte and its JSON body.
+	var old []byte
+	verdicts := 0
+	for off := 0; off < len(wal); {
+		n := int(binary.LittleEndian.Uint32(wal[off:]))
+		payload := wal[off+8 : off+8+n]
+		off += 8 + n
+		switch payload[0] {
+		case 'A':
+			continue // the cut: no answer settles the verdicts
+		case 'V':
+			body := bytes.TrimSuffix(payload[1:], []byte("}"))
+			payload = append(append([]byte{'V'}, body...), `,"inferred":true}`...)
+			verdicts++
+		}
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+		old = append(append(old, hdr[:]...), payload...)
+	}
+	if verdicts == 0 {
+		t.Fatal("seeding run logged no verdicts")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.ldg"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, st := runWithJournal(t, dir, 42, queries)
+	sameOutcomes(t, "resume from inferred verdicts", got, ref)
+	if st.AssignmentsIssued != 0 {
+		t.Fatalf("resume issued %d assignments; every verdict was logged", st.AssignmentsIssued)
+	}
+	// Each logged verdict's first use is a ledger hit, as its owner
+	// resolve was; only the uses the seeding run served from its cache
+	// count as cache hits.
+	if st.LedgerHits != int64(verdicts) || st.Cached != seeded.Cached {
+		t.Fatalf("ledger hits %d, cache hits %d; want %d and %d",
+			st.LedgerHits, st.Cached, verdicts, seeded.Cached)
 	}
 }
 

@@ -90,7 +90,7 @@ type SelectRequest struct {
 type order int
 
 const (
-	byExpectedYield order = iota // cost.Expectation, plain or with the closure
+	byExpectedYield order = iota // cost.Expectation, Eq. 1's order
 	byBudget                     // BUDGET n's cost.Budget
 	byConfigured                 // the request's Strategy
 	byGreedyPlan                 // the planner's greedy order: a leading key of cost.Expectation
@@ -117,7 +117,6 @@ const (
 //	GROUP BY    × ORDER BY       compose: the grouping runs first, the sort orders its groups
 //	planner     × crowd path     compose: the planned order is a key, the verdicts come from the
 //	                             run's own crowd (transport, CDB+, markets or the pool)
-//	planner     × transitivity   compose: one strategy, keys priority → expected yield → Eq. 1
 //	bind scope  × other orders   the live-touching subgraph — see scoped
 //
 // A request field that is a constructor counts as set: its maker passes
@@ -257,7 +256,7 @@ func columnIndex(columns []string, ref cql.ColRef) (int, error) {
 // ask runs p, a plan over the statement's answer, in the order s: asked
 // of the run's own crowd — pool or markets, quality mode, fault policy
 // or resolver — and recorded in its metadata, trace and progress, but
-// under none of its order (planner, closure, calibration, round cap).
+// under none of its order (planner, calibration, round cap).
 // It opens a transport of its own and spends from the statement's
 // account what the runs before it left of its BUDGET and retry budget.
 // A run the account cuts short leaves the answer coarser than the
@@ -265,7 +264,7 @@ func columnIndex(columns []string, ref cql.ColRef) (int, error) {
 func (req *SelectRequest) ask(ctx context.Context, rep *exec.Report, p *exec.Plan, s cost.Strategy, opts exec.Options) error {
 	run := opts
 	run.Strategy = s
-	run.MaxRounds, run.Calibrate, run.Transitive = 0, false, false
+	run.MaxRounds, run.Calibrate = 0, false
 	if req.Transport != nil {
 		// A transport of its own: the plan's edge ids restart at 0, and
 		// the statement's stragglers must not answer its tasks.
@@ -295,18 +294,41 @@ func column(ans *Answer, pos int) []string {
 // pos, the §4.2 Remark's crowdsourced entity resolution with
 // transitivity: the Trans order over exec.ValuePlan, asked as ask asks.
 // A grouping the account cuts short leaves its unasked pairs of values
-// in separate groups, which splits an entity over rows. The groups are
-// the closure's clusters of the rows' values, first row first; each
-// keeps its first row plus a group_count column. A group is only as
-// trustworthy as its least-confident row, so confidences fold by min;
-// provenance folds by summing the rows' edge counts.
+// in separate groups, which splits an entity over rows. Each group keeps
+// its first row plus a group_count column. A group is only as
+// trustworthy as its least-confident row, so confidences fold by min.
 func (req *SelectRequest) groupBy(ctx context.Context, ans *Answer, pos int, opts exec.Options) error {
 	rep := ans.Report
-	p, valueOf := exec.ValuePlan(*req.Stmt.GroupBy, column(ans, pos), req.Oracle, req.PlanConfig)
-	if err := req.ask(ctx, rep, p, baselines.NewTrans(), opts); err != nil {
+	groups, err := req.group(ctx, rep, column(ans, pos), opts)
+	if err != nil {
 		return err
 	}
+	rows := make([][]string, len(groups))
+	var conf []float64
+	for k, g := range groups {
+		rows[k] = append(append([]string(nil), ans.Rows[g[0]]...), strconv.Itoa(len(g)))
+		if rep.Confidence != nil {
+			c := rep.Confidence[g[0]]
+			for _, i := range g[1:] {
+				c = min(c, rep.Confidence[i])
+			}
+			conf = append(conf, c)
+		}
+	}
+	ans.Rows = rows
+	ans.Columns = append(append([]string(nil), ans.Columns...), "group_count")
+	rep.Confidence = conf
+	return nil
+}
 
+// group asks groupBy's grouping of values and returns its groups: the
+// closure's clusters of the values, each as the indexes of its values,
+// ordered by first index.
+func (req *SelectRequest) group(ctx context.Context, rep *exec.Report, values []string, opts exec.Options) ([][]int, error) {
+	p, valueOf := exec.ValuePlan(*req.Stmt.GroupBy, values, req.Oracle, req.PlanConfig)
+	if err := req.ask(ctx, rep, p, baselines.NewTrans(), opts); err != nil {
+		return nil, err
+	}
 	cl := graph.NewClosure(p.G)
 	cl.Update()
 	var groups [][]int
@@ -321,33 +343,7 @@ func (req *SelectRequest) groupBy(ctx context.Context, ans *Answer, pos int, opt
 		}
 		groups[g] = append(groups[g], i)
 	}
-
-	rows := make([][]string, len(groups))
-	var conf []float64
-	var prov []exec.AnswerProvenance
-	for k, g := range groups {
-		rows[k] = append(append([]string(nil), ans.Rows[g[0]]...), strconv.Itoa(len(g)))
-		if rep.Confidence != nil {
-			c := rep.Confidence[g[0]]
-			for _, i := range g[1:] {
-				c = min(c, rep.Confidence[i])
-			}
-			conf = append(conf, c)
-		}
-		if rep.Provenance != nil {
-			var sum exec.AnswerProvenance
-			for _, i := range g {
-				sum.Crowd += rep.Provenance[i].Crowd
-				sum.Inferred += rep.Provenance[i].Inferred
-				sum.Prior += rep.Provenance[i].Prior
-			}
-			prov = append(prov, sum)
-		}
-	}
-	ans.Rows = rows
-	ans.Columns = append(append([]string(nil), ans.Columns...), "group_count")
-	rep.Confidence, rep.Provenance = conf, prov
-	return nil
+	return groups, nil
 }
 
 // orderBy sorts ans by the values in its column pos, the §4.2 Remark's
@@ -355,7 +351,7 @@ func (req *SelectRequest) groupBy(ctx context.Context, ans *Answer, pos int, opt
 // exec.PivotOrder's rounds, every unsorted part against its pivot at
 // once, asked as ask asks. A sort the account cuts short leaves its
 // unsplit parts in input order. Rows of equal value keep their order,
-// and confidences and provenance move with their rows.
+// and confidences move with their rows.
 func (req *SelectRequest) orderBy(ctx context.Context, ans *Answer, pos int, opts exec.Options) error {
 	rep := ans.Report
 	p, order := exec.OrderPlan(*req.Stmt.OrderBy, column(ans, pos))
@@ -365,7 +361,6 @@ func (req *SelectRequest) orderBy(ctx context.Context, ans *Answer, pos int, opt
 	perm := order.Perm(p.G)
 	ans.Rows = permute(ans.Rows, perm)
 	rep.Confidence = permute(rep.Confidence, perm)
-	rep.Provenance = permute(rep.Provenance, perm)
 	return nil
 }
 

@@ -50,11 +50,6 @@ type QueryStats struct {
 	// sharing changes what the platform does, not what a query observes.
 	Coalesced   int `json:"coalesced,omitempty"`
 	CachedTasks int `json:"cached_tasks,omitempty"`
-
-	// Inferred counts the edge labels transitive inference deduced
-	// without crowd work (WithTransitivity); zero when inference is off
-	// or nothing was entailed.
-	Inferred int `json:"inferred,omitempty"`
 }
 
 // Result is the outcome of one statement (the public cdb.Result).
@@ -74,13 +69,6 @@ type Result struct {
 	// (1.0 when every supporting verdict is certain). Nil on the
 	// synchronous path.
 	Confidence []float64 `json:"confidence,omitempty"`
-	// Provenance holds one entry per row of Rows when transitive
-	// inference ran (WithTransitivity): how many of the answer's
-	// supporting edges were crowd-answered, inferred, or decided by
-	// prior evidence. GROUP BY folds member entries into their group's
-	// row by summing; ORDER BY permutes alongside the rows. Nil when
-	// inference is off.
-	Provenance []exec.AnswerProvenance `json:"provenance,omitempty"`
 	// Trace is the statement's span tree when tracing is enabled via
 	// WithObserver or WithTracing; nil otherwise. Never serialized on
 	// the wire — traces are process-local diagnostics.
@@ -144,11 +132,8 @@ func (a *Answer) Result() *Result {
 
 			Coalesced:   rep.Coalesced,
 			CachedTasks: rep.CachedTasks,
-
-			Inferred: rep.Inferred,
 		},
 		Confidence: rep.Confidence,
-		Provenance: rep.Provenance,
 		Trace:      a.Trace,
 		RequestID:  a.RequestID,
 		Plan:       a.Plan,

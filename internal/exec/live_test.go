@@ -340,7 +340,7 @@ func (r *budgetRecorder) NextRound(g *graph.Graph) []int {
 }
 
 // TestLiveOnlyRunsTheFullBindsRun: Algorithm 1 under cost.Expectation —
-// plain, with a predicate-priority key, with the closure — and under
+// plain and with a predicate-priority key — and under
 // cost.Budget asks the same edges round by round over the pruned plan as
 // over the full one, from the same worker draws, and reports the same
 // answers and counts.
@@ -370,7 +370,7 @@ func TestLiveOnlyRunsTheFullBindsRun(t *testing.T) {
 	}
 	asked := 0
 	for _, c := range cases {
-		for _, mode := range []string{"plain", "priority", "closure", "budget 10", "budget 40"} {
+		for _, mode := range []string{"plain", "priority", "budget 10", "budget 40"} {
 			label := c.label + " / " + mode
 			budget := 0
 			fmt.Sscanf(mode, "budget %d", &budget)
@@ -390,10 +390,9 @@ func TestLiveOnlyRunsTheFullBindsRun(t *testing.T) {
 					acct = exec.NewAccount(budget, exec.Reliability{})
 				}
 				rep, err := exec.Run(context.Background(), p, exec.Options{
-					Strategy:   strategy,
-					Account:    acct,
-					Pool:       crowd.NewPool(30, 0.8, 0.1, stats.NewRNG(5)),
-					Transitive: mode == "closure",
+					Strategy: strategy,
+					Account:  acct,
+					Pool:     crowd.NewPool(30, 0.8, 0.1, stats.NewRNG(5)),
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -428,10 +427,10 @@ func TestLiveOnlyRunsTheFullBindsRun(t *testing.T) {
 					t.Fatalf("%s: answer %d = %+v, full bind %+v", label, i, got, a)
 				}
 			}
-			if gotRep.Metrics != wantRep.Metrics || gotRep.Assignments != wantRep.Assignments || gotRep.Inferred != wantRep.Inferred ||
+			if gotRep.Metrics != wantRep.Metrics || gotRep.Assignments != wantRep.Assignments ||
 				gotRep.HITs != wantRep.HITs || !reflect.DeepEqual(gotRep.Confidence, wantRep.Confidence) {
-				t.Fatalf("%s: metrics %+v, %d assignments, %d inferred; full bind %+v, %d, %d", label,
-					gotRep.Metrics, gotRep.Assignments, gotRep.Inferred, wantRep.Metrics, wantRep.Assignments, wantRep.Inferred)
+				t.Fatalf("%s: metrics %+v, %d assignments; full bind %+v, %d", label,
+					gotRep.Metrics, gotRep.Assignments, wantRep.Metrics, wantRep.Assignments)
 			}
 		}
 	}

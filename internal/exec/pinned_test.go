@@ -11,6 +11,7 @@ import (
 
 	"cdb/internal/cost"
 	"cdb/internal/crowd"
+	"cdb/internal/dataset"
 	"cdb/internal/faults"
 	"cdb/internal/graph"
 	"cdb/internal/meta"
@@ -50,6 +51,18 @@ func (r flaggedResolver) Resolve(ctx context.Context, reqs []TaskRequest) (map[i
 	return out, err
 }
 
+// paperPlan builds a plan over the paper benchmark's 2-join query at a
+// small scale, dirty enough that rounds prune and noisy workers err.
+func paperPlan(t *testing.T, seed uint64) (*Plan, *dataset.Data) {
+	t.Helper()
+	d := dataset.GenPaper(dataset.Config{Seed: seed, Scale: 0.15})
+	p, err := BuildPlan(mustSelect(t, dataset.Queries("paper")["2J"]), d.Catalog, d.Oracle, DefaultPlanConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, d
+}
+
 func noisyPool(seed uint64) *crowd.Pool { return crowd.NewPool(25, 0.85, 0.05, stats.NewRNG(seed)) }
 
 // transportOpts is asyncSetup with the transport closed when the test
@@ -75,8 +88,8 @@ func pinnedRuns() map[string]pinnedRun {
 			cf := crowd.NewMarket("CrowdFlower", false, crowd.NewPool(20, 0.9, 0.05, rng.Split()))
 			return Options{Strategy: &cost.Expectation{}, Redundancy: 3, Pool: noisyPool(61), Router: crowd.NewRouter(amt, cf)}
 		}},
-		"majority-transitive-calibrated": {plan: paper, opts: func(*testing.T) Options {
-			return Options{Strategy: &cost.Expectation{}, Redundancy: 3, Pool: noisyPool(61), Transitive: true, Calibrate: true}
+		"majority-calibrated": {plan: paper, opts: func(*testing.T) Options {
+			return Options{Strategy: &cost.Expectation{}, Redundancy: 3, Pool: noisyPool(61), Calibrate: true}
 		}},
 		"cdb+": {plan: paper, opts: sync(CDBPlus)},
 		"resolver": {plan: paper, opts: func(*testing.T) Options {
@@ -109,7 +122,7 @@ func pinnedRuns() map[string]pinnedRun {
 var pinnedHashes = map[string]uint64{
 	"majority":                        0x30165d565bf36033,
 	"majority-markets":                0x884f8a05930e458b,
-	"majority-transitive-calibrated":  0x3c4ce100de452e86,
+	"majority-calibrated":             0x9b7fcf8a227281d4,
 	"cdb+":                            0x21d5663b77f31c01,
 	"resolver":                        0x7c63cd7566974df3,
 	"transport-clean":                 0xb73115ce94176b35,
@@ -122,7 +135,10 @@ var pinnedHashes = map[string]uint64{
 
 // hashRun runs p under opts with metadata recording on and digests
 // the colour of every edge after every round, the Report's public
-// fields and the metadata store's three tables. The store must hold
+// fields and the metadata store's three tables. The digest text still
+// carries the zero Inferred counts that RoundUpdate and Report printed
+// before transitive inference was removed, so the digests pinned then
+// still hold. The store must hold
 // exactly the tasks and assignments the Report charges — a discarded
 // round leaves nothing — except that on the resolver path the answers
 // are the resolver's, so no assignment is recorded.
@@ -137,7 +153,8 @@ func hashRun(t *testing.T, p *Plan, opts Options, cancelAt int) uint64 {
 	store := meta.NewStore()
 	opts.Meta = store
 	opts.Progress = func(u RoundUpdate) {
-		fmt.Fprintf(h, "round %+v:", u)
+		fmt.Fprintf(h, "round {Round:%d Tasks:%d Assignments:%d Blue:%d Red:%d TasksTotal:%d AssignmentsTotal:%d Open:%d Inferred:0}:",
+			u.Round, u.Tasks, u.Assignments, u.Blue, u.Red, u.TasksTotal, u.AssignmentsTotal, u.Open)
 		for e := 0; e < p.G.NumEdges(); e++ {
 			fmt.Fprint(h, int(p.G.Edge(e).Color))
 		}
@@ -168,14 +185,11 @@ func hashRun(t *testing.T, p *Plan, opts Options, cancelAt int) uint64 {
 func writeReport(w io.Writer, rep *Report) {
 	fmt.Fprintf(w, "metrics %+v assignments %d hits %d dollars %v\n", rep.Metrics, rep.Assignments, rep.HITs, rep.Dollars)
 	fmt.Fprintf(w, "reliability %+v\n", rep.Reliability)
-	fmt.Fprintf(w, "coalesced %d cached %d ledger %d inferred %d\n", rep.Coalesced, rep.CachedTasks, rep.LedgerTasks, rep.Inferred)
+	fmt.Fprintf(w, "coalesced %d cached %d ledger %d inferred 0\n", rep.Coalesced, rep.CachedTasks, rep.LedgerTasks)
 	for i, a := range rep.Answers {
 		fmt.Fprintf(w, "answer %v %v", a.Assign, a.Edges)
 		if rep.Confidence != nil {
 			fmt.Fprintf(w, " conf %v", rep.Confidence[i])
-		}
-		if rep.Provenance != nil {
-			fmt.Fprintf(w, " prov %+v", rep.Provenance[i])
 		}
 		fmt.Fprintln(w)
 	}
@@ -190,8 +204,7 @@ func writeReport(w io.Writer, rep *Report) {
 }
 
 // TestCrowdPathsPinned pins the observable outcome of every crowd path
-// — majority voting (alone, across two markets, with transitive
-// inference and calibration), CDB+, a shared resolver, and the
+// — majority voting (alone, across two markets, with calibration), CDB+, a shared resolver, and the
 // fault-tolerant transport clean, under drops and retries, stragglers
 // and duplicates, total loss, cancellation, and with CDB+ — to digests
 // of the per-round edge colours, the Report and the metadata tables. A
@@ -255,7 +268,7 @@ func publicReport(r *Report) Report {
 			Metrics: r.Metrics, Assignments: r.Assignments, HITs: r.HITs, Dollars: r.Dollars, Reliability: rel,
 			Coalesced: r.Coalesced, CachedTasks: r.CachedTasks, LedgerTasks: r.LedgerTasks, PerMarket: r.PerMarket,
 		},
-		Answers: r.Answers, Confidence: r.Confidence, Inferred: r.Inferred, Provenance: r.Provenance,
+		Answers: r.Answers, Confidence: r.Confidence,
 	}
 }
 

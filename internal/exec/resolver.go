@@ -38,7 +38,7 @@ type TaskRequest struct {
 
 // TaskVerdict is a resolver's ruling on one task.
 type TaskVerdict struct {
-	// Value is the inferred verdict (true = the pair matches).
+	// Value is the verdict (true = the pair matches).
 	Value bool
 	// Confidence is the aggregation confidence in Value.
 	Confidence float64
@@ -51,9 +51,6 @@ type TaskVerdict struct {
 	// HIT; Cached marks one served from the shared verdict cache.
 	Coalesced bool
 	Cached    bool
-	// Inferred marks a cached verdict that another query derived by
-	// transitive inference instead of crowd work.
-	Inferred bool
 	// Ledger marks a verdict replayed from the durable crowd-work
 	// ledger: paid for before the last restart, charged nothing now.
 	// Deliberately not folded into Cached — wire-visible Stats must

@@ -76,9 +76,6 @@ type RoundUpdate struct {
 	// crowd work that may remain; for an ORDER BY, the comparisons its
 	// unsorted parts ask and have no answer for.
 	Open int `json:"open"`
-	// Inferred counts edges this round labeled by transitive inference
-	// instead of crowd work (zero unless Options.Transitive).
-	Inferred int `json:"inferred,omitempty"`
 }
 
 // Options configures one execution.
@@ -140,12 +137,6 @@ type Options struct {
 	// the tracer). It runs on the executing goroutine: a slow consumer
 	// delays the next round, so hand off to a channel for streaming.
 	Progress func(RoundUpdate)
-	// Transitive enables transitive inference over crowd answers
-	// (within each predicate, A=B ∧ B=C entails A=C and A=B ∧ B≠C
-	// entails A≠C): after every round the entailed labels are colored
-	// into the graph for free, closure-aware strategies stop asking
-	// entailed edges, and Report gains Inferred / Provenance.
-	Transitive bool
 	// Account is the statement's spend, shared by all its runs; nil
 	// opens an uncapped account for this run alone.
 	Account *Account
@@ -210,12 +201,6 @@ type Report struct {
 	// tasks lost to faults — the optimizer's prior). 1.0 for edges
 	// decided without the crowd.
 	Confidence []float64
-	// Inferred counts edges labeled by transitive inference instead of
-	// crowd work; Provenance breaks each answer's supporting edges down
-	// by origin, aligned with Answers. Both zero/nil unless
-	// Options.Transitive.
-	Inferred   int
-	Provenance []AnswerProvenance
 	// Capped reports that the account's task cap cut a batch of this
 	// run: the order had more to ask than the BUDGET left.
 	Capped bool `json:",omitempty"`
@@ -237,10 +222,6 @@ type Report struct {
 	metaOf map[int]int32
 	// edgeConf records per-edge verdict confidence.
 	edgeConf map[int]float64
-	// crowdEdges / inferredEdges track per-edge label origin for
-	// Provenance (only populated in transitive mode).
-	crowdEdges    map[int]bool
-	inferredEdges map[int]bool
 	// tasks holds the round being asked, aligned with its batch, and
 	// answers the worker answers it collected for the metadata store;
 	// buffers reused round to round.
@@ -297,24 +278,6 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		defer tc.SetTracer(nil)
 	}
 	cacheStats, _ := opts.Strategy.(obs.CacheStatser)
-
-	var closure *graph.Closure
-	if opts.Transitive {
-		closure = graph.NewClosure(g)
-		// Inferred labels inherit the weakest verdict confidence on
-		// their entailing path; edges colored without a verdict (exact
-		// equi-joins) count as certain.
-		closure.ConfFn = func(e int) float64 {
-			if v, ok := rep.edgeConf[e]; ok {
-				return v
-			}
-			return 1
-		}
-		if cc, ok := opts.Strategy.(ClosureCarrier); ok {
-			cc.SetClosure(closure)
-			defer cc.SetClosure(nil)
-		}
-	}
 
 	var calib *quality.Calibrator
 	var rawW []float64
@@ -431,9 +394,6 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 				g.SetColor(e, graph.Red)
 				red++
 			}
-			if closure != nil {
-				rep.markCrowd(e)
-			}
 			if calib != nil {
 				calib.Observe(rawW[e], match)
 			}
@@ -451,18 +411,8 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		}
 		tr.End(colorSpan)
 
-		inferredRound := 0
-		if closure != nil {
-			inferredRound = rep.applyInference(p, closure, opts)
-			if inferredRound > 0 {
-				n := inferredRound
-				tr.Event("inference", func(s *obs.Span) { s.Tasks = n })
-			}
-		}
-
 		if tr != nil {
 			validAfter := open()
-			colored := len(batch) + inferredRound
 			round := rep.Metrics.Rounds
 			tr.Mutate(roundSpan, func(s *obs.Span) {
 				s.Round = round
@@ -471,7 +421,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 				s.Blue = blue
 				s.Red = red
 				s.Edges = validAfter
-				if pruned := validBefore - validAfter - colored; pruned > 0 {
+				if pruned := validBefore - validAfter - len(batch); pruned > 0 {
 					s.Pruned = pruned
 				}
 				if cacheStats != nil {
@@ -492,7 +442,6 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 				TasksTotal:       rep.Metrics.Tasks,
 				AssignmentsTotal: rep.Assignments,
 				Open:             open(),
-				Inferred:         inferredRound,
 			})
 		}
 		if opts.MaxRounds > 0 && rounds >= opts.MaxRounds {
@@ -526,9 +475,6 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		mPartials.Inc()
 	}
 	rep.Answers = g.Answers()
-	if closure != nil {
-		rep.assembleProvenance()
-	}
 	if rep.edgeConf != nil {
 		rep.Confidence = make([]float64, len(rep.Answers))
 		for i, a := range rep.Answers {

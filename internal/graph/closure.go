@@ -2,14 +2,18 @@ package graph
 
 import "cdb/internal/obs"
 
-// Transitive-inference overlay (ROADMAP item: transitivity-aware
-// joins). Crowd answers about value equality are transitive within one
-// predicate: once the crowd confirms A=B and B=C, A=C needs no HIT,
-// and A=B with B≠C entails A≠C ("Leveraging Transitive Relations for
-// Crowdsourced Joins", Wang et al.). The Closure maintains, per
-// predicate, a union-find over the endpoints of Blue edges plus a
-// cluster-pair Red relation, and answers "is this uncolored edge's
-// label already entailed?" in near-constant time.
+// The transitive closure of crowd answers. Answers about value
+// equality are transitive within one predicate: once the crowd confirms
+// A=B and B=C, A=C holds, and A=B with B≠C gives A≠C (Wang et al.'s
+// transitive relations for crowdsourced joins). The Closure
+// maintains, per predicate, a union-find over the endpoints of Blue
+// edges plus a cluster-pair Red relation, and answers "is this
+// uncolored edge's label already entailed?" in near-constant time.
+//
+// Two callers use it: GROUP BY (internal/engine), which reads its
+// groups off the clusters of a value plan's answers, and the ER
+// baselines Trans and ACD (internal/baselines), which skip the pairs
+// their earlier answers entail.
 //
 // Scope: inference never crosses predicates. Two predicates compare
 // different column pairs, so a vertex (tuple) participates in one
@@ -17,21 +21,14 @@ import "cdb/internal/obs"
 // union-find nodes by (predicate, vertex).
 //
 // Consistency model: the overlay is fed by the graph's ColorEvent
-// journal, exactly like the cost engine's incremental score cache. On
-// the crowdsourcing path every transition is Unknown→{Blue,Red} and
-// the overlay absorbs the suffix incrementally; any reverse transition
-// (recoloring, Unknown-ing) cannot be expressed by a union-find, so
-// Update falls back to a full rebuild from the current edge colors.
-// Either way the clusters are a pure function of the journal (and of
-// any Assume facts) — replaying it yields the same entailments in the same
-// order, which is what keeps engine-level result sharing bit-identical
-// (the property tests in closure_test.go enforce replay identity).
-//
-// Applying entailed labels via SetColor is a fixpoint in one pass: an
-// entailed Blue edge connects vertices already in one cluster and an
-// entailed Red edge connects a cluster pair already marked red, so
-// observing those events changes nothing. The executor can therefore
-// infer after each round without iterating.
+// journal. On the crowdsourcing path every transition is
+// Unknown→{Blue,Red} and the overlay absorbs the suffix incrementally;
+// any reverse transition (recoloring, Unknown-ing) cannot be expressed
+// by a union-find, so Update falls back to a full rebuild from the
+// current edge colors. Either way the clusters are a pure function of
+// the journal (and of any Assume facts) — replaying it yields the same
+// entailments in the same order (the property tests in closure_test.go
+// enforce replay identity).
 
 // Closure health metrics: rebuilds are the O(E) slow path; conflicts
 // count crowd answers that contradict the closure (a Red edge inside a
@@ -41,31 +38,23 @@ var (
 	mClosureConflict = obs.Default.Counter("cdb_graph_closure_conflict_total")
 )
 
-// Closure is the transitive-inference overlay over one graph's crowd
+// Closure is the transitive closure overlay over one graph's crowd
 // colors. Not safe for concurrent use: methods mutate internal state
 // (journal cursor, path compression). One Closure serves one
 // execution.
 type Closure struct {
 	g *Graph
 
-	// ConfFn optionally supplies the verdict confidence of a colored
-	// edge (in (0, 1]); nil, or any out-of-range return, means full
-	// confidence. The executor installs its per-edge confidence record
-	// so inferred labels inherit the weakest evidence backing them.
-	ConfFn func(edge int) float64
-
 	cursor int // ColorEvents consumed so far
 
 	// Union-find over (predicate, vertex) nodes, built lazily on first
-	// Update. conf[root] is the minimum confidence over the cluster's
-	// Blue edges (1 for singletons).
+	// Update.
 	parent []int
 	size   []int
-	conf   []float64
 
-	// red[rootA][rootB] is the strongest Red-edge confidence observed
-	// between the two clusters; symmetric.
-	red map[int]map[int]float64
+	// red[rootA][rootB] marks Red evidence between the two clusters;
+	// symmetric.
+	red map[int]map[int]bool
 
 	// assumed holds the facts Assume supplied, replayed on every reset.
 	assumed []assumption
@@ -84,14 +73,14 @@ type assumption struct {
 // journal (including colors applied before creation, e.g. the exact
 // equi-join edges pre-colored at plan build).
 func NewClosure(g *Graph) *Closure {
-	return &Closure{g: g, red: make(map[int]map[int]float64)}
+	return &Closure{g: g, red: make(map[int]map[int]bool)}
 }
 
 // Update brings the overlay up to date with the graph's color journal:
 // the unconsumed suffix is absorbed incrementally when every
 // transition starts from Unknown, otherwise the overlay is rebuilt
 // from the current edge colors. Idempotent; call before Entails or
-// ClusterSize after any round of coloring.
+// ClusterRoot after any round of coloring.
 func (c *Closure) Update() {
 	events := c.g.ColorEvents()
 	if c.parent == nil {
@@ -137,22 +126,20 @@ func (c *Closure) resetNodes() {
 	if len(c.parent) != nodes {
 		c.parent = make([]int, nodes)
 		c.size = make([]int, nodes)
-		c.conf = make([]float64, nodes)
 	}
 	for i := range c.parent {
 		c.parent[i] = i
 		c.size[i] = 1
-		c.conf[i] = 1
 	}
-	c.red = make(map[int]map[int]float64)
+	c.red = make(map[int]map[int]bool)
 	c.conflicts = 0
 	c.cursor = 0
 	for _, f := range c.assumed {
-		c.fold(f.pred, f.u, f.v, f.col, 1)
+		c.fold(f.pred, f.u, f.v, f.col)
 	}
 }
 
-// Assume folds in, with full confidence, a label the graph holds no
+// Assume folds in a label the graph holds no
 // edge for: u and v, two vertices under pred, match or not. The ER
 // baselines assume their within-side dedup answers this way. Every
 // reset replays the assumptions, so the overlay stays a pure function
@@ -164,60 +151,46 @@ func (c *Closure) Assume(pred, u, v int, match bool) {
 	}
 	c.assumed = append(c.assumed, f)
 	if c.parent != nil {
-		c.fold(f.pred, f.u, f.v, f.col, 1)
+		c.fold(f.pred, f.u, f.v, f.col)
 	}
 }
 
 // observe folds one colored edge into the overlay.
 func (c *Closure) observe(id int, col Color) {
 	e := c.g.edges[id]
-	c.fold(e.Pred, e.U, e.V, col, c.confOf(id))
+	c.fold(e.Pred, e.U, e.V, col)
 }
 
-// fold merges the clusters of u and v under pred on Blue evidence with
-// confidence w, or links them on Red.
-func (c *Closure) fold(pred, u, v int, col Color, w float64) {
+// fold merges the clusters of u and v under pred on Blue evidence, or
+// links them on Red.
+func (c *Closure) fold(pred, u, v int, col Color) {
 	a, b := c.node(pred, u), c.node(pred, v)
 	switch col {
 	case Blue:
-		c.union(a, b, w)
+		c.union(a, b)
 	case Red:
-		c.markRed(a, b, w)
+		c.markRed(a, b)
 	}
 }
 
 // Entails reports whether the (uncolored) edge's label is already
 // determined by the closure: Blue when its endpoints share a cluster,
-// Red when their clusters are linked by a Red edge. The confidence is
-// the weakest evidence on the entailing path: the cluster's minimum
-// Blue confidence, further capped by the Red link for Red entailments.
-// Colored edges report no entailment.
-func (c *Closure) Entails(id int) (Color, float64, bool) {
+// Red when their clusters are linked by a Red edge. Colored edges
+// report no entailment.
+func (c *Closure) Entails(id int) (Color, bool) {
 	e := c.g.edges[id]
 	if e.Color != Unknown || c.parent == nil {
-		return Unknown, 0, false
+		return Unknown, false
 	}
 	ra := c.find(c.node(e.Pred, e.U))
 	rb := c.find(c.node(e.Pred, e.V))
 	if ra == rb {
-		return Blue, c.conf[ra], true
+		return Blue, true
 	}
-	if w, ok := c.red[ra][rb]; ok {
-		conf := min3(w, c.conf[ra], c.conf[rb])
-		return Red, conf, true
+	if c.red[ra][rb] {
+		return Red, true
 	}
-	return Unknown, 0, false
-}
-
-// ClusterSize returns the number of (pred, vertex) nodes in v's
-// equivalence cluster under predicate pred — 1 until Blue evidence
-// merges it with anything. The expected-optimal ordering weights
-// candidate edges by the product of their endpoint cluster sizes.
-func (c *Closure) ClusterSize(pred, v int) int {
-	if c.parent == nil {
-		return 1
-	}
-	return c.size[c.find(c.node(pred, v))]
+	return Unknown, false
 }
 
 // ClusterRoot returns a canonical id for v's equivalence cluster under
@@ -234,20 +207,10 @@ func (c *Closure) ClusterRoot(pred, v int) int {
 // Conflicts counts crowd answers that contradicted the closure since
 // the last rebuild (Red inside a cluster, Blue across a Red pair). The
 // direct answer wins — the overlay drops the entailment — but a high
-// count means worker error rates are undermining inference.
+// count means worker error rates are undermining the closure.
 func (c *Closure) Conflicts() int { return c.conflicts }
 
 func (c *Closure) node(pred, v int) int { return pred*c.g.nVerts + v }
-
-func (c *Closure) confOf(id int) float64 {
-	if c.ConfFn == nil {
-		return 1
-	}
-	if w := c.ConfFn(id); w > 0 && w <= 1 {
-		return w
-	}
-	return 1
-}
 
 func (c *Closure) find(x int) int {
 	root := x
@@ -260,22 +223,18 @@ func (c *Closure) find(x int) int {
 	return root
 }
 
-// union merges the clusters of a and b on Blue evidence with
-// confidence w. Union by size, ties to the smaller root id; the merged
-// outcome (members, confidence, red links, conflict count) is
-// independent of map iteration order because every combination is a
-// commutative min/max.
-func (c *Closure) union(a, b int, w float64) {
+// union merges the clusters of a and b on Blue evidence. Union by
+// size, ties to the smaller root id; the merged outcome (members, red
+// links, conflict count) is independent of map iteration order because
+// re-keying a red link is idempotent.
+func (c *Closure) union(a, b int) {
 	ra, rb := c.find(a), c.find(b)
 	if ra == rb {
-		if w < c.conf[ra] {
-			c.conf[ra] = w
-		}
 		return
 	}
 	// A Blue edge across an entailed-Red cluster pair: the direct
 	// answer wins, the red link is dropped.
-	if _, ok := c.red[ra][rb]; ok {
+	if c.red[ra][rb] {
 		c.noteConflict()
 		c.unlinkRed(ra, rb)
 	}
@@ -284,16 +243,10 @@ func (c *Closure) union(a, b int, w float64) {
 	}
 	c.parent[rb] = ra
 	c.size[ra] += c.size[rb]
-	if c.conf[rb] < c.conf[ra] {
-		c.conf[ra] = c.conf[rb]
-	}
-	if w < c.conf[ra] {
-		c.conf[ra] = w
-	}
 	// Re-key the absorbed root's red links to the surviving root.
 	if m := c.red[rb]; m != nil {
 		delete(c.red, rb)
-		for p, pw := range m {
+		for p := range m {
 			delete(c.red[p], rb)
 			if len(c.red[p]) == 0 {
 				delete(c.red, p)
@@ -304,14 +257,13 @@ func (c *Closure) union(a, b int, w float64) {
 				c.noteConflict()
 				continue
 			}
-			c.linkRed(ra, p, pw)
+			c.linkRed(ra, p)
 		}
 	}
 }
 
-// markRed records Red evidence with confidence w between the clusters
-// of a and b.
-func (c *Closure) markRed(a, b int, w float64) {
+// markRed records Red evidence between the clusters of a and b.
+func (c *Closure) markRed(a, b int) {
 	ra, rb := c.find(a), c.find(b)
 	if ra == rb {
 		// A Red edge inside a Blue cluster: the cluster stands (splitting
@@ -319,20 +271,18 @@ func (c *Closure) markRed(a, b int, w float64) {
 		c.noteConflict()
 		return
 	}
-	c.linkRed(ra, rb, w)
+	c.linkRed(ra, rb)
 }
 
-// linkRed installs or strengthens the symmetric red link ra↔rb.
-func (c *Closure) linkRed(ra, rb int, w float64) {
+// linkRed installs the symmetric red link ra↔rb.
+func (c *Closure) linkRed(ra, rb int) {
 	for _, pair := range [2][2]int{{ra, rb}, {rb, ra}} {
 		m := c.red[pair[0]]
 		if m == nil {
-			m = make(map[int]float64)
+			m = make(map[int]bool)
 			c.red[pair[0]] = m
 		}
-		if old, ok := m[pair[1]]; !ok || w > old {
-			m[pair[1]] = w
-		}
+		m[pair[1]] = true
 	}
 }
 
@@ -350,14 +300,4 @@ func (c *Closure) unlinkRed(ra, rb int) {
 func (c *Closure) noteConflict() {
 	c.conflicts++
 	mClosureConflict.Inc()
-}
-
-func min3(a, b, c float64) float64 {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

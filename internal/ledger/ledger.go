@@ -129,7 +129,6 @@ type Verdict struct {
 	Value       bool    `json:"value"`
 	Confidence  float64 `json:"conf"`
 	Assignments int     `json:"asks"`
-	Inferred    bool    `json:"inferred,omitempty"`
 
 	// Settled is derived, never stored: true when some completed
 	// answer was logged after this verdict, i.e. the query that owned

@@ -18,7 +18,6 @@ func testVerdict(i int) Verdict {
 		Value:       i%2 == 0,
 		Confidence:  0.8,
 		Assignments: 15,
-		Inferred:    i%3 == 0,
 	}
 }
 

@@ -76,7 +76,6 @@ func goldenWAL() []byte {
 		Value:       true,
 		Confidence:  0.875,
 		Assignments: 15,
-		Inferred:    true,
 	})
 	buf = appendFrame(buf, frameVerdict, v)
 	a, _ := json.Marshal(Answer{
@@ -147,8 +146,8 @@ func TestRecordJSONFieldOrder(t *testing.T) {
 		},
 		{
 			"verdict",
-			Verdict{Key: "5\x1fk", Value: true, Confidence: 0.8, Assignments: 5, Inferred: true},
-			`{"key":"5\u001fk","value":true,"conf":0.8,"asks":5,"inferred":true}`,
+			Verdict{Key: "5\x1fk", Value: true, Confidence: 0.8, Assignments: 5},
+			`{"key":"5\u001fk","value":true,"conf":0.8,"asks":5}`,
 		},
 		{
 			"verdict-minimal",

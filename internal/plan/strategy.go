@@ -17,8 +17,7 @@ import (
 // predicates' edges before they are ever asked. Predicates past an early
 // exit rank last: validity already leaves them nothing askable. Because
 // it is the one strategy, a planned run keeps what the unplanned one has —
-// conflict-free packing, the closure's yield key and batching under
-// transitivity, the score and batch spans.
+// conflict-free packing, the score and batch spans.
 func (d *Decision) Strategy(p *exec.Plan) *cost.Expectation {
 	rank := make([]int, len(p.S.Preds))
 	for i := range rank {

@@ -26,7 +26,7 @@ type PlanStep = plan.Step
 // and each Result carries its executed Plan. The planned order is a
 // leading key of the default labeling order, so it composes with the
 // rest of the configuration — CDB+, markets, the fault-tolerant
-// transport, transitivity — and only a BUDGET clause takes precedence
+// transport — and only a BUDGET clause takes precedence
 // (DESIGN.md §17).
 func WithPlanner(on bool) Option {
 	return func(c *Config) { c.Planner = on }

@@ -48,15 +48,9 @@ func TestResultWireSchema(t *testing.T) {
 
 			Coalesced:   6,
 			CachedTasks: 2,
-
-			Inferred: 3,
 		},
 		Confidence: []float64{1, 0.875},
-		Provenance: []AnswerProvenance{
-			{Crowd: 4, Inferred: 2, Prior: 1},
-			{Crowd: 3},
-		},
-		RequestID: "req-0123456789abcdef",
+		RequestID:  "req-0123456789abcdef",
 	}
 	got, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
@@ -103,7 +97,6 @@ func TestRoundUpdateWireSchema(t *testing.T) {
 		Assignments:      25,
 		Blue:             3,
 		Red:              2,
-		Inferred:         4,
 		TasksTotal:       12,
 		AssignmentsTotal: 60,
 		Open:             9,
@@ -112,20 +105,8 @@ func TestRoundUpdateWireSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"round":2,"tasks":5,"assignments":25,"blue":3,"red":2,"tasks_total":12,"assignments_total":60,"open":9,"inferred":4}`
+	const want = `{"round":2,"tasks":5,"assignments":25,"blue":3,"red":2,"tasks_total":12,"assignments_total":60,"open":9}`
 	if string(got) != want {
 		t.Errorf("RoundUpdate wire schema drifted:\ngot  %s\nwant %s", got, want)
-	}
-
-	// Inferred is omitempty: a round without inference serializes
-	// exactly as it did before the field existed.
-	u.Inferred = 0
-	got, err = json.Marshal(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const wantLean = `{"round":2,"tasks":5,"assignments":25,"blue":3,"red":2,"tasks_total":12,"assignments_total":60,"open":9}`
-	if string(got) != wantLean {
-		t.Errorf("RoundUpdate zero-inference wire form drifted:\ngot  %s\nwant %s", got, wantLean)
 	}
 }
