@@ -48,7 +48,7 @@ func (s *GreedyBudget) NextRound(g *graph.Graph) []int {
 	}
 	// If the previous extension failed (red), restart the walk; if the
 	// chain is complete, start hunting for the next answer.
-	if s.lastEdge >= 0 && g.Edge(s.lastEdge).Color != graph.Blue {
+	if s.lastEdge >= 0 && g.Color(s.lastEdge) != graph.Blue {
 		s.reset(g)
 	} else if s.depth >= len(s.order) {
 		s.reset(g)
@@ -110,7 +110,7 @@ func (s *GreedyBudget) knownBlueEdge(g *graph.Graph, p int) int {
 		anchor = av
 	}
 	for _, e := range g.EdgesAt(anchor, p) {
-		ed := g.Edge(e)
+		ed := g.Edge(int(e))
 		if ed.Color != graph.Blue {
 			continue
 		}
@@ -120,7 +120,7 @@ func (s *GreedyBudget) knownBlueEdge(g *graph.Graph, p int) int {
 		if av >= 0 && ed.U != av && ed.V != av {
 			continue
 		}
-		return e
+		return int(e)
 	}
 	return -1
 }
@@ -130,30 +130,34 @@ func (s *GreedyBudget) knownBlueEdge(g *graph.Graph, p int) int {
 func (s *GreedyBudget) bestEdge(g *graph.Graph, p int) int {
 	pd := g.S.Preds[p]
 	au, av := s.tabAssign[pd.A], s.tabAssign[pd.B]
-	var candidates []int
-	switch {
-	case au >= 0:
-		candidates = g.EdgesAt(au, p)
-	case av >= 0:
-		candidates = g.EdgesAt(av, p)
-	default:
-		candidates = sortedEdgeIDs(g, p)
-	}
 	best, bestW := -1, -1.0
-	for _, e := range candidates {
+	consider := func(e int) {
 		ed := g.Edge(e)
 		if ed.Color != graph.Unknown {
-			continue
+			return
 		}
 		if au >= 0 && ed.U != au && ed.V != au {
-			continue
+			return
 		}
 		if av >= 0 && ed.U != av && ed.V != av {
-			continue
+			return
 		}
 		if ed.W > bestW {
 			best, bestW = e, ed.W
 		}
+	}
+	anchor := au
+	if anchor < 0 {
+		anchor = av
+	}
+	if anchor < 0 {
+		for _, e := range sortedEdgeIDs(g, p) {
+			consider(e)
+		}
+		return best
+	}
+	for _, e := range g.EdgesAt(anchor, p) {
+		consider(int(e))
 	}
 	return best
 }
@@ -169,7 +173,7 @@ func (s *GreedyBudget) Flush(g *graph.Graph) []int {
 	var all []int
 	for _, p := range s.order {
 		for _, e := range sortedEdgeIDs(g, p) {
-			if g.Edge(e).Color == graph.Unknown {
+			if g.Color(e) == graph.Unknown {
 				all = append(all, e)
 			}
 		}

@@ -150,7 +150,7 @@ func (t *ER) Flush(g *graph.Graph) []int {
 	}
 	var all []int
 	for _, e := range t.pending {
-		if g.Edge(e).Color == graph.Unknown {
+		if g.Color(e) == graph.Unknown {
 			all = append(all, e)
 		}
 	}

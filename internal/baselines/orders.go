@@ -178,7 +178,7 @@ func sortedEdgeIDs(g *graph.Graph, p int) []int {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		wi, wj := g.Edge(out[i]).W, g.Edge(out[j]).W
+		wi, wj := g.Weight(out[i]), g.Weight(out[j])
 		if wi != wj {
 			return wi > wj
 		}

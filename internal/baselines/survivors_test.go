@@ -137,19 +137,19 @@ func markAlive(g *graph.Graph, group []int, isBlue func(int) bool, alive map[int
 		}
 		if v, ok := assign[pd.A]; ok {
 			for _, eID := range g.EdgesAt(v, p) {
-				try(eID)
+				try(int(eID))
 			}
 			return
 		}
 		if v, ok := assign[pd.B]; ok {
 			for _, eID := range g.EdgesAt(v, p) {
-				try(eID)
+				try(int(eID))
 			}
 			return
 		}
 		for eID := 0; eID < g.NumEdges(); eID++ {
 			if g.Edge(eID).Pred == p {
-				try(eID)
+				try(int(eID))
 			}
 		}
 	}

@@ -19,13 +19,15 @@ func benchGraph(blocks int, r *stats.RNG) *graph.Graph {
 	}
 	n := 2 * blocks
 	g := graph.MustNewGraph(s, []int{n, n, n})
+	specs := make([]graph.EdgeSpec, 0, 3*len(s.Preds)*blocks)
 	for b := 0; b < blocks; b++ {
 		for p := range s.Preds {
-			g.AddEdge(p, 2*b, 2*b, 0.1+0.8*r.Float64())
-			g.AddEdge(p, 2*b, 2*b+1, 0.1+0.8*r.Float64())
-			g.AddEdge(p, 2*b+1, 2*b+1, 0.1+0.8*r.Float64())
+			for _, rows := range [3][2]int{{2 * b, 2 * b}, {2 * b, 2*b + 1}, {2*b + 1, 2*b + 1}} {
+				specs = append(specs, graph.EdgeSpec{Pred: p, RowA: rows[0], RowB: rows[1], W: 0.1 + 0.8*r.Float64()})
+			}
 		}
 	}
+	g.AddEdges(specs)
 	return g
 }
 
@@ -39,13 +41,15 @@ func connectedGraph(n int, r *stats.RNG) *graph.Graph {
 		Preds:  []graph.QPred{{A: 0, B: 1}, {A: 1, B: 2}, {A: 2, B: 3}},
 	}
 	g := graph.MustNewGraph(s, []int{n, n, n, n})
+	specs := make([]graph.EdgeSpec, 0, 3*len(s.Preds)*n)
 	for p := range s.Preds {
 		for a := 0; a < n; a++ {
 			for k := 0; k < 3; k++ {
-				g.AddEdge(p, a, (a+k)%n, 0.1+0.8*r.Float64())
+				specs = append(specs, graph.EdgeSpec{Pred: p, RowA: a, RowB: (a + k) % n, W: 0.1 + 0.8*r.Float64()})
 			}
 		}
 	}
+	g.AddEdges(specs)
 	return g
 }
 

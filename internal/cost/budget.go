@@ -26,7 +26,7 @@ func (b *Budget) NextRound(g *graph.Graph) []int {
 	var pick *graph.Embedding
 	for i := range cands {
 		for _, e := range cands[i].Edges {
-			if g.Edge(e).Color == graph.Unknown {
+			if g.Color(e) == graph.Unknown {
 				pick = &cands[i]
 				break
 			}
@@ -40,13 +40,13 @@ func (b *Budget) NextRound(g *graph.Graph) []int {
 	}
 	var ask []int
 	for _, e := range pick.Edges {
-		if g.Edge(e).Color == graph.Unknown {
+		if g.Color(e) == graph.Unknown {
 			ask = append(ask, e)
 		}
 	}
 	// Heaviest first (§5.1.3's stated order).
 	sort.Slice(ask, func(i, j int) bool {
-		wi, wj := g.Edge(ask[i]).W, g.Edge(ask[j]).W
+		wi, wj := g.Weight(ask[i]), g.Weight(ask[j])
 		if wi != wj {
 			return wi > wj
 		}

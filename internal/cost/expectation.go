@@ -35,6 +35,7 @@
 package cost
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -90,13 +91,13 @@ type Expectation struct {
 	score []float64 // dense, by edge id
 	order []int     // valid uncolored edges, best first
 
-	// Bundle-term table of the current rescore, dense by
-	// vertex*nPreds+pred: term[i] is valid iff termEpoch[i] == epoch, so
-	// starting a rescore is one increment, not a clear.
+	// Bundle-term table of the current rescore, dense by the graph's
+	// bundle index (graph.BundleIndex): term[i] is valid iff
+	// termEpoch[i] == epoch, so starting a rescore is one increment, not
+	// a clear.
 	term      []float64
-	termEpoch []int
-	epoch     int
-	nPreds    int // row stride of the table
+	termEpoch []int32
+	epoch     int32
 	nTerms    int // terms computed by the current rescore
 
 	// Rescore total (see CacheStats) and the per-query tracer the
@@ -212,7 +213,9 @@ func (e *Expectation) sortEdges(g *graph.Graph, edges []int) {
 // one.
 func (e *Expectation) less(g *graph.Graph, a, b int) bool {
 	if e.Priority != nil {
-		if ra, rb := e.Priority[g.Edge(a).Pred], e.Priority[g.Edge(b).Pred]; ra != rb {
+		_, _, pa := g.Ends(a)
+		_, _, pb := g.Ends(b)
+		if ra, rb := e.Priority[pa], e.Priority[pb]; ra != rb {
 			return ra < rb
 		}
 	}
@@ -227,25 +230,24 @@ func (e *Expectation) less(g *graph.Graph, a, b int) bool {
 // PruningExpectation's order, hence its float bits.
 func (e *Expectation) scoreEdges(g *graph.Graph, edges []int) {
 	mScoredEdges.Observe(float64(len(edges)))
-	e.nPreds = len(g.S.Preds)
-	if n := g.NumVertices() * e.nPreds; len(e.term) != n {
+	if n := g.NumBundles(); len(e.term) != n || e.epoch == math.MaxInt32 {
 		e.term = make([]float64, n)
-		e.termEpoch = make([]int, n)
+		e.termEpoch = make([]int32, n)
 		e.epoch = 0
 	}
 	e.epoch++
 	e.nTerms = 0
 	for _, id := range edges {
-		ed := g.Edge(id)
-		e.score[id] = e.bundle(g, ed.U, ed.Pred) + e.bundle(g, ed.V, ed.Pred)
+		u, v, pred := g.Ends(id)
+		bu, bv := g.EdgeBundles(id)
+		e.score[id] = e.bundle(g, bu, u, pred) + e.bundle(g, bv, v, pred)
 	}
 	mBundleTerms.Add(int64(e.nTerms))
 }
 
-// bundle returns bundleTerm(g, v, pred), computing it on the first
-// request of the current rescore.
-func (e *Expectation) bundle(g *graph.Graph, v, pred int) float64 {
-	i := v*e.nPreds + pred
+// bundle returns bundleTerm(g, v, pred), the term of bundle i,
+// computing it on the first request of the current rescore.
+func (e *Expectation) bundle(g *graph.Graph, i, v, pred int) float64 {
 	if e.termEpoch[i] != e.epoch {
 		e.termEpoch[i] = e.epoch
 		e.term[i] = bundleTerm(g, v, pred)
@@ -261,7 +263,7 @@ func scoredLess(g *graph.Graph, score []float64, a, b int) bool {
 	if score[a] != score[b] {
 		return score[a] > score[b]
 	}
-	if wa, wb := g.Edge(a).W, g.Edge(b).W; wa != wb {
+	if wa, wb := g.Weight(a), g.Weight(b); wa != wb {
 		return wa < wb
 	}
 	return a < b
@@ -299,11 +301,11 @@ func bundleTerm(g *graph.Graph, v, pred int) float64 {
 	prod := 1.0
 	x := 0
 	for _, eid := range g.EdgesAt(v, pred) {
-		switch ed := g.Edge(eid); ed.Color {
+		switch g.Color(int(eid)) {
 		case graph.Blue:
 			return 0 // bundle cannot be fully cut
 		case graph.Unknown:
-			prod *= 1 - ed.W
+			prod *= 1 - g.Weight(int(eid))
 			x++
 		}
 	}

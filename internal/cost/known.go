@@ -124,10 +124,10 @@ func starSelect(g *graph.Graph, color func(int) graph.Color, need []bool) {
 		starved := -1 // predicate with zero blue edges and fewest reds
 		starvedReds := 0
 		covered := true
-		for _, p := range g.S.PredsOf(center) {
+		for _, p := range g.TablePreds(center) {
 			blue, red := 0, 0
 			for _, e := range g.EdgesAt(v, p) {
-				switch color(e) {
+				switch color(int(e)) {
 				case graph.Blue:
 					blue++
 				case graph.Red:
@@ -148,7 +148,7 @@ func starSelect(g *graph.Graph, color func(int) graph.Color, need []bool) {
 			continue
 		}
 		for _, e := range g.EdgesAt(v, starved) {
-			if color(e) == graph.Red {
+			if color(int(e)) == graph.Red {
 				need[e] = true
 			}
 		}
@@ -248,16 +248,17 @@ func chainCutSelect(g *graph.Graph, color func(int) graph.Color,
 		prevTbl := dataTable(pos - 1)
 		for row := 0; row < g.TupleCount(prevTbl); row++ {
 			v := g.VertexID(prevTbl, row)
-			for _, eid := range g.EdgesAt(v, pred) {
+			for _, id := range g.EdgesAt(v, pred) {
+				eid := int(id)
 				if bEdge[eid] {
 					continue // removed: replaced by the s/t shortcuts
 				}
-				e := g.Edge(eid)
+				u, v, _ := g.Ends(eid)
 				var rPrev, rCur int
 				if walk[pos-1].Table == pdW.A {
-					rPrev, rCur = g.RowOf(e.U), g.RowOf(e.V)
+					rPrev, rCur = g.RowOf(u), g.RowOf(v)
 				} else {
-					rPrev, rCur = g.RowOf(e.V), g.RowOf(e.U)
+					rPrev, rCur = g.RowOf(v), g.RowOf(u)
 				}
 				var cap int64
 				switch color(eid) {

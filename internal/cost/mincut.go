@@ -53,10 +53,9 @@ func (m *MinCutSampling) OrderScored(g *graph.Graph) ([]int, []float64) {
 	colorOf := func(e int) graph.Color { return sampled[e] }
 	for s := 0; s < m.Samples; s++ {
 		for e := 0; e < g.NumEdges(); e++ {
-			ed := g.Edge(e)
-			if ed.Color != graph.Unknown {
-				sampled[e] = ed.Color
-			} else if m.RNG.Bool(ed.W) {
+			if c := g.Color(e); c != graph.Unknown {
+				sampled[e] = c
+			} else if m.RNG.Bool(g.Weight(e)) {
 				sampled[e] = graph.Blue
 			} else {
 				sampled[e] = graph.Red
@@ -64,7 +63,7 @@ func (m *MinCutSampling) OrderScored(g *graph.Graph) ([]int, []float64) {
 		}
 		m.sel.run(g, colorOf)
 		for e, need := range m.sel.need {
-			if need && g.Edge(e).Color == graph.Unknown {
+			if need && g.Color(e) == graph.Unknown {
 				count[e]++
 			}
 		}
@@ -75,7 +74,7 @@ func (m *MinCutSampling) OrderScored(g *graph.Graph) ([]int, []float64) {
 		if count[a] != count[b] {
 			return count[a] > count[b]
 		}
-		if wa, wb := g.Edge(a).W, g.Edge(b).W; wa != wb {
+		if wa, wb := g.Weight(a), g.Weight(b); wa != wb {
 			return wa < wb
 		}
 		return a < b

@@ -65,9 +65,9 @@ func possiblyLive(p *exec.Plan) []bool {
 			for _, pred := range g.TablePreds(g.TableOf(v)) {
 				ok := false
 				for _, e := range g.EdgesAt(v, pred) {
-					other := g.Edge(e).U
+					other := g.Edge(int(e)).U
 					if other == v {
-						other = g.Edge(e).V
+						other = g.Edge(int(e)).V
 					}
 					ok = ok || live[other]
 				}

@@ -83,6 +83,8 @@ type PivotOrder struct {
 	// open is the comparisons the current parts ask that g has not
 	// answered, as of the last advance.
 	open int
+	// specs is NextRound's scratch: the comparisons a round binds.
+	specs []graph.EdgeSpec
 }
 
 // part is an unsorted run seq[lo:hi] of at least two values, and the
@@ -113,7 +115,7 @@ func (o *PivotOrder) split(lo, hi int) {
 func (o *PivotOrder) waiting(g *graph.Graph, pt part) int {
 	n := 0
 	for i := pt.lo; i < pt.hi; i++ {
-		if o.seq[i] != pt.pivot && (o.edge[i] < 0 || g.Edge(o.edge[i]).Color == graph.Unknown) {
+		if o.seq[i] != pt.pivot && (o.edge[i] < 0 || g.Color(o.edge[i]) == graph.Unknown) {
 			n++
 		}
 	}
@@ -137,7 +139,7 @@ func (o *PivotOrder) advance(g *graph.Graph) {
 		for i := pt.lo; i < pt.hi; i++ {
 			if x := o.seq[i]; x == pt.pivot {
 				continue
-			} else if (g.Edge(o.edge[i]).Color == graph.Blue) == (o.rank[x] < o.rank[pt.pivot]) {
+			} else if (g.Color(o.edge[i]) == graph.Blue) == (o.rank[x] < o.rank[pt.pivot]) {
 				o.seq[at], at = x, at+1
 			} else {
 				after = append(after, x)
@@ -150,12 +152,13 @@ func (o *PivotOrder) advance(g *graph.Graph) {
 	}
 }
 
-// bind adds the comparison of distinct values x and y to the plan, the
-// lexicographically smaller on the left, and returns its edge.
-func (o *PivotOrder) bind(g *graph.Graph, x, y int) int {
+// bind queues the comparison of distinct values x and y for the plan,
+// the lexicographically smaller on the left; NextRound adds a round's
+// queue to g in one AddEdges.
+func (o *PivotOrder) bind(x, y int) {
 	lo, hi := min(o.rank[x], o.rank[y]), max(o.rank[x], o.rank[y])
 	o.p.Truth = append(o.p.Truth, naturalLess(o.values[lo], o.values[hi]))
-	return g.AddEdge(0, lo, hi, 0.5)
+	o.specs = append(o.specs, graph.EdgeSpec{RowA: lo, RowB: hi, W: 0.5})
 }
 
 // Name implements cost.Strategy.
@@ -163,22 +166,30 @@ func (o *PivotOrder) Name() string { return "PivotOrder" }
 
 // NextRound implements cost.Strategy: every part g has answered in
 // full splits, and every part asks each comparison g has not answered,
-// binding it on first ask, parts and members in seq order.
+// binding it on first ask, parts and members in seq order. The round's
+// new comparisons take the next edge ids in that order and are added in
+// one AddEdges.
 func (o *PivotOrder) NextRound(g *graph.Graph) []int {
 	o.advance(g)
 	var batch []int
+	first := g.NumEdges()
+	o.specs = o.specs[:0]
 	for _, pt := range o.parts {
 		for i := pt.lo; i < pt.hi; i++ {
 			if o.seq[i] == pt.pivot {
 				continue
 			}
 			if o.edge[i] < 0 {
-				o.edge[i] = o.bind(g, o.seq[i], pt.pivot)
+				o.edge[i] = first + len(o.specs)
+				o.bind(o.seq[i], pt.pivot)
 			}
-			if g.Edge(o.edge[i]).Color == graph.Unknown {
+			if o.edge[i] >= first || g.Color(o.edge[i]) == graph.Unknown {
 				batch = append(batch, o.edge[i])
 			}
 		}
+	}
+	if len(o.specs) > 0 {
+		g.AddEdges(o.specs)
 	}
 	return batch
 }

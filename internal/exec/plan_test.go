@@ -206,13 +206,14 @@ func TestBuildPlanAllocs(t *testing.T) {
 }
 
 // TestBuildPlanBytes: with the joins replayed, a plan costs what its
-// graph holds — an Edge (48 B), two adjacency entries (16 B) and a truth
-// bit per edge — plus per-row terms: the six rendered columns and their
-// entity ids, and per vertex its table, lists and degree counters (about
-// 100 B in all). The candidate list is not copied on its way in: staged
-// as specs it made 115 B per edge, now 72. A LiveOnly bind pays per edge
-// it binds, not per candidate it walks, and three bytes per vertex for
-// its masks and their scratch.
+// graph holds — a 24 B edge record, two 4 B adjacency entries and a
+// truth bit per edge, 33 B (paper 3J measures 37.2 B per edge in all) —
+// plus per-row terms: the six rendered columns and their entity ids, and
+// per vertex its table and per bundle an adjacency offset. The candidate
+// list is not copied on its way in: staged as specs it made 115 B per
+// edge; a 48 B Edge with [][]int lists made 72. A LiveOnly bind pays per
+// edge it binds, not per candidate it walks, and three bytes per vertex
+// for its masks and their scratch.
 func TestBuildPlanBytes(t *testing.T) {
 	stmt3J, paper := paper3J(t, 0.3)
 	// 861 of this statement's 4 861 candidates touch a possibly-live tuple.
@@ -248,7 +249,7 @@ func TestBuildPlanBytes(t *testing.T) {
 		if c.liveOnly && 3*edges > p.Candidates {
 			t.Fatalf("%s: %d of %d candidates bound: the case prunes too little to tell per-edge from per-candidate", c.label, edges, p.Candidates)
 		}
-		if limit := uint64(72*edges + c.perRow*verts); got > limit {
+		if limit := uint64(40*edges + c.perRow*verts); got > limit {
 			t.Fatalf("%s: BuildPlan: %d B for %d edges of %d candidates, %d vertices (%.1f B/edge; limit %d B)",
 				c.label, got, edges, p.Candidates, verts, float64(got)/float64(edges), limit)
 		}

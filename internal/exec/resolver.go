@@ -112,7 +112,7 @@ func (rep *Report) collectResolved(ctx context.Context, p *Plan, batch []int, op
 			Edge:  e,
 			Key:   p.TaskKey(e),
 			Truth: p.Truth[e],
-			Prior: p.G.Edge(e).W,
+			Prior: p.G.Weight(e),
 			K:     opts.Redundancy,
 		}
 	}

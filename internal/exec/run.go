@@ -286,7 +286,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 		calib = quality.NewCalibrator(10)
 		rawW = make([]float64, g.NumEdges())
 		for e := 0; e < g.NumEdges(); e++ {
-			rawW[e] = g.Edge(e).W
+			rawW[e] = g.Weight(e)
 		}
 	}
 	rounds, tasks := 0, 0
@@ -404,7 +404,7 @@ func Run(ctx context.Context, p *Plan, opts Options) (*Report, error) {
 				tr.Event("calibration-fitted", nil)
 			}
 			for e := 0; e < g.NumEdges(); e++ {
-				if g.Edge(e).Color == graph.Unknown {
+				if g.Color(e) == graph.Unknown {
 					g.SetWeight(e, calib.Prob(rawW[e]))
 				}
 			}
@@ -509,7 +509,7 @@ func dedupeUncolored(g *graph.Graph, batch []int, seen []int32, round int32) ([]
 		if e < 0 || e >= g.NumEdges() {
 			return nil, fmt.Errorf("batch edge %d out of range [0,%d)", e, g.NumEdges())
 		}
-		if seen[e] == round || g.Edge(e).Color != graph.Unknown {
+		if seen[e] == round || g.Color(e) != graph.Unknown {
 			continue
 		}
 		seen[e] = round
@@ -640,7 +640,7 @@ func (rep *Report) conclude(p *Plan, batch []int, served map[int]TaskVerdict, op
 			t.match, conf = v.Value, v.Confidence
 		case t.n == 0:
 			lost++
-			w := p.G.Edge(e).W
+			w := p.G.Weight(e)
 			t.match, conf = w >= 0.5, math.Max(w, 1-w)
 		case em:
 			pp := post[rep.histIndex[e]]

@@ -1,6 +1,10 @@
 package graph
 
-import "cdb/internal/obs"
+import (
+	"fmt"
+
+	"cdb/internal/obs"
+)
 
 // The transitive closure of crowd answers. Answers about value
 // equality are transitive within one predicate: once the crowd confirms
@@ -17,18 +21,21 @@ import "cdb/internal/obs"
 //
 // Scope: inference never crosses predicates. Two predicates compare
 // different column pairs, so a vertex (tuple) participates in one
-// equivalence relation per incident predicate; the overlay keys its
-// union-find nodes by (predicate, vertex).
+// equivalence relation per incident predicate; the overlay's union-find
+// nodes are the graph's (vertex, predicate) bundles (BundleIndex).
 //
 // Consistency model: the overlay is fed by the graph's ColorEvent
-// journal. On the crowdsourcing path every transition is
-// Unknown→{Blue,Red} and the overlay absorbs the suffix incrementally;
-// any reverse transition (recoloring, Unknown-ing) cannot be expressed
-// by a union-find, so Update falls back to a full rebuild from the
-// current edge colors. Either way the clusters are a pure function of
-// the journal (and of any Assume facts) — replaying it yields the same
-// entailments in the same order (the property tests in closure_test.go
-// enforce replay identity).
+// journal, which NewClosure switches on. The first Update folds in the
+// colors already set, in edge-id order (the order BuildPlan and
+// ValuePlan set them); after that, on the crowdsourcing path every
+// transition is Unknown→{Blue,Red} and the overlay absorbs the
+// journal's suffix incrementally. Any reverse transition (recoloring,
+// Unknown-ing) cannot be expressed by a union-find, so Update falls
+// back to a full rebuild from the current edge colors. Either way the
+// clusters are a pure function of the colors and the journal (and of
+// any Assume facts) — replaying them yields the same entailments in the
+// same order (the property tests in closure_test.go enforce replay
+// identity).
 
 // Closure health metrics: rebuilds are the O(E) slow path; conflicts
 // count crowd answers that contradict the closure (a Red edge inside a
@@ -47,10 +54,9 @@ type Closure struct {
 
 	cursor int // ColorEvents consumed so far
 
-	// Union-find over (predicate, vertex) nodes, built lazily on first
-	// Update.
-	parent []int
-	size   []int
+	// Union-find over the graph's bundles, built lazily on first Update.
+	parent []int32
+	size   []int32
 
 	// red[rootA][rootB] marks Red evidence between the two clusters;
 	// symmetric.
@@ -69,10 +75,12 @@ type assumption struct {
 	col        Color
 }
 
-// NewClosure creates an empty overlay for g. Call Update to absorb the
-// journal (including colors applied before creation, e.g. the exact
-// equi-join edges pre-colored at plan build).
+// NewClosure creates an empty overlay for g and switches g's color
+// journal on. Call Update to absorb the colors (including those applied
+// before creation, e.g. the exact equi-join edges pre-colored at plan
+// build).
 func NewClosure(g *Graph) *Closure {
+	g.journal = true
 	return &Closure{g: g, red: make(map[int]map[int]bool)}
 }
 
@@ -84,11 +92,13 @@ func NewClosure(g *Graph) *Closure {
 func (c *Closure) Update() {
 	events := c.g.ColorEvents()
 	if c.parent == nil {
-		// First use: build the identity partition, then absorb the whole
-		// journal below (not counted as a rebuild — there is nothing to
-		// re-do yet).
+		// First use: the identity partition and the colors set so far (not
+		// counted as a rebuild — there is nothing to re-do yet).
 		c.resetNodes()
-	} else if c.cursor > len(events) {
+		c.observeColors(len(events))
+		return
+	}
+	if c.cursor > len(events) {
 		c.rebuild(len(events))
 		return
 	}
@@ -111,6 +121,12 @@ func (c *Closure) rebuild(cursor int) {
 	c.rebuilds++
 	mClosureRebuild.Inc()
 	c.resetNodes()
+	c.observeColors(cursor)
+}
+
+// observeColors folds every colored edge in, in edge-id order, and
+// marks the journal consumed up to cursor.
+func (c *Closure) observeColors(cursor int) {
 	for id := range c.g.edges {
 		if col := c.g.edges[id].Color; col != Unknown {
 			c.observe(id, col)
@@ -119,31 +135,31 @@ func (c *Closure) rebuild(cursor int) {
 	c.cursor = cursor
 }
 
-// resetNodes restores the identity partition (every (pred, vertex)
-// node its own singleton cluster, no red links).
+// resetNodes restores the identity partition (every bundle its own
+// singleton cluster, no red links).
 func (c *Closure) resetNodes() {
-	nodes := len(c.g.S.Preds) * c.g.nVerts
+	nodes := c.g.NumBundles()
 	if len(c.parent) != nodes {
-		c.parent = make([]int, nodes)
-		c.size = make([]int, nodes)
+		c.parent = make([]int32, nodes)
+		c.size = make([]int32, nodes)
 	}
 	for i := range c.parent {
-		c.parent[i] = i
+		c.parent[i] = int32(i)
 		c.size[i] = 1
 	}
 	c.red = make(map[int]map[int]bool)
 	c.conflicts = 0
 	c.cursor = 0
 	for _, f := range c.assumed {
-		c.fold(f.pred, f.u, f.v, f.col)
+		c.fold(c.node(f.pred, f.u), c.node(f.pred, f.v), f.col)
 	}
 }
 
-// Assume folds in a label the graph holds no
-// edge for: u and v, two vertices under pred, match or not. The ER
-// baselines assume their within-side dedup answers this way. Every
-// reset replays the assumptions, so the overlay stays a pure function
-// of the journal and them.
+// Assume folds in a label the graph holds no edge for: u and v, two
+// vertices of tables pred touches, match or not. The ER baselines
+// assume their within-side dedup answers this way. Every reset replays
+// the assumptions, so the overlay stays a pure function of the journal
+// and them.
 func (c *Closure) Assume(pred, u, v int, match bool) {
 	f := assumption{pred: pred, u: u, v: v, col: Red}
 	if match {
@@ -151,20 +167,19 @@ func (c *Closure) Assume(pred, u, v int, match bool) {
 	}
 	c.assumed = append(c.assumed, f)
 	if c.parent != nil {
-		c.fold(f.pred, f.u, f.v, f.col)
+		c.fold(c.node(f.pred, f.u), c.node(f.pred, f.v), f.col)
 	}
 }
 
 // observe folds one colored edge into the overlay.
 func (c *Closure) observe(id int, col Color) {
-	e := c.g.edges[id]
-	c.fold(e.Pred, e.U, e.V, col)
+	a, b := c.g.edgeBundles(&c.g.edges[id])
+	c.fold(a, b, col)
 }
 
-// fold merges the clusters of u and v under pred on Blue evidence, or
-// links them on Red.
-func (c *Closure) fold(pred, u, v int, col Color) {
-	a, b := c.node(pred, u), c.node(pred, v)
+// fold merges the clusters of nodes a and b on Blue evidence, or links
+// them on Red.
+func (c *Closure) fold(a, b int, col Color) {
 	switch col {
 	case Blue:
 		c.union(a, b)
@@ -178,12 +193,12 @@ func (c *Closure) fold(pred, u, v int, col Color) {
 // Red when their clusters are linked by a Red edge. Colored edges
 // report no entailment.
 func (c *Closure) Entails(id int) (Color, bool) {
-	e := c.g.edges[id]
+	e := &c.g.edges[id]
 	if e.Color != Unknown || c.parent == nil {
 		return Unknown, false
 	}
-	ra := c.find(c.node(e.Pred, e.U))
-	rb := c.find(c.node(e.Pred, e.V))
+	a, b := c.g.edgeBundles(e)
+	ra, rb := c.find(a), c.find(b)
 	if ra == rb {
 		return Blue, true
 	}
@@ -196,12 +211,17 @@ func (c *Closure) Entails(id int) (Color, bool) {
 // ClusterRoot returns a canonical id for v's equivalence cluster under
 // pred: two vertices share a cluster iff their roots are equal. The
 // lookup path-compresses the shared union-find, so callers must not
-// race Update or concurrent lookups.
+// race Update or concurrent lookups. A vertex pred does not touch is
+// alone in its cluster, with a root past every bundle's.
 func (c *Closure) ClusterRoot(pred, v int) int {
-	if c.parent == nil {
-		return c.node(pred, v)
+	b := c.g.BundleIndex(v, pred)
+	switch {
+	case b < 0:
+		return c.g.NumBundles() + v
+	case c.parent == nil:
+		return b
 	}
-	return c.find(c.node(pred, v))
+	return c.find(b)
 }
 
 // Conflicts counts crowd answers that contradicted the closure since
@@ -210,17 +230,25 @@ func (c *Closure) ClusterRoot(pred, v int) int {
 // count means worker error rates are undermining the closure.
 func (c *Closure) Conflicts() int { return c.conflicts }
 
-func (c *Closure) node(pred, v int) int { return pred*c.g.nVerts + v }
+// node returns the union-find node of v under pred, for Assume: its
+// bundle. pred must touch v's table.
+func (c *Closure) node(pred, v int) int {
+	b := c.g.BundleIndex(v, pred)
+	if b < 0 {
+		panic(fmt.Sprintf("graph: closure node: predicate %d does not touch vertex %d", pred, v))
+	}
+	return b
+}
 
 func (c *Closure) find(x int) int {
-	root := x
+	root := int32(x)
 	for c.parent[root] != root {
 		root = c.parent[root]
 	}
 	for c.parent[x] != root {
-		c.parent[x], x = root, c.parent[x]
+		c.parent[x], x = root, int(c.parent[x])
 	}
-	return root
+	return int(root)
 }
 
 // union merges the clusters of a and b on Blue evidence. Union by
@@ -241,7 +269,7 @@ func (c *Closure) union(a, b int) {
 	if c.size[ra] < c.size[rb] || (c.size[ra] == c.size[rb] && rb < ra) {
 		ra, rb = rb, ra
 	}
-	c.parent[rb] = ra
+	c.parent[rb] = int32(ra)
 	c.size[ra] += c.size[rb]
 	// Re-key the absorbed root's red links to the surviving root.
 	if m := c.red[rb]; m != nil {

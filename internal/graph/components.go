@@ -106,26 +106,23 @@ func (g *Graph) floodComponent(start int) {
 	g.compOf[start] = id
 	e := &g.edges[start]
 	g.floodStamp[e.U], g.floodStamp[e.V] = epoch, epoch
-	stack := append(g.floodStack[:0], e.U, e.V)
+	stack := append(g.floodStack[:0], int(e.U), int(e.V))
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		first, slots := g.firstList(v)
-		for _, lst := range g.lists[first : first+slots] {
-			for _, nb := range lst {
-				if g.compOf[nb] != compUnassigned {
-					continue
-				}
-				g.compOf[nb] = id
-				n++
-				w := g.edges[nb].U
-				if w == v {
-					w = g.edges[nb].V
-				}
-				if g.floodStamp[w] != epoch {
-					g.floodStamp[w] = epoch
-					stack = append(stack, w)
-				}
+		for _, nb := range g.AllEdgesAt(v) {
+			if g.compOf[nb] != compUnassigned {
+				continue
+			}
+			g.compOf[nb] = id
+			n++
+			w := int(g.edges[nb].U)
+			if w == v {
+				w = int(g.edges[nb].V)
+			}
+			if g.floodStamp[w] != epoch {
+				g.floodStamp[w] = epoch
+				stack = append(stack, w)
 			}
 		}
 	}

@@ -30,9 +30,9 @@ func naivePartition(g *Graph) []int {
 				continue
 			}
 			if first < 0 {
-				first = e
+				first = int(e)
 			} else {
-				union(first, e)
+				union(first, int(e))
 			}
 		}
 	}
@@ -228,11 +228,13 @@ func TestComponentRefreshAllocs(t *testing.T) {
 }
 
 // TestColorEventsJournal checks the journal records exactly the
-// effective transitions.
+// effective transitions, from the first closure on.
 func TestColorEventsJournal(t *testing.T) {
 	g := buildSmall()
+	g.SetColor(1, Blue) // before any closure: not journaled
+	NewClosure(g)
 	if len(g.ColorEvents()) != 0 {
-		t.Fatal("fresh graph has events")
+		t.Fatal("graph has events before its first closure")
 	}
 	g.SetColor(0, Blue)
 	g.SetColor(0, Blue) // no-op

@@ -29,7 +29,7 @@ func (g *Graph) coversOffPath(v, s1, s2 int) bool {
 	if n == 0 {
 		return true
 	}
-	first, _ := g.firstList(v)
+	first, _ := g.VertexBundles(v)
 	if !g.cs.cover[first+s1] {
 		n--
 	}
@@ -87,12 +87,12 @@ func (w *walkScratch) visit(v int) bool {
 // may be reused across graphs.
 type ConflictIndex struct {
 	g *Graph
-	// count[v*nPreds+p] is the number of set edges at tuple v on
-	// predicate p; touched lists the non-zero keys so Reset costs
-	// O(set), and predMask has bit p%64 set once predicate p has a set
-	// edge, so a walk skips subtrees that hold none.
+	// count[b] is the number of set edges in bundle b (BundleIndex);
+	// touched lists the non-zero bundles so Reset costs O(set), and
+	// predMask has bit p%64 set once predicate p has a set edge, so a
+	// walk skips subtrees that hold none.
 	count    []int32
-	touched  []int
+	touched  []int32
 	predMask uint64
 	walk     walkScratch
 
@@ -131,7 +131,7 @@ func (ci *ConflictIndex) Reset(g *Graph) {
 		}
 		return
 	}
-	if n := g.nVerts * g.nPreds; len(ci.count) < n {
+	if n := g.NumBundles(); len(ci.count) < n {
 		ci.count = make([]int32, n)
 	}
 }
@@ -173,12 +173,12 @@ func (ci *ConflictIndex) Add(e int) {
 	}
 	ed := &g.edges[e]
 	ci.predMask |= 1 << (ed.Pred % 64)
-	for _, v := range [2]int{ed.U, ed.V} {
-		key := v*g.nPreds + ed.Pred
-		if ci.count[key] == 0 {
-			ci.touched = append(ci.touched, key)
+	bu, bv := g.edgeBundles(ed)
+	for _, b := range [2]int{bu, bv} {
+		if ci.count[b] == 0 {
+			ci.touched = append(ci.touched, int32(b))
 		}
-		ci.count[key]++
+		ci.count[b]++
 	}
 }
 
@@ -202,26 +202,27 @@ func (ci *ConflictIndex) Conflicts(e int) bool {
 	w := &ci.walk
 	w.begin(g.nVerts)
 	// e is valid, so both endpoints cover everything but e's own slot.
-	if ci.enter(ed.U, g.slotOf(ed.U, ed.Pred)) || ci.enter(ed.V, g.slotOf(ed.V, ed.Pred)) {
+	u, v, pred := int(ed.U), int(ed.V), int(ed.Pred)
+	if ci.enter(u, g.slotOf(u, pred)) || ci.enter(v, g.slotOf(v, pred)) {
 		return true
 	}
 	for len(w.stack) > 0 {
 		it := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
 		t := g.tableOf[it.v]
-		first, _ := g.firstList(it.v)
+		first, _ := g.VertexBundles(it.v)
 		for s, p := range g.predsByTable[t] {
 			if s == it.at || g.beyond[t][s]&ci.predMask == 0 || !g.coversOffPath(it.v, it.at, s) {
 				continue
 			}
-			for _, eID := range g.lists[first+s] {
+			for _, eID := range g.list(first + s) {
 				ne := &g.edges[eID]
 				if ne.Color == Red {
 					continue
 				}
-				next := ne.U
+				next := int(ne.U)
 				if next == it.v {
-					next = ne.V
+					next = int(ne.V)
 				}
 				if w.visit(next) && ci.enter(next, g.slotOf(next, p)) {
 					return true
@@ -239,13 +240,12 @@ func (ci *ConflictIndex) Conflicts(e int) bool {
 func (ci *ConflictIndex) enter(v, in int) bool {
 	ci.Steps++
 	g := ci.g
-	preds := g.predsByTable[g.tableOf[v]]
-	if len(preds) == 1 {
+	first, slots := g.VertexBundles(v)
+	if slots == 1 {
 		return false
 	}
-	base := v * g.nPreds
-	for s, p := range preds {
-		if s != in && ci.count[base+p] > 0 {
+	for s := range slots {
+		if s != in && ci.count[first+s] > 0 {
 			return true
 		}
 	}

@@ -117,7 +117,7 @@ func (g *Graph) enumerate(order, pins []int, keep func(Edge) bool, yield func(as
 	}
 	// Apply pins: fix assignments; bail on inconsistency.
 	for _, eID := range pins {
-		e := g.edges[eID]
+		e := g.Edge(eID)
 		if !keep(e) {
 			return
 		}
@@ -151,22 +151,22 @@ func (en *enumerator) rec(k int) bool {
 		return en.try(k, en.pinned[pIdx])
 	case en.assign[p.A] >= 0:
 		c, n := g.slotLists(p.A, pIdx)
-		for _, eID := range g.lists[c+en.assign[p.A]*n] {
-			if !en.try(k, eID) {
+		for _, eID := range g.list(c + en.assign[p.A]*n) {
+			if !en.try(k, int(eID)) {
 				return false
 			}
 		}
 	case en.assign[p.B] >= 0:
 		c, n := g.slotLists(p.B, pIdx)
-		for _, eID := range g.lists[c+en.assign[p.B]*n] {
-			if !en.try(k, eID) {
+		for _, eID := range g.list(c + en.assign[p.B]*n) {
+			if !en.try(k, int(eID)) {
 				return false
 			}
 		}
 	default:
 		// Only the first predicate in the order starts unanchored.
 		for eID := range g.edges {
-			if g.edges[eID].Pred != pIdx {
+			if int(g.edges[eID].Pred) != pIdx {
 				continue
 			}
 			if !en.try(k, eID) {
@@ -180,7 +180,7 @@ func (en *enumerator) rec(k int) bool {
 // try places edge eID on predicate k of the order, if it is kept and
 // consistent with the assignment so far, and recurses.
 func (en *enumerator) try(k, eID int) bool {
-	e := en.g.edges[eID]
+	e := en.g.Edge(eID)
 	if !en.keep(e) {
 		return true
 	}
@@ -244,8 +244,8 @@ func (g *Graph) SameCandidate(e1, e2 int) bool {
 		return false // a candidate holds exactly one edge per predicate
 	}
 	// Different tuples of the same table can't co-occur.
-	for _, u := range [2]int{a.U, a.V} {
-		for _, v := range [2]int{b.U, b.V} {
+	for _, u := range [2]int32{a.U, a.V} {
+		for _, v := range [2]int32{b.U, b.V} {
 			if u != v && g.tableOf[u] == g.tableOf[v] {
 				return false
 			}
@@ -305,7 +305,7 @@ func (g *Graph) Candidates(maxN int) []Embedding {
 	g.enumerate(g.predOrder, nil, nonRed, func(assign, edges []int) bool {
 		prob := 1.0
 		for _, eID := range edges {
-			if e := g.edges[eID]; e.Color == Unknown {
+			if e := &g.edges[eID]; e.Color == Unknown {
 				prob *= e.W
 			}
 		}

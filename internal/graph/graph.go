@@ -103,9 +103,6 @@ func (s *Structure) Validate() error {
 	return nil
 }
 
-// PredsOf returns the indices of predicates incident to table t.
-func (s *Structure) PredsOf(t int) []int { return s.predsOf(t) }
-
 // predsOf returns the indices of predicates incident to table t.
 func (s *Structure) predsOf(t int) []int {
 	var out []int
@@ -135,7 +132,27 @@ type Edge struct {
 	Color Color
 }
 
+// edge is how the graph stores an Edge: 24 bytes, its id being its
+// index in Graph.edges and every other id 32 bits wide.
+type edge struct {
+	W     float64
+	U, V  int32
+	Pred  int32
+	Color Color
+}
+
+// maxIndex bounds what the graph numbers in 32 bits: vertices, bundles
+// and edges, whose 2·E adjacency entries, and so every offset into
+// them, must fit an int32 too.
+const maxIndex = 1<<30 - 1
+
 // Graph is the instantiated query graph over concrete data.
+//
+// Everything the graph keeps per (vertex, predicate) lives on one dense
+// bundle index: table t's row r has one bundle per predicate incident to
+// t, and its k-th (k indexing predsOf(t)) is listBase[t] + r·slots(t) + k,
+// so a vertex's bundles are consecutive. BundleIndex exports the index
+// to the per-statement tables of other packages.
 type Graph struct {
 	S       *Structure
 	counts  []int // tuples per table
@@ -143,13 +160,17 @@ type Graph struct {
 	tableOf []int // table index per vertex id
 	nVerts  int
 
-	edges []Edge
-	// lists holds every (vertex, slot) adjacency list in vertex order:
-	// table t's row r lists the edge ids on the k-th predicate of t (k
-	// indexes predsOf(t)) at lists[listBase[t] + r*len(predsOf(t)) + k].
-	// The cover facts of validity.go are indexed the same way.
-	lists    [][]int
+	edges []edge
+	// Adjacency in CSR form over the bundle index: bundle b's edge ids
+	// are adj[off[b]:off[b+1]], ascending (edges are only ever appended,
+	// so that is insertion order). The cover facts of validity.go are
+	// indexed by bundle too.
+	off      []int32
+	adj      []int32
 	listBase []int
+	// sides[p] locates predicate p's bundles: vertex v of p's A table
+	// (side 0) or B table (side 1) has its bundle on p at c + v·n.
+	sides [][2]bundleRun
 	// predsByTable caches predsOf per table; predSlot[t*nPreds+p] is
 	// predicate p's slot in predsByTable[t], -1 when p does not touch t.
 	predsByTable [][]int
@@ -169,9 +190,10 @@ type Graph struct {
 	// the predicates past each (table, slot), tree-shaped structures only.
 	beyond [][]uint64
 
-	// Color journal: every effective SetColor is appended, so a consumer
-	// that remembers the length it last saw (the cost engine, the
-	// closure) knows whether, and by what, the coloring has changed.
+	// Color journal, kept from the first NewClosure on: every effective
+	// SetColor is appended, so a closure that remembers the length it
+	// last saw knows whether, and by what, the coloring has changed.
+	journal  bool
 	colorLog []ColorEvent
 
 	// Cached edge-component partition (components.go).
@@ -183,6 +205,10 @@ type Graph struct {
 	floodStack  []int // reusable vertex stack for floodComponent
 	floodCounts []int // sizes of the components flooded since the last carve
 }
+
+// bundleRun is slotLists' answer for one side of one predicate: that
+// side's vertex v has its bundle on the predicate at c + v·n.
+type bundleRun struct{ c, n int }
 
 // ColorEvent is one journaled color transition.
 type ColorEvent struct {
@@ -228,12 +254,22 @@ func NewGraph(s *Structure, counts []int) (*Graph, error) {
 	}
 	g.predOrder = s.predOrder()
 	g.listBase = make([]int, len(counts))
-	nLists := 0
+	nBundles := 0
 	for t, c := range counts {
-		g.listBase[t] = nLists
-		nLists += c * len(g.predsByTable[t])
+		g.listBase[t] = nBundles
+		nBundles += c * len(g.predsByTable[t])
 	}
-	g.lists = make([][]int, nLists)
+	if nBundles > maxIndex || g.nVerts > maxIndex {
+		return nil, fmt.Errorf("graph: %d tuples in %d (tuple, predicate) bundles exceed the 32-bit index", g.nVerts, nBundles)
+	}
+	g.off = make([]int32, nBundles+1)
+	g.sides = make([][2]bundleRun, g.nPreds)
+	for p, q := range s.Preds {
+		for side, t := range [2]int{q.A, q.B} {
+			c, n := g.slotLists(t, p)
+			g.sides[p][side] = bundleRun{c, n}
+		}
+	}
 	g.treeShaped = s.Kind() != Cyclic
 	if g.treeShaped {
 		g.beyond = g.predsBeyond()
@@ -298,41 +334,55 @@ func (g *Graph) checkedSlotOf(v, pred int) int {
 	return g.slotAt(g.TableOf(v), pred)
 }
 
-// firstList returns the index in g.lists of vertex v's slot-0 list and
-// the number of slots v has.
-func (g *Graph) firstList(v int) (first, slots int) {
+// VertexBundles returns vertex v's first bundle and the number of
+// bundles (slots) it has: they are consecutive, one per predicate of
+// TablePreds(TableOf(v)) in that order.
+func (g *Graph) VertexBundles(v int) (first, slots int) {
 	t := g.tableOf[v]
 	slots = len(g.predsByTable[t])
 	return g.listBase[t] + (v-g.base[t])*slots, slots
 }
 
-// slotLists returns c and n such that lists[c+v*n] is the list of table
-// t's vertex v on predicate pred (which must touch t): a loop that stays
-// on one side of one predicate pays one multiply-add per vertex.
+// slotLists returns c and n such that c+v*n is the bundle of table t's
+// vertex v on predicate pred (which must touch t): a loop that stays on
+// one side of one predicate pays one multiply-add per vertex.
 func (g *Graph) slotLists(t, pred int) (c, n int) {
 	n = len(g.predsByTable[t])
 	return g.listBase[t] - g.base[t]*n + g.slotAt(t, pred), n
 }
 
+// edgeBundles returns the bundles of edge e's predicate at U and at V.
+func (g *Graph) edgeBundles(e *edge) (bu, bv int) {
+	s := &g.sides[e.Pred]
+	return s[0].c + int(e.U)*s[0].n, s[1].c + int(e.V)*s[1].n
+}
+
+// list returns the edge ids of bundle b, ascending.
+func (g *Graph) list(b int) []int32 { return g.adj[g.off[b]:g.off[b+1]] }
+
+// NumBundles returns the number of (tuple, incident predicate) bundles:
+// the size of every table indexed by BundleIndex.
+func (g *Graph) NumBundles() int { return len(g.off) - 1 }
+
+// BundleIndex returns the dense index in [0, NumBundles()) of vertex v's
+// bundle on predicate pred, or -1 when pred does not touch v's table. A
+// table another package keeps per (tuple, predicate) is sized and
+// indexed by it, rather than by vertex × predicate.
+func (g *Graph) BundleIndex(v, pred int) int {
+	slot := g.checkedSlotOf(v, pred)
+	if slot < 0 {
+		return -1
+	}
+	first, _ := g.VertexBundles(v)
+	return first + slot
+}
+
 // AddEdge adds a crowd edge on predicate pred between rowA (in the
 // predicate's A table) and rowB (B table) with matching probability w.
-// Returns the edge id.
+// Returns the edge id. It is AddEdges with one spec, so it rebuilds the
+// adjacency: a caller with many edges adds them in one AddEdges.
 func (g *Graph) AddEdge(pred, rowA, rowB int, w float64) int {
-	if pred < 0 || pred >= len(g.S.Preds) {
-		panic(fmt.Sprintf("graph: predicate %d out of range", pred))
-	}
-	p := g.S.Preds[pred]
-	u := g.VertexID(p.A, rowA)
-	v := g.VertexID(p.B, rowB)
-	id := len(g.edges)
-	g.edges = append(g.edges, Edge{ID: id, Pred: pred, U: u, V: v, W: w})
-	uc, un := g.slotLists(p.A, pred)
-	vc, vn := g.slotLists(p.B, pred)
-	g.lists[uc+u*un] = append(g.lists[uc+u*un], id)
-	g.lists[vc+v*vn] = append(g.lists[vc+v*vn], id)
-	g.dirty = true
-	g.compsValid = false
-	return id
+	return g.AddEdges([]EdgeSpec{{Pred: pred, RowA: rowA, RowB: rowB, W: w}})
 }
 
 // EdgeSpec describes one edge for AddEdges, with AddEdge's arguments.
@@ -344,11 +394,9 @@ type EdgeSpec struct {
 
 // AddEdges adds the edges in order and returns the id of the first; the
 // graph ends up exactly as after one AddEdge per spec (same ids, same
-// EdgesAt order), but built in one pass: degrees are counted per
-// (vertex, slot) first, so the edge array grows once and every touched
-// adjacency list is carved at its exact capacity from one arena instead
-// of growing edge by edge. A spec out of range panics, as in AddEdge,
-// before anything is added.
+// EdgesAt order). The edge array grows once, and the adjacency is rebuilt
+// once, in O(edges + bundles) for all the graph's edges. A spec out of
+// range panics, as in AddEdge, before anything is added.
 func (g *Graph) AddEdges(specs []EdgeSpec) (first int) {
 	return g.AddEdgesFunc(func(yield func(EdgeSpec)) {
 		for _, sp := range specs {
@@ -358,61 +406,96 @@ func (g *Graph) AddEdges(specs []EdgeSpec) (first int) {
 }
 
 // AddEdgesFunc is AddEdges for edges that live somewhere other than a
-// slice of specs: walk is called twice, to count and then to fill, and
-// must yield the same specs in the same order both times.
+// slice of specs: walk is called twice, to check and count and then to
+// fill, and must yield the same specs in the same order both times.
 func (g *Graph) AddEdgesFunc(walk func(yield func(EdgeSpec))) (first int) {
 	first = len(g.edges)
 	n := 0
-	deg := make([]int32, len(g.lists)) // new edges per (vertex, slot), indexed like g.lists
 	walk(func(sp EdgeSpec) {
-		if sp.Pred < 0 || sp.Pred >= len(g.S.Preds) {
+		if sp.Pred < 0 || sp.Pred >= g.nPreds {
 			panic(fmt.Sprintf("graph: predicate %d out of range", sp.Pred))
 		}
 		p := g.S.Preds[sp.Pred]
-		uc, un := g.slotLists(p.A, sp.Pred)
-		vc, vn := g.slotLists(p.B, sp.Pred)
-		deg[uc+g.VertexID(p.A, sp.RowA)*un]++
-		deg[vc+g.VertexID(p.B, sp.RowB)*vn]++
+		g.VertexID(p.A, sp.RowA)
+		g.VertexID(p.B, sp.RowB)
 		n++
 	})
-	// Lists that already hold edges move into the arena with them.
-	total := 2 * n
-	for k, lst := range g.lists {
-		if deg[k] > 0 {
-			total += len(lst)
-		}
+	if first+n > maxIndex {
+		panic(fmt.Sprintf("graph: %d edges exceed the 32-bit index", first+n))
 	}
-	arena := make([]int, total)
-	off := 0
-	for k, lst := range g.lists {
-		if size := len(lst) + int(deg[k]); deg[k] > 0 {
-			g.lists[k] = append(arena[off:off:off+size], lst...)
-			off += size
-		}
-	}
-	if need := len(g.edges) + n; need > cap(g.edges) {
-		g.edges = append(make([]Edge, 0, need), g.edges...)
+	// Grown by hand, not slices.Grow: under the race detector that
+	// allocates a zeroed temporary of n records besides the new array.
+	if need := first + n; need > cap(g.edges) {
+		g.edges = append(make([]edge, 0, need), g.edges...)
 	}
 	walk(func(sp EdgeSpec) {
 		p := g.S.Preds[sp.Pred]
-		u, v := g.base[p.A]+sp.RowA, g.base[p.B]+sp.RowB
-		id := len(g.edges)
-		g.edges = append(g.edges, Edge{ID: id, Pred: sp.Pred, U: u, V: v, W: sp.W})
-		uc, un := g.slotLists(p.A, sp.Pred)
-		vc, vn := g.slotLists(p.B, sp.Pred)
-		g.lists[uc+u*un] = append(g.lists[uc+u*un], id)
-		g.lists[vc+v*vn] = append(g.lists[vc+v*vn], id)
+		g.edges = append(g.edges, edge{
+			W: sp.W, Pred: int32(sp.Pred),
+			U: int32(g.base[p.A] + sp.RowA), V: int32(g.base[p.B] + sp.RowB),
+		})
 	})
 	if len(g.edges) != first+n {
 		panic(fmt.Sprintf("graph: AddEdgesFunc walk yielded %d edges, then %d", n, len(g.edges)-first))
 	}
+	g.bindAdjacency()
 	g.dirty = true
 	g.compsValid = false
 	return first
 }
 
-// Edge returns a copy of the edge with the given id.
-func (g *Graph) Edge(id int) Edge { return g.edges[id] }
+// bindAdjacency rebuilds off and adj from the edge array: a count pass
+// leaves off[b] at bundle b's start and a fill pass in edge-id order
+// advances it to b's end, so each list comes out ascending and one
+// shift by a slot restores the starts.
+func (g *Graph) bindAdjacency() {
+	off := g.off
+	clear(off)
+	for i := range g.edges {
+		bu, bv := g.edgeBundles(&g.edges[i])
+		off[bu+1]++
+		off[bv+1]++
+	}
+	for b := 1; b < len(off); b++ {
+		off[b] += off[b-1]
+	}
+	if n := 2 * len(g.edges); n > cap(g.adj) {
+		g.adj = make([]int32, n)
+	} else {
+		g.adj = g.adj[:n]
+	}
+	for i := range g.edges {
+		bu, bv := g.edgeBundles(&g.edges[i])
+		g.adj[off[bu]], off[bu] = int32(i), off[bu]+1
+		g.adj[off[bv]], off[bv] = int32(i), off[bv]+1
+	}
+	copy(off[1:], off)
+	off[0] = 0
+}
+
+// Edge returns the edge with the given id.
+func (g *Graph) Edge(id int) Edge {
+	e := &g.edges[id]
+	return Edge{ID: id, Pred: int(e.Pred), U: int(e.U), V: int(e.V), W: e.W, Color: e.Color}
+}
+
+// Weight, Color and Ends read one edge's fields without building the
+// Edge value, which hot loops (the orderings, the round scheduler) pay
+// for per edge: Edge(id).W, Edge(id).Color and Edge(id)'s U, V, Pred.
+func (g *Graph) Weight(id int) float64 { return g.edges[id].W }
+
+// Color returns Edge(id).Color; see Weight.
+func (g *Graph) Color(id int) Color { return g.edges[id].Color }
+
+// Ends returns Edge(id)'s U, V and Pred; see Weight.
+func (g *Graph) Ends(id int) (u, v, pred int) {
+	e := &g.edges[id]
+	return int(e.U), int(e.V), int(e.Pred)
+}
+
+// EdgeBundles returns the bundles (BundleIndex) of edge id's predicate
+// at its U and at its V endpoint.
+func (g *Graph) EdgeBundles(id int) (bu, bv int) { return g.edgeBundles(&g.edges[id]) }
 
 // SetColor records a crowd answer (or an inference) for an edge.
 func (g *Graph) SetColor(id int, c Color) {
@@ -421,15 +504,18 @@ func (g *Graph) SetColor(id int, c Color) {
 		return
 	}
 	g.edges[id].Color = c
-	g.colorLog = append(g.colorLog, ColorEvent{Edge: id, Old: old, New: c})
+	if g.journal {
+		g.colorLog = append(g.colorLog, ColorEvent{Edge: id, Old: old, New: c})
+	}
 	g.noteColorChange(old, c)
 	g.noteColorValidity(id, old, c)
 }
 
-// ColorEvents returns the full journal of effective color transitions
-// since graph creation, oldest first. Incremental consumers remember
-// the length they last consumed and read only the suffix. The slice is
-// owned by the graph; callers must not modify it.
+// ColorEvents returns the journal of effective color transitions since
+// the first NewClosure on g, oldest first; it is empty before one.
+// Incremental consumers remember the length they last consumed and read
+// only the suffix. The slice is owned by the graph; callers must not
+// modify it.
 func (g *Graph) ColorEvents() []ColorEvent { return g.colorLog }
 
 // SetWeight updates an edge's matching probability (used when a
@@ -441,23 +527,20 @@ func (g *Graph) SetWeight(id int, w float64) { g.edges[id].W = w }
 // slice is shared and must not be modified.
 func (g *Graph) TablePreds(t int) []int { return g.predsByTable[t] }
 
-// EdgesAt returns the edge ids incident to vertex v on predicate pred.
-// The returned slice is shared; callers must not mutate it.
-func (g *Graph) EdgesAt(v, pred int) []int {
-	slot := g.checkedSlotOf(v, pred)
-	if slot < 0 {
+// EdgesAt returns the edge ids incident to vertex v on predicate pred,
+// ascending. The returned slice is shared; callers must not mutate it.
+func (g *Graph) EdgesAt(v, pred int) []int32 {
+	b := g.BundleIndex(v, pred)
+	if b < 0 {
 		return nil
 	}
-	first, _ := g.firstList(v)
-	return g.lists[first+slot]
+	return g.list(b)
 }
 
-// AllEdgesAt returns all edge ids incident to v across predicates.
-func (g *Graph) AllEdgesAt(v int) []int {
-	var out []int
-	first, n := g.firstList(v)
-	for _, lst := range g.lists[first : first+n] {
-		out = append(out, lst...)
-	}
-	return out
+// AllEdgesAt returns all edge ids incident to v across predicates, its
+// bundles in slot order: one contiguous view of the adjacency, shared
+// like EdgesAt's.
+func (g *Graph) AllEdgesAt(v int) []int32 {
+	first, n := g.VertexBundles(v)
+	return g.adj[g.off[first]:g.off[first+n]]
 }

@@ -474,8 +474,8 @@ func TestCutLossRollsFactsBack(t *testing.T) {
 			return slices.Clone(g.cs.cover), slices.Clone(g.cs.support), slices.Clone(g.cs.falseCount), slices.Clone(g.valid)
 		}
 		cover, support, falseCount, valid := snapshot()
-		if len(cover) != len(g.lists) || len(support) != len(g.lists) || len(falseCount) != g.nVerts {
-			t.Fatalf("facts sized %d/%d/%d for %d lists, %d vertices", len(cover), len(support), len(falseCount), len(g.lists), g.nVerts)
+		if len(cover) != g.NumBundles() || len(support) != g.NumBundles() || len(falseCount) != g.nVerts {
+			t.Fatalf("facts sized %d/%d/%d for %d bundles, %d vertices", len(cover), len(support), len(falseCount), g.NumBundles(), g.nVerts)
 		}
 		same := func(ctx string) {
 			t.Helper()

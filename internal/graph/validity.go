@@ -7,8 +7,8 @@ package graph
 // For tree-shaped query structures we maintain directional cover
 // facts: the fact of (v, slot) means "tuple v can be extended to satisfy
 // the entire subtree of the query tree that hangs beyond the slot-th
-// predicate of v's table". Facts are stored flat, one per adjacency
-// list and at that list's index in g.lists (firstList, slotLists). The
+// predicate of v's table". Facts are stored flat, one per bundle and at
+// that bundle's index (VertexBundles, slotLists, BundleIndex). The
 // fact dependency graph is acyclic (it follows directed query-tree
 // edges), so an optimistic initialization followed by
 // false-propagation computes the unique fixpoint. An edge
@@ -26,11 +26,15 @@ package graph
 // slower); the planner normally rewrites cycles away first
 // (BreakCycles), matching §5.1.1.
 type coverFacts struct {
-	cover      []bool  // per (vertex, slot): v can cover the subtree beyond that pred
+	cover      []bool  // per bundle: its vertex can cover the subtree beyond its pred
 	support    []int32 // supporting-edge counters for cover facts, indexed like cover
 	falseCount []int32 // number of false cover facts per vertex
 
-	work []fact // facts whose support reached zero, not yet propagated
+	// work holds the facts whose support reached zero, not yet
+	// propagated. A fact is queued at most once per propagation (its
+	// support falls to zero once), so the stack is sized once to the
+	// bundle count and never grows.
+	work []fact
 
 	// A hypothetical cut journals every change for rollback and counts
 	// the valid uncolored edges it invalidates; the rebuild and a Red
@@ -41,9 +45,9 @@ type coverFacts struct {
 }
 
 // fact identifies one directional cover fact: vertex v's coverage of
-// the query subtree beyond one of its incident predicates, k being the
-// index of that (vertex, slot) in the flat fact arrays.
-type fact struct{ v, k int }
+// the query subtree beyond one of its incident predicates, k being that
+// bundle's index in the flat fact arrays.
+type fact struct{ v, k int32 }
 
 // journalEntry records one change of a hypothetical cut for rollback:
 // cover[k] turned false at vertex v (v ≥ 0), or, marked by v,
@@ -67,14 +71,6 @@ func (cs *coverFacts) coversAllExcept(v, skip int) bool {
 	default:
 		return false
 	}
-}
-
-// edgeFacts returns the facts of edge e's own slot at U and at V.
-func (g *Graph) edgeFacts(e *Edge) (ku, kv int) {
-	p := g.S.Preds[e.Pred]
-	uc, un := g.slotLists(p.A, e.Pred)
-	vc, vn := g.slotLists(p.B, e.Pred)
-	return uc + e.U*un, vc + e.V*vn
 }
 
 // farFacts returns slotLists for the far side of list q of vertex v,
@@ -171,9 +167,11 @@ func (g *Graph) noteColorValidity(id int, old, c Color) {
 func (g *Graph) revalidateTree() {
 	cs := &g.cs
 	if len(cs.falseCount) != g.nVerts {
-		cs.cover = make([]bool, len(g.lists))
-		cs.support = make([]int32, len(g.lists))
+		nb := g.NumBundles()
+		cs.cover = make([]bool, nb)
+		cs.support = make([]int32, nb)
 		cs.falseCount = make([]int32, g.nVerts)
+		cs.work = make([]fact, 0, nb)
 	}
 	if len(g.valid) != len(g.edges) {
 		g.valid = make([]bool, len(g.edges))
@@ -183,18 +181,18 @@ func (g *Graph) revalidateTree() {
 	}
 	clear(cs.falseCount)
 	for v := 0; v < g.nVerts; v++ {
-		first, slots := g.firstList(v)
+		first, slots := g.VertexBundles(v)
 		for k := first; k < first+slots; k++ {
 			cs.cover[k] = true
 			cnt := int32(0)
-			for _, eID := range g.lists[k] {
+			for _, eID := range g.list(k) {
 				if g.edges[eID].Color != Red {
 					cnt++
 				}
 			}
 			cs.support[k] = cnt
 			if cnt == 0 {
-				cs.work = append(cs.work, fact{v, k})
+				cs.work = append(cs.work, fact{int32(v), int32(k)})
 			}
 		}
 	}
@@ -207,12 +205,12 @@ func (g *Graph) revalidateTree() {
 // maintains), so only live contributions are removed.
 func (g *Graph) withdraw(id int) {
 	e := &g.edges[id]
-	ku, kv := g.edgeFacts(e)
-	if g.cs.coversAllExcept(e.U, ku) {
-		g.unsupport(e.V, kv)
+	ku, kv := g.edgeBundles(e)
+	if g.cs.coversAllExcept(int(e.U), ku) {
+		g.unsupport(int(e.V), kv)
 	}
-	if g.cs.coversAllExcept(e.V, kv) {
-		g.unsupport(e.U, ku)
+	if g.cs.coversAllExcept(int(e.V), kv) {
+		g.unsupport(int(e.U), ku)
 	}
 }
 
@@ -225,7 +223,7 @@ func (g *Graph) unsupport(w, k int) {
 		cs.journal = append(cs.journal, journalEntry{k: int32(k), v: decrementedSupport})
 	}
 	if cs.support[k] == 0 && cs.cover[k] {
-		cs.work = append(cs.work, fact{w, k})
+		cs.work = append(cs.work, fact{int32(w), int32(k)})
 	}
 }
 
@@ -243,26 +241,27 @@ func (g *Graph) propagate() {
 		cs.cover[f.k] = false
 		cs.falseCount[f.v]++
 		if cs.cutting {
-			cs.journal = append(cs.journal, journalEntry{k: int32(f.k), v: int32(f.v)})
+			cs.journal = append(cs.journal, journalEntry{k: f.k, v: f.v})
 		}
-		first, slots := g.firstList(f.v)
-		// f.v stops supporting neighbor facts through every slot q where
-		// coversAllExcept(f.v, q) just flipped from true to false.
-		switch cs.falseCount[f.v] {
+		v, k := int(f.v), int(f.k)
+		first, slots := g.VertexBundles(v)
+		// v stops supporting neighbor facts through every slot q where
+		// coversAllExcept(v, q) just flipped from true to false.
+		switch cs.falseCount[v] {
 		case 1:
 			// Previously covered everything: coversAllExcept flipped for
 			// every slot except the newly false one.
 			for q := first; q < first+slots; q++ {
-				if q != f.k {
-					g.dropList(f.v, first, q)
+				if q != k {
+					g.dropList(v, first, q)
 				}
 			}
 		case 2:
 			// Previously exactly one false slot f0: coversAllExcept was
 			// true only for q==f0; it flips there now.
 			for q := first; q < first+slots; q++ {
-				if q != f.k && !cs.cover[q] {
-					g.dropList(f.v, first, q)
+				if q != k && !cs.cover[q] {
+					g.dropList(v, first, q)
 					break
 				}
 			}
@@ -281,7 +280,7 @@ func (g *Graph) propagate() {
 func (g *Graph) dropList(v, first, q int) {
 	cs := &g.cs
 	c, n := g.farFacts(v, first, q)
-	for _, eID := range g.lists[q] {
+	for _, eID := range g.list(q) {
 		e := &g.edges[eID]
 		if e.Color == Red {
 			continue
@@ -289,15 +288,15 @@ func (g *Graph) dropList(v, first, q int) {
 		if g.valid[eID] {
 			g.valid[eID] = false
 			if cs.cutting {
-				cs.journal = append(cs.journal, journalEntry{k: int32(eID), v: clearedValid})
+				cs.journal = append(cs.journal, journalEntry{k: eID, v: clearedValid})
 				if e.Color == Unknown {
 					cs.loss++
 				}
 			}
 		}
-		w := e.U
+		w := int(e.U)
 		if w == v {
-			w = e.V
+			w = int(e.V)
 		}
 		g.unsupport(w, c+w*n)
 	}
@@ -337,11 +336,11 @@ func (g *Graph) CutLoss(v, pred int) (loss, bundle int) {
 	}
 	cs := &g.cs
 	cs.cutting, cs.loss = true, 0
-	first, _ := g.firstList(v)
-	for _, eID := range g.lists[first+slot] {
+	first, _ := g.VertexBundles(v)
+	for _, eID := range g.list(first + slot) {
 		if g.edges[eID].Color == Unknown {
 			bundle++
-			g.withdraw(eID)
+			g.withdraw(int(eID))
 		}
 	}
 	g.propagate()
@@ -370,7 +369,7 @@ func (g *Graph) cutLossBrute(v, pred int) (loss, bundle int) {
 	var flipped []int
 	for _, eID := range g.EdgesAt(v, pred) {
 		if g.edges[eID].Color == Unknown {
-			flipped = append(flipped, eID)
+			flipped = append(flipped, int(eID))
 		}
 	}
 	bundle = len(flipped)

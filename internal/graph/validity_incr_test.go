@@ -89,8 +89,14 @@ func TestIncrementalValidityCutLossConsistent(t *testing.T) {
 // whose facts come from a rebuild.
 func replica(g *Graph) *Graph {
 	rep := MustNewGraph(g.S, g.counts)
-	for _, e := range g.edges {
-		rep.SetColor(rep.AddEdge(e.Pred, g.RowOf(e.U), g.RowOf(e.V), e.W), e.Color)
+	specs := make([]EdgeSpec, g.NumEdges())
+	for id := range specs {
+		e := g.Edge(id)
+		specs[id] = EdgeSpec{Pred: e.Pred, RowA: g.RowOf(e.U), RowB: g.RowOf(e.V), W: e.W}
+	}
+	rep.AddEdges(specs)
+	for id := range specs {
+		rep.SetColor(id, g.Edge(id).Color)
 	}
 	rep.Revalidate()
 	return rep

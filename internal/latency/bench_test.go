@@ -17,13 +17,15 @@ func benchBlocks(blocks int, r *stats.RNG) (*graph.Graph, []int, []float64) {
 	}
 	n := 2 * blocks
 	g := graph.MustNewGraph(s, []int{n, n, n})
+	specs := make([]graph.EdgeSpec, 0, 3*len(s.Preds)*blocks)
 	for b := 0; b < blocks; b++ {
 		for p := range s.Preds {
-			g.AddEdge(p, 2*b, 2*b, 0.1+0.8*r.Float64())
-			g.AddEdge(p, 2*b, 2*b+1, 0.1+0.8*r.Float64())
-			g.AddEdge(p, 2*b+1, 2*b+1, 0.1+0.8*r.Float64())
+			for _, rows := range [3][2]int{{2 * b, 2 * b}, {2 * b, 2*b + 1}, {2*b + 1, 2*b + 1}} {
+				specs = append(specs, graph.EdgeSpec{Pred: p, RowA: rows[0], RowB: rows[1], W: 0.1 + 0.8*r.Float64()})
+			}
 		}
 	}
+	g.AddEdges(specs)
 	order := make([]int, g.NumEdges())
 	score := make([]float64, g.NumEdges())
 	for i := range order {

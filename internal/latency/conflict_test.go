@@ -174,13 +174,15 @@ func connectedChain(n, degree int, r *stats.RNG) (*graph.Graph, []int, []float64
 		Preds:  []graph.QPred{{A: 0, B: 1}, {A: 1, B: 2}, {A: 2, B: 3}},
 	}
 	g := graph.MustNewGraph(s, []int{n, n, n, n})
+	specs := make([]graph.EdgeSpec, 0, len(s.Preds)*n*degree)
 	for p := range s.Preds {
 		for a := 0; a < n; a++ {
 			for k := 0; k < degree; k++ {
-				g.AddEdge(p, a, (a+k)%n, 0.1+0.8*r.Float64())
+				specs = append(specs, graph.EdgeSpec{Pred: p, RowA: a, RowB: (a + k) % n, W: 0.1 + 0.8*r.Float64()})
 			}
 		}
 	}
+	g.AddEdges(specs)
 	order := r.Perm(g.NumEdges())
 	score := make([]float64, g.NumEdges())
 	for i := range score {

@@ -36,24 +36,22 @@ var (
 // scratch; recycling it through a pool leaves the returned batch as the
 // steady-state scheduler's only allocation.
 type batchScratch struct {
-	bestRank  []int
-	rankOf    []int
+	bestRank  []int32
+	rankOf    []int32
 	batch     []int
 	conflicts graph.ConflictIndex // the tasks packed so far
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// grabInts returns a zeroed int slice of length n backed by buf when
+// grabInt32s returns a zeroed int32 slice of length n backed by buf when
 // capacity allows.
-func grabInts(buf []int, n int) []int {
+func grabInt32s(buf []int32, n int) []int32 {
 	if cap(buf) < n {
-		return make([]int, n)
+		return make([]int32, n)
 	}
 	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	return buf
 }
 
@@ -80,36 +78,35 @@ func grabInts(buf []int, n int) []int {
 // behind any earlier gate at the same tuple.
 func ParallelBatchScored(g *graph.Graph, order []int, score []float64) []int {
 	g.Revalidate()
-	nPreds := len(g.S.Preds)
 
 	// Priority-aware deferral: an edge waits when a higher-priority
 	// valid edge touches one of its endpoints on a DIFFERENT predicate
 	// — that edge is this tuple's "gate", and its answer may prune this
 	// one. Per-tuple gates of every predicate still go out together, so
 	// rounds stay near one-per-predicate while preserving inference.
-	// bestRank[v*nPreds+pred] is the best (smallest) scan rank of a
-	// valid uncolored edge at vertex v and predicate, stored as rank+1
-	// so the zero value means "unset" and the dense slices need no
-	// -1 fill. Edge and vertex ids are dense, so flat slices replace
-	// the former maps.
+	// bestRank[b] is the best (smallest) scan rank of a valid uncolored
+	// edge in bundle b (graph.BundleIndex: a vertex and a predicate),
+	// stored as rank+1 so the zero value means "unset" and the dense
+	// slices need no -1 fill. Edge and bundle ids are dense, so flat
+	// slices replace the former maps.
 	sc := scratchPool.Get().(*batchScratch)
 	defer scratchPool.Put(sc)
-	bestRank := grabInts(sc.bestRank, g.NumVertices()*nPreds)
-	rankOf := grabInts(sc.rankOf, g.NumEdges())
+	bestRank := grabInt32s(sc.bestRank, g.NumBundles())
+	rankOf := grabInt32s(sc.rankOf, g.NumEdges())
 	sc.bestRank, sc.rankOf = bestRank, rankOf
 	for rank, e := range order {
-		ed := g.Edge(e)
-		if ed.Color != graph.Unknown || !g.IsValid(e) {
+		if g.Color(e) != graph.Unknown || !g.IsValid(e) {
 			continue
 		}
 		if rankOf[e] != 0 {
 			continue
 		}
-		rankOf[e] = rank + 1
-		for _, v := range [2]int{ed.U, ed.V} {
-			key := v*nPreds + ed.Pred
-			if r := bestRank[key]; r == 0 || rank+1 < r {
-				bestRank[key] = rank + 1
+		r1 := int32(rank + 1)
+		rankOf[e] = r1
+		bu, bv := g.EdgeBundles(e)
+		for _, key := range [2]int{bu, bv} {
+			if r := bestRank[key]; r == 0 || r1 < r {
+				bestRank[key] = r1
 			}
 		}
 	}
@@ -119,18 +116,20 @@ func ParallelBatchScored(g *graph.Graph, order []int, score []float64) []int {
 	batch := sc.batch[:0]
 
 	for _, e := range order {
-		ed := g.Edge(e)
-		if ed.Color != graph.Unknown || !g.IsValid(e) {
+		if g.Color(e) != graph.Unknown || !g.IsValid(e) {
 			continue
 		}
+		u, v, _ := g.Ends(e)
 		rank := rankOf[e] - 1
 		deferred := false
-		for _, v := range [2]int{ed.U, ed.V} {
-			for _, q := range g.TablePreds(g.TableOf(v)) {
-				if q == ed.Pred {
+		bu, bv := g.EdgeBundles(e)
+		for _, end := range [2]struct{ v, own int }{{u, bu}, {v, bv}} {
+			first, n := g.VertexBundles(end.v)
+			for b := first; b < first+n; b++ {
+				if b == end.own {
 					continue
 				}
-				r := bestRank[v*nPreds+q] - 1
+				r := bestRank[b] - 1
 				if r < 0 || r >= rank {
 					continue
 				}
@@ -172,7 +171,7 @@ func ParallelBatchScored(g *graph.Graph, order []int, score []float64) []int {
 func SerialBatch(g *graph.Graph, order []int) []int {
 	g.Revalidate()
 	for _, e := range order {
-		if g.Edge(e).Color == graph.Unknown && g.IsValid(e) {
+		if g.Color(e) == graph.Unknown && g.IsValid(e) {
 			return []int{e}
 		}
 	}

@@ -134,7 +134,8 @@ func simulate(p *exec.Plan, bins int, greedy bool) *Decision {
 	nPreds := len(p.S.Preds)
 	byPred := make([][]int, nPreds)
 	for e := 0; e < g.NumEdges(); e++ {
-		byPred[g.Edge(e).Pred] = append(byPred[g.Edge(e).Pred], e)
+		_, _, pred := g.Ends(e)
+		byPred[pred] = append(byPred[pred], e)
 	}
 
 	surviving := make([]bool, g.NumVertices())
@@ -192,13 +193,12 @@ func simulate(p *exec.Plan, bins int, greedy bool) *Decision {
 		// exactly what makes the zero-candidate early exit sound.
 		qp := p.S.Preds[pick]
 		for _, e := range byPred[pick] {
-			ed := g.Edge(e)
-			if ed.Color == graph.Red {
+			if g.Color(e) == graph.Red {
 				continue
 			}
-			if surviving[ed.U] && surviving[ed.V] {
-				keep[ed.U] = true
-				keep[ed.V] = true
+			if u, v, _ := g.Ends(e); surviving[u] && surviving[v] {
+				keep[u] = true
+				keep[v] = true
 			}
 		}
 		for _, t := range []int{qp.A, qp.B} {
@@ -218,12 +218,12 @@ func simulate(p *exec.Plan, bins int, greedy bool) *Decision {
 // tasks executing the predicate now would issue.
 func effective(g *graph.Graph, edges []int, surviving []bool) (support, cost int) {
 	for _, e := range edges {
-		ed := g.Edge(e)
-		if ed.Color == graph.Red || !surviving[ed.U] || !surviving[ed.V] {
+		c := g.Color(e)
+		if u, v, _ := g.Ends(e); c == graph.Red || !surviving[u] || !surviving[v] {
 			continue
 		}
 		support++
-		if ed.Color == graph.Unknown {
+		if c == graph.Unknown {
 			cost++
 		}
 	}
@@ -235,11 +235,10 @@ func effective(g *graph.Graph, edges []int, surviving []bool) (support, cost int
 func histogram(g *graph.Graph, edges []int, bins int) []int {
 	h := make([]int, bins)
 	for _, e := range edges {
-		ed := g.Edge(e)
-		if ed.Color != graph.Unknown {
+		if g.Color(e) != graph.Unknown {
 			continue
 		}
-		b := int(ed.W * float64(bins))
+		b := int(g.Weight(e) * float64(bins))
 		if b >= bins {
 			b = bins - 1
 		}
